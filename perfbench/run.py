@@ -52,8 +52,8 @@ DEADLINE_S = 170.0
 #: One OpenBLAS thread in every measured process.  On the single-step loop
 #: a second BLAS thread keeps the other core busy for nothing (CPU/wall
 #: 1.6, same wall); on gpu-100x20 two threads are faster but spread more
-#: (4.9-5.8 s against 6.4-6.6 s for the search); and on service-2c the
-#: second core belongs to the other session.
+#: (4.9-5.8 s against 6.4-6.6 s for the search); and the service-2c
+#: server is pinned to one core, where a second thread has nowhere to run.
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 #: Accounting margin of the traced run: the layers' self times on the
 #: search threads must cover at least this share of (threads x wall).  In
