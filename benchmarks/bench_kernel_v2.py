@@ -11,7 +11,12 @@ bounds.  This module measures both:
   (the acceptance bar is a >= 5x improvement at pool >= 4096 on a
   20-machine instance);
 * end-to-end wall-clock of the sequential and GPU-simulator engines, which
-  route every bounding call through the selected kernel.
+  route every bounding call through the selected kernel;
+* the incremental strategy on the GPU engine's launch shape (the children
+  of 256 depth-2 parents): bit-identity with the GEMM and scan strategies,
+  a >= 5x per-launch floor over the GEMM at 200x20 (asserted by a plain
+  pytest case, so the CI smoke run enforces it), and in script mode the
+  crossover table behind ``_V2_INCREMENTAL_MIN_JOBS``.
 
 Runable two ways::
 
@@ -24,16 +29,39 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
+from repro.bb.frontier import (
+    Trail,
+    _bound_block_fused,
+    _fused_data,
+    _sibling_qm,
+    branch_block,
+    root_block,
+)
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.core.config import GpuBBConfig
 from repro.core.gpu_bb import GpuBranchAndBound
 from repro.experiments.protocol import synthetic_pool
 from repro.flowshop import random_instance, taillard_instance
-from repro.flowshop.bounds import LowerBoundData, lower_bound_batch, lower_bound_batch_v2
+from repro.flowshop.bounds import (
+    _V2_INCREMENTAL_MIN_JOBS,
+    LowerBoundData,
+    lower_bound_batch,
+    lower_bound_batch_v2,
+)
 
 POOL_SIZE = 4096
 SPEEDUP_FLOOR = 5.0
+
+#: Depth-2 parents whose children form one incremental-strategy launch.
+SIBLING_PARENTS = 256
+#: Per-launch floor of the incremental strategy over the GEMM at 200x20.
+INCREMENTAL_FLOOR = 5.0
+#: Parents whose children are also checked against the (slow) scan strategy.
+SCAN_CHECK_PARENTS = 16
+#: Instance classes of the crossover table (script mode).
+CROSSOVER_CLASSES = ((13, 6), (20, 20), (50, 20), (100, 20), (200, 20))
 
 
 def _launch_inputs(n_jobs=20, n_machines=20, pool_size=POOL_SIZE):
@@ -69,6 +97,53 @@ def test_kernel_v2_scan_strategy_launch(benchmark):
     assert np.array_equal(values, lower_bound_batch(data, mask, release))
 
 
+def _sibling_launch(n_jobs, n_machines, n_parents=SIBLING_PARENTS):
+    """The children of ``n_parents`` depth-2 parents, as one branch-built block.
+
+    The parents are spread evenly over all depth-2 nodes of Taillard-style
+    instance #1 of the class.
+    """
+    instance = taillard_instance(n_jobs, n_machines, index=1)
+    data = LowerBoundData(instance)
+    pt = instance.processing_times
+    depth1 = branch_block(root_block(instance, Trail()), pt, 1)
+    depth2 = branch_block(depth1, pt, 1 + len(depth1))
+    rows = np.unique(np.linspace(0, len(depth2) - 1, n_parents).astype(np.int64))
+    return data, branch_block(depth2.take(rows), pt, 1 + len(depth1) + len(depth2))
+
+
+def _timed(fn, *args, reps=1, **kwargs):
+    """``(best seconds over reps, result)`` of ``fn(*args, **kwargs)``."""
+    best, out = float("inf"), None
+    for _ in range(reps):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
+@pytest.mark.parametrize("n_jobs", [100, 200])
+def test_incremental_launch_exact_and_fast(n_jobs):
+    """Incremental == GEMM == scan on one launch; >= 5x over the GEMM at 200x20."""
+    data, children = _sibling_launch(n_jobs, 20)
+    mask, release = children.scheduled_mask, children.release
+    lower_bound_batch_v2(data, mask[:1], release[:1], strategy="gemm")  # build the tensors
+    args = (data, mask, release)
+    t_gemm, gemm = _timed(lower_bound_batch_v2, *args, strategy="gemm")
+    t_inc, incremental = _timed(
+        lower_bound_batch_v2, *args, strategy="incremental", jobs=children.jobs, reps=3
+    )
+    assert np.array_equal(incremental, gemm)
+    head = slice(0, SCAN_CHECK_PARENTS * (n_jobs - 2))
+    scan = lower_bound_batch_v2(data, mask[head], release[head], strategy="scan")
+    assert np.array_equal(incremental[head], scan)
+    if n_jobs == 200:
+        speedup = t_gemm / t_inc
+        assert speedup >= INCREMENTAL_FLOOR, (
+            f"incremental {speedup:.1f}x over the GEMM, floor {INCREMENTAL_FLOOR:.0f}x"
+        )
+
+
 def test_sequential_engine_v2_end_to_end(benchmark):
     instance = random_instance(11, 10, seed=3)
     result = benchmark(lambda: SequentialBranchAndBound(instance, kernel="v2").solve())
@@ -85,12 +160,41 @@ def test_gpu_engine_v2_end_to_end(benchmark):
 # --------------------------------------------------------------------- #
 # Script mode: self-checking speedup report
 # --------------------------------------------------------------------- #
-def _time_launch(fn, *args, reps=5, **kwargs):
-    fn(*args, **kwargs)  # warm up caches / workspaces
-    start = time.perf_counter()
-    for _ in range(reps):
-        fn(*args, **kwargs)
-    return (time.perf_counter() - start) / reps
+def crossover_table() -> None:
+    """GEMM vs incremental per class: one 256-parent launch and one sibling set.
+
+    The single sibling set is what the sequential engine bounds per step;
+    below ``_V2_INCREMENTAL_MIN_JOBS`` it takes the frontier's fused GEMM.
+    """
+    print(
+        f"incremental crossover (children of {SIBLING_PARENTS} depth-2 parents; "
+        f"incremental from n = {_V2_INCREMENTAL_MIN_JOBS})"
+    )
+    print("  class      rows   gemm ms  incr ms  ratio | one parent: fused us  incr us  ratio")
+    for n_jobs, n_machines in CROSSOVER_CLASSES:
+        data, children = _sibling_launch(n_jobs, n_machines)
+        args = (data, children.scheduled_mask, children.release)
+        t_gemm, gemm = _timed(lower_bound_batch_v2, *args, strategy="gemm", reps=2)
+        t_inc, inc = _timed(
+            lower_bound_batch_v2, *args, strategy="incremental", jobs=children.jobs, reps=3
+        )
+        assert np.array_equal(inc, gemm), f"{n_jobs}x{n_machines} diverged"
+        sib = children.take(np.arange(n_jobs - 2))  # the first parent's children
+        sib_args = (data, sib.scheduled_mask, sib.release)
+
+        def fused():
+            qm_b = _sibling_qm(data, sib.jobs, _fused_data(data, np.float32))
+            return _bound_block_fused(*sib_args, False, np.float32, qm_b=qm_b)
+
+        t_fused, _ = _timed(fused, reps=21)
+        t_sib, _ = _timed(
+            lower_bound_batch_v2, *sib_args, strategy="incremental", jobs=sib.jobs, reps=21
+        )
+        print(
+            f"  {n_jobs:>3}x{n_machines:<3} {len(children):>7} {t_gemm * 1e3:9.1f} "
+            f"{t_inc * 1e3:8.1f} {t_gemm / t_inc:6.2f} | {t_fused * 1e6:19.0f} "
+            f"{t_sib * 1e6:8.0f} {t_fused / t_sib:6.2f}"
+        )
 
 
 def main() -> int:
@@ -100,9 +204,10 @@ def main() -> int:
     for strategy in (None, "gemm", "scan"):
         out = lower_bound_batch_v2(data, mask, release, strategy=strategy)
         assert np.array_equal(out, reference), f"strategy {strategy} diverged"
-    t_v1 = _time_launch(lower_bound_batch, data, mask, release)
-    t_v2 = _time_launch(lower_bound_batch_v2, data, mask, release)
-    t_scan = _time_launch(lower_bound_batch_v2, data, mask, release, strategy="scan")
+    # best of 6: the first call also builds the cached tensors and workspaces
+    t_v1, _ = _timed(lower_bound_batch, data, mask, release, reps=6)
+    t_v2, _ = _timed(lower_bound_batch_v2, data, mask, release, reps=6)
+    t_scan, _ = _timed(lower_bound_batch_v2, data, mask, release, strategy="scan", reps=6)
     speedup = t_v1 / t_v2
     throughput = POOL_SIZE / t_v2
     print(f"  v1        : {t_v1 * 1e3:8.1f} ms/launch  ({POOL_SIZE / t_v1:10.0f} bounds/s)")
@@ -121,6 +226,8 @@ def main() -> int:
         gpu_s = time.perf_counter() - start
         assert seq.best_makespan == gpu.best_makespan
         print(f"  kernel {kernel}: sequential {seq_s * 1e3:.1f} ms, gpu-sim {gpu_s * 1e3:.1f} ms")
+
+    crossover_table()
 
     if speedup < SPEEDUP_FLOOR:
         print(f"FAIL: v2 launch speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.0f}x floor")

@@ -59,6 +59,7 @@ from repro.bb.node import advance_release
 from repro.flowshop.bounds import (
     LowerBoundData,
     _V2_GEMM_MAX_JOBS,
+    _V2_INCREMENTAL_MIN_JOBS,
     _v2_gemm_data,
     _v2_value_bound,
     get_batch_kernel,
@@ -489,17 +490,6 @@ def _fused_data(data: LowerBoundData, ftype) -> _FusedData:
     return fd
 
 
-def _cached_value_bound(data: LowerBoundData, release: np.ndarray) -> int:
-    """:func:`_v2_value_bound` with the instance-constant sentinel cached."""
-    cache = data._v2_gemm_cache
-    big = cache.get("__big__")
-    if big is None:
-        big = _v2_value_bound(data, np.zeros(0, dtype=np.int64)) - 1
-        cache["__big__"] = big
-    release_max = int(release.max()) if release.size else 0
-    return release_max + big + 1
-
-
 def _sibling_qm(data: LowerBoundData, jobs: np.ndarray, fd: _FusedData) -> np.ndarray:
     """``(B, m)`` per-child minimal tails for the full sibling set of a parent.
 
@@ -581,7 +571,10 @@ def bound_block(
     kernels directly — ``encode_pool`` does not exist on this path.  Small
     batches of the v2 kernel take the fused single-GEMM evaluation
     (:func:`_bound_block_fused`); everything else routes through the
-    standard chunked kernels.  Values are bit-identical to
+    standard chunked kernels, together with the block's ``jobs`` column, so
+    from ``_V2_INCREMENTAL_MIN_JOBS`` jobs on a branch-built block is
+    bounded incrementally from its parents' sets (kernel v2's
+    ``"incremental"`` strategy).  Values are bit-identical to
     :func:`repro.flowshop.bounds.lower_bound` on every row, and are also
     written back into ``block.lower_bound``.
 
@@ -605,16 +598,19 @@ def bound_block(
             bounds = block.lower_bound  # set at branch time (leaf makespans)
             return bounds
 
+    # from the crossover on, the kernel's incremental strategy bounds
+    # branch-built rows (known ``jobs``) faster than the fused GEMM
     fused = (
         kernel == "v2"
         and 0 < data.n_couples
         and n_jobs <= _V2_GEMM_MAX_JOBS
         and batch <= _FUSED_MAX_BATCH
+        and (block.jobs is None or n_jobs < _V2_INCREMENTAL_MIN_JOBS)
     )
     if fused:
         # engine-built release rows are non-decreasing along machines, so
         # the last column carries each row's maximum
-        value_bound = _cached_value_bound(data, release[:, -1] if siblings else release)
+        value_bound = _v2_value_bound(data, release[:, -1] if siblings else release)
         if value_bound < 2**24:
             ftype = np.float32
         elif value_bound < 2**53:
@@ -627,7 +623,7 @@ def bound_block(
         # ``release``); writing through the slice casts the int64 results
         # back into the block's int32 column — the explicit dtype boundary
         bounds = get_batch_kernel(kernel)(
-            data, mask, release, include_one_machine=include_one_machine
+            data, mask, release, include_one_machine=include_one_machine, jobs=block.jobs
         )
         block.lower_bound[:] = bounds
         return block.lower_bound

@@ -272,11 +272,14 @@ class ClusterBranchAndBound:
 
         ``array_split`` chunks are contiguous row ranges, so every node's
         buffers are zero-copy views of the block — the scatter is free on
-        the host side and only billed by the interconnect model.
+        the host side and only billed by the interconnect model.  A slice
+        may cut one parent's sibling run in two; the kernel groups rows by
+        parent set, so both halves are still bounded incrementally.
         """
         total = len(children)
         chunks = np.array_split(np.arange(total), self.cluster.n_nodes)
         bounds = children.lower_bound
+        jobs = children.jobs
         slowest = 0.0
         wall = 0.0
         for executor, chunk in zip(self.executors, chunks):
@@ -284,7 +287,9 @@ class ClusterBranchAndBound:
                 continue
             lo, hi = int(chunk[0]), int(chunk[-1]) + 1
             result = executor.evaluate(
-                children.scheduled_mask[lo:hi], children.release[lo:hi]
+                children.scheduled_mask[lo:hi],
+                children.release[lo:hi],
+                jobs=jobs[lo:hi] if jobs is not None else None,
             )
             bounds[lo:hi] = result.bounds
             slowest = max(slowest, result.simulated.total_s)

@@ -19,7 +19,7 @@ precomputed once by :class:`LowerBoundData`; ``RM`` and ``QM`` depend on the
 sub-problem (partial schedule) and are recomputed per node — exactly as in
 the paper's CUDA kernel.
 
-Two evaluation paths are provided:
+Three evaluation paths are provided:
 
 * :func:`lower_bound` — scalar evaluation of a single sub-problem, a direct
   transcription of the paper's ``computeLB`` pseudo-code (Figure 2).
@@ -30,12 +30,19 @@ Two evaluation paths are provided:
   the kernel is so GPU friendly — the control flow is identical across the
   pool).
 * :func:`lower_bound_batch_v2` — the same computation with the machine
-  couple axis vectorised as well: the front/tail times of *all* couples are
-  carried as ``(B, n_couples)`` tensors and only the Johnson scan dimension
-  (``n_jobs``) remains a Python loop, cutting interpreter round-trips from
-  ``n_couples * n_jobs`` to ``n_jobs``.
+  couple axis vectorised as well, by one of three strategies:
 
-Both batched kernels return values bit-identical to the scalar bound;
+  - ``"gemm"``: the Johnson scan in closed form, one matrix product per
+    Johnson position (``n_jobs <= 128``);
+  - ``"scan"``: ``(B, n_couples)`` front/tail tensors marching through the
+    ``n_jobs`` Johnson positions (larger ``n_jobs``);
+  - ``"incremental"``: for rows whose last-scheduled job is known (the
+    ``jobs`` argument, from a branch-built block), one O(n·C) pass per
+    parent set and O(C) per child, since removing one job from a parent's
+    set shifts its closed-form candidates in a known way.  Selected from
+    ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS``, the measured crossover.
+
+All batched kernels return values bit-identical to the scalar bound;
 :func:`get_batch_kernel` maps the ``"v1"`` / ``"v2"`` selector used by the
 engine configurations to the matching implementation.
 """
@@ -490,6 +497,7 @@ def lower_bound_batch(
     scheduled_mask: np.ndarray,
     release: np.ndarray,
     include_one_machine: bool = False,
+    jobs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorised lower bound of a pool of sub-problems.
 
@@ -511,6 +519,10 @@ def lower_bound_batch(
         sub-problem.
     include_one_machine:
         See :func:`lower_bound`.
+    jobs:
+        Accepted so every batched kernel shares one signature (see
+        :func:`lower_bound_batch_v2`); unused, since this kernel bounds each
+        row from scratch.
 
     Returns
     -------
@@ -574,6 +586,29 @@ _V2_GEMM_MAX_JOBS = 128
 _V2_GEMM_CHUNK = 512
 _V2_SCAN_CHUNK = 512
 
+#: Smallest ``n_jobs`` for which kernel v2 bounds rows with known ``jobs``
+#: incrementally from their parent's set.  The GEMM's per-row cost grows
+#: with ``n^2`` and the incremental one's per-parent cost with ``n``, so
+#: this is a crossover in ``n``.  ``benchmarks/bench_kernel_v2.py`` prints
+#: it in script mode; on a 2-vCPU Xeon with OpenBLAS, one thread, m = 20:
+#: at n = 20 a single parent's siblings are 2x cheaper fused (a 256-parent
+#: launch breaks even), at n = 50 the incremental strategy wins both (1.8x
+#: and 3x), at n = 200 by 21x and 25x.  With m <= 10 a single parent's
+#: sibling set stays cheaper fused up to n ~ 50-100.
+_V2_INCREMENTAL_MIN_JOBS = 40
+
+#: Elements (parents x n_jobs x n_couples) of the per-parent candidate
+#: tables the incremental strategy builds per tile.
+_V2_INCREMENTAL_TILE = 1 << 17
+
+
+def _johnson_positions(data: LowerBoundData) -> np.ndarray:
+    """``(n, C)`` position of every job in every couple's Johnson order."""
+    n, n_couples = data.n_jobs, data.n_couples
+    pos = np.empty((n, n_couples), dtype=np.intp)
+    pos[data.jm, np.arange(n_couples)[None, :]] = np.arange(n)[:, None]
+    return pos
+
 
 class _V2GemmData:
     """Per-instance tensors of the closed-form (matmul) v2 evaluation.
@@ -607,9 +642,7 @@ class _V2GemmData:
         self.ftype = np.dtype(ftype)
         self.big = _v2_big_sentinel(data)
 
-        # pos[j, c]: position of job j in couple c's Johnson order.
-        pos = np.empty((n, n_couples), dtype=np.int64)
-        pos[data.jm, np.arange(n_couples)[None, :]] = np.arange(n)[:, None]
+        pos = _johnson_positions(data)
         a_full = data.ptm[:, m1]  # (n, C) first-machine times
         b_full = data.ptm[:, m2]  # (n, C) second-machine times
 
@@ -643,9 +676,12 @@ class _V2GemmData:
 
 def _v2_big_sentinel(data: LowerBoundData) -> int:
     """Masking offset strictly dominating every legitimate candidate value."""
-    max_pt = int(data.ptm.max()) if data.ptm.size else 0
-    max_lag = int(data.lm.max()) if data.lm.size else 0
-    return 2 * (data.n_jobs * max_pt + max_lag) + 1
+    big = data._v2_gemm_cache.get("big")
+    if big is None:
+        max_pt = int(data.ptm.max()) if data.ptm.size else 0
+        max_lag = int(data.lm.max()) if data.lm.size else 0
+        big = data._v2_gemm_cache["big"] = 2 * (data.n_jobs * max_pt + max_lag) + 1
+    return big
 
 
 def _v2_value_bound(data: LowerBoundData, release: np.ndarray) -> int:
@@ -804,17 +840,182 @@ def _lower_bound_batch_v2_scan(
     return best
 
 
+class _V2IncrementalData:
+    """Per-instance tables of the incremental (sibling) v2 evaluation.
+
+    ``*_sc`` tables follow each couple's Johnson order (``[i, c]`` belongs
+    to the job in position ``i`` of couple ``c``), ``*_job`` tables are
+    indexed by job, and ``pos_flat[j, c]`` is the offset of job ``j``'s cell
+    in a C-contiguous ``(n, C)`` Johnson-order table.  ``neg`` marks the
+    candidates of jobs outside a parent set: at ``-2 * big`` it stays below
+    every real candidate even after a removal shift of up to ``max(PTM)``.
+    """
+
+    __slots__ = (
+        "neg",
+        "diff_sc",
+        "head_sc",
+        "pos_flat",
+        "shift_job",
+        "b_job",
+        "b_job_f",
+        "tails",
+        "ptm_f",
+    )
+
+    def __init__(self, data: LowerBoundData, dtype: np.dtype):
+        n_couples = data.n_couples
+        ct = data.couple_tensors()
+        self.neg = -2 * _v2_big_sentinel(data)
+        # candidate of position i: cumsum(a - b)[i] + b_i + lag_i
+        self.diff_sc = (ct.a_times - ct.b_times).astype(dtype)
+        self.head_sc = (ct.b_times + ct.lags - self.neg).astype(dtype)
+        self.pos_flat = _johnson_positions(data) * n_couples + np.arange(n_couples)
+        self.b_job = data.ptm[:, ct.m2].astype(dtype)
+        # removing job j shifts every later candidate by b_j - a_j
+        self.shift_job = self.b_job - data.ptm[:, ct.m1].astype(dtype)
+        # float64 copies for the BLAS set sums (exact far below 2**53)
+        self.b_job_f = self.b_job.astype(np.float64)
+        self.ptm_f = data.ptm.astype(np.float64)
+        self.tails = data.tails.astype(dtype)
+
+
+def _v2_incremental_data(data: LowerBoundData, dtype: np.dtype) -> _V2IncrementalData:
+    cache = data._v2_gemm_cache
+    key = ("incremental", dtype)
+    inc = cache.get(key)
+    if inc is None:
+        inc = cache[key] = _V2IncrementalData(data, dtype)
+    return inc
+
+
+def _lower_bound_batch_v2_incremental(
+    data: LowerBoundData,
+    mask_a: np.ndarray,
+    rel_a: np.ndarray,
+    jobs_a: np.ndarray,
+    include_one_machine: bool,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Incremental sibling v2 evaluation: O(n·C) per parent, O(C) per child.
+
+    Receives only the *active* (incomplete) sub-problems and the job each
+    one scheduled last; returns their ``(B_active,)`` bounds.  Row ``i``'s
+    parent set is ``~mask_a[i] | onehot(jobs_a[i])``; consecutive rows with
+    equal parent sets form one group, so split or partial sibling sets stay
+    exact (the candidates depend on the parent's unscheduled set only —
+    release times enter per row).
+
+    Per group, one pass over each couple's Johnson order computes the
+    closed-form candidates ``A_<=j + lag_j - B_<j`` of :class:`_V2GemmData`
+    over the parent set, with their exclusive prefix and suffix maxima.
+    Removing job ``k`` leaves the earlier candidates unchanged and shifts
+    every later one by ``b_k - a_k``, so a child's candidate maximum is
+    ``max(prefix[pos_k], suffix[pos_k] + b_k - a_k)`` and its ``B_N`` is the
+    parent's minus ``b_k``.  ``QM`` comes from the parent's (min,
+    second-min) tails, as in the frontier's sibling path.  Integer
+    ``dtype`` keeps the arithmetic exact.
+    """
+    n, n_couples = data.n_jobs, data.n_couples
+    inc = _v2_incremental_data(data, dtype)
+    m1, m2 = data.mm[:, 0], data.mm[:, 1]
+    rows = mask_a.shape[0]
+    parent_sets = ~mask_a
+    parent_sets[np.arange(rows), jobs_a] = True
+    new_group = np.empty(rows, dtype=bool)
+    new_group[0] = True
+    np.any(parent_sets[1:] != parent_sets[:-1], axis=1, out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    group_of = np.cumsum(new_group) - 1
+    n_groups = starts.size
+    group_end = np.append(starts, rows)
+
+    neg = np.asarray(inc.neg, dtype=dtype)
+    big_tail = np.asarray(np.iinfo(dtype).max, dtype=dtype)
+    best = np.empty(rows, dtype=np.int64)
+    tile = max(1, _V2_INCREMENTAL_TILE // (n * n_couples))
+    for g0 in range(0, n_groups, tile):
+        g1 = min(g0 + tile, n_groups)
+        r0, r1 = int(group_end[g0]), int(group_end[g1])
+        sets = parent_sets[starts[g0:g1]]  # (G, n)
+        sets_f = sets.astype(np.float64)
+
+        # candidates over each parent set, in Johnson order: (G, n, C);
+        # jobs outside the set land at neg + (a partial sum)
+        present = np.take(sets.astype(dtype), data.jm, axis=1)
+        cand = np.multiply(present, inc.diff_sc)
+        np.cumsum(cand, axis=1, out=cand)
+        present *= inc.head_sc
+        cand += present
+        cand += neg
+        prefix = np.empty_like(cand)
+        prefix[:, 0] = neg
+        np.maximum.accumulate(cand[:, :-1], axis=1, out=prefix[:, 1:])
+        suffix = np.empty_like(cand)
+        suffix[:, -1] = neg
+        np.maximum.accumulate(cand[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+        work_b = np.dot(sets_f, inc.b_job_f).astype(dtype)  # (G, C): B_N
+
+        # per-parent (min, second-min) tails: (G, m) each
+        tails = np.where(sets[:, :, None], inc.tails, big_tail)
+        tails.partition(1, axis=1)
+        tail_min, tail_min2 = tails[:, 0], tails[:, 1]
+
+        # per child: O(C) gathers from its group's tables
+        local = group_of[r0:r1] - g0
+        job = jobs_a[r0:r1]
+        flat = inc.pos_flat[job]
+        flat += (local * (n * n_couples))[:, None]
+        cand_max = suffix.take(flat)
+        cand_max += inc.shift_job[job]
+        np.maximum(cand_max, prefix.take(flat), out=cand_max)
+        work = work_b[local]
+        work -= inc.b_job[job]
+        rel = rel_a[r0:r1].astype(dtype)
+        cand_max += rel[:, m1]
+        np.maximum(cand_max, rel[:, m2], out=cand_max)
+        cand_max += work
+        min_l = tail_min[local]
+        qm = np.where(inc.tails[job] == min_l, tail_min2[local], min_l)  # (R, m)
+        cand_max += qm[:, m2]
+        chunk_best = cand_max.max(axis=1)
+
+        if include_one_machine:
+            loads = (np.dot(sets_f, inc.ptm_f)[local] - inc.ptm_f[job]).astype(dtype)
+            loads += rel
+            loads += qm
+            np.maximum(chunk_best, loads.max(axis=1), out=chunk_best)
+        best[r0:r1] = chunk_best
+
+    return best
+
+
+def _check_jobs(jobs, scheduled_mask: np.ndarray) -> np.ndarray:
+    """Validate ``jobs``: one scheduled job per row of ``scheduled_mask``."""
+    jobs = np.asarray(jobs)
+    batch, n_jobs = scheduled_mask.shape
+    if jobs.shape != (batch,) or (batch and jobs.dtype.kind not in "iu"):
+        raise ValueError(f"jobs must be a ({batch},) integer array")
+    jobs = jobs.astype(np.intp, copy=False)
+    if batch and (jobs.min() < 0 or jobs.max() >= n_jobs):
+        raise ValueError(f"jobs must lie in [0, {n_jobs})")
+    if not scheduled_mask[np.arange(batch), jobs].all():
+        raise ValueError("jobs[i] must be scheduled in scheduled_mask[i]")
+    return jobs
+
+
 def lower_bound_batch_v2(
     data: LowerBoundData,
     scheduled_mask: np.ndarray,
     release: np.ndarray,
     include_one_machine: bool = False,
     strategy: str | None = None,
+    jobs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Couple-vectorised batched lower bound (kernel v2).
 
     Computes exactly what :func:`lower_bound_batch` computes — bit-identical
-    values — but vectorises the machine-couple axis as well, through two
+    values — but vectorises the machine-couple axis as well, through three
     interchangeable evaluation strategies:
 
     ``"gemm"``
@@ -830,12 +1031,25 @@ def lower_bound_batch_v2(
         positions — ``n_jobs`` interpreter iterations instead of v1's
         ``n_couples * n_jobs``.  Integer tiers (int16/int32/int64) are
         selected by the same value guard.
+    ``"incremental"``
+        Needs ``jobs``, the job each row scheduled last.  Rows are bounded
+        from their parent's unscheduled set: one O(n·C) pass per group of
+        consecutive rows sharing a parent set, then O(C) per row
+        (:func:`_lower_bound_batch_v2_incremental`).  Pure integer
+        arithmetic: int32 under the value guard, int64 otherwise.
 
-    ``strategy=None`` picks automatically.  Pools are processed in
-    cache-sized tiles, so temporary memory stays bounded for the paper's
-    largest (262144 sub-problem) launches.
+    ``strategy=None`` picks automatically: ``"incremental"`` when ``jobs``
+    is given and ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS`` (the measured
+    crossover; below it the GEMM is as fast or faster), else
+    ``"gemm"`` for ``n_jobs <= 128`` and ``"scan"`` beyond.  Pools are
+    processed in cache-sized tiles, so temporary memory stays bounded for
+    the paper's largest (262144 sub-problem) launches.
 
-    Parameters and return value are identical to :func:`lower_bound_batch`.
+    ``jobs`` is optional: an ``(B,)`` integer array whose entry ``i`` must be
+    scheduled in ``scheduled_mask[i]`` (``ValueError`` otherwise) — the
+    ``jobs`` column of a :func:`~repro.bb.frontier.branch_block` block.
+    The other parameters and the return value are identical to
+    :func:`lower_bound_batch`.
     """
     scheduled_mask = np.asarray(scheduled_mask, dtype=bool)
     release = np.asarray(release, dtype=np.int64)
@@ -843,8 +1057,12 @@ def lower_bound_batch_v2(
         raise ValueError(f"scheduled_mask must have shape (B, {data.n_jobs})")
     if release.shape != (scheduled_mask.shape[0], data.n_machines):
         raise ValueError(f"release must have shape ({scheduled_mask.shape[0]}, {data.n_machines})")
-    if strategy not in (None, "gemm", "scan"):
+    if strategy not in (None, "gemm", "scan", "incremental"):
         raise ValueError(f"unknown v2 strategy {strategy!r}")
+    if jobs is not None:
+        jobs = _check_jobs(jobs, scheduled_mask)
+    elif strategy == "incremental":
+        raise ValueError("the incremental strategy needs jobs")
 
     if scheduled_mask.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
@@ -857,7 +1075,10 @@ def lower_bound_batch_v2(
 
     value_bound = _v2_value_bound(data, release)
     if strategy is None:
-        strategy = "gemm" if data.n_jobs <= _V2_GEMM_MAX_JOBS else "scan"
+        if jobs is not None and data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS:
+            strategy = "incremental"
+        else:
+            strategy = "gemm" if data.n_jobs <= _V2_GEMM_MAX_JOBS else "scan"
 
     # Complete schedules are resolved here once; the strategy kernels only
     # ever see the active (incomplete) sub-problems.
@@ -881,6 +1102,14 @@ def lower_bound_batch_v2(
             )
         bounds[active] = _lower_bound_batch_v2_gemm(
             data, mask_a, rel_a, include_one_machine, ftype
+        )
+        return bounds
+
+    if strategy == "incremental":
+        assert jobs is not None
+        itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
+        bounds[active] = _lower_bound_batch_v2_incremental(
+            data, mask_a, rel_a, jobs[active], include_one_machine, itype
         )
         return bounds
 

@@ -154,6 +154,7 @@ class GpuExecutor:
         scheduled_mask: np.ndarray,
         release: np.ndarray,
         n_remaining: int | None = None,
+        jobs: np.ndarray | None = None,
     ) -> ExecutionResult:
         """Evaluate one pool of sub-problems.
 
@@ -166,6 +167,11 @@ class GpuExecutor:
         n_remaining:
             Average number of unscheduled jobs of the pool; used only by the
             timing model (defaults to the actual pool average).
+        jobs:
+            Optional ``(B,)`` job each sub-problem scheduled last (the
+            ``jobs`` column of a branch-built block); lets kernel v2 bound
+            sibling rows incrementally.  Values and simulated time are the
+            same either way.
 
         Returns
         -------
@@ -186,6 +192,7 @@ class GpuExecutor:
             scheduled_mask,
             release,
             include_one_machine=self.include_one_machine,
+            jobs=jobs,
         )
         wall = time.perf_counter() - start
 
@@ -213,7 +220,7 @@ class GpuExecutor:
         cast back through the in-place write into the block's int32
         ``lower_bound`` column.
         """
-        result = self.evaluate(block.scheduled_mask, block.release)
+        result = self.evaluate(block.scheduled_mask, block.release, jobs=block.jobs)
         block.lower_bound[:] = result.bounds
         return result
 

@@ -8,8 +8,9 @@ as JSON lines — replies of concurrent requests interleave freely, matched
 to their request by the echoed ``request_id`` (the client's job to
 demultiplex; :class:`~repro.service.client.ServiceClient` does).
 
-Error containment: a malformed line answers with an ``error`` reply and
-the connection stays up; only EOF or a transport error ends a connection.
+Error containment: a malformed line — invalid JSON, not UTF-8, or longer
+than :data:`LINE_LIMIT` bytes — answers with an ``error`` reply and the
+connection stays up; only EOF or a transport error ends a connection.
 ``request_id`` namespacing is per-connection (two connections may both use
 ``"req-1"``) — the server prefixes ids internally before they reach the
 shared service.
@@ -40,7 +41,24 @@ from repro.service.protocol import (
 )
 from repro.service.service import ServiceOverloaded, SolveService
 
-__all__ = ["SolveServer"]
+__all__ = ["SolveServer", "LINE_LIMIT"]
+
+#: Longest request line the server reads, in bytes (asyncio's stream default).
+LINE_LIMIT = 2**16
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop an over-limit line through its newline, one buffer at a time.
+
+    ``readuntil`` leaves an over-limit line in the buffer and reports how
+    much of it to consume (up to the newline when it is buffered already).
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
 
 
 class SolveServer:
@@ -82,7 +100,7 @@ class SolveServer:
         self._prior_on_event = self.service.on_event
         self.service.on_event = self._forward_event
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection, self.host, self._requested_port, limit=LINE_LIMIT
         )
 
     async def close(self) -> None:
@@ -126,10 +144,26 @@ class SolveServer:
 
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    raw = exc.partial  # EOF: the unterminated tail, or b""
+                except asyncio.LimitOverrunError:
+                    await _discard_line(reader)
+                    await send(
+                        ErrorReply(
+                            request_id="?",
+                            message=f"request line longer than {LINE_LIMIT} bytes",
+                        )
+                    )
+                    continue
+                if not raw:
                     break
-                line = line.decode().strip()
+                try:
+                    line = raw.decode().strip()
+                except UnicodeDecodeError as exc:
+                    await send(ErrorReply(request_id="?", message=f"request line: {exc}"))
+                    continue
                 if not line:
                     continue
                 try:

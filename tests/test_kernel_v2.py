@@ -7,7 +7,10 @@ engines switch kernels without changing the explored tree.  These tests
 drive all three implementations (and both internal v2 strategies) over
 randomly generated instances and pools, including every edge case the
 kernel special-cases: ``m = 1`` (no couples), ``m = 2`` (a single couple),
-empty prefixes (root nodes), complete schedules and empty pools.
+empty prefixes (root nodes), complete schedules and empty pools.  The
+incremental strategy, which bounds branch-built rows from their parent's
+set, is driven over sibling launches split the ways the engines split
+them, and through whole engine solves.
 """
 
 from __future__ import annotations
@@ -17,7 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flowshop import FlowShopInstance
+import repro.bb.frontier as frontier
+import repro.flowshop.bounds as bounds
+from repro.core import GpuBBConfig, GpuBranchAndBound
+from repro.core.cluster import ClusterBranchAndBound, ClusterSpec
+from repro.flowshop import FlowShopInstance, taillard_instance
 from repro.flowshop.bounds import (
     BATCH_KERNELS,
     LowerBoundData,
@@ -168,3 +175,171 @@ class TestKernelV2Edges:
             assert np.array_equal(
                 lower_bound_batch_v2(data, mask, release, strategy=strategy), expected
             )
+
+
+def sibling_launch(instance, data, n_parents, seed):
+    """The children of random parents, parent-major like ``branch_block``.
+
+    Parents have random depths; the last one has depth ``n - 1``, so its
+    only child is a complete schedule (a leaf row).  Returns ``(mask,
+    release, jobs, prefixes, parent_of_row)``.
+    """
+    rng = np.random.default_rng(seed)
+    n = instance.n_jobs
+    depths = rng.integers(0, n, size=n_parents)
+    depths[-1] = n - 1
+    prefixes, jobs, parent_of = [], [], []
+    for parent, depth in enumerate(depths):
+        prefix = [int(j) for j in rng.permutation(n)[:depth]]
+        for job in range(n):
+            if job not in prefix:
+                prefixes.append(prefix + [job])
+                jobs.append(job)
+                parent_of.append(parent)
+    mask = np.zeros((len(prefixes), n), dtype=bool)
+    release = np.zeros((len(prefixes), instance.n_machines), dtype=np.int64)
+    for i, prefix in enumerate(prefixes):
+        mask[i, prefix] = True
+        release[i] = data.machine_release_times(prefix)
+    return mask, release, np.array(jobs), prefixes, np.array(parent_of)
+
+
+@pytest.fixture
+def incremental_calls(monkeypatch):
+    """Row counts of the incremental-strategy evaluations made during a test."""
+    calls = []
+    real = bounds._lower_bound_batch_v2_incremental
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_lower_bound_batch_v2_incremental", spy)
+    return calls
+
+
+def split_first_parent(parent_of):
+    """A row order cutting parent 0's sibling run into two separate runs."""
+    first = np.flatnonzero(parent_of == 0)
+    rest = np.flatnonzero(parent_of != 0)
+    half = (first.size + 1) // 2
+    return np.concatenate([first[:half], rest, first[half:]])
+
+
+class TestIncrementalStrategy:
+    @given(
+        instances(min_jobs=2, max_jobs=8, min_machines=2, max_machines=6),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_scalar(self, instance, n_parents, seed, one_mach, n_slices):
+        data = LowerBoundData(instance)
+        mask, release, jobs, prefixes, parent_of = sibling_launch(instance, data, n_parents, seed)
+        rows = split_first_parent(parent_of)
+        mask, release, jobs = mask[rows], release[rows], jobs[rows]
+        expected = np.array(
+            [lower_bound(data, prefixes[i], include_one_machine=one_mach) for i in rows],
+            dtype=np.int64,
+        )
+        options = {"include_one_machine": one_mach, "strategy": "incremental"}
+        whole = lower_bound_batch_v2(data, mask, release, jobs=jobs, **options)
+        assert np.array_equal(whole, expected)
+        # contiguous slices, as the cluster engine bounds them
+        for part in np.array_split(np.arange(len(rows)), n_slices):
+            if part.size == 0:
+                continue
+            lo, hi = int(part[0]), int(part[-1]) + 1
+            sliced = lower_bound_batch_v2(
+                data, mask[lo:hi], release[lo:hi], jobs=jobs[lo:hi], **options
+            )
+            assert np.array_equal(sliced, expected[lo:hi])
+
+    @given(instances(min_jobs=2, max_jobs=8, min_machines=2, max_pt=10**8), st.integers(0, 999))
+    @settings(max_examples=10, deadline=None)
+    def test_int64_tier_beyond_the_int32_guard(self, instance, seed):
+        data = LowerBoundData(instance)
+        mask, release, jobs, prefixes, _ = sibling_launch(instance, data, 3, seed)
+        expected = np.array([lower_bound(data, p) for p in prefixes], dtype=np.int64)
+        out = lower_bound_batch_v2(data, mask, release, strategy="incremental", jobs=jobs)
+        assert np.array_equal(out, expected)
+
+    @given(instances(min_jobs=2, min_machines=1, max_machines=1), st.integers(0, 999))
+    @settings(max_examples=10, deadline=None)
+    def test_single_machine_falls_back(self, instance, seed):
+        data = LowerBoundData(instance)
+        mask, release, jobs, prefixes, _ = sibling_launch(instance, data, 3, seed)
+        expected = np.array([lower_bound(data, p) for p in prefixes], dtype=np.int64)
+        out = lower_bound_batch_v2(data, mask, release, strategy="incremental", jobs=jobs)
+        assert np.array_equal(out, expected)
+
+    def test_unscheduled_job_rejected(self):
+        instance = FlowShopInstance(np.arange(1, 13).reshape(4, 3), name="edge")
+        data = LowerBoundData(instance)
+        mask = np.array([[True, False, False, False]])
+        release = data.machine_release_times([0])[None, :]
+        with pytest.raises(ValueError, match="scheduled"):
+            lower_bound_batch_v2(data, mask, release, jobs=np.array([1]))
+        with pytest.raises(ValueError):
+            lower_bound_batch_v2(data, mask, release, strategy="incremental")
+
+    def test_auto_selects_incremental_from_the_crossover(self, monkeypatch, incremental_calls):
+        instance = taillard_instance(6, 4, index=1)
+        data = LowerBoundData(instance)
+        mask, release, jobs, _, _ = sibling_launch(instance, data, 3, 0)
+        lower_bound_batch_v2(data, mask, release, jobs=jobs)
+        assert not incremental_calls  # 6 jobs: below the crossover
+        monkeypatch.setattr(bounds, "_V2_INCREMENTAL_MIN_JOBS", 6)
+        lower_bound_batch_v2(data, mask, release)
+        assert not incremental_calls  # no jobs, no incremental strategy
+        lower_bound_batch_v2(data, mask, release, jobs=jobs)
+        assert incremental_calls
+
+
+def _set_crossover(monkeypatch, n_jobs):
+    monkeypatch.setattr(bounds, "_V2_INCREMENTAL_MIN_JOBS", n_jobs)
+    monkeypatch.setattr(frontier, "_V2_INCREMENTAL_MIN_JOBS", n_jobs)
+
+
+class TestIncrementalEngines:
+    """Budgeted ta50x20 solves take the same tree down either kernel path."""
+
+    INSTANCE = taillard_instance(50, 20, index=1)
+    CONFIG = GpuBBConfig(pool_size=32, max_nodes=100)
+
+    COUNTERS = (
+        "nodes_bounded",
+        "nodes_branched",
+        "nodes_pruned",
+        "leaves_evaluated",
+        "incumbent_updates",
+        "pools_evaluated",
+        "max_pool_size",
+    )
+
+    def _fingerprint(self, result):
+        return (
+            result.best_makespan,
+            tuple(result.best_order),
+            [getattr(result.stats, name) for name in self.COUNTERS],
+            result.simulated_device_time_s,
+        )
+
+    @pytest.mark.parametrize("engine", ["gpu", "cluster"])
+    def test_gemm_and_incremental_paths_agree(self, monkeypatch, incremental_calls, engine):
+        def solve():
+            if engine == "gpu":
+                return GpuBranchAndBound(self.INSTANCE, self.CONFIG).solve()
+            return ClusterBranchAndBound(
+                self.INSTANCE, ClusterSpec(n_nodes=3), self.CONFIG
+            ).solve()
+
+        _set_crossover(monkeypatch, 10**9)
+        via_gemm = solve()
+        assert not incremental_calls
+        _set_crossover(monkeypatch, 2)
+        via_incremental = solve()
+        assert incremental_calls
+        assert self._fingerprint(via_gemm) == self._fingerprint(via_incremental)

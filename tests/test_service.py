@@ -326,6 +326,38 @@ class TestWireService:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("bad_line", ["over-limit", "not-utf8"])
+    def test_unreadable_line_answers_error_and_survives(self, bad_line):
+        from repro.service import protocol
+        from repro.service.server import LINE_LIMIT
+
+        if bad_line == "over-limit":
+            # an explicit 4000x20 instance: ~248 KB, over the line limit
+            spec = InstanceSpec.explicit([[50] * 20] * 4000)
+            request = protocol.SolveRequest(request_id="big", instance=spec)
+            bad_line = protocol.encode(request).encode() + b"\n"
+        else:
+            bad_line = b"\xff\xfe not utf-8 \x80\n"
+
+        async def run():
+            async with SolveService(max_active_sessions=1) as service:
+                async with SolveServer(service) as server:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                    writer.write(bad_line)
+                    writer.write(protocol.encode(protocol.StatusRequest()).encode() + b"\n")
+                    await writer.drain()
+                    reply = protocol.decode((await reader.readline()).decode())
+                    assert reply.type == "error"
+                    if len(bad_line) > LINE_LIMIT:
+                        assert str(LINE_LIMIT) in reply.message
+                    # exactly one error, then the following request is served
+                    status = protocol.decode((await reader.readline()).decode())
+                    assert status.type == "status_reply"
+                    writer.close()
+                    await writer.wait_closed()
+
+        asyncio.run(run())
+
     def test_bad_instance_answers_error(self):
         async def run():
             async with SolveService(max_active_sessions=1) as service:
