@@ -244,7 +244,7 @@ def legacy_solve_block(instance, max_nodes):
 
 
 def run_driver(instance, max_nodes):
-    result = SequentialBranchAndBound(instance, max_nodes=max_nodes, layout="block").solve()
+    result = SequentialBranchAndBound(instance, max_nodes=max_nodes).solve()
     return result.best_makespan, result.stats
 
 

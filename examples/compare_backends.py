@@ -29,9 +29,9 @@ from repro import (
     SequentialBranchAndBound,
     random_instance,
 )
-from repro.bb.operators import bound_nodes_batch, encode_pool
+from repro.bb.frontier import bound_block
 from repro.experiments.protocol import collect_pending_pool
-from repro.flowshop.bounds import LowerBoundData, lower_bound
+from repro.flowshop.bounds import LowerBoundData
 
 
 def main() -> None:
@@ -74,15 +74,13 @@ def main() -> None:
     # --- measured kernel throughput: scalar vs batched --------------------
     data = LowerBoundData(instance)
     pool = collect_pending_pool(instance, pool_size=512, data=data, upper_bound=float("inf"))
-    if pool:
+    if len(pool):
         start = time.perf_counter()
-        for node in pool:
-            lower_bound(data, node.prefix, release=node.release)
+        bound_block(data, pool, kernel="scalar")  # one scalar call per node
         scalar_s = time.perf_counter() - start
 
-        mask, release = encode_pool(pool, data.n_jobs, data.n_machines)
         start = time.perf_counter()
-        bound_nodes_batch(pool, data)
+        bound_block(data, pool)  # the whole pool in one batched launch
         batch_s = time.perf_counter() - start
         print(f"bounding a pool of {len(pool)} nodes on this host:")
         print(f"  scalar kernel : {scalar_s * 1e3:8.2f} ms")

@@ -11,8 +11,9 @@ The library is organised in five layers (see DESIGN.md):
 * :mod:`repro.flowshop` — the permutation flow-shop problem: instances,
   Taillard's benchmark generator, schedules, Johnson's algorithm, and the
   Lenstra lower bound with its six data structures.
-* :mod:`repro.bb` — the Branch-and-Bound machinery: nodes, pools,
-  operators, the serial engine and the multi-core baseline.
+* :mod:`repro.bb` — the Branch-and-Bound machinery: the columnar node
+  frontier, the one search driver, the serial engine and the multi-core
+  baseline.
 * :mod:`repro.gpu` — the simulated GPU: device specs, memory hierarchy,
   occupancy calculator, data placement, transfer and kernel timing models,
   and the functional executor.
@@ -51,7 +52,6 @@ from repro.bb import (
     SequentialBranchAndBound,
     MulticoreBranchAndBound,
     BBResult,
-    Node,
     SearchStats,
     brute_force_optimum,
 )
@@ -99,7 +99,6 @@ __all__ = [
     "SequentialBranchAndBound",
     "MulticoreBranchAndBound",
     "BBResult",
-    "Node",
     "SearchStats",
     "brute_force_optimum",
     # core

@@ -3,21 +3,22 @@
 This package provides the CPU-side Branch-and-Bound machinery the paper
 builds on:
 
-* :mod:`~repro.bb.node` — the sub-problem representation (a permutation
-  prefix plus cached machine release times and lower bound).
-* :mod:`~repro.bb.pool` — pending-node pools implementing the selection
-  strategies (best-first, the paper's choice; depth-first; FIFO).
-* :mod:`~repro.bb.frontier` — the structure-of-arrays node representation
-  (``layout="block"``, the default): columnar :class:`~repro.bb.frontier.
-  NodeBlock` batches, vectorized branch/bound/eliminate operators and the
-  array-backed :class:`~repro.bb.frontier.BlockFrontier` pool.
-* :mod:`~repro.bb.operators` — the four B&B operators (branching, bounding,
-  selection, elimination) as composable functions.
+* :mod:`~repro.bb.frontier` — the sub-problem representation: columnar
+  :class:`~repro.bb.frontier.NodeBlock` batches (one row per sub-problem:
+  scheduled-job mask, machine release times, lower bound), the vectorized
+  branch/bound/eliminate operators and the array-backed
+  :class:`~repro.bb.frontier.BlockFrontier` pool implementing the
+  selection strategies (best-first, the paper's choice; depth-first;
+  FIFO).
 * :mod:`~repro.bb.driver` — the ONE select→branch→bound→eliminate
   iteration every engine runs: :class:`~repro.bb.driver.SearchDriver`,
-  parameterized by an offload callable (where bounding runs and what
+  parameterized by an offload backend (where bounding runs and what
   simulated time it charges) and per-step hooks (incumbent publication,
   bound polling, launch accounting, overlap credits).
+* :mod:`~repro.bb.offload` — the slots a batch launch goes through: the
+  synchronous inline slot and the two-slot asynchronous worker pipeline.
+* :mod:`~repro.bb.snapshot` — versioned, checksummed search-state
+  snapshots for checkpoint/resume.
 * :mod:`~repro.bb.sequential` — the serial B&B, the ``T_cpu`` reference of
   every speed-up in the paper, with per-operator timing instrumentation
   (used for the 98.5 % bounding-fraction measurement).
@@ -50,20 +51,6 @@ from repro.bb.driver import (
     SearchLimits,
     TraceEvent,
 )
-from repro.bb.node import Node, root_node
-from repro.bb.pool import (
-    BestFirstPool,
-    DepthFirstPool,
-    FifoPool,
-    NodePool,
-    make_pool,
-)
-from repro.bb.operators import (
-    branch,
-    bound_node,
-    eliminate,
-    select_batch,
-)
 from repro.bb.stats import SearchStats
 from repro.bb.progress import ProgressTracker, ProgressEvent
 from repro.bb.sequential import SequentialBranchAndBound, BBResult
@@ -72,8 +59,6 @@ from repro.bb.worksteal import SharedIncumbent, WorkStealingBranchAndBound
 from repro.bb.bruteforce import brute_force_optimum
 
 __all__ = [
-    "Node",
-    "root_node",
     "NodeBlock",
     "Trail",
     "BlockFrontier",
@@ -82,15 +67,6 @@ __all__ = [
     "bound_block",
     "eliminate_block",
     "make_frontier",
-    "BestFirstPool",
-    "DepthFirstPool",
-    "FifoPool",
-    "NodePool",
-    "make_pool",
-    "branch",
-    "bound_node",
-    "eliminate",
-    "select_batch",
     "SearchStats",
     "SearchDriver",
     "SearchHooks",

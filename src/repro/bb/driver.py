@@ -5,29 +5,32 @@ Melab, Chakroun, Mezmaz & Tuyttens describe a *single* B&B iteration —
 children, *eliminate* those that cannot improve the incumbent — and vary
 only where the bounding runs (CPU, GPU, cluster of GPU nodes) and which
 distribution overheads are charged.  :class:`SearchDriver` is that
-iteration written once.  It owns the loop over either node layout — a heap
-:class:`~repro.bb.pool.NodePool` of ``Node`` objects or a columnar
-:class:`~repro.bb.frontier.BlockFrontier` — and is parameterized by
+iteration written once.  It owns the loop over the columnar
+:class:`~repro.bb.frontier.BlockFrontier` — each pool goes to the bounding
+operator as flat :class:`~repro.bb.frontier.NodeBlock` arrays, as in the
+paper — and is parameterized by
 
-* an **offload** — any object with ``bound_nodes(nodes)`` /
-  ``bound_block(block, siblings)`` returning ``(bounds, simulated_s,
-  measured_s)``: the bounding operator plus its simulated-time charge.
-  Bounds are written onto the nodes / into the block column; the tuple's
-  ``bounds`` element is advisory and may be ``None`` (the driver never
-  reads it).  :class:`LocalBounding` is the host-side default (zero
-  charge); the GPU, cluster and hybrid engines pass adapters around their
-  executors.
+* an **offload** — any object with ``bound_block(block, siblings)``
+  returning ``(bounds, simulated_s, measured_s)``: the bounding operator
+  plus its simulated-time charge.  Bounds are written into the block's
+  ``lower_bound`` column; the tuple's ``bounds`` element is advisory (the
+  driver never reads it).  :class:`LocalBounding` is the host-side default
+  (zero charge); the GPU, cluster and hybrid engines pass adapters around
+  their executors.
 * **per-step hooks** (:class:`SearchHooks`) through which engines inject
   their deployment specifics without owning a loop of their own.
 * **budgets** (:class:`SearchLimits`): node, wall-clock, iteration and
   absolute-deadline stop predicates.
 
-Two loop *shapes* cover every engine: the **single-step** shape pops one
-node (or one best-first tie batch) per step and bounds its sibling set —
-the serial engine and the work-stealing workers; the **batch** shape
-(``batch_size`` set) selects up to ``batch_size`` nodes, branches them all
-and off-loads one large pool per iteration — the paper's GPU architecture
-and its cluster/hybrid extensions.
+Two loop bodies — one per *shape* — cover every engine: the
+**single-step** shape pops one node (or one best-first tie batch) per step
+and bounds its sibling set — the serial engine and the work-stealing
+workers; the **batch** shape (``batch_size`` set) selects up to
+``batch_size`` nodes, branches them all and off-loads one large pool per
+iteration — the paper's GPU architecture and its cluster/hybrid
+extensions.  The batch body serves both ``overlap`` modes: ``"sync"``
+bounds each pool on the driver thread, ``"async"`` on a worker thread
+behind a two-slot pipeline (:mod:`repro.bb.offload`).
 
 Deployment map (paper deployment → driver configuration)
 --------------------------------------------------------
@@ -57,15 +60,15 @@ multicore         LocalBounding        single-step; ``poll_bound`` +
 
 The driver reproduces the historical per-engine loops bit-for-bit: the
 explored tree, the result, every node counter and the trace are identical
-to the pre-driver implementations for both layouts (see
-``tests/test_driver.py``, which pins golden results captured from them).
+to the pre-driver implementations (see ``tests/test_driver.py``, which
+pins golden results captured from them).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
@@ -78,16 +81,7 @@ from repro.bb.frontier import (
     branch_row,
     leaf_improvements,
 )
-from repro.bb.node import Node
-from repro.bb.offload import AsyncOffload
-from repro.bb.operators import (
-    bound_children_batch,
-    bound_node,
-    branch,
-    eliminate,
-    select_batch,
-)
-from repro.bb.pool import NodePool
+from repro.bb.offload import AsyncOffload, InlineOffload
 from repro.bb.snapshot import CheckpointPolicy, CheckpointState
 from repro.bb.stats import SearchStats
 from repro.flowshop.bounds import LowerBoundData
@@ -111,17 +105,11 @@ class OffloadBackend(Protocol):
     Four implementations exist (:class:`LocalBounding`, the service's
     ``BatchingOffload``, the cluster's ``_DistributedOffload``, the GPU
     engine's ``_ExecutorOffload``); the driver calls them interchangeably.
-    Both methods write bounds into their argument in place and return the
+    ``bound_block`` writes bounds into the block in place and returns the
     ``(bounds, simulated_s, measured_s)`` triple; ``tools/repro_lint``'s
     ``offload-contract`` rule re-checks the shape statically on every
-    class that defines these method names.
+    class that defines the method.
     """
-
-    def bound_nodes(
-        self, nodes: Sequence[Node]
-    ) -> tuple[Optional[np.ndarray], float, float]:
-        """Bound object-layout ``nodes`` in place."""
-        ...
 
     def bound_block(
         self, block: NodeBlock, siblings: bool = False
@@ -178,7 +166,7 @@ class SearchHooks:
     on_improve_incumbent:
         Called for every incumbent improvement with ``(makespan,
         order_supplier)`` where ``order_supplier()`` lazily materializes the
-        improving permutation (block-layout prefixes are only walked when a
+        improving permutation (trail prefixes are only walked when a
         hook actually wants them).
     incumbent_charge_s:
         Simulated-seconds charge billed per incumbent improvement — the
@@ -232,22 +220,15 @@ class DriverResult:
     simulated_s: float
     measured_s: float
     #: simulated seconds credited by the ``double_buffer`` overlap model
-    #: (renamed from ``overlap_saved_s``; the old name survives as a
-    #: deprecated read-only alias)
     overlap_saved_sim_s: float
     #: measured wall seconds actually hidden by the ``overlap="async"``
     #: two-slot pipeline: per iteration, the positive part of
     #: ``(select + branch + worker bounding + apply) - elapsed``
     overlap_saved_wall_s: float = 0.0
-    #: creation index of the next node (block layout; engines persist it in
-    #: snapshots so a resumed search keeps the tie-break sequence intact)
+    #: creation index of the next node (engines persist it in snapshots so
+    #: a resumed search keeps the tie-break sequence intact)
     next_order: int = 0
     trace: list[TraceEvent] = field(default_factory=list)
-
-    @property
-    def overlap_saved_s(self) -> float:
-        """Deprecated alias of :attr:`overlap_saved_sim_s`."""
-        return self.overlap_saved_sim_s
 
     @property
     def improved(self) -> bool:
@@ -258,10 +239,10 @@ class DriverResult:
 class LocalBounding:
     """Host-side bounding "offload": the serial engines' default backend.
 
-    Bounds run on the CPU with the chosen batched kernel revision
-    (``"scalar"`` keeps the paper-faithful one-call-per-child evaluation),
-    and the simulated-time charge is zero — exactly the ``T_cpu`` baseline
-    the paper's speed-ups are measured against.
+    Bounds run on the CPU with the chosen kernel revision (``"scalar"``
+    keeps the paper-faithful one-call-per-child evaluation), and the
+    simulated-time charge is zero — exactly the ``T_cpu`` baseline the
+    paper's speed-ups are measured against.
     """
 
     #: host bounding is stateless per call and charges no simulated time,
@@ -279,21 +260,6 @@ class LocalBounding:
         self.data = data
         self.kernel = kernel
         self.include_one_machine = include_one_machine
-
-    def bound_nodes(
-        self, nodes: Sequence[Node]
-    ) -> tuple[np.ndarray | None, float, float]:
-        """Bound object-layout ``nodes`` in place; return ``(bounds, 0.0, 0.0)``."""
-        if self.kernel == "scalar":
-            # the paper-faithful one-call-per-child path of the bounding-
-            # fraction ablation: no batch array is ever materialized
-            for node in nodes:
-                bound_node(node, self.data, self.include_one_machine)
-            return None, 0.0, 0.0
-        bounds = bound_children_batch(
-            nodes, self.data, self.include_one_machine, kernel=self.kernel
-        )
-        return bounds, 0.0, 0.0
 
     def bound_block(
         self, block: NodeBlock, siblings: bool = False
@@ -323,11 +289,9 @@ class SearchDriver:
     data:
         Precomputed lower-bound structures; required when no ``offload`` is
         given (the driver then builds a :class:`LocalBounding` backend).
-    layout:
-        ``"block"`` (structure-of-arrays frontier) or ``"object"``.
     selection:
-        Selection strategy name (drives tie batching; the pool/frontier
-        passed to :meth:`run` must have been built with the same strategy).
+        Selection strategy name (drives tie batching; the frontier passed
+        to :meth:`run` must have been built with the same strategy).
     offload:
         Bounding backend (see module docstring); ``None`` means local.
     batch_size:
@@ -338,7 +302,7 @@ class SearchDriver:
     trace:
         Record a :class:`TraceEvent` per examined node (single-step only).
     tie_batching:
-        Single-step block layout: pop best-first ``(lb, depth)`` tie runs as
+        Single-step shape: pop best-first ``(lb, depth)`` tie runs as
         one batch and bound all of their children in a single launch
         (provably the same pop sequence; disabled automatically in trace
         mode, for non-best-first strategies, and while a frontier memory cap
@@ -350,7 +314,8 @@ class SearchDriver:
         reported via :attr:`DriverResult.overlap_saved_sim_s` and the
         ``on_overlap`` hook; explored tree and counters are unaffected.
     overlap:
-        ``"sync"`` (default) bounds on the driver thread; ``"async"``
+        ``"sync"`` (default) bounds on the driver thread, one launch per
+        iteration (:class:`~repro.bb.offload.InlineOffload`); ``"async"``
         runs every offload launch on a dedicated worker thread behind a
         two-slot pipeline (:class:`~repro.bb.offload.AsyncOffload`), so
         the driver selects and branches the next micro-batch while the
@@ -372,7 +337,6 @@ class SearchDriver:
         instance: FlowShopInstance,
         data: Optional[LowerBoundData] = None,
         *,
-        layout: str = "block",
         selection: str = "best-first",
         kernel: str = "v2",
         include_one_machine: bool = False,
@@ -386,8 +350,6 @@ class SearchDriver:
         overlap: str = "sync",
         checkpoint: Optional[CheckpointPolicy] = None,
     ):
-        if layout not in ("block", "object"):
-            raise ValueError(f"layout must be 'block' or 'object', got {layout!r}")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1 when given")
         if overlap not in ("sync", "async"):
@@ -397,7 +359,6 @@ class SearchDriver:
                 raise ValueError("either an offload backend or bound data is required")
             offload = LocalBounding(data, kernel=kernel, include_one_machine=include_one_machine)
         self.instance = instance
-        self.layout = layout
         self.selection = selection
         self.offload: OffloadBackend = offload
         self.batch_size = batch_size
@@ -412,7 +373,7 @@ class SearchDriver:
     # ------------------------------------------------------------------ #
     def run(
         self,
-        frontier: Union[NodePool, BlockFrontier],
+        frontier: BlockFrontier,
         *,
         upper_bound: float,
         stats: SearchStats,
@@ -423,38 +384,20 @@ class SearchDriver:
     ) -> DriverResult:
         """Run the iteration until the frontier drains or a budget is hit.
 
-        ``frontier`` is a seeded :class:`~repro.bb.pool.NodePool` (object
-        layout) or :class:`~repro.bb.frontier.BlockFrontier` (block layout);
-        the caller bounds and pushes the root/seed and pre-credits its
+        ``frontier`` is a seeded :class:`~repro.bb.frontier.BlockFrontier`
+        and ``trail`` its search's :class:`~repro.bb.frontier.Trail`; the
+        caller bounds and pushes the root/seed and pre-credits its
         statistics.  ``start`` anchors the ``max_time_s`` budget (defaults
-        to now); ``next_order`` is the creation index of the next node in
-        the block layout.
+        to now); ``next_order`` is the creation index of the next node.
         """
         if start is None:
             start = time.perf_counter()
-        if self.layout == "block":
-            if trail is None:
-                raise ValueError("the block layout requires the search's Trail")
-            if not isinstance(frontier, BlockFrontier):
-                raise TypeError("the block layout requires a BlockFrontier")
-            if self.batch_size is None:
-                return self._run_single_block(
-                    frontier, trail, upper_bound, best_order, stats, next_order, start
-                )
-            if self.overlap == "async":
-                return self._run_batch_block_async(
-                    frontier, trail, upper_bound, best_order, stats, next_order, start
-                )
-            return self._run_batch_block(
-                frontier, trail, upper_bound, best_order, stats, next_order, start
-            )
-        if not isinstance(frontier, NodePool):
-            raise TypeError("the object layout requires a NodePool")
-        if self.batch_size is None:
-            return self._run_single_object(frontier, upper_bound, best_order, stats, start)
-        if self.overlap == "async":
-            return self._run_batch_object_async(frontier, upper_bound, best_order, stats, start)
-        return self._run_batch_object(frontier, upper_bound, best_order, stats, start)
+        if trail is None:
+            raise ValueError("the driver requires the search's Trail")
+        if not isinstance(frontier, BlockFrontier):
+            raise TypeError("the driver requires a BlockFrontier")
+        run = self._run_single if self.batch_size is None else self._run_batch
+        return run(frontier, trail, upper_bound, best_order, stats, next_order, start)
 
     # ------------------------------------------------------------------ #
     def _notify(
@@ -465,172 +408,9 @@ class SearchDriver:
             hook(makespan, supplier)
 
     # ------------------------------------------------------------------ #
-    #  Single-step shape, object layout (serial engine, worksteal workers)
+    #  Single-step shape (serial engine, worksteal workers)
     # ------------------------------------------------------------------ #
-    def _run_single_object(
-        self,
-        pool: NodePool,
-        upper_bound: float,
-        best_order: tuple[int, ...],
-        stats: SearchStats,
-        start: float,
-    ) -> DriverResult:
-        instance = self.instance
-        offload = self.offload
-        hooks = self.hooks
-        limits = self.limits
-        max_nodes, max_time_s, deadline = limits.max_nodes, limits.max_time_s, limits.deadline
-        poll, poll_interval = hooks.poll_bound, hooks.poll_interval
-        on_select, on_eliminate = hooks.on_select, hooks.on_eliminate
-        trace_on = self.trace_enabled
-        trace: list[TraceEvent] = []
-        perf_counter = time.perf_counter
-        on_checkpoint = hooks.on_checkpoint
-        ckpt = self.checkpoint if on_checkpoint is not None else None
-        last_checkpoint = start
-        steps = 0
-
-        best_value: Optional[int] = None
-        completed = True
-        pops = 0
-        while pool:
-            if ckpt is not None and on_checkpoint is not None:
-                steps += 1
-                due = ckpt.every_steps is not None and steps % ckpt.every_steps == 0
-                if not due and ckpt.every_seconds is not None and steps % 64 == 0:
-                    due = perf_counter() - last_checkpoint >= ckpt.every_seconds
-                if due:
-                    on_checkpoint(
-                        CheckpointState(
-                            frontier=pool,
-                            trail=None,
-                            upper_bound=upper_bound,
-                            best_order_supplier=lambda order=best_order: order,
-                            next_order=0,
-                            stats=stats,
-                            steps=steps,
-                        )
-                    )
-                    last_checkpoint = perf_counter()
-            if max_nodes is not None and stats.nodes_explored >= max_nodes:
-                completed = False
-                break
-            if max_time_s is not None and perf_counter() - start > max_time_s:
-                completed = False
-                break
-            if deadline is not None and time.time() > deadline:
-                completed = False
-                break
-            if poll is not None:
-                pops += 1
-                if pops % poll_interval == 0:
-                    shared = poll()
-                    if shared < upper_bound:
-                        upper_bound = shared
-                        stats.nodes_pruned += pool.prune_to(upper_bound)
-                        if not pool:
-                            break
-
-            t0 = perf_counter()
-            node = pool.pop()
-            stats.time_pool_s += perf_counter() - t0
-            if on_select is not None:
-                on_select(1)
-
-            assert node.lower_bound is not None
-            if node.lower_bound >= upper_bound:
-                stats.nodes_pruned += 1
-                if trace_on:
-                    trace.append(TraceEvent(node.prefix, node.lower_bound, upper_bound, "pruned"))
-                continue
-
-            if node.is_leaf:
-                stats.leaves_evaluated += 1
-                makespan = int(node.release[-1])
-                if makespan < upper_bound:
-                    upper_bound = float(makespan)
-                    best_order = node.prefix
-                    best_value = makespan
-                    stats.incumbent_updates += 1
-                    self._notify(makespan, lambda prefix=node.prefix: prefix)
-                    if trace_on:
-                        trace.append(TraceEvent(node.prefix, makespan, upper_bound, "incumbent"))
-                elif trace_on:
-                    trace.append(TraceEvent(node.prefix, makespan, upper_bound, "leaf"))
-                stats.nodes_branched += 1  # examined, produced no children
-                continue
-
-            # Branch
-            t0 = perf_counter()
-            children = branch(node, instance)
-            stats.time_branching_s += perf_counter() - t0
-            stats.nodes_branched += 1
-            if trace_on:
-                trace.append(TraceEvent(node.prefix, node.lower_bound, upper_bound, "branched"))
-
-            # Bound all siblings in one launch, then eliminate.
-            t0 = perf_counter()
-            _, sim_s, _ = offload.bound_nodes(children)
-            stats.time_bounding_s += perf_counter() - t0
-            if sim_s:
-                stats.simulated_device_time_s += sim_s
-            stats.nodes_bounded += len(children)
-            survivors = []
-            pruned = 0
-            for child in children:
-                assert child.lower_bound is not None
-
-                if child.is_leaf:
-                    stats.leaves_evaluated += 1
-                    makespan = int(child.release[-1])
-                    if makespan < upper_bound:
-                        upper_bound = float(makespan)
-                        best_order = child.prefix
-                        best_value = makespan
-                        stats.incumbent_updates += 1
-                        self._notify(makespan, lambda prefix=child.prefix: prefix)
-                        if trace_on:
-                            trace.append(
-                                TraceEvent(child.prefix, makespan, upper_bound, "incumbent")
-                            )
-                    continue
-
-                if child.lower_bound >= upper_bound:
-                    stats.nodes_pruned += 1
-                    pruned += 1
-                    if trace_on:
-                        trace.append(
-                            TraceEvent(child.prefix, child.lower_bound, upper_bound, "pruned")
-                        )
-                    continue
-
-                survivors.append(child)
-            if on_eliminate is not None:
-                on_eliminate(pruned)
-
-            # one timing pair per branching step instead of two clock reads
-            # around every individual push
-            t0 = perf_counter()
-            for child in survivors:
-                pool.push(child)
-            stats.time_pool_s += perf_counter() - t0
-
-        return DriverResult(
-            upper_bound=upper_bound,
-            best_order=best_order,
-            best_value=best_value,
-            completed=completed,
-            iterations=0,
-            simulated_s=0.0,
-            measured_s=0.0,
-            overlap_saved_sim_s=0.0,
-            trace=trace,
-        )
-
-    # ------------------------------------------------------------------ #
-    #  Single-step shape, block layout (serial engine, worksteal workers)
-    # ------------------------------------------------------------------ #
-    def _run_single_block(
+    def _run_single(
         self,
         frontier: BlockFrontier,
         trail: Trail,
@@ -899,8 +679,8 @@ class SearchDriver:
 
             if node_depth + 1 == n_jobs:
                 # Siblings share their depth, so either every child is a
-                # complete schedule or none is.  Replicate the object
-                # layout's in-order incumbent updates with a running min.
+                # complete schedule or none is.  Replicate one-at-a-time
+                # in-order incumbent updates with a running min.
                 stats.leaves_evaluated += n_children
                 makespans = children.makespans
                 improving, running = leaf_improvements(upper_bound, makespans)
@@ -960,341 +740,17 @@ class SearchDriver:
         )
 
     # ------------------------------------------------------------------ #
-    #  Batch (off-load) shape, object layout (GPU / cluster / hybrid)
-    # ------------------------------------------------------------------ #
-    def _run_batch_object(
-        self,
-        pool: NodePool,
-        upper_bound: float,
-        best_order: tuple[int, ...],
-        stats: SearchStats,
-        start: float,
-    ) -> DriverResult:
-        instance = self.instance
-        offload = self.offload
-        hooks = self.hooks
-        limits = self.limits
-        batch_size = self.batch_size
-        perf_counter = time.perf_counter
-
-        best_value: Optional[int] = None
-        simulated_total = 0.0
-        measured_total = 0.0
-        overlap_saved = 0.0
-        prev_sim_s: Optional[float] = None
-        on_checkpoint = hooks.on_checkpoint
-        ckpt = self.checkpoint if on_checkpoint is not None else None
-        last_checkpoint = start
-        iteration = 0
-        completed = True
-        while pool:
-            if ckpt is not None and on_checkpoint is not None:
-                due = (
-                    ckpt.every_steps is not None
-                    and iteration > 0
-                    and iteration % ckpt.every_steps == 0
-                )
-                if not due and ckpt.every_seconds is not None:
-                    due = perf_counter() - last_checkpoint >= ckpt.every_seconds
-                if due:
-                    on_checkpoint(
-                        CheckpointState(
-                            frontier=pool,
-                            trail=None,
-                            upper_bound=upper_bound,
-                            best_order_supplier=lambda order=best_order: order,
-                            next_order=0,
-                            stats=stats,
-                            steps=iteration,
-                        )
-                    )
-                    last_checkpoint = perf_counter()
-            if limits.max_iterations is not None and iteration >= limits.max_iterations:
-                completed = False
-                break
-            if limits.max_nodes is not None and stats.nodes_explored >= limits.max_nodes:
-                completed = False
-                break
-            if limits.max_time_s is not None and perf_counter() - start > limits.max_time_s:
-                completed = False
-                break
-            if limits.deadline is not None and time.time() > limits.deadline:
-                completed = False
-                break
-            iteration += 1
-
-            # --- selection -------------------------------------------------
-            t0 = perf_counter()
-            parents, lazily_pruned = select_batch(pool, batch_size, upper_bound)
-            select_s = perf_counter() - t0
-            stats.time_pool_s += select_s
-            stats.nodes_pruned += lazily_pruned
-            if not parents:
-                break
-            if hooks.on_select is not None:
-                hooks.on_select(len(parents))
-
-            # --- branching (CPU) --------------------------------------------
-            t0 = perf_counter()
-            children: list[Node] = []
-            for parent in parents:
-                offspring = branch(parent, instance)
-                stats.nodes_branched += 1
-                children.extend(offspring)
-            branch_s = perf_counter() - t0
-            stats.time_branching_s += branch_s
-
-            if not children:
-                continue
-
-            # --- bounding (off-load) ----------------------------------------
-            t0 = perf_counter()
-            _, sim_s, wall_s = offload.bound_nodes(children)
-            stats.time_bounding_s += perf_counter() - t0
-            simulated_total += sim_s
-            measured_total += wall_s
-            stats.nodes_bounded += len(children)
-            stats.pools_evaluated += 1
-
-            # Double buffering: the host prepared this batch while the device
-            # was still bounding the previous one — credit the overlap.
-            if self.double_buffer and prev_sim_s is not None:
-                credit = min(prev_sim_s, select_s + branch_s)
-                overlap_saved += credit
-                if hooks.on_overlap is not None:
-                    hooks.on_overlap(credit)
-            prev_sim_s = sim_s
-
-            # --- incumbent updates from complete schedules -------------------
-            open_children: list[Node] = []
-            for child in children:
-                if child.is_leaf:
-                    stats.leaves_evaluated += 1
-                    makespan = int(child.release[-1])
-                    if makespan < upper_bound:
-                        upper_bound = float(makespan)
-                        best_order = child.prefix
-                        best_value = makespan
-                        stats.incumbent_updates += 1
-                        self._notify(makespan, lambda prefix=child.prefix: prefix)
-                        if hooks.incumbent_charge_s is not None:
-                            simulated_total += hooks.incumbent_charge_s()
-                else:
-                    open_children.append(child)
-
-            # --- elimination --------------------------------------------------
-            survivors, pruned = eliminate(open_children, upper_bound)
-            stats.nodes_pruned += pruned
-            if hooks.on_eliminate is not None:
-                hooks.on_eliminate(pruned)
-
-            t0 = perf_counter()
-            pool.push_many(survivors)
-            stats.time_pool_s += perf_counter() - t0
-
-            if hooks.on_iteration is not None:
-                hooks.on_iteration(
-                    OffloadStep(
-                        iteration=iteration,
-                        nodes_offloaded=len(children),
-                        nodes_pruned=pruned,
-                        nodes_kept=len(survivors),
-                        incumbent=upper_bound,
-                        simulated_s=sim_s,
-                        measured_s=wall_s,
-                    )
-                )
-
-        return DriverResult(
-            upper_bound=upper_bound,
-            best_order=best_order,
-            best_value=best_value,
-            completed=completed,
-            iterations=iteration,
-            simulated_s=simulated_total,
-            measured_s=measured_total,
-            overlap_saved_sim_s=overlap_saved,
-        )
-
-    # ------------------------------------------------------------------ #
-    #  Batch (off-load) shape, block layout (GPU / cluster / hybrid)
-    # ------------------------------------------------------------------ #
-    def _run_batch_block(
-        self,
-        frontier: BlockFrontier,
-        trail: Trail,
-        upper_bound: float,
-        best_order: tuple[int, ...],
-        stats: SearchStats,
-        next_order: int,
-        start: float,
-    ) -> DriverResult:
-        instance = self.instance
-        offload = self.offload
-        hooks = self.hooks
-        limits = self.limits
-        batch_size = self.batch_size
-        n_jobs = instance.n_jobs
-        pt = instance.processing_times
-        perf_counter = time.perf_counter
-
-        best_value: Optional[int] = None
-        best_trail: Optional[int] = None
-        simulated_total = 0.0
-        measured_total = 0.0
-        overlap_saved = 0.0
-        prev_sim_s: Optional[float] = None
-        on_checkpoint = hooks.on_checkpoint
-        ckpt = self.checkpoint if on_checkpoint is not None else None
-        last_checkpoint = start
-        iteration = 0
-        completed = True
-        while frontier:
-            if ckpt is not None and on_checkpoint is not None:
-                due = (
-                    ckpt.every_steps is not None
-                    and iteration > 0
-                    and iteration % ckpt.every_steps == 0
-                )
-                if not due and ckpt.every_seconds is not None:
-                    due = perf_counter() - last_checkpoint >= ckpt.every_seconds
-                if due:
-                    on_checkpoint(
-                        CheckpointState(
-                            frontier=frontier,
-                            trail=trail,
-                            upper_bound=upper_bound,
-                            best_order_supplier=(
-                                lambda bt=best_trail, bo=best_order: (
-                                    trail.prefix(bt) if bt is not None else bo
-                                )
-                            ),
-                            next_order=next_order,
-                            stats=stats,
-                            steps=iteration,
-                        )
-                    )
-                    last_checkpoint = perf_counter()
-            if limits.max_iterations is not None and iteration >= limits.max_iterations:
-                completed = False
-                break
-            if limits.max_nodes is not None and stats.nodes_explored >= limits.max_nodes:
-                completed = False
-                break
-            if limits.max_time_s is not None and perf_counter() - start > limits.max_time_s:
-                completed = False
-                break
-            if limits.deadline is not None and time.time() > limits.deadline:
-                completed = False
-                break
-            iteration += 1
-
-            # --- selection -------------------------------------------------
-            t0 = perf_counter()
-            parents, lazily_pruned = frontier.pop_batch(batch_size, upper_bound)
-            select_s = perf_counter() - t0
-            stats.time_pool_s += select_s
-            stats.nodes_pruned += lazily_pruned
-            if not len(parents):
-                break
-            if hooks.on_select is not None:
-                hooks.on_select(len(parents))
-
-            # --- branching (CPU, vectorized) --------------------------------
-            t0 = perf_counter()
-            children = branch_block(parents, pt, next_order)
-            branch_s = perf_counter() - t0
-            stats.time_branching_s += branch_s
-            next_order += len(children)
-            stats.nodes_branched += len(parents)
-
-            if not len(children):
-                continue
-
-            # --- bounding (off-load, zero re-packing) -----------------------
-            t0 = perf_counter()
-            _, sim_s, wall_s = offload.bound_block(children, siblings=False)
-            stats.time_bounding_s += perf_counter() - t0
-            simulated_total += sim_s
-            measured_total += wall_s
-            stats.nodes_bounded += len(children)
-            stats.pools_evaluated += 1
-
-            if self.double_buffer and prev_sim_s is not None:
-                credit = min(prev_sim_s, select_s + branch_s)
-                overlap_saved += credit
-                if hooks.on_overlap is not None:
-                    hooks.on_overlap(credit)
-            prev_sim_s = sim_s
-
-            # --- incumbent updates from complete schedules -------------------
-            leaf_mask = children.depth == n_jobs
-            n_leaves = int(np.count_nonzero(leaf_mask))
-            if n_leaves:
-                leaf_rows = np.flatnonzero(leaf_mask)
-                stats.leaves_evaluated += n_leaves
-                makespans = children.release[leaf_rows, -1]
-                improving, _ = leaf_improvements(upper_bound, makespans)
-                for i in improving:
-                    makespan = int(makespans[i])
-                    upper_bound = float(makespan)
-                    best_trail = int(children.trail_id[leaf_rows[i]])
-                    best_value = makespan
-                    stats.incumbent_updates += 1
-                    self._notify(makespan, lambda tid=best_trail: trail.prefix(tid))
-                    if hooks.incumbent_charge_s is not None:
-                        simulated_total += hooks.incumbent_charge_s()
-
-            # --- elimination fused with insertion (one masked append) ---------
-            keep = children.lower_bound < upper_bound
-            if n_leaves:
-                keep &= ~leaf_mask
-            kept = int(np.count_nonzero(keep))
-            pruned = len(children) - n_leaves - kept
-            stats.nodes_pruned += pruned
-            if hooks.on_eliminate is not None:
-                hooks.on_eliminate(pruned)
-
-            t0 = perf_counter()
-            frontier.push_block(children, keep)
-            stats.time_pool_s += perf_counter() - t0
-
-            if hooks.on_iteration is not None:
-                hooks.on_iteration(
-                    OffloadStep(
-                        iteration=iteration,
-                        nodes_offloaded=len(children),
-                        nodes_pruned=pruned,
-                        nodes_kept=kept,
-                        incumbent=upper_bound,
-                        simulated_s=sim_s,
-                        measured_s=wall_s,
-                    )
-                )
-
-        if best_trail is not None:
-            best_order = trail.prefix(best_trail)
-        return DriverResult(
-            upper_bound=upper_bound,
-            best_order=best_order,
-            best_value=best_value,
-            completed=completed,
-            iterations=iteration,
-            simulated_s=simulated_total,
-            measured_s=measured_total,
-            overlap_saved_sim_s=overlap_saved,
-            next_order=next_order,
-        )
-
-    # ------------------------------------------------------------------ #
-    #  Batch shape, async two-slot pipeline (overlap="async")
+    #  Batch (off-load) shape (GPU / cluster / hybrid)
     # ------------------------------------------------------------------ #
     #
-    # Both async variants replay the synchronous batch iteration with one
-    # mechanical change: every offload launch runs on the AsyncOffload
-    # worker thread, and — when the backend allows it — one batch-size
-    # selection is split into a few deterministic micro-chunks so the
-    # driver selects/branches chunk i+1 while the worker bounds chunk i.
+    # One loop body serves both overlap modes; they differ only in the slot
+    # a launch goes through.  overlap="sync" submits one chunk per
+    # iteration to an InlineOffload, whose ticket bounds on the driver
+    # thread when it is joined — the plain select→branch→bound→eliminate
+    # iteration.  overlap="async" submits to the AsyncOffload worker
+    # thread and — when the backend allows it — splits one batch-size
+    # selection into a few deterministic micro-chunks so the driver
+    # selects/branches chunk i+1 while the worker bounds chunk i.
     # Determinism is preserved because (a) chunk sizes are a pure function
     # of batch_size, (b) every pop of an iteration happens before any push
     # (chunked pops therefore concatenate to exactly the one big pop),
@@ -1302,7 +758,7 @@ class SearchDriver:
     # applied in row order, and (d) a chunk's elimination is deferred
     # until no later chunk still carries complete schedules that could
     # tighten the incumbent.  The explored tree, all counters and the
-    # result are bit-identical to overlap="sync" (pinned by the golden
+    # result are bit-identical across modes (pinned by the golden
     # fixtures and tests/test_overlap.py).
 
     #: micro-chunks one batch selection is split into (pure config constant)
@@ -1318,221 +774,7 @@ class SearchDriver:
         base, extra = divmod(batch_size, parts)
         return [base + (1 if i < extra else 0) for i in range(parts)]
 
-    def _run_batch_object_async(
-        self,
-        pool: NodePool,
-        upper_bound: float,
-        best_order: tuple[int, ...],
-        stats: SearchStats,
-        start: float,
-    ) -> DriverResult:
-        instance = self.instance
-        offload = self.offload
-        hooks = self.hooks
-        limits = self.limits
-        perf_counter = time.perf_counter
-
-        chunk_sizes = self._chunk_sizes(
-            getattr(offload, "supports_chunked_overlap", False)
-        )
-
-        best_value: Optional[int] = None
-        simulated_total = 0.0
-        measured_total = 0.0
-        overlap_sim_saved = 0.0
-        overlap_wall_saved = 0.0
-        prev_sim_s: Optional[float] = None
-        on_checkpoint = hooks.on_checkpoint
-        ckpt = self.checkpoint if on_checkpoint is not None else None
-        last_checkpoint = start
-        iteration = 0
-        completed = True
-        aoff = AsyncOffload(offload)
-        try:
-            while pool:
-                if ckpt is not None and on_checkpoint is not None:
-                    due = (
-                        ckpt.every_steps is not None
-                        and iteration > 0
-                        and iteration % ckpt.every_steps == 0
-                    )
-                    if not due and ckpt.every_seconds is not None:
-                        due = perf_counter() - last_checkpoint >= ckpt.every_seconds
-                    if due:
-                        # batch boundary: every launch of the previous
-                        # iteration has been joined, so the snapshot can
-                        # never race the worker thread
-                        assert aoff.idle, "checkpoint with an offload launch in flight"
-                        on_checkpoint(
-                            CheckpointState(
-                                frontier=pool,
-                                trail=None,
-                                upper_bound=upper_bound,
-                                best_order_supplier=lambda order=best_order: order,
-                                next_order=0,
-                                stats=stats,
-                                steps=iteration,
-                            )
-                        )
-                        last_checkpoint = perf_counter()
-                if limits.max_iterations is not None and iteration >= limits.max_iterations:
-                    completed = False
-                    break
-                if limits.max_nodes is not None and stats.nodes_explored >= limits.max_nodes:
-                    completed = False
-                    break
-                if limits.max_time_s is not None and perf_counter() - start > limits.max_time_s:
-                    completed = False
-                    break
-                if limits.deadline is not None and time.time() > limits.deadline:
-                    completed = False
-                    break
-                iteration += 1
-                iter_t0 = perf_counter()
-
-                # --- selection + branching + submission (all pops precede
-                # any push, so chunked pops equal the one synchronous pop)
-                select_s = 0.0
-                branch_s = 0.0
-                total_selected = 0
-                launches = []  # (children, ticket, has_leaves) in pop order
-                for size in chunk_sizes:
-                    t0 = perf_counter()
-                    parents, lazily_pruned = select_batch(pool, size, upper_bound)
-                    select_s += perf_counter() - t0
-                    stats.nodes_pruned += lazily_pruned
-                    if not parents:
-                        break  # pool drained mid-plan
-                    total_selected += len(parents)
-                    t0 = perf_counter()
-                    children: list[Node] = []
-                    for parent in parents:
-                        offspring = branch(parent, instance)
-                        stats.nodes_branched += 1
-                        children.extend(offspring)
-                    branch_s += perf_counter() - t0
-                    if not children:
-                        continue
-                    has_leaves = any(child.is_leaf for child in children)
-                    launches.append(
-                        (children, aoff.submit_nodes(children), has_leaves)
-                    )
-                stats.time_pool_s += select_s
-                stats.time_branching_s += branch_s
-                if total_selected == 0:
-                    break
-                if hooks.on_select is not None:
-                    hooks.on_select(total_selected)
-                if not launches:
-                    continue
-
-                # --- join in submission order ---------------------------
-                last_leaf_idx = -1
-                for chunk_idx, (_, _, has_leaves) in enumerate(launches):
-                    if has_leaves:
-                        last_leaf_idx = chunk_idx
-                sim_iter = 0.0
-                wall_iter = 0.0
-                worker_s = 0.0
-                apply_s = 0.0
-                total_offloaded = 0
-                total_pruned = 0
-                total_kept = 0
-                deferred: list[list[Node]] = []
-                for chunk_idx, (children, ticket, has_leaves) in enumerate(launches):
-                    t0 = perf_counter()
-                    _, sim_s, wall_s = ticket.result()
-                    stats.time_bounding_s += perf_counter() - t0
-                    worker_s += ticket.worker_wall_s
-                    sim_iter += sim_s
-                    wall_iter += wall_s
-                    stats.nodes_bounded += len(children)
-                    total_offloaded += len(children)
-
-                    # incumbent updates from complete schedules, row order
-                    open_children: list[Node] = []
-                    for child in children:
-                        if child.is_leaf:
-                            stats.leaves_evaluated += 1
-                            makespan = int(child.release[-1])
-                            if makespan < upper_bound:
-                                upper_bound = float(makespan)
-                                best_order = child.prefix
-                                best_value = makespan
-                                stats.incumbent_updates += 1
-                                self._notify(
-                                    makespan, lambda prefix=child.prefix: prefix
-                                )
-                                if hooks.incumbent_charge_s is not None:
-                                    simulated_total += hooks.incumbent_charge_s()
-                        else:
-                            open_children.append(child)
-
-                    if chunk_idx < last_leaf_idx:
-                        # a later chunk still carries complete schedules
-                        # that may tighten the bound: defer elimination
-                        deferred.append(open_children)
-                        continue
-                    t0 = perf_counter()
-                    deferred.append(open_children)
-                    for chunk_open in deferred:
-                        survivors, pruned = eliminate(chunk_open, upper_bound)
-                        stats.nodes_pruned += pruned
-                        total_pruned += pruned
-                        total_kept += len(survivors)
-                        pool.push_many(survivors)
-                    deferred.clear()
-                    apply_s += perf_counter() - t0
-                stats.time_pool_s += apply_s
-                if hooks.on_eliminate is not None:
-                    hooks.on_eliminate(total_pruned)
-
-                simulated_total += sim_iter
-                measured_total += wall_iter
-                stats.pools_evaluated += 1
-
-                if self.double_buffer and prev_sim_s is not None:
-                    credit = min(prev_sim_s, select_s + branch_s)
-                    overlap_sim_saved += credit
-                    if hooks.on_overlap is not None:
-                        hooks.on_overlap(credit)
-                prev_sim_s = sim_iter
-
-                # measured overlap: host work + worker bounding minus the
-                # wall time the iteration actually took
-                serial_s = select_s + branch_s + worker_s + apply_s
-                elapsed = perf_counter() - iter_t0
-                if serial_s > elapsed:
-                    overlap_wall_saved += serial_s - elapsed
-
-                if hooks.on_iteration is not None:
-                    hooks.on_iteration(
-                        OffloadStep(
-                            iteration=iteration,
-                            nodes_offloaded=total_offloaded,
-                            nodes_pruned=total_pruned,
-                            nodes_kept=total_kept,
-                            incumbent=upper_bound,
-                            simulated_s=sim_iter,
-                            measured_s=wall_iter,
-                        )
-                    )
-        finally:
-            aoff.close()
-
-        return DriverResult(
-            upper_bound=upper_bound,
-            best_order=best_order,
-            best_value=best_value,
-            completed=completed,
-            iterations=iteration,
-            simulated_s=simulated_total,
-            measured_s=measured_total,
-            overlap_saved_sim_s=overlap_sim_saved,
-            overlap_saved_wall_s=overlap_wall_saved,
-        )
-
-    def _run_batch_block_async(
+    def _run_batch(
         self,
         frontier: BlockFrontier,
         trail: Trail,
@@ -1543,20 +785,21 @@ class SearchDriver:
         start: float,
     ) -> DriverResult:
         instance = self.instance
-        offload = self.offload
         hooks = self.hooks
         limits = self.limits
         n_jobs = instance.n_jobs
         pt = instance.processing_times
         perf_counter = time.perf_counter
 
+        overlapped = self.overlap == "async"
         # No chunking while a frontier memory cap holds selection in its
         # hysteretic restricted regime: the regime transition is itself
         # stateful per pop, so micro-chunked pops could diverge from the
         # synchronous pop sequence.  A capped frontier keeps single
-        # full-batch launches (still bounded on the worker thread).
+        # full-batch launches (async mode still bounds them on the worker).
         chunk_sizes = self._chunk_sizes(
-            getattr(offload, "supports_chunked_overlap", False)
+            overlapped
+            and getattr(self.offload, "supports_chunked_overlap", False)
             and not frontier.capped
         )
 
@@ -1572,7 +815,7 @@ class SearchDriver:
         last_checkpoint = start
         iteration = 0
         completed = True
-        aoff = AsyncOffload(offload)
+        slot = AsyncOffload(self.offload) if overlapped else InlineOffload(self.offload)
         try:
             while frontier:
                 if ckpt is not None and on_checkpoint is not None:
@@ -1586,7 +829,7 @@ class SearchDriver:
                     if due:
                         # batch boundary: no launch in flight, the snapshot
                         # cannot race the worker thread
-                        assert aoff.idle, "checkpoint with an offload launch in flight"
+                        assert slot.idle, "checkpoint with an offload launch in flight"
                         on_checkpoint(
                             CheckpointState(
                                 frontier=frontier,
@@ -1641,7 +884,7 @@ class SearchDriver:
                         continue
                     has_leaves = bool(np.any(children.depth == n_jobs))
                     launches.append(
-                        (children, aoff.submit_block(children, siblings=False), has_leaves)
+                        (children, slot.submit_block(children, siblings=False), has_leaves)
                     )
                 stats.time_pool_s += select_s
                 stats.time_branching_s += branch_s
@@ -1651,6 +894,16 @@ class SearchDriver:
                     hooks.on_select(total_selected)
                 if not launches:
                     continue
+                stats.pools_evaluated += 1
+
+                # Double buffering: the host prepared this batch while the
+                # device was still bounding the previous one — credit the
+                # overlap (both terms are known before any join).
+                if self.double_buffer and prev_sim_s is not None:
+                    credit = min(prev_sim_s, select_s + branch_s)
+                    overlap_sim_saved += credit
+                    if hooks.on_overlap is not None:
+                        hooks.on_overlap(credit)
 
                 # --- join in submission order ---------------------------
                 last_leaf_idx = -1
@@ -1672,6 +925,10 @@ class SearchDriver:
                     worker_s += ticket.worker_wall_s
                     sim_iter += sim_s
                     wall_iter += wall_s
+                    # the launch's charge lands before any incumbent
+                    # broadcast it triggers (float summation order)
+                    simulated_total += sim_s
+                    measured_total += wall_s
                     stats.nodes_bounded += len(children)
                     total_offloaded += len(children)
 
@@ -1718,19 +975,11 @@ class SearchDriver:
                 if hooks.on_eliminate is not None:
                     hooks.on_eliminate(total_pruned)
 
-                simulated_total += sim_iter
-                measured_total += wall_iter
-                stats.pools_evaluated += 1
-
-                if self.double_buffer and prev_sim_s is not None:
-                    credit = min(prev_sim_s, select_s + branch_s)
-                    overlap_sim_saved += credit
-                    if hooks.on_overlap is not None:
-                        hooks.on_overlap(credit)
                 prev_sim_s = sim_iter
 
                 # measured overlap: host work + worker bounding minus the
-                # wall time the iteration actually took
+                # wall time the iteration actually took (an inline ticket
+                # has no worker time, so sync mode never credits any)
                 serial_s = select_s + branch_s + worker_s + apply_s
                 elapsed = perf_counter() - iter_t0
                 if serial_s > elapsed:
@@ -1749,7 +998,7 @@ class SearchDriver:
                         )
                     )
         finally:
-            aoff.close()
+            slot.close()
 
         if best_trail is not None:
             best_order = trail.prefix(best_trail)

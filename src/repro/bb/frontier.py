@@ -1,11 +1,11 @@
 """Structure-of-arrays frontier: columnar nodes for vectorized search.
 
-The object-based pipeline (:mod:`repro.bb.node` + :mod:`repro.bb.pool`)
-pays Python-interpreter cost *per node*: one dataclass per child, one heap
-entry per push, and a row-by-row re-pack (``encode_pool``) every time a
-batch is shipped to the bounding kernel.  After the kernel itself was
-vectorized (PR 1), those per-node costs dominate the host side of the
-search — Amdahl's law moved the bottleneck out of the bounding operator.
+A Python object per node would pay interpreter cost *per node*: one
+instance per child, one heap entry per push, and a row-by-row re-pack
+every time a batch is shipped to the bounding kernel.  Once the kernel
+itself is vectorized, those per-node costs would dominate the host side
+of the search (``benchmarks/bench_frontier.py`` keeps such a loop as a
+frozen ablation and measures the gap).
 
 This module stores a *batch* of nodes as a :class:`NodeBlock` of parallel
 arrays — exactly the ``(scheduled_mask, release)`` layout the batched
@@ -33,11 +33,10 @@ Prefixes are *not* carried per node.  Each node stores one ``trail_id``
 into a shared :class:`Trail` of ``(parent_slot, job)`` pairs, and the full
 permutation is materialized lazily — only for incumbents and trace events.
 
-Node identity (``order_index``) and the selection key
-``(lower_bound, depth, order_index)`` match the object layout exactly, so
-a block-layout engine explores bit-for-bit the same tree, in the same
-order, as its object-layout twin (verified by
-``tests/test_layout_equivalence.py``).
+Node identity (``order_index``, the per-search creation index) and the
+selection key ``(lower_bound, depth, order_index)`` make every tie-break
+deterministic, so each engine explores bit-for-bit the same tree on every
+run (pinned by the golden fixtures of ``tests/test_driver.py``).
 
 All block/frontier integer columns are stored as **int32**: Taillard-class
 magnitudes (release times, bounds, depths, creation indices) sit far below
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bb.node import advance_release
 from repro.flowshop.bounds import (
     LowerBoundData,
     _V2_GEMM_MAX_JOBS,
@@ -63,11 +61,13 @@ from repro.flowshop.bounds import (
     _v2_gemm_data,
     _v2_value_bound,
     get_batch_kernel,
+    lower_bound,
 )
 from repro.flowshop.instance import FlowShopInstance
 
 __all__ = [
     "NO_BOUND",
+    "advance_release",
     "Trail",
     "NodeBlock",
     "root_block",
@@ -81,8 +81,8 @@ __all__ = [
 
 #: Sentinel stored in :attr:`NodeBlock.lower_bound` until a node is bounded.
 #: Bounds are always non-negative, so ``-1`` can never collide with a real
-#: value — and it still satisfies ``NO_BOUND < upper_bound``, matching the
-#: object pools' rule that un-bounded nodes survive :meth:`prune_to`.
+#: value — and it still satisfies ``NO_BOUND < upper_bound``, so un-bounded
+#: nodes survive :meth:`BlockFrontier.prune_to`.
 NO_BOUND = -1
 
 #: Largest batch evaluated by the fused single-GEMM path of
@@ -118,6 +118,28 @@ def _arange(count: int) -> np.ndarray:
     return _ARANGE[:count]
 
 
+def advance_release(release: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Release times after appending one job: the max-plus machine scan.
+
+    Appending a job with per-machine times ``t`` turns the front ``F`` into
+    ``F'[k] = max(F[k], F'[k-1]) + t[k]``, whose closed form is
+    ``F' = csum + cummax(F - (csum - t))`` with ``csum`` the inclusive
+    cumulative times of the job — no per-machine Python loop.  Broadcasts
+    over leading axes, so one call advances a single ``(m,)`` front or a
+    whole ``(B, m)`` batch of (front, job) pairs.
+
+    The result follows the dtype of ``release``, so the block layout's
+    int32 columns advance without leaving int32.
+    """
+    dtype = release.dtype if isinstance(release, np.ndarray) else np.int64
+    csum = np.cumsum(times, axis=-1, dtype=dtype)
+    front = release - csum
+    front += times
+    np.maximum.accumulate(front, axis=-1, out=front)
+    front += csum
+    return front
+
+
 #: int32 node-id ceiling of the block layout (trail slots, order indices).
 #: A search would need >2**31 nodes — hundreds of GB of frontier — to reach
 #: it, but growing past it must fail loudly, not wrap.
@@ -129,10 +151,10 @@ class Trail:
 
     Every node ever created appends one entry; the scheduled prefix of a
     node is materialized lazily by walking parent slots up to the root
-    (``parent == -1``).  Two int32 cells per node replace the per-node
-    Python tuple of the object layout; creating more than ``2**31 - 1``
-    nodes raises :class:`OverflowError` (ids — and the creation indices
-    that advance in lockstep with them — would otherwise wrap).
+    (``parent == -1``).  Two int32 cells per node replace a per-node
+    Python tuple; creating more than ``2**31 - 1`` nodes raises
+    :class:`OverflowError` (ids — and the creation indices that advance in
+    lockstep with them — would otherwise wrap).
     """
 
     __slots__ = ("_parent", "_job", "_size")
@@ -151,8 +173,9 @@ class Trail:
         need = self._size + extra
         if need > _INT32_ID_LIMIT:
             raise OverflowError(
-                f"search created more than {_INT32_ID_LIMIT} nodes; the int32 "
-                "block layout cannot address them — re-run with layout='object'"
+                f"search created more than {_INT32_ID_LIMIT} nodes, the limit of "
+                "the int32 node ids (trail slots and creation indices); split "
+                "the search or give it a node budget"
             )
         if need > self._parent.shape[0]:
             capacity = max(need, 2 * self._parent.shape[0])
@@ -213,7 +236,7 @@ class NodeBlock:
     batched bounding kernels consume, so bounding a block never re-packs
     anything.  ``lower_bound`` holds :data:`NO_BOUND` until the node is
     bounded.  ``order_index`` is the per-search creation index that makes
-    selection tie-breaks deterministic and identical to the object layout.
+    selection tie-breaks deterministic.
     """
 
     #: ``(B, n_jobs)`` boolean matrix of already-scheduled jobs
@@ -311,10 +334,10 @@ def seed_block(
 ) -> NodeBlock:
     """A one-row block for the node reached by scheduling ``prefix``.
 
-    Mirrors the object layout's root-to-seed ``child`` chain: the chain
-    nodes are registered on the trail (so the seed's prefix materializes)
-    and the seed's order index is ``len(prefix)`` — exactly what a
-    per-search counter would have assigned after creating the chain.
+    The root-to-seed chain nodes are registered on the trail (so the
+    seed's prefix materializes) and the seed's order index is
+    ``len(prefix)`` — exactly what a per-search counter would have
+    assigned after creating the chain one child at a time.
     """
     pt = instance.processing_times
     n, m = instance.n_jobs, instance.n_machines
@@ -348,12 +371,10 @@ def branch_block(
 ) -> NodeBlock:
     """Branching operator: all one-job extensions of every parent row.
 
-    Children are produced parent-major, jobs in increasing index order —
-    the exact creation order of the object layout's ``branch`` over a
-    pop-ordered parent list — and get consecutive order indices starting
-    at ``order_start``.  Leaf rows contribute no children; complete-child
-    rows get their makespan as an exact bound immediately, like
-    :meth:`repro.bb.node.Node.child` does.
+    Children are produced parent-major, jobs in increasing index order,
+    and get consecutive order indices starting at ``order_start``.  Leaf
+    rows contribute no children; complete-child rows get their makespan
+    as an exact bound immediately.
     """
     n_jobs = parents.n_jobs
     mask = parents.scheduled_mask
@@ -368,7 +389,7 @@ def branch_block(
         return NodeBlock.empty(n_jobs, parents.n_machines, parents.trail)
 
     # One closed-form max-plus scan advances every (parent, job) pair at
-    # once (see :func:`repro.bb.node.advance_release`).
+    # once (see :func:`advance_release`).
     pt_j = processing_times[jobs]
     parent_release = parents.release if single else parents.release[parent_rows]
     release = advance_release(parent_release, pt_j)
@@ -521,8 +542,7 @@ def _bound_block_fused(
     but the per-Johnson-position ``np.dot`` loop collapses into ONE matrix
     product against the ``(n + 1, n_jobs * n_couples)`` stacked weights —
     a handful of array ops per launch instead of ~3·n, which is what makes
-    bounding a sibling block cheaper than the object layout's per-launch
-    overhead.  ``qm_b`` optionally supplies the ``(B, m)`` per-node
+    bounding a small sibling block cheap.  ``qm_b`` optionally supplies the ``(B, m)`` per-node
     minimal tails (e.g. from :func:`_sibling_qm`); it is computed by a
     masked reduction otherwise.
     """
@@ -568,15 +588,17 @@ def bound_block(
     """Bounding operator: evaluate a block in place, with zero re-packing.
 
     The block's ``(scheduled_mask, release)`` arrays are handed to the
-    kernels directly — ``encode_pool`` does not exist on this path.  Small
-    batches of the v2 kernel take the fused single-GEMM evaluation
+    kernels directly, with no per-row re-pack.  Small batches of the v2
+    kernel take the fused single-GEMM evaluation
     (:func:`_bound_block_fused`); everything else routes through the
     standard chunked kernels, together with the block's ``jobs`` column, so
     from ``_V2_INCREMENTAL_MIN_JOBS`` jobs on a branch-built block is
     bounded incrementally from its parents' sets (kernel v2's
-    ``"incremental"`` strategy).  Values are bit-identical to
-    :func:`repro.flowshop.bounds.lower_bound` on every row, and are also
-    written back into ``block.lower_bound``.
+    ``"incremental"`` strategy).  ``kernel="scalar"`` instead calls
+    :func:`repro.flowshop.bounds.lower_bound` once per row — the paper's
+    serial baseline.  Values are bit-identical to that scalar bound on
+    every row, whatever the kernel, and are also written back into
+    ``block.lower_bound``.
 
     ``siblings=True`` asserts that the block is the COMPLETE child set of
     one parent (exactly what :func:`branch_block` / :func:`branch_row`
@@ -597,6 +619,18 @@ def bound_block(
         if int(block.depth[0]) == n_jobs:
             bounds = block.lower_bound  # set at branch time (leaf makespans)
             return bounds
+
+    if kernel == "scalar":
+        # the paper's serial baseline: one scalar bound call per sub-problem
+        # and no batch array (the bounding-fraction experiment measures it)
+        for row in range(batch):
+            block.lower_bound[row] = lower_bound(
+                data,
+                np.flatnonzero(mask[row]),
+                release=release[row],
+                include_one_machine=include_one_machine,
+            )
+        return block.lower_bound
 
     # from the crossover on, the kernel's incremental strategy bounds
     # branch-built rows (known ``jobs``) faster than the fused GEMM
@@ -672,9 +706,10 @@ def leaf_improvements(
 def eliminate_block(block: NodeBlock, upper_bound: float) -> tuple[NodeBlock, int]:
     """Elimination operator: one boolean mask instead of a Python loop.
 
-    Rows survive only when ``lower_bound < upper_bound`` (strict, like
-    :func:`repro.bb.operators.eliminate`).  Returns ``(survivors,
-    n_pruned)``; the survivors keep their relative order.
+    Rows survive only when ``lower_bound < upper_bound`` (strict: ties are
+    discarded, which is correct once one incumbent achieving the bound is
+    known).  Returns ``(survivors, n_pruned)``; the survivors keep their
+    relative order.
     """
     if len(block) == 0:
         return block, 0
@@ -691,7 +726,7 @@ def eliminate_block(block: NodeBlock, upper_bound: float) -> tuple[NodeBlock, in
 class BlockFrontier:
     """The pending pool as growable parallel arrays.
 
-    Selection works on the same keys as the object pools — best-first by
+    Selection works on the classic pool keys — best-first by
     ``(lower_bound, depth, order_index)``, depth-first by most recent
     ``order_index``, FIFO by earliest — but pops are array reductions and
     batch selection uses ``argpartition`` / one sort, not per-node heap
@@ -877,7 +912,7 @@ class BlockFrontier:
         Batched engines remove several nodes at once and insert all of
         their surviving children in one append; this lets them credit the
         intermediate sizes a one-node-at-a-time pool would have passed
-        through, keeping ``max_pool_size`` identical across layouts.
+        through, keeping ``max_pool_size`` identical to single pops.
         """
         if size > self._max_size:
             self._max_size = size
@@ -1156,7 +1191,7 @@ class BlockFrontier:
         either a larger bound or — at an equal bound — a larger depth, so
         its key can never preempt the remaining tie members.  Batching
         them lets the engine branch and bound all of their children in a
-        single launch while exploring exactly the object layout's tree.
+        single launch while exploring exactly the one-at-a-time tree.
 
         ``budget_remaining`` is the caller's ``max_nodes`` headroom: a
         processed node can add up to ``1 + n_unscheduled`` to the explored
@@ -1288,9 +1323,8 @@ class BlockFrontier:
         """Selection operator: remove up to ``max_nodes`` nodes, in pop order.
 
         With ``upper_bound`` given, nodes whose stored bound already meets
-        the incumbent are discarded on the fly and counted — the lazy
-        pruning of :func:`repro.bb.operators.select_batch`, with identical
-        semantics: stale nodes met while filling the batch are dropped,
+        the incumbent are discarded on the fly and counted (lazy pruning):
+        stale nodes met while filling the batch are dropped,
         and draining the pool without filling the batch drops every
         remaining stale node.
 

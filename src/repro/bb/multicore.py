@@ -36,8 +36,6 @@ from typing import Optional, Sequence
 
 from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits
 from repro.bb.frontier import BlockFrontier, Trail, bound_block, seed_block
-from repro.bb.node import Node, root_node
-from repro.bb.operators import bound_node
 from repro.bb.sequential import BBResult, SequentialBranchAndBound
 from repro.bb.stats import SearchStats
 from repro.bb.worksteal import (
@@ -63,7 +61,6 @@ class SubtreeTask:
     deadline: Optional[float]
     selection: str
     kernel: str = "v2"
-    layout: str = "block"
     max_frontier_nodes: Optional[int] = None
     frontier_index: str = "segmented"
 
@@ -79,7 +76,6 @@ def _solve_subtree(task: SubtreeTask) -> dict:
         max_nodes=task.max_nodes,
         deadline=task.deadline,
         kernel=task.kernel,
-        layout=task.layout,
         max_frontier_nodes=task.max_frontier_nodes,
         frontier_index=task.frontier_index,
     )
@@ -100,8 +96,9 @@ class _SubtreeSolver:
     launch-time ``upper_bound`` only.  When the work-stealing engine passes
     a shared incumbent, the solver starts from the freshest shared bound,
     publishes every local improvement via compare-and-swap, and polls the
-    shared bound every ``poll_interval`` pops — re-pruning its open pool
-    (:meth:`~repro.bb.pool.NodePool.prune_to`) when a peer tightened it.
+    shared bound every ``poll_interval`` pops — re-pruning its open frontier
+    (:meth:`~repro.bb.frontier.BlockFrontier.prune_to`) when a peer
+    tightened it.
 
     Rebalancing (the work-stealing engine's ``rebalance=True`` mode) uses
     two extra knobs: ``capture_incomplete=True`` makes a node-budget-cut
@@ -123,7 +120,6 @@ class _SubtreeSolver:
         kernel: str = "v2",
         incumbent=None,
         poll_interval: int = 64,
-        layout: str = "block",
         max_frontier_nodes: Optional[int] = None,
         frontier_index: str = "segmented",
         capture_incomplete: bool = False,
@@ -131,8 +127,6 @@ class _SubtreeSolver:
     ):
         if poll_interval < 1:
             raise ValueError("poll_interval must be >= 1")
-        if layout not in ("block", "object"):
-            raise ValueError(f"layout must be 'block' or 'object', got {layout!r}")
         self.instance = instance
         self.data = LowerBoundData(instance)
         self.prefix = tuple(int(j) for j in prefix)
@@ -143,7 +137,6 @@ class _SubtreeSolver:
         self.kernel = kernel
         self.incumbent = incumbent
         self.poll_interval = poll_interval
-        self.layout = layout
         self.max_frontier_nodes = max_frontier_nodes
         self.frontier_index = frontier_index
         self.capture_incomplete = capture_incomplete
@@ -151,12 +144,6 @@ class _SubtreeSolver:
         #: set by a budget-cut run when ``capture_incomplete`` is on: the
         #: serialized remainder of this chunk, ready to re-enqueue
         self.resume_blob: Optional[bytes] = None
-
-    def _root(self) -> Node:
-        node = root_node(self.instance)
-        for job in self.prefix:
-            node = node.child(job, self.instance.processing_times)
-        return node
 
     def _driver(self) -> SearchDriver:
         """The worker's loop: the driver's single-step shape with polling.
@@ -176,7 +163,6 @@ class _SubtreeSolver:
         return SearchDriver(
             self.instance,
             self.data,
-            layout=self.layout,
             selection=self.selection,
             kernel=self.kernel,
             limits=SearchLimits(max_nodes=self.max_nodes, deadline=self.deadline),
@@ -187,9 +173,7 @@ class _SubtreeSolver:
         """Exhaust this worker's sub-tree; return (makespan, order, stats, completed)."""
         if self.resume_from is not None:
             return self._run_resume()
-        if self.layout == "block":
-            return self._run_block()
-        return self._run_object()
+        return self._run_seed()
 
     def _deadline_expired(self) -> bool:
         return self.deadline is not None and time.time() >= self.deadline
@@ -206,7 +190,6 @@ class _SubtreeSolver:
 
         self.resume_blob = dumps_snapshot(
             self.instance,
-            layout=self.layout,
             frontier=frontier,
             upper_bound=upper_bound,
             best_order=(),
@@ -249,57 +232,8 @@ class _SubtreeSolver:
         stats.max_pool_size = frontier.max_size_seen
         return outcome.best_value, tuple(outcome.best_order), stats, outcome.completed
 
-    def _run_object(self) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-        from repro.bb.pool import make_pool  # local import to keep pickling light
-
-        stats = SearchStats()
-        pool = make_pool(self.selection)
-        start = time.perf_counter()
-
-        def finish(
-            best_makespan: Optional[int], best_order: tuple[int, ...], completed: bool
-        ) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-            # Every exit path — including the leaf-root and pruned-root
-            # early returns — records its timing and pool high-water mark,
-            # so the merged multicore statistics stay complete.
-            stats.time_total_s = time.perf_counter() - start
-            stats.max_pool_size = pool.max_size_seen
-            return best_makespan, best_order, stats, completed
-
-        node = self._root()
-        t0 = time.perf_counter()
-        bound_node(node, self.data)
-        stats.time_bounding_s += time.perf_counter() - t0
-        stats.nodes_bounded += 1
-
-        upper_bound = self.upper_bound
-        if self.incumbent is not None:
-            upper_bound = min(upper_bound, self.incumbent.get())
-
-        if node.is_leaf:
-            makespan = int(node.release[-1])
-            stats.leaves_evaluated += 1
-            if makespan < upper_bound:
-                if self.incumbent is not None:
-                    self.incumbent.try_update(makespan)
-                stats.incumbent_updates += 1
-                return finish(makespan, node.prefix, True)
-            return finish(None, (), True)
-
-        if node.lower_bound is not None and node.lower_bound >= upper_bound:
-            stats.nodes_pruned += 1
-            return finish(None, (), True)
-
-        pool.push(node)
-        outcome = self._driver().run(
-            pool, upper_bound=upper_bound, best_order=(), stats=stats, start=start
-        )
-        if not outcome.completed and self.capture_incomplete and not self._deadline_expired():
-            self._capture(pool, None, outcome.upper_bound, outcome.next_order)
-        return finish(outcome.best_value, tuple(outcome.best_order), outcome.completed)
-
-    def _run_block(self) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-        """Block-layout twin of :meth:`_run_object` (same tree, same stats)."""
+    def _run_seed(self) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
+        """Seed the frontier with the prefix node and exhaust its sub-tree."""
         instance = self.instance
         stats = SearchStats()
         trail = Trail()
@@ -316,6 +250,9 @@ class _SubtreeSolver:
         def finish(
             best_makespan: Optional[int], best_order: tuple[int, ...], completed: bool
         ) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
+            # Every exit path — including the leaf-seed and pruned-seed
+            # early returns — records its timing and pool high-water mark,
+            # so the merged multicore statistics stay complete.
             stats.time_total_s = time.perf_counter() - start
             stats.max_pool_size = frontier.max_size_seen
             return best_makespan, best_order, stats, completed
@@ -394,18 +331,12 @@ class MulticoreBranchAndBound:
         of a branched node (``"v1"`` / ``"v2"``).  The scalar mode of the
         sequential engine is not available here: workers always batch their
         sibling sets.
-    layout:
-        Node representation inside each worker: ``"block"`` (default)
-        explores with the structure-of-arrays frontier
-        (:mod:`repro.bb.frontier`); ``"object"`` keeps one ``Node`` per
-        sub-problem.  Both explore the identical tree per chunk.
     max_frontier_nodes:
-        Block layout only: per-worker high-water frontier cap with a
-        0.8×cap hysteresis low-water mark (see
-        :class:`~repro.bb.frontier.BlockFrontier`).
+        Per-worker high-water frontier cap with a 0.8×cap hysteresis
+        low-water mark (see :class:`~repro.bb.frontier.BlockFrontier`).
     frontier_index:
-        Block layout only: per-worker frontier selection index —
-        ``"segmented"`` (default) or ``"linear"`` (full-scan ablation).
+        Per-worker frontier selection index — ``"segmented"`` (default)
+        or ``"linear"`` (full-scan ablation).
     """
 
     def __init__(
@@ -421,7 +352,6 @@ class MulticoreBranchAndBound:
         kernel: str = "v2",
         mode: str = "worksteal",
         poll_interval: int = 64,
-        layout: str = "block",
         max_frontier_nodes: Optional[int] = None,
         frontier_index: str = "segmented",
     ):
@@ -435,8 +365,6 @@ class MulticoreBranchAndBound:
             raise ValueError("decomposition_depth must be >= 1")
         if kernel not in ("v1", "v2"):
             raise ValueError(f"kernel must be 'v1' or 'v2', got {kernel!r}")
-        if layout not in ("block", "object"):
-            raise ValueError(f"layout must be 'block' or 'object', got {layout!r}")
         self.instance = instance
         self.n_workers = n_workers or os.cpu_count() or 1
         self.backend = backend
@@ -448,7 +376,6 @@ class MulticoreBranchAndBound:
         self.max_time_s = max_time_s
         self.kernel = kernel
         self.poll_interval = poll_interval
-        self.layout = layout
         self.max_frontier_nodes = max_frontier_nodes
         if frontier_index not in ("segmented", "linear"):
             raise ValueError(
@@ -479,7 +406,6 @@ class MulticoreBranchAndBound:
                 max_time_s=self.max_time_s,
                 kernel=self.kernel,
                 poll_interval=self.poll_interval,
-                layout=self.layout,
                 max_frontier_nodes=self.max_frontier_nodes,
                 frontier_index=self.frontier_index,
             ).solve()
@@ -500,7 +426,6 @@ class MulticoreBranchAndBound:
                 deadline=deadline,
                 selection=self.selection,
                 kernel=self.kernel,
-                layout=self.layout,
                 max_frontier_nodes=self.max_frontier_nodes,
                 frontier_index=self.frontier_index,
             )

@@ -11,12 +11,15 @@ worker is executing plus at most one more parked in the queue.  A third
 two-slot pipeline wants (the driver can run at most one batch ahead).
 
 :class:`AsyncOffload` adapts any :class:`~repro.bb.driver.OffloadBackend`
-to that worker: ``bound_nodes`` / ``bound_block`` become ``submit_nodes``
-/ ``submit_block`` returning an :class:`OffloadTicket` join handle.  The
-driver joins tickets **in submission order**, so eliminations apply in
-the same order as the synchronous path and the explored tree stays
-bit-identical (pinned by ``tests/test_driver.py`` and the sync/async
-property tests in ``tests/test_overlap.py``).
+to that worker: ``bound_block`` becomes ``submit_block`` returning an
+:class:`OffloadTicket` join handle.  :class:`InlineOffload` is the
+synchronous slot behind the same interface: its ticket runs the backend
+call on the driver thread when joined, so ``overlap="sync"`` and
+``overlap="async"`` share one batch loop.  The driver joins tickets **in
+submission order**, so eliminations apply in the same order in both
+modes and the explored tree stays bit-identical (pinned by
+``tests/test_driver.py`` and the sync/async property tests in
+``tests/test_overlap.py``).
 
 The wall-clock win is real on the host backend because the fused kernel
 v2 path spends its time inside BLAS GEMM calls with the GIL released;
@@ -35,12 +38,11 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.bb.frontier import NodeBlock
-from repro.bb.node import Node
 
-__all__ = ["OffloadTicket", "SlotWorker", "AsyncOffload"]
+__all__ = ["OffloadTicket", "SlotWorker", "AsyncOffload", "InlineOffload"]
 
 #: sentinel shutting the worker thread down (queue item, never a launch)
 _STOP = object()
@@ -170,10 +172,6 @@ class AsyncOffload:
         self.backend = backend
         self._worker = SlotWorker(name=name)
 
-    def submit_nodes(self, nodes: Sequence[Node]) -> OffloadTicket:
-        """Asynchronous ``backend.bound_nodes(nodes)``."""
-        return self._worker.submit(lambda: self.backend.bound_nodes(nodes))
-
     def submit_block(self, block: NodeBlock, siblings: bool = False) -> OffloadTicket:
         """Asynchronous ``backend.bound_block(block, siblings=...)``."""
         return self._worker.submit(
@@ -193,3 +191,41 @@ class AsyncOffload:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+class _InlineTicket:
+    """Join handle of an inline launch: the backend call runs in :meth:`result`."""
+
+    __slots__ = ("_call",)
+
+    #: no worker thread: an inline launch hides no wall time
+    worker_wall_s = 0.0
+
+    def __init__(self, call: Callable[[], Any]):
+        self._call = call
+
+    def result(self) -> Any:
+        """Run the launch on the joining thread and return its value."""
+        return self._call()
+
+
+class InlineOffload:
+    """The synchronous slot: :class:`AsyncOffload`'s interface, no thread.
+
+    ``submit_block`` only records the launch; the returned ticket calls
+    ``backend.bound_block`` on the driver thread when it is joined, which
+    is exactly where a plain synchronous iteration bounds.
+    """
+
+    #: nothing runs off the driver thread, so a checkpoint cannot race
+    idle = True
+
+    def __init__(self, backend: Any):
+        self.backend = backend
+
+    def submit_block(self, block: NodeBlock, siblings: bool = False) -> _InlineTicket:
+        """Deferred ``backend.bound_block(block, siblings=...)``."""
+        return _InlineTicket(lambda: self.backend.bound_block(block, siblings=siblings))
+
+    def close(self) -> None:
+        """Nothing to release: there is no worker thread."""

@@ -30,9 +30,6 @@ from repro.bb.driver import (
     TraceEvent,
 )
 from repro.bb.frontier import BlockFrontier, Trail, bound_block, root_block
-from repro.bb.node import root_node
-from repro.bb.operators import bound_node
-from repro.bb.pool import NodePool, make_pool
 from repro.bb.snapshot import (
     CheckpointPolicy,
     CheckpointState,
@@ -106,18 +103,8 @@ class SequentialBranchAndBound:
         reproduces the paper's 98.5 % measurement of exactly that path).
         Bounds are bit-identical in every mode, so the explored tree does
         not depend on this choice.
-    layout:
-        Node representation of the search: ``"block"`` (default) keeps the
-        frontier as structure-of-arrays batches
-        (:mod:`repro.bb.frontier`) — branching, selection and elimination
-        are array programs and bounding reads the arrays with zero
-        re-packing; ``"object"`` is the paper-faithful one-``Node``-per-
-        sub-problem pipeline, kept for the layout ablation.  Both layouts
-        explore the identical tree and report identical results and node
-        counters.  ``kernel="scalar"`` implies the object layout (the
-        bounding-fraction experiment measures exactly that path).
     max_frontier_nodes:
-        Block layout only: high-water memory cap of the pending frontier.
+        High-water memory cap of the pending frontier.
         Once the frontier reaches this many nodes, best-first selection
         switches to a depth-first-restricted regime and — hysteretically —
         stays there until elimination drains the frontier below the
@@ -126,16 +113,10 @@ class SequentialBranchAndBound:
         cannot grow the pool without bound and selection does not flap at
         the cap boundary.  ``None`` (default) disables the cap.
     frontier_index:
-        Block layout only: selection index of the pending frontier —
-        ``"segmented"`` (default, cached per-segment key minima for
-        sublinear best-first pops) or ``"linear"`` (full-scan ablation).
-        Selection is bit-identical either way.
-    overlap:
-        ``"sync"`` or ``"async"`` — validated, recorded in snapshot
-        headers and restored by :meth:`resume`, but a no-op for this
-        engine's single-step shape (each pop depends on the bound of the
-        previous step, so there is nothing to overlap; the batch-shaped
-        GPU/cluster/hybrid engines give the knob its effect).
+        Selection index of the pending frontier — ``"segmented"``
+        (default, cached per-segment key minima for sublinear best-first
+        pops) or ``"linear"`` (full-scan ablation).  Selection is
+        bit-identical either way.
     checkpoint_path / checkpoint_every / checkpoint_seconds:
         Fault tolerance (see :mod:`repro.bb.snapshot`).  With a path set,
         the engine snapshots complete search state there every
@@ -158,10 +139,8 @@ class SequentialBranchAndBound:
         trace: bool = False,
         on_incumbent: Optional[Callable[[int, tuple[int, ...]], None]] = None,
         kernel: str = "v2",
-        layout: str = "block",
         max_frontier_nodes: Optional[int] = None,
         frontier_index: str = "segmented",
-        overlap: str = "sync",
         checkpoint_path: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_seconds: Optional[float] = None,
@@ -178,13 +157,6 @@ class SequentialBranchAndBound:
         if kernel not in ("scalar", "v1", "v2"):
             raise ValueError(f"kernel must be 'scalar', 'v1' or 'v2', got {kernel!r}")
         self.kernel = kernel
-        if layout not in ("block", "object"):
-            raise ValueError(f"layout must be 'block' or 'object', got {layout!r}")
-        if kernel == "scalar":
-            # the scalar kernel IS the per-node object pipeline; a columnar
-            # frontier would batch the very calls the ablation measures
-            layout = "object"
-        self.layout = layout
         if max_frontier_nodes is not None and max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be >= 1 when given")
         self.max_frontier_nodes = max_frontier_nodes
@@ -193,12 +165,6 @@ class SequentialBranchAndBound:
                 f"frontier_index must be 'segmented' or 'linear', got {frontier_index!r}"
             )
         self.frontier_index = frontier_index
-        if overlap not in ("sync", "async"):
-            raise ValueError(f"overlap must be 'sync' or 'async', got {overlap!r}")
-        # single-step shape: accepted (and recorded in snapshot headers so a
-        # resume restores it) but a no-op — the next pop depends on the
-        # current bound, so there is nothing to overlap
-        self.overlap = overlap
         if checkpoint_path is None and (
             checkpoint_every is not None or checkpoint_seconds is not None
         ):
@@ -222,18 +188,16 @@ class SequentialBranchAndBound:
             "engine": "serial",
             "selection": self.selection,
             "kernel": self.kernel,
-            "layout": self.layout,
             "include_one_machine": self.include_one_machine,
             "max_frontier_nodes": self.max_frontier_nodes,
             "frontier_index": self.frontier_index,
-            "overlap": self.overlap,
             "trace": self.trace_enabled,
         }
 
     def _write_snapshot(
         self,
-        frontier: Union[NodePool, BlockFrontier],
-        trail: Optional[Trail],
+        frontier: BlockFrontier,
+        trail: Trail,
         upper_bound: float,
         best_order: tuple[int, ...],
         next_order: int,
@@ -242,7 +206,6 @@ class SequentialBranchAndBound:
         assert self.checkpoint_path is not None
         blob = dumps_snapshot(
             self.instance,
-            layout=self.layout,
             frontier=frontier,
             trail=trail,
             upper_bound=upper_bound,
@@ -281,14 +244,12 @@ class SequentialBranchAndBound:
         return SearchDriver(
             self.instance,
             self.data,
-            layout=self.layout,
             selection=self.selection,
             kernel=self.kernel,
             include_one_machine=self.include_one_machine,
             limits=SearchLimits(max_nodes=self.max_nodes, max_time_s=self.max_time_s),
             hooks=hooks,
             trace=self.trace_enabled,
-            overlap=self.overlap,
             checkpoint=checkpoint,
         )
 
@@ -304,58 +265,40 @@ class SequentialBranchAndBound:
 
         driver = self._driver()
         start = time.perf_counter()
-        if self.layout == "block":
-            trail = Trail()
-            frontier = BlockFrontier(
-                instance.n_jobs,
-                instance.n_machines,
-                trail,
-                strategy=self.selection,
-                max_pending=self.max_frontier_nodes,
-                frontier_index=self.frontier_index,
-            )
-            root = root_block(instance, trail)
-            t0 = time.perf_counter()
-            bound_block(self.data, root, self.include_one_machine, kernel=self.kernel)
-            stats.time_bounding_s += time.perf_counter() - t0
-            stats.nodes_bounded += 1
-            frontier.push_block(root)
-            outcome = driver.run(
-                frontier,
-                upper_bound=upper_bound,
-                best_order=best_order,
-                stats=stats,
-                trail=trail,
-                next_order=1,
-                start=start,
-            )
-            max_pool_size = frontier.max_size_seen
-        else:
-            pool = make_pool(self.selection)
-            root = root_node(instance)
-            t0 = time.perf_counter()
-            bound_node(root, self.data, self.include_one_machine)
-            stats.time_bounding_s += time.perf_counter() - t0
-            stats.nodes_bounded += 1
-            pool.push(root)
-            outcome = driver.run(
-                pool,
-                upper_bound=upper_bound,
-                best_order=best_order,
-                stats=stats,
-                start=start,
-            )
-            max_pool_size = pool.max_size_seen
+        trail = Trail()
+        frontier = BlockFrontier(
+            instance.n_jobs,
+            instance.n_machines,
+            trail,
+            strategy=self.selection,
+            max_pending=self.max_frontier_nodes,
+            frontier_index=self.frontier_index,
+        )
+        root = root_block(instance, trail)
+        t0 = time.perf_counter()
+        bound_block(self.data, root, self.include_one_machine, kernel=self.kernel)
+        stats.time_bounding_s += time.perf_counter() - t0
+        stats.nodes_bounded += 1
+        frontier.push_block(root)
+        outcome = driver.run(
+            frontier,
+            upper_bound=upper_bound,
+            best_order=best_order,
+            stats=stats,
+            trail=trail,
+            next_order=1,
+            start=start,
+        )
 
         stats.time_total_s = time.perf_counter() - start
-        stats.max_pool_size = max_pool_size
+        stats.max_pool_size = frontier.max_size_seen
 
         if not outcome.completed and self.checkpoint_path is not None:
             # budget interrupted the run: persist the live frontier so
             # `resume` can pick up exactly where this segment stopped
             self._write_snapshot(
-                frontier if self.layout == "block" else pool,
-                trail if self.layout == "block" else None,
+                frontier,
+                trail,
                 outcome.upper_bound,
                 tuple(outcome.best_order),
                 outcome.next_order,
@@ -385,40 +328,23 @@ class SequentialBranchAndBound:
 
         driver = self._driver()
         start = time.perf_counter()
-        if self.layout == "block":
-            frontier = snapshot.frontier
-            assert isinstance(frontier, BlockFrontier)
-            trail = snapshot.trail
-            assert trail is not None
-            outcome = driver.run(
-                frontier,
-                upper_bound=snapshot.upper_bound,
-                best_order=snapshot.best_order,
-                stats=stats,
-                trail=trail,
-                next_order=snapshot.next_order,
-                start=start,
-            )
-            live: Union[NodePool, BlockFrontier] = frontier
-        else:
-            pool = snapshot.frontier
-            assert isinstance(pool, NodePool)
-            trail = None
-            outcome = driver.run(
-                pool,
-                upper_bound=snapshot.upper_bound,
-                best_order=snapshot.best_order,
-                stats=stats,
-                start=start,
-            )
-            live = pool
+        frontier, trail = snapshot.frontier, snapshot.trail
+        outcome = driver.run(
+            frontier,
+            upper_bound=snapshot.upper_bound,
+            best_order=snapshot.best_order,
+            stats=stats,
+            trail=trail,
+            next_order=snapshot.next_order,
+            start=start,
+        )
 
         stats.time_total_s = carried_time + (time.perf_counter() - start)
-        stats.max_pool_size = live.max_size_seen
+        stats.max_pool_size = frontier.max_size_seen
 
         if not outcome.completed and self.checkpoint_path is not None:
             self._write_snapshot(
-                live,
+                frontier,
                 trail,
                 outcome.upper_bound,
                 tuple(outcome.best_order),
@@ -454,7 +380,7 @@ class SequentialBranchAndBound:
     ) -> BBResult:
         """Continue a checkpointed solve from a snapshot file.
 
-        The engine (selection, kernel, layout, bound options) is rebuilt
+        The engine (selection, kernel, bound options) is rebuilt
         from the snapshot header, the frontier/trail/incumbent/counters are
         restored exactly, and the search resumes without re-seeding NEH or
         re-bounding the root.  The concatenation of the interrupted
@@ -482,10 +408,8 @@ class SequentialBranchAndBound:
             trace=bool(engine_conf.get("trace", False)),
             on_incumbent=on_incumbent,
             kernel=str(engine_conf.get("kernel", "v2")),
-            layout=snapshot.layout,
             max_frontier_nodes=int(max_frontier) if max_frontier is not None else None,
             frontier_index=str(engine_conf.get("frontier_index", "segmented")),
-            overlap=str(engine_conf.get("overlap", "sync")),
             checkpoint_path=checkpoint_path if checkpoint_path is not None else path,
             checkpoint_every=checkpoint_every,
             checkpoint_seconds=checkpoint_seconds,

@@ -1,15 +1,13 @@
 """Versioned, checksummed serialization of complete search state.
 
-The ROADMAP's "frontier persistence" item observes that the block layout
-already keeps the entire search in a handful of int32 arrays — this module
-turns that observation into fault tolerance.  A **snapshot** captures
-everything a resumed solve needs to continue bit-identically to the run
-that wrote it:
+The block frontier keeps the entire search in a handful of int32 arrays
+— this module turns that observation into fault tolerance.  A
+**snapshot** captures everything a resumed solve needs to continue
+bit-identically to the run that wrote it:
 
 * the pending frontier — the first ``size`` rows of every
   :class:`~repro.bb.frontier.BlockFrontier` column plus the shared
-  :class:`~repro.bb.frontier.Trail` (block layout), or the serialized
-  node list of a :class:`~repro.bb.pool.NodePool` (object layout);
+  :class:`~repro.bb.frontier.Trail`;
 * the incumbent (``upper_bound`` + permutation) and every
   :class:`~repro.bb.stats.SearchStats` counter;
 * the RNG-free tie state: ``next_order``, the creation index the next
@@ -55,8 +53,6 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from repro.bb.frontier import BlockFrontier, Trail
-from repro.bb.node import Node
-from repro.bb.pool import BestFirstPool, DepthFirstPool, FifoPool, NodePool, make_pool
 from repro.bb.stats import SearchStats
 from repro.flowshop.instance import FlowShopInstance
 
@@ -82,6 +78,10 @@ __all__ = [
 #: Version of the container format; bumped on any incompatible change.
 SNAPSHOT_FORMAT_VERSION = 1
 
+#: The ``layout`` every header carries.  Version-1 files of the removed
+#: ``"object"`` layout still parse, but :func:`loads_snapshot` refuses them.
+SNAPSHOT_LAYOUT = "block"
+
 #: First four bytes of every snapshot file.
 MAGIC = b"RPBB"
 
@@ -103,11 +103,6 @@ _STATS_FIELDS = (
     "simulated_device_time_s",
 )
 
-#: Sentinel standing in for ``None`` bounds/makespans in the object-layout
-#: node arrays (real values are always non-negative).
-_NONE_SENTINEL = -1
-
-
 class SnapshotError(Exception):
     """Base class of every snapshot load/save failure."""
 
@@ -117,7 +112,7 @@ class SnapshotCorrupt(SnapshotError):
 
 
 class SnapshotVersionError(SnapshotError):
-    """The snapshot was written by an unsupported format version."""
+    """The snapshot was written by an unsupported format version or layout."""
 
 
 class SnapshotMismatch(SnapshotError):
@@ -152,14 +147,13 @@ class CheckpointState:
 
     Everything is a *reference* to the driver's working state — valid only
     for the duration of the hook call.  ``best_order_supplier`` lazily
-    materializes the incumbent permutation (block-layout prefixes are only
-    walked when a checkpoint is actually written); ``next_order`` is the
-    creation index of the next node (``0`` in the object layout, where the
-    counter lives inside the nodes and is recovered from the pool).
+    materializes the incumbent permutation (trail prefixes are only walked
+    when a checkpoint is actually written); ``next_order`` is the creation
+    index of the next node.
     """
 
-    frontier: Union[NodePool, BlockFrontier]
-    trail: Optional[Trail]
+    frontier: BlockFrontier
+    trail: Trail
     upper_bound: float
     best_order_supplier: Callable[[], tuple[int, ...]]
     next_order: int
@@ -227,64 +221,14 @@ def _capture_block(
     }
 
 
-def _pool_nodes(pool: NodePool) -> list[Node]:
-    """Pending nodes in an order whose re-push rebuilds an equivalent pool.
-
-    Pop order depends only on the totally ordered sort keys (creation
-    indices are unique), so re-pushing a heap's backing array in storage
-    order reproduces the identical pop sequence; stacks serialize
-    bottom-to-top and FIFO queues front-to-back so appends restore them
-    verbatim.
-    """
-    if isinstance(pool, BestFirstPool):
-        return [node for _, node in pool._heap]
-    if isinstance(pool, DepthFirstPool):
-        return list(pool._stack)
-    if isinstance(pool, FifoPool):
-        return list(pool._queue)
-    raise SnapshotError(f"cannot snapshot pool type {type(pool).__name__}")
-
-
-def _capture_object(pool: NodePool, n_machines: int, arrays: dict, header: dict) -> None:
-    nodes = _pool_nodes(pool)
-    count = len(nodes)
-    lens = np.array([len(node.prefix) for node in nodes], dtype=np.int32)
-    flat = np.array(
-        [job for node in nodes for job in node.prefix], dtype=np.int32
-    )
-    release = np.zeros((count, n_machines), dtype=np.int64)
-    lower = np.full(count, _NONE_SENTINEL, dtype=np.int64)
-    makespan = np.full(count, _NONE_SENTINEL, dtype=np.int64)
-    order = np.zeros(count, dtype=np.int64)
-    for i, node in enumerate(nodes):
-        release[i] = node.release
-        if node.lower_bound is not None:
-            lower[i] = node.lower_bound
-        if node.makespan is not None:
-            makespan[i] = node.makespan
-        order[i] = node.order_index
-    arrays["p_prefix_flat"] = flat
-    arrays["p_prefix_lens"] = lens
-    arrays["p_release"] = release
-    arrays["p_lower"] = lower
-    arrays["p_makespan"] = makespan
-    arrays["p_order"] = order
-    header["pool"] = {
-        "size": count,
-        "strategy": pool.strategy,
-        "max_size": pool.max_size_seen,
-    }
-
-
 def dumps_snapshot(
     instance: FlowShopInstance,
     *,
-    layout: str,
-    frontier: Union[NodePool, BlockFrontier],
+    frontier: BlockFrontier,
+    trail: Trail,
     upper_bound: float,
     best_order: tuple[int, ...],
     stats: SearchStats,
-    trail: Optional[Trail] = None,
     next_order: int = 0,
     engine: Optional[dict] = None,
 ) -> bytes:
@@ -294,8 +238,8 @@ def dumps_snapshot(
     configuration dict; it travels verbatim in the header (plus its
     fingerprint) so ``repro resume`` can rebuild the exact solver.
     """
-    if layout not in ("block", "object"):
-        raise ValueError(f"layout must be 'block' or 'object', got {layout!r}")
+    if not isinstance(frontier, BlockFrontier) or not isinstance(trail, Trail):
+        raise ValueError("a snapshot requires a BlockFrontier and its Trail")
     engine = dict(engine or {})
     arrays: dict = {
         "processing_times": np.ascontiguousarray(
@@ -304,7 +248,7 @@ def dumps_snapshot(
     }
     header: dict = {
         "format_version": SNAPSHOT_FORMAT_VERSION,
-        "layout": layout,
+        "layout": SNAPSHOT_LAYOUT,
         "instance": {
             "name": instance.name,
             "n_jobs": instance.n_jobs,
@@ -318,14 +262,7 @@ def dumps_snapshot(
         "next_order": int(next_order),
         "stats": _stats_dict(stats),
     }
-    if layout == "block":
-        if not isinstance(frontier, BlockFrontier) or trail is None:
-            raise ValueError("the block layout requires a BlockFrontier and its Trail")
-        _capture_block(frontier, trail, arrays, header)
-    else:
-        if not isinstance(frontier, NodePool):
-            raise ValueError("the object layout requires a NodePool")
-        _capture_object(frontier, instance.n_machines, arrays, header)
+    _capture_block(frontier, trail, arrays, header)
 
     # Raw concatenated buffers, not npz: snapshots are written on the
     # search's hot path (every checkpoint interval) and read once after a
@@ -365,9 +302,8 @@ class Snapshot:
 
     header: dict
     instance: FlowShopInstance
-    layout: str
-    frontier: Union[NodePool, BlockFrontier]
-    trail: Optional[Trail]
+    frontier: BlockFrontier
+    trail: Trail
     upper_bound: float
     best_order: tuple[int, ...]
     next_order: int
@@ -470,37 +406,6 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
     return frontier, trail
 
 
-def _restore_object(header: dict, arrays, instance: FlowShopInstance):
-    import itertools
-
-    meta = header["pool"]
-    count = int(meta["size"])
-    pool = make_pool(meta["strategy"])
-    lens = arrays["p_prefix_lens"]
-    flat = arrays["p_prefix_flat"]
-    release = arrays["p_release"]
-    lower = arrays["p_lower"]
-    makespan = arrays["p_makespan"]
-    order = arrays["p_order"]
-    next_order = int(order.max()) + 1 if count else int(header.get("next_order", 0))
-    counter = itertools.count(next_order)
-    offsets = np.concatenate(([0], np.cumsum(lens)))
-    for i in range(count):
-        prefix = tuple(int(j) for j in flat[offsets[i] : offsets[i + 1]])
-        node = Node(
-            prefix=prefix,
-            release=release[i],
-            n_jobs=instance.n_jobs,
-            lower_bound=None if lower[i] == _NONE_SENTINEL else int(lower[i]),
-            makespan=None if makespan[i] == _NONE_SENTINEL else int(makespan[i]),
-            order_index=int(order[i]),
-            counter=counter,
-        )
-        pool.push(node)
-    pool._max_size = max(int(meta["max_size"]), pool.max_size_seen)
-    return pool, next_order
-
-
 def _parse_raw_payload(manifest, payload: bytes) -> dict:
     """Slice the raw concatenated payload back into named arrays.
 
@@ -532,7 +437,8 @@ def loads_snapshot(blob: bytes) -> Snapshot:
     """Rebuild complete search state from a snapshot blob.
 
     Raises :class:`SnapshotCorrupt` / :class:`SnapshotVersionError` for
-    bad blobs (see :func:`loads_header`); the returned state continues
+    bad blobs (see :func:`loads_header`), and :class:`SnapshotVersionError`
+    for a file of the removed object layout; the returned state continues
     the interrupted search bit-identically.
     """
     header = loads_header(blob)
@@ -550,21 +456,22 @@ def loads_snapshot(blob: bytes) -> Snapshot:
     except Exception as exc:
         raise SnapshotCorrupt(f"snapshot payload does not parse: {exc}") from exc
     try:
+        layout = header["layout"]
+        if layout != SNAPSHOT_LAYOUT:
+            raise SnapshotVersionError(
+                f"snapshot stores the {layout!r} node layout; the object layout "
+                f"was removed and only {SNAPSHOT_LAYOUT!r} snapshots can be resumed"
+            )
         instance_meta = header["instance"]
         instance = FlowShopInstance(
             arrays["processing_times"], name=instance_meta.get("name")
         )
         if instance_fingerprint(instance) != instance_meta.get("fingerprint"):
             raise SnapshotCorrupt("instance payload does not match its fingerprint")
-        layout = header["layout"]
         upper_bound = header["upper_bound"]
         stats = _stats_from_dict(header.get("stats", {}))
-        if layout == "block":
-            frontier, trail = _restore_block(header, arrays, instance)
-            next_order = int(header["next_order"])
-        else:
-            pool, next_order = _restore_object(header, arrays, instance)
-            frontier, trail = pool, None
+        frontier, trail = _restore_block(header, arrays, instance)
+        next_order = int(header["next_order"])
     except SnapshotError:
         raise
     except (KeyError, IndexError, ValueError, TypeError) as exc:
@@ -572,7 +479,6 @@ def loads_snapshot(blob: bytes) -> Snapshot:
     return Snapshot(
         header=header,
         instance=instance,
-        layout=layout,
         frontier=frontier,
         trail=trail,
         upper_bound=float("inf") if upper_bound is None else float(upper_bound),

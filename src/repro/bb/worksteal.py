@@ -17,8 +17,8 @@ faithful dynamic engine:
   in shared memory for the process backend) that workers compare-and-swap
   on improvement; each stolen chunk starts from the freshest bound, and
   workers poll the shared bound every ``poll_interval`` pops, re-pruning
-  their open pool (:meth:`~repro.bb.pool.NodePool.prune_to`) when a peer
-  tightened it.
+  their open frontier (:meth:`~repro.bb.frontier.BlockFrontier.prune_to`)
+  when a peer tightened it.
 
 The engine is exact — it proves the same optimum as
 :class:`~repro.bb.sequential.SequentialBranchAndBound` — while exploring
@@ -227,7 +227,6 @@ def _run_tasks(instance: FlowShopInstance, board, incumbent, opts: dict) -> dict
             kernel=opts["kernel"],
             incumbent=incumbent,
             poll_interval=opts["poll_interval"],
-            layout=opts["layout"],
             max_frontier_nodes=opts.get("max_frontier_nodes"),
             frontier_index=opts.get("frontier_index", "segmented"),
             capture_incomplete=rebalance,
@@ -326,20 +325,15 @@ class WorkStealingBranchAndBound:
         search stays exact.  Deadline-cut chunks are never re-enqueued, so
         ``max_time_s`` remains a hard stop.  Default ``False``.
     max_frontier_nodes:
-        Block layout only: per-worker high-water frontier cap (see
+        Per-worker high-water frontier cap (see
         :class:`~repro.bb.frontier.BlockFrontier`); best-first workers fall
         back to a depth-first-restricted regime once over it, re-engaging
         best-first only below the 0.8×cap hysteresis low-water mark.
     frontier_index:
-        Block layout only: per-worker frontier selection index —
-        ``"segmented"`` (default) or ``"linear"`` (full-scan ablation).
+        Per-worker frontier selection index — ``"segmented"`` (default)
+        or ``"linear"`` (full-scan ablation).
     kernel:
         Batched bounding-kernel revision used by the workers.
-    layout:
-        Per-worker node representation: ``"block"`` (default) runs each
-        worker's exploration on the structure-of-arrays frontier
-        (:mod:`repro.bb.frontier`); ``"object"`` keeps the historical
-        one-``Node``-per-sub-problem pipeline.
     """
 
     def __init__(
@@ -354,7 +348,6 @@ class WorkStealingBranchAndBound:
         max_time_s: Optional[float] = None,
         kernel: str = "v2",
         poll_interval: int = 64,
-        layout: str = "block",
         max_frontier_nodes: Optional[int] = None,
         frontier_index: str = "segmented",
         rebalance: bool = False,
@@ -367,8 +360,6 @@ class WorkStealingBranchAndBound:
             raise ValueError("poll_interval must be >= 1")
         if kernel not in ("v1", "v2"):
             raise ValueError(f"kernel must be 'v1' or 'v2', got {kernel!r}")
-        if layout not in ("block", "object"):
-            raise ValueError(f"layout must be 'block' or 'object', got {layout!r}")
         self.instance = instance
         self.n_workers = n_workers or os.cpu_count() or 1
         self.backend = backend
@@ -379,7 +370,6 @@ class WorkStealingBranchAndBound:
         self.max_time_s = max_time_s
         self.kernel = kernel
         self.poll_interval = poll_interval
-        self.layout = layout
         self.max_frontier_nodes = max_frontier_nodes
         if frontier_index not in ("segmented", "linear"):
             raise ValueError(
@@ -404,7 +394,6 @@ class WorkStealingBranchAndBound:
             "deadline": deadline,
             "kernel": self.kernel,
             "poll_interval": self.poll_interval,
-            "layout": self.layout,
             "max_frontier_nodes": self.max_frontier_nodes,
             "frontier_index": self.frontier_index,
             "rebalance": self.rebalance,

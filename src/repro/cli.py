@@ -74,25 +74,23 @@ def _solve(args: argparse.Namespace) -> int:
     )
     print(f"engine   : {engine}")
 
+    if args.overlap == "async" and engine in ("serial", "multicore"):
+        raise SystemExit(
+            "--overlap async applies to the batch-shaped engines "
+            f"(gpu/cluster); the {engine} engine does not take it"
+        )
     if engine == "serial":
         result = SequentialBranchAndBound(
             instance,
             max_nodes=args.max_nodes,
             max_time_s=args.max_time,
-            layout=args.node_layout,
             max_frontier_nodes=args.max_frontier_nodes,
             frontier_index=args.frontier_index,
-            overlap=args.overlap,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_interval,
             checkpoint_seconds=args.checkpoint_seconds,
         ).solve()
     elif engine == "multicore":
-        if args.overlap == "async":
-            raise SystemExit(
-                "--overlap async applies to the batch-shaped engines "
-                "(gpu/cluster) and serial; the multicore engine does not take it"
-            )
         result = MulticoreBranchAndBound(
             instance,
             n_workers=args.workers,
@@ -101,7 +99,6 @@ def _solve(args: argparse.Namespace) -> int:
             decomposition_depth=args.decomposition_depth,
             max_nodes_per_task=args.max_nodes,
             max_time_s=args.max_time,
-            layout=args.node_layout,
             max_frontier_nodes=args.max_frontier_nodes,
             frontier_index=args.frontier_index,
         ).solve()
@@ -110,7 +107,6 @@ def _solve(args: argparse.Namespace) -> int:
             pool_size=args.pool_size,
             max_nodes=args.max_nodes,
             max_time_s=args.max_time,
-            layout=args.node_layout,
             max_frontier_nodes=args.max_frontier_nodes,
             frontier_index=args.frontier_index,
             overlap=args.overlap,
@@ -121,7 +117,6 @@ def _solve(args: argparse.Namespace) -> int:
             pool_size=args.pool_size,
             max_nodes=args.max_nodes,
             max_time_s=args.max_time,
-            layout=args.node_layout,
             max_frontier_nodes=args.max_frontier_nodes,
             frontier_index=args.frontier_index,
             overlap=args.overlap,
@@ -166,10 +161,7 @@ def _resume(args: argparse.Namespace) -> int:
         f"({header['instance']['n_jobs']} jobs x "
         f"{header['instance']['n_machines']} machines)"
     )
-    print(
-        f"engine   : serial ({engine_conf.get('selection', 'best-first')}, "
-        f"{header['layout']} layout)"
-    )
+    print(f"engine   : serial ({engine_conf.get('selection', 'best-first')})")
     try:
         result = SequentialBranchAndBound.resume(
             path,
@@ -331,19 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="prefix depth of the sub-tree decomposition "
         "(default: 2 for worksteal, 1 for static)",
     )
-    solve.add_argument(
-        "--node-layout",
-        choices=("block", "object"),
-        default="block",
-        help="node representation: vectorized structure-of-arrays blocks (default) "
-        "or the paper-faithful one-object-per-node pipeline",
-    )
     solve.add_argument("--nodes", type=int, default=4, help="cluster node count")
     solve.add_argument(
         "--max-frontier-nodes",
         type=int,
         default=None,
-        help="block layout: high-water frontier memory cap — once this many nodes are "
+        help="high-water frontier memory cap — once this many nodes are "
         "pending, best-first selection runs depth-first-restricted and stays there "
         "until the pool drains below the 0.8x-cap low-water mark (hysteresis, no "
         "regime flapping at the boundary); the pool cannot grow unbounded "
@@ -353,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--frontier-index",
         choices=("segmented", "linear"),
         default="segmented",
-        help="block layout: frontier selection index — 'segmented' (default) keeps "
+        help="frontier selection index — 'segmented' (default) keeps "
         "cached per-segment key minima for sublinear best-first pops at large "
         "frontiers; 'linear' is the full-scan ablation (selection is bit-identical "
         "either way)",
@@ -365,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="offload execution: 'sync' bounds on the driver thread; 'async' runs "
         "each launch on a dedicated worker thread behind a two-slot pipeline so "
         "selection/branching of the next batch overlaps bounding of the current "
-        "one (batch engines; results are bit-identical; the serial engine accepts "
-        "the knob as a no-op)",
+        "one (gpu/cluster engines only; results are bit-identical)",
     )
     solve.add_argument("--max-nodes", type=int, default=None, help="node exploration budget")
     solve.add_argument("--max-time", type=float, default=None, help="time budget in seconds")

@@ -18,7 +18,6 @@ from repro.core.config import GpuBBConfig, PAPER_POOL_SIZES, PAPER_BLOCK_SIZE
 from repro.core.kernels import (
     bounding_kernel,
     bounding_kernel_batch,
-    encode_nodes,
     KernelLaunch,
 )
 from repro.core.mapping import PlacementAnalysis, analyze_placements, recommend_placement
@@ -38,7 +37,6 @@ __all__ = [
     "PAPER_BLOCK_SIZE",
     "bounding_kernel",
     "bounding_kernel_batch",
-    "encode_nodes",
     "KernelLaunch",
     "PlacementAnalysis",
     "analyze_placements",

@@ -30,9 +30,6 @@ import numpy as np
 
 from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits
 from repro.bb.frontier import BlockFrontier, NodeBlock, Trail, root_block
-from repro.bb.node import Node, root_node
-from repro.bb.operators import encode_pool
-from repro.bb.pool import make_pool
 from repro.bb.stats import SearchStats
 from repro.core.config import GpuBBConfig
 from repro.core.gpu_bb import GpuBBResult, IterationRecord, iteration_recorder
@@ -248,25 +245,6 @@ class ClusterBranchAndBound:
         ]
 
     # ------------------------------------------------------------------ #
-    def _distributed_bound(self, children: list[Node]) -> tuple[float, float]:
-        """Bound ``children`` across the nodes; returns (sim step time, wall time)."""
-        chunks = np.array_split(np.arange(len(children)), self.cluster.n_nodes)
-        slowest = 0.0
-        wall = 0.0
-        for executor, chunk in zip(self.executors, chunks):
-            if chunk.size == 0:
-                continue
-            subset = [children[i] for i in chunk]
-            mask, release = encode_pool(subset, self.data.n_jobs, self.data.n_machines)
-            result = executor.evaluate(mask, release)
-            for node, value in zip(subset, result.bounds):
-                node.lower_bound = int(value)
-            slowest = max(slowest, result.simulated.total_s)
-            wall += result.measured_wall_s
-        scatter = self.cluster.scatter_time_s(len(children))
-        gather = self.cluster.gather_time_s(len(children))
-        return scatter + slowest + gather, wall
-
     def _distributed_bound_block(self, children: NodeBlock) -> tuple[float, float]:
         """Bound a block across the nodes; each node reads its row slice.
 
@@ -319,30 +297,20 @@ class ClusterBranchAndBound:
 
         start = time.perf_counter()
 
-        run_kwargs: dict[str, object] = {}
-        if config.layout == "block":
-            trail = Trail()
-            store: object = BlockFrontier(
-                instance.n_jobs,
-                instance.n_machines,
-                trail,
-                strategy=config.selection,
-                max_pending=config.max_frontier_nodes,
-                frontier_index=config.frontier_index,
-            )
-            root = root_block(instance, trail)
-            sim_s, wall_s = self._distributed_bound_block(root)
-            root_survives = int(root.lower_bound[0]) < upper_bound
-            if root_survives:
-                store.push_block(root)
-            run_kwargs = {"trail": trail, "next_order": 1}
-        else:
-            store = make_pool(config.selection)
-            root = root_node(instance)
-            sim_s, wall_s = self._distributed_bound([root])
-            root_survives = root.lower_bound is not None and root.lower_bound < upper_bound
-            if root_survives:
-                store.push(root)
+        trail = Trail()
+        frontier = BlockFrontier(
+            instance.n_jobs,
+            instance.n_machines,
+            trail,
+            strategy=config.selection,
+            max_pending=config.max_frontier_nodes,
+            frontier_index=config.frontier_index,
+        )
+        root = root_block(instance, trail)
+        sim_s, wall_s = self._distributed_bound_block(root)
+        root_survives = int(root.lower_bound[0]) < upper_bound
+        if root_survives:
+            frontier.push_block(root)
         stats.nodes_bounded += 1
         stats.pools_evaluated += 1
         if not root_survives:
@@ -357,7 +325,6 @@ class ClusterBranchAndBound:
             hooks.incumbent_charge_s = self.cluster.incumbent_broadcast_time_s
         driver = SearchDriver(
             instance,
-            layout=config.layout,
             selection=config.selection,
             offload=_DistributedOffload(self),
             batch_size=config.pool_size,
@@ -369,18 +336,19 @@ class ClusterBranchAndBound:
             overlap=config.overlap,
         )
         outcome = driver.run(
-            store,
+            frontier,
             upper_bound=upper_bound,
             best_order=best_order,
             stats=stats,
+            trail=trail,
+            next_order=1,
             start=start,
-            **run_kwargs,
         )
         simulated_total = sim_s + outcome.simulated_s - outcome.overlap_saved_sim_s
         measured_total = wall_s + outcome.measured_s
 
         stats.time_total_s = time.perf_counter() - start
-        stats.max_pool_size = store.max_size_seen
+        stats.max_pool_size = frontier.max_size_seen
         stats.simulated_device_time_s = simulated_total
         return GpuBBResult(
             instance=instance,
@@ -402,10 +370,6 @@ class _DistributedOffload:
 
     def __init__(self, engine: ClusterBranchAndBound):
         self._engine = engine
-
-    def bound_nodes(self, nodes: list[Node]) -> tuple[None, float, float]:
-        sim_s, wall_s = self._engine._distributed_bound(nodes)
-        return None, sim_s, wall_s
 
     def bound_block(
         self, block: NodeBlock, siblings: bool = False

@@ -45,14 +45,6 @@ class GpuBBConfig:
         Calibration constants of the device timing model.
     selection:
         Host-side selection strategy for the pending pool.
-    layout:
-        Host-side node representation: ``"block"`` (default) runs the
-        engine on structure-of-arrays batches (:mod:`repro.bb.frontier`) —
-        branching/selection/elimination are vectorized and the bounding
-        launches read the block arrays with zero re-packing;
-        ``"object"`` is the one-``Node``-per-sub-problem pipeline, kept
-        for the layout ablation.  Results, explored tree and node
-        counters are identical in both layouts.
     share_incumbent:
         Propagate incumbent improvements between the parallel explorers.
         In the hybrid engine, disabling it seeds every sub-tree with the
@@ -69,7 +61,7 @@ class GpuBBConfig:
     max_nodes / max_time_s / max_iterations:
         Optional exploration budgets.
     max_frontier_nodes:
-        Block layout only: high-water memory cap of the pending frontier.
+        High-water memory cap of the pending frontier.
         Once that many nodes are pending, best-first selection runs in a
         depth-first-restricted regime and — hysteretically — stays there
         until the frontier drains below the 0.8×cap low-water mark (see
@@ -77,10 +69,10 @@ class GpuBBConfig:
         cannot grow the pool without bound and selection does not flap at
         the cap boundary.  ``None`` disables the cap.
     frontier_index:
-        Block layout only: selection index of the pending frontier —
-        ``"segmented"`` (default, cached per-segment key minima for
-        sublinear best-first pops at large frontiers) or ``"linear"``
-        (full-scan ablation).  Selection is bit-identical either way.
+        Selection index of the pending frontier — ``"segmented"``
+        (default, cached per-segment key minima for sublinear best-first
+        pops at large frontiers) or ``"linear"`` (full-scan ablation).
+        Selection is bit-identical either way.
     double_buffer:
         Model the double-buffered off-load of the ROADMAP's pipelining
         follow-on: the host selects and branches batch N+1 while the device
@@ -106,7 +98,6 @@ class GpuBBConfig:
     device: DeviceSpec = TESLA_C2050
     cost_model: KernelCostModel = field(default_factory=KernelCostModel)
     selection: str = "best-first"
-    layout: str = "block"
     share_incumbent: bool = True
     use_neh_upper_bound: bool = True
     include_one_machine_bound: bool = False
@@ -123,8 +114,6 @@ class GpuBBConfig:
             raise ValueError("pool_size must be >= 1")
         if self.kernel not in ("v1", "v2"):
             raise ValueError(f"kernel must be 'v1' or 'v2', got {self.kernel!r}")
-        if self.layout not in ("block", "object"):
-            raise ValueError(f"layout must be 'block' or 'object', got {self.layout!r}")
         if self.threads_per_block < 1:
             raise ValueError("threads_per_block must be >= 1")
         if self.threads_per_block > self.device.max_threads_per_block:
@@ -177,7 +166,6 @@ class GpuBBConfig:
             "placement": self.placement.name if self.placement else "auto",
             "device": self.device.name,
             "selection": self.selection,
-            "layout": self.layout,
             "share_incumbent": self.share_incumbent,
             "use_neh_upper_bound": self.use_neh_upper_bound,
             "max_frontier_nodes": self.max_frontier_nodes,

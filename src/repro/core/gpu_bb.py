@@ -31,15 +31,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.bb.driver import OffloadStep, SearchDriver, SearchHooks, SearchLimits
 from repro.bb.frontier import BlockFrontier, NodeBlock, Trail, root_block
-from repro.bb.node import Node, root_node
-from repro.bb.operators import encode_pool
-from repro.bb.pool import make_pool
 from repro.bb.sequential import BBResult
 from repro.bb.stats import SearchStats
 from repro.core.config import GpuBBConfig
@@ -75,18 +72,12 @@ class GpuBBResult(BBResult):
     simulated_device_time_s: float = 0.0
     measured_kernel_time_s: float = 0.0
     #: simulated seconds saved by the double-buffered off-load model
-    #: (0 unless ``config.double_buffer`` was enabled; renamed from
-    #: ``overlap_saved_s``, which survives as a deprecated alias)
+    #: (0 unless ``config.double_buffer`` was enabled)
     overlap_saved_sim_s: float = 0.0
     #: measured wall seconds hidden by the ``overlap="async"`` two-slot
     #: pipeline (0 in synchronous mode)
     overlap_saved_wall_s: float = 0.0
     config: Optional[GpuBBConfig] = None
-
-    @property
-    def overlap_saved_s(self) -> float:
-        """Deprecated alias of :attr:`overlap_saved_sim_s`."""
-        return self.overlap_saved_sim_s
 
     def simulated_speedup(self, serial_seconds: float) -> float:
         """Speed-up of the simulated device time over a serial reference."""
@@ -100,9 +91,6 @@ class _ExecutorOffload:
 
     def __init__(self, engine: "GpuBranchAndBound"):
         self._engine = engine
-
-    def bound_nodes(self, nodes: Sequence[Node]) -> tuple[np.ndarray, float, float]:
-        return self._engine._offload(nodes)
 
     def bound_block(
         self, block: NodeBlock, siblings: bool = False
@@ -184,14 +172,6 @@ class GpuBranchAndBound:
         heuristic = neh_heuristic(self.instance)
         return float(heuristic.makespan), tuple(heuristic.order)
 
-    def _offload(self, nodes: Sequence[Node]) -> tuple[np.ndarray, float, float]:
-        """Evaluate a pool of nodes on the executor, writing bounds back."""
-        mask, release = encode_pool(nodes, self.data.n_jobs, self.data.n_machines)
-        result = self.executor.evaluate(mask, release)
-        for node, value in zip(nodes, result.bounds):
-            node.lower_bound = int(value)
-        return result.bounds, result.simulated.total_s, result.measured_wall_s
-
     def _offload_block(self, block: NodeBlock) -> tuple[np.ndarray, float, float]:
         """Evaluate a block on the executor — its arrays ARE the device buffers."""
         result = self.executor.evaluate_block(block)
@@ -201,7 +181,6 @@ class GpuBranchAndBound:
         config = self.config
         return SearchDriver(
             self.instance,
-            layout=config.layout,
             selection=config.selection,
             offload=_ExecutorOffload(self),
             batch_size=config.pool_size,
@@ -229,31 +208,21 @@ class GpuBranchAndBound:
 
         start = time.perf_counter()
 
-        # Bound the root on the device (a pool of one) and seed the store.
-        run_kwargs: dict[str, object] = {}
-        if config.layout == "block":
-            trail = Trail()
-            store: object = BlockFrontier(
-                instance.n_jobs,
-                instance.n_machines,
-                trail,
-                strategy=config.selection,
-                max_pending=config.max_frontier_nodes,
-                frontier_index=config.frontier_index,
-            )
-            root = root_block(instance, trail)
-            _, sim_s, wall_s = self._offload_block(root)
-            root_survives = int(root.lower_bound[0]) < upper_bound
-            if root_survives:
-                store.push_block(root)
-            run_kwargs = {"trail": trail, "next_order": 1}
-        else:
-            store = make_pool(config.selection)
-            root = root_node(instance)
-            _, sim_s, wall_s = self._offload([root])
-            root_survives = root.lower_bound is not None and root.lower_bound < upper_bound
-            if root_survives:
-                store.push(root)
+        # Bound the root on the device (a pool of one) and seed the frontier.
+        trail = Trail()
+        frontier = BlockFrontier(
+            instance.n_jobs,
+            instance.n_machines,
+            trail,
+            strategy=config.selection,
+            max_pending=config.max_frontier_nodes,
+            frontier_index=config.frontier_index,
+        )
+        root = root_block(instance, trail)
+        _, sim_s, wall_s = self._offload_block(root)
+        root_survives = int(root.lower_bound[0]) < upper_bound
+        if root_survives:
+            frontier.push_block(root)
         stats.nodes_bounded += 1
         stats.pools_evaluated += 1
         if not root_survives:
@@ -263,18 +232,19 @@ class GpuBranchAndBound:
             on_iteration=iteration_recorder(iterations, config.threads_per_block)
         )
         outcome = self._driver(hooks).run(
-            store,
+            frontier,
             upper_bound=upper_bound,
             best_order=best_order,
             stats=stats,
+            trail=trail,
+            next_order=1,
             start=start,
-            **run_kwargs,
         )
         simulated_total = sim_s + outcome.simulated_s - outcome.overlap_saved_sim_s
         measured_kernel = wall_s + outcome.measured_s
 
         stats.time_total_s = time.perf_counter() - start
-        stats.max_pool_size = store.max_size_seen
+        stats.max_pool_size = frontier.max_size_seen
         stats.simulated_device_time_s = simulated_total
 
         if not outcome.best_order:

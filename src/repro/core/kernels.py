@@ -15,10 +15,10 @@ the same computation exists in two forms:
   machine-couple axis — selected by the ``kernel`` argument (and, one level
   up, by :attr:`~repro.core.config.GpuBBConfig.kernel`).
 
-:func:`encode_nodes` packs a list of :class:`~repro.bb.node.Node` objects
-into the flat arrays shipped to the device, and :class:`KernelLaunch`
-describes one launch (grid geometry + pool) the way a CUDA launch
-configuration would.
+:class:`KernelLaunch` describes one launch (grid geometry + pool) the way
+a CUDA launch configuration would.  The pool itself travels as the
+``(scheduled_mask, release)`` arrays of a
+:class:`~repro.bb.frontier.NodeBlock`, which need no packing.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bb.node import Node
-from repro.bb.operators import encode_pool
 from repro.flowshop.bounds import LowerBoundData, get_batch_kernel, lower_bound
 
-__all__ = ["bounding_kernel", "bounding_kernel_batch", "encode_nodes", "KernelLaunch"]
+__all__ = ["bounding_kernel", "bounding_kernel_batch", "KernelLaunch"]
 
 
 def bounding_kernel(
@@ -60,11 +58,6 @@ def bounding_kernel_batch(
     return get_batch_kernel(kernel)(
         data, scheduled_mask, release, include_one_machine=include_one_machine
     )
-
-
-def encode_nodes(nodes: Sequence[Node], data: LowerBoundData) -> tuple[np.ndarray, np.ndarray]:
-    """Pack nodes into ``(scheduled_mask, release)`` device buffers."""
-    return encode_pool(nodes, data.n_jobs, data.n_machines)
 
 
 @dataclass(frozen=True)

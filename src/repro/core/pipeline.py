@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits
 from repro.bb.frontier import BlockFrontier, Trail, seed_block
-from repro.bb.node import root_node
-from repro.bb.pool import make_pool
 from repro.bb.stats import SearchStats
 from repro.core.config import GpuBBConfig
 from repro.core.gpu_bb import (
@@ -164,24 +162,13 @@ class HybridBranchAndBound:
         ``best_order`` is then empty).
         """
         engine = GpuBranchAndBound(self.instance, self.config.gpu)
-        if self.config.gpu.layout == "block":
-            trail = Trail()
-            seed = seed_block(self.instance, prefix, trail)
-            bounds, sim_s, wall_s = engine._offload_block(seed)
-            is_leaf = int(seed.depth[0]) == self.instance.n_jobs
-            seed_lb = int(seed.lower_bound[0])
-            seed_prefix = prefix
-            seed_makespan = int(seed.release[0, -1])
-        else:
-            # Seed the engine's pool with the prefix node instead of the root.
-            node = root_node(self.instance)
-            for job in prefix:
-                node = node.child(job, self.instance.processing_times)
-            bounds, sim_s, wall_s = engine._offload([node])
-            is_leaf = node.is_leaf
-            seed_lb = node.lower_bound if node.lower_bound is not None else -1
-            seed_prefix = node.prefix
-            seed_makespan = int(node.release[-1])
+        # Seed a frontier with the prefix node instead of the root.
+        trail = Trail()
+        seed = seed_block(self.instance, prefix, trail)
+        _, sim_s, wall_s = engine._offload_block(seed)
+        is_leaf = int(seed.depth[0]) == self.instance.n_jobs
+        seed_lb = int(seed.lower_bound[0])
+        seed_makespan = int(seed.release[0, -1])
 
         # Bound the seed; skip the whole sub-tree if it cannot improve.
         if is_leaf:
@@ -189,14 +176,14 @@ class HybridBranchAndBound:
             return GpuBBResult(
                 instance=self.instance,
                 best_makespan=seed_makespan if improved else int(upper_bound),
-                best_order=tuple(seed_prefix) if improved else (),
+                best_order=tuple(prefix) if improved else (),
                 proved_optimal=True,
                 stats=SearchStats(nodes_bounded=1, leaves_evaluated=1),
                 simulated_device_time_s=sim_s,
                 measured_kernel_time_s=wall_s,
                 config=self.config.gpu,
             )
-        if seed_lb >= 0 and seed_lb >= upper_bound:
+        if seed_lb >= upper_bound:
             return GpuBBResult(
                 instance=self.instance,
                 best_makespan=int(upper_bound),
@@ -210,29 +197,23 @@ class HybridBranchAndBound:
 
         # Explore the sub-tree with a dedicated engine starting from the seed
         # node and from the shared incumbent.
-        if self.config.gpu.layout == "block":
-            result = _solve_from_seed_block(engine, seed, trail, float(upper_bound))
-        else:
-            result = _solve_from_seed(engine, node, float(upper_bound))
+        result = _solve_from_seed(engine, seed, trail, float(upper_bound))
         result.simulated_device_time_s += sim_s
         result.measured_kernel_time_s += wall_s
         result.stats.simulated_device_time_s = result.simulated_device_time_s
         return result
 
 
-def _seed_search(
-    engine: GpuBranchAndBound,
-    store,
-    upper_bound: float,
-    *,
-    trail: Trail | None = None,
-    next_order: int = 1,
+def _solve_from_seed(
+    engine: GpuBranchAndBound, seed, trail: Trail, upper_bound: float
 ) -> GpuBBResult:
-    """Run the batch-shape driver from an already-seeded pool/frontier.
+    """Run the batch-shape driver from a seeded frontier.
 
-    The seed node was bounded (and its device time charged) by the caller;
-    the only budget the sub-tree exploration honours is
-    ``config.max_iterations`` — exactly the historical hybrid behaviour.
+    ``seed`` is a one-row :class:`~repro.bb.frontier.NodeBlock` produced by
+    :func:`~repro.bb.frontier.seed_block`; it was bounded (and its device
+    time charged) by the caller.  The only budget the sub-tree exploration
+    honours is ``config.max_iterations`` — exactly the historical hybrid
+    behaviour.
     """
     config = engine.config
     instance = engine.instance
@@ -241,9 +222,17 @@ def _seed_search(
     start = time.perf_counter()
     stats.nodes_bounded += 1
 
+    frontier = BlockFrontier(
+        instance.n_jobs,
+        instance.n_machines,
+        trail,
+        strategy=config.selection,
+        max_pending=config.max_frontier_nodes,
+        frontier_index=config.frontier_index,
+    )
+    frontier.push_block(seed)
     driver = SearchDriver(
         instance,
-        layout=config.layout,
         selection=config.selection,
         offload=_ExecutorOffload(engine),
         batch_size=config.pool_size,
@@ -254,20 +243,18 @@ def _seed_search(
         double_buffer=config.double_buffer,
         overlap=config.overlap,
     )
-    run_kwargs: dict[str, object] = {}
-    if trail is not None:
-        run_kwargs = {"trail": trail, "next_order": next_order}
     outcome = driver.run(
-        store,
+        frontier,
         upper_bound=upper_bound,
         best_order=(),
         stats=stats,
+        trail=trail,
+        next_order=int(seed.order_index[0]) + 1,
         start=start,
-        **run_kwargs,
     )
     simulated_total = outcome.simulated_s - outcome.overlap_saved_sim_s
     stats.time_total_s = time.perf_counter() - start
-    stats.max_pool_size = store.max_size_seen
+    stats.max_pool_size = frontier.max_size_seen
     stats.simulated_device_time_s = simulated_total
     return GpuBBResult(
         instance=instance,
@@ -282,33 +269,3 @@ def _seed_search(
         overlap_saved_wall_s=outcome.overlap_saved_wall_s,
         config=config,
     )
-
-
-def _solve_from_seed(engine: GpuBranchAndBound, seed, upper_bound: float) -> GpuBBResult:
-    """Run ``engine`` starting from ``seed`` instead of the instance root."""
-    pool = make_pool(engine.config.selection)
-    pool.push(seed)
-    return _seed_search(engine, pool, upper_bound)
-
-
-def _solve_from_seed_block(
-    engine: GpuBranchAndBound, seed, trail: Trail, upper_bound: float
-) -> GpuBBResult:
-    """Block-layout twin of :func:`_solve_from_seed`.
-
-    ``seed`` is a one-row :class:`~repro.bb.frontier.NodeBlock` produced by
-    :func:`~repro.bb.frontier.seed_block` (already bounded by the caller).
-    """
-    config = engine.config
-    instance = engine.instance
-    frontier = BlockFrontier(
-        instance.n_jobs,
-        instance.n_machines,
-        trail,
-        strategy=config.selection,
-        max_pending=config.max_frontier_nodes,
-        frontier_index=config.frontier_index,
-    )
-    frontier.push_block(seed)
-    next_order = int(seed.order_index[0]) + 1
-    return _seed_search(engine, frontier, upper_bound, trail=trail, next_order=next_order)

@@ -33,9 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bb.node import Node, root_node
-from repro.bb.operators import bound_nodes_batch, branch
-from repro.bb.pool import BestFirstPool
+from repro.bb.frontier import BlockFrontier, NodeBlock, Trail, bound_block, branch_row, root_block
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
 from repro.flowshop.neh import neh_heuristic
@@ -130,16 +128,17 @@ def collect_pending_pool(
     max_expansions: Optional[int] = None,
     seed: int = 0,
     upper_bound: Optional[float] = None,
-) -> list[Node]:
+) -> NodeBlock:
     """Run a budgeted best-first expansion until ``pool_size`` nodes are pending.
 
     This is the faithful version of the paper's list ``L``: the returned
-    nodes are genuine pending sub-problems of a best-first exploration seeded
-    with the NEH incumbent (or ``upper_bound`` when given — pass
-    ``float("inf")`` to disable pruning and keep every generated node).
-    ``max_expansions`` bounds the work (default: ``4 * pool_size``
-    branchings); if the tree is exhausted first, the pool that remains
-    (possibly smaller) is returned.
+    block's rows are genuine pending sub-problems of a best-first
+    exploration seeded with the NEH incumbent (or ``upper_bound`` when
+    given — pass ``float("inf")`` to disable pruning and keep every
+    generated node), drained in best-first order and then shuffled with
+    ``seed``.  ``max_expansions`` bounds the work (default: ``4 *
+    pool_size`` branchings); if the tree is exhausted first, the pool that
+    remains (possibly smaller) is returned.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
@@ -150,35 +149,42 @@ def collect_pending_pool(
     else:
         incumbent = float(upper_bound)
 
-    pool = BestFirstPool()
-    root = root_node(instance)
-    bound_nodes_batch([root], data)
-    pool.push(root)
+    trail = Trail()
+    pool = BlockFrontier(instance.n_jobs, instance.n_machines, trail)
+    root = root_block(instance, trail)
+    bound_block(data, root)
+    pool.push_block(root)
 
+    pt = instance.processing_times
+    next_order = 1
     expansions = 0
     budget = max_expansions if max_expansions is not None else 4 * pool_size
     # Not a solve loop: this builds the paper's pending list L by growing a
     # pool to a target SIZE — a stopping predicate SearchDriver does not
     # expose — and returns it unsolved for the protocol's timed phase.
     while pool and len(pool) < pool_size and expansions < budget:  # repro-lint: ignore[single-loop] -- pool-construction helper, terminates at pool_size, never runs the search
-        node = pool.pop()
-        if node.lower_bound is not None and node.lower_bound >= incumbent:
+        row = pool.peek_best()
+        lb, depth, _, tid, mask, release = pool.row_view(row)
+        if lb >= incumbent:
+            pool.discard(row)
             continue
-        children = branch(node, instance)
+        children = branch_row(mask, release, depth, tid, trail, pt, next_order)
+        pool.discard(row)
+        next_order += len(children)
         expansions += 1
-        if not children:
+        if not len(children):
             continue
-        bound_nodes_batch(children, data)
-        for child in children:
-            if child.is_leaf:
-                if child.release[-1] < incumbent:
-                    incumbent = float(child.release[-1])
-                continue
-            if child.lower_bound is not None and child.lower_bound < incumbent:
-                pool.push(child)
-    pending = list(pool.drain())
-    rng.shuffle(pending)  # the paper's list L is "random"
-    return pending[:pool_size]
+        bound_block(data, children, siblings=True)
+        if depth + 1 == instance.n_jobs:
+            # siblings share their depth: all complete schedules, none pushed
+            incumbent = min(incumbent, float(children.makespans.min()))
+            continue
+        pool.push_block(children, children.lower_bound < incumbent)
+    # drain in best-first key order, then shuffle: the paper's list L is "random"
+    pending, _ = pool.pop_batch(max(len(pool), 1))
+    order = np.arange(len(pending))
+    rng.shuffle(order)
+    return pending.take(order[:pool_size])
 
 
 @dataclass(frozen=True)

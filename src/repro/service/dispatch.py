@@ -650,10 +650,6 @@ class BatchingOffload:
     The fallback is recorded in ``DispatchStats.n_degraded`` and via the
     dispatcher's ``on_degraded`` callback.  Pass ``allow_degraded=False``
     to propagate launch failures instead (fail-fast).
-
-    ``bound_nodes`` (the object-layout entry) is deliberately unsupported:
-    service sessions run the block layout, whose arrays concatenate into a
-    fused launch without re-packing.
     """
 
     def __init__(
@@ -696,12 +692,6 @@ class BatchingOffload:
         wall = time.perf_counter() - started
         block.lower_bound[:] = bounds
         return block.lower_bound, 0.0, wall
-
-    def bound_nodes(self, nodes):
-        """Unsupported: service sessions use the block layout only."""
-        raise NotImplementedError(
-            "the service offload batches NodeBlocks; run sessions with layout='block'"
-        )
 
     def bound_block(self, block, siblings: bool = False):
         """Bound one block through the dispatcher (parks until the flush).

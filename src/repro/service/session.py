@@ -244,7 +244,6 @@ class SolveSession:
             "engine": "session",
             "selection": config.selection,
             "kernel": config.kernel,
-            "layout": "block",
             "include_one_machine": include_one_machine,
             "max_frontier_nodes": config.max_frontier_nodes,
             "frontier_index": config.frontier_index,
@@ -260,7 +259,6 @@ class SolveSession:
         def write(state: CheckpointState) -> None:
             blob = dumps_snapshot(
                 self.instance,
-                layout="block",
                 frontier=state.frontier,
                 trail=state.trail,
                 upper_bound=state.upper_bound,
@@ -288,11 +286,6 @@ class SolveSession:
     def _load_resume_state(self, instance):
         """Materialize ``config.resume_from`` and verify it belongs to us."""
         snapshot = load_snapshot(self.config.resume_from)
-        if snapshot.layout != "block":
-            raise SnapshotMismatch(
-                "service sessions run the block layout; cannot resume "
-                f"a {snapshot.layout!r}-layout snapshot"
-            )
         if snapshot.header["instance"]["fingerprint"] != instance_fingerprint(instance):
             raise SnapshotMismatch(
                 "snapshot belongs to a different instance than this session"
@@ -344,7 +337,6 @@ class SolveSession:
         driver = SearchDriver(
             instance,
             self.data,
-            layout="block",
             selection=config.selection,
             kernel=config.kernel,
             include_one_machine=include_one_machine,

@@ -2,9 +2,6 @@
 
 
 class CompliantOffload:
-    def bound_nodes(self, nodes):
-        return None, 0.0, 0.0
-
     def bound_block(self, block, siblings=False):
         return block.lower_bound, 0.0, 0.0
 

@@ -12,12 +12,12 @@ class NoSiblingsOffload:
 
 
 class ExtraArgOffload:
-    def bound_nodes(self, nodes, data):  # extra required arg: finding
-        return None, 0.0, 0.0
+    def bound_block(self, block, data, siblings=False):  # extra required arg: finding
+        return block.lower_bound, 0.0, 0.0
 
 
 class BareReturnOffload:
-    def bound_nodes(self, nodes):
-        if not nodes:
+    def bound_block(self, block, siblings=False):
+        if not len(block):
             return  # bare return: finding
-        return None, 0.0, 0.0
+        return block.lower_bound, 0.0, 0.0

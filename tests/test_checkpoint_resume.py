@@ -3,7 +3,7 @@
 The acceptance bar of the fault-tolerance work: a solve interrupted and
 resumed at arbitrary points — k times — must produce bit-identical
 makespan, permutation, every ``SearchStats`` counter and the concatenated
-selection trace, across both node layouts and all selection strategies.
+selection trace, across all selection strategies.
 """
 
 import pytest
@@ -22,18 +22,15 @@ _COUNTERS = (
 )
 
 
-def _golden(instance, layout, selection):
-    return SequentialBranchAndBound(
-        instance, selection=selection, layout=layout, trace=True
-    ).solve()
+def _golden(instance, selection):
+    return SequentialBranchAndBound(instance, selection=selection, trace=True).solve()
 
 
-def _run_interrupted(instance, layout, selection, path, budgets):
+def _run_interrupted(instance, selection, path, budgets):
     """Solve under a ladder of cumulative node budgets, resuming after each cut."""
     engine = SequentialBranchAndBound(
         instance,
         selection=selection,
-        layout=layout,
         trace=True,
         max_nodes=budgets[0],
         checkpoint_path=path,
@@ -59,26 +56,22 @@ def _assert_bit_identical(golden, result, trace):
     assert trace == golden.trace
 
 
-@pytest.mark.parametrize("layout", ["block", "object"])
 @pytest.mark.parametrize("selection", ["best-first", "depth-first", "fifo"])
-def test_killed_and_resumed_k_times_is_bit_identical(
-    layout, selection, small_instance, tmp_path
-):
-    golden = _golden(small_instance, layout, selection)
+def test_killed_and_resumed_k_times_is_bit_identical(selection, small_instance, tmp_path):
+    golden = _golden(small_instance, selection)
     budgets = [7, 19, 40, 75, 130, 220]  # several kills at awkward points
     result, trace, segments = _run_interrupted(
-        small_instance, layout, selection, tmp_path / "snap.rpbb", budgets
+        small_instance, selection, tmp_path / "snap.rpbb", budgets
     )
     assert segments >= 3, "fixture too small to actually interrupt the solve"
     _assert_bit_identical(golden, result, trace)
 
 
-@pytest.mark.parametrize("layout", ["block", "object"])
-def test_single_interruption_medium_instance(layout, medium_instance, tmp_path):
-    golden = _golden(medium_instance, layout, "best-first")
+def test_single_interruption_medium_instance(medium_instance, tmp_path):
+    golden = _golden(medium_instance, "best-first")
     cut = max(2, golden.stats.nodes_explored // 2)
     result, trace, segments = _run_interrupted(
-        medium_instance, layout, "best-first", tmp_path / "snap.rpbb", [cut]
+        medium_instance, "best-first", tmp_path / "snap.rpbb", [cut]
     )
     assert segments == 2
     _assert_bit_identical(golden, result, trace)
@@ -86,12 +79,11 @@ def test_single_interruption_medium_instance(layout, medium_instance, tmp_path):
 
 def test_resume_under_frontier_cap(small_instance, tmp_path):
     golden = SequentialBranchAndBound(
-        small_instance, layout="block", max_frontier_nodes=6, trace=True
+        small_instance, max_frontier_nodes=6, trace=True
     ).solve()
     path = tmp_path / "snap.rpbb"
     engine = SequentialBranchAndBound(
         small_instance,
-        layout="block",
         max_frontier_nodes=6,
         max_nodes=max(2, golden.stats.nodes_explored // 2),
         trace=True,
@@ -103,16 +95,12 @@ def test_resume_under_frontier_cap(small_instance, tmp_path):
     _assert_bit_identical(golden, result, list(first.trace) + list(result.trace))
 
 
-@pytest.mark.parametrize("layout", ["block", "object"])
-def test_resume_from_periodic_checkpoint_is_bit_identical(
-    layout, small_instance, tmp_path
-):
+def test_resume_from_periodic_checkpoint_is_bit_identical(small_instance, tmp_path):
     """Resuming a *mid-run* periodic snapshot replays the tail exactly."""
-    golden = _golden(small_instance, layout, "best-first")
+    golden = _golden(small_instance, "best-first")
     path = tmp_path / "periodic.rpbb"
     engine = SequentialBranchAndBound(
         small_instance,
-        layout=layout,
         trace=True,
         checkpoint_path=path,
         checkpoint_every=3,
@@ -129,11 +117,10 @@ def test_resume_from_periodic_checkpoint_is_bit_identical(
 
 def test_periodic_and_budget_checkpoints_compose(small_instance, tmp_path):
     """Periodic snapshots during each segment don't disturb the final state."""
-    golden = _golden(small_instance, "block", "best-first")
+    golden = _golden(small_instance, "best-first")
     path = tmp_path / "snap.rpbb"
     engine = SequentialBranchAndBound(
         small_instance,
-        layout="block",
         trace=True,
         max_nodes=12,
         checkpoint_path=path,
@@ -156,7 +143,6 @@ def test_time_policy_fires_on_slow_runs(tmp_path):
     path = tmp_path / "timed.rpbb"
     engine = SequentialBranchAndBound(
         random_instance(9, 5, seed=1),
-        layout="block",
         selection="fifo",
         checkpoint_path=path,
         checkpoint_seconds=0.01,

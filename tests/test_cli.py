@@ -172,6 +172,34 @@ class TestCheckpointCommands:
         with pytest.raises(SystemExit, match="cannot resume"):
             main(["resume", str(bogus)])
 
+    def test_resume_object_layout_snapshot_errors(self, tmp_path):
+        from test_snapshot import _as_object_layout, _rebuild_with_header
+
+        snapshot = tmp_path / "run.rpbb"
+        main(
+            [
+                "solve",
+                "--engine",
+                "serial",
+                "--file",
+                str(self._write_instance(tmp_path)),
+                "--max-nodes",
+                "40",
+                "--checkpoint",
+                str(snapshot),
+            ]
+        )
+        snapshot.write_bytes(_rebuild_with_header(snapshot.read_bytes(), _as_object_layout))
+        with pytest.raises(SystemExit, match="'object' node layout") as excinfo:
+            main(["resume", str(snapshot)])
+        assert excinfo.value.code not in (0, None)  # a message exits with status 1
+
+    @pytest.mark.parametrize("engine", ["serial", "multicore"])
+    def test_single_step_engines_reject_async_overlap(self, engine):
+        args = ["solve", "--jobs", "5", "--machines", "3", "--engine", engine]
+        with pytest.raises(SystemExit, match=f"the {engine} engine does not take it"):
+            main(args + ["--overlap", "async"])
+
 
 class TestAutotuneCommand:
     def test_autotune_model_mode(self, capsys):

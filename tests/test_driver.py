@@ -2,14 +2,14 @@
 
 Three layers of guarantees:
 
-1. **Golden equivalence** — every engine x layout combination routed
-   through the driver reproduces, bit for bit, the results captured from
-   the pre-driver per-engine loops (commit ``5c32ae4``, "main"):
-   makespan, permutation, ``proved_optimal``, every node counter, the
-   trace, and the simulated device time.  The goldens below are the
-   verbatim output of those historical loops.
-2. **Hypothesis equivalence** — on random instances, every engine x layout
-   pair agrees with the object-layout serial reference.
+1. **Golden equivalence** — every engine routed through the driver
+   reproduces, bit for bit, the results captured from the pre-driver
+   per-engine loops (commit ``5c32ae4``, "main"): makespan, permutation,
+   ``proved_optimal``, every node counter, the trace, and the simulated
+   device time.  The goldens below are the verbatim output of those
+   historical loops.
+2. **Hypothesis equivalence** — on random instances, every engine agrees
+   with the serial reference.
 3. **Unit behaviour** — hook call order, the stop/budget predicates, the
    int32 frontier narrowing, the ``max_frontier_nodes`` cap and the
    double-buffered off-load credit.
@@ -32,7 +32,6 @@ from repro.bb.driver import (
 )
 from repro.bb.frontier import BlockFrontier, Trail, bound_block, root_block
 from repro.bb.multicore import MulticoreBranchAndBound
-from repro.bb.pool import make_pool
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.bb.stats import SearchStats
 from repro.core.cluster import ClusterBranchAndBound, ClusterSpec
@@ -49,31 +48,6 @@ GOLDENS = json.loads(
     r"""
 {
  "cluster_block_pool16": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   0,
-   2,
-   1,
-   7,
-   4,
-   3
-  ],
-  "n_iterations": 8,
-  "proved_optimal": true,
-  "simulated_device_time_s": 0.0023469747525560664,
-  "stats": {
-   "incumbent_updates": 2,
-   "leaves_evaluated": 15,
-   "max_pool_size": 15,
-   "nodes_bounded": 163,
-   "nodes_branched": 59,
-   "nodes_pruned": 89,
-   "pools_evaluated": 9
-  }
- },
- "cluster_object_pool16": {
   "best_makespan": 539,
   "best_order": [
    6,
@@ -148,80 +122,7 @@ GOLDENS = json.loads(
    "pools_evaluated": 8
   }
  },
- "gpu_object_pool16": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   0,
-   2,
-   1,
-   7,
-   4,
-   3
-  ],
-  "n_iterations": 8,
-  "proved_optimal": true,
-  "simulated_device_time_s": 0.0004237540577743296,
-  "stats": {
-   "incumbent_updates": 2,
-   "leaves_evaluated": 15,
-   "max_pool_size": 15,
-   "nodes_bounded": 163,
-   "nodes_branched": 59,
-   "nodes_pruned": 89,
-   "pools_evaluated": 9
-  }
- },
- "gpu_object_pool4_iter7": {
-  "best_makespan": 542,
-  "best_order": [
-   6,
-   5,
-   0,
-   7,
-   2,
-   4,
-   1,
-   3
-  ],
-  "n_iterations": 7,
-  "proved_optimal": false,
-  "simulated_device_time_s": 0.00037882489606784475,
-  "stats": {
-   "incumbent_updates": 1,
-   "leaves_evaluated": 0,
-   "max_pool_size": 13,
-   "nodes_bounded": 88,
-   "nodes_branched": 19,
-   "nodes_pruned": 56,
-   "pools_evaluated": 8
-  }
- },
  "hybrid_block": {
-  "best_makespan": 373,
-  "best_order": [
-   2,
-   5,
-   1,
-   0,
-   3,
-   4
-  ],
-  "n_iterations": 3,
-  "proved_optimal": true,
-  "simulated_device_time_s": 0.0003795230334144718,
-  "stats": {
-   "incumbent_updates": 0,
-   "leaves_evaluated": 0,
-   "max_pool_size": 2,
-   "nodes_bounded": 22,
-   "nodes_branched": 4,
-   "nodes_pruned": 18,
-   "pools_evaluated": 3
-  }
- },
- "hybrid_object": {
   "best_makespan": 373,
   "best_order": [
    2,
@@ -267,53 +168,7 @@ GOLDENS = json.loads(
    "pools_evaluated": 0
   }
  },
- "multicore_static_object": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   2,
-   7,
-   1,
-   0,
-   4,
-   3
-  ],
-  "proved_optimal": true,
-  "stats": {
-   "incumbent_updates": 1,
-   "leaves_evaluated": 1,
-   "max_pool_size": 7,
-   "nodes_bounded": 87,
-   "nodes_branched": 8,
-   "nodes_pruned": 78,
-   "pools_evaluated": 0
-  }
- },
  "multicore_worksteal_block": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   2,
-   7,
-   1,
-   0,
-   4,
-   3
-  ],
-  "proved_optimal": true,
-  "stats": {
-   "incumbent_updates": 1,
-   "leaves_evaluated": 1,
-   "max_pool_size": 7,
-   "nodes_bounded": 87,
-   "nodes_branched": 8,
-   "nodes_pruned": 78,
-   "pools_evaluated": 0
-  }
- },
- "multicore_worksteal_object": {
   "best_makespan": 539,
   "best_order": [
    6,
@@ -685,356 +540,6 @@ GOLDENS = json.loads(
     "pruned"
    ]
   ]
- },
- "sequential_object": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   0,
-   2,
-   1,
-   7,
-   4,
-   3
-  ],
-  "proved_optimal": true,
-  "stats": {
-   "incumbent_updates": 2,
-   "leaves_evaluated": 1,
-   "max_pool_size": 15,
-   "nodes_bounded": 145,
-   "nodes_branched": 43,
-   "nodes_pruned": 101,
-   "pools_evaluated": 0
-  }
- },
- "sequential_object_budget40": {
-  "best_makespan": 542,
-  "best_order": [
-   6,
-   5,
-   0,
-   7,
-   2,
-   4,
-   1,
-   3
-  ],
-  "proved_optimal": false,
-  "stats": {
-   "incumbent_updates": 1,
-   "leaves_evaluated": 0,
-   "max_pool_size": 10,
-   "nodes_bounded": 51,
-   "nodes_branched": 9,
-   "nodes_pruned": 32,
-   "pools_evaluated": 0
-  }
- },
- "sequential_object_depth-first": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   2,
-   7,
-   1,
-   0,
-   4,
-   3
-  ],
-  "proved_optimal": true,
-  "stats": {
-   "incumbent_updates": 2,
-   "leaves_evaluated": 1,
-   "max_pool_size": 7,
-   "nodes_bounded": 47,
-   "nodes_branched": 10,
-   "nodes_pruned": 36,
-   "pools_evaluated": 0
-  }
- },
- "sequential_object_fifo": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   0,
-   2,
-   1,
-   7,
-   4,
-   3
-  ],
-  "proved_optimal": true,
-  "stats": {
-   "incumbent_updates": 2,
-   "leaves_evaluated": 1,
-   "max_pool_size": 15,
-   "nodes_bounded": 149,
-   "nodes_branched": 45,
-   "nodes_pruned": 103,
-   "pools_evaluated": 0
-  }
- },
- "sequential_object_noneh": {
-  "best_makespan": 539,
-  "best_order": [
-   6,
-   5,
-   0,
-   2,
-   1,
-   7,
-   4,
-   3
-  ],
-  "proved_optimal": true,
-  "stats": {
-   "incumbent_updates": 1,
-   "leaves_evaluated": 1,
-   "max_pool_size": 102,
-   "nodes_bounded": 145,
-   "nodes_branched": 43,
-   "nodes_pruned": 101,
-   "pools_evaluated": 0
-  }
- },
- "sequential_object_trace": {
-  "best_makespan": 373,
-  "best_order": [
-   2,
-   5,
-   1,
-   0,
-   3,
-   4
-  ],
-  "proved_optimal": true,
-  "stats": {
-   "incumbent_updates": 1,
-   "leaves_evaluated": 0,
-   "max_pool_size": 2,
-   "nodes_bounded": 23,
-   "nodes_branched": 5,
-   "nodes_pruned": 18,
-   "pools_evaluated": 0
-  },
-  "trace": [
-   [
-    [],
-    344,
-    373.0,
-    "branched"
-   ],
-   [
-    [
-     0
-    ],
-    401,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     1
-    ],
-    396,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     3
-    ],
-    419,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     4
-    ],
-    441,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     5
-    ],
-    388,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2
-    ],
-    344,
-    373.0,
-    "branched"
-   ],
-   [
-    [
-     2,
-     0
-    ],
-    401,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     3
-    ],
-    399,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     4
-    ],
-    435,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     5
-    ],
-    359,
-    373.0,
-    "branched"
-   ],
-   [
-    [
-     2,
-     5,
-     0
-    ],
-    401,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     5,
-     1
-    ],
-    373,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     5,
-     3
-    ],
-    405,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     5,
-     4
-    ],
-    441,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     1
-    ],
-    367,
-    373.0,
-    "branched"
-   ],
-   [
-    [
-     2,
-     1,
-     3
-    ],
-    378,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     1,
-     4
-    ],
-    379,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     1,
-     5
-    ],
-    381,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     1,
-     0
-    ],
-    368,
-    373.0,
-    "branched"
-   ],
-   [
-    [
-     2,
-     1,
-     0,
-     3
-    ],
-    404,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     1,
-     0,
-     4
-    ],
-    440,
-    373.0,
-    "pruned"
-   ],
-   [
-    [
-     2,
-     1,
-     0,
-     5
-    ],
-    375,
-    373.0,
-    "pruned"
-   ]
-  ]
  }
 }
 """
@@ -1055,9 +560,8 @@ SMALL = random_instance(6, 4, seed=3)
 
 
 def _run(key: str):
-    layout = "object" if "_object" in key else "block"
     if key.startswith("sequential"):
-        kwargs: dict = {"layout": layout}
+        kwargs: dict = {}
         if key.endswith("_noneh"):
             kwargs["initial_upper_bound"] = float("inf")
         if key.endswith("_budget40"):
@@ -1072,17 +576,17 @@ def _run(key: str):
         return SequentialBranchAndBound(MEDIUM, **kwargs).solve()
     if key.startswith("gpu"):
         if key.endswith("_pool4_iter7"):
-            config = GpuBBConfig(pool_size=4, max_iterations=7, layout=layout)
+            config = GpuBBConfig(pool_size=4, max_iterations=7)
         else:
-            config = GpuBBConfig(pool_size=16, layout=layout)
+            config = GpuBBConfig(pool_size=16)
         return GpuBranchAndBound(MEDIUM, config).solve()
     if key.startswith("cluster"):
         return ClusterBranchAndBound(
-            MEDIUM, ClusterSpec(n_nodes=3), GpuBBConfig(pool_size=16, layout=layout)
+            MEDIUM, ClusterSpec(n_nodes=3), GpuBBConfig(pool_size=16)
         ).solve()
     if key.startswith("hybrid"):
         return HybridBranchAndBound(
-            SMALL, HybridConfig(n_explorers=2, gpu=GpuBBConfig(pool_size=16, layout=layout))
+            SMALL, HybridConfig(n_explorers=2, gpu=GpuBBConfig(pool_size=16))
         ).solve()
     mode = "worksteal" if "_worksteal_" in key else "static"
     return MulticoreBranchAndBound(
@@ -1091,7 +595,6 @@ def _run(key: str):
         backend="serial",
         mode=mode,
         decomposition_depth=2,
-        layout=layout,
     ).solve()
 
 
@@ -1121,48 +624,27 @@ class TestGoldenEquivalence:
 
 
 class TestHypothesisEquivalence:
-    """Every engine x layout pair explores the serial reference's tree."""
+    """Every engine explores to the serial reference's optimum."""
 
     @given(st.integers(0, 2000), st.integers(3, 7), st.integers(1, 4))
     @settings(max_examples=12, deadline=None)
     def test_all_engines_agree(self, seed, n, m):
         rng = np.random.default_rng(seed)
         instance = FlowShopInstance(rng.integers(1, 30, size=(n, m)))
-        reference = SequentialBranchAndBound(instance, layout="object").solve()
+        reference = SequentialBranchAndBound(instance).solve()
         runs = {
-            "sequential/block": SequentialBranchAndBound(instance, layout="block").solve(),
+            "gpu": GpuBranchAndBound(instance, GpuBBConfig(pool_size=8)).solve(),
+            "cluster": ClusterBranchAndBound(
+                instance, ClusterSpec(n_nodes=2), GpuBBConfig(pool_size=8)
+            ).solve(),
+            "worksteal": MulticoreBranchAndBound(
+                instance, n_workers=1, backend="serial"
+            ).solve(),
         }
-        for layout in ("object", "block"):
-            runs[f"gpu/{layout}"] = GpuBranchAndBound(
-                instance, GpuBBConfig(pool_size=8, layout=layout)
-            ).solve()
-            runs[f"cluster/{layout}"] = ClusterBranchAndBound(
-                instance, ClusterSpec(n_nodes=2), GpuBBConfig(pool_size=8, layout=layout)
-            ).solve()
-            runs[f"worksteal/{layout}"] = MulticoreBranchAndBound(
-                instance, n_workers=1, backend="serial", layout=layout
-            ).solve()
+        assert reference.proved_optimal
         for name, result in runs.items():
             assert result.proved_optimal, name
             assert result.best_makespan == reference.best_makespan, name
-        # same-engine layout twins agree on the full counter set
-        blk = runs["sequential/block"]
-        for counter in ("nodes_bounded", "nodes_branched", "nodes_pruned"):
-            assert getattr(blk.stats, counter) == getattr(reference.stats, counter), counter
-
-    @given(st.integers(0, 2000))
-    @settings(max_examples=10, deadline=None)
-    def test_budgeted_runs_identical_across_layouts(self, seed):
-        rng = np.random.default_rng(seed)
-        instance = FlowShopInstance(rng.integers(1, 30, size=(7, 4)))
-        budget = int(rng.integers(1, 60))
-        obj = SequentialBranchAndBound(instance, max_nodes=budget, layout="object").solve()
-        blk = SequentialBranchAndBound(instance, max_nodes=budget, layout="block").solve()
-        assert obj.best_makespan == blk.best_makespan
-        assert obj.best_order == blk.best_order
-        assert obj.proved_optimal == blk.proved_optimal
-        for counter in COUNTERS:
-            assert getattr(obj.stats, counter) == getattr(blk.stats, counter), counter
 
 
 class _RecordingOffload:
@@ -1172,11 +654,6 @@ class _RecordingOffload:
         self.inner = LocalBounding(data)
         self.calls: list[tuple[str, int]] = []
         self.charge = charge
-
-    def bound_nodes(self, nodes):
-        bounds, _, _ = self.inner.bound_nodes(nodes)
-        self.calls.append(("nodes", len(nodes)))
-        return bounds, self.charge * len(nodes), 0.0
 
     def bound_block(self, block, siblings=False):
         bounds, _, _ = self.inner.bound_block(block, siblings=siblings)
@@ -1306,12 +783,10 @@ class TestStopPredicates:
         with pytest.raises(ValueError):
             SearchDriver(small_instance, LowerBoundData(small_instance), batch_size=0)
         with pytest.raises(ValueError):
-            SearchDriver(small_instance, LowerBoundData(small_instance), layout="rows")
-        with pytest.raises(ValueError):
             SearchDriver(small_instance)  # no offload and no data
         with pytest.raises(ValueError):
             driver = SearchDriver(small_instance, LowerBoundData(small_instance))
-            driver.run(None, upper_bound=1.0, stats=SearchStats())  # block needs a trail
+            driver.run(None, upper_bound=1.0, stats=SearchStats())  # needs a trail
 
 
 class TestInt32Frontier:
@@ -1375,10 +850,8 @@ class TestFrontierMemoryCap:
         assert int(frontier._order[row]) == int(frontier._order[: len(frontier)].max())
 
     def test_capped_sequential_stays_exact(self, medium_instance):
-        free = SequentialBranchAndBound(medium_instance, layout="block").solve()
-        capped = SequentialBranchAndBound(
-            medium_instance, layout="block", max_frontier_nodes=8
-        ).solve()
+        free = SequentialBranchAndBound(medium_instance).solve()
+        capped = SequentialBranchAndBound(medium_instance, max_frontier_nodes=8).solve()
         assert capped.proved_optimal
         assert capped.best_makespan == free.best_makespan
         # the cap may be exceeded transiently by one push of <= n_jobs rows
@@ -1436,10 +909,10 @@ class TestDoubleBuffer:
             assert getattr(buffered.stats, counter) == getattr(plain.stats, counter), counter
         assert len(buffered.iterations) == len(plain.iterations)
         # only the simulated accounting changes, by exactly the credit
-        assert buffered.overlap_saved_s > 0
-        assert plain.overlap_saved_s == 0
+        assert buffered.overlap_saved_sim_s > 0
+        assert plain.overlap_saved_sim_s == 0
         assert buffered.simulated_device_time_s == pytest.approx(
-            plain.simulated_device_time_s - buffered.overlap_saved_s
+            plain.simulated_device_time_s - buffered.overlap_saved_sim_s
         )
 
     def test_on_overlap_hook_fires(self, small_instance):
@@ -1456,14 +929,13 @@ class TestDoubleBuffer:
         outcome, _ = _seeded_block_run(small_instance, driver, float("inf"), ())
         assert outcome.completed
         assert credits, "multi-iteration run must record overlap credits"
-        assert outcome.overlap_saved_s == pytest.approx(sum(credits))
+        assert outcome.overlap_saved_sim_s == pytest.approx(sum(credits))
 
 
 class TestWorkstealTieBatching:
     """Best-first workers ride the sequential engine's tie-batch path."""
 
-    @pytest.mark.parametrize("layout", ["object", "block"])
-    def test_best_first_workers_exact(self, medium_instance, layout):
+    def test_best_first_workers_exact(self, medium_instance):
         optimum = SequentialBranchAndBound(medium_instance).solve().best_makespan
         result = MulticoreBranchAndBound(
             medium_instance,
@@ -1472,7 +944,6 @@ class TestWorkstealTieBatching:
             mode="worksteal",
             selection="best-first",
             decomposition_depth=2,
-            layout=layout,
         ).solve()
         assert result.proved_optimal
         assert result.best_makespan == optimum
@@ -1482,35 +953,24 @@ class TestWorkstealTieBatching:
         )
 
     def test_block_workers_bound_ties_in_fewer_launches(self, medium_instance):
-        # the block worker batches (lb, depth) ties: its offload sees the
-        # same node set as the object worker in at-most-as-many launches
+        # tie batching pops (lb, depth) ties together: the offload sees the
+        # same node set as one-node-per-step popping in at-most-as-many
+        # launches
         data = LowerBoundData(medium_instance)
         launches = {}
-        for layout in ("object", "block"):
+        for batched in (False, True):
             offload = _RecordingOffload(data)
             driver = SearchDriver(
-                medium_instance, layout=layout, selection="best-first", offload=offload
+                medium_instance,
+                selection="best-first",
+                offload=offload,
+                tie_batching=batched,
             )
-            if layout == "block":
-                outcome, stats = _seeded_block_run(
-                    medium_instance, driver, float("inf"), ()
-                )
-            else:
-                from repro.bb.node import root_node
-                from repro.bb.operators import bound_node
-
-                pool = make_pool("best-first")
-                root = root_node(medium_instance)
-                bound_node(root, data)
-                stats = SearchStats(nodes_bounded=1)
-                pool.push(root)
-                outcome = driver.run(
-                    pool, upper_bound=float("inf"), best_order=(), stats=stats
-                )
+            outcome, stats = _seeded_block_run(medium_instance, driver, float("inf"), ())
             assert outcome.completed
-            launches[layout] = (len(offload.calls), stats.nodes_bounded)
-        assert launches["block"][1] == launches["object"][1]  # same nodes bounded
-        assert launches["block"][0] <= launches["object"][0]  # in fewer launches
+            launches[batched] = (len(offload.calls), stats.nodes_bounded)
+        assert launches[True][1] == launches[False][1]  # same nodes bounded
+        assert launches[True][0] <= launches[False][0]  # in fewer launches
 
 
 class TestReviewRegressions:
@@ -1521,18 +981,15 @@ class TestReviewRegressions:
 
         trail = Trail(capacity=4)
         trail._size = _INT32_ID_LIMIT  # simulate a 2**31-node search
-        with pytest.raises(OverflowError, match="layout='object'"):
+        with pytest.raises(OverflowError, match="limit of the int32 node ids"):
             trail.append(0, 1)
 
     def test_multicore_engine_honours_frontier_cap(self, medium_instance):
-        free = MulticoreBranchAndBound(
-            medium_instance, n_workers=1, backend="serial", layout="block"
-        ).solve()
+        free = MulticoreBranchAndBound(medium_instance, n_workers=1, backend="serial").solve()
         capped = MulticoreBranchAndBound(
             medium_instance,
             n_workers=1,
             backend="serial",
-            layout="block",
             selection="best-first",
             max_frontier_nodes=4,
         ).solve()
@@ -1549,15 +1006,28 @@ class TestReviewRegressions:
             HybridConfig(n_explorers=2, gpu=GpuBBConfig(pool_size=4)),
         ).solve()
         assert buffered.best_makespan == plain.best_makespan
-        assert buffered.overlap_saved_s > 0  # sub-tree credits are merged
-        assert plain.overlap_saved_s == 0
+        assert buffered.overlap_saved_sim_s > 0  # sub-tree credits are merged
+        assert plain.overlap_saved_sim_s == 0
 
-    def test_scalar_offload_skips_batch_array(self, small_instance):
+    def test_scalar_offload_skips_batch_array(self, small_instance, monkeypatch):
+        import repro.bb.frontier as frontier_module
+        from repro.bb.frontier import branch_block
+        from repro.flowshop.bounds import lower_bound
+
         data = LowerBoundData(small_instance)
-        backend = LocalBounding(data, kernel="scalar")
-        from repro.bb.node import root_node
+        trail = Trail()
+        root = root_block(small_instance, trail)
+        children = branch_block(root, small_instance.processing_times, 1)
 
-        children = root_node(small_instance).children(small_instance.processing_times)
-        bounds, sim_s, wall_s = backend.bound_nodes(children)
-        assert bounds is None  # advisory element: driver reads the nodes
-        assert all(child.lower_bound is not None for child in children)
+        def no_batch_kernel(kernel):
+            raise AssertionError(f"scalar bounding resolved batch kernel {kernel!r}")
+
+        monkeypatch.setattr(frontier_module, "get_batch_kernel", no_batch_kernel)
+        backend = LocalBounding(data, kernel="scalar")
+        _, sim_s, wall_s = backend.bound_block(children)
+        assert (sim_s, wall_s) == (0.0, 0.0)
+        expected = [
+            lower_bound(data, children.prefix(i), release=children.release[i])
+            for i in range(len(children))
+        ]
+        assert children.lower_bound.tolist() == expected

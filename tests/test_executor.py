@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bb.node import root_node
-from repro.bb.operators import branch, encode_pool
+from repro.bb.frontier import Trail, branch_block, root_block
 from repro.flowshop.bounds import LowerBoundData, lower_bound
 from repro.gpu.executor import GpuExecutor
 from repro.gpu.placement import DataPlacement
@@ -15,6 +14,11 @@ from repro.gpu.simulator import KernelCostModel
 @pytest.fixture()
 def executor(small_instance, small_instance_data) -> GpuExecutor:
     return GpuExecutor(small_instance_data)
+
+
+def _root_children(instance):
+    """The root's child block: its arrays are the device buffers."""
+    return branch_block(root_block(instance, Trail()), instance.processing_times, 1)
 
 
 class TestUpload:
@@ -43,20 +47,19 @@ class TestUpload:
 
 class TestEvaluate:
     def test_bounds_match_scalar_kernel(self, executor, small_instance, small_instance_data):
-        root = root_node(small_instance)
-        children = branch(root, small_instance)
-        mask, release = encode_pool(children, small_instance.n_jobs, small_instance.n_machines)
-        result = executor.evaluate(mask, release)
-        expected = [lower_bound(small_instance_data, c.prefix) for c in children]
+        children = _root_children(small_instance)
+        result = executor.evaluate(children.scheduled_mask, children.release)
+        expected = [
+            lower_bound(small_instance_data, children.prefix(i)) for i in range(len(children))
+        ]
         assert result.bounds.tolist() == expected
         assert result.pool_size == len(children)
         assert result.measured_wall_s >= 0
         assert result.simulated.total_s > 0
 
     def test_counters_accumulate(self, executor, small_instance):
-        root = root_node(small_instance)
-        children = branch(root, small_instance)
-        mask, release = encode_pool(children, small_instance.n_jobs, small_instance.n_machines)
+        children = _root_children(small_instance)
+        mask, release = children.scheduled_mask, children.release
         executor.evaluate(mask, release)
         executor.evaluate(mask, release)
         stats = executor.stats()
@@ -74,9 +77,8 @@ class TestEvaluate:
             cost_model=KernelCostModel().with_overrides(cycles_per_iteration=100.0),
         )
         fast = GpuExecutor(small_instance_data)
-        root = root_node(small_instance)
-        children = branch(root, small_instance)
-        mask, release = encode_pool(children, small_instance.n_jobs, small_instance.n_machines)
+        children = _root_children(small_instance)
+        mask, release = children.scheduled_mask, children.release
         slow_result = slow.evaluate(mask, release)
         fast_result = fast.evaluate(mask, release)
         assert slow_result.simulated.kernel_s > fast_result.simulated.kernel_s

@@ -20,10 +20,9 @@ from repro.bb.frontier import (
     root_block,
     seed_block,
 )
-from repro.bb.node import root_node
-from repro.bb.operators import encode_pool
 from repro.flowshop import FlowShopInstance
 from repro.flowshop.bounds import LowerBoundData, lower_bound_batch
+from repro.flowshop.schedule import partial_completion_times
 
 
 class TestTrail:
@@ -65,13 +64,11 @@ class TestRootAndSeed:
         prefix = (2, 0, 4)
         trail = Trail()
         seed = seed_block(small_instance, prefix, trail)
-        node = root_node(small_instance)
-        for job in prefix:
-            node = node.child(job, small_instance.processing_times)
-        assert np.array_equal(seed.release[0], node.release)
+        assert np.array_equal(seed.release[0], partial_completion_times(small_instance, prefix))
         assert seed.prefix(0) == prefix
         assert seed.depth[0] == len(prefix)
-        assert seed.order_index[0] == node.order_index
+        # the index a per-search counter assigns after a root-to-seed chain
+        assert seed.order_index[0] == len(prefix)
 
     def test_seed_block_rejects_duplicates(self, small_instance):
         with pytest.raises(ValueError):
@@ -79,17 +76,18 @@ class TestRootAndSeed:
 
 
 class TestBranchBlock:
-    def test_children_match_object_layout(self, medium_instance):
+    def test_children_follow_the_schedule_recurrence(self, medium_instance):
         trail = Trail()
         root = root_block(medium_instance, trail)
         children = branch_block(root, medium_instance.processing_times, 1)
-        object_children = root_node(medium_instance).children(medium_instance.processing_times)
-        assert len(children) == len(object_children)
-        for i, node in enumerate(object_children):
-            assert np.array_equal(children.release[i], node.release)
-            assert children.prefix(i) == node.prefix
-            assert children.depth[i] == node.depth
-            assert children.order_index[i] == node.order_index
+        assert len(children) == medium_instance.n_jobs
+        for job in range(medium_instance.n_jobs):
+            expected = partial_completion_times(medium_instance, (job,))
+            assert np.array_equal(children.release[job], expected)
+            assert np.flatnonzero(children.scheduled_mask[job]).tolist() == [job]
+            assert children.prefix(job) == (job,)
+            assert children.depth[job] == 1
+            assert children.order_index[job] == 1 + job
 
     def test_branch_row_matches_branch_block(self, medium_instance):
         trail_a, trail_b = Trail(), Trail()
@@ -198,18 +196,6 @@ class TestBoundBlock:
         data = LowerBoundData(small_instance)
         empty = NodeBlock.empty(small_instance.n_jobs, small_instance.n_machines, Trail())
         assert bound_block(data, empty).shape == (0,)
-
-    def test_matches_encode_pool_layout(self, medium_instance):
-        # the block's arrays ARE what encode_pool used to produce
-        data = LowerBoundData(medium_instance)
-        trail = Trail()
-        children = branch_block(
-            root_block(medium_instance, trail), medium_instance.processing_times, 1
-        )
-        nodes = root_node(medium_instance).children(medium_instance.processing_times)
-        mask, release = encode_pool(nodes, data.n_jobs, data.n_machines)
-        assert np.array_equal(children.scheduled_mask, mask)
-        assert np.array_equal(children.release, release)
 
 
 class TestEliminateBlock:

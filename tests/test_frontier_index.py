@@ -71,7 +71,6 @@ def _roundtrip(frontier: BlockFrontier, kind: str) -> BlockFrontier:
     """Snapshot the store and restore it (same container, same index kind)."""
     blob = dumps_snapshot(
         _INSTANCE,
-        layout="block",
         frontier=frontier,
         upper_bound=float("inf"),
         best_order=(),

@@ -113,3 +113,16 @@ class TestBudgets:
             medium_instance, GpuBBConfig(pool_size=16, max_iterations=1)
         ).solve()
         assert result.best_makespan >= optimum
+
+
+class TestBlockConservation:
+    """nodes_bounded == branched + pruned + leaves on every completed run."""
+
+    @pytest.mark.parametrize("pool_size", [4, 64])
+    def test_gpu_block(self, medium_instance, pool_size):
+        result = GpuBranchAndBound(medium_instance, GpuBBConfig(pool_size=pool_size)).solve()
+        stats = result.stats
+        assert result.proved_optimal
+        assert stats.nodes_bounded == (
+            stats.nodes_branched + stats.nodes_pruned + stats.leaves_evaluated
+        )

@@ -49,19 +49,19 @@ class TestSharedPoolProtocol:
         instance = taillard_instance(20, 10, index=2)
         data = LowerBoundData(instance)
         pool = collect_pending_pool(instance, 128, data=data, upper_bound=float("inf"))
-        assert pool
+        assert len(pool)
 
         # CPU path: scalar bounds.
         from repro.flowshop.bounds import lower_bound
 
-        cpu_bounds = [lower_bound(data, node.prefix, release=node.release) for node in pool]
+        cpu_bounds = [
+            lower_bound(data, pool.prefix(i), release=pool.release[i]) for i in range(len(pool))
+        ]
 
-        # GPU path: executor (batched kernel + simulated timing).
-        from repro.bb.operators import encode_pool
-
-        mask, release = encode_pool(pool, data.n_jobs, data.n_machines)
+        # GPU path: executor (batched kernel + simulated timing); the
+        # block's arrays are the device buffers.
         executor = GpuExecutor(data)
-        result = executor.evaluate(mask, release)
+        result = executor.evaluate(pool.scheduled_mask, pool.release)
         assert result.bounds.tolist() == cpu_bounds
         assert result.simulated.total_s > 0
 

@@ -5,13 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bb.node import root_node
-from repro.bb.operators import branch
+from repro.bb.frontier import Trail, branch_block, root_block
 from repro.core.kernels import (
     KernelLaunch,
     bounding_kernel,
     bounding_kernel_batch,
-    encode_nodes,
 )
 from repro.flowshop.bounds import lower_bound, lower_bound_batch
 
@@ -23,20 +21,13 @@ class TestKernelWrappers:
         )
 
     def test_batch_kernel_matches_lower_bound_batch(self, small_instance, small_instance_data):
-        root = root_node(small_instance)
-        children = branch(root, small_instance)
-        mask, release = encode_nodes(children, small_instance_data)
+        root = root_block(small_instance, Trail())
+        children = branch_block(root, small_instance.processing_times, 1)
+        mask, release = children.scheduled_mask, children.release
         assert np.array_equal(
             bounding_kernel_batch(small_instance_data, mask, release),
             lower_bound_batch(small_instance_data, mask, release),
         )
-
-    def test_encode_nodes_shapes(self, small_instance, small_instance_data):
-        root = root_node(small_instance)
-        children = branch(root, small_instance)
-        mask, release = encode_nodes(children, small_instance_data)
-        assert mask.shape == (len(children), small_instance.n_jobs)
-        assert release.shape == (len(children), small_instance.n_machines)
 
 
 class TestKernelLaunch:

@@ -138,3 +138,22 @@ class TestDecomposition:
         solver = MulticoreBranchAndBound(small_instance, backend="serial")
         reference = solver.reference_serial()
         assert reference.best_makespan == solver.solve().best_makespan
+
+
+class TestThreadBackend:
+    @pytest.mark.parametrize("mode", ["worksteal", "static"])
+    def test_thread_backend_block_exact_and_conserved(self, medium_instance, mode):
+        optimum = SequentialBranchAndBound(medium_instance).solve().best_makespan
+        result = MulticoreBranchAndBound(
+            medium_instance,
+            n_workers=4,
+            backend="thread",
+            mode=mode,
+            decomposition_depth=2,
+        ).solve()
+        assert result.proved_optimal
+        assert result.best_makespan == optimum
+        stats = result.stats
+        assert stats.nodes_bounded == (
+            stats.nodes_branched + stats.nodes_pruned + stats.leaves_evaluated
+        )

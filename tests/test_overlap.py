@@ -4,8 +4,9 @@ The asynchronous driver overlaps host selection/branching with backend
 bounding on a dedicated worker thread.  Its acceptance bar is absolute:
 every figure a solve reports — makespan, permutation, every
 ``SearchStats`` counter, iteration count, simulated device time — must be
-bit-identical to the synchronous path, across both layouts, all budget
-shapes, checkpoint/resume round-trips and the full driver golden grid.
+bit-identical to the synchronous path, across all budget shapes,
+checkpoint/resume round-trips and the batch engines of the driver golden
+grid.
 Only the wall-clock metrics (``measured_s``, ``overlap_saved_wall_s``)
 may differ.
 """
@@ -21,10 +22,7 @@ from hypothesis import strategies as st
 
 from repro.bb.driver import LocalBounding, SearchDriver, SearchHooks, SearchLimits
 from repro.bb.frontier import BlockFrontier, Trail, bound_block, root_block
-from repro.bb.node import root_node
 from repro.bb.offload import AsyncOffload, SlotWorker
-from repro.bb.operators import bound_node
-from repro.bb.pool import make_pool
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.bb.snapshot import CheckpointPolicy, dumps_snapshot, load_header, loads_snapshot
 from repro.bb.stats import SearchStats
@@ -38,6 +36,7 @@ from repro.service import BatchDispatcher, SolveService, SolveSession
 from repro.service.session import SessionConfig
 
 from test_driver import COUNTERS, GOLDENS, MEDIUM, SMALL
+from test_snapshot import _rebuild_with_header
 
 # ------------------------------------------------------------------ #
 #  direct-driver harness (LocalBounding supports micro-chunk launches,
@@ -92,25 +91,6 @@ def _drive_block(
     return outcome, stats
 
 
-def _drive_object(instance, *, overlap, batch_size=6, limits=None):
-    data = LowerBoundData(instance)
-    driver = SearchDriver(
-        instance,
-        offload=LocalBounding(data),
-        layout="object",
-        batch_size=batch_size,
-        overlap=overlap,
-        limits=limits,
-    )
-    pool = make_pool("best-first")
-    root = root_node(instance)
-    bound_node(root, data)
-    stats = SearchStats(nodes_bounded=1)
-    pool.push(root)
-    outcome = driver.run(pool, upper_bound=float("inf"), best_order=(), stats=stats)
-    return outcome, stats
-
-
 def _assert_outcomes_identical(sync, async_, sync_stats, async_stats):
     assert async_.upper_bound == sync.upper_bound
     assert async_.best_order == sync.best_order
@@ -127,48 +107,31 @@ def _assert_outcomes_identical(sync, async_, sync_stats, async_stats):
 #  the driver golden grid, solved asynchronously
 # ------------------------------------------------------------------ #
 
-#: multicore runs the single-step worker shape per process; the engine
-#: does not take the overlap knob (the CLI rejects it explicitly)
-ASYNC_KEYS = sorted(k for k in GOLDENS if not k.startswith("multicore"))
+#: the serial engine and the multicore workers run the single-step shape
+#: and do not take the overlap knob (the CLI rejects it explicitly)
+ASYNC_KEYS = sorted(
+    k for k in GOLDENS if not k.startswith(("sequential", "multicore"))
+)
 
 
 def _run_async(key: str):
     """The async twin of ``test_driver._run``: same engines, overlap='async'."""
-    layout = "object" if "_object" in key else "block"
-    if key.startswith("sequential"):
-        kwargs: dict = {"layout": layout, "overlap": "async"}
-        if key.endswith("_noneh"):
-            kwargs["initial_upper_bound"] = float("inf")
-        if key.endswith("_budget40"):
-            kwargs["max_nodes"] = 40
-        if key.endswith("_trace"):
-            kwargs["trace"] = True
-            return SequentialBranchAndBound(SMALL, **kwargs).solve()
-        if key.endswith("_depth-first"):
-            kwargs["selection"] = "depth-first"
-        if key.endswith("_fifo"):
-            kwargs["selection"] = "fifo"
-        return SequentialBranchAndBound(MEDIUM, **kwargs).solve()
     if key.startswith("gpu"):
         if key.endswith("_pool4_iter7"):
-            config = GpuBBConfig(
-                pool_size=4, max_iterations=7, layout=layout, overlap="async"
-            )
+            config = GpuBBConfig(pool_size=4, max_iterations=7, overlap="async")
         else:
-            config = GpuBBConfig(pool_size=16, layout=layout, overlap="async")
+            config = GpuBBConfig(pool_size=16, overlap="async")
         return GpuBranchAndBound(MEDIUM, config).solve()
     if key.startswith("cluster"):
         return ClusterBranchAndBound(
             MEDIUM,
             ClusterSpec(n_nodes=3),
-            GpuBBConfig(pool_size=16, layout=layout, overlap="async"),
+            GpuBBConfig(pool_size=16, overlap="async"),
         ).solve()
     assert key.startswith("hybrid")
     return HybridBranchAndBound(
         SMALL,
-        HybridConfig(
-            n_explorers=2, gpu=GpuBBConfig(pool_size=16, layout=layout, overlap="async")
-        ),
+        HybridConfig(n_explorers=2, gpu=GpuBBConfig(pool_size=16, overlap="async")),
     ).solve()
 
 
@@ -198,7 +161,7 @@ class TestAsyncGoldenEquivalence:
 
 
 # ------------------------------------------------------------------ #
-#  property: random instances x layouts x budgets
+#  property: random instances x budgets
 # ------------------------------------------------------------------ #
 
 _BUDGETS = {
@@ -228,25 +191,6 @@ class TestSyncAsyncProperty:
         )
         _assert_outcomes_identical(sync, async_, sync_stats, async_stats)
 
-    @given(
-        seed=st.integers(0, 500),
-        n=st.integers(4, 7),
-        m=st.integers(2, 4),
-        batch=st.integers(2, 9),
-        budget=st.sampled_from(sorted(_BUDGETS)),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_object_layout_agrees(self, seed, n, m, batch, budget):
-        instance = random_instance(n, m, seed=seed)
-        limits = _BUDGETS[budget]
-        sync, sync_stats = _drive_object(
-            instance, overlap="sync", batch_size=batch, limits=limits
-        )
-        async_, async_stats = _drive_object(
-            instance, overlap="async", batch_size=batch, limits=limits
-        )
-        _assert_outcomes_identical(sync, async_, sync_stats, async_stats)
-
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_capped_frontier_agrees(self, seed):
         # a memory cap puts selection in its hysteretic restricted regime;
@@ -272,8 +216,6 @@ class TestSyncAsyncProperty:
         # the simulated credit remains and the measured metric is additive
         assert async_.overlap_saved_sim_s >= 0.0
         assert async_.overlap_saved_wall_s >= 0.0
-        # deprecated alias still answers with the simulated figure
-        assert async_.overlap_saved_s == async_.overlap_saved_sim_s
 
     def test_sync_path_reports_zero_wall_overlap(self, medium_instance):
         sync, _ = _drive_block(medium_instance, overlap="sync")
@@ -297,14 +239,13 @@ class TestAsyncCheckpointResume:
             blobs.append(
                 dumps_snapshot(
                     medium_instance,
-                    layout="block",
                     frontier=state.frontier,
                     trail=state.trail,
                     upper_bound=state.upper_bound,
                     best_order=state.best_order_supplier(),
                     next_order=state.next_order,
                     stats=state.stats,
-                    engine={"engine": "test", "layout": "block"},
+                    engine={"engine": "test"},
                 )
             )
 
@@ -338,13 +279,19 @@ class TestAsyncCheckpointResume:
                 assert getattr(stats, counter) == getattr(golden_stats, counter), counter
 
     def test_sequential_async_resume_ladder(self, small_instance, tmp_path):
-        """Kill-and-resume with overlap='async' recorded in the snapshot header."""
+        """Kill-and-resume from a legacy header that records overlap='async'."""
         golden = SequentialBranchAndBound(small_instance).solve()
         path = tmp_path / "snap.rpbb"
         result = SequentialBranchAndBound(
-            small_instance, overlap="async", max_nodes=15, checkpoint_path=path
+            small_instance, max_nodes=15, checkpoint_path=path
         ).solve()
         assert not result.proved_optimal
+        assert "overlap" not in load_header(path)["engine"]
+
+        def legacy(header):
+            header["engine"].update(layout="block", overlap="async")
+
+        path.write_bytes(_rebuild_with_header(path.read_bytes(), legacy))
         assert load_header(path)["engine"]["overlap"] == "async"
         budgets = [40, 90, 180]  # cumulative: nodes_explored carries across segments
         segments = 1
@@ -441,15 +388,6 @@ class TestAsyncOffloadWrapper:
         assert (bounds == sync_bounds).all()
         assert (async_root.lower_bound == sync_root.lower_bound).all()
         assert sim_s == 0.0 and wall_s == 0.0
-
-    def test_nodes_launch_matches_sync_backend(self, small_instance):
-        data = LowerBoundData(small_instance)
-        backend = LocalBounding(data)
-        sync_node, async_node = root_node(small_instance), root_node(small_instance)
-        bound_node(sync_node, data)
-        with AsyncOffload(backend) as aoff:
-            aoff.submit_nodes([async_node]).result()
-        assert async_node.lower_bound == sync_node.lower_bound
 
 
 # ------------------------------------------------------------------ #

@@ -90,13 +90,13 @@ class TestCollectPendingPool:
     def test_returns_requested_number_when_available(self, medium_instance):
         pool = collect_pending_pool(medium_instance, 32, upper_bound=float("inf"))
         assert len(pool) == 32
-        assert all(node.lower_bound is not None for node in pool)
+        assert (pool.lower_bound >= 0).all()  # every row bounded
 
     def test_nodes_have_consistent_release_times(self, medium_instance):
         pool = collect_pending_pool(medium_instance, 16, upper_bound=float("inf"))
-        for node in pool:
-            expected = partial_completion_times(medium_instance, node.prefix)
-            assert np.array_equal(node.release, expected)
+        for row in range(len(pool)):
+            expected = partial_completion_times(medium_instance, pool.prefix(row))
+            assert np.array_equal(pool.release[row], expected)
 
     def test_pruning_with_neh_incumbent(self, medium_instance):
         """With the NEH incumbent the pool only contains improvable nodes."""
@@ -104,7 +104,7 @@ class TestCollectPendingPool:
 
         ub = neh_heuristic(medium_instance).makespan
         pool = collect_pending_pool(medium_instance, 64)
-        assert all(node.lower_bound < ub for node in pool)
+        assert (pool.lower_bound < ub).all()
 
     def test_small_tree_returns_fewer_nodes(self, tiny_instance):
         pool = collect_pending_pool(tiny_instance, 1000, upper_bound=float("inf"))

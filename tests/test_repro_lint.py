@@ -162,7 +162,7 @@ class TestOffloadContract:
         assert len(found) == 4
         assert "2-tuple" in messages
         assert "siblings" in messages
-        assert "exactly one required argument" in messages
+        assert "ExtraArgOffload.bound_block: bound_block must take one required" in messages
         assert "bare return" in messages
 
     def test_clean_twin(self):

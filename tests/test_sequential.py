@@ -141,3 +141,15 @@ class TestStatsAndTrace:
         summary = result.summary()
         assert summary["best_makespan"] == result.best_makespan
         assert "bounding_fraction" in summary
+
+
+class TestBlockConservation:
+    """nodes_bounded == branched + pruned + leaves on every completed run."""
+
+    def test_sequential_block(self, medium_instance):
+        result = SequentialBranchAndBound(medium_instance).solve()
+        stats = result.stats
+        assert result.proved_optimal
+        assert stats.nodes_bounded == (
+            stats.nodes_branched + stats.nodes_pruned + stats.leaves_evaluated
+        )

@@ -358,6 +358,34 @@ class TestWireService:
 
         asyncio.run(run())
 
+    def test_object_layout_resume_answers_error_and_survives(self, tmp_path):
+        from test_snapshot import _as_object_layout, _rebuild_with_header
+
+        from repro.service import protocol
+
+        path = tmp_path / "object.rpbb"
+        SequentialBranchAndBound(SMALL, max_nodes=5, checkpoint_path=path).solve()
+        path.write_bytes(_rebuild_with_header(path.read_bytes(), _as_object_layout))
+        request = protocol.ResumeRequest(request_id="old", snapshot_path=str(path))
+
+        async def run():
+            async with SolveService(max_active_sessions=1) as service:
+                async with SolveServer(service) as server:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                    writer.write(protocol.encode(request).encode() + b"\n")
+                    writer.write(protocol.encode(protocol.StatusRequest()).encode() + b"\n")
+                    await writer.drain()
+                    reply = protocol.decode((await reader.readline()).decode())
+                    assert reply.type == "error"
+                    assert "'object' node layout" in reply.message
+                    # exactly one error, then the following request is served
+                    status = protocol.decode((await reader.readline()).decode())
+                    assert status.type == "status_reply"
+                    writer.close()
+                    await writer.wait_closed()
+
+        asyncio.run(run())
+
     def test_bad_instance_answers_error(self):
         async def run():
             async with SolveService(max_active_sessions=1) as service:

@@ -233,8 +233,3 @@ class TestBatchingOffload:
         bounds, _, _ = offload.bound_block(empty)
         assert len(bounds) == 0
         assert dispatcher.pending_requests == 0
-
-    def test_object_layout_unsupported(self, data):
-        offload = BatchingOffload(BatchDispatcher(autostart=False), data, token="s1")
-        with pytest.raises(NotImplementedError):
-            offload.bound_nodes([])

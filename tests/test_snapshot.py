@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.bb.frontier import BlockFrontier
-from repro.bb.pool import NodePool
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.bb.snapshot import (
     MAGIC,
@@ -25,13 +24,12 @@ from repro.bb.snapshot import (
 )
 
 
-def _interrupted_blob(instance, layout, tmp_path, selection="best-first", max_nodes=12):
+def _interrupted_blob(instance, tmp_path, selection="best-first", max_nodes=12):
     """Run a budget-cut solve so the engine writes a real mid-search snapshot."""
-    path = tmp_path / f"{layout}.rpbb"
+    path = tmp_path / "snap.rpbb"
     engine = SequentialBranchAndBound(
         instance,
         selection=selection,
-        layout=layout,
         max_nodes=max_nodes,
         checkpoint_path=path,
     )
@@ -39,6 +37,11 @@ def _interrupted_blob(instance, layout, tmp_path, selection="best-first", max_no
     assert not result.proved_optimal, "budget too large for this fixture"
     assert engine.checkpoints_written == 1
     return path.read_bytes(), result
+
+
+def _as_object_layout(header):
+    """Relabel a header as the removed object layout (a legacy v1 file)."""
+    header["layout"] = "object"
 
 
 def _rebuild_with_header(blob, mutate):
@@ -54,12 +57,11 @@ def _rebuild_with_header(blob, mutate):
 # --------------------------------------------------------------------- #
 #  round trip
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("layout", ["block", "object"])
-def test_roundtrip_restores_full_state(layout, small_instance, tmp_path):
-    blob, result = _interrupted_blob(small_instance, layout, tmp_path)
+def test_roundtrip_restores_full_state(small_instance, tmp_path):
+    blob, result = _interrupted_blob(small_instance, tmp_path)
     snapshot = loads_snapshot(blob)
 
-    assert snapshot.layout == layout
+    assert snapshot.header["layout"] == "block"
     assert snapshot.instance.n_jobs == small_instance.n_jobs
     assert np.array_equal(
         snapshot.instance.processing_times, small_instance.processing_times
@@ -69,17 +71,13 @@ def test_roundtrip_restores_full_state(layout, small_instance, tmp_path):
     for name in ("nodes_bounded", "nodes_branched", "nodes_pruned", "leaves_evaluated"):
         assert getattr(snapshot.stats, name) == getattr(result.stats, name)
     assert len(snapshot.frontier) > 0
-    if layout == "block":
-        assert isinstance(snapshot.frontier, BlockFrontier)
-        assert snapshot.trail is not None
-        assert snapshot.next_order > 0
-    else:
-        assert isinstance(snapshot.frontier, NodePool)
-        assert snapshot.trail is None
+    assert isinstance(snapshot.frontier, BlockFrontier)
+    assert snapshot.trail is not None
+    assert snapshot.next_order > 0
 
 
 def test_roundtrip_block_columns_exact(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
     first = loads_snapshot(blob)
     second = loads_snapshot(blob)
     f1, f2 = first.frontier, second.frontier
@@ -96,7 +94,6 @@ def test_roundtrip_preserves_max_pending_cap(small_instance, tmp_path):
     path = tmp_path / "capped.rpbb"
     engine = SequentialBranchAndBound(
         small_instance,
-        layout="block",
         max_frontier_nodes=8,
         max_nodes=12,
         checkpoint_path=path,
@@ -108,7 +105,7 @@ def test_roundtrip_preserves_max_pending_cap(small_instance, tmp_path):
 
 
 def test_header_inventory(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
     header = loads_header(blob)
     assert header["format_version"] == SNAPSHOT_FORMAT_VERSION
     assert header["instance"]["fingerprint"] == instance_fingerprint(small_instance)
@@ -122,14 +119,14 @@ def test_header_inventory(small_instance, tmp_path):
 #  corruption / truncation / version rejection
 # --------------------------------------------------------------------- #
 def test_truncation_at_every_byte_is_rejected(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path, max_nodes=3)
+    blob, _ = _interrupted_blob(small_instance, tmp_path, max_nodes=3)
     for k in range(len(blob)):
         with pytest.raises(SnapshotCorrupt):
             loads_snapshot(blob[:k])
 
 
 def test_payload_bitflip_fails_checksum(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
     mangled = bytearray(blob)
     mangled[-1] ^= 0xFF
     with pytest.raises(SnapshotCorrupt, match="checksum"):
@@ -137,13 +134,13 @@ def test_payload_bitflip_fails_checksum(small_instance, tmp_path):
 
 
 def test_bad_magic_rejected(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
     with pytest.raises(SnapshotCorrupt, match="magic"):
         loads_snapshot(b"XXXX" + blob[4:])
 
 
 def test_unknown_version_rejected(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
 
     def bump(header):
         header["format_version"] = SNAPSHOT_FORMAT_VERSION + 1
@@ -152,8 +149,17 @@ def test_unknown_version_rejected(small_instance, tmp_path):
         loads_header(_rebuild_with_header(blob, bump))
 
 
+def test_legacy_object_layout_rejected(small_instance, tmp_path):
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
+    path = tmp_path / "object.rpbb"
+    path.write_bytes(_rebuild_with_header(blob, _as_object_layout))
+    assert load_header(path)["layout"] == "object"  # still a valid v1 header
+    with pytest.raises(SnapshotVersionError, match="'object' node layout"):
+        load_snapshot(path)
+
+
 def test_instance_fingerprint_mismatch_rejected(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
 
     def tamper(header):
         header["instance"]["fingerprint"] = "0" * 64
@@ -163,7 +169,7 @@ def test_instance_fingerprint_mismatch_rejected(small_instance, tmp_path):
 
 
 def test_missing_field_rejected(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "block", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
 
     def drop(header):
         del header["frontier"]
@@ -176,7 +182,7 @@ def test_missing_field_rejected(small_instance, tmp_path):
 #  file wrappers
 # --------------------------------------------------------------------- #
 def test_save_is_atomic_and_leaves_no_temp_files(small_instance, tmp_path):
-    blob, _ = _interrupted_blob(small_instance, "object", tmp_path)
+    blob, _ = _interrupted_blob(small_instance, tmp_path)
     target = tmp_path / "nested" / "snap.rpbb"
     save_snapshot(target, blob)
     save_snapshot(target, blob)  # overwrite goes through os.replace too

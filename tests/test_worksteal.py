@@ -222,22 +222,6 @@ class TestRebalancing:
         assert result.best_makespan == optimum
         assert result.proved_optimal
 
-    def test_object_layout(self, small_instance):
-        _, optimum = brute_force_optimum(small_instance)
-        engine = WorkStealingBranchAndBound(
-            small_instance,
-            n_workers=2,
-            backend="thread",
-            decomposition_depth=1,
-            max_nodes_per_task=5,
-            layout="object",
-            rebalance=True,
-        )
-        result = engine.solve()
-        assert result.best_makespan == optimum
-        assert result.proved_optimal
-        assert engine.rebalanced_chunks > 0
-
     def test_infinite_bound_completes_instead_of_raising(self, tiny_instance):
         # The twin of test_truncated_run_with_infinite_bound_raises: the
         # same starved configuration finds the optimum once remainders are
@@ -329,6 +313,21 @@ class TestWorkAvoidance:
         ).solve()
         assert worksteal.best_makespan == static.best_makespan
         assert worksteal.stats.nodes_bounded <= static.stats.nodes_bounded
+
+    def test_worksteal_block_aggressive_polling(self, medium_instance):
+        # poll_interval=1 exercises BlockFrontier.prune_to on every pop
+        result = MulticoreBranchAndBound(
+            medium_instance,
+            n_workers=4,
+            backend="thread",
+            mode="worksteal",
+            poll_interval=1,
+        ).solve()
+        assert result.proved_optimal
+        stats = result.stats
+        assert stats.nodes_bounded == (
+            stats.nodes_branched + stats.nodes_pruned + stats.leaves_evaluated
+        )
 
 
 class TestFacade:

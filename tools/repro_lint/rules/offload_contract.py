@@ -1,10 +1,9 @@
 """Rule ``offload-contract``: bounding backends match the driver contract.
 
-``SearchDriver`` talks to pluggable bounding backends through exactly two
-methods (see ``docs/ARCHITECTURE.md``, "The bound_block offload
+``SearchDriver`` talks to pluggable bounding backends through exactly one
+method (see ``docs/ARCHITECTURE.md``, "The bound_block offload
 contract")::
 
-    bound_nodes(nodes)                 -> (bounds, simulated_s, measured_s)
     bound_block(block, siblings=False) -> (bounds, simulated_s, measured_s)
 
 Four implementations exist today (local, batching service, distributed,
@@ -12,11 +11,10 @@ executor); the driver calls them interchangeably and unpacks a 3-tuple.
 A fifth backend with a drifted signature or a 2-tuple return would fail
 deep inside the solve loop — this rule fails it at lint time instead.
 
-Checked per class method named ``bound_nodes``/``bound_block``:
+Checked per class method named ``bound_block``:
 
-* ``bound_nodes``: exactly one required parameter besides ``self``.
-* ``bound_block``: a block parameter plus a ``siblings`` parameter with a
-  default, and nothing else required.
+* a block parameter plus a ``siblings`` parameter with a default, and
+  nothing else required.
 * every ``return`` of a tuple literal has exactly 3 elements; bare
   ``return``/``return None`` is flagged.  Non-literal returns (e.g.
   ``return future.result()``) are beyond static reach and pass.
@@ -29,7 +27,7 @@ from typing import Iterator
 
 from tools.repro_lint.framework import Finding, Rule, SourceModule
 
-CONTRACT_METHODS = ("bound_nodes", "bound_block")
+CONTRACT_METHODS = ("bound_block",)
 
 
 def _args_after_self(fn: ast.FunctionDef) -> tuple[list[ast.arg], int]:
@@ -44,14 +42,6 @@ def _check_signature(fn: ast.FunctionDef) -> str | None:
     """A human message when the signature drifts from the contract."""
     args, n_defaults = _args_after_self(fn)
     n_required = len(args) - n_defaults
-    if fn.name == "bound_nodes":
-        if n_required != 1:
-            return (
-                "bound_nodes must take exactly one required argument "
-                "(the node sequence): bound_nodes(self, nodes)"
-            )
-        return None
-    # bound_block
     if n_required != 1 or len(args) < 2:
         return (
             "bound_block must take one required block argument and a "
@@ -87,7 +77,7 @@ def _tuple_arity_violations(fn: ast.FunctionDef) -> Iterator[tuple[int, str]]:
 
 class OffloadContractRule(Rule):
     name = "offload-contract"
-    description = "bound_nodes/bound_block implementations match the driver backend contract"
+    description = "bound_block implementations match the driver backend contract"
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         for cls in ast.walk(module.tree):
