@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.bb.frontier import (
+    _FUSED_MAX_BATCH,
     Trail,
     _bound_block_fused,
     _fused_data,
@@ -62,6 +63,10 @@ INCREMENTAL_FLOOR = 5.0
 SCAN_CHECK_PARENTS = 16
 #: Instance classes of the crossover table (script mode).
 CROSSOVER_CLASSES = ((13, 6), (20, 20), (50, 20), (100, 20), (200, 20))
+#: Parents per launch and instance classes of the multi-parent sibling table
+#: (script mode): best-first tie batches bound several sibling sets at once.
+GROUPED_PARENTS = (8, 32)
+GROUPED_CLASSES = ((13, 6), (20, 20))
 
 
 def _launch_inputs(n_jobs=20, n_machines=20, pool_size=POOL_SIZE):
@@ -183,7 +188,7 @@ def crossover_table() -> None:
         sib_args = (data, sib.scheduled_mask, sib.release)
 
         def fused():
-            qm_b = _sibling_qm(data, sib.jobs, _fused_data(data, np.float32))
+            qm_b = _sibling_qm(sib.jobs, len(sib), _fused_data(data, np.float32))
             return _bound_block_fused(*sib_args, False, np.float32, qm_b=qm_b)
 
         t_fused, _ = _timed(fused, reps=21)
@@ -195,6 +200,40 @@ def crossover_table() -> None:
             f"{t_inc * 1e3:8.1f} {t_gemm / t_inc:6.2f} | {t_fused * 1e6:19.0f} "
             f"{t_sib * 1e6:8.0f} {t_fused / t_sib:6.2f}"
         )
+
+
+def grouped_sibling_table() -> None:
+    """Several parents' complete sibling sets in one launch (a tie batch).
+
+    The grouped (min, second-min) tails against the masked tail reduction
+    of the same fused GEMM, and against the chunked kernel that blocks
+    above ``_FUSED_MAX_BATCH`` rows take instead of the fused path.
+    """
+    print(
+        f"multi-parent sibling launches (children of P depth-2 parents; "
+        f"fused up to {_FUSED_MAX_BATCH} rows)"
+    )
+    print("  class      P  rows  grouped us  masked us  kernel us  masked/grouped  kernel/grouped")
+    for n_jobs, n_machines in GROUPED_CLASSES:
+        for n_parents in GROUPED_PARENTS:
+            data, children = _sibling_launch(n_jobs, n_machines, n_parents)
+            args = (data, children.scheduled_mask, children.release)
+            fd = _fused_data(data, np.float32)
+
+            def grouped():
+                qm_b = _sibling_qm(children.jobs, n_jobs - 2, fd)
+                return _bound_block_fused(*args, False, np.float32, qm_b=qm_b)
+
+            t_grouped, out = _timed(grouped, reps=21)
+            t_masked, masked = _timed(_bound_block_fused, *args, False, np.float32, reps=21)
+            t_kernel, reference = _timed(lower_bound_batch_v2, *args, jobs=children.jobs, reps=21)
+            assert np.array_equal(out, reference), f"{n_jobs}x{n_machines} grouped diverged"
+            assert np.array_equal(masked, reference), f"{n_jobs}x{n_machines} masked diverged"
+            print(
+                f"  {n_jobs:>3}x{n_machines:<3} {n_parents:>3} {len(children):>5} "
+                f"{t_grouped * 1e6:11.0f} {t_masked * 1e6:10.0f} {t_kernel * 1e6:10.0f} "
+                f"{t_masked / t_grouped:15.2f} {t_kernel / t_grouped:15.2f}"
+            )
 
 
 def main() -> int:
@@ -228,6 +267,7 @@ def main() -> int:
         print(f"  kernel {kernel}: sequential {seq_s * 1e3:.1f} ms, gpu-sim {gpu_s * 1e3:.1f} ms")
 
     crossover_table()
+    grouped_sibling_table()
 
     if speedup < SPEEDUP_FLOOR:
         print(f"FAIL: v2 launch speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.0f}x floor")

@@ -24,13 +24,18 @@ paper — and is parameterized by
 
 Two loop bodies — one per *shape* — cover every engine: the
 **single-step** shape pops one node (or one best-first tie batch) per step
-and bounds its sibling set — the serial engine and the work-stealing
-workers; the **batch** shape (``batch_size`` set) selects up to
-``batch_size`` nodes, branches them all and off-loads one large pool per
-iteration — the paper's GPU architecture and its cluster/hybrid
-extensions.  The batch body serves both ``overlap`` modes: ``"sync"``
-bounds each pool on the driver thread, ``"async"`` on a worker thread
-behind a two-slot pipeline (:mod:`repro.bb.offload`).
+and bounds its sibling set(s) — the serial engine, the work-stealing
+workers and the service's sessions.  When a popped tie batch is stale
+(its bound meets the incumbent), every pending node is stale too, and the
+step drops the whole frontier at once; under ``max_nodes`` it drops only
+the smallest-key nodes the budget still reaches, so counters and the
+pending set match one-node-at-a-time pops.  The **batch** shape
+(``batch_size`` set) selects up to ``batch_size`` nodes, branches them
+all and off-loads one large pool per iteration — the paper's GPU
+architecture and its cluster/hybrid extensions.  The batch body serves
+both ``overlap`` modes: ``"sync"`` bounds each pool on the driver thread,
+``"async"`` on a worker thread behind a two-slot pipeline
+(:mod:`repro.bb.offload`).
 
 Deployment map (paper deployment → driver configuration)
 --------------------------------------------------------
@@ -106,9 +111,12 @@ class OffloadBackend(Protocol):
     ``BatchingOffload``, the cluster's ``_DistributedOffload``, the GPU
     engine's ``_ExecutorOffload``); the driver calls them interchangeably.
     ``bound_block`` writes bounds into the block in place and returns the
-    ``(bounds, simulated_s, measured_s)`` triple; ``tools/repro_lint``'s
-    ``offload-contract`` rule re-checks the shape statically on every
-    class that defines the method.
+    ``(bounds, simulated_s, measured_s)`` triple.  ``siblings=True``
+    promises the block holds the complete child sets of one or more
+    parents of equal depth, in parent order (a popped node's children, or
+    a best-first tie batch's), which a backend may exploit.
+    ``tools/repro_lint``'s ``offload-contract`` rule re-checks the shape
+    statically on every class that defines the method.
     """
 
     def bound_block(
@@ -174,9 +182,11 @@ class SearchHooks:
     on_eliminate:
         Called with the number of children pruned by each elimination step.
     poll_bound / poll_interval:
-        Work-stealing bound polling: every ``poll_interval`` pops the driver
-        reads ``poll_bound()`` and, when a peer tightened the incumbent,
-        adopts it and re-prunes the pending pool (``prune_to``).
+        Work-stealing bound polling: at the first step after every
+        ``poll_interval`` selected nodes (tie batches and stale drains
+        count every node they take) the driver reads ``poll_bound()`` and,
+        when a peer tightened the incumbent, adopts it and re-prunes the
+        pending pool (``prune_to``).
     on_iteration:
         Batch mode only: called with an :class:`OffloadStep` after each
         off-loaded pool (the GPU engines build their launch records here).
@@ -266,8 +276,10 @@ class LocalBounding:
     ) -> tuple[np.ndarray, float, float]:
         """Bound a block's rows, writing the int32 ``lower_bound`` column in place.
 
-        ``siblings=True`` promises the block is one parent's complete child
-        set, enabling the fused single-GEMM sibling path of kernel v2.
+        ``siblings=True`` promises the block holds the complete child sets
+        of one or more equal-depth parents, in parent order, enabling the
+        per-parent minimal-tail shortcut of kernel v2's fused single-GEMM
+        path (see :func:`~repro.bb.frontier.bound_block`).
         """
         bounds = bound_block(
             self.data,
@@ -303,10 +315,12 @@ class SearchDriver:
         Record a :class:`TraceEvent` per examined node (single-step only).
     tie_batching:
         Single-step shape: pop best-first ``(lb, depth)`` tie runs as
-        one batch and bound all of their children in a single launch
-        (provably the same pop sequence; disabled automatically in trace
-        mode, for non-best-first strategies, and while a frontier memory cap
-        holds the selection in its depth-first-restricted regime).
+        one batch and bound all of their children in a single launch, one
+        sibling group per member; a stale batch drops the stale frontier
+        in the same step (provably the same pop sequence; disabled
+        automatically in trace mode, for non-best-first strategies, and
+        while a frontier memory cap holds the selection in its
+        depth-first-restricted regime).
     double_buffer:
         Batch mode: credit the overlap of host-side selection+branching of
         batch N+1 with the (simulated) device bounding of batch N — the
@@ -450,7 +464,10 @@ class SearchDriver:
         last_checkpoint = start
         steps = 0
         completed = True
-        pops = 0
+        # nodes selected so far; the shared bound is polled at the first
+        # step after every poll_interval of them, however they were popped
+        popped = 0
+        next_poll = poll_interval
         while frontier:
             if ckpt is not None and on_checkpoint is not None:
                 steps += 1
@@ -483,15 +500,14 @@ class SearchDriver:
             if deadline is not None and time.time() > deadline:
                 completed = False
                 break
-            if poll is not None:
-                pops += 1
-                if pops % poll_interval == 0:
-                    shared = poll()
-                    if shared < upper_bound:
-                        upper_bound = shared
-                        stats.nodes_pruned += frontier.prune_to(upper_bound)
-                        if not frontier:
-                            break
+            if poll is not None and popped >= next_poll:
+                next_poll = popped + poll_interval
+                shared = poll()
+                if shared < upper_bound:
+                    upper_bound = shared
+                    stats.nodes_pruned += frontier.prune_to(upper_bound)
+                    if not frontier:
+                        break
 
             # A frontier memory cap holds best-first selection in its
             # depth-first-restricted regime while the cap is exceeded; tie
@@ -505,15 +521,29 @@ class SearchDriver:
                     use_batches = False  # key packing unavailable: single pops
                 else:
                     k = len(batch)
-                    if poll is not None and k > 1:
-                        pops += k - 1
-                    if on_select is not None:
-                        on_select(k)
                     lb0 = int(batch.lower_bound[0])
-                    depth0 = int(batch.depth[0])
                     if lb0 >= upper_bound:
+                        # the minimum is stale, so in best-first order every
+                        # pending node is: drop them in one step.  Under a
+                        # node budget drop only the smallest keys the budget
+                        # still reaches — the nodes single pops would take
+                        # before the budget stops them
+                        t0 = perf_counter()
+                        rest = len(frontier) if remaining is None else remaining - k
+                        if rest >= len(frontier):
+                            k += frontier.prune_to(upper_bound)
+                        elif rest > 0:
+                            k += len(frontier.pop_batch(rest)[0])
+                        stats.time_pool_s += perf_counter() - t0
+                        popped += k
+                        if on_select is not None:
+                            on_select(k)
                         stats.nodes_pruned += k
                         continue
+                    popped += k
+                    if on_select is not None:
+                        on_select(k)
+                    depth0 = int(batch.depth[0])
                     if depth0 == n_jobs:
                         # complete schedules sharing one makespan: the first
                         # becomes the incumbent, the rest are pruned at its
@@ -569,7 +599,8 @@ class SearchDriver:
                         continue
 
                     # interior batch: one branch + one bounding launch for
-                    # the children of every tied node
+                    # the children of every tied node, laid out as one
+                    # complete sibling set per member (parent order)
                     t0 = perf_counter()
                     if k == 1:
                         children = branch_row(
@@ -587,7 +618,7 @@ class SearchDriver:
                     next_order += len(children)
                     stats.nodes_branched += k
                     t0 = perf_counter()
-                    _, sim_s, _ = offload.bound_block(children, siblings=k == 1)
+                    _, sim_s, _ = offload.bound_block(children, siblings=True)
                     stats.time_bounding_s += perf_counter() - t0
                     if sim_s:
                         stats.simulated_device_time_s += sim_s
@@ -623,6 +654,7 @@ class SearchDriver:
             row = frontier.peek_best()
             node_lb, node_depth, _, node_tid, mask_view, release_view = frontier.row_view(row)
             stats.time_pool_s += perf_counter() - t0
+            popped += 1
             if on_select is not None:
                 on_select(1)
 

@@ -511,20 +511,24 @@ def _fused_data(data: LowerBoundData, ftype) -> _FusedData:
     return fd
 
 
-def _sibling_qm(data: LowerBoundData, jobs: np.ndarray, fd: _FusedData) -> np.ndarray:
-    """``(B, m)`` per-child minimal tails for the full sibling set of a parent.
+def _sibling_qm(jobs: np.ndarray, group: int, fd: _FusedData) -> np.ndarray:
+    """``(B, m)`` per-child minimal tails for complete sibling sets.
 
-    The children's jobs ARE the parent's unscheduled set, and each child's
-    unscheduled set is that set minus its own job — so the per-child
-    masked column-min over the tails collapses to the parent's (min,
-    second-min) pair per machine: a child sees the second minimum exactly
-    when its own tail attains the minimum (on ties both values coincide,
-    so the comparison is safe).  One partition replaces B masked
-    reductions.
+    ``jobs`` lists the children of ``B // group`` parents, parent after
+    parent, each parent contributing its complete set of ``group``
+    children.  A parent's children's jobs ARE its unscheduled set, and
+    each child's unscheduled set is that set minus its own job — so the
+    per-child masked column-min over the tails collapses to the parent's
+    (min, second-min) pair per machine: a child sees the second minimum
+    exactly when its own tail attains the minimum (on ties both values
+    coincide, so the comparison is safe).  One partition along the group
+    axis replaces B masked reductions.
     """
     tails_u = fd.tails_f[jobs]  # (B, m) ftype — rows follow the children
-    part = np.partition(tails_u, 1, axis=0)
-    return np.where(tails_u == part[0], part[1], part[0])  # (B, m)
+    grouped = tails_u.reshape(-1, group, tails_u.shape[1])  # (parents, group, m)
+    part = np.partition(grouped, 1, axis=1)
+    low, second = part[:, :1], part[:, 1:2]
+    return np.where(grouped == low, second, low).reshape(tails_u.shape)
 
 
 def _bound_block_fused(
@@ -542,9 +546,9 @@ def _bound_block_fused(
     but the per-Johnson-position ``np.dot`` loop collapses into ONE matrix
     product against the ``(n + 1, n_jobs * n_couples)`` stacked weights —
     a handful of array ops per launch instead of ~3·n, which is what makes
-    bounding a small sibling block cheap.  ``qm_b`` optionally supplies the ``(B, m)`` per-node
-    minimal tails (e.g. from :func:`_sibling_qm`); it is computed by a
-    masked reduction otherwise.
+    bounding a small sibling block cheap.  ``qm_b`` optionally supplies the
+    ``(B, m)`` per-node minimal tails (e.g. from :func:`_sibling_qm`); it
+    is computed by a masked reduction otherwise.
     """
     n = mask_a.shape[1]
     n_couples = data.n_couples
@@ -600,11 +604,13 @@ def bound_block(
     every row, whatever the kernel, and are also written back into
     ``block.lower_bound``.
 
-    ``siblings=True`` asserts that the block is the COMPLETE child set of
-    one parent (exactly what :func:`branch_block` / :func:`branch_row`
-    produce for a single popped node): sibling batches share their
-    parent's unscheduled set, so the per-node ``QM`` tails reduce to the
-    parent's (min, second-min) pair (:func:`_sibling_qm`) — the dominant
+    ``siblings=True`` asserts that the block holds the COMPLETE child sets
+    of one or more parents of equal depth, in parent order (exactly what
+    :func:`branch_row` produces for one popped node and
+    :func:`branch_block` for a best-first tie batch): each parent's
+    children share its unscheduled set, so their per-node ``QM`` tails
+    reduce to that parent's (min, second-min) pair (:func:`_sibling_qm`,
+    one group of ``n_jobs - depth + 1`` rows per parent) — the dominant
     per-launch cost of small batches disappears while the values stay
     exactly the same.
     """
@@ -664,8 +670,8 @@ def bound_block(
 
     if siblings and batch > 1:
         jobs = block.jobs if block.jobs is not None else block.trail.jobs_of(block.trail_id)
-        fd = _fused_data(data, ftype)
-        qm_b = _sibling_qm(data, jobs, fd)
+        group = n_jobs - int(block.depth[0]) + 1  # children per parent
+        qm_b = _sibling_qm(jobs, group, _fused_data(data, ftype))
         bounds = _bound_block_fused(
             data, mask, release, include_one_machine, ftype, qm_b=qm_b
         )
@@ -1297,15 +1303,19 @@ class BlockFrontier:
         )
 
     def _remove(self, rows: np.ndarray) -> None:
-        """Swap-compact the given rows out of the store."""
+        """Swap-compact the given (ascending) rows out of the store.
+
+        The surviving tail rows fill the holes in ascending order; a
+        boolean mask over the ``count`` tail rows finds them in O(count).
+        """
         size, count = self._size, rows.shape[0]
         tail_start = size - count
         in_tail = rows >= tail_start
         holes = rows[~in_tail]
         if holes.shape[0]:
-            tail_keep = np.setdiff1d(
-                np.arange(tail_start, size, dtype=np.int64), rows[in_tail]
-            )
+            tail_free = np.ones(count, dtype=bool)
+            tail_free[rows[in_tail] - tail_start] = False
+            tail_keep = np.flatnonzero(tail_free) + tail_start
             for name in self._ARRAYS:
                 array = getattr(self, name)
                 array[holes] = array[tail_keep]

@@ -40,6 +40,7 @@ from repro.core.gpu_bb import GpuBranchAndBound
 from repro.core.pipeline import HybridBranchAndBound, HybridConfig
 from repro.flowshop import FlowShopInstance, random_instance
 from repro.flowshop.bounds import LowerBoundData
+from repro.flowshop.neh import neh_heuristic
 
 #: Results of the pre-driver per-engine solve loops, captured verbatim at
 #: the commit that still carried them.  The driver must reproduce these
@@ -661,7 +662,8 @@ class _RecordingOffload:
         return bounds, self.charge * len(block), 0.0
 
 
-def _seeded_block_run(instance, driver, upper_bound, best_order):
+def _seeded_block_state(instance, driver, upper_bound, best_order):
+    """Run ``driver`` from the bounded root; ``(outcome, stats, frontier)``."""
     data = LowerBoundData(instance)
     trail = Trail()
     frontier = BlockFrontier(instance.n_jobs, instance.n_machines, trail)
@@ -677,6 +679,11 @@ def _seeded_block_run(instance, driver, upper_bound, best_order):
         trail=trail,
         next_order=1,
     )
+    return outcome, stats, frontier
+
+
+def _seeded_block_run(instance, driver, upper_bound, best_order):
+    outcome, stats, _ = _seeded_block_state(instance, driver, upper_bound, best_order)
     return outcome, stats
 
 
@@ -787,6 +794,146 @@ class TestStopPredicates:
         with pytest.raises(ValueError):
             driver = SearchDriver(small_instance, LowerBoundData(small_instance))
             driver.run(None, upper_bound=1.0, stats=SearchStats())  # needs a trail
+
+
+def _budget_instance(n, m, seed):
+    return FlowShopInstance(np.random.default_rng(seed).integers(1, 100, size=(n, m)))
+
+
+class TestStaleDrain:
+    """A stale best-first frontier is dropped in one step, budgets included.
+
+    Once the best pending bound meets the incumbent every pending node is
+    stale.  The tie-batch loop drops them all in one step (under a node
+    budget, only the smallest keys the budget still reaches); single pops
+    drain them one node at a time.  Both must stop in the same state.
+    """
+
+    @staticmethod
+    def _state(instance, budget, tie_batching, upper_bound):
+        driver = SearchDriver(
+            instance,
+            LowerBoundData(instance),
+            limits=SearchLimits(max_nodes=budget),
+            tie_batching=tie_batching,
+        )
+        outcome, stats, frontier = _seeded_block_state(instance, driver, upper_bound, ())
+        stale = bool(frontier) and frontier.best_lower_bound() >= outcome.upper_bound
+        pending = frontier.pop_batch(len(frontier))[0] if frontier else None
+        keys = (
+            []
+            if pending is None
+            else list(zip(pending.lower_bound, pending.depth, pending.order_index))
+        )
+        counters = {name: getattr(stats, name) for name in COUNTERS if name != "max_pool_size"}
+        state = (
+            outcome.completed,
+            outcome.upper_bound,
+            outcome.best_order,
+            outcome.next_order,
+            frontier.max_size_seen,
+            counters,
+            [tuple(int(v) for v in key) for key in keys],
+        )
+        return state, stale
+
+    @pytest.mark.parametrize(
+        "n, m, seed", [(7, 5, 1), (8, 5, 1), (8, 5, 4), (8, 5, 10), (9, 4, 6), (9, 4, 9)]
+    )
+    def test_budgets_stop_in_the_single_pop_state(self, n, m, seed, tmp_path):
+        instance = _budget_instance(n, m, seed)
+        upper_bound = float(neh_heuristic(instance).makespan)
+        full, _ = self._state(instance, None, True, upper_bound)
+        total = full[5]["nodes_branched"] + full[5]["nodes_pruned"]
+        budgets = sorted(set(range(1, total + 3, max(1, total // 40))) | {total, total + 1})
+        stale_stops = []
+        for budget in budgets:
+            batched, stale = self._state(instance, budget, True, upper_bound)
+            single, _ = self._state(instance, budget, False, upper_bound)
+            assert batched == single, budget
+            if stale:
+                stale_stops.append(budget)
+        # the sweep reaches the stale phase: some budgets stop with a
+        # non-empty frontier whose best bound already meets the incumbent
+        assert stale_stops
+
+        # a serial-engine snapshot written there resumes to the full result
+        path = tmp_path / "stale.rpbb"
+        cut = SequentialBranchAndBound(
+            instance, max_nodes=stale_stops[0], checkpoint_path=path
+        ).solve()
+        assert not cut.proved_optimal
+        resumed = SequentialBranchAndBound.resume(path)
+        reference = SequentialBranchAndBound(instance).solve()
+        assert resumed.proved_optimal
+        assert resumed.best_makespan == reference.best_makespan
+        assert resumed.best_order == reference.best_order
+        for counter in COUNTERS:
+            assert getattr(resumed.stats, counter) == getattr(reference.stats, counter), counter
+
+    def test_unbudgeted_drain_is_one_step(self, monkeypatch):
+        instance = _budget_instance(9, 4, 9)
+        upper_bound = float(neh_heuristic(instance).makespan)
+        sweeps: list[tuple[int, int]] = []
+        prune_to = BlockFrontier.prune_to
+
+        def recording_prune_to(frontier, bound):
+            pending = len(frontier)
+            removed = prune_to(frontier, bound)
+            sweeps.append((pending, removed))
+            return removed
+
+        monkeypatch.setattr(BlockFrontier, "prune_to", recording_prune_to)
+        runs = {}
+        for tie_batching in (True, False):
+            selections: list[int] = []
+            driver = SearchDriver(
+                instance,
+                LowerBoundData(instance),
+                hooks=SearchHooks(on_select=selections.append),
+                tie_batching=tie_batching,
+            )
+            outcome, stats, frontier = _seeded_block_state(instance, driver, upper_bound, ())
+            assert outcome.completed and not frontier
+            runs[tie_batching] = (selections, stats.nodes_explored)
+        (batched, explored), (single, single_explored) = runs[True], runs[False]
+        assert explored == single_explored and sum(batched) == sum(single)
+        # one sweep drops the whole stale remainder, and the step that
+        # popped the stale batch reports it as one selection
+        assert len(sweeps) == 1
+        pending, removed = sweeps[0]
+        assert pending == removed > 0
+        assert batched[-1] > removed
+
+
+class TestBoundPolling:
+    """``poll_bound`` fires at the first step after every ``poll_interval``
+    selected nodes, however many nodes each step selects."""
+
+    @pytest.mark.parametrize("interval", [1, 8, 64])
+    def test_polls_track_selected_nodes(self, interval):
+        instance = _budget_instance(12, 6, 2012)
+        events: list = []
+        hooks = SearchHooks(
+            on_select=events.append,
+            poll_bound=lambda: events.append(None) or float("inf"),
+            poll_interval=interval,
+        )
+        driver = SearchDriver(instance, LowerBoundData(instance), hooks=hooks)
+        upper_bound = float(neh_heuristic(instance).makespan)
+        outcome, _, _ = _seeded_block_state(instance, driver, upper_bound, ())
+        assert outcome.completed
+        assert max(e for e in events if e is not None) > 1, "no tie batch to skip over"
+        since = 0  # nodes selected since the last poll (or the start)
+        for event in events:
+            if event is None:
+                assert since >= interval, "polled early"
+                since = 0
+            else:
+                assert since < interval, "a poll was due before this selection"
+                since += event
+        selected = sum(e for e in events if e is not None)
+        assert interval * events.count(None) <= selected
 
 
 class TestInt32Frontier:

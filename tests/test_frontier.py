@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bb import frontier as frontier_module
 from repro.bb.frontier import (
+    _FUSED_MAX_BATCH,
     NO_BOUND,
     BlockFrontier,
     NodeBlock,
@@ -21,7 +23,12 @@ from repro.bb.frontier import (
     seed_block,
 )
 from repro.flowshop import FlowShopInstance
-from repro.flowshop.bounds import LowerBoundData, lower_bound_batch
+from repro.flowshop.bounds import (
+    LowerBoundData,
+    _v2_value_bound,
+    lower_bound,
+    lower_bound_batch,
+)
 from repro.flowshop.schedule import partial_completion_times
 
 
@@ -196,6 +203,106 @@ class TestBoundBlock:
         data = LowerBoundData(small_instance)
         empty = NodeBlock.empty(small_instance.n_jobs, small_instance.n_machines, Trail())
         assert bound_block(data, empty).shape == (0,)
+
+
+def _equal_depth_parents(instance, depth, count, rng):
+    """Up to ``count`` distinct branch-built parents at ``depth`` (one trail)."""
+    pt = instance.processing_times
+    block = root_block(instance, Trail())
+    order = 1
+    for _ in range(depth):
+        children = branch_block(block, pt, order)
+        order += len(children)
+        rows = rng.choice(len(children), size=min(count, len(children)), replace=False)
+        block = children.take(np.sort(rows))
+    return block, order
+
+
+def _scalar_bounds(data, block, include_one_machine=False):
+    """The paper's one-call-per-sub-problem bound of every row."""
+    return np.array(
+        [
+            lower_bound(
+                data,
+                np.flatnonzero(block.scheduled_mask[row]),
+                release=block.release[row],
+                include_one_machine=include_one_machine,
+            )
+            for row in range(len(block))
+        ],
+        dtype=np.int64,
+    )
+
+
+class TestGroupedSiblings:
+    """``siblings=True`` on the complete child sets of k equal-depth parents."""
+
+    @given(st.integers(0, 10_000), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_bound(self, seed, big, include):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        m = int(rng.integers(2, 7))
+        low = 1 << 19 if big else 1  # big: the float64 tier of the fused GEMM
+        instance = FlowShopInstance(rng.integers(low, 2 * low + 60, size=(n, m)))
+        data = LowerBoundData(instance)
+        depth = int(rng.integers(0, n - 1))  # parents down to depth n - 2
+        most = max(1, _FUSED_MAX_BATCH // (n - depth))  # up to the 512-row cap
+        parents, order = _equal_depth_parents(instance, depth, int(rng.integers(1, most + 1)), rng)
+        children = branch_block(parents, instance.processing_times, order)
+        want = _scalar_bounds(data, children, include)
+        got = bound_block(data, children, include, siblings=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(children.lower_bound, want)
+        if big:
+            assert _v2_value_bound(data, children.release) >= 2**24
+
+    @pytest.mark.parametrize(
+        "n, depth, count",
+        [
+            (10, 0, 1),  # the root's children: one group
+            (10, 2, 64),  # 64 parents x 8 children: exactly the 512-row cap
+            (8, 6, 100),  # depth n - 2: two children per parent
+        ],
+    )
+    def test_fused_path_bounds_per_group(self, monkeypatch, n, depth, count):
+        instance = FlowShopInstance(np.random.default_rng(n + depth).integers(1, 99, size=(n, 5)))
+        data = LowerBoundData(instance)
+        parents, order = _equal_depth_parents(instance, depth, count, np.random.default_rng(count))
+        assert len(parents) == count
+        children = branch_block(parents, instance.processing_times, order)
+        groups = []
+        real = frontier_module._sibling_qm
+
+        def spy(jobs, group, fd):
+            groups.append((len(jobs), group))
+            return real(jobs, group, fd)
+
+        monkeypatch.setattr(frontier_module, "_sibling_qm", spy)
+        for include in (False, True):
+            probe = children.take(np.arange(len(children)))
+            got = bound_block(data, probe, include, siblings=True)
+            assert np.array_equal(got, _scalar_bounds(data, probe, include))
+        assert groups == [(count * (n - depth), n - depth)] * 2
+
+    def test_above_the_cap_takes_the_kernel(self, monkeypatch):
+        instance = FlowShopInstance(np.random.default_rng(7).integers(1, 99, size=(10, 5)))
+        data = LowerBoundData(instance)
+        parents, order = _equal_depth_parents(instance, 2, 65, np.random.default_rng(1))
+        children = branch_block(parents, instance.processing_times, order)
+        assert len(children) > _FUSED_MAX_BATCH
+        monkeypatch.setattr(frontier_module, "_sibling_qm", None)  # must not be reached
+        got = bound_block(data, children, siblings=True)
+        assert np.array_equal(got, _scalar_bounds(data, children))
+
+    @pytest.mark.parametrize("kernel", ["v1", "scalar"])
+    def test_other_kernels(self, kernel):
+        instance = FlowShopInstance(np.random.default_rng(3).integers(1, 99, size=(8, 4)))
+        data = LowerBoundData(instance)
+        parents, order = _equal_depth_parents(instance, 3, 12, np.random.default_rng(2))
+        children = branch_block(parents, instance.processing_times, order)
+        got = bound_block(data, children, kernel=kernel, siblings=True)
+        assert np.array_equal(got, _scalar_bounds(data, children))
 
 
 class TestEliminateBlock:
