@@ -14,9 +14,7 @@ builds on:
   iteration every engine runs: :class:`~repro.bb.driver.SearchDriver`,
   parameterized by an offload backend (where bounding runs and what
   simulated time it charges) and per-step hooks (incumbent publication,
-  bound polling, launch accounting, overlap credits).
-* :mod:`~repro.bb.offload` — the slots a batch launch goes through: the
-  synchronous inline slot and the two-slot asynchronous worker pipeline.
+  bound polling, launch accounting, simulated overlap credits).
 * :mod:`~repro.bb.snapshot` — versioned, checksummed search-state
   snapshots for checkpoint/resume.
 * :mod:`~repro.bb.sequential` — the serial B&B, the ``T_cpu`` reference of

@@ -32,10 +32,10 @@ the smallest-key nodes the budget still reaches, so counters and the
 pending set match one-node-at-a-time pops.  The **batch** shape
 (``batch_size`` set) selects up to ``batch_size`` nodes, branches them
 all and off-loads one large pool per iteration — the paper's GPU
-architecture and its cluster/hybrid extensions.  The batch body serves
-both ``overlap`` modes: ``"sync"`` bounds each pool on the driver thread,
-``"async"`` on a worker thread behind a two-slot pipeline
-(:mod:`repro.bb.offload`).
+architecture and its cluster/hybrid extensions.  It bounds each pool on
+the driver thread, one launch per iteration; the paper's overlap of host
+selection with device bounding is modelled in simulated time
+(``double_buffer``).
 
 Deployment map (paper deployment → driver configuration)
 --------------------------------------------------------
@@ -86,7 +86,6 @@ from repro.bb.frontier import (
     branch_row,
     leaf_improvements,
 )
-from repro.bb.offload import AsyncOffload, InlineOffload
 from repro.bb.snapshot import CheckpointPolicy, CheckpointState
 from repro.bb.stats import SearchStats
 from repro.flowshop.bounds import LowerBoundData
@@ -231,10 +230,6 @@ class DriverResult:
     measured_s: float
     #: simulated seconds credited by the ``double_buffer`` overlap model
     overlap_saved_sim_s: float
-    #: measured wall seconds actually hidden by the ``overlap="async"``
-    #: two-slot pipeline: per iteration, the positive part of
-    #: ``(select + branch + worker bounding + apply) - elapsed``
-    overlap_saved_wall_s: float = 0.0
     #: creation index of the next node (engines persist it in snapshots so
     #: a resumed search keeps the tie-break sequence intact)
     next_order: int = 0
@@ -254,12 +249,6 @@ class LocalBounding:
     simulated-time charge is zero — exactly the ``T_cpu`` baseline the
     paper's speed-ups are measured against.
     """
-
-    #: host bounding is stateless per call and charges no simulated time,
-    #: so the async driver may split one batch into micro-chunk launches
-    #: without changing any reported figure (executor-backed offloads keep
-    #: single launches: their simulated charge depends on pool contents)
-    supports_chunked_overlap = True
 
     def __init__(
         self,
@@ -327,18 +316,6 @@ class SearchDriver:
         ROADMAP's ``NodeBlock`` pipelining follow-on.  The credit is
         reported via :attr:`DriverResult.overlap_saved_sim_s` and the
         ``on_overlap`` hook; explored tree and counters are unaffected.
-    overlap:
-        ``"sync"`` (default) bounds on the driver thread, one launch per
-        iteration (:class:`~repro.bb.offload.InlineOffload`); ``"async"``
-        runs every offload launch on a dedicated worker thread behind a
-        two-slot pipeline (:class:`~repro.bb.offload.AsyncOffload`), so
-        the driver selects and branches the next micro-batch while the
-        previous one is being bounded.  Launches are joined in submission
-        order, which keeps the explored tree bit-identical to ``"sync"``;
-        the wall seconds actually hidden are reported as
-        :attr:`DriverResult.overlap_saved_wall_s`.  Batch shape only; the
-        single-step shapes accept the knob as a validated no-op (the next
-        pop depends on the current bound, so there is nothing to overlap).
     checkpoint:
         Optional :class:`~repro.bb.snapshot.CheckpointPolicy`.  Together
         with ``hooks.on_checkpoint`` it makes the driver hand out its live
@@ -361,13 +338,10 @@ class SearchDriver:
         trace: bool = False,
         tie_batching: bool = True,
         double_buffer: bool = False,
-        overlap: str = "sync",
         checkpoint: Optional[CheckpointPolicy] = None,
     ):
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be >= 1 when given")
-        if overlap not in ("sync", "async"):
-            raise ValueError(f"overlap must be 'sync' or 'async', got {overlap!r}")
         if offload is None:
             if data is None:
                 raise ValueError("either an offload backend or bound data is required")
@@ -381,7 +355,6 @@ class SearchDriver:
         self.trace_enabled = trace
         self.tie_batching = tie_batching
         self.double_buffer = double_buffer
-        self.overlap = overlap
         self.checkpoint = checkpoint
 
     # ------------------------------------------------------------------ #
@@ -774,38 +747,6 @@ class SearchDriver:
     # ------------------------------------------------------------------ #
     #  Batch (off-load) shape (GPU / cluster / hybrid)
     # ------------------------------------------------------------------ #
-    #
-    # One loop body serves both overlap modes; they differ only in the slot
-    # a launch goes through.  overlap="sync" submits one chunk per
-    # iteration to an InlineOffload, whose ticket bounds on the driver
-    # thread when it is joined — the plain select→branch→bound→eliminate
-    # iteration.  overlap="async" submits to the AsyncOffload worker
-    # thread and — when the backend allows it — splits one batch-size
-    # selection into a few deterministic micro-chunks so the driver
-    # selects/branches chunk i+1 while the worker bounds chunk i.
-    # Determinism is preserved because (a) chunk sizes are a pure function
-    # of batch_size, (b) every pop of an iteration happens before any push
-    # (chunked pops therefore concatenate to exactly the one big pop),
-    # (c) launches are joined in submission order with incumbent updates
-    # applied in row order, and (d) a chunk's elimination is deferred
-    # until no later chunk still carries complete schedules that could
-    # tighten the incumbent.  The explored tree, all counters and the
-    # result are bit-identical across modes (pinned by the golden
-    # fixtures and tests/test_overlap.py).
-
-    #: micro-chunks one batch selection is split into (pure config constant)
-    OVERLAP_CHUNKS = 4
-
-    def _chunk_sizes(self, chunked: bool) -> list[int]:
-        """Deterministic micro-chunk split of one batch-shape selection."""
-        batch_size = self.batch_size
-        assert batch_size is not None
-        if not chunked:
-            return [batch_size]
-        parts = min(self.OVERLAP_CHUNKS, batch_size)
-        base, extra = divmod(batch_size, parts)
-        return [base + (1 if i < extra else 0) for i in range(parts)]
-
     def _run_batch(
         self,
         frontier: BlockFrontier,
@@ -817,220 +758,149 @@ class SearchDriver:
         start: float,
     ) -> DriverResult:
         instance = self.instance
+        offload = self.offload
         hooks = self.hooks
         limits = self.limits
+        batch_size = self.batch_size
+        assert batch_size is not None
         n_jobs = instance.n_jobs
         pt = instance.processing_times
         perf_counter = time.perf_counter
-
-        overlapped = self.overlap == "async"
-        # No chunking while a frontier memory cap holds selection in its
-        # hysteretic restricted regime: the regime transition is itself
-        # stateful per pop, so micro-chunked pops could diverge from the
-        # synchronous pop sequence.  A capped frontier keeps single
-        # full-batch launches (async mode still bounds them on the worker).
-        chunk_sizes = self._chunk_sizes(
-            overlapped
-            and getattr(self.offload, "supports_chunked_overlap", False)
-            and not frontier.capped
-        )
 
         best_value: Optional[int] = None
         best_trail: Optional[int] = None
         simulated_total = 0.0
         measured_total = 0.0
         overlap_sim_saved = 0.0
-        overlap_wall_saved = 0.0
         prev_sim_s: Optional[float] = None
         on_checkpoint = hooks.on_checkpoint
         ckpt = self.checkpoint if on_checkpoint is not None else None
         last_checkpoint = start
         iteration = 0
         completed = True
-        slot = AsyncOffload(self.offload) if overlapped else InlineOffload(self.offload)
-        try:
-            while frontier:
-                if ckpt is not None and on_checkpoint is not None:
-                    due = (
-                        ckpt.every_steps is not None
-                        and iteration > 0
-                        and iteration % ckpt.every_steps == 0
-                    )
-                    if not due and ckpt.every_seconds is not None:
-                        due = perf_counter() - last_checkpoint >= ckpt.every_seconds
-                    if due:
-                        # batch boundary: no launch in flight, the snapshot
-                        # cannot race the worker thread
-                        assert slot.idle, "checkpoint with an offload launch in flight"
-                        on_checkpoint(
-                            CheckpointState(
-                                frontier=frontier,
-                                trail=trail,
-                                upper_bound=upper_bound,
-                                best_order_supplier=(
-                                    lambda bt=best_trail, bo=best_order: (
-                                        trail.prefix(bt) if bt is not None else bo
-                                    )
-                                ),
-                                next_order=next_order,
-                                stats=stats,
-                                steps=iteration,
-                            )
-                        )
-                        last_checkpoint = perf_counter()
-                if limits.max_iterations is not None and iteration >= limits.max_iterations:
-                    completed = False
-                    break
-                if limits.max_nodes is not None and stats.nodes_explored >= limits.max_nodes:
-                    completed = False
-                    break
-                if limits.max_time_s is not None and perf_counter() - start > limits.max_time_s:
-                    completed = False
-                    break
-                if limits.deadline is not None and time.time() > limits.deadline:
-                    completed = False
-                    break
-                iteration += 1
-                iter_t0 = perf_counter()
-
-                # --- selection + branching + submission (all pops precede
-                # any push, so chunked pops equal the one synchronous pop)
-                select_s = 0.0
-                branch_s = 0.0
-                total_selected = 0
-                launches = []  # (children, ticket, has_leaves) in pop order
-                for size in chunk_sizes:
-                    t0 = perf_counter()
-                    parents, lazily_pruned = frontier.pop_batch(size, upper_bound)
-                    select_s += perf_counter() - t0
-                    stats.nodes_pruned += lazily_pruned
-                    if not len(parents):
-                        break  # frontier drained mid-plan
-                    total_selected += len(parents)
-                    t0 = perf_counter()
-                    children = branch_block(parents, pt, next_order)
-                    branch_s += perf_counter() - t0
-                    next_order += len(children)
-                    stats.nodes_branched += len(parents)
-                    if not len(children):
-                        continue
-                    has_leaves = bool(np.any(children.depth == n_jobs))
-                    launches.append(
-                        (children, slot.submit_block(children, siblings=False), has_leaves)
-                    )
-                stats.time_pool_s += select_s
-                stats.time_branching_s += branch_s
-                if total_selected == 0:
-                    break
-                if hooks.on_select is not None:
-                    hooks.on_select(total_selected)
-                if not launches:
-                    continue
-                stats.pools_evaluated += 1
-
-                # Double buffering: the host prepared this batch while the
-                # device was still bounding the previous one — credit the
-                # overlap (both terms are known before any join).
-                if self.double_buffer and prev_sim_s is not None:
-                    credit = min(prev_sim_s, select_s + branch_s)
-                    overlap_sim_saved += credit
-                    if hooks.on_overlap is not None:
-                        hooks.on_overlap(credit)
-
-                # --- join in submission order ---------------------------
-                last_leaf_idx = -1
-                for chunk_idx, (_, _, has_leaves) in enumerate(launches):
-                    if has_leaves:
-                        last_leaf_idx = chunk_idx
-                sim_iter = 0.0
-                wall_iter = 0.0
-                worker_s = 0.0
-                apply_s = 0.0
-                total_offloaded = 0
-                total_pruned = 0
-                total_kept = 0
-                deferred: list[tuple[NodeBlock, np.ndarray, int]] = []
-                for chunk_idx, (children, ticket, has_leaves) in enumerate(launches):
-                    t0 = perf_counter()
-                    _, sim_s, wall_s = ticket.result()
-                    stats.time_bounding_s += perf_counter() - t0
-                    worker_s += ticket.worker_wall_s
-                    sim_iter += sim_s
-                    wall_iter += wall_s
-                    # the launch's charge lands before any incumbent
-                    # broadcast it triggers (float summation order)
-                    simulated_total += sim_s
-                    measured_total += wall_s
-                    stats.nodes_bounded += len(children)
-                    total_offloaded += len(children)
-
-                    # incumbent updates from complete schedules, row order
-                    leaf_mask = children.depth == n_jobs
-                    n_leaves = int(np.count_nonzero(leaf_mask))
-                    if n_leaves:
-                        leaf_rows = np.flatnonzero(leaf_mask)
-                        stats.leaves_evaluated += n_leaves
-                        makespans = children.release[leaf_rows, -1]
-                        improving, _ = leaf_improvements(upper_bound, makespans)
-                        for i in improving:
-                            makespan = int(makespans[i])
-                            upper_bound = float(makespan)
-                            best_trail = int(children.trail_id[leaf_rows[i]])
-                            best_value = makespan
-                            stats.incumbent_updates += 1
-                            self._notify(
-                                makespan, lambda tid=best_trail: trail.prefix(tid)
-                            )
-                            if hooks.incumbent_charge_s is not None:
-                                simulated_total += hooks.incumbent_charge_s()
-
-                    if chunk_idx < last_leaf_idx:
-                        # a later chunk still carries complete schedules
-                        # that may tighten the bound: defer elimination
-                        deferred.append((children, leaf_mask, n_leaves))
-                        continue
-                    t0 = perf_counter()
-                    deferred.append((children, leaf_mask, n_leaves))
-                    for d_children, d_mask, d_leaves in deferred:
-                        keep = d_children.lower_bound < upper_bound
-                        if d_leaves:
-                            keep &= ~d_mask
-                        kept = int(np.count_nonzero(keep))
-                        pruned = len(d_children) - d_leaves - kept
-                        stats.nodes_pruned += pruned
-                        total_pruned += pruned
-                        total_kept += kept
-                        frontier.push_block(d_children, keep)
-                    deferred.clear()
-                    apply_s += perf_counter() - t0
-                stats.time_pool_s += apply_s
-                if hooks.on_eliminate is not None:
-                    hooks.on_eliminate(total_pruned)
-
-                prev_sim_s = sim_iter
-
-                # measured overlap: host work + worker bounding minus the
-                # wall time the iteration actually took (an inline ticket
-                # has no worker time, so sync mode never credits any)
-                serial_s = select_s + branch_s + worker_s + apply_s
-                elapsed = perf_counter() - iter_t0
-                if serial_s > elapsed:
-                    overlap_wall_saved += serial_s - elapsed
-
-                if hooks.on_iteration is not None:
-                    hooks.on_iteration(
-                        OffloadStep(
-                            iteration=iteration,
-                            nodes_offloaded=total_offloaded,
-                            nodes_pruned=total_pruned,
-                            nodes_kept=total_kept,
-                            incumbent=upper_bound,
-                            simulated_s=sim_iter,
-                            measured_s=wall_iter,
+        while frontier:
+            if ckpt is not None and on_checkpoint is not None:
+                due = (
+                    ckpt.every_steps is not None
+                    and iteration > 0
+                    and iteration % ckpt.every_steps == 0
+                )
+                if not due and ckpt.every_seconds is not None:
+                    due = perf_counter() - last_checkpoint >= ckpt.every_seconds
+                if due:
+                    on_checkpoint(
+                        CheckpointState(
+                            frontier=frontier,
+                            trail=trail,
+                            upper_bound=upper_bound,
+                            best_order_supplier=(
+                                lambda bt=best_trail, bo=best_order: (
+                                    trail.prefix(bt) if bt is not None else bo
+                                )
+                            ),
+                            next_order=next_order,
+                            stats=stats,
+                            steps=iteration,
                         )
                     )
-        finally:
-            slot.close()
+                    last_checkpoint = perf_counter()
+            if limits.max_iterations is not None and iteration >= limits.max_iterations:
+                completed = False
+                break
+            if limits.max_nodes is not None and stats.nodes_explored >= limits.max_nodes:
+                completed = False
+                break
+            if limits.max_time_s is not None and perf_counter() - start > limits.max_time_s:
+                completed = False
+                break
+            if limits.deadline is not None and time.time() > limits.deadline:
+                completed = False
+                break
+            iteration += 1
+
+            # --- select + branch one pool
+            t0 = perf_counter()
+            parents, lazily_pruned = frontier.pop_batch(batch_size, upper_bound)
+            select_s = perf_counter() - t0
+            stats.time_pool_s += select_s
+            stats.nodes_pruned += lazily_pruned
+            if not len(parents):
+                break
+            t0 = perf_counter()
+            children = branch_block(parents, pt, next_order)
+            branch_s = perf_counter() - t0
+            stats.time_branching_s += branch_s
+            next_order += len(children)
+            stats.nodes_branched += len(parents)
+            if hooks.on_select is not None:
+                hooks.on_select(len(parents))
+            n_children = len(children)
+            if not n_children:
+                continue
+            stats.pools_evaluated += 1
+
+            # Double buffering: the host prepared this pool while the device
+            # was still bounding the previous one — credit the overlap.
+            if self.double_buffer and prev_sim_s is not None:
+                credit = min(prev_sim_s, select_s + branch_s)
+                overlap_sim_saved += credit
+                if hooks.on_overlap is not None:
+                    hooks.on_overlap(credit)
+
+            # --- bound: one launch per iteration
+            t0 = perf_counter()
+            _, sim_s, wall_s = offload.bound_block(children, siblings=False)
+            stats.time_bounding_s += perf_counter() - t0
+            # the launch's charge lands before any incumbent broadcast it
+            # triggers (float summation order)
+            simulated_total += sim_s
+            measured_total += wall_s
+            stats.nodes_bounded += n_children
+
+            # incumbent updates from complete schedules, row order
+            leaf_mask = children.depth == n_jobs
+            n_leaves = int(np.count_nonzero(leaf_mask))
+            if n_leaves:
+                leaf_rows = np.flatnonzero(leaf_mask)
+                stats.leaves_evaluated += n_leaves
+                makespans = children.release[leaf_rows, -1]
+                improving, _ = leaf_improvements(upper_bound, makespans)
+                for i in improving:
+                    makespan = int(makespans[i])
+                    upper_bound = float(makespan)
+                    best_trail = int(children.trail_id[leaf_rows[i]])
+                    best_value = makespan
+                    stats.incumbent_updates += 1
+                    self._notify(makespan, lambda tid=best_trail: trail.prefix(tid))
+                    if hooks.incumbent_charge_s is not None:
+                        simulated_total += hooks.incumbent_charge_s()
+
+            # --- eliminate + insert the survivors
+            t0 = perf_counter()
+            keep = children.lower_bound < upper_bound
+            if n_leaves:
+                keep &= ~leaf_mask
+            kept = int(np.count_nonzero(keep))
+            pruned = n_children - n_leaves - kept
+            stats.nodes_pruned += pruned
+            frontier.push_block(children, keep)
+            stats.time_pool_s += perf_counter() - t0
+            if hooks.on_eliminate is not None:
+                hooks.on_eliminate(pruned)
+
+            prev_sim_s = sim_s
+            if hooks.on_iteration is not None:
+                hooks.on_iteration(
+                    OffloadStep(
+                        iteration=iteration,
+                        nodes_offloaded=n_children,
+                        nodes_pruned=pruned,
+                        nodes_kept=kept,
+                        incumbent=upper_bound,
+                        simulated_s=sim_s,
+                        measured_s=wall_s,
+                    )
+                )
 
         if best_trail is not None:
             best_order = trail.prefix(best_trail)
@@ -1043,6 +913,5 @@ class SearchDriver:
             simulated_s=simulated_total,
             measured_s=measured_total,
             overlap_saved_sim_s=overlap_sim_saved,
-            overlap_saved_wall_s=overlap_wall_saved,
             next_order=next_order,
         )

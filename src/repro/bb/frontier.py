@@ -879,18 +879,6 @@ class BlockFrontier:
         return self._max_size
 
     @property
-    def capped(self) -> bool:
-        """True when a ``max_pending`` memory cap was configured.
-
-        Unlike :attr:`restricted` this is pure static configuration — no
-        regime transition, no counter side effect — so callers that only
-        need to know whether the hysteretic regime *can* engage (e.g. the
-        async driver deciding whether micro-chunked selection is safe)
-        can read it freely without perturbing :attr:`regime_switches`.
-        """
-        return self._cap is not None
-
-    @property
     def restricted(self) -> bool:
         """True while the ``max_pending`` cap holds best-first selection in
         its depth-first-restricted regime.

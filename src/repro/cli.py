@@ -74,11 +74,6 @@ def _solve(args: argparse.Namespace) -> int:
     )
     print(f"engine   : {engine}")
 
-    if args.overlap == "async" and engine in ("serial", "multicore"):
-        raise SystemExit(
-            "--overlap async applies to the batch-shaped engines "
-            f"(gpu/cluster); the {engine} engine does not take it"
-        )
     if engine == "serial":
         result = SequentialBranchAndBound(
             instance,
@@ -109,7 +104,6 @@ def _solve(args: argparse.Namespace) -> int:
             max_time_s=args.max_time,
             max_frontier_nodes=args.max_frontier_nodes,
             frontier_index=args.frontier_index,
-            overlap=args.overlap,
         )
         result = ClusterBranchAndBound(instance, ClusterSpec(n_nodes=args.nodes), config).solve()
     else:  # gpu
@@ -119,7 +113,6 @@ def _solve(args: argparse.Namespace) -> int:
             max_time_s=args.max_time,
             max_frontier_nodes=args.max_frontier_nodes,
             frontier_index=args.frontier_index,
-            overlap=args.overlap,
         )
         result = GpuBranchAndBound(instance, config).solve()
 
@@ -225,7 +218,6 @@ def _serve(args: argparse.Namespace) -> int:
                 max_wait_s=args.max_wait_ms / 1000.0,
                 max_batch_nodes=args.max_batch_nodes,
             ),
-            overlap=args.overlap,
         )
         async with service:
             server = SolveServer(service, host=args.host, port=args.port)
@@ -343,15 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frontiers; 'linear' is the full-scan ablation (selection is bit-identical "
         "either way)",
     )
-    solve.add_argument(
-        "--overlap",
-        choices=("sync", "async"),
-        default="sync",
-        help="offload execution: 'sync' bounds on the driver thread; 'async' runs "
-        "each launch on a dedicated worker thread behind a two-slot pipeline so "
-        "selection/branching of the next batch overlaps bounding of the current "
-        "one (gpu/cluster engines only; results are bit-identical)",
-    )
     solve.add_argument("--max-nodes", type=int, default=None, help="node exploration budget")
     solve.add_argument("--max-time", type=float, default=None, help="time budget in seconds")
 
@@ -426,14 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="dispatcher flush policy: longest a parked bounding batch waits for peers",
-    )
-    serve.add_argument(
-        "--overlap",
-        choices=("sync", "async"),
-        default="sync",
-        help="dispatcher execution: 'async' hands each fused launch to a dedicated "
-        "worker thread so the pump keeps collecting while the kernel runs "
-        "(per-session results are bit-identical)",
     )
     serve.add_argument(
         "--max-batch-nodes",

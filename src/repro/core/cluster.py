@@ -333,7 +333,6 @@ class ClusterBranchAndBound:
             ),
             hooks=hooks,
             double_buffer=config.double_buffer,
-            overlap=config.overlap,
         )
         outcome = driver.run(
             frontier,
@@ -360,7 +359,6 @@ class ClusterBranchAndBound:
             simulated_device_time_s=simulated_total,
             measured_kernel_time_s=measured_total,
             overlap_saved_sim_s=outcome.overlap_saved_sim_s,
-            overlap_saved_wall_s=outcome.overlap_saved_wall_s,
             config=config,
         )
 

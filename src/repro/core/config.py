@@ -80,15 +80,6 @@ class GpuBBConfig:
         against the simulated device total.  The explored tree, results and
         counters are unaffected — only the simulated timing changes (the
         credit is reported as ``overlap_saved_sim_s`` on the result).
-    overlap:
-        ``"sync"`` (default) bounds on the driver thread; ``"async"``
-        runs every offload launch on a dedicated worker thread behind the
-        driver's two-slot pipeline, overlapping host-side selection and
-        branching with bounding for real.  The explored tree, results and
-        counters are bit-identical either way — only wall-clock changes;
-        the hidden wall seconds are reported as ``overlap_saved_wall_s``
-        on the result.  Orthogonal to ``double_buffer`` (which models the
-        overlap in simulated time).
     """
 
     pool_size: int = 8192
@@ -107,7 +98,6 @@ class GpuBBConfig:
     max_frontier_nodes: Optional[int] = None
     frontier_index: str = "segmented"
     double_buffer: bool = False
-    overlap: str = "sync"
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
@@ -133,10 +123,6 @@ class GpuBBConfig:
             raise ValueError(
                 f"frontier_index must be 'segmented' or 'linear', "
                 f"got {self.frontier_index!r}"
-            )
-        if self.overlap not in ("sync", "async"):
-            raise ValueError(
-                f"overlap must be 'sync' or 'async', got {self.overlap!r}"
             )
 
     @property
@@ -171,5 +157,4 @@ class GpuBBConfig:
             "max_frontier_nodes": self.max_frontier_nodes,
             "frontier_index": self.frontier_index,
             "double_buffer": self.double_buffer,
-            "overlap": self.overlap,
         }

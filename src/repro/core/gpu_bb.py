@@ -74,9 +74,6 @@ class GpuBBResult(BBResult):
     #: simulated seconds saved by the double-buffered off-load model
     #: (0 unless ``config.double_buffer`` was enabled)
     overlap_saved_sim_s: float = 0.0
-    #: measured wall seconds hidden by the ``overlap="async"`` two-slot
-    #: pipeline (0 in synchronous mode)
-    overlap_saved_wall_s: float = 0.0
     config: Optional[GpuBBConfig] = None
 
     def simulated_speedup(self, serial_seconds: float) -> float:
@@ -191,7 +188,6 @@ class GpuBranchAndBound:
             ),
             hooks=hooks,
             double_buffer=config.double_buffer,
-            overlap=config.overlap,
         )
 
     # ------------------------------------------------------------------ #
@@ -262,6 +258,5 @@ class GpuBranchAndBound:
             simulated_device_time_s=simulated_total,
             measured_kernel_time_s=measured_kernel,
             overlap_saved_sim_s=outcome.overlap_saved_sim_s,
-            overlap_saved_wall_s=outcome.overlap_saved_wall_s,
             config=config,
         )

@@ -115,7 +115,6 @@ class HybridBranchAndBound:
         simulated_total = 0.0
         measured_total = 0.0
         overlap_sim_total = 0.0
-        overlap_wall_total = 0.0
         proved = True
         all_iterations = []
 
@@ -130,7 +129,6 @@ class HybridBranchAndBound:
                 simulated_total += sub_result.simulated_device_time_s
                 measured_total += sub_result.measured_kernel_time_s
                 overlap_sim_total += sub_result.overlap_saved_sim_s
-                overlap_wall_total += sub_result.overlap_saved_wall_s
                 proved = proved and sub_result.proved_optimal
                 all_iterations.extend(sub_result.iterations)
                 if sub_result.best_order and sub_result.best_makespan < best_makespan:
@@ -149,7 +147,6 @@ class HybridBranchAndBound:
             simulated_device_time_s=simulated_total,
             measured_kernel_time_s=measured_total,
             overlap_saved_sim_s=overlap_sim_total,
-            overlap_saved_wall_s=overlap_wall_total,
             config=self.config.gpu,
         )
 
@@ -241,7 +238,6 @@ def _solve_from_seed(
             on_iteration=iteration_recorder(iterations, config.threads_per_block)
         ),
         double_buffer=config.double_buffer,
-        overlap=config.overlap,
     )
     outcome = driver.run(
         frontier,
@@ -266,6 +262,5 @@ def _solve_from_seed(
         simulated_device_time_s=simulated_total,
         measured_kernel_time_s=outcome.measured_s,
         overlap_saved_sim_s=outcome.overlap_saved_sim_s,
-        overlap_saved_wall_s=outcome.overlap_saved_wall_s,
         config=config,
     )

@@ -56,12 +56,6 @@ from repro.flowshop.generators import (
     correlated_instance,
     structured_instance,
 )
-from repro.flowshop.local_search import (
-    iterated_descent,
-    improved_upper_bound,
-    insertion_neighbourhood_improve,
-    swap_neighbourhood_improve,
-)
 from repro.flowshop.io import (
     read_taillard_file,
     write_taillard_file,
@@ -98,10 +92,6 @@ __all__ = [
     "random_instance",
     "correlated_instance",
     "structured_instance",
-    "iterated_descent",
-    "improved_upper_bound",
-    "insertion_neighbourhood_improve",
-    "swap_neighbourhood_improve",
     "read_taillard_file",
     "write_taillard_file",
     "read_json_file",

@@ -49,6 +49,7 @@ engine configurations to the matching implementation.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -634,7 +635,7 @@ class _V2GemmData:
     so the reductions run along the long contiguous axis.
     """
 
-    __slots__ = ("ftype", "big", "kj", "bf", "tails_t", "ptm_t", "_workspace")
+    __slots__ = ("ftype", "big", "kj", "bf", "tails_t", "ptm_t", "_local")
 
     def __init__(self, data: LowerBoundData, ftype: np.dtype):
         n, n_couples = data.n_jobs, data.n_couples
@@ -661,17 +662,20 @@ class _V2GemmData:
         self.bf = np.ascontiguousarray(bf.T).astype(self.ftype)  # (C, n+1)
         self.tails_t = np.ascontiguousarray(data.tails.T).astype(self.ftype)  # (m, n)
         self.ptm_t = np.ascontiguousarray(data.ptm.T).astype(self.ftype)  # (m, n)
-        self._workspace: tuple[np.ndarray, ...] | None = None
+        # one workspace per thread: the service bounds one instance's data
+        # from several threads at once
+        self._local = threading.local()
 
     def workspace(self, n: int, n_couples: int, chunk: int) -> tuple[np.ndarray, ...]:
-        """Reusable per-chunk buffers (avoids page faults on every launch)."""
-        if self._workspace is None or self._workspace[0].shape[1] != chunk:
-            self._workspace = (
+        """The calling thread's reusable per-chunk buffers (avoids page faults)."""
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None or buffers[0].shape[1] != chunk:
+            buffers = self._local.buffers = (
                 np.empty((n_couples, chunk), dtype=self.ftype),  # running max
                 np.empty((n_couples, chunk), dtype=self.ftype),  # gemm target
                 np.empty((n + 1, chunk), dtype=self.ftype),  # indicators
             )
-        return self._workspace
+        return buffers
 
 
 def _v2_big_sentinel(data: LowerBoundData) -> int:

@@ -1,4 +1,4 @@
-"""Performance modelling and measurement helpers.
+"""Performance modelling helpers.
 
 * :mod:`~repro.perf.model` — the CPU-side cost models (per-lower-bound cost
   of the serial B&B, contention model of the multi-threaded B&B) that pair
@@ -6,8 +6,6 @@
 * :mod:`~repro.perf.flops` — theoretical GFLOPS peaks used by the
   "equal computational power" comparison of Section V.
 * :mod:`~repro.perf.speedup` — speed-up / efficiency arithmetic.
-* :mod:`~repro.perf.timing` — wall-clock timers and calibration utilities
-  for the measured benchmarks.
 """
 
 from repro.perf.model import CpuCostModel, MulticoreScalingModel
@@ -17,7 +15,6 @@ from repro.perf.flops import (
     FlopsBudget,
 )
 from repro.perf.speedup import speedup, efficiency, SpeedupSeries
-from repro.perf.timing import Timer, measure_callable, estimate_timer_resolution
 
 __all__ = [
     "CpuCostModel",
@@ -28,7 +25,4 @@ __all__ = [
     "speedup",
     "efficiency",
     "SpeedupSeries",
-    "Timer",
-    "measure_callable",
-    "estimate_timer_resolution",
 ]

@@ -56,7 +56,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.bb.offload import SlotWorker
 from repro.flowshop.bounds import LowerBoundData, get_batch_kernel
 
 logger = logging.getLogger(__name__)
@@ -195,24 +194,19 @@ class BatchDispatcher:
     on_degraded:
         Called as ``on_degraded(token, reason)`` when a session falls back
         to local bounding (see :meth:`note_degraded`).
-    overlap:
-        ``"sync"`` (default) evaluates each coalesced batch inline on the
-        pump thread; ``"async"`` hands ``(batch, reason)`` to a dedicated
-        single-slot worker (:class:`~repro.bb.offload.SlotWorker`, bounded
-        queue depth 1) so the pump thread keeps collecting and coalescing
-        the next batch while the previous one is bounding.  The single
-        worker preserves launch order and keeps kernel evaluation
-        single-threaded, so results are bit-identical either way.
 
     Thread contract: :meth:`submit` is called from session worker threads
-    and blocks nobody (the *caller* then parks on the returned future);
-    kernel evaluation happens only on one thread at a time — the pump
-    thread in ``"sync"`` mode, the slot worker in ``"async"`` mode (the
-    pump then only collects) — so per-instance
-    bound caches (:class:`~repro.flowshop.bounds.LowerBoundData`) are never
-    touched concurrently.  :meth:`session_started` / :meth:`session_finished`
-    maintain the running-session gauge the ``all-parked`` condition compares
-    against.
+    and blocks nobody (the *caller* then parks on the returned future).
+    Fused launches run on the pump thread, or on the caller of
+    :meth:`flush_now`.  One instance's shared
+    :class:`~repro.flowshop.bounds.LowerBoundData` *is* bounded from
+    several threads at once: :meth:`flush_now` may run beside the pump, a
+    watchdog straggler keeps running beside its retry, and a degraded
+    session bounds locally on its own thread while the pump launches for
+    its peers.  That is safe because the kernels keep their scratch
+    buffers per thread and only read the shared data.
+    :meth:`session_started` / :meth:`session_finished` maintain the
+    running-session gauge the ``all-parked`` condition compares against.
     """
 
     def __init__(
@@ -223,15 +217,12 @@ class BatchDispatcher:
         max_launch_retries: int = 1,
         launch_hook: Optional[Callable[[int], None]] = None,
         on_degraded: Optional[Callable[[object, str], None]] = None,
-        overlap: str = "sync",
     ):
         self.policy = policy if policy is not None else FlushPolicy()
         if launch_timeout_s is not None and launch_timeout_s <= 0:
             raise ValueError("launch_timeout_s must be positive when given")
         if max_launch_retries < 0:
             raise ValueError("max_launch_retries must be >= 0")
-        if overlap not in ("sync", "async"):
-            raise ValueError(f"overlap must be 'sync' or 'async', got {overlap!r}")
         self.launch_timeout_s = launch_timeout_s
         self.max_launch_retries = max_launch_retries
         self.launch_hook = launch_hook
@@ -248,10 +239,6 @@ class BatchDispatcher:
         self._closed = False  # guarded-by: _lock, _wakeup
         self._thread: threading.Thread | None = None  # guarded-by: _lock, _wakeup
         self._degraded_tokens: dict[int, str] = {}  # guarded-by: _lock, _wakeup
-        self.overlap = overlap
-        # Immutable after __init__ (no guard needed): the single-slot worker
-        # that runs _execute off the pump thread in overlap="async" mode.
-        self._slot = SlotWorker(name="bound-dispatch-slot") if overlap == "async" else None
         if autostart:
             self.start()
 
@@ -303,10 +290,6 @@ class BatchDispatcher:
                     "dispatcher flush thread still alive 5s after close(); "
                     "a bounding launch is stuck — leaking the daemon thread"
                 )
-        # Drain the async slot last: any launch already handed off completes
-        # (its futures resolve) before close() returns.
-        if self._slot is not None:
-            self._slot.close()
 
     def __enter__(self) -> "BatchDispatcher":
         return self
@@ -424,13 +407,7 @@ class BatchDispatcher:
             batch = self._pending
             self._pending = []
         if batch:
-            if self._slot is not None:
-                # route through the slot worker even on the synchronous
-                # entry so kernel evaluation stays single-threaded, then
-                # join: flush_now keeps its deterministic semantics
-                self._slot.submit(lambda: self._execute(batch, reason)).result()
-            else:
-                self._execute(batch, reason)
+            self._execute(batch, reason)
         return len(batch)
 
     def _run(self) -> None:
@@ -454,18 +431,7 @@ class BatchDispatcher:
                         self._wakeup.wait(timeout=max(timeout, 0.0))
                     else:
                         self._wakeup.wait()
-            if self._slot is not None:
-                # Off-pump-thread dispatch: hand the coalesced batch to the
-                # single-slot worker and go straight back to collecting.
-                # The bounded queue (depth 1) applies back-pressure: at most
-                # one launch executing plus one parked.  _launch_group
-                # handles launch failures internally, so the unjoined
-                # ticket cannot swallow an error that matters.
-                self._slot.submit(
-                    lambda b=batch, r=reason: self._execute(b, r)
-                )
-            else:
-                self._execute(batch, reason)
+            self._execute(batch, reason)
 
     def _execute(self, batch: list[_Pending], reason: str) -> None:
         """Fuse one batch of requests into one launch per instance group.
@@ -529,9 +495,12 @@ class BatchDispatcher:
         """Run one fused launch, optionally under the per-launch watchdog.
 
         With ``launch_timeout_s`` set, the launch runs on a helper daemon
-        thread and :class:`TimeoutError` is raised when it overruns; the
-        straggler's late write-back is value-identical (same kernel, same
-        rows) and its future updates are ``done()``-guarded no-ops.
+        thread and :class:`TimeoutError` is raised when it overruns.  The
+        straggler keeps bounding the same rows of the same shared
+        ``LowerBoundData`` while :meth:`_launch_group` retries them on this
+        thread.  Its late write-back is value-identical (same kernel, same
+        rows) only because the kernels keep their scratch buffers per
+        thread; its future updates are ``done()``-guarded no-ops.
         """
         if self.launch_timeout_s is None:
             self._evaluate_group(members)

@@ -189,9 +189,6 @@ class SolveParams:
     max_time_s: Optional[float] = None
     max_frontier_nodes: Optional[int] = None
     frontier_index: str = "segmented"
-    #: offload execution mode: "sync" (default) or "async" (the driver's
-    #: two-slot worker-thread pipeline; results are bit-identical)
-    overlap: str = "sync"
     checkpoint_path: Optional[str] = None
     checkpoint_every: Optional[int] = None
 

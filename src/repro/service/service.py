@@ -90,7 +90,6 @@ def _config_from_params(params: SolveParams) -> SessionConfig:
         max_time_s=params.max_time_s,
         max_frontier_nodes=params.max_frontier_nodes,
         frontier_index=params.frontier_index,
-        overlap=params.overlap,
         checkpoint_path=params.checkpoint_path,
         checkpoint_every=params.checkpoint_every,
     )
@@ -166,13 +165,6 @@ class SolveService:
         (from the dispatcher thread) and ``"restart"`` (loop thread)
         events.  Async consumers must trampoline via
         ``loop.call_soon_threadsafe``.
-    overlap:
-        ``"sync"`` (default) evaluates coalesced batches inline on the
-        dispatcher's pump thread; ``"async"`` hands each launch to the
-        dispatcher's single-slot worker so the pump keeps collecting and
-        coalescing requests while a launch is bounding (see
-        :class:`~repro.service.dispatch.BatchDispatcher`).  Results are
-        bit-identical either way.
 
     Lifecycle: ``start`` → any number of ``submit``/``result``/``cancel``/
     ``status`` → ``close`` (also usable as an async context manager).
@@ -192,7 +184,6 @@ class SolveService:
         launch_hook: Optional[Callable[[int], None]] = None,
         session_fault_hook: Optional[Callable[[int], Optional[Callable[[int], None]]]] = None,
         on_event: Optional[Callable[[str, str, dict], None]] = None,
-        overlap: str = "sync",
     ):
         if max_active_sessions < 1:
             raise ValueError("max_active_sessions must be >= 1")
@@ -210,7 +201,6 @@ class SolveService:
         self.dispatcher = BatchDispatcher(
             flush_policy,
             autostart=False,
-            overlap=overlap,
             launch_timeout_s=launch_timeout_s,
             max_launch_retries=max_launch_retries,
             launch_hook=launch_hook,
@@ -315,7 +305,6 @@ class SolveService:
             include_one_machine=bool(engine.get("include_one_machine", False)),
             max_frontier_nodes=int(max_frontier) if max_frontier is not None else None,
             frontier_index=str(engine.get("frontier_index", "segmented")),
-            overlap=str(engine.get("overlap", "sync")),
             resume_from=str(snapshot_path),
         )
         return self._admit(request_id, snapshot.instance, config, client_id)

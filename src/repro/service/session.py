@@ -79,10 +79,6 @@ class SessionConfig:
     max_frontier_nodes: Optional[int] = None
     #: frontier selection index: "segmented" (default) or "linear"
     frontier_index: str = "segmented"
-    #: offload execution mode forwarded to the driver: "sync" or "async"
-    #: (a validated no-op for the session's single-step shape, but recorded
-    #: in snapshot headers and restored on resume)
-    overlap: str = "sync"
     #: snapshot file this session checkpoints to (fault tolerance); ``None``
     #: disables checkpointing
     checkpoint_path: Optional[str] = None
@@ -104,10 +100,6 @@ class SessionConfig:
             raise ValueError(
                 f"frontier_index must be 'segmented' or 'linear', "
                 f"got {self.frontier_index!r}"
-            )
-        if self.overlap not in ("sync", "async"):
-            raise ValueError(
-                f"overlap must be 'sync' or 'async', got {self.overlap!r}"
             )
         if self.checkpoint_every is not None:
             if self.checkpoint_every < 1:
@@ -247,7 +239,6 @@ class SolveSession:
             "include_one_machine": include_one_machine,
             "max_frontier_nodes": config.max_frontier_nodes,
             "frontier_index": config.frontier_index,
-            "overlap": config.overlap,
             "trace": False,
         }
 
@@ -343,7 +334,6 @@ class SolveSession:
             offload=offload,
             limits=SearchLimits(max_nodes=config.max_nodes, max_time_s=config.max_time_s),
             hooks=hooks,
-            overlap=config.overlap,
             checkpoint=checkpoint,
         )
 

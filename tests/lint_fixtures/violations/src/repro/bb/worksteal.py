@@ -1,19 +1,17 @@
-"""Fixture twin: async pipeline state under its declared discipline (clean)."""
+"""Fixture: worker hand-off state touched outside its declared discipline."""
 
 import threading
 
 
-class SlotWorker:
+class HandOff:
     def __init__(self):
         self._lock = threading.Lock()
         self._inflight = 0  # guarded-by: _lock
         self._done = threading.Event()
         self._value = None  # confined-to: _finish, result
-        self._scratch = None  # no annotation: never checked
 
     def submit(self):
-        with self._lock:
-            self._inflight += 1
+        self._inflight += 1  # unlocked counter write: finding
 
     def _finish(self, value):
         self._value = value
@@ -23,12 +21,9 @@ class SlotWorker:
         self._done.wait()
         return self._value
 
-    def debug_value(self):  # repro-lint: ignore[guarded-by] -- post-join diagnostic read
-        return self._value
+    def peek(self):
+        return self._value  # read outside the hand-off pair: finding
 
     def idle(self):
         with self._lock:
             return self._inflight == 0
-
-    def touch(self):
-        self._scratch = object()

@@ -116,6 +116,39 @@ class TestOffloadFaults:
         assert stats.n_degraded == 1
         assert injector.count("slow-launch") == 1
 
+    def test_degraded_session_beside_live_fused_launches(self):
+        """A session bounding locally shares its instance's bound data with
+        the fused launches of two live peers; all three stay exact."""
+        instance = random_instance(13, 6, seed=11)
+        reference = SequentialBranchAndBound(instance).solve()
+        injector = FaultInjector(seed=CHAOS_SEED)
+
+        async def run():
+            async with SolveService(
+                launch_hook=injector.launch_failure(every_n=1, times=1),
+                max_launch_retries=0,
+            ) as service:
+                # r1 is alone at the first launch, so only r1 degrades
+                await service.submit("r1", instance)
+                while service.dispatch_stats.n_degraded == 0:
+                    await asyncio.sleep(0.001)
+                assert service.stats()["active_sessions"] == 1, "r1 finished too early"
+                await service.submit("r2", instance)
+                await service.submit("r3", instance)
+                results = [await service.result(f"r{i}") for i in (1, 2, 3)]
+                return results, service.dispatch_stats
+
+        results, stats = run_service(run())
+        for result in results:
+            assert result.makespan == reference.best_makespan
+            assert result.order == reference.best_order
+            assert result.proved_optimal
+            for counter in COUNTERS:
+                assert getattr(result.stats, counter) == getattr(reference.stats, counter)
+        assert injector.count("launch-failure") == 1
+        assert stats.n_degraded == 1
+        assert stats.max_requests_coalesced >= 2  # r2 and r3 really fused
+
     def test_random_fault_schedule_is_reproducible(self):
         hooks = [FaultInjector(seed=7).random_launch_failure(0.5) for _ in range(2)]
         schedules = []

@@ -9,7 +9,7 @@ selection trace, across all selection strategies.
 import pytest
 
 from repro.bb.sequential import SequentialBranchAndBound
-from repro.bb.snapshot import SnapshotCorrupt
+from repro.bb.snapshot import SnapshotCorrupt, load_header
 
 _COUNTERS = (
     "nodes_bounded",
@@ -163,6 +163,34 @@ def test_resume_rejects_truncated_snapshot(small_instance, tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(SnapshotCorrupt):
         SequentialBranchAndBound.resume(path)
+
+
+def test_legacy_overlap_header_resumes_to_golden(small_instance, tmp_path):
+    """A header still carrying the removed ``overlap`` key resumes; new ones omit it."""
+    from test_snapshot import _rebuild_with_header
+
+    golden = SequentialBranchAndBound(small_instance).solve()
+    path = tmp_path / "snap.rpbb"
+    result = SequentialBranchAndBound(small_instance, max_nodes=15, checkpoint_path=path).solve()
+    assert not result.proved_optimal
+    assert "overlap" not in load_header(path)["engine"]
+
+    def legacy(header):
+        header["engine"]["overlap"] = "async"
+
+    path.write_bytes(_rebuild_with_header(path.read_bytes(), legacy))
+    assert load_header(path)["engine"]["overlap"] == "async"
+    budgets = [40, 90, 180]  # cumulative: nodes_explored carries across segments
+    segments = 1
+    while not result.proved_optimal:
+        budget = budgets[segments - 1] if segments <= len(budgets) else None
+        result = SequentialBranchAndBound.resume(path, max_nodes=budget)
+        segments += 1
+        assert segments < 100, "resume ladder failed to make progress"
+    assert result.best_makespan == golden.best_makespan
+    assert result.best_order == golden.best_order
+    for name in _COUNTERS:
+        assert getattr(result.stats, name) == getattr(golden.stats, name), name
 
 
 def test_completed_solve_writes_no_final_snapshot(small_instance, tmp_path):

@@ -194,12 +194,6 @@ class TestCheckpointCommands:
             main(["resume", str(snapshot)])
         assert excinfo.value.code not in (0, None)  # a message exits with status 1
 
-    @pytest.mark.parametrize("engine", ["serial", "multicore"])
-    def test_single_step_engines_reject_async_overlap(self, engine):
-        args = ["solve", "--jobs", "5", "--machines", "3", "--engine", engine]
-        with pytest.raises(SystemExit, match=f"the {engine} engine does not take it"):
-            main(args + ["--overlap", "async"])
-
 
 class TestAutotuneCommand:
     def test_autotune_model_mode(self, capsys):

@@ -11,8 +11,8 @@ Three layers of guarantees:
 2. **Hypothesis equivalence** — on random instances, every engine agrees
    with the serial reference.
 3. **Unit behaviour** — hook call order, the stop/budget predicates, the
-   int32 frontier narrowing, the ``max_frontier_nodes`` cap and the
-   double-buffered off-load credit.
+   int32 frontier narrowing, the ``max_frontier_nodes`` cap, the
+   double-buffered off-load credit and the batch shape's checkpoints.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.bb.driver import (
 from repro.bb.frontier import BlockFrontier, Trail, bound_block, root_block
 from repro.bb.multicore import MulticoreBranchAndBound
 from repro.bb.sequential import SequentialBranchAndBound
+from repro.bb.snapshot import CheckpointPolicy, dumps_snapshot, loads_snapshot
 from repro.bb.stats import SearchStats
 from repro.core.cluster import ClusterBranchAndBound, ClusterSpec
 from repro.core.config import GpuBBConfig
@@ -1077,6 +1078,71 @@ class TestDoubleBuffer:
         assert outcome.completed
         assert credits, "multi-iteration run must record overlap credits"
         assert outcome.overlap_saved_sim_s == pytest.approx(sum(credits))
+
+
+class TestBatchCheckpoint:
+    def test_iteration_boundary_snapshot_resumes_bit_identical(self, medium_instance):
+        """A batch-shape snapshot taken between iterations replays the tail exactly."""
+        data = LowerBoundData(medium_instance)
+
+        def batch_driver(**kwargs):
+            return SearchDriver(
+                medium_instance, offload=LocalBounding(data), batch_size=6, **kwargs
+            )
+
+        golden, golden_stats = _seeded_block_run(medium_instance, batch_driver(), float("inf"), ())
+        blobs = []
+
+        def capture(state):
+            blobs.append(
+                dumps_snapshot(
+                    medium_instance,
+                    frontier=state.frontier,
+                    trail=state.trail,
+                    upper_bound=state.upper_bound,
+                    best_order=state.best_order_supplier(),
+                    next_order=state.next_order,
+                    stats=state.stats,
+                    engine={"engine": "test"},
+                )
+            )
+
+        full, full_stats = _seeded_block_run(
+            medium_instance,
+            batch_driver(
+                hooks=SearchHooks(on_checkpoint=capture),
+                checkpoint=CheckpointPolicy(every_steps=2),
+            ),
+            float("inf"),
+            (),
+        )
+        # taking snapshots does not steer the search
+        assert (full.upper_bound, full.best_order, full.iterations, full.next_order) == (
+            golden.upper_bound,
+            golden.best_order,
+            golden.iterations,
+            golden.next_order,
+        )
+        for counter in COUNTERS:
+            assert getattr(full_stats, counter) == getattr(golden_stats, counter), counter
+        assert len(blobs) >= 2, "the run must cross several iteration boundaries"
+
+        for blob in (blobs[0], blobs[-1]):
+            snap = loads_snapshot(blob)
+            outcome = batch_driver().run(
+                snap.frontier,
+                upper_bound=snap.upper_bound,
+                best_order=snap.best_order,
+                stats=snap.stats,
+                trail=snap.trail,
+                next_order=snap.next_order,
+            )
+            assert outcome.completed
+            assert outcome.upper_bound == golden.upper_bound
+            assert outcome.best_order == golden.best_order
+            assert outcome.next_order == golden.next_order
+            for counter in COUNTERS:
+                assert getattr(snap.stats, counter) == getattr(golden_stats, counter), counter
 
 
 class TestWorkstealTieBatching:

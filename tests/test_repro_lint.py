@@ -102,21 +102,23 @@ class TestGuardedBy:
         assert not findings_for(lint(CLEAN), "guarded-by")
 
     def test_offload_pipeline_violations_fire(self):
+        # a worker -> joiner hand-off: lock-guarded counter plus a
+        # confined-to payload, in a module the rule scans
         found = findings_for(lint(VIOLATIONS), "guarded-by")
-        offload = [f for f in found if "bb/offload.py" in f.path]
-        assert len(offload) == 2
-        messages = " | ".join(f.message for f in offload)
-        # submit()'s unlocked slot-counter write (guarded-by)
-        assert "'SlotWorker._inflight' is guarded by _lock" in messages
+        handoff = [f for f in found if "bb/worksteal.py" in f.path]
+        assert len(handoff) == 2
+        messages = " | ".join(f.message for f in handoff)
+        # submit()'s unlocked counter write (guarded-by)
+        assert "'HandOff._inflight' is guarded by _lock" in messages
         # peek()'s payload read outside the declared hand-off pair
-        assert "'SlotWorker._value' is confined to _finish, result" in messages
+        assert "'HandOff._value' is confined to _finish, result" in messages
         assert "thread-confinement hand-off" in messages
 
     def test_offload_clean_twin(self):
         # locked counter, payload touched only from _finish/result, a
         # justified ignore-comment read, and an unannotated attr: silent
         report = lint(CLEAN)
-        assert not any("bb/offload.py" in f.path for f in report.findings)
+        assert not any("bb/worksteal.py" in f.path for f in report.findings)
 
 
 class TestDtype:
@@ -243,9 +245,6 @@ class TestLiveTree:
         assert dispatch.count("# guarded-by:") >= 4
         worksteal = (REPO_ROOT / "src" / "repro" / "bb" / "worksteal.py").read_text()
         assert worksteal.count("# guarded-by:") >= 1
-        offload = (REPO_ROOT / "src" / "repro" / "bb" / "offload.py").read_text()
-        assert offload.count("# guarded-by:") >= 2
-        assert offload.count("# confined-to:") >= 3
 
     def test_cli_subcommand(self):
         proc = subprocess.run(

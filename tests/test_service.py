@@ -199,6 +199,7 @@ class TestPerRequestCheckpoint:
         assert_matches_sequential(result, MEDIUM)
         header = load_header(path)
         assert header["format_version"] == SNAPSHOT_FORMAT_VERSION
+        assert "overlap" not in header["engine"]
 
 
 class TestSessionCancellation:
@@ -378,6 +379,37 @@ class TestWireService:
                     reply = protocol.decode((await reader.readline()).decode())
                     assert reply.type == "error"
                     assert "'object' node layout" in reply.message
+                    # exactly one error, then the following request is served
+                    status = protocol.decode((await reader.readline()).decode())
+                    assert status.type == "status_reply"
+                    writer.close()
+                    await writer.wait_closed()
+
+        asyncio.run(run())
+
+    def test_removed_overlap_param_answers_error_and_survives(self):
+        """``params.overlap`` is no longer a solve parameter: one error reply."""
+        import json
+
+        from repro.service import protocol
+
+        request = protocol.SolveRequest(
+            request_id="old", instance=InstanceSpec.explicit(SMALL.processing_times.tolist())
+        )
+        payload = json.loads(protocol.encode(request))
+        payload["params"]["overlap"] = "async"
+
+        async def run():
+            async with SolveService(max_active_sessions=1) as service:
+                async with SolveServer(service) as server:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                    writer.write(json.dumps(payload).encode() + b"\n")
+                    writer.write(protocol.encode(protocol.StatusRequest()).encode() + b"\n")
+                    await writer.drain()
+                    reply = protocol.decode((await reader.readline()).decode())
+                    assert reply.type == "error"
+                    assert "bad solve payload" in reply.message
+                    assert "overlap" in reply.message
                     # exactly one error, then the following request is served
                     status = protocol.decode((await reader.readline()).decode())
                     assert status.type == "status_reply"

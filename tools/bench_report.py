@@ -18,7 +18,7 @@ top-level report (``BENCH_report.json`` in CI) keyed by bench name:
 Usage (mirrors the CI bench-smoke job)::
 
     python tools/bench_report.py --output BENCH_report.json \
-        bench_frontier.json bench_overlap.json ...
+        bench_frontier.json bench_service.json ...
 
 Exit code 0 when at least one input was aggregated; 1 when none were.
 """

@@ -1,10 +1,9 @@
 """Rule ``guarded-by``: a lightweight static race detector.
 
-The threaded modules (the service dispatch/session/service trio, the
-work-stealing incumbent and the async offload pipeline) protect shared
-state with explicit locks.  The convention this rule enforces: an
-attribute that the lock protects is *declared* in ``__init__`` with a
-trailing annotation::
+The threaded modules (the service dispatch/session/service trio and the
+work-stealing incumbent) protect shared state with explicit locks.  The
+convention this rule enforces: an attribute that the lock protects is
+*declared* in ``__init__`` with a trailing annotation::
 
     self._pending: list[_Pending] = []  # guarded-by: _lock, _wakeup
 
@@ -16,9 +15,9 @@ other thread can see the object yet).  Deliberate unlocked accesses —
 targeted ``# repro-lint: ignore[guarded-by]`` with the rationale, which
 is exactly the reviewer-visible record this rule exists to create.
 
-Pipeline state that is not lock-protected but *thread-confined* — written
-by the offload worker, read by the joiner strictly after an ``Event``
-hand-off — declares the confinement instead::
+State that is not lock-protected but *thread-confined* — written by a
+worker, read by the joiner strictly after an ``Event`` hand-off —
+declares the confinement instead::
 
     self._value: Any = None  # confined-to: _finish, result
 
@@ -48,7 +47,6 @@ THREADED_PATHS = frozenset(
         "src/repro/service/session.py",
         "src/repro/service/service.py",
         "src/repro/bb/worksteal.py",
-        "src/repro/bb/offload.py",
     }
 )
 
