@@ -5,10 +5,12 @@ serial bottleneck of the block layout: every best-first pop is an
 ``np.argmin`` over the packed key column and every batch selection an
 ``argpartition`` over the whole store — O(pending) per operation, which
 dominates the iteration at 10^5–10^6 pending nodes.  The segmented index
-(:class:`~repro.bb.frontier.BlockFrontier` with
-``frontier_index="segmented"``) caches per-4096-row-segment key minima and
-refreshes them lazily, so a steady-state pop touches a couple of segments
-plus ~n/4096 cached minima instead of all n rows.
+of :class:`~repro.bb.frontier.BlockFrontier` caches per-4096-row-segment
+key minima and refreshes them lazily, so a steady-state pop touches a
+couple of segments plus ~n/4096 cached minima instead of all n rows.  The
+"linear" baseline is the same store built with ``segment_shift=24``: one
+segment spans the whole store, so every query scans the key column
+directly.
 
 This module builds synthetic frontiers at 10^5–10^6 pending nodes, drives
 the three selection workloads of the search loop —
@@ -19,8 +21,8 @@ the three selection workloads of the search loop —
 * batch selection (``pop_batch``, the ``_best_prefix`` path),
 * tie-run extraction (``pop_min_tie_batch``),
 
-— identically under ``frontier_index="segmented"`` and ``"linear"``, and
-asserts
+— identically on the segmented store and its one-segment "linear" twin,
+and asserts
 
 * both index kinds pop the identical node sequence (selection is
   bit-identical; the packed key embeds the creation-index tie-break, so
@@ -45,7 +47,7 @@ import time
 
 import numpy as np
 
-from repro.bb.frontier import BlockFrontier, NodeBlock, Trail
+from repro.bb.frontier import _SEG_SHIFT, BlockFrontier, NodeBlock, Trail
 
 #: Minimum segmented/linear single-pop selection-throughput ratio (CI gate).
 SPEEDUP_FLOOR = 3.0
@@ -56,6 +58,10 @@ SMOKE_PENDING = 200_000
 
 N_JOBS = 20
 N_MACHINES = 10
+
+#: ``segment_shift`` of each side: the production 4096-row segments, and
+#: one 2**24-row segment spanning the whole store (the linear scan).
+SEGMENT_SHIFT = {"segmented": _SEG_SHIFT, "linear": 24}
 
 #: Children pushed back per single-step pop (keeps the store near steady
 #: state, like a real search whose eliminations roughly balance branching).
@@ -79,7 +85,7 @@ def _block(frontier: BlockFrontier, lb, depth, order_start: int) -> NodeBlock:
 def build_frontier(kind: str, pending: int, seed: int) -> tuple[BlockFrontier, int]:
     """A frontier holding ``pending`` synthetic nodes (identical per seed)."""
     rng = np.random.default_rng(seed)
-    frontier = BlockFrontier(N_JOBS, N_MACHINES, Trail(), frontier_index=kind)
+    frontier = BlockFrontier(N_JOBS, N_MACHINES, Trail(), segment_shift=SEGMENT_SHIFT[kind])
     order = 0
     while len(frontier) < pending:
         count = min(8192, pending - len(frontier))

@@ -11,7 +11,7 @@ bounds.  This module measures both:
   (the acceptance bar is a >= 5x improvement at pool >= 4096 on a
   20-machine instance);
 * end-to-end wall-clock of the sequential and GPU-simulator engines, which
-  route every bounding call through the selected kernel;
+  route every bounding call through kernel v2;
 * the incremental strategy on the GPU engine's launch shape (the children
   of 256 depth-2 parents): bit-identity with the GEMM and scan strategies,
   a >= 5x per-launch floor over the GEMM at 200x20 (asserted by a plain
@@ -151,13 +151,13 @@ def test_incremental_launch_exact_and_fast(n_jobs):
 
 def test_sequential_engine_v2_end_to_end(benchmark):
     instance = random_instance(11, 10, seed=3)
-    result = benchmark(lambda: SequentialBranchAndBound(instance, kernel="v2").solve())
+    result = benchmark(lambda: SequentialBranchAndBound(instance).solve())
     assert result.proved_optimal
 
 
 def test_gpu_engine_v2_end_to_end(benchmark):
     instance = random_instance(10, 10, seed=5)
-    config = GpuBBConfig(pool_size=256, kernel="v2")
+    config = GpuBBConfig(pool_size=256)
     result = benchmark(lambda: GpuBranchAndBound(instance, config).solve())
     assert result.proved_optimal
 
@@ -254,17 +254,16 @@ def main() -> int:
     print(f"  v2 (scan) : {t_scan * 1e3:8.1f} ms/launch  ({POOL_SIZE / t_scan:10.0f} bounds/s)")
     print(f"  launch speedup v2/v1: {speedup:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)")
 
-    print("end-to-end engine wall-clock (same tree either kernel)")
+    print("end-to-end engine wall-clock (kernel v2)")
     instance = random_instance(11, 10, seed=3)
-    for kernel in ("v1", "v2"):
-        start = time.perf_counter()
-        seq = SequentialBranchAndBound(instance, kernel=kernel).solve()
-        seq_s = time.perf_counter() - start
-        start = time.perf_counter()
-        gpu = GpuBranchAndBound(instance, GpuBBConfig(pool_size=256, kernel=kernel)).solve()
-        gpu_s = time.perf_counter() - start
-        assert seq.best_makespan == gpu.best_makespan
-        print(f"  kernel {kernel}: sequential {seq_s * 1e3:.1f} ms, gpu-sim {gpu_s * 1e3:.1f} ms")
+    start = time.perf_counter()
+    seq = SequentialBranchAndBound(instance).solve()
+    seq_s = time.perf_counter() - start
+    start = time.perf_counter()
+    gpu = GpuBranchAndBound(instance, GpuBBConfig(pool_size=256)).solve()
+    gpu_s = time.perf_counter() - start
+    assert seq.best_makespan == gpu.best_makespan
+    print(f"  sequential {seq_s * 1e3:.1f} ms, gpu-sim {gpu_s * 1e3:.1f} ms")
 
     crossover_table()
     grouped_sibling_table()

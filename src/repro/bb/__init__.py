@@ -37,7 +37,6 @@ from repro.bb.frontier import (
     bound_block,
     branch_block,
     eliminate_block,
-    make_frontier,
     root_block,
 )
 from repro.bb.driver import (
@@ -64,7 +63,6 @@ __all__ = [
     "branch_block",
     "bound_block",
     "eliminate_block",
-    "make_frontier",
     "SearchStats",
     "SearchDriver",
     "SearchHooks",

@@ -26,8 +26,8 @@ kernels consume — so the four B&B operators become array programs:
   mask compaction instead of per-node heap operations.  A segmented
   min-key index (fixed 4096-row segments with cached per-segment key
   minima, maintained incrementally and refreshed lazily) makes the
-  best-first selection scans sublinear at 10^5–10^6 pending nodes; the
-  ``frontier_index="linear"`` ablation keeps the full-scan paths.
+  best-first selection scans sublinear at 10^5–10^6 pending nodes (a
+  store within one segment scans its key column directly).
 
 Prefixes are *not* carried per node.  Each node stores one ``trail_id``
 into a shared :class:`Trail` of ``(parent_slot, job)`` pairs, and the full
@@ -76,7 +76,6 @@ __all__ = [
     "bound_block",
     "eliminate_block",
     "BlockFrontier",
-    "make_frontier",
 ]
 
 #: Sentinel stored in :attr:`NodeBlock.lower_bound` until a node is bounded.
@@ -600,7 +599,9 @@ def bound_block(
     bounded incrementally from its parents' sets (kernel v2's
     ``"incremental"`` strategy).  ``kernel="scalar"`` instead calls
     :func:`repro.flowshop.bounds.lower_bound` once per row — the paper's
-    serial baseline.  Values are bit-identical to that scalar bound on
+    serial baseline.  ``kernel="v1"`` (the pool-only reference revision)
+    is accepted for the tests and benchmarks that compare against it; no
+    engine passes it.  Values are bit-identical to that scalar bound on
     every row, whatever the kernel, and are also written back into
     ``block.lower_bound``.
 
@@ -745,18 +746,19 @@ class BlockFrontier:
     because selection never depends on storage order.  Columns are stored
     int32 (the packed key stays int64), halving the scan traffic.
 
-    ``frontier_index`` selects the selection data structure.  The default
-    ``"segmented"`` partitions the store into fixed 4096-row segments and
-    caches each segment's minimum packed key + its row (plus the maximum
-    creation index, for depth-first/restricted pops).  Mutations only
-    *mark* the touched segments dirty; the next selection query refreshes
-    the dirty segments and then reduces over ~n/4096 cached minima instead
-    of scanning all n rows.  Because the packed keys are unique (the
-    creation index is), the indexed argmin is exactly the linear-scan
-    argmin — selection stays bit-identical, which the golden fixtures and
-    ``tests/test_frontier_index.py`` property tests pin.  ``"linear"`` is
-    the full-scan ablation (and the small-store fast path: stores within
-    one segment always scan directly).
+    Selection runs through a segmented min-key index: the store is
+    partitioned into fixed ``2**segment_shift``-row segments (4096 by
+    default) and each segment's minimum packed key + its row (plus the
+    maximum creation index, for depth-first/restricted pops) is cached.
+    Mutations only *mark* the touched segments dirty; the next selection
+    query refreshes the dirty segments and then reduces over ~n/4096
+    cached minima instead of scanning all n rows.  Because the packed
+    keys are unique (the creation index is), the indexed argmin is
+    exactly the linear-scan argmin — selection stays bit-identical, which
+    the golden fixtures and ``tests/test_frontier_index.py`` property
+    tests pin.  Stores within one segment always scan the key column
+    directly, so ``segment_shift=24`` (one segment spans every store) is
+    the full-scan oracle the tests and the benchmark compare against.
 
     ``max_pending`` is an optional high-water memory cap: once the store
     reaches that many nodes, best-first selection switches to a
@@ -787,7 +789,6 @@ class BlockFrontier:
         strategy: str = "best-first",
         capacity: int = 64,
         max_pending: int | None = None,
-        frontier_index: str = "segmented",
         segment_shift: int = _SEG_SHIFT,
     ):
         key = self._STRATEGIES.get(strategy.lower())
@@ -798,15 +799,9 @@ class BlockFrontier:
             )
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 when given")
-        if frontier_index not in ("segmented", "linear"):
-            raise ValueError(
-                f"unknown frontier index {frontier_index!r}; "
-                "choose 'segmented' or 'linear'"
-            )
         if not 1 <= segment_shift <= 24:
             raise ValueError("segment_shift must be in [1, 24]")
         self.strategy = strategy
-        self.frontier_index = frontier_index
         self._kind = key
         self._cap = max_pending
         #: hysteresis low-water mark: once restricted, stay restricted
@@ -831,7 +826,6 @@ class BlockFrontier:
         self._packed = n_jobs < (1 << 9)
         self._size = 0
         self._max_size = 0
-        self._segmented = frontier_index == "segmented"
         self._seg_shift = segment_shift
         self._seg_size = 1 << segment_shift
         self._seg_mask = self._seg_size - 1
@@ -842,26 +836,18 @@ class BlockFrontier:
         self._seg_track_order = key == "depth" or (
             key == "best" and max_pending is not None
         )
-        if self._segmented:
-            seg_cap = max(1, (capacity + self._seg_mask) >> segment_shift)
-            #: per-segment minimum packed key (int64, like the key column)
-            self._seg_key = np.full(seg_cap, _KEY_SENTINEL, dtype=np.int64)
-            #: row holding each segment's minimum key (int32 row ids)
-            self._seg_krow = np.zeros(seg_cap, dtype=np.int32)
-            #: per-segment maximum creation index (depth/restricted pops)
-            self._seg_omax = np.zeros(seg_cap, dtype=np.int32)
-            #: row holding each segment's maximum creation index
-            self._seg_orow = np.zeros(seg_cap, dtype=np.int32)
-            #: segments whose caches must be recomputed before the next query
-            self._seg_dirty = np.ones(seg_cap, dtype=bool)
-            self._seg_any_dirty = True
-        else:
-            self._seg_key = None
-            self._seg_krow = None
-            self._seg_omax = None
-            self._seg_orow = None
-            self._seg_dirty = None
-            self._seg_any_dirty = False
+        seg_cap = max(1, (capacity + self._seg_mask) >> segment_shift)
+        #: per-segment minimum packed key (int64, like the key column)
+        self._seg_key = np.full(seg_cap, _KEY_SENTINEL, dtype=np.int64)
+        #: row holding each segment's minimum key (int32 row ids)
+        self._seg_krow = np.zeros(seg_cap, dtype=np.int32)
+        #: per-segment maximum creation index (depth/restricted pops)
+        self._seg_omax = np.zeros(seg_cap, dtype=np.int32)
+        #: row holding each segment's maximum creation index
+        self._seg_orow = np.zeros(seg_cap, dtype=np.int32)
+        #: segments whose caches must be recomputed before the next query
+        self._seg_dirty = np.ones(seg_cap, dtype=bool)
+        self._seg_any_dirty = True
 
     _ARRAYS = ("_mask", "_release", "_lb", "_depth", "_order", "_tid", "_key")
     _SEG_ARRAYS = ("_seg_key", "_seg_krow", "_seg_omax", "_seg_orow", "_seg_dirty")
@@ -920,20 +906,19 @@ class BlockFrontier:
                 new = np.zeros((capacity,) + old.shape[1:], dtype=old.dtype)
                 new[: self._size] = old[: self._size]
                 setattr(self, name, new)
-            if self._segmented:
-                seg_cap = max(1, (capacity + self._seg_mask) >> self._seg_shift)
-                old_n = self._seg_dirty.shape[0]
-                if seg_cap > old_n:
-                    for name in self._SEG_ARRAYS:
-                        old = getattr(self, name)
-                        new = np.zeros(seg_cap, dtype=old.dtype)
-                        new[:old_n] = old
-                        setattr(self, name, new)
-                    # caches of live segments stay valid across growth; the
-                    # new segments only become live via a push, which marks
-                    # them — but mark defensively anyway
-                    self._seg_dirty[old_n:] = True
-                    self._seg_any_dirty = True
+            seg_cap = max(1, (capacity + self._seg_mask) >> self._seg_shift)
+            old_n = self._seg_dirty.shape[0]
+            if seg_cap > old_n:
+                for name in self._SEG_ARRAYS:
+                    old = getattr(self, name)
+                    new = np.zeros(seg_cap, dtype=old.dtype)
+                    new[:old_n] = old
+                    setattr(self, name, new)
+                # caches of live segments stay valid across growth; the
+                # new segments only become live via a push, which marks
+                # them — but mark defensively anyway
+                self._seg_dirty[old_n:] = True
+                self._seg_any_dirty = True
 
     # ------------------------------------------------------------------ #
     def push_block(self, block: NodeBlock, keep: np.ndarray | None = None) -> None:
@@ -984,10 +969,9 @@ class BlockFrontier:
                     | (depth.astype(np.int64) << 32)
                     | order
                 )
-        if self._segmented:
-            shift = self._seg_shift
-            self._seg_dirty[lo >> shift : ((hi - 1) >> shift) + 1] = True
-            self._seg_any_dirty = True
+        shift = self._seg_shift
+        self._seg_dirty[lo >> shift : ((hi - 1) >> shift) + 1] = True
+        self._seg_any_dirty = True
         self._size = hi
         if hi > self._max_size:
             self._max_size = hi
@@ -1009,7 +993,7 @@ class BlockFrontier:
         nothing there, and skipping it keeps tiny searches on the exact
         legacy code path.
         """
-        return self._segmented and self._size > self._seg_size
+        return self._size > self._seg_size
 
     def _seg_refresh(self) -> None:
         """Recompute the caches of every dirty segment (lazy, pre-query)."""
@@ -1262,21 +1246,20 @@ class BlockFrontier:
             for name in self._ARRAYS:
                 array = getattr(self, name)
                 array[row] = array[last]
-        if self._segmented:
-            shift = self._seg_shift
-            hole_seg = row >> shift
-            self._seg_dirty[hole_seg] = True
-            tail_seg = last >> shift
-            if tail_seg != hole_seg and (
-                not self._packed
-                or self._seg_krow[tail_seg] == last
-                or (self._seg_track_order and self._seg_orow[tail_seg] == last)
-            ):
-                # the tail row moved out of its segment; a fresh cache only
-                # breaks when that row WAS the cached extremum — removing
-                # any other row leaves the cached minimum/maximum attained
-                self._seg_dirty[tail_seg] = True
-            self._seg_any_dirty = True
+        shift = self._seg_shift
+        hole_seg = row >> shift
+        self._seg_dirty[hole_seg] = True
+        tail_seg = last >> shift
+        if tail_seg != hole_seg and (
+            not self._packed
+            or self._seg_krow[tail_seg] == last
+            or (self._seg_track_order and self._seg_orow[tail_seg] == last)
+        ):
+            # the tail row moved out of its segment; a fresh cache only
+            # breaks when that row WAS the cached extremum — removing
+            # any other row leaves the cached minimum/maximum attained
+            self._seg_dirty[tail_seg] = True
+        self._seg_any_dirty = True
         self._size = last
 
     def _extract(self, rows: np.ndarray) -> NodeBlock:
@@ -1307,7 +1290,7 @@ class BlockFrontier:
             for name in self._ARRAYS:
                 array = getattr(self, name)
                 array[holes] = array[tail_keep]
-        if self._segmented and count:
+        if count:
             shift = self._seg_shift
             self._seg_dirty[rows >> shift] = True
             self._seg_dirty[tail_start >> shift : ((size - 1) >> shift) + 1] = True
@@ -1410,11 +1393,10 @@ class BlockFrontier:
                 array = getattr(self, name)
                 array[:kept] = array[rows]
             self._size = kept
-            if self._segmented:
-                # mask compaction moves every surviving row: rebuild the
-                # caches of all surviving segments on the next query
-                self._seg_dirty[: ((size - 1) >> self._seg_shift) + 1] = True
-                self._seg_any_dirty = True
+            # mask compaction moves every surviving row: rebuild the
+            # caches of all surviving segments on the next query
+            self._seg_dirty[: ((size - 1) >> self._seg_shift) + 1] = True
+            self._seg_any_dirty = True
         return removed
 
     def best_lower_bound(self) -> int | None:
@@ -1427,20 +1409,3 @@ class BlockFrontier:
             return int(self._seg_key[: self._n_segments()].min() >> 41)
         return int(self._lb[: self._size].min())
 
-
-def make_frontier(
-    instance: FlowShopInstance,
-    trail: Trail,
-    strategy: str = "best-first",
-    max_pending: int | None = None,
-    frontier_index: str = "segmented",
-) -> BlockFrontier:
-    """Create a :class:`BlockFrontier` sized for ``instance``."""
-    return BlockFrontier(
-        instance.n_jobs,
-        instance.n_machines,
-        trail,
-        strategy=strategy,
-        max_pending=max_pending,
-        frontier_index=frontier_index,
-    )

@@ -60,9 +60,7 @@ class SubtreeTask:
     #: shared wall-clock deadline (``time.time()`` epoch), not a per-task span
     deadline: Optional[float]
     selection: str
-    kernel: str = "v2"
     max_frontier_nodes: Optional[int] = None
-    frontier_index: str = "segmented"
 
 
 def _solve_subtree(task: SubtreeTask) -> dict:
@@ -75,9 +73,7 @@ def _solve_subtree(task: SubtreeTask) -> dict:
         selection=task.selection,
         max_nodes=task.max_nodes,
         deadline=task.deadline,
-        kernel=task.kernel,
         max_frontier_nodes=task.max_frontier_nodes,
-        frontier_index=task.frontier_index,
     )
     best_makespan, best_order, stats, completed = solver.run()
     return {
@@ -117,11 +113,9 @@ class _SubtreeSolver:
         selection: str = "depth-first",
         max_nodes: Optional[int] = None,
         deadline: Optional[float] = None,
-        kernel: str = "v2",
         incumbent=None,
         poll_interval: int = 64,
         max_frontier_nodes: Optional[int] = None,
-        frontier_index: str = "segmented",
         capture_incomplete: bool = False,
         resume_from: Optional[bytes] = None,
     ):
@@ -134,11 +128,9 @@ class _SubtreeSolver:
         self.selection = selection
         self.max_nodes = max_nodes
         self.deadline = deadline
-        self.kernel = kernel
         self.incumbent = incumbent
         self.poll_interval = poll_interval
         self.max_frontier_nodes = max_frontier_nodes
-        self.frontier_index = frontier_index
         self.capture_incomplete = capture_incomplete
         self.resume_from = resume_from
         #: set by a budget-cut run when ``capture_incomplete`` is on: the
@@ -164,7 +156,6 @@ class _SubtreeSolver:
             self.instance,
             self.data,
             selection=self.selection,
-            kernel=self.kernel,
             limits=SearchLimits(max_nodes=self.max_nodes, deadline=self.deadline),
             hooks=hooks,
         )
@@ -199,7 +190,6 @@ class _SubtreeSolver:
             engine={
                 "engine": "worksteal-chunk",
                 "selection": self.selection,
-                "kernel": self.kernel,
                 "prefix": list(self.prefix),
             },
         )
@@ -243,7 +233,6 @@ class _SubtreeSolver:
             trail,
             strategy=self.selection,
             max_pending=self.max_frontier_nodes,
-            frontier_index=self.frontier_index,
         )
         start = time.perf_counter()
 
@@ -260,7 +249,7 @@ class _SubtreeSolver:
         seed = seed_block(instance, self.prefix, trail)
         next_order = int(seed.order_index[0]) + 1
         t0 = time.perf_counter()
-        bound_block(self.data, seed, kernel=self.kernel)
+        bound_block(self.data, seed)
         stats.time_bounding_s += time.perf_counter() - t0
         stats.nodes_bounded += 1
 
@@ -300,6 +289,9 @@ class _SubtreeSolver:
 class MulticoreBranchAndBound:
     """Parallel tree exploration over a pool of workers.
 
+    Every worker bounds the children of a branched node in one kernel-v2
+    call; the scalar mode of the sequential engine is not available here.
+
     Parameters
     ----------
     instance:
@@ -326,17 +318,9 @@ class MulticoreBranchAndBound:
     poll_interval:
         Work-stealing mode only: pops between two reads of the shared
         incumbent inside a worker.
-    kernel:
-        Batched kernel revision used by every worker to bound the children
-        of a branched node (``"v1"`` / ``"v2"``).  The scalar mode of the
-        sequential engine is not available here: workers always batch their
-        sibling sets.
     max_frontier_nodes:
         Per-worker high-water frontier cap with a 0.8×cap hysteresis
         low-water mark (see :class:`~repro.bb.frontier.BlockFrontier`).
-    frontier_index:
-        Per-worker frontier selection index — ``"segmented"`` (default)
-        or ``"linear"`` (full-scan ablation).
     """
 
     def __init__(
@@ -349,11 +333,9 @@ class MulticoreBranchAndBound:
         initial_upper_bound: Optional[float] = None,
         max_nodes_per_task: Optional[int] = None,
         max_time_s: Optional[float] = None,
-        kernel: str = "v2",
         mode: str = "worksteal",
         poll_interval: int = 64,
         max_frontier_nodes: Optional[int] = None,
-        frontier_index: str = "segmented",
     ):
         if backend not in ("process", "thread", "serial"):
             raise ValueError("backend must be 'process', 'thread' or 'serial'")
@@ -363,8 +345,6 @@ class MulticoreBranchAndBound:
             decomposition_depth = 2 if mode == "worksteal" else 1
         if decomposition_depth < 1:
             raise ValueError("decomposition_depth must be >= 1")
-        if kernel not in ("v1", "v2"):
-            raise ValueError(f"kernel must be 'v1' or 'v2', got {kernel!r}")
         self.instance = instance
         self.n_workers = n_workers or os.cpu_count() or 1
         self.backend = backend
@@ -374,14 +354,8 @@ class MulticoreBranchAndBound:
         self.initial_upper_bound = initial_upper_bound
         self.max_nodes_per_task = max_nodes_per_task
         self.max_time_s = max_time_s
-        self.kernel = kernel
         self.poll_interval = poll_interval
         self.max_frontier_nodes = max_frontier_nodes
-        if frontier_index not in ("segmented", "linear"):
-            raise ValueError(
-                f"frontier_index must be 'segmented' or 'linear', got {frontier_index!r}"
-            )
-        self.frontier_index = frontier_index
 
     # ------------------------------------------------------------------ #
     def _frontier_prefixes(self) -> list[tuple[int, ...]]:
@@ -404,10 +378,8 @@ class MulticoreBranchAndBound:
                 initial_upper_bound=self.initial_upper_bound,
                 max_nodes_per_task=self.max_nodes_per_task,
                 max_time_s=self.max_time_s,
-                kernel=self.kernel,
                 poll_interval=self.poll_interval,
                 max_frontier_nodes=self.max_frontier_nodes,
-                frontier_index=self.frontier_index,
             ).solve()
         return self._solve_static()
 
@@ -425,9 +397,7 @@ class MulticoreBranchAndBound:
                 max_nodes=self.max_nodes_per_task,
                 deadline=deadline,
                 selection=self.selection,
-                kernel=self.kernel,
                 max_frontier_nodes=self.max_frontier_nodes,
-                frontier_index=self.frontier_index,
             )
             for prefix in self._frontier_prefixes()
         ]

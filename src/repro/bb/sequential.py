@@ -97,12 +97,12 @@ class SequentialBranchAndBound:
         Record a :class:`TraceEvent` per examined node (small instances only).
     kernel:
         Bounding kernel used for the children of a branched node:
-        ``"v2"`` (default) and ``"v1"`` evaluate all siblings in one
-        batched call; ``"scalar"`` keeps the paper-faithful one-call-per-
-        child evaluation (used by the bounding-fraction experiment, which
-        reproduces the paper's 98.5 % measurement of exactly that path).
-        Bounds are bit-identical in every mode, so the explored tree does
-        not depend on this choice.
+        ``"v2"`` (default) evaluates all siblings in one batched call;
+        ``"scalar"`` keeps the paper-faithful one-call-per-child evaluation
+        (used by the bounding-fraction experiment, which reproduces the
+        paper's 98.5 % measurement of exactly that path).  Bounds are
+        bit-identical in both modes, so the explored tree does not depend
+        on this choice.
     max_frontier_nodes:
         High-water memory cap of the pending frontier.
         Once the frontier reaches this many nodes, best-first selection
@@ -112,11 +112,6 @@ class SequentialBranchAndBound:
         :class:`~repro.bb.frontier.BlockFrontier`), so exhaustive runs
         cannot grow the pool without bound and selection does not flap at
         the cap boundary.  ``None`` (default) disables the cap.
-    frontier_index:
-        Selection index of the pending frontier — ``"segmented"``
-        (default, cached per-segment key minima for sublinear best-first
-        pops) or ``"linear"`` (full-scan ablation).  Selection is
-        bit-identical either way.
     checkpoint_path / checkpoint_every / checkpoint_seconds:
         Fault tolerance (see :mod:`repro.bb.snapshot`).  With a path set,
         the engine snapshots complete search state there every
@@ -140,7 +135,6 @@ class SequentialBranchAndBound:
         on_incumbent: Optional[Callable[[int, tuple[int, ...]], None]] = None,
         kernel: str = "v2",
         max_frontier_nodes: Optional[int] = None,
-        frontier_index: str = "segmented",
         checkpoint_path: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_seconds: Optional[float] = None,
@@ -154,17 +148,12 @@ class SequentialBranchAndBound:
         self.max_time_s = max_time_s
         self.trace_enabled = trace
         self.on_incumbent = on_incumbent
-        if kernel not in ("scalar", "v1", "v2"):
-            raise ValueError(f"kernel must be 'scalar', 'v1' or 'v2', got {kernel!r}")
+        if kernel not in ("scalar", "v2"):
+            raise ValueError(f"kernel must be 'scalar' or 'v2', got {kernel!r}")
         self.kernel = kernel
         if max_frontier_nodes is not None and max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be >= 1 when given")
         self.max_frontier_nodes = max_frontier_nodes
-        if frontier_index not in ("segmented", "linear"):
-            raise ValueError(
-                f"frontier_index must be 'segmented' or 'linear', got {frontier_index!r}"
-            )
-        self.frontier_index = frontier_index
         if checkpoint_path is None and (
             checkpoint_every is not None or checkpoint_seconds is not None
         ):
@@ -187,10 +176,8 @@ class SequentialBranchAndBound:
         return {
             "engine": "serial",
             "selection": self.selection,
-            "kernel": self.kernel,
             "include_one_machine": self.include_one_machine,
             "max_frontier_nodes": self.max_frontier_nodes,
-            "frontier_index": self.frontier_index,
             "trace": self.trace_enabled,
         }
 
@@ -272,7 +259,6 @@ class SequentialBranchAndBound:
             trail,
             strategy=self.selection,
             max_pending=self.max_frontier_nodes,
-            frontier_index=self.frontier_index,
         )
         root = root_block(instance, trail)
         t0 = time.perf_counter()
@@ -380,12 +366,13 @@ class SequentialBranchAndBound:
     ) -> BBResult:
         """Continue a checkpointed solve from a snapshot file.
 
-        The engine (selection, kernel, bound options) is rebuilt
-        from the snapshot header, the frontier/trail/incumbent/counters are
-        restored exactly, and the search resumes without re-seeding NEH or
-        re-bounding the root.  The concatenation of the interrupted
-        segments is bit-identical (makespan, permutation, every counter,
-        and the trace) to one uninterrupted run.
+        The engine (selection, bound options, frontier cap) is rebuilt
+        from the snapshot header and bounds with kernel v2; the
+        frontier/trail/incumbent/counters are restored exactly, and the
+        search resumes without re-seeding NEH or re-bounding the root.
+        The concatenation of the interrupted segments is bit-identical
+        (makespan, permutation, every counter, and the trace) to one
+        uninterrupted run.
 
         Budgets are cumulative: ``max_nodes`` counts nodes explored across
         *all* segments, so resuming with a larger budget continues where
@@ -407,9 +394,7 @@ class SequentialBranchAndBound:
             max_time_s=max_time_s,
             trace=bool(engine_conf.get("trace", False)),
             on_incumbent=on_incumbent,
-            kernel=str(engine_conf.get("kernel", "v2")),
             max_frontier_nodes=int(max_frontier) if max_frontier is not None else None,
-            frontier_index=str(engine_conf.get("frontier_index", "segmented")),
             checkpoint_path=checkpoint_path if checkpoint_path is not None else path,
             checkpoint_every=checkpoint_every,
             checkpoint_seconds=checkpoint_seconds,

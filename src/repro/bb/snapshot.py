@@ -363,11 +363,9 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
     trail._parent[:trail_size] = arrays["trail_parent"]
     trail._job[:trail_size] = arrays["trail_job"]
     trail._size = trail_size
-    # The selection index is derived state: it is rebuilt from the engine
-    # config (older snapshots default to "segmented"), never serialized —
-    # the container format is unchanged and a snapshot written under one
-    # index resumes bit-identically under the other.
-    engine = header.get("engine", {})
+    # The selection index is derived state: it is rebuilt on restore, never
+    # serialized, so the container format does not depend on it (headers
+    # of older snapshots may still name an index; the key is ignored).
     frontier = BlockFrontier(
         instance.n_jobs,
         instance.n_machines,
@@ -375,7 +373,6 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
         strategy=meta["strategy"],
         capacity=max(size, 64),
         max_pending=meta["max_pending"],
-        frontier_index=str(engine.get("frontier_index", "segmented")),
     )
     frontier._mask[:size] = arrays["f_mask"]
     frontier._release[:size] = arrays["f_release"]
@@ -392,10 +389,9 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
         )
     frontier._size = size
     frontier._max_size = int(meta["max_size"])
-    if frontier._segmented:
-        # rows were written behind push_block's back: every segment is stale
-        frontier._seg_dirty[:] = True
-        frontier._seg_any_dirty = True
+    # rows were written behind push_block's back: every segment is stale
+    frontier._seg_dirty[:] = True
+    frontier._seg_any_dirty = True
     if frontier._cap is not None:
         # pre-hysteresis snapshots carry no regime state: fall back to the
         # stateless rule (restricted iff at/above the cap)

@@ -224,11 +224,9 @@ def _run_tasks(instance: FlowShopInstance, board, incumbent, opts: dict) -> dict
             selection=opts["selection"],
             max_nodes=opts["max_nodes_per_task"],
             deadline=opts["deadline"],
-            kernel=opts["kernel"],
             incumbent=incumbent,
             poll_interval=opts["poll_interval"],
             max_frontier_nodes=opts.get("max_frontier_nodes"),
-            frontier_index=opts.get("frontier_index", "segmented"),
             capture_incomplete=rebalance,
             **seed,
         )
@@ -329,11 +327,6 @@ class WorkStealingBranchAndBound:
         :class:`~repro.bb.frontier.BlockFrontier`); best-first workers fall
         back to a depth-first-restricted regime once over it, re-engaging
         best-first only below the 0.8×cap hysteresis low-water mark.
-    frontier_index:
-        Per-worker frontier selection index — ``"segmented"`` (default)
-        or ``"linear"`` (full-scan ablation).
-    kernel:
-        Batched bounding-kernel revision used by the workers.
     """
 
     def __init__(
@@ -346,10 +339,8 @@ class WorkStealingBranchAndBound:
         initial_upper_bound: Optional[float] = None,
         max_nodes_per_task: Optional[int] = None,
         max_time_s: Optional[float] = None,
-        kernel: str = "v2",
         poll_interval: int = 64,
         max_frontier_nodes: Optional[int] = None,
-        frontier_index: str = "segmented",
         rebalance: bool = False,
     ):
         if backend not in ("process", "thread", "serial"):
@@ -358,8 +349,6 @@ class WorkStealingBranchAndBound:
             raise ValueError("decomposition_depth must be >= 1")
         if poll_interval < 1:
             raise ValueError("poll_interval must be >= 1")
-        if kernel not in ("v1", "v2"):
-            raise ValueError(f"kernel must be 'v1' or 'v2', got {kernel!r}")
         self.instance = instance
         self.n_workers = n_workers or os.cpu_count() or 1
         self.backend = backend
@@ -368,14 +357,8 @@ class WorkStealingBranchAndBound:
         self.initial_upper_bound = initial_upper_bound
         self.max_nodes_per_task = max_nodes_per_task
         self.max_time_s = max_time_s
-        self.kernel = kernel
         self.poll_interval = poll_interval
         self.max_frontier_nodes = max_frontier_nodes
-        if frontier_index not in ("segmented", "linear"):
-            raise ValueError(
-                f"frontier_index must be 'segmented' or 'linear', got {frontier_index!r}"
-            )
-        self.frontier_index = frontier_index
         self.rebalance = rebalance
         #: observability: chunks whose remainders were re-enqueued by the
         #: last :meth:`solve` call (0 unless ``rebalance=True`` and some
@@ -392,10 +375,8 @@ class WorkStealingBranchAndBound:
             "selection": self.selection,
             "max_nodes_per_task": self.max_nodes_per_task,
             "deadline": deadline,
-            "kernel": self.kernel,
             "poll_interval": self.poll_interval,
             "max_frontier_nodes": self.max_frontier_nodes,
-            "frontier_index": self.frontier_index,
             "rebalance": self.rebalance,
         }
 

@@ -80,7 +80,6 @@ def _solve(args: argparse.Namespace) -> int:
             max_nodes=args.max_nodes,
             max_time_s=args.max_time,
             max_frontier_nodes=args.max_frontier_nodes,
-            frontier_index=args.frontier_index,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_interval,
             checkpoint_seconds=args.checkpoint_seconds,
@@ -95,7 +94,6 @@ def _solve(args: argparse.Namespace) -> int:
             max_nodes_per_task=args.max_nodes,
             max_time_s=args.max_time,
             max_frontier_nodes=args.max_frontier_nodes,
-            frontier_index=args.frontier_index,
         ).solve()
     elif engine == "cluster":
         config = GpuBBConfig(
@@ -103,7 +101,6 @@ def _solve(args: argparse.Namespace) -> int:
             max_nodes=args.max_nodes,
             max_time_s=args.max_time,
             max_frontier_nodes=args.max_frontier_nodes,
-            frontier_index=args.frontier_index,
         )
         result = ClusterBranchAndBound(instance, ClusterSpec(n_nodes=args.nodes), config).solve()
     else:  # gpu
@@ -112,7 +109,6 @@ def _solve(args: argparse.Namespace) -> int:
             max_nodes=args.max_nodes,
             max_time_s=args.max_time,
             max_frontier_nodes=args.max_frontier_nodes,
-            frontier_index=args.frontier_index,
         )
         result = GpuBranchAndBound(instance, config).solve()
 
@@ -325,15 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         "until the pool drains below the 0.8x-cap low-water mark (hysteresis, no "
         "regime flapping at the boundary); the pool cannot grow unbounded "
         "(default: no cap)",
-    )
-    solve.add_argument(
-        "--frontier-index",
-        choices=("segmented", "linear"),
-        default="segmented",
-        help="frontier selection index — 'segmented' (default) keeps "
-        "cached per-segment key minima for sublinear best-first pops at large "
-        "frontiers; 'linear' is the full-scan ablation (selection is bit-identical "
-        "either way)",
     )
     solve.add_argument("--max-nodes", type=int, default=None, help="node exploration budget")
     solve.add_argument("--max-time", type=float, default=None, help="time budget in seconds")

@@ -2,8 +2,8 @@
 
 * :mod:`~repro.core.config` — execution configuration (pool size, block
   size, placement policy, budgets).
-* :mod:`~repro.core.kernels` — the bounding kernel in its scalar (per
-  thread) and batched (per pool) forms plus pool encoding.
+* :mod:`~repro.core.kernels` — the launch geometry of one batched bounding
+  kernel invocation.
 * :mod:`~repro.core.mapping` — the data-access-optimisation analysis: rank
   candidate placements for an instance size and device (Table I reasoning).
 * :mod:`~repro.core.gpu_bb` — :class:`GpuBranchAndBound`, the CPU search
@@ -15,11 +15,7 @@
 """
 
 from repro.core.config import GpuBBConfig, PAPER_POOL_SIZES, PAPER_BLOCK_SIZE
-from repro.core.kernels import (
-    bounding_kernel,
-    bounding_kernel_batch,
-    KernelLaunch,
-)
+from repro.core.kernels import KernelLaunch
 from repro.core.mapping import PlacementAnalysis, analyze_placements, recommend_placement
 from repro.core.gpu_bb import GpuBranchAndBound, GpuBBResult
 from repro.core.autotune import PoolSizeAutotuner, AutotuneReport
@@ -35,8 +31,6 @@ __all__ = [
     "GpuBBConfig",
     "PAPER_POOL_SIZES",
     "PAPER_BLOCK_SIZE",
-    "bounding_kernel",
-    "bounding_kernel_batch",
     "KernelLaunch",
     "PlacementAnalysis",
     "analyze_placements",

@@ -239,7 +239,6 @@ class ClusterBranchAndBound:
                 cost_model=self.config.cost_model,
                 threads_per_block=self.config.threads_per_block,
                 include_one_machine=instance.n_machines == 1,
-                kernel=self.config.kernel,
             )
             for _ in range(self.cluster.n_nodes)
         ]
@@ -304,7 +303,6 @@ class ClusterBranchAndBound:
             trail,
             strategy=config.selection,
             max_pending=config.max_frontier_nodes,
-            frontier_index=config.frontier_index,
         )
         root = root_block(instance, trail)
         sim_s, wall_s = self._distributed_bound_block(root)

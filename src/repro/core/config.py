@@ -29,13 +29,6 @@ class GpuBBConfig:
         iteration (the paper's key tuning knob).
     threads_per_block:
         CUDA block size (the paper fixes 256).
-    kernel:
-        Batched bounding kernel revision: ``"v2"`` (default) vectorises the
-        machine-couple axis as well as the pool axis and is several times
-        faster per launch; ``"v1"`` is the original pool-only
-        vectorisation, kept as the reference semantics.  Both return
-        bit-identical bounds, so the explored tree never depends on this
-        choice.
     placement:
         Data-structure placement; ``None`` selects the paper's
         recommendation for the instance size at solve time.
@@ -68,11 +61,6 @@ class GpuBBConfig:
         :class:`~repro.bb.frontier.BlockFrontier`), so exhaustive runs
         cannot grow the pool without bound and selection does not flap at
         the cap boundary.  ``None`` disables the cap.
-    frontier_index:
-        Selection index of the pending frontier — ``"segmented"``
-        (default, cached per-segment key minima for sublinear best-first
-        pops at large frontiers) or ``"linear"`` (full-scan ablation).
-        Selection is bit-identical either way.
     double_buffer:
         Model the double-buffered off-load of the ROADMAP's pipelining
         follow-on: the host selects and branches batch N+1 while the device
@@ -84,7 +72,6 @@ class GpuBBConfig:
 
     pool_size: int = 8192
     threads_per_block: int = PAPER_BLOCK_SIZE
-    kernel: str = "v2"
     placement: Optional[DataPlacement] = None
     device: DeviceSpec = TESLA_C2050
     cost_model: KernelCostModel = field(default_factory=KernelCostModel)
@@ -96,14 +83,11 @@ class GpuBBConfig:
     max_time_s: Optional[float] = None
     max_iterations: Optional[int] = None
     max_frontier_nodes: Optional[int] = None
-    frontier_index: str = "segmented"
     double_buffer: bool = False
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if self.kernel not in ("v1", "v2"):
-            raise ValueError(f"kernel must be 'v1' or 'v2', got {self.kernel!r}")
         if self.threads_per_block < 1:
             raise ValueError("threads_per_block must be >= 1")
         if self.threads_per_block > self.device.max_threads_per_block:
@@ -119,11 +103,6 @@ class GpuBBConfig:
             raise ValueError("max_iterations must be positive when given")
         if self.max_frontier_nodes is not None and self.max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be positive when given")
-        if self.frontier_index not in ("segmented", "linear"):
-            raise ValueError(
-                f"frontier_index must be 'segmented' or 'linear', "
-                f"got {self.frontier_index!r}"
-            )
 
     @property
     def blocks_per_pool(self) -> int:
@@ -138,16 +117,11 @@ class GpuBBConfig:
         """Copy with a different data placement."""
         return replace(self, placement=placement)
 
-    def with_kernel(self, kernel: str) -> "GpuBBConfig":
-        """Copy with a different bounding-kernel revision."""
-        return replace(self, kernel=kernel)
-
     def describe(self) -> dict[str, object]:
         """Plain-dictionary summary (for logs and reports)."""
         return {
             "pool_size": self.pool_size,
             "threads_per_block": self.threads_per_block,
-            "kernel": self.kernel,
             "blocks_per_pool": self.blocks_per_pool,
             "placement": self.placement.name if self.placement else "auto",
             "device": self.device.name,
@@ -155,6 +129,5 @@ class GpuBBConfig:
             "share_incumbent": self.share_incumbent,
             "use_neh_upper_bound": self.use_neh_upper_bound,
             "max_frontier_nodes": self.max_frontier_nodes,
-            "frontier_index": self.frontier_index,
             "double_buffer": self.double_buffer,
         }

@@ -159,7 +159,6 @@ class GpuBranchAndBound:
             cost_model=self.config.cost_model,
             threads_per_block=self.config.threads_per_block,
             include_one_machine=self.config.include_one_machine_bound or instance.n_machines == 1,
-            kernel=self.config.kernel,
         )
 
     # ------------------------------------------------------------------ #
@@ -212,7 +211,6 @@ class GpuBranchAndBound:
             trail,
             strategy=config.selection,
             max_pending=config.max_frontier_nodes,
-            frontier_index=config.frontier_index,
         )
         root = root_block(instance, trail)
         _, sim_s, wall_s = self._offload_block(root)

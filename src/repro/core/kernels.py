@@ -1,19 +1,11 @@
-"""The bounding kernel.
+"""Launch geometry of the bounding kernel.
 
-On the real system this is the CUDA ``__global__`` function every thread of
-the off-loaded pool executes (Figure 2 of the paper).  In the reproduction
-the same computation exists in two forms:
-
-* :func:`bounding_kernel` — the scalar, per-sub-problem form; a direct
-  transcription of the paper's pseudo-code, used by the CPU engines and by
-  the tests as the reference semantics.
-* :func:`bounding_kernel_batch` — the batched form evaluating a whole pool
-  with NumPy vectorisation; this is what the
-  :class:`~repro.gpu.executor.GpuExecutor` runs and it returns values
-  bit-identical to the scalar form.  Two revisions exist — ``"v1"``
-  vectorises the pool axis only, ``"v2"`` additionally vectorises the
-  machine-couple axis — selected by the ``kernel`` argument (and, one level
-  up, by :attr:`~repro.core.config.GpuBBConfig.kernel`).
+On the real system the bounding kernel is the CUDA ``__global__`` function
+every thread of the off-loaded pool executes (Figure 2 of the paper).  In
+the reproduction it lives in :mod:`repro.flowshop.bounds`: the scalar
+:func:`~repro.flowshop.bounds.lower_bound` is the reference semantics, and
+the batched kernel v2 (``get_batch_kernel("v2")``) is what every engine and
+the :class:`~repro.gpu.executor.GpuExecutor` run, bit-identical to it.
 
 :class:`KernelLaunch` describes one launch (grid geometry + pool) the way
 a CUDA launch configuration would.  The pool itself travels as the
@@ -24,40 +16,8 @@ a CUDA launch configuration would.  The pool itself travels as the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from repro.flowshop.bounds import LowerBoundData, get_batch_kernel, lower_bound
-
-__all__ = ["bounding_kernel", "bounding_kernel_batch", "KernelLaunch"]
-
-
-def bounding_kernel(
-    data: LowerBoundData,
-    prefix: Sequence[int],
-    release: np.ndarray | None = None,
-    include_one_machine: bool = False,
-) -> int:
-    """Scalar bounding kernel: the lower bound of one sub-problem."""
-    return lower_bound(data, prefix, release=release, include_one_machine=include_one_machine)
-
-
-def bounding_kernel_batch(
-    data: LowerBoundData,
-    scheduled_mask: np.ndarray,
-    release: np.ndarray,
-    include_one_machine: bool = False,
-    kernel: str = "v2",
-) -> np.ndarray:
-    """Batched bounding kernel: lower bounds of a whole pool at once.
-
-    ``kernel`` selects the revision (``"v1"`` or ``"v2"``); both return
-    bit-identical values, v2 with far fewer interpreter round-trips.
-    """
-    return get_batch_kernel(kernel)(
-        data, scheduled_mask, release, include_one_machine=include_one_machine
-    )
+__all__ = ["KernelLaunch"]
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,7 @@ class HybridConfig:
     """Configuration of the hybrid multi-core + GPU engine.
 
     The embedded :class:`~repro.core.config.GpuBBConfig` (``gpu``) carries
-    every device-side knob, including the ``kernel`` revision selector
-    (``"v1"`` / ``"v2"``) that each explorer's executor uses for its
+    every device-side knob that each explorer's engine uses for its
     bounding launches.
     """
 
@@ -225,7 +224,6 @@ def _solve_from_seed(
         trail,
         strategy=config.selection,
         max_pending=config.max_frontier_nodes,
-        frontier_index=config.frontier_index,
     )
     frontier.push_block(seed)
     driver = SearchDriver(

@@ -43,8 +43,9 @@ Three evaluation paths are provided:
     ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS``, the measured crossover.
 
 All batched kernels return values bit-identical to the scalar bound;
-:func:`get_batch_kernel` maps the ``"v1"`` / ``"v2"`` selector used by the
-engine configurations to the matching implementation.
+:func:`get_batch_kernel` maps a ``"v1"`` / ``"v2"`` name to the matching
+implementation (every engine bounds with ``"v2"``; ``"v1"`` stays the
+reference the tests and benchmarks compare against).
 """
 
 from __future__ import annotations

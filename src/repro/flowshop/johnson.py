@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "johnson_comparator_key",
     "johnson_order",
     "johnson_order_with_lags",
     "two_machine_makespan",
@@ -38,27 +37,6 @@ def _as_times(values: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
     if np.any(arr < 0):
         raise ValueError(f"{name} must be non-negative")
     return arr
-
-
-def johnson_comparator_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sort key implementing Johnson's rule as a single lexicographic pass.
-
-    Jobs belong to group 0 when ``a_j <= b_j`` (sorted by increasing ``a_j``)
-    and to group 1 otherwise (sorted by decreasing ``b_j``).  Returning a
-    structured key lets callers obtain a *stable, total* order, which matters
-    for the Branch-and-Bound use-case: the order restricted to any subset of
-    jobs is still a Johnson order of that subset, so the precomputed ``JM``
-    matrix can be reused for every sub-problem (this is exactly what the
-    paper's kernel does when it skips already-scheduled jobs).
-    """
-    a = _as_times(a, "a")
-    b = _as_times(b, "b")
-    if a.size != b.size:
-        raise ValueError("a and b must have the same length")
-    group = (a > b).astype(np.int64)
-    primary = np.where(group == 0, a, -b)
-    # key = (group, primary, job index) -> encode as a record array for lexsort
-    return np.rec.fromarrays([group, primary, np.arange(a.size)], names="group,primary,job")
 
 
 def johnson_order(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> np.ndarray:

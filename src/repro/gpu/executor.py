@@ -6,8 +6,8 @@ reproduction:
 * it "uploads" the instance-level data structures once
   (:class:`DeviceArrays`), checking that the chosen placement fits the
   simulated device;
-* it evaluates pools of sub-problems with the vectorised kernel
-  (:func:`repro.flowshop.bounds.lower_bound_batch`), so the *values* it
+* it evaluates pools of sub-problems with the vectorised kernel v2
+  (:func:`repro.flowshop.bounds.lower_bound_batch_v2`), so the *values* it
   returns are bit-identical to the scalar CPU bound — pruning decisions, and
   therefore the explored tree, cannot diverge between the CPU and "GPU"
   paths;
@@ -79,10 +79,6 @@ class GpuExecutor:
         Calibration constants of the timing model.
     threads_per_block:
         CUDA block size (the paper fixes 256).
-    kernel:
-        Batched kernel revision (``"v1"`` or ``"v2"``); see
-        :func:`repro.flowshop.bounds.get_batch_kernel`.  The returned bounds
-        are bit-identical either way.
     """
 
     def __init__(
@@ -93,13 +89,11 @@ class GpuExecutor:
         cost_model: KernelCostModel | None = None,
         threads_per_block: int = 256,
         include_one_machine: bool = False,
-        kernel: str = "v2",
     ):
         if threads_per_block < 1:
             raise ValueError("threads_per_block must be >= 1")
         self.data = data
-        self.kernel = kernel
-        self._batch_kernel = get_batch_kernel(kernel)
+        self._batch_kernel = get_batch_kernel("v2")
         self.device = device
         complexity = data.complexity
         if placement is None:
@@ -234,5 +228,4 @@ class GpuExecutor:
             "measured_time_s": self.measured_time_s,
             "placement": self.placement.name or "custom",
             "threads_per_block": self.threads_per_block,
-            "kernel": self.kernel,
         }

@@ -27,7 +27,7 @@ thread:
     the latency a straggler session can impose on its peers).
 
 Bit-exactness: a fused launch concatenates the blocks' ``(scheduled_mask,
-release)`` arrays and evaluates them with the same batched kernel a
+release)`` arrays and evaluates them with the same batched kernel (v2) a
 stand-alone solve would use.  Every kernel path in this repository returns
 bit-identical bounds for a given row regardless of the surrounding batch
 (the PR 1/PR 3 invariant), so coalescing changes *how many launches* are
@@ -37,7 +37,7 @@ against the sequential-engine golden configs).
 
 Launch accounting: requests for different instances cannot share a kernel
 evaluation (the bound's precomputed tensors are per-instance), so a flush
-issues one launch per distinct ``(instance, kernel, one-machine)`` group
+issues one launch per distinct ``(instance, one-machine)`` group
 and :class:`DispatchStats` counts honestly: ``n_launches`` is the number
 of kernel invocations, ``n_requests`` the number of ``bound_block`` calls
 they replaced.  ``benchmarks/bench_service.py`` asserts the ≥2x
@@ -159,7 +159,6 @@ class _Pending:
     group_key: tuple
     data: LowerBoundData
     block: object  # NodeBlock (duck-typed: scheduled_mask/release/lower_bound)
-    kernel: str
     include_one_machine: bool
     future: Future
     submitted_at: float
@@ -331,7 +330,6 @@ class BatchDispatcher:
         token: object,
         data: LowerBoundData,
         block,
-        kernel: str = "v2",
         include_one_machine: bool = False,
     ) -> Future:
         """Park one bounding batch; returns the future the caller waits on.
@@ -347,10 +345,9 @@ class BatchDispatcher:
         future: Future = Future()
         request = _Pending(
             token=token,
-            group_key=(id(data), kernel, include_one_machine),
+            group_key=(id(data), include_one_machine),
             data=data,
             block=block,
-            kernel=kernel,
             include_one_machine=include_one_machine,
             future=future,
             submitted_at=time.monotonic(),
@@ -537,7 +534,7 @@ class BatchDispatcher:
         if hook is not None:
             hook(launch_index)
         first = members[0]
-        kernel = get_batch_kernel(first.kernel)
+        kernel = get_batch_kernel("v2")
         started = time.perf_counter()
         if len(members) == 1:
             block = first.block
@@ -626,14 +623,12 @@ class BatchingOffload:
         dispatcher: BatchDispatcher,
         data: LowerBoundData,
         token: object,
-        kernel: str = "v2",
         include_one_machine: bool = False,
         allow_degraded: bool = True,
     ):
         self.dispatcher = dispatcher
         self.data = data
         self.token = token
-        self.kernel = kernel
         self.include_one_machine = include_one_machine
         self.allow_degraded = allow_degraded
         self._degraded_reason: str | None = None
@@ -650,7 +645,7 @@ class BatchingOffload:
 
     def _bound_locally(self, block):
         """LocalBounding semantics: same batched kernel, no dispatcher."""
-        kernel = get_batch_kernel(self.kernel)
+        kernel = get_batch_kernel("v2")
         started = time.perf_counter()
         bounds = kernel(
             self.data,
@@ -681,7 +676,6 @@ class BatchingOffload:
             self.token,
             self.data,
             block,
-            kernel=self.kernel,
             include_one_machine=self.include_one_machine,
         )
         try:

@@ -173,8 +173,8 @@ class SolveParams:
     """Per-session solver knobs a request may set (all optional).
 
     The subset of :class:`~repro.bb.sequential.SequentialBranchAndBound`'s
-    configuration that makes sense per request: selection strategy, kernel
-    revision, the NEH/explicit initial bound, the session's private
+    configuration that makes sense per request: selection strategy, the
+    NEH/explicit initial bound, the session's private
     :class:`~repro.bb.driver.SearchLimits` budgets, and an optional
     per-request checkpoint (``checkpoint_path`` + ``checkpoint_every``
     driver steps — overrides the service-wide ``checkpoint_dir``).
@@ -183,12 +183,10 @@ class SolveParams:
     """
 
     selection: str = "best-first"
-    kernel: str = "v2"
     initial_upper_bound: Optional[float] = None
     max_nodes: Optional[int] = None
     max_time_s: Optional[float] = None
     max_frontier_nodes: Optional[int] = None
-    frontier_index: str = "segmented"
     checkpoint_path: Optional[str] = None
     checkpoint_every: Optional[int] = None
 

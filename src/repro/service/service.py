@@ -84,12 +84,10 @@ def _config_from_params(params: SolveParams) -> SessionConfig:
     """Translate wire-level :class:`SolveParams` into a :class:`SessionConfig`."""
     return SessionConfig(
         selection=params.selection,
-        kernel=params.kernel,
         initial_upper_bound=params.initial_upper_bound,
         max_nodes=params.max_nodes,
         max_time_s=params.max_time_s,
         max_frontier_nodes=params.max_frontier_nodes,
-        frontier_index=params.frontier_index,
         checkpoint_path=params.checkpoint_path,
         checkpoint_every=params.checkpoint_every,
     )
@@ -301,10 +299,8 @@ class SolveService:
         max_frontier = engine.get("max_frontier_nodes")
         config = SessionConfig(
             selection=str(engine.get("selection", "best-first")),
-            kernel=str(engine.get("kernel", "v2")),
             include_one_machine=bool(engine.get("include_one_machine", False)),
             max_frontier_nodes=int(max_frontier) if max_frontier is not None else None,
-            frontier_index=str(engine.get("frontier_index", "segmented")),
             resume_from=str(snapshot_path),
         )
         return self._admit(request_id, snapshot.instance, config, client_id)

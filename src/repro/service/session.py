@@ -71,14 +71,11 @@ class SessionConfig:
     """
 
     selection: str = "best-first"
-    kernel: str = "v2"
     initial_upper_bound: Optional[float] = None
     include_one_machine: bool = False
     max_nodes: Optional[int] = None
     max_time_s: Optional[float] = None
     max_frontier_nodes: Optional[int] = None
-    #: frontier selection index: "segmented" (default) or "linear"
-    frontier_index: str = "segmented"
     #: snapshot file this session checkpoints to (fault tolerance); ``None``
     #: disables checkpointing
     checkpoint_path: Optional[str] = None
@@ -88,19 +85,10 @@ class SessionConfig:
     resume_from: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("v1", "v2"):
-            raise ValueError(
-                f"service sessions require a batched kernel ('v1'/'v2'), got {self.kernel!r}"
-            )
         if self.selection not in ("best-first", "depth-first", "fifo"):
             raise ValueError(f"unknown selection strategy {self.selection!r}")
         if self.max_frontier_nodes is not None and self.max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be >= 1 when given")
-        if self.frontier_index not in ("segmented", "linear"):
-            raise ValueError(
-                f"frontier_index must be 'segmented' or 'linear', "
-                f"got {self.frontier_index!r}"
-            )
         if self.checkpoint_every is not None:
             if self.checkpoint_every < 1:
                 raise ValueError("checkpoint_every must be >= 1 when given")
@@ -235,10 +223,8 @@ class SolveSession:
         return {
             "engine": "session",
             "selection": config.selection,
-            "kernel": config.kernel,
             "include_one_machine": include_one_machine,
             "max_frontier_nodes": config.max_frontier_nodes,
-            "frontier_index": config.frontier_index,
             "trace": False,
         }
 
@@ -317,7 +303,6 @@ class SolveSession:
             self.dispatcher,
             self.data,
             token=self,
-            kernel=config.kernel,
             include_one_machine=include_one_machine,
         )
         hooks = SearchHooks(on_select=check_cancel, on_improve_incumbent=record_incumbent)
@@ -329,7 +314,6 @@ class SolveSession:
             instance,
             self.data,
             selection=config.selection,
-            kernel=config.kernel,
             include_one_machine=include_one_machine,
             offload=offload,
             limits=SearchLimits(max_nodes=config.max_nodes, max_time_s=config.max_time_s),
@@ -350,13 +334,12 @@ class SolveSession:
                 trail,
                 strategy=config.selection,
                 max_pending=config.max_frontier_nodes,
-                frontier_index=config.frontier_index,
             )
             root = root_block(instance, trail)
             t0 = time.perf_counter()
             # the root is a single node bounded before any peer session exists
             # to coalesce with — evaluate it locally, as the serial engine does
-            bound_block(self.data, root, include_one_machine, kernel=config.kernel)
+            bound_block(self.data, root, include_one_machine)
             stats.time_bounding_s += time.perf_counter() - t0
             stats.nodes_bounded += 1
             frontier.push_block(root)

@@ -165,21 +165,27 @@ def test_resume_rejects_truncated_snapshot(small_instance, tmp_path):
         SequentialBranchAndBound.resume(path)
 
 
-def test_legacy_overlap_header_resumes_to_golden(small_instance, tmp_path):
-    """A header still carrying the removed ``overlap`` key resumes; new ones omit it."""
+@pytest.mark.parametrize(
+    "key, value",
+    [("overlap", "async"), ("kernel", "scalar"), ("frontier_index", "linear")],
+    ids=["overlap", "kernel", "frontier_index"],
+)
+def test_legacy_overlap_header_resumes_to_golden(small_instance, tmp_path, key, value):
+    """A header still carrying a removed engine key (``overlap``, ``kernel``,
+    ``frontier_index``) resumes to the golden result; new headers omit it."""
     from test_snapshot import _rebuild_with_header
 
     golden = SequentialBranchAndBound(small_instance).solve()
     path = tmp_path / "snap.rpbb"
     result = SequentialBranchAndBound(small_instance, max_nodes=15, checkpoint_path=path).solve()
     assert not result.proved_optimal
-    assert "overlap" not in load_header(path)["engine"]
+    assert key not in load_header(path)["engine"]
 
     def legacy(header):
-        header["engine"]["overlap"] = "async"
+        header["engine"][key] = value
 
     path.write_bytes(_rebuild_with_header(path.read_bytes(), legacy))
-    assert load_header(path)["engine"]["overlap"] == "async"
+    assert load_header(path)["engine"][key] == value
     budgets = [40, 90, 180]  # cumulative: nodes_explored carries across segments
     segments = 1
     while not result.proved_optimal:

@@ -18,7 +18,6 @@ from repro.bb.frontier import (
     branch_block,
     branch_row,
     eliminate_block,
-    make_frontier,
     root_block,
     seed_block,
 )
@@ -441,11 +440,11 @@ class TestBlockFrontier:
             assert popped.lower_bound[0] < 5.0
 
     def test_prune_to_empty_frontier(self, small_instance):
-        frontier = make_frontier(small_instance, Trail())
+        frontier = BlockFrontier(small_instance.n_jobs, small_instance.n_machines, Trail())
         assert frontier.prune_to(10.0) == 0
 
     def test_pop_from_empty(self, small_instance):
-        frontier = make_frontier(small_instance, Trail())
+        frontier = BlockFrontier(small_instance.n_jobs, small_instance.n_machines, Trail())
         block, pruned = frontier.pop_batch(4)
         assert len(block) == 0 and pruned == 0
         with pytest.raises(IndexError):

@@ -6,8 +6,10 @@ selection operator has exactly one correct answer and caching per-segment
 minima may change only the cost of finding it.  The property test here
 drives random interleaved operation sequences — including snapshot
 save/restore round-trips mid-sequence — against a segmented store (tiny
-segments, so even small frontiers span many of them) and a linear twin,
-and asserts the full observable log matches pop-for-pop.
+segments, so even small frontiers span many of them) and a linear twin
+(one segment spanning the whole store, so every query scans the key
+column directly), and asserts the full observable log matches
+pop-for-pop.
 
 Also covered: the cap-hysteresis regime machine (enter at the cap, leave
 strictly below the low-water mark, no flapping at the boundary) and the
@@ -26,14 +28,18 @@ from repro.bb.frontier import (
     BlockFrontier,
     Trail,
 )
-from repro.bb.sequential import SequentialBranchAndBound
 from repro.bb.snapshot import dumps_snapshot, loads_snapshot
 from repro.bb.stats import SearchStats
-from repro.core.config import GpuBBConfig
 from repro.flowshop import random_instance
 
 N_JOBS, N_MACHINES = 6, 3
 _INSTANCE = random_instance(N_JOBS, N_MACHINES, seed=5)
+
+#: segment_shift of each twin: 4-row segments, so even a 30-node store
+#: spans many segments and the segmented code paths (not the
+#: single-segment direct scan) are what the property test exercises; and
+#: 2**24-row segments, so the "linear" store never leaves the direct scan
+_SEGMENT_SHIFT = {"segmented": 2, "linear": 24}
 
 
 def _block(frontier: BlockFrontier, lbs, depths, order_start: int):
@@ -54,21 +60,17 @@ def _block(frontier: BlockFrontier, lbs, depths, order_start: int):
 def _frontier(kind: str, cap) -> BlockFrontier:
     trail = Trail()
     trail.append_root()
-    # segment_shift=2 -> 4-row segments: even a 30-node store spans many
-    # segments, so the segmented code paths (not the single-segment exact
-    # fallback) are what the property test exercises
     return BlockFrontier(
         N_JOBS,
         N_MACHINES,
         trail,
         max_pending=cap,
-        frontier_index=kind,
-        segment_shift=2,
+        segment_shift=_SEGMENT_SHIFT[kind],
     )
 
 
-def _roundtrip(frontier: BlockFrontier, kind: str) -> BlockFrontier:
-    """Snapshot the store and restore it (same container, same index kind)."""
+def _roundtrip(frontier: BlockFrontier) -> BlockFrontier:
+    """Snapshot the store and restore it with its own segment size."""
     blob = dumps_snapshot(
         _INSTANCE,
         frontier=frontier,
@@ -76,25 +78,22 @@ def _roundtrip(frontier: BlockFrontier, kind: str) -> BlockFrontier:
         best_order=(),
         stats=SearchStats(),
         trail=frontier._trail,
-        engine={"frontier_index": kind},
     )
     snapshot = loads_snapshot(blob)
     restored = snapshot.frontier
     assert isinstance(restored, BlockFrontier)
-    assert restored.frontier_index == kind
-    # the restored default segment size is the production 4096; shrink the
-    # view back to the tiny test segments so the index stays exercised
-    if restored._segmented:
-        restored._seg_shift = frontier._seg_shift
-        restored._seg_size = frontier._seg_size
-        restored._seg_mask = frontier._seg_mask
-        n_seg = (restored._lb.shape[0] + restored._seg_mask) >> restored._seg_shift
-        restored._seg_key = np.full(max(n_seg, 1), np.iinfo(np.int64).max, np.int64)
-        restored._seg_krow = np.zeros(max(n_seg, 1), dtype=np.int32)
-        restored._seg_omax = np.zeros(max(n_seg, 1), dtype=np.int32)
-        restored._seg_orow = np.zeros(max(n_seg, 1), dtype=np.int32)
-        restored._seg_dirty = np.ones(max(n_seg, 1), dtype=bool)
-        restored._seg_any_dirty = True
+    # the restored store has the production 4096-row segments; give it back
+    # its twin's segment size, so each twin keeps its own selection path
+    restored._seg_shift = frontier._seg_shift
+    restored._seg_size = frontier._seg_size
+    restored._seg_mask = frontier._seg_mask
+    n_seg = max(1, (restored._lb.shape[0] + restored._seg_mask) >> restored._seg_shift)
+    restored._seg_key = np.full(n_seg, np.iinfo(np.int64).max, np.int64)
+    restored._seg_krow = np.zeros(n_seg, dtype=np.int32)
+    restored._seg_omax = np.zeros(n_seg, dtype=np.int32)
+    restored._seg_orow = np.zeros(n_seg, dtype=np.int32)
+    restored._seg_dirty = np.ones(n_seg, dtype=bool)
+    restored._seg_any_dirty = True
     return restored
 
 
@@ -171,7 +170,7 @@ class TestSegmentedLinearEquivalence:
                 elif step[0] == "prune" and len(f):
                     log.append(("prune", f.prune_to(float(step[1]))))
                 elif step[0] == "snapshot":
-                    frontiers[kind] = f = _roundtrip(f, kind)
+                    frontiers[kind] = f = _roundtrip(f)
                 log.append(
                     (
                         "state",
@@ -235,20 +234,12 @@ class TestCapHysteresis:
         row = f.peek_best()
         assert int(f.row_view(row)[2]) == 8  # newest node, not best bound
 
-    def test_engines_validate_frontier_index(self):
-        with pytest.raises(ValueError, match="frontier_index"):
-            GpuBBConfig(frontier_index="bogus")
-        with pytest.raises(ValueError, match="frontier_index"):
-            SequentialBranchAndBound(_INSTANCE, frontier_index="bogus")
-        with pytest.raises(ValueError, match="frontier index"):
-            BlockFrontier(N_JOBS, N_MACHINES, Trail(), frontier_index="bogus")
-
     def test_snapshot_preserves_regime_state(self):
         f = _frontier("segmented", 10)
         f.push_block(_block(f, [5] * 10, [1] * 10, 0))
         assert f.restricted and f.regime_switches == 1
         f.discard(f.peek_best())  # size 9: restricted only via hysteresis
-        restored = _roundtrip(f, "segmented")
+        restored = _roundtrip(f)
         assert restored.restricted
         assert restored.regime_switches == 1
 

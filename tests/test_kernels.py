@@ -2,32 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.bb.frontier import Trail, branch_block, root_block
-from repro.core.kernels import (
-    KernelLaunch,
-    bounding_kernel,
-    bounding_kernel_batch,
-)
-from repro.flowshop.bounds import lower_bound, lower_bound_batch
-
-
-class TestKernelWrappers:
-    def test_scalar_kernel_matches_lower_bound(self, small_instance_data):
-        assert bounding_kernel(small_instance_data, [0, 2]) == lower_bound(
-            small_instance_data, [0, 2]
-        )
-
-    def test_batch_kernel_matches_lower_bound_batch(self, small_instance, small_instance_data):
-        root = root_block(small_instance, Trail())
-        children = branch_block(root, small_instance.processing_times, 1)
-        mask, release = children.scheduled_mask, children.release
-        assert np.array_equal(
-            bounding_kernel_batch(small_instance_data, mask, release),
-            lower_bound_batch(small_instance_data, mask, release),
-        )
+from repro.core.kernels import KernelLaunch
 
 
 class TestKernelLaunch:

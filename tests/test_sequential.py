@@ -126,6 +126,10 @@ class TestStatsAndTrace:
         result = SequentialBranchAndBound(paper_instance, max_nodes=150, kernel="scalar").solve()
         assert result.stats.bounding_fraction > 0.80
 
+    def test_kernel_choices_are_v2_and_scalar(self, tiny_instance):
+        with pytest.raises(ValueError, match="'scalar' or 'v2'"):
+            SequentialBranchAndBound(tiny_instance, kernel="v1")
+
     def test_trace_records_root(self, tiny_instance):
         result = SequentialBranchAndBound(
             tiny_instance, trace=True, initial_upper_bound=float("inf")

@@ -89,10 +89,6 @@ class TestSessionBitExactness:
         assert result.order == (6, 5, 0, 2, 1, 7, 4, 3)
         assert result.proved_optimal
 
-    def test_rejects_scalar_kernel(self):
-        with pytest.raises(ValueError, match="batched kernel"):
-            SessionConfig(kernel="scalar")
-
 
 class TestConcurrentService:
     def test_concurrent_sessions_bit_identical_and_coalesced(self):
@@ -199,7 +195,8 @@ class TestPerRequestCheckpoint:
         assert_matches_sequential(result, MEDIUM)
         header = load_header(path)
         assert header["format_version"] == SNAPSHOT_FORMAT_VERSION
-        assert "overlap" not in header["engine"]
+        for removed in ("overlap", "kernel", "frontier_index"):
+            assert removed not in header["engine"]
 
 
 class TestSessionCancellation:
@@ -387,8 +384,14 @@ class TestWireService:
 
         asyncio.run(run())
 
-    def test_removed_overlap_param_answers_error_and_survives(self):
-        """``params.overlap`` is no longer a solve parameter: one error reply."""
+    @pytest.mark.parametrize(
+        "field, value",
+        [("overlap", "async"), ("kernel", "v1"), ("frontier_index", "linear")],
+        ids=["overlap", "kernel", "frontier_index"],
+    )
+    def test_removed_overlap_param_answers_error_and_survives(self, field, value):
+        """Removed solve parameters (``overlap``, ``kernel``,
+        ``frontier_index``) get one error reply; the connection survives."""
         import json
 
         from repro.service import protocol
@@ -397,7 +400,7 @@ class TestWireService:
             request_id="old", instance=InstanceSpec.explicit(SMALL.processing_times.tolist())
         )
         payload = json.loads(protocol.encode(request))
-        payload["params"]["overlap"] = "async"
+        payload["params"][field] = value
 
         async def run():
             async with SolveService(max_active_sessions=1) as service:
@@ -409,7 +412,7 @@ class TestWireService:
                     reply = protocol.decode((await reader.readline()).decode())
                     assert reply.type == "error"
                     assert "bad solve payload" in reply.message
-                    assert "overlap" in reply.message
+                    assert field in reply.message
                     # exactly one error, then the following request is served
                     status = protocol.decode((await reader.readline()).decode())
                     assert status.type == "status_reply"

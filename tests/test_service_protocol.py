@@ -32,7 +32,7 @@ MESSAGES = [
     SolveRequest(
         request_id="r1",
         instance=InstanceSpec.taillard(20, 5, index=3),
-        params=SolveParams(selection="depth-first", kernel="v1", max_nodes=100),
+        params=SolveParams(selection="depth-first", max_nodes=100),
         client_id="alice",
     ),
     SolveRequest(
