@@ -16,7 +16,13 @@ bounds.  This module measures both:
   of 256 depth-2 parents): bit-identity with the GEMM and scan strategies,
   a >= 5x per-launch floor over the GEMM at 200x20 (asserted by a plain
   pytest case, so the CI smoke run enforces it), and in script mode the
-  crossover table behind ``_V2_INCREMENTAL_MIN_JOBS``.
+  crossover table behind ``_V2_INCREMENTAL_MIN_JOBS``;
+* one launch split across the usable CPUs: the ta100x20 sibling launch
+  (the ``gpu-100x20`` shape) with the calling thread pinned to one CPU
+  (one part) against unpinned (one part per CPU), bit-identical and
+  >= 1.4x faster where two or more CPUs are usable (a plain pytest case);
+  script mode prints the ratio for the 50/100/200x20 sibling launches,
+  a 200x20 scan pool and the 20x20 GEMM pool, which is never split.
 
 Runable two ways::
 
@@ -26,6 +32,7 @@ Runable two ways::
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -67,6 +74,10 @@ CROSSOVER_CLASSES = ((13, 6), (20, 20), (50, 20), (100, 20), (200, 20))
 #: (script mode): best-first tie batches bound several sibling sets at once.
 GROUPED_PARENTS = (8, 32)
 GROUPED_CLASSES = ((13, 6), (20, 20))
+#: Per-launch floor of a launch split across two or more CPUs over one part.
+SPLIT_FLOOR = 1.4
+#: The split measurements pin the calling thread to one CPU for the baseline.
+CAN_PIN = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def _launch_inputs(n_jobs=20, n_machines=20, pool_size=POOL_SIZE):
@@ -147,6 +158,37 @@ def test_incremental_launch_exact_and_fast(n_jobs):
         assert speedup >= INCREMENTAL_FLOOR, (
             f"incremental {speedup:.1f}x over the GEMM, floor {INCREMENTAL_FLOOR:.0f}x"
         )
+
+
+def _one_cpu_vs_all(fn, reps=5):
+    """``(best s pinned to one CPU, best s unpinned, pinned out, unpinned out)``.
+
+    Pinning narrows the calling thread's affinity, which the kernel reads
+    per launch, so the pinned launch runs as one part.
+    """
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(usable)})
+    try:
+        t_one, one = _timed(fn, reps=reps)
+    finally:
+        os.sched_setaffinity(0, usable)
+    t_all, split = _timed(fn, reps=reps)
+    return t_one, t_all, one, split
+
+
+@pytest.mark.skipif(not CAN_PIN, reason="needs two usable CPUs and os.sched_setaffinity")
+def test_split_launch_exact_and_faster():
+    """The ta100x20 sibling launch: identical bounds, >= 1.4x split over one part."""
+    data, children = _sibling_launch(100, 20)
+    args = (data, children.scheduled_mask, children.release)
+    lower_bound_batch_v2(*args, jobs=children.jobs)  # build the tables
+    t_one, t_all, one, split = _one_cpu_vs_all(
+        lambda: lower_bound_batch_v2(*args, jobs=children.jobs)
+    )
+    assert np.array_equal(split, one)
+    speedup = t_one / t_all
+    message = f"split launch {speedup:.2f}x over one part, floor {SPLIT_FLOOR}x"
+    assert speedup >= SPLIT_FLOOR, message
 
 
 def test_sequential_engine_v2_end_to_end(benchmark):
@@ -236,6 +278,34 @@ def grouped_sibling_table() -> None:
             )
 
 
+def split_table() -> None:
+    """One part (the caller pinned to one CPU) against one part per usable CPU."""
+    if not CAN_PIN:
+        print("split launches: skipped (needs two usable CPUs and os.sched_setaffinity)")
+        return
+    print(f"split launches ({len(os.sched_getaffinity(0))} usable CPUs; floor {SPLIT_FLOOR}x)")
+    print("  launch                          rows  one-CPU ms  split ms  ratio")
+    cases = []
+    data, mask, release = _launch_inputs(pool_size=16384)
+    cases.append(("20x20 pool, gemm (not split)", data, mask, release, None))
+    data, mask, release = _launch_inputs(200, 20, pool_size=1024)
+    cases.append(("200x20 pool, scan", data, mask, release, None))
+    for n_jobs in (50, 100, 200):
+        data, children = _sibling_launch(n_jobs, 20)
+        label = f"{n_jobs}x20 siblings, incremental"
+        cases.append((label, data, children.scheduled_mask, children.release, children.jobs))
+    for label, data, mask, release, jobs in cases:
+        lower_bound_batch_v2(data, mask, release, jobs=jobs)  # build the tables
+        t_one, t_all, one, split = _one_cpu_vs_all(
+            lambda: lower_bound_batch_v2(data, mask, release, jobs=jobs), reps=3
+        )
+        assert np.array_equal(split, one), f"{label} diverged"
+        print(
+            f"  {label:<30} {len(mask):>6} {t_one * 1e3:11.1f} {t_all * 1e3:9.1f} "
+            f"{t_one / t_all:6.2f}"
+        )
+
+
 def main() -> int:
     print(f"kernel v1 vs v2 launch throughput (pool = {POOL_SIZE}, ta 20x20)")
     data, mask, release = _launch_inputs()
@@ -267,6 +337,7 @@ def main() -> int:
 
     crossover_table()
     grouped_sibling_table()
+    split_table()
 
     if speedup < SPEEDUP_FLOOR:
         print(f"FAIL: v2 launch speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.0f}x floor")

@@ -42,6 +42,16 @@ Three evaluation paths are provided:
     set shifts its closed-form candidates in a known way.  Selected from
     ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS``, the measured crossover.
 
+  A large scan or incremental launch is split into contiguous row ranges,
+  one per CPU the process may run on, evaluated at the same time on
+  threads that live only for that launch (numpy releases the interpreter
+  lock inside its ufunc loops).  The split depends only on the launch's
+  shape and the process's CPU affinity: it happens only while every numpy
+  call of a part still touches ``_SPLIT_MIN_ELEMENTS`` elements, because
+  below that grain the interpreter lock serialises the parts and a split
+  loses.  GEMM launches are not split; BLAS runs their products on its
+  own threads.
+
 All batched kernels return values bit-identical to the scalar bound;
 :func:`get_batch_kernel` maps a ``"v1"`` / ``"v2"`` name to the matching
 implementation (every engine bounds with ``"v2"``; ``"v1"`` stays the
@@ -50,6 +60,7 @@ reference the tests and benchmarks compare against).
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -603,6 +614,95 @@ _V2_INCREMENTAL_MIN_JOBS = 40
 #: tables the incremental strategy builds per tile.
 _V2_INCREMENTAL_TILE = 1 << 17
 
+#: Fewest elements every numpy call of one part of a split launch must
+#: touch.  Below it the interpreter lock serialises the parts' calls and a
+#: split loses.  Two parts against one on a 2-vCPU Xeon (one BLAS thread),
+#: incremental strategy: 1.39x at 980 rows and 1.87x at 16,366 with 190
+#: couples (100x20); with 45 couples 1.49x at 4,080 rows but 0.78x at
+#: 1,008; with 10 couples 1.48x at 16,368 rows but 0.88x at 4,080.  The
+#: GEMM strategy is never split: its products already run on BLAS's own
+#: threads, and under numpy's default multi-threaded BLAS two parts of a
+#: 16,384-row ta20x20 launch took 155-186 ms against 112-125 ms in one.
+_SPLIT_MIN_ELEMENTS = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs the calling thread may run on now (``taskset`` narrows it)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is None:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+    return len(getaffinity(0))
+
+
+def _split_cuts(rows: int, n_couples: int, tile: int | None) -> list[int] | None:
+    """Row cuts of a launch split across the usable CPUs, or ``None``.
+
+    Uses the most parts, up to one per usable CPU, for which every numpy
+    call of a part still touches :data:`_SPLIT_MIN_ELEMENTS` elements.  A
+    tiled strategy (the scan) calls numpy on ``n_couples x tile`` elements
+    at a time, so each part holds at least one full ``tile`` and the cuts
+    fall on tile boundaries.  The incremental strategy
+    (``tile=None``) calls numpy on whole parts, so a part needs
+    ``_SPLIT_MIN_ELEMENTS / n_couples`` rows and any cut is exact.  The
+    grain is checked first, so small launches skip the affinity read.
+    """
+    if tile is None:
+        most = rows // -(-_SPLIT_MIN_ELEMENTS // n_couples)
+    elif n_couples * tile >= _SPLIT_MIN_ELEMENTS:
+        most = rows // tile
+    else:
+        return None
+    if most < 2:
+        return None
+    parts = min(most, _usable_cpus())
+    if parts < 2:
+        return None
+    if tile is None:
+        return [rows * part // parts for part in range(parts)] + [rows]
+    tiles = -(-rows // tile)
+    return [tiles * part // parts * tile for part in range(parts)] + [rows]
+
+
+def _evaluate_rows(
+    evaluate, n_couples: int, tile: int | None, *columns: np.ndarray
+) -> np.ndarray:
+    """``evaluate(*columns)``, split by :func:`_split_cuts` when large enough.
+
+    ``columns`` are row-aligned arrays; ``evaluate`` returns one int64 bound
+    per row.  Of a split launch, the calling thread evaluates the first part
+    and one thread per other part, started here, evaluates that part.  Each
+    part writes a disjoint slice of a fresh output array, so no lock is
+    needed.  Every thread is joined before this returns, also on error, and
+    the first failing part's exception (in row order) is raised here.
+    """
+    cuts = _split_cuts(len(columns[0]), n_couples, tile)
+    if cuts is None:
+        return evaluate(*columns)
+    out = np.empty(cuts[-1], dtype=np.int64)
+    errors: list[BaseException | None] = [None] * (len(cuts) - 1)
+
+    def run(part: int) -> None:
+        lo, hi = cuts[part], cuts[part + 1]
+        try:
+            out[lo:hi] = evaluate(*(column[lo:hi] for column in columns))
+        except BaseException as exc:  # noqa: BLE001 - raised again by the caller
+            errors[part] = exc
+
+    helpers = []
+    try:
+        for part in range(1, len(cuts) - 1):
+            helper = threading.Thread(target=run, args=(part,), name=f"bounds-part-{part}")
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return out
+
 
 def _johnson_positions(data: LowerBoundData) -> np.ndarray:
     """``(n, C)`` position of every job in every couple's Johnson order."""
@@ -1046,9 +1146,14 @@ def lower_bound_batch_v2(
     ``strategy=None`` picks automatically: ``"incremental"`` when ``jobs``
     is given and ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS`` (the measured
     crossover; below it the GEMM is as fast or faster), else
-    ``"gemm"`` for ``n_jobs <= 128`` and ``"scan"`` beyond.  Pools are
-    processed in cache-sized tiles, so temporary memory stays bounded for
-    the paper's largest (262144 sub-problem) launches.
+    ``"gemm"`` for ``n_jobs <= 128`` and ``"scan"`` beyond.  From the
+    crossover on, one active row without ``jobs`` (a root bound) takes
+    ``"scan"``: the GEMM's weight tensor would be built for that row
+    alone.  Pools are processed in cache-sized tiles, so temporary memory
+    stays bounded for the paper's largest (262144 sub-problem) launches,
+    and a large scan or incremental launch is split across the CPUs the
+    process may use (:func:`_evaluate_rows`); every row's value is the
+    same either way.
 
     ``jobs`` is optional: an ``(B,)`` integer array whose entry ``i`` must be
     scheduled in ``scheduled_mask[i]`` (``ValueError`` otherwise) — the
@@ -1079,11 +1184,6 @@ def lower_bound_batch_v2(
         )
 
     value_bound = _v2_value_bound(data, release)
-    if strategy is None:
-        if jobs is not None and data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS:
-            strategy = "incremental"
-        else:
-            strategy = "gemm" if data.n_jobs <= _V2_GEMM_MAX_JOBS else "scan"
 
     # Complete schedules are resolved here once; the strategy kernels only
     # ever see the active (incomplete) sub-problems.
@@ -1096,6 +1196,17 @@ def lower_bound_batch_v2(
     mask_a = scheduled_mask[active]
     rel_a = release[active]
 
+    if strategy is None:
+        large = data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS
+        if large and jobs is not None:
+            strategy = "incremental"
+        elif data.n_jobs > _V2_GEMM_MAX_JOBS or (large and active.size == 1):
+            # one row without ``jobs`` (a root bound) does not pay for the
+            # GEMM's (n, C, n + 1) weight tensor; the scan is bit-identical
+            strategy = "scan"
+        else:
+            strategy = "gemm"
+
     if strategy == "gemm":
         if value_bound < 2**24:
             ftype: np.dtype = np.float32
@@ -1105,16 +1216,27 @@ def lower_bound_batch_v2(
             return lower_bound_batch(
                 data, scheduled_mask, release, include_one_machine=include_one_machine
             )
+        # not split: BLAS already runs each product on its own threads
         bounds[active] = _lower_bound_batch_v2_gemm(
             data, mask_a, rel_a, include_one_machine, ftype
         )
         return bounds
 
+    # the lazy per-instance tables are built here, on the calling thread, so
+    # the parts of a split launch never race to build one
     if strategy == "incremental":
         assert jobs is not None
         itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
-        bounds[active] = _lower_bound_batch_v2_incremental(
-            data, mask_a, rel_a, jobs[active], include_one_machine, itype
+        _v2_incremental_data(data, itype)
+        bounds[active] = _evaluate_rows(
+            lambda mask, rel, jobs_a: _lower_bound_batch_v2_incremental(
+                data, mask, rel, jobs_a, include_one_machine, itype
+            ),
+            data.n_couples,
+            None,
+            mask_a,
+            rel_a,
+            jobs[active],
         )
         return bounds
 
@@ -1124,7 +1246,14 @@ def lower_bound_batch_v2(
         dtype = np.int32
     else:
         dtype = np.int64
-    bounds[active] = _lower_bound_batch_v2_scan(data, mask_a, rel_a, include_one_machine, dtype)
+    data.couple_tensors()
+    bounds[active] = _evaluate_rows(
+        lambda mask, rel: _lower_bound_batch_v2_scan(data, mask, rel, include_one_machine, dtype),
+        data.n_couples,
+        _V2_SCAN_CHUNK,
+        mask_a,
+        rel_a,
+    )
     return bounds
 
 

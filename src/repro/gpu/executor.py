@@ -212,9 +212,16 @@ class GpuExecutor:
         int32↔int64 boundary: :meth:`evaluate` widens the int32 ``release``
         column to the kernels' internal int64, and the int64 bounds are
         cast back through the in-place write into the block's int32
-        ``lower_bound`` column.
+        ``lower_bound`` column.  The timing model's ``n_remaining`` comes
+        from the block's ``depth`` column (the scheduled-job count of every
+        row), the same integer a row sum of the mask gives.
         """
-        result = self.evaluate(block.scheduled_mask, block.release, jobs=block.jobs)
+        n_remaining = None
+        if len(block):
+            n_remaining = int(round(self.data.n_jobs - block.depth.mean()))
+        result = self.evaluate(
+            block.scheduled_mask, block.release, n_remaining=n_remaining, jobs=block.jobs
+        )
         block.lower_bound[:] = result.bounds
         return result
 

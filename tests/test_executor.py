@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.bb.frontier import Trail, branch_block, root_block
+from repro.bb.frontier import NodeBlock, Trail, branch_block, root_block
 from repro.flowshop.bounds import LowerBoundData, lower_bound
 from repro.gpu.executor import GpuExecutor
 from repro.gpu.placement import DataPlacement
@@ -56,6 +57,27 @@ class TestEvaluate:
         assert result.pool_size == len(children)
         assert result.measured_wall_s >= 0
         assert result.simulated.total_s > 0
+
+    def test_block_timing_input_comes_from_depths(self, executor, small_instance):
+        """The depth column feeds the timing model the same ``n_remaining``
+        the mask's row sums give."""
+        children = _root_children(small_instance)
+        grandchildren = branch_block(
+            children.take(np.array([0])), small_instance.processing_times, 1 + len(children)
+        )
+        columns = ("scheduled_mask", "release", "lower_bound", "depth", "order_index", "trail_id")
+        mixed = NodeBlock(
+            **{
+                name: np.concatenate([getattr(children, name), getattr(grandchildren, name)])
+                for name in columns
+            },
+            trail=children.trail,
+        )
+        assert sorted(set(mixed.depth.tolist())) == [1, 2]
+        via_mask = executor.evaluate(mixed.scheduled_mask, mixed.release)
+        via_block = executor.evaluate_block(mixed)
+        assert via_block.simulated == via_mask.simulated
+        assert np.array_equal(via_block.bounds, via_mask.bounds)
 
     def test_counters_accumulate(self, executor, small_instance):
         children = _root_children(small_instance)

@@ -327,19 +327,47 @@ class TestIncrementalEngines:
             result.simulated_device_time_s,
         )
 
+    def _solve(self, engine):
+        if engine == "gpu":
+            return GpuBranchAndBound(self.INSTANCE, self.CONFIG).solve()
+        return ClusterBranchAndBound(self.INSTANCE, ClusterSpec(n_nodes=3), self.CONFIG).solve()
+
     @pytest.mark.parametrize("engine", ["gpu", "cluster"])
     def test_gemm_and_incremental_paths_agree(self, monkeypatch, incremental_calls, engine):
-        def solve():
-            if engine == "gpu":
-                return GpuBranchAndBound(self.INSTANCE, self.CONFIG).solve()
-            return ClusterBranchAndBound(
-                self.INSTANCE, ClusterSpec(n_nodes=3), self.CONFIG
-            ).solve()
-
         _set_crossover(monkeypatch, 10**9)
-        via_gemm = solve()
+        via_gemm = self._solve(engine)
         assert not incremental_calls
         _set_crossover(monkeypatch, 2)
-        via_incremental = solve()
+        via_incremental = self._solve(engine)
         assert incremental_calls
         assert self._fingerprint(via_gemm) == self._fingerprint(via_incremental)
+
+    @pytest.mark.parametrize("engine", ["gpu", "cluster"])
+    def test_split_launches_explore_the_same_tree(self, monkeypatch, incremental_calls, engine):
+        monkeypatch.setattr(bounds, "_SPLIT_MIN_ELEMENTS", 1)
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+        one_cpu = self._solve(engine)
+        whole_launches = len(incremental_calls)
+        incremental_calls.clear()
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 4)
+        split = self._solve(engine)
+        assert len(incremental_calls) > whole_launches  # launches ran as parts
+        assert self._fingerprint(split) == self._fingerprint(one_cpu)
+
+    def test_root_bound_builds_no_gemm_tables(self, monkeypatch):
+        """The one-row root launch takes the scan, not the GEMM's tables."""
+        engine = GpuBranchAndBound(self.INSTANCE, self.CONFIG)
+        launches = []
+        evaluate_block = engine.executor.evaluate_block
+
+        def spy(block):
+            result = evaluate_block(block)
+            launches.append(result.bounds.copy())
+            return result
+
+        monkeypatch.setattr(engine.executor, "evaluate_block", spy)
+        engine.solve()
+        gemm_tables = (bounds._V2GemmData, frontier._FusedData)
+        cache = engine.data._v2_gemm_cache.values()
+        assert not [table for table in cache if isinstance(table, gemm_tables)]
+        assert launches[0].tolist() == [lower_bound(engine.data, [])]
