@@ -14,7 +14,9 @@ builds on:
   iteration every engine runs: :class:`~repro.bb.driver.SearchDriver`,
   parameterized by an offload backend (where bounding runs and what
   simulated time it charges) and per-step hooks (incumbent publication,
-  bound polling, launch accounting, simulated overlap credits).
+  bound polling, launch accounting, simulated overlap credits), and
+  :func:`~repro.bb.driver.run_search`, the one assembly through which every
+  engine seeds, runs and finishes its search.
 * :mod:`~repro.bb.snapshot` — versioned, checksummed search-state
   snapshots for checkpoint/resume.
 * :mod:`~repro.bb.sequential` — the serial B&B, the ``T_cpu`` reference of
@@ -47,6 +49,7 @@ from repro.bb.driver import (
     SearchHooks,
     SearchLimits,
     TraceEvent,
+    run_search,
 )
 from repro.bb.stats import SearchStats
 from repro.bb.progress import ProgressTracker, ProgressEvent
@@ -67,6 +70,7 @@ __all__ = [
     "SearchDriver",
     "SearchHooks",
     "SearchLimits",
+    "run_search",
     "LocalBounding",
     "OffloadStep",
     "DriverResult",

@@ -48,20 +48,39 @@ serial CPU        LocalBounding        single-step; ``trace`` recording,
 GPU (Figure 3)    executor adapter     batch mode (``batch_size`` =
                                        pool size); ``on_iteration`` records
                                        per-launch accounting; optional
-                                       ``double_buffer`` overlap credit
-pipeline / hybrid executor adapter     batch mode from a seeded frontier;
-                                       ``max_iterations``; cooperative
-                                       incumbent seeding happens *between*
-                                       driver runs
-cluster           distributed adapter  batch mode; ``incumbent_charge_s``
-                                       bills one interconnect broadcast per
+                                       ``double_buffer`` overlap credit;
+                                       ``max_nodes``/``max_time_s``/
+                                       ``max_iterations``
+pipeline / hybrid executor adapter     batch mode, one run per prefix
+                                       seed; ``max_nodes``/``max_iterations``
+                                       count over the whole solve and
+                                       ``max_time_s`` is one ``deadline``;
+                                       cooperative incumbent seeding
+                                       happens *between* driver runs
+cluster           distributed adapter  the GPU configuration plus
+                                       ``incumbent_charge_s``, which bills
+                                       one interconnect broadcast per
                                        incumbent improvement
 multicore         LocalBounding        single-step; ``poll_bound`` +
 (work stealing)                        ``poll_interval`` re-read the shared
                                        incumbent and re-prune the pool;
                                        ``on_improve_incumbent`` publishes
-                                       CAS updates; ``deadline`` budget
+                                       CAS updates; ``max_nodes`` per chunk
+                                       and a shared ``deadline``
+service session   BatchingOffload      single-step; ``on_select`` checks
+                                       cancellation; ``on_checkpoint``
+                                       writes periodic snapshots;
+                                       ``max_nodes``/``max_time_s``
 ================= ==================== ====================================
+
+Engine assembly
+---------------
+No engine calls :meth:`SearchDriver.run` itself.  :func:`run_search` is the
+one assembly around the loop: it starts from the root, a prefix seed or a
+:class:`~repro.bb.snapshot.Snapshot`, seeds the frontier (one seed rule for
+every engine), runs the driver, finalizes the statistics and hands the
+state of a budget-cut run to the caller's snapshot writer.  The engines
+keep only their configuration, their offload and their result type.
 
 The driver reproduces the historical per-engine loops bit-for-bit: the
 explored tree, the result, every node counter and the trace are identical
@@ -71,9 +90,10 @@ pins golden results captured from them).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -85,8 +105,9 @@ from repro.bb.frontier import (
     branch_block,
     branch_row,
     leaf_improvements,
+    seed_block,
 )
-from repro.bb.snapshot import CheckpointPolicy, CheckpointState
+from repro.bb.snapshot import CheckpointPolicy, CheckpointState, Snapshot
 from repro.bb.stats import SearchStats
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
@@ -100,6 +121,7 @@ __all__ = [
     "LocalBounding",
     "DriverResult",
     "SearchDriver",
+    "run_search",
 ]
 
 
@@ -250,15 +272,9 @@ class LocalBounding:
     paper's speed-ups are measured against.
     """
 
-    def __init__(
-        self,
-        data: LowerBoundData,
-        kernel: str = "v2",
-        include_one_machine: bool = False,
-    ):
+    def __init__(self, data: LowerBoundData, kernel: str = "v2"):
         self.data = data
         self.kernel = kernel
-        self.include_one_machine = include_one_machine
 
     def bound_block(
         self, block: NodeBlock, siblings: bool = False
@@ -270,13 +286,7 @@ class LocalBounding:
         per-parent minimal-tail shortcut of kernel v2's fused single-GEMM
         path (see :func:`~repro.bb.frontier.bound_block`).
         """
-        bounds = bound_block(
-            self.data,
-            block,
-            self.include_one_machine,
-            kernel=self.kernel,
-            siblings=siblings,
-        )
+        bounds = bound_block(self.data, block, kernel=self.kernel, siblings=siblings)
         return bounds, 0.0, 0.0
 
 
@@ -330,7 +340,6 @@ class SearchDriver:
         *,
         selection: str = "best-first",
         kernel: str = "v2",
-        include_one_machine: bool = False,
         offload: Optional[OffloadBackend] = None,
         batch_size: Optional[int] = None,
         limits: Optional[SearchLimits] = None,
@@ -345,7 +354,7 @@ class SearchDriver:
         if offload is None:
             if data is None:
                 raise ValueError("either an offload backend or bound data is required")
-            offload = LocalBounding(data, kernel=kernel, include_one_machine=include_one_machine)
+            offload = LocalBounding(data, kernel=kernel)
         self.instance = instance
         self.selection = selection
         self.offload: OffloadBackend = offload
@@ -374,8 +383,9 @@ class SearchDriver:
         ``frontier`` is a seeded :class:`~repro.bb.frontier.BlockFrontier`
         and ``trail`` its search's :class:`~repro.bb.frontier.Trail`; the
         caller bounds and pushes the root/seed and pre-credits its
-        statistics.  ``start`` anchors the ``max_time_s`` budget (defaults
-        to now); ``next_order`` is the creation index of the next node.
+        statistics (engines call :func:`run_search`, which does that).
+        ``start`` anchors the ``max_time_s`` budget (defaults to now);
+        ``next_order`` is the creation index of the next node.
         """
         if start is None:
             start = time.perf_counter()
@@ -915,3 +925,127 @@ class SearchDriver:
             overlap_saved_sim_s=overlap_sim_saved,
             next_order=next_order,
         )
+
+
+# ---------------------------------------------------------------------- #
+#  The engine assembly
+# ---------------------------------------------------------------------- #
+def run_search(
+    driver: SearchDriver,
+    start: Union[Sequence[int], Snapshot] = (),
+    *,
+    upper_bound: float = math.inf,
+    best_order: tuple[int, ...] = (),
+    max_pending: Optional[int] = None,
+    stats: Optional[SearchStats] = None,
+    seed_offload: Optional[OffloadBackend] = None,
+    on_cut: Optional[Callable[[CheckpointState], None]] = None,
+) -> tuple[DriverResult, SearchStats]:
+    """Seed, run and finish one search: the assembly every engine shares.
+
+    ``start`` is a job prefix (``()`` is the root) or a
+    :class:`~repro.bb.snapshot.Snapshot` to continue.
+
+    * **Fresh start.** ``upper_bound``/``best_order`` are the starting
+      incumbent; a seeded schedule credits ``incumbent_updates``.  The
+      frontier uses the driver's selection and the ``max_pending`` cap.
+      The seed is bounded once, through ``seed_offload`` (default: the
+      driver's offload), and counted in ``nodes_bounded`` and
+      ``time_bounding_s``.  Then the rule children follow at elimination
+      applies: a complete seed is examined as a leaf (an improving one
+      updates the incumbent through ``on_improve_incumbent``), a seed
+      whose bound meets the incumbent is pruned, any other is pushed.
+    * **Snapshot start.** The snapshot's stats, carried wall time,
+      incumbent, frontier, trail and ``next_order`` are reused; a smaller
+      ``upper_bound`` (a shared bound) tightens the incumbent.
+
+    ``stats`` (default: the snapshot's, or fresh counters) receives the
+    counters; a caller that must read them after an exception passes its
+    own.  ``time_total_s`` and ``max_pool_size`` are finalized even when
+    the run raises.  The returned outcome's ``simulated_s`` and
+    ``measured_s`` include the seed launch, and ``stats`` is charged the
+    simulated seed launch plus the loop minus the double-buffer credit.
+    When a budget cuts the run, ``on_cut`` receives its final state.
+    """
+    began = time.perf_counter()
+    instance = driver.instance
+    seed_sim_s = seed_wall_s = 0.0
+    seed_value: Optional[int] = None
+    seed_event: Optional[TraceEvent] = None
+    if isinstance(start, Snapshot):
+        stats = stats if stats is not None else start.stats
+        frontier, trail, next_order = start.frontier, start.trail, start.next_order
+        upper_bound = min(upper_bound, start.upper_bound)
+        best_order = start.best_order
+    else:
+        stats = stats if stats is not None else SearchStats()
+        if best_order:
+            stats.incumbent_updates += 1
+        trail = Trail()
+        frontier = BlockFrontier(
+            instance.n_jobs,
+            instance.n_machines,
+            trail,
+            strategy=driver.selection,
+            max_pending=max_pending,
+        )
+        prefix = tuple(int(job) for job in start)
+        seed = seed_block(instance, prefix, trail)
+        next_order = int(seed.order_index[0]) + 1
+        offload = seed_offload if seed_offload is not None else driver.offload
+        t0 = time.perf_counter()
+        _, seed_sim_s, seed_wall_s = offload.bound_block(seed)
+        stats.time_bounding_s += time.perf_counter() - t0
+        stats.nodes_bounded += 1
+        seed_lb = int(seed.lower_bound[0])
+        if len(prefix) == instance.n_jobs:
+            makespan = int(seed.release[0, -1])
+            stats.leaves_evaluated += 1
+            action = "leaf"
+            if makespan < upper_bound:
+                upper_bound, best_order, seed_value = float(makespan), prefix, makespan
+                stats.incumbent_updates += 1
+                driver._notify(makespan, lambda: prefix)
+                action = "incumbent"
+            seed_event = TraceEvent(prefix, makespan, upper_bound, action)
+        elif seed_lb >= upper_bound:
+            stats.nodes_pruned += 1
+            seed_event = TraceEvent(prefix, seed_lb, upper_bound, "pruned")
+        else:
+            frontier.push_block(seed)
+    carried_s = stats.time_total_s
+
+    try:
+        outcome = driver.run(
+            frontier,
+            upper_bound=upper_bound,
+            best_order=best_order,
+            stats=stats,
+            trail=trail,
+            next_order=next_order,
+            start=began,
+        )
+    finally:
+        stats.time_total_s = carried_s + (time.perf_counter() - began)
+        stats.max_pool_size = frontier.max_size_seen
+    outcome.simulated_s = seed_sim_s + outcome.simulated_s
+    outcome.measured_s = seed_wall_s + outcome.measured_s
+    stats.simulated_device_time_s += outcome.simulated_s - outcome.overlap_saved_sim_s
+    if outcome.best_value is None:
+        outcome.best_value = seed_value
+    if seed_event is not None and driver.trace_enabled:
+        outcome.trace.insert(0, seed_event)
+    if on_cut is not None and not outcome.completed:
+        final_order = outcome.best_order
+        on_cut(
+            CheckpointState(
+                frontier=frontier,
+                trail=trail,
+                upper_bound=outcome.upper_bound,
+                best_order_supplier=lambda: final_order,
+                next_order=outcome.next_order,
+                stats=stats,
+                steps=outcome.iterations,
+            )
+        )
+    return outcome, stats

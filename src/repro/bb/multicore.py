@@ -32,17 +32,13 @@ import concurrent.futures
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits
-from repro.bb.frontier import BlockFrontier, Trail, bound_block, seed_block
-from repro.bb.sequential import BBResult, SequentialBranchAndBound
+from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits, run_search
+from repro.bb.sequential import BBResult, SequentialBranchAndBound, initial_incumbent
+from repro.bb.snapshot import CheckpointState, Snapshot, dumps_snapshot, loads_snapshot
 from repro.bb.stats import SearchStats
-from repro.bb.worksteal import (
-    WorkStealingBranchAndBound,
-    frontier_prefixes,
-    initial_incumbent,
-)
+from repro.bb.worksteal import WorkStealingBranchAndBound, frontier_prefixes
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
 
@@ -161,129 +157,51 @@ class _SubtreeSolver:
         )
 
     def run(self) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-        """Exhaust this worker's sub-tree; return (makespan, order, stats, completed)."""
-        if self.resume_from is not None:
-            return self._run_resume()
-        return self._run_seed()
+        """Exhaust this worker's sub-tree (or captured remainder).
 
-    def _deadline_expired(self) -> bool:
-        return self.deadline is not None and time.time() >= self.deadline
-
-    def _capture(self, frontier, trail, upper_bound: float, next_order: int) -> None:
-        """Serialize the live remainder of a budget-cut chunk for re-enqueue.
-
-        The cut segment's partial statistics travel with the worker that ran
-        it (they are merged into the worker totals as usual), so the blob
-        carries a *fresh* ``SearchStats`` — the resumed segment accounts for
-        its own work and nothing is double counted.
+        Returns ``(makespan, order, stats, completed)``; ``makespan`` is
+        ``None`` when the chunk never improved on its starting bound.
         """
-        from repro.bb.snapshot import dumps_snapshot  # local import to keep pickling light
+        upper_bound = self.upper_bound
+        if self.incumbent is not None:
+            upper_bound = min(upper_bound, self.incumbent.get())
+        start: Union[tuple[int, ...], Snapshot] = self.prefix
+        if self.resume_from is not None:
+            start = loads_snapshot(self.resume_from)
+        outcome, stats = run_search(
+            self._driver(),
+            start,
+            upper_bound=upper_bound,
+            max_pending=self.max_frontier_nodes,
+            on_cut=self._capture if self.capture_incomplete else None,
+        )
+        return outcome.best_value, tuple(outcome.best_order), stats, outcome.completed
 
+    def _capture(self, state: CheckpointState) -> None:
+        """Serialize the live remainder of a node-budget-cut chunk for re-enqueue.
+
+        A deadline-cut chunk is not captured: the global time budget stays
+        a hard stop.  The cut segment's partial statistics travel with the
+        worker that ran it (they are merged into the worker totals as
+        usual), so the blob carries a *fresh* ``SearchStats`` — the resumed
+        segment accounts for its own work and nothing is double counted.
+        """
+        if self.deadline is not None and time.time() >= self.deadline:
+            return
         self.resume_blob = dumps_snapshot(
             self.instance,
-            frontier=frontier,
-            upper_bound=upper_bound,
+            frontier=state.frontier,
+            upper_bound=state.upper_bound,
             best_order=(),
             stats=SearchStats(),
-            trail=trail,
-            next_order=next_order,
+            trail=state.trail,
+            next_order=state.next_order,
             engine={
                 "engine": "worksteal-chunk",
                 "selection": self.selection,
                 "prefix": list(self.prefix),
             },
         )
-
-    def _run_resume(self) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-        """Continue a captured chunk remainder (see :meth:`_capture`)."""
-        from repro.bb.snapshot import loads_snapshot  # local import to keep pickling light
-
-        snapshot = loads_snapshot(self.resume_from)
-        stats = SearchStats()
-        frontier = snapshot.frontier
-        start = time.perf_counter()
-
-        upper_bound = float(snapshot.upper_bound)
-        if self.incumbent is not None:
-            upper_bound = min(upper_bound, self.incumbent.get())
-
-        outcome = self._driver().run(
-            frontier,
-            upper_bound=upper_bound,
-            best_order=(),
-            stats=stats,
-            trail=snapshot.trail,
-            next_order=snapshot.next_order,
-            start=start,
-        )
-        if not outcome.completed and self.capture_incomplete and not self._deadline_expired():
-            self._capture(frontier, snapshot.trail, outcome.upper_bound, outcome.next_order)
-        stats.time_total_s = time.perf_counter() - start
-        stats.max_pool_size = frontier.max_size_seen
-        return outcome.best_value, tuple(outcome.best_order), stats, outcome.completed
-
-    def _run_seed(self) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-        """Seed the frontier with the prefix node and exhaust its sub-tree."""
-        instance = self.instance
-        stats = SearchStats()
-        trail = Trail()
-        frontier = BlockFrontier(
-            instance.n_jobs,
-            instance.n_machines,
-            trail,
-            strategy=self.selection,
-            max_pending=self.max_frontier_nodes,
-        )
-        start = time.perf_counter()
-
-        def finish(
-            best_makespan: Optional[int], best_order: tuple[int, ...], completed: bool
-        ) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-            # Every exit path — including the leaf-seed and pruned-seed
-            # early returns — records its timing and pool high-water mark,
-            # so the merged multicore statistics stay complete.
-            stats.time_total_s = time.perf_counter() - start
-            stats.max_pool_size = frontier.max_size_seen
-            return best_makespan, best_order, stats, completed
-
-        seed = seed_block(instance, self.prefix, trail)
-        next_order = int(seed.order_index[0]) + 1
-        t0 = time.perf_counter()
-        bound_block(self.data, seed)
-        stats.time_bounding_s += time.perf_counter() - t0
-        stats.nodes_bounded += 1
-
-        upper_bound = self.upper_bound
-        if self.incumbent is not None:
-            upper_bound = min(upper_bound, self.incumbent.get())
-
-        if int(seed.depth[0]) == instance.n_jobs:
-            makespan = int(seed.release[0, -1])
-            stats.leaves_evaluated += 1
-            if makespan < upper_bound:
-                if self.incumbent is not None:
-                    self.incumbent.try_update(makespan)
-                stats.incumbent_updates += 1
-                return finish(makespan, trail.prefix(int(seed.trail_id[0])), True)
-            return finish(None, (), True)
-
-        if int(seed.lower_bound[0]) >= upper_bound:
-            stats.nodes_pruned += 1
-            return finish(None, (), True)
-
-        frontier.push_block(seed)
-        outcome = self._driver().run(
-            frontier,
-            upper_bound=upper_bound,
-            best_order=(),
-            stats=stats,
-            trail=trail,
-            next_order=next_order,
-            start=start,
-        )
-        if not outcome.completed and self.capture_incomplete and not self._deadline_expired():
-            self._capture(frontier, trail, outcome.upper_bound, outcome.next_order)
-        return finish(outcome.best_value, tuple(outcome.best_order), outcome.completed)
 
 
 class MulticoreBranchAndBound:
@@ -362,9 +280,6 @@ class MulticoreBranchAndBound:
         """All job prefixes of length ``decomposition_depth``."""
         return frontier_prefixes(self.instance.n_jobs, self.decomposition_depth)
 
-    def _initial_incumbent(self) -> tuple[float, tuple[int, ...]]:
-        return initial_incumbent(self.instance, self.initial_upper_bound)
-
     # ------------------------------------------------------------------ #
     def solve(self) -> BBResult:
         """Run the parallel search and merge the workers' results."""
@@ -386,7 +301,7 @@ class MulticoreBranchAndBound:
     def _solve_static(self) -> BBResult:
         """One-shot split of the frontier over the workers (no sharing)."""
         start = time.perf_counter()
-        upper_bound, best_order = self._initial_incumbent()
+        upper_bound, best_order = initial_incumbent(self.instance, self.initial_upper_bound)
         payload = self.instance.to_dict()
         deadline = time.time() + self.max_time_s if self.max_time_s is not None else None
         tasks = [

@@ -12,13 +12,14 @@ and tests.
 
 The solve loop itself lives in :class:`~repro.bb.driver.SearchDriver` —
 this engine is the driver's single-step configuration with the local
-(zero-simulated-charge) bounding backend; it only seeds the root and wraps
+(zero-simulated-charge) bounding backend; it starts
+:func:`~repro.bb.driver.run_search` from the root (or a snapshot) and wraps
 the outcome into a :class:`BBResult`.
 """
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -28,8 +29,9 @@ from repro.bb.driver import (
     SearchHooks,
     SearchLimits,
     TraceEvent,
+    run_search,
 )
-from repro.bb.frontier import BlockFrontier, Trail, bound_block, root_block
+from repro.bb.frontier import bound_block  # noqa: F401 - perfbench's traced run wraps this name
 from repro.bb.snapshot import (
     CheckpointPolicy,
     CheckpointState,
@@ -44,7 +46,21 @@ from repro.flowshop.instance import FlowShopInstance
 from repro.flowshop.neh import neh_heuristic
 from repro.flowshop.schedule import Schedule
 
-__all__ = ["BBResult", "TraceEvent", "SequentialBranchAndBound"]
+__all__ = ["BBResult", "TraceEvent", "SequentialBranchAndBound", "initial_incumbent"]
+
+
+def initial_incumbent(
+    instance: FlowShopInstance, initial_upper_bound: Optional[float]
+) -> tuple[float, tuple[int, ...]]:
+    """Launch-time incumbent: the caller's explicit bound, else the NEH heuristic.
+
+    The serial engine, service sessions and the multicore and
+    work-stealing coordinators all start from it.
+    """
+    if initial_upper_bound is not None:
+        return float(initial_upper_bound), ()
+    heuristic = neh_heuristic(instance)
+    return float(heuristic.makespan), tuple(heuristic.order)
 
 
 @dataclass
@@ -88,8 +104,6 @@ class SequentialBranchAndBound:
     initial_upper_bound:
         Starting incumbent value.  ``None`` seeds the search with the NEH
         heuristic (recommended); ``float("inf")`` starts from scratch.
-    include_one_machine_bound:
-        Forwarded to the lower bound (needed only when ``m == 1``).
     max_nodes / max_time_s:
         Optional exploration budgets; when either is hit the result is
         returned with ``proved_optimal=False``.
@@ -128,7 +142,6 @@ class SequentialBranchAndBound:
         instance: FlowShopInstance,
         selection: str = "best-first",
         initial_upper_bound: Optional[float] = None,
-        include_one_machine_bound: bool = False,
         max_nodes: Optional[int] = None,
         max_time_s: Optional[float] = None,
         trace: bool = False,
@@ -143,7 +156,6 @@ class SequentialBranchAndBound:
         self.data = LowerBoundData(instance)
         self.selection = selection
         self.initial_upper_bound = initial_upper_bound
-        self.include_one_machine = include_one_machine_bound or instance.n_machines == 1
         self.max_nodes = max_nodes
         self.max_time_s = max_time_s
         self.trace_enabled = trace
@@ -165,54 +177,29 @@ class SequentialBranchAndBound:
         self.checkpoints_written = 0
 
     # ------------------------------------------------------------------ #
-    def _initial_incumbent(self) -> tuple[float, tuple[int, ...]]:
-        if self.initial_upper_bound is not None:
-            return float(self.initial_upper_bound), ()
-        heuristic = neh_heuristic(self.instance)
-        return float(heuristic.makespan), tuple(heuristic.order)
-
     def _engine_config(self) -> dict[str, object]:
         """Engine settings recorded in snapshot headers (see :mod:`repro.bb.snapshot`)."""
         return {
             "engine": "serial",
             "selection": self.selection,
-            "include_one_machine": self.include_one_machine,
             "max_frontier_nodes": self.max_frontier_nodes,
             "trace": self.trace_enabled,
         }
 
-    def _write_snapshot(
-        self,
-        frontier: BlockFrontier,
-        trail: Trail,
-        upper_bound: float,
-        best_order: tuple[int, ...],
-        next_order: int,
-        stats: SearchStats,
-    ) -> None:
+    def _on_checkpoint(self, state: CheckpointState) -> None:
         assert self.checkpoint_path is not None
         blob = dumps_snapshot(
             self.instance,
-            frontier=frontier,
-            trail=trail,
-            upper_bound=upper_bound,
-            best_order=best_order,
-            next_order=next_order,
-            stats=stats,
+            frontier=state.frontier,
+            trail=state.trail,
+            upper_bound=state.upper_bound,
+            best_order=state.best_order_supplier(),
+            next_order=state.next_order,
+            stats=state.stats,
             engine=self._engine_config(),
         )
         save_snapshot(self.checkpoint_path, blob)
         self.checkpoints_written += 1
-
-    def _on_checkpoint(self, state: CheckpointState) -> None:
-        self._write_snapshot(
-            state.frontier,
-            state.trail,
-            state.upper_bound,
-            state.best_order_supplier(),
-            state.next_order,
-            state.stats,
-        )
 
     def _driver(self) -> SearchDriver:
         hooks = SearchHooks()
@@ -233,7 +220,6 @@ class SequentialBranchAndBound:
             self.data,
             selection=self.selection,
             kernel=self.kernel,
-            include_one_machine=self.include_one_machine,
             limits=SearchLimits(max_nodes=self.max_nodes, max_time_s=self.max_time_s),
             hooks=hooks,
             trace=self.trace_enabled,
@@ -243,108 +229,35 @@ class SequentialBranchAndBound:
     # ------------------------------------------------------------------ #
     def solve(self) -> BBResult:
         """Run the search to completion (or until a budget is exhausted)."""
-        instance = self.instance
-        stats = SearchStats()
+        upper_bound, best_order = initial_incumbent(self.instance, self.initial_upper_bound)
+        return self._search((), upper_bound, best_order)
 
-        upper_bound, best_order = self._initial_incumbent()
-        if best_order:
-            stats.incumbent_updates += 1
+    def _search(
+        self,
+        start: Union[tuple[int, ...], Snapshot],
+        upper_bound: float = math.inf,
+        best_order: tuple[int, ...] = (),
+    ) -> BBResult:
+        """The body :meth:`solve` and :meth:`resume` share.
 
-        driver = self._driver()
-        start = time.perf_counter()
-        trail = Trail()
-        frontier = BlockFrontier(
-            instance.n_jobs,
-            instance.n_machines,
-            trail,
-            strategy=self.selection,
-            max_pending=self.max_frontier_nodes,
-        )
-        root = root_block(instance, trail)
-        t0 = time.perf_counter()
-        bound_block(self.data, root, self.include_one_machine, kernel=self.kernel)
-        stats.time_bounding_s += time.perf_counter() - t0
-        stats.nodes_bounded += 1
-        frontier.push_block(root)
-        outcome = driver.run(
-            frontier,
+        A budget-cut run persists its live frontier to ``checkpoint_path``
+        (when set), so :meth:`resume` can pick up exactly where it stopped.
+        """
+        outcome, stats = run_search(
+            self._driver(),
+            start,
             upper_bound=upper_bound,
             best_order=best_order,
-            stats=stats,
-            trail=trail,
-            next_order=1,
-            start=start,
+            max_pending=self.max_frontier_nodes,
+            on_cut=self._on_checkpoint if self.checkpoint_path is not None else None,
         )
-
-        stats.time_total_s = time.perf_counter() - start
-        stats.max_pool_size = frontier.max_size_seen
-
-        if not outcome.completed and self.checkpoint_path is not None:
-            # budget interrupted the run: persist the live frontier so
-            # `resume` can pick up exactly where this segment stopped
-            self._write_snapshot(
-                frontier,
-                trail,
-                outcome.upper_bound,
-                tuple(outcome.best_order),
-                outcome.next_order,
-                stats,
-            )
-
         if not outcome.best_order:
             raise RuntimeError(
                 "the search terminated without an incumbent; provide a finite "
                 "initial upper bound or let NEH seed the search"
             )
         return BBResult(
-            instance=instance,
-            best_makespan=int(outcome.upper_bound),
-            best_order=tuple(outcome.best_order),
-            proved_optimal=outcome.completed,
-            stats=stats,
-            trace=outcome.trace,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _resume_solve(self, snapshot: Snapshot) -> BBResult:
-        """Continue the search captured in ``snapshot`` (see :meth:`resume`)."""
-        instance = self.instance
-        stats = snapshot.stats
-        carried_time = stats.time_total_s
-
-        driver = self._driver()
-        start = time.perf_counter()
-        frontier, trail = snapshot.frontier, snapshot.trail
-        outcome = driver.run(
-            frontier,
-            upper_bound=snapshot.upper_bound,
-            best_order=snapshot.best_order,
-            stats=stats,
-            trail=trail,
-            next_order=snapshot.next_order,
-            start=start,
-        )
-
-        stats.time_total_s = carried_time + (time.perf_counter() - start)
-        stats.max_pool_size = frontier.max_size_seen
-
-        if not outcome.completed and self.checkpoint_path is not None:
-            self._write_snapshot(
-                frontier,
-                trail,
-                outcome.upper_bound,
-                tuple(outcome.best_order),
-                outcome.next_order,
-                stats,
-            )
-
-        if not outcome.best_order:
-            raise RuntimeError(
-                "the search terminated without an incumbent; provide a finite "
-                "initial upper bound or let NEH seed the search"
-            )
-        return BBResult(
-            instance=instance,
+            instance=self.instance,
             best_makespan=int(outcome.upper_bound),
             best_order=tuple(outcome.best_order),
             proved_optimal=outcome.completed,
@@ -389,7 +302,6 @@ class SequentialBranchAndBound:
         engine = cls(
             snapshot.instance,
             selection=str(engine_conf.get("selection", "best-first")),
-            include_one_machine_bound=bool(engine_conf.get("include_one_machine", False)),
             max_nodes=max_nodes,
             max_time_s=max_time_s,
             trace=bool(engine_conf.get("trace", False)),
@@ -399,4 +311,4 @@ class SequentialBranchAndBound:
             checkpoint_every=checkpoint_every,
             checkpoint_seconds=checkpoint_seconds,
         )
-        return engine._resume_solve(snapshot)
+        return engine._search(snapshot)

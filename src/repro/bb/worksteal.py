@@ -43,16 +43,14 @@ import threading
 import time
 from typing import Optional
 
-from repro.bb.sequential import BBResult
+from repro.bb.sequential import BBResult, initial_incumbent
 from repro.bb.stats import SearchStats
 from repro.flowshop.instance import FlowShopInstance
-from repro.flowshop.neh import neh_heuristic
 
 __all__ = [
     "SharedIncumbent",
     "WorkStealingBranchAndBound",
     "frontier_prefixes",
-    "initial_incumbent",
 ]
 
 
@@ -68,16 +66,6 @@ def frontier_prefixes(n_jobs: int, depth: int) -> list[tuple[int, ...]]:
                     extended.append(prefix + (job,))
         prefixes = extended
     return prefixes
-
-
-def initial_incumbent(
-    instance: FlowShopInstance, initial_upper_bound: Optional[float]
-) -> tuple[float, tuple[int, ...]]:
-    """Launch-time incumbent: the caller's bound, or the NEH heuristic."""
-    if initial_upper_bound is not None:
-        return float(initial_upper_bound), ()
-    heuristic = neh_heuristic(instance)
-    return float(heuristic.makespan), tuple(heuristic.order)
 
 
 class SharedIncumbent:

@@ -22,21 +22,17 @@ for the reproduction:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits
-from repro.bb.frontier import BlockFrontier, NodeBlock, Trail, root_block
-from repro.bb.stats import SearchStats
+from repro.bb.frontier import NodeBlock
 from repro.core.config import GpuBBConfig
-from repro.core.gpu_bb import GpuBBResult, IterationRecord, iteration_recorder
+from repro.core.gpu_bb import GpuBBResult, batch_search, neh_upper_bound
 from repro.core.mapping import recommend_placement
 from repro.flowshop.bounds import DataStructureComplexity, LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
-from repro.flowshop.neh import neh_heuristic
 from repro.gpu.device import DeviceSpec, TESLA_C2050
 from repro.gpu.executor import GpuExecutor
 from repro.gpu.simulator import GpuSimulator, KernelCostModel
@@ -238,7 +234,6 @@ class ClusterBranchAndBound:
                 placement=placement,
                 cost_model=self.config.cost_model,
                 threads_per_block=self.config.threads_per_block,
-                include_one_machine=instance.n_machines == 1,
             )
             for _ in range(self.cluster.n_nodes)
         ]
@@ -278,86 +273,24 @@ class ClusterBranchAndBound:
     def solve(self) -> GpuBBResult:
         """Run the distributed search to completion (or until a budget is hit).
 
-        The iteration is the batch shape of
-        :class:`~repro.bb.driver.SearchDriver`, configured with the
-        distributed bounding off-load and an ``incumbent_charge_s`` hook
-        that bills one coordinator-to-nodes broadcast per incumbent
-        improvement when ``config.share_incumbent`` is set.
+        The search is the GPU engine's (:func:`~repro.core.gpu_bb.batch_search`,
+        every budget and the NEH choice of ``config``) with the distributed
+        bounding off-load, plus an ``incumbent_charge_s`` hook that bills
+        one coordinator-to-nodes broadcast per incumbent improvement when
+        ``config.share_incumbent`` is set.
         """
         config = self.config
-        instance = self.instance
-        stats = SearchStats()
-        iterations: list[IterationRecord] = []
-
-        heuristic = neh_heuristic(instance)
-        upper_bound = float(heuristic.makespan)
-        best_order: tuple[int, ...] = tuple(heuristic.order)
-        stats.incumbent_updates += 1
-
-        start = time.perf_counter()
-
-        trail = Trail()
-        frontier = BlockFrontier(
-            instance.n_jobs,
-            instance.n_machines,
-            trail,
-            strategy=config.selection,
-            max_pending=config.max_frontier_nodes,
-        )
-        root = root_block(instance, trail)
-        sim_s, wall_s = self._distributed_bound_block(root)
-        root_survives = int(root.lower_bound[0]) < upper_bound
-        if root_survives:
-            frontier.push_block(root)
-        stats.nodes_bounded += 1
-        stats.pools_evaluated += 1
-        if not root_survives:
-            stats.nodes_pruned += 1
-
-        hooks = SearchHooks(
-            on_iteration=iteration_recorder(iterations, config.threads_per_block),
-        )
-        if config.share_incumbent:
-            # the coordinator broadcasts every tightened bound to the
-            # nodes so their next local elimination uses it
-            hooks.incumbent_charge_s = self.cluster.incumbent_broadcast_time_s
-        driver = SearchDriver(
-            instance,
-            selection=config.selection,
-            offload=_DistributedOffload(self),
-            batch_size=config.pool_size,
-            limits=SearchLimits(
-                max_nodes=config.max_nodes, max_iterations=config.max_iterations
-            ),
-            hooks=hooks,
-            double_buffer=config.double_buffer,
-        )
-        outcome = driver.run(
-            frontier,
+        upper_bound, best_order = neh_upper_bound(self.instance, config)
+        # the coordinator broadcasts every tightened bound to the nodes so
+        # their next local elimination uses it
+        broadcast = self.cluster.incumbent_broadcast_time_s if config.share_incumbent else None
+        return batch_search(
+            self.instance,
+            config,
+            _DistributedOffload(self),
             upper_bound=upper_bound,
             best_order=best_order,
-            stats=stats,
-            trail=trail,
-            next_order=1,
-            start=start,
-        )
-        simulated_total = sim_s + outcome.simulated_s - outcome.overlap_saved_sim_s
-        measured_total = wall_s + outcome.measured_s
-
-        stats.time_total_s = time.perf_counter() - start
-        stats.max_pool_size = frontier.max_size_seen
-        stats.simulated_device_time_s = simulated_total
-        return GpuBBResult(
-            instance=instance,
-            best_makespan=int(outcome.upper_bound),
-            best_order=tuple(outcome.best_order),
-            proved_optimal=outcome.completed,
-            stats=stats,
-            iterations=iterations,
-            simulated_device_time_s=simulated_total,
-            measured_kernel_time_s=measured_total,
-            overlap_saved_sim_s=outcome.overlap_saved_sim_s,
-            config=config,
+            incumbent_charge_s=broadcast,
         )
 
 

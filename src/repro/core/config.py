@@ -49,8 +49,6 @@ class GpuBBConfig:
         :meth:`~repro.core.cluster.ClusterSpec.incumbent_broadcast_time_s`).
     use_neh_upper_bound:
         Seed the incumbent with the NEH heuristic.
-    include_one_machine_bound:
-        Forwarded to the lower bound kernel (only needed for ``m == 1``).
     max_nodes / max_time_s / max_iterations:
         Optional exploration budgets.
     max_frontier_nodes:
@@ -78,7 +76,6 @@ class GpuBBConfig:
     selection: str = "best-first"
     share_incumbent: bool = True
     use_neh_upper_bound: bool = True
-    include_one_machine_bound: bool = False
     max_nodes: Optional[int] = None
     max_time_s: Optional[float] = None
     max_iterations: Optional[int] = None

@@ -15,11 +15,13 @@ The control flow follows the paper exactly:
 5. Repeat until the pool is empty (optimality proven) or a budget is hit.
 
 That iteration is :class:`~repro.bb.driver.SearchDriver` in its batch
-shape; :class:`GpuBranchAndBound` configures it with the executor off-load
-and an ``on_iteration`` hook that records the per-launch accounting.  With
-``config.double_buffer`` the driver additionally credits the overlap of
-host-side selection+branching of batch N+1 with the device bounding of
-batch N (the ROADMAP's pipelined off-load).
+shape.  :func:`batch_search` configures it from a :class:`GpuBBConfig` —
+the GPU, cluster and hybrid engines share it — with an ``on_iteration``
+hook that records the per-launch accounting, and runs it through
+:func:`~repro.bb.driver.run_search`; :class:`GpuBranchAndBound` supplies
+only the executor off-load.  With ``config.double_buffer`` the driver
+additionally credits the overlap of host-side selection+branching of batch
+N+1 with the device bounding of batch N (the ROADMAP's pipelined off-load).
 
 Because the executor's batched kernel returns exactly the same values as the
 scalar bound, the tree explored by this engine is the same as the serial
@@ -29,14 +31,21 @@ on when comparing ``T_cpu`` and ``T_gpu`` over the same node set.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.bb.driver import OffloadStep, SearchDriver, SearchHooks, SearchLimits
-from repro.bb.frontier import BlockFrontier, NodeBlock, Trail, root_block
+from repro.bb.driver import (
+    OffloadBackend,
+    OffloadStep,
+    SearchDriver,
+    SearchHooks,
+    SearchLimits,
+    run_search,
+)
+from repro.bb.frontier import NodeBlock
 from repro.bb.sequential import BBResult
 from repro.bb.stats import SearchStats
 from repro.core.config import GpuBBConfig
@@ -84,27 +93,93 @@ class GpuBBResult(BBResult):
 
 
 class _ExecutorOffload:
-    """Driver bounding backend delegating to the engine's executor."""
+    """Driver bounding backend: the executor bounds the block in place.
 
-    def __init__(self, engine: "GpuBranchAndBound"):
-        self._engine = engine
+    The block's arrays ARE the device buffers (see
+    :meth:`~repro.gpu.executor.GpuExecutor.evaluate_block`).
+    """
+
+    def __init__(self, executor: GpuExecutor):
+        self._executor = executor
 
     def bound_block(
         self, block: NodeBlock, siblings: bool = False
     ) -> tuple[np.ndarray, float, float]:
-        return self._engine._offload_block(block)
+        result = self._executor.evaluate_block(block)
+        return result.bounds, result.simulated.total_s, result.measured_wall_s
 
 
-def iteration_recorder(
-    iterations: list[IterationRecord], threads_per_block: int
-):
-    """An ``on_iteration`` hook appending :class:`IterationRecord` entries."""
+def neh_upper_bound(
+    instance: FlowShopInstance, config: GpuBBConfig
+) -> tuple[float, tuple[int, ...]]:
+    """The batch engines' starting incumbent: NEH unless ``use_neh_upper_bound`` is off."""
+    if not config.use_neh_upper_bound:
+        return math.inf, ()
+    heuristic = neh_heuristic(instance)
+    return float(heuristic.makespan), tuple(heuristic.order)
+
+
+def search_limits(
+    config: GpuBBConfig,
+    spent: Optional[SearchStats] = None,
+    launches: int = 0,
+    deadline: Optional[float] = None,
+) -> SearchLimits:
+    """The config's budgets as driver limits: the one mapping every batch engine uses.
+
+    A solve made of several searches (the hybrid's sub-trees) shares one
+    budget: it passes the nodes (``spent``) and ``launches`` its earlier
+    searches used, and one wall-clock ``deadline`` replaces ``max_time_s``.
+    """
+    explored = spent.nodes_explored if spent is not None else 0
+    max_nodes, max_iterations = config.max_nodes, config.max_iterations
+    return SearchLimits(
+        max_nodes=None if max_nodes is None else max_nodes - explored,
+        max_time_s=config.max_time_s if deadline is None else None,
+        max_iterations=None if max_iterations is None else max_iterations - launches,
+        deadline=deadline,
+    )
+
+
+def incumbent_makespan(upper_bound: float) -> int:
+    """The final incumbent's makespan; a search that found none cannot report one."""
+    if math.isinf(upper_bound):
+        raise RuntimeError(
+            "the search terminated without an incumbent; enable the NEH seed "
+            "or provide a finite initial upper bound"
+        )
+    return int(upper_bound)
+
+
+def batch_search(
+    instance: FlowShopInstance,
+    config: GpuBBConfig,
+    offload: OffloadBackend,
+    *,
+    upper_bound: float,
+    best_order: tuple[int, ...] = (),
+    start: Sequence[int] = (),
+    limits: Optional[SearchLimits] = None,
+    incumbent_charge_s: Optional[Callable[[], float]] = None,
+    seed_is_pool: bool = True,
+) -> GpuBBResult:
+    """One batch-shape search configured from ``config``: the GPU, cluster and hybrid body.
+
+    Builds the driver (pool size, selection, budgets, double buffering),
+    records one :class:`IterationRecord` per launch, runs
+    :func:`~repro.bb.driver.run_search` from ``start`` and wraps the
+    :class:`GpuBBResult`.  ``seed_is_pool`` counts the seed launch in
+    ``pools_evaluated`` (the GPU and cluster root; the hybrid's prefix
+    seeds are not pools).  ``incumbent_charge_s`` bills each incumbent
+    improvement (the cluster's broadcast).
+    """
+    iterations: list[IterationRecord] = []
 
     def record(step: OffloadStep) -> None:
         iterations.append(
             IterationRecord(
                 iteration=step.iteration,
-                launch=KernelLaunch(step.nodes_offloaded, threads_per_block),
+                launch=KernelLaunch(step.nodes_offloaded, config.threads_per_block),
                 nodes_offloaded=step.nodes_offloaded,
                 nodes_pruned=step.nodes_pruned,
                 nodes_kept=step.nodes_kept,
@@ -114,7 +189,36 @@ def iteration_recorder(
             )
         )
 
-    return record
+    driver = SearchDriver(
+        instance,
+        selection=config.selection,
+        offload=offload,
+        batch_size=config.pool_size,
+        limits=limits if limits is not None else search_limits(config),
+        hooks=SearchHooks(on_iteration=record, incumbent_charge_s=incumbent_charge_s),
+        double_buffer=config.double_buffer,
+    )
+    outcome, stats = run_search(
+        driver,
+        start,
+        upper_bound=upper_bound,
+        best_order=best_order,
+        max_pending=config.max_frontier_nodes,
+    )
+    if seed_is_pool:
+        stats.pools_evaluated += 1
+    return GpuBBResult(
+        instance=instance,
+        best_makespan=incumbent_makespan(outcome.upper_bound),
+        best_order=tuple(outcome.best_order),
+        proved_optimal=outcome.completed,
+        stats=stats,
+        iterations=iterations,
+        simulated_device_time_s=stats.simulated_device_time_s,
+        measured_kernel_time_s=outcome.measured_s,
+        overlap_saved_sim_s=outcome.overlap_saved_sim_s,
+        config=config,
+    )
 
 
 class GpuBranchAndBound:
@@ -158,103 +262,15 @@ class GpuBranchAndBound:
             placement=placement,
             cost_model=self.config.cost_model,
             threads_per_block=self.config.threads_per_block,
-            include_one_machine=self.config.include_one_machine_bound or instance.n_machines == 1,
         )
 
-    # ------------------------------------------------------------------ #
-    def _initial_incumbent(self) -> tuple[float, tuple[int, ...]]:
-        if not self.config.use_neh_upper_bound:
-            return float("inf"), ()
-        heuristic = neh_heuristic(self.instance)
-        return float(heuristic.makespan), tuple(heuristic.order)
-
-    def _offload_block(self, block: NodeBlock) -> tuple[np.ndarray, float, float]:
-        """Evaluate a block on the executor — its arrays ARE the device buffers."""
-        result = self.executor.evaluate_block(block)
-        return result.bounds, result.simulated.total_s, result.measured_wall_s
-
-    def _driver(self, hooks: SearchHooks) -> SearchDriver:
-        config = self.config
-        return SearchDriver(
-            self.instance,
-            selection=config.selection,
-            offload=_ExecutorOffload(self),
-            batch_size=config.pool_size,
-            limits=SearchLimits(
-                max_nodes=config.max_nodes,
-                max_time_s=config.max_time_s,
-                max_iterations=config.max_iterations,
-            ),
-            hooks=hooks,
-            double_buffer=config.double_buffer,
-        )
-
-    # ------------------------------------------------------------------ #
     def solve(self) -> GpuBBResult:
-        """Run the GPU-accelerated search."""
-        config = self.config
-        instance = self.instance
-        stats = SearchStats()
-        iterations: list[IterationRecord] = []
-
-        upper_bound, best_order = self._initial_incumbent()
-        if best_order:
-            stats.incumbent_updates += 1
-
-        start = time.perf_counter()
-
-        # Bound the root on the device (a pool of one) and seed the frontier.
-        trail = Trail()
-        frontier = BlockFrontier(
-            instance.n_jobs,
-            instance.n_machines,
-            trail,
-            strategy=config.selection,
-            max_pending=config.max_frontier_nodes,
-        )
-        root = root_block(instance, trail)
-        _, sim_s, wall_s = self._offload_block(root)
-        root_survives = int(root.lower_bound[0]) < upper_bound
-        if root_survives:
-            frontier.push_block(root)
-        stats.nodes_bounded += 1
-        stats.pools_evaluated += 1
-        if not root_survives:
-            stats.nodes_pruned += 1
-
-        hooks = SearchHooks(
-            on_iteration=iteration_recorder(iterations, config.threads_per_block)
-        )
-        outcome = self._driver(hooks).run(
-            frontier,
+        """Run the GPU-accelerated search from the root (bounded as a pool of one)."""
+        upper_bound, best_order = neh_upper_bound(self.instance, self.config)
+        return batch_search(
+            self.instance,
+            self.config,
+            _ExecutorOffload(self.executor),
             upper_bound=upper_bound,
             best_order=best_order,
-            stats=stats,
-            trail=trail,
-            next_order=1,
-            start=start,
-        )
-        simulated_total = sim_s + outcome.simulated_s - outcome.overlap_saved_sim_s
-        measured_kernel = wall_s + outcome.measured_s
-
-        stats.time_total_s = time.perf_counter() - start
-        stats.max_pool_size = frontier.max_size_seen
-        stats.simulated_device_time_s = simulated_total
-
-        if not outcome.best_order:
-            raise RuntimeError(
-                "the search terminated without an incumbent; enable the NEH seed "
-                "or provide a finite initial upper bound"
-            )
-        return GpuBBResult(
-            instance=instance,
-            best_makespan=int(outcome.upper_bound),
-            best_order=tuple(outcome.best_order),
-            proved_optimal=outcome.completed,
-            stats=stats,
-            iterations=iterations,
-            simulated_device_time_s=simulated_total,
-            measured_kernel_time_s=measured_kernel,
-            overlap_saved_sim_s=outcome.overlap_saved_sim_s,
-            config=config,
         )

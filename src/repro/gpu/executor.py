@@ -88,7 +88,6 @@ class GpuExecutor:
         placement: DataPlacement | None = None,
         cost_model: KernelCostModel | None = None,
         threads_per_block: int = 256,
-        include_one_machine: bool = False,
     ):
         if threads_per_block < 1:
             raise ValueError("threads_per_block must be >= 1")
@@ -101,7 +100,6 @@ class GpuExecutor:
         self.placement = placement
         self.cost_model = cost_model if cost_model is not None else KernelCostModel()
         self.threads_per_block = int(threads_per_block)
-        self.include_one_machine = bool(include_one_machine)
         self.simulator = GpuSimulator(
             device=device, placement=placement, cost_model=self.cost_model
         )
@@ -181,13 +179,7 @@ class GpuExecutor:
             n_remaining = int(round(self.data.n_jobs - scheduled_mask.sum(axis=1).mean()))
 
         start = time.perf_counter()
-        bounds = self._batch_kernel(
-            self.data,
-            scheduled_mask,
-            release,
-            include_one_machine=self.include_one_machine,
-            jobs=jobs,
-        )
+        bounds = self._batch_kernel(self.data, scheduled_mask, release, jobs=jobs)
         wall = time.perf_counter() - start
 
         timing = self.simulator.evaluate_pool(

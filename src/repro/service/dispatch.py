@@ -37,10 +37,9 @@ against the sequential-engine golden configs).
 
 Launch accounting: requests for different instances cannot share a kernel
 evaluation (the bound's precomputed tensors are per-instance), so a flush
-issues one launch per distinct ``(instance, one-machine)`` group
-and :class:`DispatchStats` counts honestly: ``n_launches`` is the number
-of kernel invocations, ``n_requests`` the number of ``bound_block`` calls
-they replaced.  ``benchmarks/bench_service.py`` asserts the ≥2x
+issues one launch per distinct instance and :class:`DispatchStats` counts
+honestly: ``n_launches`` is the number of kernel invocations,
+``n_requests`` the number of ``bound_block`` calls they replaced.  ``benchmarks/bench_service.py`` asserts the ≥2x
 launch-count reduction for 8 concurrent sessions.
 """
 
@@ -156,10 +155,9 @@ class _Pending:
     """One parked ``bound_block`` call waiting for the next flush."""
 
     token: object
-    group_key: tuple
+    group_key: int
     data: LowerBoundData
     block: object  # NodeBlock (duck-typed: scheduled_mask/release/lower_bound)
-    include_one_machine: bool
     future: Future
     submitted_at: float
 
@@ -330,7 +328,6 @@ class BatchDispatcher:
         token: object,
         data: LowerBoundData,
         block,
-        include_one_machine: bool = False,
     ) -> Future:
         """Park one bounding batch; returns the future the caller waits on.
 
@@ -345,10 +342,9 @@ class BatchDispatcher:
         future: Future = Future()
         request = _Pending(
             token=token,
-            group_key=(id(data), include_one_machine),
+            group_key=id(data),
             data=data,
             block=block,
-            include_one_machine=include_one_machine,
             future=future,
             submitted_at=time.monotonic(),
         )
@@ -538,12 +534,7 @@ class BatchDispatcher:
         started = time.perf_counter()
         if len(members) == 1:
             block = first.block
-            bounds = kernel(
-                first.data,
-                block.scheduled_mask,
-                block.release,
-                include_one_machine=first.include_one_machine,
-            )
+            bounds = kernel(first.data, block.scheduled_mask, block.release)
             wall = time.perf_counter() - started
             block.lower_bound[:] = bounds
             if not first.future.done():
@@ -551,9 +542,7 @@ class BatchDispatcher:
             return
         mask = np.concatenate([request.block.scheduled_mask for request in members])
         release = np.concatenate([request.block.release for request in members])
-        bounds = kernel(
-            first.data, mask, release, include_one_machine=first.include_one_machine
-        )
+        bounds = kernel(first.data, mask, release)
         wall = time.perf_counter() - started
         total = mask.shape[0]
         offset = 0
@@ -623,13 +612,11 @@ class BatchingOffload:
         dispatcher: BatchDispatcher,
         data: LowerBoundData,
         token: object,
-        include_one_machine: bool = False,
         allow_degraded: bool = True,
     ):
         self.dispatcher = dispatcher
         self.data = data
         self.token = token
-        self.include_one_machine = include_one_machine
         self.allow_degraded = allow_degraded
         self._degraded_reason: str | None = None
 
@@ -647,12 +634,7 @@ class BatchingOffload:
         """LocalBounding semantics: same batched kernel, no dispatcher."""
         kernel = get_batch_kernel("v2")
         started = time.perf_counter()
-        bounds = kernel(
-            self.data,
-            block.scheduled_mask,
-            block.release,
-            include_one_machine=self.include_one_machine,
-        )
+        bounds = kernel(self.data, block.scheduled_mask, block.release)
         wall = time.perf_counter() - started
         block.lower_bound[:] = bounds
         return block.lower_bound, 0.0, wall
@@ -672,12 +654,7 @@ class BatchingOffload:
             return block.lower_bound, 0.0, 0.0
         if self._degraded_reason is not None:
             return self._bound_locally(block)
-        future = self.dispatcher.submit(
-            self.token,
-            self.data,
-            block,
-            include_one_machine=self.include_one_machine,
-        )
+        future = self.dispatcher.submit(self.token, self.data, block)
         try:
             return future.result()
         except SessionCancelled:

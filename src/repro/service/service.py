@@ -299,7 +299,6 @@ class SolveService:
         max_frontier = engine.get("max_frontier_nodes")
         config = SessionConfig(
             selection=str(engine.get("selection", "best-first")),
-            include_one_machine=bool(engine.get("include_one_machine", False)),
             max_frontier_nodes=int(max_frontier) if max_frontier is not None else None,
             resume_from=str(snapshot_path),
         )

@@ -9,11 +9,12 @@ is the bounding backend: a :class:`~repro.service.dispatch.BatchingOffload`
 that parks each bounding batch on the shared dispatcher instead of
 evaluating it inline.
 
-Bit-identity contract: because the session replicates the sequential
-engine's recipe exactly — NEH seeding (and its ``incumbent_updates``
-credit), root bounded before the driver runs (``nodes_bounded`` credit),
-identical driver configuration, identical stats finalization — and because
-every kernel path returns bit-identical bounds, a session's
+Bit-identity contract: because the session starts the sequential
+engine's assembly — the same starting incumbent
+(:func:`~repro.bb.sequential.initial_incumbent`), the same
+:func:`~repro.bb.driver.run_search` seeding and stats finalization, an
+identical driver configuration — and because every kernel path returns
+bit-identical bounds, a session's
 :class:`SessionResult` carries the same makespan, permutation, optimality
 flag and full counter set as a stand-alone sequential solve of the same
 instance and parameters.  ``tests/test_service.py`` pins this against the
@@ -35,16 +36,17 @@ best incumbent known at that point with ``cancelled=True``.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits
-from repro.bb.frontier import BlockFrontier, Trail, bound_block, root_block
+from repro.bb.driver import LocalBounding, SearchDriver, SearchHooks, SearchLimits, run_search
+from repro.bb.frontier import bound_block  # noqa: F401 - perfbench's traced run wraps this name
+from repro.bb.sequential import initial_incumbent
 from repro.bb.snapshot import (
     CheckpointPolicy,
     CheckpointState,
+    Snapshot,
     SnapshotMismatch,
     dumps_snapshot,
     instance_fingerprint,
@@ -54,7 +56,7 @@ from repro.bb.snapshot import (
 from repro.bb.stats import SearchStats
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
-from repro.flowshop.neh import neh_heuristic
+from repro.flowshop.neh import neh_heuristic  # noqa: F401 - perfbench's traced run wraps this name
 from repro.service.dispatch import BatchDispatcher, BatchingOffload, SessionCancelled
 
 __all__ = ["SessionConfig", "SessionResult", "SolveSession"]
@@ -72,7 +74,6 @@ class SessionConfig:
 
     selection: str = "best-first"
     initial_upper_bound: Optional[float] = None
-    include_one_machine: bool = False
     max_nodes: Optional[int] = None
     max_time_s: Optional[float] = None
     max_frontier_nodes: Optional[int] = None
@@ -185,20 +186,16 @@ class SolveSession:
         return self._cancel.is_set()
 
     # ------------------------------------------------------------------ #
-    def _initial_incumbent(self) -> tuple[float, tuple[int, ...]]:
-        """NEH-seeded (or explicit) starting incumbent — sequential recipe."""
-        if self.config.initial_upper_bound is not None:
-            return float(self.config.initial_upper_bound), ()
-        heuristic = neh_heuristic(self.instance)
-        return float(heuristic.makespan), tuple(heuristic.order)
-
     def run(self, registered: bool = False) -> SessionResult:
         """Solve to completion, budget exhaustion, or cancellation.
 
-        Mirrors ``SequentialBranchAndBound.solve`` step for step (seeding,
-        root bounding, driver configuration, stats finalization) so the
-        result is bit-identical to a stand-alone solve; only the bounding
-        backend differs.  Raises ``RuntimeError`` when the search ends
+        Runs the sequential engine's assembly
+        (:func:`~repro.bb.driver.run_search`) so the result is
+        bit-identical to a stand-alone solve; only the bounding backend
+        differs.  The root is bounded on this thread, before any peer
+        session exists to coalesce with, as the serial engine bounds it.
+        A cancelled session returns its best incumbent with
+        ``cancelled=True``.  Raises ``RuntimeError`` when the search ends
         without any incumbent (explicit non-improvable upper bound).
 
         ``registered=True`` means the caller already counted this session
@@ -207,31 +204,27 @@ class SolveSession:
         ``all-parked`` flush for their soon-to-park batches); the gauge is
         always released here when the loop exits.
         """
-        config = self.config
-        instance = self.instance
-        include_one_machine = config.include_one_machine or instance.n_machines == 1
         if not registered:
             self.dispatcher.session_started()
         try:
-            return self._solve(config, instance, include_one_machine)
+            return self._solve()
         finally:
             self.dispatcher.session_finished()
 
-    def _engine_config(self, include_one_machine: bool) -> dict:
+    def _engine_config(self) -> dict:
         """Engine settings recorded in this session's snapshot headers."""
         config = self.config
         return {
             "engine": "session",
             "selection": config.selection,
-            "include_one_machine": include_one_machine,
             "max_frontier_nodes": config.max_frontier_nodes,
             "trace": False,
         }
 
-    def _make_checkpoint_hook(self, include_one_machine: bool):
+    def _make_checkpoint_hook(self):
         """The ``on_checkpoint`` callback: snapshot to the configured path."""
         path = Path(self.config.checkpoint_path)
-        engine = self._engine_config(include_one_machine)
+        engine = self._engine_config()
 
         def write(state: CheckpointState) -> None:
             blob = dumps_snapshot(
@@ -260,30 +253,26 @@ class SolveSession:
 
         return write
 
-    def _load_resume_state(self, instance):
+    def _load_resume_state(self) -> Snapshot:
         """Materialize ``config.resume_from`` and verify it belongs to us."""
         snapshot = load_snapshot(self.config.resume_from)
-        if snapshot.header["instance"]["fingerprint"] != instance_fingerprint(instance):
+        if snapshot.header["instance"]["fingerprint"] != instance_fingerprint(self.instance):
             raise SnapshotMismatch(
                 "snapshot belongs to a different instance than this session"
             )
         return snapshot
 
-    def _solve(self, config, instance, include_one_machine) -> SessionResult:
+    def _solve(self) -> SessionResult:
         """The sequential-recipe solve body (gauge handling lives in ``run``)."""
-        resumed = (
-            self._load_resume_state(instance) if config.resume_from else None
-        )
-        if resumed is not None:
-            stats = resumed.stats
-            upper_bound, best_order = resumed.upper_bound, resumed.best_order
-            carried_time_s = stats.time_total_s
+        config = self.config
+        if config.resume_from:
+            start: Snapshot | tuple[int, ...] = self._load_resume_state()
+            stats = start.stats
+            upper_bound, best_order = start.upper_bound, start.best_order
         else:
+            start = ()
             stats = SearchStats()
-            upper_bound, best_order = self._initial_incumbent()
-            if best_order:
-                stats.incumbent_updates += 1
-            carried_time_s = 0.0
+            upper_bound, best_order = initial_incumbent(self.instance, config.initial_upper_bound)
         best_makespan = upper_bound if best_order else None
 
         def record_incumbent(makespan, supplier):
@@ -299,65 +288,30 @@ class SolveSession:
             if self._cancel.is_set():
                 raise SessionCancelled("session cancelled")
 
-        offload = BatchingOffload(
-            self.dispatcher,
-            self.data,
-            token=self,
-            include_one_machine=include_one_machine,
-        )
         hooks = SearchHooks(on_select=check_cancel, on_improve_incumbent=record_incumbent)
         checkpoint: Optional[CheckpointPolicy] = None
         if config.checkpoint_path is not None and config.checkpoint_every is not None:
             checkpoint = CheckpointPolicy(every_steps=config.checkpoint_every)
-            hooks.on_checkpoint = self._make_checkpoint_hook(include_one_machine)
+            hooks.on_checkpoint = self._make_checkpoint_hook()
         driver = SearchDriver(
-            instance,
-            self.data,
+            self.instance,
             selection=config.selection,
-            include_one_machine=include_one_machine,
-            offload=offload,
+            offload=BatchingOffload(self.dispatcher, self.data, token=self),
             limits=SearchLimits(max_nodes=config.max_nodes, max_time_s=config.max_time_s),
             hooks=hooks,
             checkpoint=checkpoint,
         )
-
-        start = time.perf_counter()
-        if resumed is not None:
-            frontier = resumed.frontier
-            trail = resumed.trail
-            next_order = resumed.next_order
-        else:
-            trail = Trail()
-            frontier = BlockFrontier(
-                instance.n_jobs,
-                instance.n_machines,
-                trail,
-                strategy=config.selection,
-                max_pending=config.max_frontier_nodes,
-            )
-            root = root_block(instance, trail)
-            t0 = time.perf_counter()
-            # the root is a single node bounded before any peer session exists
-            # to coalesce with — evaluate it locally, as the serial engine does
-            bound_block(self.data, root, include_one_machine)
-            stats.time_bounding_s += time.perf_counter() - t0
-            stats.nodes_bounded += 1
-            frontier.push_block(root)
-            next_order = 1
-
         try:
-            outcome = driver.run(
-                frontier,
+            outcome, _ = run_search(
+                driver,
+                start,
                 upper_bound=upper_bound,
                 best_order=best_order,
+                max_pending=config.max_frontier_nodes,
                 stats=stats,
-                trail=trail,
-                next_order=next_order,
-                start=start,
+                seed_offload=LocalBounding(self.data),
             )
         except SessionCancelled:
-            stats.time_total_s = carried_time_s + (time.perf_counter() - start)
-            stats.max_pool_size = frontier.max_size_seen
             if best_makespan is None or not best_order:
                 raise RuntimeError(
                     "session cancelled before any incumbent was found"
@@ -370,9 +324,6 @@ class SolveSession:
                 cancelled=True,
                 stats=stats,
             )
-
-        stats.time_total_s = carried_time_s + (time.perf_counter() - start)
-        stats.max_pool_size = frontier.max_size_seen
 
         if not outcome.best_order:
             raise RuntimeError(

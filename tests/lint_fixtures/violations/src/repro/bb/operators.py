@@ -19,3 +19,8 @@ class Engine:
     def solve(self):
         while self.open_pool:
             self.open_pool.pop()
+
+
+def solve_by_hand(driver, frontier):
+    # a second call site of the loop: seeding and finalization drift apart
+    return driver.run(frontier, upper_bound=float("inf"))

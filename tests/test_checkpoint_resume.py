@@ -167,12 +167,18 @@ def test_resume_rejects_truncated_snapshot(small_instance, tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("overlap", "async"), ("kernel", "scalar"), ("frontier_index", "linear")],
-    ids=["overlap", "kernel", "frontier_index"],
+    [
+        ("overlap", "async"),
+        ("kernel", "scalar"),
+        ("frontier_index", "linear"),
+        ("include_one_machine", True),
+    ],
+    ids=["overlap", "kernel", "frontier_index", "include_one_machine"],
 )
 def test_legacy_overlap_header_resumes_to_golden(small_instance, tmp_path, key, value):
     """A header still carrying a removed engine key (``overlap``, ``kernel``,
-    ``frontier_index``) resumes to the golden result; new headers omit it."""
+    ``frontier_index``, ``include_one_machine``) resumes to the golden
+    result; new headers omit it."""
     from test_snapshot import _rebuild_with_header
 
     golden = SequentialBranchAndBound(small_instance).solve()

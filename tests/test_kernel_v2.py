@@ -371,3 +371,51 @@ class TestIncrementalEngines:
         cache = engine.data._v2_gemm_cache.values()
         assert not [table for table in cache if isinstance(table, gemm_tables)]
         assert launches[0].tolist() == [lower_bound(engine.data, [])]
+
+
+class TestOneMachineTermIsDominated:
+    """The ``include_one_machine`` operator flag never changes a bound.
+
+    At m >= 2 the couple bound dominates the one-machine bound on every
+    machine; at m = 1 every path adds the one-machine bound itself (no
+    couples).  This is why no engine surface exposes the flag.
+    """
+
+    @staticmethod
+    def _every_path(instance, data, seed, flag):
+        mask, release, prefixes = random_pool(instance, data, 24, seed)
+        paths = {
+            "scalar": np.array([lower_bound(data, p, include_one_machine=flag) for p in prefixes]),
+            "v1": lower_bound_batch(data, mask, release, include_one_machine=flag),
+        }
+        for strategy in (None, *V2_STRATEGIES):
+            paths[f"v2-{strategy}"] = lower_bound_batch_v2(
+                data, mask, release, include_one_machine=flag, strategy=strategy
+            )
+        s_mask, s_release, jobs, _, _ = sibling_launch(instance, data, 3, seed)
+        paths["v2-incremental"] = lower_bound_batch_v2(
+            data, s_mask, s_release, jobs=jobs, include_one_machine=flag, strategy="incremental"
+        )
+        # the frontier operator on branch-built sibling blocks: the fused
+        # path (with and without the sibling shortcut), scalar and v1
+        pt = instance.processing_times
+        level1 = frontier.branch_block(frontier.root_block(instance, frontier.Trail()), pt, 1)
+        level2 = frontier.branch_block(level1, pt, 1 + len(level1))
+        for depth, block in ((1, level1), (2, level2)):
+            for kernel in ("v2", "scalar", "v1"):
+                for siblings in (False, True):
+                    paths[f"block{depth}-{kernel}-{siblings}"] = frontier.bound_block(
+                        data, block, flag, kernel=kernel, siblings=siblings
+                    ).copy()
+        return paths
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_flag_never_changes_a_bound(self, m):
+        for seed in range(8):
+            rng = np.random.default_rng(1000 * m + seed)
+            instance = FlowShopInstance(rng.integers(1, 99, size=(int(rng.integers(3, 9)), m)))
+            data = LowerBoundData(instance)
+            without = self._every_path(instance, data, seed, False)
+            with_term = self._every_path(instance, data, seed, True)
+            for path, bounds_off in without.items():
+                assert np.array_equal(with_term[path], bounds_off), (seed, path)

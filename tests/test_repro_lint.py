@@ -47,10 +47,23 @@ def findings_for(report, rule: str):
 class TestSingleLoop:
     def test_violations_fire(self):
         found = findings_for(lint(VIOLATIONS), "single-loop")
-        lines = {finding.line for finding in found if "operators" in finding.path}
+        lines = {
+            finding.line
+            for finding in found
+            if "operators" in finding.path and "while-loop" in finding.message
+        }
         # drain()'s `while pool`, spin()'s `while frontier and ...`,
         # Engine.solve()'s `while self.open_pool`
         assert len(lines) == 3
+
+    def test_driver_run_outside_driver_fires(self):
+        found = findings_for(lint(VIOLATIONS), "single-loop")
+        calls = [f for f in found if "operators" in f.path and "run(frontier" in f.message]
+        # solve_by_hand()'s `driver.run(frontier, ...)`
+        assert len(calls) == 1
+        assert "run_search" in calls[0].message
+        # the clean driver.py fixture's run_search() makes the same call
+        assert not findings_for(lint(CLEAN), "single-loop")
 
     def test_clean_twin(self):
         assert not findings_for(lint(CLEAN), "single-loop")

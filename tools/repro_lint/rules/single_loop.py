@@ -13,6 +13,12 @@ attribute access — in any module other than ``bb/driver.py``.  Loops
 that legitimately iterate a pool without being a solve loop (selection
 operators, pool-construction helpers) carry an inline
 ``# repro-lint: ignore[single-loop]`` with the rationale.
+
+The loop also has one call site: ``run_search`` in ``bb/driver.py`` is the
+only caller of ``SearchDriver.run``.  A call ``<expr>.run(<frontier
+name>, ...)`` anywhere else re-assembles a search by hand (seeding,
+stats finalization, the final snapshot) and fires too, with the same
+ignore comment.
 """
 
 from __future__ import annotations
@@ -30,6 +36,18 @@ def _is_frontier_name(name: str) -> bool:
     return name in ("pool", "frontier") or name.endswith(("_pool", "_frontier"))
 
 
+def _frontier_arg(call: ast.Call) -> str | None:
+    """The frontier name passed first to a ``<expr>.run(...)`` call, if any."""
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr == "run" and call.args):
+        return None
+    first = call.args[0]
+    if isinstance(first, ast.Name) and _is_frontier_name(first.id):
+        return first.id
+    if isinstance(first, ast.Attribute) and _is_frontier_name(first.attr):
+        return first.attr
+    return None
+
+
 def _frontier_names(test: ast.expr) -> list[str]:
     """Frontier/pool identifiers read by a ``while`` condition."""
     names = []
@@ -43,12 +61,29 @@ def _frontier_names(test: ast.expr) -> list[str]:
 
 class SingleLoopRule(Rule):
     name = "single-loop"
-    description = "solve-style while-loops over a frontier/pool belong to bb/driver.py only"
+    description = (
+        "solve-style while-loops over a frontier/pool, and driver runs over one, "
+        "belong to bb/driver.py only"
+    )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         if module.relpath in ALLOWED_PATHS:
             return
         for node in ast.walk(module.tree):
+            if isinstance(node, ast.Call):
+                name = _frontier_arg(node)
+                if name is not None:
+                    yield Finding(
+                        rule=self.name,
+                        path=module.relpath,
+                        line=node.lineno,
+                        message=(
+                            f"run({name}, ...) outside bb/driver.py; start the search "
+                            "through run_search or justify with "
+                            "'# repro-lint: ignore[single-loop] -- <why this is not a solve loop>'"
+                        ),
+                    )
+                continue
             if not isinstance(node, ast.While):
                 continue
             names = _frontier_names(node.test)
