@@ -22,7 +22,13 @@ bounds.  This module measures both:
   (one part) against unpinned (one part per CPU), bit-identical and
   >= 1.4x faster where two or more CPUs are usable (a plain pytest case);
   script mode prints the ratio for the 50/100/200x20 sibling launches,
-  a 200x20 scan pool and the 20x20 GEMM pool, which is never split.
+  a 200x20 scan pool and the 20x20 GEMM pool, which is never split;
+* the memory of one ``GpuExecutor.evaluate_block`` launch: the traced
+  (``tracemalloc``) peak of the ta100x20 sibling launch, run as one part,
+  stays below a 10 MB ceiling that a launch copying the block's columns
+  exceeds (a plain pytest case); script mode prints it beside the launch
+  time, with a ta200x20 pool launch (the children of 2048 depth-2
+  parents).
 
 Runable two ways::
 
@@ -32,12 +38,15 @@ Runable two ways::
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.flowshop.bounds as bounds
 from repro.bb.frontier import (
     _FUSED_MAX_BATCH,
     Trail,
@@ -58,6 +67,7 @@ from repro.flowshop.bounds import (
     lower_bound_batch,
     lower_bound_batch_v2,
 )
+from repro.gpu.executor import GpuExecutor
 
 POOL_SIZE = 4096
 SPEEDUP_FLOOR = 5.0
@@ -78,6 +88,12 @@ GROUPED_CLASSES = ((13, 6), (20, 20))
 SPLIT_FLOOR = 1.4
 #: The split measurements pin the calling thread to one CPU for the baseline.
 CAN_PIN = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+#: Ceiling on the traced peak, MB (2**20 bytes), of the ta100x20 sibling
+#: launch run as one part (the same ceiling as tests/test_executor.py).
+LAUNCH_PEAK_CEILING_MB = 10
+#: Parents of the ta200x20 pool launch of the memory table (script mode):
+#: the third launch of a pool-2048 GPU solve.
+POOL_PARENTS = 2048
 
 
 def _launch_inputs(n_jobs=20, n_machines=20, pool_size=POOL_SIZE):
@@ -189,6 +205,44 @@ def test_split_launch_exact_and_faster():
     speedup = t_one / t_all
     message = f"split launch {speedup:.2f}x over one part, floor {SPLIT_FLOOR}x"
     assert speedup >= SPLIT_FLOOR, message
+
+
+@contextlib.contextmanager
+def _one_part():
+    """Launches inside run as one part (the kernel reads the usable CPUs per launch)."""
+    usable_cpus = bounds._usable_cpus
+    bounds._usable_cpus = lambda: 1
+    try:
+        yield
+    finally:
+        bounds._usable_cpus = usable_cpus
+
+
+def _launch_memory(data, block):
+    """``(input MB, traced peak MB, launch s)`` of ``GpuExecutor.evaluate_block(block)``.
+
+    The peak is traced on a launch run as one part, since every part of a
+    split launch holds its own tile tables; the time is untraced and split
+    as usual.
+    """
+    executor = GpuExecutor(data)
+    executor.evaluate_block(block)  # builds the per-instance tables
+    seconds, _ = _timed(executor.evaluate_block, block)
+    with _one_part():
+        tracemalloc.start()
+        try:
+            executor.evaluate_block(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    inputs = block.scheduled_mask.nbytes + block.release.nbytes
+    return inputs / 2**20, peak / 2**20, seconds
+
+
+def test_sibling_launch_peak_below_the_ceiling():
+    """The ta100x20 sibling launch reads the block's columns in place."""
+    _, peak, _ = _launch_memory(*_sibling_launch(100, 20))
+    assert peak < LAUNCH_PEAK_CEILING_MB, f"traced peak {peak:.1f} MB"
 
 
 def test_sequential_engine_v2_end_to_end(benchmark):
@@ -306,6 +360,21 @@ def split_table() -> None:
         )
 
 
+def memory_table() -> float:
+    """Input and traced peak of one launch per shape; returns the 100x20 sibling peak."""
+    print(f"launch memory (peak traced as one part; ceiling {LAUNCH_PEAK_CEILING_MB} MB)")
+    print("  launch                              rows  input MB  peak MB  launch ms")
+    peaks = []
+    shapes = ((100, SIBLING_PARENTS, "siblings"), (200, POOL_PARENTS, "pool"))
+    for n_jobs, n_parents, shape in shapes:
+        data, children = _sibling_launch(n_jobs, 20, n_parents)
+        inputs, peak, seconds = _launch_memory(data, children)
+        peaks.append(peak)
+        label = f"{n_jobs}x20 {shape} ({n_parents} parents)"
+        print(f"  {label:<32} {len(children):>7} {inputs:9.1f} {peak:8.1f} {seconds * 1e3:10.0f}")
+    return peaks[0]
+
+
 def main() -> int:
     print(f"kernel v1 vs v2 launch throughput (pool = {POOL_SIZE}, ta 20x20)")
     data, mask, release = _launch_inputs()
@@ -338,9 +407,13 @@ def main() -> int:
     crossover_table()
     grouped_sibling_table()
     split_table()
+    sibling_peak = memory_table()
 
     if speedup < SPEEDUP_FLOOR:
         print(f"FAIL: v2 launch speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.0f}x floor")
+        return 1
+    if sibling_peak >= LAUNCH_PEAK_CEILING_MB:
+        print(f"FAIL: the 100x20 sibling launch peaked at {sibling_peak:.1f} MB")
         return 1
     print("OK")
     return 0

@@ -41,11 +41,12 @@ run (pinned by the golden fixtures of ``tests/test_driver.py``).
 All block/frontier integer columns are stored as **int32**: Taillard-class
 magnitudes (release times, bounds, depths, creation indices) sit far below
 ``2**31``, and halving the frontier's memory traffic raises the cache
-residency of the selection scans.  The bounding kernels stay int64
-internally — their entry points coerce ``release`` with
-``np.asarray(..., dtype=np.int64)`` and :func:`bound_block` writes the
-int64 results back into the int32 column in place, which is the one
-explicit int32↔int64 boundary of the layout.
+residency of the selection scans.  Kernel v2 takes the int32 ``release``
+column as it is and casts it inside a strategy, to the dtype its value
+guard picks (the scan and incremental strategies one tile at a time);
+:func:`bound_block` writes the kernel's int64 results back into the int32
+``lower_bound`` column in place, which is the one explicit int32↔int64
+boundary of the layout.
 """
 
 from __future__ import annotations
@@ -660,8 +661,8 @@ def bound_block(
             fused = False
 
     if not fused:
-        # the batched kernels are int64 internally (their entry coerces
-        # ``release``); writing through the slice casts the int64 results
+        # kernel v2 takes the int32 ``release`` column as it is and casts it
+        # inside a strategy; writing through the slice casts the int64 results
         # back into the block's int32 column — the explicit dtype boundary
         bounds = get_batch_kernel(kernel)(
             data, mask, release, include_one_machine=include_one_machine, jobs=block.jobs

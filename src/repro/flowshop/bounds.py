@@ -900,7 +900,6 @@ def _lower_bound_batch_v2_scan(
     couple's order), so no sentinel masking is needed.
     """
     n = data.n_jobs
-    unscheduled = ~mask_a
     ct = data.couple_tensors()
     a_sc = ct.a_times.astype(dtype)
     b_sc = ct.b_times.astype(dtype)
@@ -914,7 +913,7 @@ def _lower_bound_batch_v2_scan(
     for start in range(0, n_active, chunk):
         end = min(start + chunk, n_active)
         mask_c = mask_a[start:end]
-        unsched_c = unscheduled[start:end]
+        unsched_c = ~mask_c
         rel_c = rel_a[start:end]
 
         tails = np.where(mask_c[:, :, None], big, data.tails[None, :, :])
@@ -994,6 +993,25 @@ def _v2_incremental_data(data: LowerBoundData, dtype: np.dtype) -> _V2Incrementa
     return inc
 
 
+def _parent_set_starts(mask: np.ndarray, jobs: np.ndarray, chunk: int) -> np.ndarray:
+    """``(rows,)`` flags: True where a row's parent set differs from the row before.
+
+    The parent of row ``i`` had scheduled ``mask[i]`` without ``jobs[i]``,
+    so two rows with equal masks but swapped last jobs have different
+    parents.  Rows are compared ``chunk`` at a time, overlapping by one
+    row, so the temporaries stay ``(chunk + 1, n)`` whatever the launch size.
+    """
+    rows = mask.shape[0]
+    starts = np.empty(rows, dtype=bool)
+    starts[0] = True
+    for lo in range(1, rows, chunk):
+        hi = min(lo + chunk, rows)
+        parents = mask[lo - 1 : hi].copy()
+        parents[np.arange(hi - lo + 1), jobs[lo - 1 : hi]] = False
+        np.any(parents[1:] != parents[:-1], axis=1, out=starts[lo:hi])
+    return starts
+
+
 def _lower_bound_batch_v2_incremental(
     data: LowerBoundData,
     mask_a: np.ndarray,
@@ -1020,18 +1038,18 @@ def _lower_bound_batch_v2_incremental(
     parent's minus ``b_k``.  ``QM`` comes from the parent's (min,
     second-min) tails, as in the frontier's sibling path.  Integer
     ``dtype`` keeps the arithmetic exact.
+
+    ``mask_a`` and ``rel_a`` are read in place: group starts are found
+    :data:`_V2_INCREMENTAL_TILE` mask elements at a time
+    (:func:`_parent_set_starts`), and each tile builds the parent sets of
+    its own groups from their first rows, so no temporary spans the launch.
     """
     n, n_couples = data.n_jobs, data.n_couples
     inc = _v2_incremental_data(data, dtype)
     m1, m2 = data.mm[:, 0], data.mm[:, 1]
     rows = mask_a.shape[0]
-    parent_sets = ~mask_a
-    parent_sets[np.arange(rows), jobs_a] = True
-    new_group = np.empty(rows, dtype=bool)
-    new_group[0] = True
-    np.any(parent_sets[1:] != parent_sets[:-1], axis=1, out=new_group[1:])
+    new_group = _parent_set_starts(mask_a, jobs_a, max(1, _V2_INCREMENTAL_TILE // n))
     starts = np.flatnonzero(new_group)
-    group_of = np.cumsum(new_group) - 1
     n_groups = starts.size
     group_end = np.append(starts, rows)
 
@@ -1042,7 +1060,9 @@ def _lower_bound_batch_v2_incremental(
     for g0 in range(0, n_groups, tile):
         g1 = min(g0 + tile, n_groups)
         r0, r1 = int(group_end[g0]), int(group_end[g1])
-        sets = parent_sets[starts[g0:g1]]  # (G, n)
+        first = starts[g0:g1]
+        sets = ~mask_a[first]  # (G, n) parent sets
+        sets[np.arange(g1 - g0), jobs_a[first]] = True
         sets_f = sets.astype(np.float64)
 
         # candidates over each parent set, in Johnson order: (G, n, C);
@@ -1067,7 +1087,7 @@ def _lower_bound_batch_v2_incremental(
         tail_min, tail_min2 = tails[:, 0], tails[:, 1]
 
         # per child: O(C) gathers from its group's tables
-        local = group_of[r0:r1] - g0
+        local = np.cumsum(new_group[r0:r1]) - 1  # the tile starts a group
         job = jobs_a[r0:r1]
         flat = inc.pos_flat[job]
         flat += (local * (n * n_couples))[:, None]
@@ -1160,9 +1180,19 @@ def lower_bound_batch_v2(
     ``jobs`` column of a :func:`~repro.bb.frontier.branch_block` block.
     The other parameters and the return value are identical to
     :func:`lower_bound_batch`.
+
+    A signed-integer ``release`` (a block's int32 column) keeps its dtype;
+    each strategy casts what it reads to the dtype its value guard picks.
+    Any other ``release`` (a list, floats, unsigned integers) is converted
+    to int64 first.  Unless some row is complete, ``scheduled_mask`` and
+    ``release`` reach the strategy uncopied: the scan and incremental
+    strategies read them in place one tile at a time, the GEMM makes the
+    transposed copies its products need.
     """
     scheduled_mask = np.asarray(scheduled_mask, dtype=bool)
-    release = np.asarray(release, dtype=np.int64)
+    release = np.asarray(release)
+    if release.dtype.kind != "i":
+        release = release.astype(np.int64)
     if scheduled_mask.ndim != 2 or scheduled_mask.shape[1] != data.n_jobs:
         raise ValueError(f"scheduled_mask must have shape (B, {data.n_jobs})")
     if release.shape != (scheduled_mask.shape[0], data.n_machines):
@@ -1186,21 +1216,25 @@ def lower_bound_batch_v2(
     value_bound = _v2_value_bound(data, release)
 
     # Complete schedules are resolved here once; the strategy kernels only
-    # ever see the active (incomplete) sub-problems.
+    # ever see the active (incomplete) sub-problems.  A launch without
+    # complete rows passes its own arrays through uncopied.
     complete = scheduled_mask.all(axis=1)
-    bounds = np.zeros(scheduled_mask.shape[0], dtype=np.int64)
-    bounds[complete] = release[complete, -1]
-    active = np.flatnonzero(~complete)
-    if active.size == 0:
-        return bounds
-    mask_a = scheduled_mask[active]
-    rel_a = release[active]
+    bounds: np.ndarray | None = None
+    mask_a, rel_a, jobs_a = scheduled_mask, release, jobs
+    if complete.any():
+        bounds = np.zeros(complete.size, dtype=np.int64)
+        bounds[complete] = release[complete, -1]
+        active = np.flatnonzero(~complete)
+        if active.size == 0:
+            return bounds
+        mask_a, rel_a = scheduled_mask[active], release[active]
+        jobs_a = None if jobs is None else jobs[active]
 
     if strategy is None:
         large = data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS
         if large and jobs is not None:
             strategy = "incremental"
-        elif data.n_jobs > _V2_GEMM_MAX_JOBS or (large and active.size == 1):
+        elif data.n_jobs > _V2_GEMM_MAX_JOBS or (large and len(mask_a) == 1):
             # one row without ``jobs`` (a root bound) does not pay for the
             # GEMM's (n, C, n + 1) weight tensor; the scan is bit-identical
             strategy = "scan"
@@ -1217,43 +1251,44 @@ def lower_bound_batch_v2(
                 data, scheduled_mask, release, include_one_machine=include_one_machine
             )
         # not split: BLAS already runs each product on its own threads
-        bounds[active] = _lower_bound_batch_v2_gemm(
-            data, mask_a, rel_a, include_one_machine, ftype
-        )
-        return bounds
-
-    # the lazy per-instance tables are built here, on the calling thread, so
-    # the parts of a split launch never race to build one
-    if strategy == "incremental":
-        assert jobs is not None
+        values = _lower_bound_batch_v2_gemm(data, mask_a, rel_a, include_one_machine, ftype)
+    elif strategy == "incremental":
+        # the lazy per-instance tables are built here, on the calling
+        # thread, so the parts of a split launch never race to build one
+        assert jobs_a is not None
         itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
         _v2_incremental_data(data, itype)
-        bounds[active] = _evaluate_rows(
-            lambda mask, rel, jobs_a: _lower_bound_batch_v2_incremental(
-                data, mask, rel, jobs_a, include_one_machine, itype
+        values = _evaluate_rows(
+            lambda mask, rel, last: _lower_bound_batch_v2_incremental(
+                data, mask, rel, last, include_one_machine, itype
             ),
             data.n_couples,
             None,
             mask_a,
             rel_a,
-            jobs[active],
+            jobs_a,
         )
-        return bounds
-
-    if value_bound < 2**15:
-        dtype: np.dtype = np.int16
-    elif value_bound < 2**31:
-        dtype = np.int32
     else:
-        dtype = np.int64
-    data.couple_tensors()
-    bounds[active] = _evaluate_rows(
-        lambda mask, rel: _lower_bound_batch_v2_scan(data, mask, rel, include_one_machine, dtype),
-        data.n_couples,
-        _V2_SCAN_CHUNK,
-        mask_a,
-        rel_a,
-    )
+        if value_bound < 2**15:
+            dtype: np.dtype = np.int16
+        elif value_bound < 2**31:
+            dtype = np.int32
+        else:
+            dtype = np.int64
+        data.couple_tensors()
+        values = _evaluate_rows(
+            lambda mask, rel: _lower_bound_batch_v2_scan(
+                data, mask, rel, include_one_machine, dtype
+            ),
+            data.n_couples,
+            _V2_SCAN_CHUNK,
+            mask_a,
+            rel_a,
+        )
+
+    if bounds is None:
+        return values
+    bounds[~complete] = values
     return bounds
 
 

@@ -155,7 +155,9 @@ class GpuExecutor:
         scheduled_mask:
             ``(B, n_jobs)`` boolean matrix of already-scheduled jobs.
         release:
-            ``(B, n_machines)`` matrix of per-machine release times.
+            ``(B, n_machines)`` matrix of per-machine release times, passed
+            to the kernel as it is: a signed-integer matrix (a block's int32
+            column) keeps its dtype, anything else is converted to int64.
         n_remaining:
             Average number of unscheduled jobs of the pool; used only by the
             timing model (defaults to the actual pool average).
@@ -173,7 +175,6 @@ class GpuExecutor:
         """
         self.upload()
         scheduled_mask = np.asarray(scheduled_mask, dtype=bool)
-        release = np.asarray(release, dtype=np.int64)
         pool_size = int(scheduled_mask.shape[0])
         if n_remaining is None and pool_size:
             n_remaining = int(round(self.data.n_jobs - scheduled_mask.sum(axis=1).mean()))
@@ -200,13 +201,14 @@ class GpuExecutor:
         The block's ``(scheduled_mask, release)`` columns are exactly the
         device buffers :meth:`evaluate` consumes, so this is a zero-copy
         hand-off — the host-side "pack the pool" step of the paper's
-        Figure 3 disappears.  This is also the block layout's explicit
-        int32↔int64 boundary: :meth:`evaluate` widens the int32 ``release``
-        column to the kernels' internal int64, and the int64 bounds are
+        Figure 3 disappears.  The kernel never widens the int32 ``release``
+        column as a whole: a strategy casts what it reads (the scan and
+        incremental strategies one tile at a time), and the int64 bounds are
         cast back through the in-place write into the block's int32
-        ``lower_bound`` column.  The timing model's ``n_remaining`` comes
-        from the block's ``depth`` column (the scheduled-job count of every
-        row), the same integer a row sum of the mask gives.
+        ``lower_bound`` column.  The timing model's
+        ``n_remaining`` comes from the block's ``depth`` column (the
+        scheduled-job count of every row), the same integer a row sum of
+        the mask gives.
         """
         n_remaining = None
         if len(block):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.flowshop.bounds as bounds
 from repro.bb.frontier import NodeBlock, Trail, branch_block, root_block
+from repro.flowshop import taillard_instance
 from repro.flowshop.bounds import LowerBoundData, lower_bound
 from repro.gpu.executor import GpuExecutor
 from repro.gpu.placement import DataPlacement
@@ -112,3 +116,48 @@ class TestEvaluate:
     def test_rejects_bad_block_size(self, small_instance_data):
         with pytest.raises(ValueError):
             GpuExecutor(small_instance_data, threads_per_block=0)
+
+
+#: Ceiling on the traced peak, in MB (2**20 bytes), of one ``evaluate_block``
+#: launch of the ta100x20 sibling block below, run as one part.  The kernel
+#: reads the block's mask and int32 ``release`` in place (4.7 MB traced: one
+#: tile's tables and a few per-row vectors); widening ``release`` to int64,
+#: gathering the active rows and building a launch-wide parent-set table
+#: took it to 18 MB.  ``benchmarks/bench_kernel_v2.py`` asserts the same
+#: ceiling.
+LAUNCH_PEAK_CEILING_MB = 10
+
+
+class TestLaunchMemory:
+    def test_sibling_launch_peak_stays_below_the_ceiling(self, monkeypatch):
+        """The children of 256 depth-2 ta100x20 parents: 25,088 rows, 4.3 MB of input."""
+        instance = taillard_instance(100, 20, index=1)
+        pt = instance.processing_times
+        depth1 = branch_block(root_block(instance, Trail()), pt, 1)
+        depth2 = branch_block(depth1, pt, 1 + len(depth1))
+        parents = np.unique(np.linspace(0, len(depth2) - 1, 256).astype(np.int64))
+        block = branch_block(depth2.take(parents), pt, 1 + len(depth1) + len(depth2))
+        executor = GpuExecutor(LowerBoundData(instance))
+        # each part of a split launch holds its own tile tables, so one part
+        # keeps the peak independent of the host's CPU count
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+        executor.evaluate_block(block)  # builds the per-instance tables
+        tracemalloc.start()
+        try:
+            result = executor.evaluate_block(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = np.linspace(0, len(block) - 1, 6).astype(np.int64)
+        assert result.bounds[rows].tolist() == [
+            lower_bound(executor.data, block.prefix(i)) for i in rows
+        ]
+        assert peak / 2**20 < LAUNCH_PEAK_CEILING_MB
+
+    def test_release_of_any_dtype_gives_the_same_bounds(self, small_instance):
+        executor = GpuExecutor(LowerBoundData(small_instance))
+        children = _root_children(small_instance)
+        mask, release = children.scheduled_mask, children.release
+        expected = executor.evaluate(mask, release).bounds.tolist()
+        for given in (release.astype(np.int64), release.tolist(), release.astype(np.float64)):
+            assert executor.evaluate(mask, given).bounds.tolist() == expected

@@ -167,13 +167,25 @@ class TestSplitLaunch:
         _force_split(monkeypatch, cpus=1)
         one_cpu = lower_bound_batch_v2(*args, jobs=block.jobs)
         _force_split(monkeypatch, cpus=4)
-        parts = _spy_parts(monkeypatch, "incremental")
+        real = bounds._lower_bound_batch_v2_incremental
+        parts = []  # (thread id, mask rows) of every part
+
+        def spy(*part_args):
+            parts.append((threading.get_ident(), part_args[1]))
+            return real(*part_args)
+
+        monkeypatch.setattr(bounds, "_lower_bound_batch_v2_incremental", spy)
         threads_before = threading.active_count()
         split = lower_bound_batch_v2(*args, jobs=block.jobs)
         assert threading.active_count() == threads_before  # every helper joined
         # cuts at rows 24, 48 and 72: 24 and 72 fall inside a sibling run
-        assert [rows for _, rows in parts] == [24, 24, 24, 24]
-        assert len({ident for ident, _ in parts}) == 4
+        assert [len(mask) for _, mask in parts] == [24, 24, 24, 24]
+        # part 0 runs on the calling thread and parts 1-3 on helpers; idents
+        # are not counted, since a helper that ends before the next one
+        # starts may hand it its ident
+        on_caller = [mask for ident, mask in parts if ident == threading.get_ident()]
+        assert len(on_caller) == 1
+        assert np.array_equal(on_caller[0], block.scheduled_mask[:24])
         assert np.array_equal(split, expected)
         assert np.array_equal(one_cpu, expected)
 

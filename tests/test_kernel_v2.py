@@ -298,6 +298,142 @@ class TestIncrementalStrategy:
         assert incremental_calls
 
 
+class TestIncrementalGroupStarts:
+    """Parent-set runs found one chunk of rows at a time, on a 6-job launch."""
+
+    PREFIXES = (
+        [0, 1],  # five siblings of parent [0] and a duplicate of the last
+        [0, 2],
+        [0, 3],
+        [0, 4],
+        [0, 5],
+        [0, 5],
+        [1, 2],  # equal masks, last jobs swapped: parents [1] and [2]
+        [2, 1],
+        [2, 3],
+        [4, 3, 5],  # two siblings of parent [4, 3]
+        [4, 3, 1],
+    )
+    STARTS = [True, False, False, False, False, False, True, True, False, True, False]
+
+    def _launch(self):
+        data = LowerBoundData(taillard_instance(6, 4, index=1))
+        mask = np.zeros((len(self.PREFIXES), data.n_jobs), dtype=bool)
+        for row, prefix in enumerate(self.PREFIXES):
+            mask[row, prefix] = True
+        release = np.stack([data.machine_release_times(p) for p in self.PREFIXES])
+        jobs = np.array([prefix[-1] for prefix in self.PREFIXES])
+        return data, mask, release.astype(np.int32), jobs
+
+    def test_every_chunk_size_finds_the_same_starts(self):
+        _, mask, _, jobs = self._launch()
+        # a mask-only comparison would merge the swapped pair into one run
+        assert np.array_equal(mask[6], mask[7])
+        for chunk in range(1, len(mask) + 1):
+            starts = bounds._parent_set_starts(mask, jobs, chunk)
+            assert starts.tolist() == self.STARTS, f"chunk={chunk}"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7])
+    def test_bounds_exact_at_every_chunk_boundary(self, monkeypatch, chunk):
+        data, mask, release, jobs = self._launch()
+        # one chunk of rows per ``chunk`` rows, and one group per tile
+        monkeypatch.setattr(bounds, "_V2_INCREMENTAL_TILE", chunk * data.n_jobs)
+        for one_mach in (False, True):
+            expected = [lower_bound(data, p, include_one_machine=one_mach) for p in self.PREFIXES]
+            got = lower_bound_batch_v2(
+                data, mask, release, include_one_machine=one_mach, strategy="incremental", jobs=jobs
+            )
+            assert got.tolist() == expected
+
+
+STRATEGY_FUNCTIONS = {
+    "gemm": "_lower_bound_batch_v2_gemm",
+    "scan": "_lower_bound_batch_v2_scan",
+    "incremental": "_lower_bound_batch_v2_incremental",
+}
+
+
+class TestReleaseDtypes:
+    """A signed-integer ``release`` is read in its own dtype; other input is converted.
+
+    Every strategy casts one tile at a time to the dtype its value guard
+    picks, so a block's int32 ``release`` and its int64 widening give the
+    same bounds.  A launch without complete rows hands its own arrays to
+    the strategy; one with complete rows gathers the active rows first.
+    """
+
+    @given(
+        instances(min_jobs=2, max_jobs=8, max_machines=6),
+        st.integers(2, 5),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_int32_and_int64_release_give_the_scalar_bound(
+        self, instance, n_parents, seed, one_mach, with_complete
+    ):
+        data = LowerBoundData(instance)
+        mask, release, jobs, prefixes, _ = sibling_launch(instance, data, n_parents, seed)
+        if not with_complete:
+            rows = np.flatnonzero(~mask.all(axis=1))
+            mask, release, jobs = mask[rows], release[rows], jobs[rows]
+            prefixes = [prefixes[row] for row in rows]
+        expected = [lower_bound(data, p, include_one_machine=one_mach) for p in prefixes]
+        for strategy in (None, *V2_STRATEGIES, "incremental"):
+            for dtype in (np.int32, np.int64):
+                got = lower_bound_batch_v2(
+                    data,
+                    mask,
+                    release.astype(dtype),
+                    include_one_machine=one_mach,
+                    strategy=strategy,
+                    jobs=jobs,
+                )
+                assert got.dtype == np.int64
+                assert got.tolist() == expected, (strategy, dtype)
+
+    @pytest.mark.parametrize("strategy", ["gemm", "scan", "incremental"])
+    def test_strategies_read_the_launch_arrays_in_place(self, monkeypatch, strategy):
+        instance = taillard_instance(8, 5, index=1)
+        data = LowerBoundData(instance)
+        mask, release, jobs, _, _ = sibling_launch(instance, data, 4, 0)
+        seen = []
+        real = getattr(bounds, STRATEGY_FUNCTIONS[strategy])
+
+        def spy(*args):
+            seen.append(args[1:3])
+            return real(*args)
+
+        monkeypatch.setattr(bounds, STRATEGY_FUNCTIONS[strategy], spy)
+        active = np.flatnonzero(~mask.all(axis=1))
+        assert active.size < len(mask)  # the last parent's child is complete
+        launches = {
+            "pass-through": (mask[active], release[active].astype(np.int32), jobs[active]),
+            "gather": (mask, release.astype(np.int32), jobs),
+        }
+        for path, (launch_mask, launch_release, launch_jobs) in launches.items():
+            seen.clear()
+            lower_bound_batch_v2(
+                data, launch_mask, launch_release, strategy=strategy, jobs=launch_jobs
+            )
+            [(part_mask, part_release)] = seen
+            assert part_release.dtype == np.int32
+            in_place = path == "pass-through"
+            assert np.shares_memory(part_mask, launch_mask) == in_place, path
+            assert np.shares_memory(part_release, launch_release) == in_place, path
+
+    def test_list_and_float_release_still_work(self):
+        instance = taillard_instance(7, 4, index=2)
+        data = LowerBoundData(instance)
+        mask, release, jobs, prefixes, _ = sibling_launch(instance, data, 3, 1)
+        expected = [lower_bound(data, p) for p in prefixes]
+        for given_release in (release.tolist(), release.astype(np.float64)):
+            for strategy in (None, *V2_STRATEGIES, "incremental"):
+                got = lower_bound_batch_v2(data, mask, given_release, strategy=strategy, jobs=jobs)
+                assert got.tolist() == expected, (type(given_release), strategy)
+
+
 def _set_crossover(monkeypatch, n_jobs):
     monkeypatch.setattr(bounds, "_V2_INCREMENTAL_MIN_JOBS", n_jobs)
     monkeypatch.setattr(frontier, "_V2_INCREMENTAL_MIN_JOBS", n_jobs)
