@@ -38,19 +38,19 @@ Three evaluation paths are provided:
     ``n_jobs`` Johnson positions (larger ``n_jobs``);
   - ``"incremental"``: for rows whose last-scheduled job is known (the
     ``jobs`` argument, from a branch-built block), one O(n·C) pass per
-    parent set and O(C) per child, since removing one job from a parent's
-    set shifts its closed-form candidates in a known way.  Selected from
+    parent set and O(m) per child, since removing one job from a parent's
+    set shifts its closed-form candidates in a known way and the maximum
+    over the couples regroups by machine.  Selected from
     ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS``, the measured crossover.
 
   A large scan or incremental launch is split into contiguous row ranges,
   one per CPU the process may run on, evaluated at the same time on
   threads that live only for that launch (numpy releases the interpreter
   lock inside its ufunc loops).  The split depends only on the launch's
-  shape and the process's CPU affinity: it happens only while every numpy
-  call of a part still touches ``_SPLIT_MIN_ELEMENTS`` elements, because
-  below that grain the interpreter lock serialises the parts and a split
-  loses.  GEMM launches are not split; BLAS runs their products on its
-  own threads.
+  shape and the process's CPU affinity: it happens only while every part
+  stays above a grain of work (:func:`_split_cuts`), because below it the
+  interpreter lock serialises the parts and a split loses.  GEMM launches
+  are not split; BLAS runs their products on its own threads.
 
 All batched kernels return values bit-identical to the scalar bound;
 :func:`get_batch_kernel` maps a ``"v1"`` / ``"v2"`` name to the matching
@@ -604,25 +604,34 @@ _V2_SCAN_CHUNK = 512
 #: with ``n^2`` and the incremental one's per-parent cost with ``n``, so
 #: this is a crossover in ``n``.  ``benchmarks/bench_kernel_v2.py`` prints
 #: it in script mode; on a 2-vCPU Xeon with OpenBLAS, one thread, m = 20:
-#: at n = 20 a single parent's siblings are 2x cheaper fused (a 256-parent
-#: launch breaks even), at n = 50 the incremental strategy wins both (1.8x
-#: and 3x), at n = 200 by 21x and 25x.  With m <= 10 a single parent's
-#: sibling set stays cheaper fused up to n ~ 50-100.
+#: at n = 20 a single parent's siblings are 2.1-2.5x cheaper fused while a
+#: 256-parent launch is 3.2x cheaper incremental, at n = 50 the incremental
+#: strategy wins both (2.0-2.1x and 11-12x), at n = 200 by 43-44x and
+#: 106-111x.  With m <= 10 a single parent's sibling set stayed cheaper
+#: fused up to n ~ 50-100 (measured before the O(m) kernel).
 _V2_INCREMENTAL_MIN_JOBS = 40
 
-#: Elements (parents x n_jobs x n_couples) of the per-parent candidate
-#: tables the incremental strategy builds per tile.
-_V2_INCREMENTAL_TILE = 1 << 17
+#: Elements (parents x n_jobs x n_couples) of each of the two tables the
+#: incremental strategy builds per tile of parents, and its split grain:
+#: one part of a split launch holds at least one tile's worth of
+#: ``rows x n_couples`` (:func:`_split_cuts`).  A tile makes about 100
+#: numpy calls whatever its width, so wider tiles hand the interpreter
+#: lock between the parts of a split launch less often per element.  The
+#: ta100x20 sibling launch (children of 256 depth-2 parents) on a 2-vCPU
+#: Xeon, one part against two: 36 / 29 ms at 2**18 and 39 / 25 ms at
+#: 2**19 (best of 40 interleaved runs); 3 * 2**18 split no better and
+#: peaks at 7.9 MB traced against 5.3 MB, and 2**20 at 10.5 MB, above the
+#: 10 MB ceiling of ``tests/test_executor.py``.  Two forced parts against
+#: one, ta100x20 children of 8 / 27 / 54 parents: 3.0 / 4.2 / 5.6 ms
+#: against 2.2 / 4.1 / 7.4 ms, so a split pays from about two tiles.
+_V2_INCREMENTAL_TILE = 1 << 19
 
-#: Fewest elements every numpy call of one part of a split launch must
-#: touch.  Below it the interpreter lock serialises the parts' calls and a
-#: split loses.  Two parts against one on a 2-vCPU Xeon (one BLAS thread),
-#: incremental strategy: 1.39x at 980 rows and 1.87x at 16,366 with 190
-#: couples (100x20); with 45 couples 1.49x at 4,080 rows but 0.78x at
-#: 1,008; with 10 couples 1.48x at 16,368 rows but 0.88x at 4,080.  The
-#: GEMM strategy is never split: its products already run on BLAS's own
-#: threads, and under numpy's default multi-threaded BLAS two parts of a
-#: 16,384-row ta20x20 launch took 155-186 ms against 112-125 ms in one.
+#: Fewest elements every numpy call of one part of a split scan launch
+#: must touch.  Below it the interpreter lock serialises the parts' calls
+#: and a split loses.  The GEMM strategy is never split: its products
+#: already run on BLAS's own threads, and under numpy's default
+#: multi-threaded BLAS two parts of a 16,384-row ta20x20 launch took
+#: 155-186 ms against 112-125 ms in one.
 _SPLIT_MIN_ELEMENTS = 1 << 16
 
 
@@ -637,17 +646,19 @@ def _usable_cpus() -> int:
 def _split_cuts(rows: int, n_couples: int, tile: int | None) -> list[int] | None:
     """Row cuts of a launch split across the usable CPUs, or ``None``.
 
-    Uses the most parts, up to one per usable CPU, for which every numpy
-    call of a part still touches :data:`_SPLIT_MIN_ELEMENTS` elements.  A
-    tiled strategy (the scan) calls numpy on ``n_couples x tile`` elements
-    at a time, so each part holds at least one full ``tile`` and the cuts
-    fall on tile boundaries.  The incremental strategy
-    (``tile=None``) calls numpy on whole parts, so a part needs
-    ``_SPLIT_MIN_ELEMENTS / n_couples`` rows and any cut is exact.  The
-    grain is checked first, so small launches skip the affinity read.
+    Uses the most parts, up to one per usable CPU, for which every part
+    stays above a grain of work.  A tiled strategy (the scan) calls numpy
+    on ``n_couples x tile`` elements at a time, so each part holds at
+    least one full ``tile``, the cuts fall on tile boundaries, and the
+    calls must touch :data:`_SPLIT_MIN_ELEMENTS` elements.  The
+    incremental strategy (``tile=None``) fills tables of about
+    ``n_couples`` elements per row, so a part needs
+    ``_V2_INCREMENTAL_TILE / n_couples`` rows, one tile's worth, and any
+    cut is exact.  The grain is checked first, so small launches skip the
+    affinity read.
     """
     if tile is None:
-        most = rows // -(-_SPLIT_MIN_ELEMENTS // n_couples)
+        most = min(rows, rows * n_couples // _V2_INCREMENTAL_TILE)
     elif n_couples * tile >= _SPLIT_MIN_ELEMENTS:
         most = rows // tile
     else:
@@ -947,49 +958,62 @@ def _lower_bound_batch_v2_scan(
 class _V2IncrementalData:
     """Per-instance tables of the incremental (sibling) v2 evaluation.
 
-    ``*_sc`` tables follow each couple's Johnson order (``[i, c]`` belongs
-    to the job in position ``i`` of couple ``c``), ``*_job`` tables are
-    indexed by job, and ``pos_flat[j, c]`` is the offset of job ``j``'s cell
-    in a C-contiguous ``(n, C)`` Johnson-order table.  ``neg`` marks the
-    candidates of jobs outside a parent set: at ``-2 * big`` it stays below
-    every real candidate even after a removal shift of up to ``max(PTM)``.
+    ``narrow`` holds ``(diff, head)``, ``(n, C, 1)`` tables in each couple's
+    Johnson order (``[p, c]`` belongs to the job in position ``p`` of couple
+    ``c``) that broadcast over a tile's ``(n, C, parents)`` tables.  ``wide``
+    holds them repeated over the ``tile`` parents of a full tile, so they
+    combine with its tables element by element: the broadcast over the short
+    parents axis took 1.3x as long.  Each wide table holds about
+    :data:`_V2_INCREMENTAL_TILE` elements (2 MB at int32); a narrower tile
+    (the last of a launch, or one parent's siblings) broadcasts the narrow
+    ones instead of reading a few parents out of every wide row.  A child's
+    candidate maximum for the job in position ``p`` lands in row ``(n - 2 -
+    p) % n`` of a tile table; ``pos_flat[r, j]`` is the row of job ``j``'s
+    cell for the couple of rank ``r`` in the table seen as ``(n * C,
+    parents)``, with the couples ranked by diagonal: ``(i, i + 1 + d)`` for
+    ``d = 0, 1, ...`` and ``i`` ascending, so ``diagonals[d]`` is the
+    ``(start, end)`` rank range of diagonal ``d``, and its ``i``-th couple
+    has the first machine ``i``.  ``ptm_t`` and ``tails_t`` are ``(m, n)``.
+    ``neg`` marks the candidates of jobs outside a parent set: at ``-2 *
+    big`` it stays below every real candidate even after a removal shift of
+    up to ``max(PTM)``.
     """
 
     __slots__ = (
-        "neg",
-        "diff_sc",
-        "head_sc",
-        "pos_flat",
-        "shift_job",
-        "b_job",
-        "b_job_f",
-        "tails",
-        "ptm_f",
+        "tile", "neg", "narrow", "wide", "pos_flat", "diagonals", "ptm_f", "ptm_t", "tails_t"
     )
 
-    def __init__(self, data: LowerBoundData, dtype: np.dtype):
-        n_couples = data.n_couples
+    def __init__(self, data: LowerBoundData, dtype: np.dtype, tile: int):
+        n, n_couples = data.n_jobs, data.n_couples
         ct = data.couple_tensors()
+        self.tile = tile
         self.neg = -2 * _v2_big_sentinel(data)
-        # candidate of position i: cumsum(a - b)[i] + b_i + lag_i
-        self.diff_sc = (ct.a_times - ct.b_times).astype(dtype)
-        self.head_sc = (ct.b_times + ct.lags - self.neg).astype(dtype)
-        self.pos_flat = _johnson_positions(data) * n_couples + np.arange(n_couples)
-        self.b_job = data.ptm[:, ct.m2].astype(dtype)
-        # removing job j shifts every later candidate by b_j - a_j
-        self.shift_job = self.b_job - data.ptm[:, ct.m1].astype(dtype)
-        # float64 copies for the BLAS set sums (exact far below 2**53)
-        self.b_job_f = self.b_job.astype(np.float64)
+        # candidate of position p: cumsum(a - b)[p] + b_p + lag_p
+        diff = (ct.a_times - ct.b_times).astype(dtype)[:, :, None]
+        head = (ct.b_times + ct.lags - self.neg).astype(dtype)[:, :, None]
+        self.narrow = (diff, head)
+        self.wide = (np.repeat(diff, tile, axis=2), np.repeat(head, tile, axis=2))
+        # couples by diagonal: (i, i + 1 + d) for d = 0, 1, ... and i ascending
+        diagonal = np.argsort(data.mm[:, 1] - data.mm[:, 0], kind="stable")
+        rows = (n - 2 - _johnson_positions(data)) % n
+        self.pos_flat = np.ascontiguousarray((rows * n_couples + np.arange(n_couples)).T[diagonal])
+        m = data.n_machines
+        edges = np.cumsum([0] + list(range(m - 1, 0, -1))).tolist()
+        self.diagonals = list(zip(edges[:-1], edges[1:]))
+        # float64 copy for the BLAS set sums (exact far below 2**53)
         self.ptm_f = data.ptm.astype(np.float64)
-        self.tails = data.tails.astype(dtype)
+        self.ptm_t = np.ascontiguousarray(data.ptm.T).astype(dtype)
+        self.tails_t = np.ascontiguousarray(data.tails.T).astype(dtype)
 
 
 def _v2_incremental_data(data: LowerBoundData, dtype: np.dtype) -> _V2IncrementalData:
+    """The incremental tables for ``dtype`` and the current tile, built once per instance."""
+    tile = max(1, _V2_INCREMENTAL_TILE // (data.n_jobs * data.n_couples))
     cache = data._v2_gemm_cache
-    key = ("incremental", dtype)
+    key = ("incremental", np.dtype(dtype).name, tile)
     inc = cache.get(key)
     if inc is None:
-        inc = cache[key] = _V2IncrementalData(data, dtype)
+        inc = cache[key] = _V2IncrementalData(data, dtype, tile)
     return inc
 
 
@@ -1012,32 +1036,79 @@ def _parent_set_starts(mask: np.ndarray, jobs: np.ndarray, chunk: int) -> np.nda
     return starts
 
 
+def _position_scan(op, tables: np.ndarray) -> None:
+    """Inclusive ``op`` scan of ``tables`` along axis 1, in place.
+
+    Work-efficient (Blelloch) order: an up-sweep and a down-sweep of
+    ``log2(n)`` steps each, every step one numpy call on a strided set of
+    whole rows, about ``2 n`` rows in all.  Against one call per row this
+    does twice the element work but makes ``2 log2(n)`` calls instead of
+    ``n``, so the parts of a split launch hand the interpreter lock to each
+    other far less often.
+    """
+    n = tables.shape[1]
+    step = 1
+    while 2 * step <= n:
+        right = tables[:, 2 * step - 1 :: 2 * step]
+        op(right, tables[:, step - 1 :: 2 * step][:, : right.shape[1]], out=right)
+        step *= 2
+    step //= 2
+    while step:
+        right = tables[:, 3 * step - 1 :: 2 * step]
+        op(right, tables[:, 2 * step - 1 :: 2 * step][:, : right.shape[1]], out=right)
+        step //= 2
+
+
 def _lower_bound_batch_v2_incremental(
     data: LowerBoundData,
     mask_a: np.ndarray,
     rel_a: np.ndarray,
     jobs_a: np.ndarray,
-    include_one_machine: bool,
     dtype: np.dtype,
 ) -> np.ndarray:
-    """Incremental sibling v2 evaluation: O(n·C) per parent, O(C) per child.
+    """Incremental sibling v2 evaluation: O(n·C) per parent, O(m) per child.
 
     Receives only the *active* (incomplete) sub-problems and the job each
     one scheduled last; returns their ``(B_active,)`` bounds.  Row ``i``'s
     parent set is ``~mask_a[i] | onehot(jobs_a[i])``; consecutive rows with
     equal parent sets form one group, so split or partial sibling sets stay
-    exact (the candidates depend on the parent's unscheduled set only —
+    exact (the tables depend on the parent's unscheduled set only —
     release times enter per row).
 
-    Per group, one pass over each couple's Johnson order computes the
-    closed-form candidates ``A_<=j + lag_j - B_<j`` of :class:`_V2GemmData`
-    over the parent set, with their exclusive prefix and suffix maxima.
-    Removing job ``k`` leaves the earlier candidates unchanged and shifts
-    every later one by ``b_k - a_k``, so a child's candidate maximum is
-    ``max(prefix[pos_k], suffix[pos_k] + b_k - a_k)`` and its ``B_N`` is the
-    parent's minus ``b_k``.  ``QM`` comes from the parent's (min,
-    second-min) tails, as in the frontier's sibling path.  Integer
-    ``dtype`` keeps the arithmetic exact.
+    The child that removes job ``k`` from its parent's set has, on couple
+    ``(i, l)``, the term ``max(r_i + A_il, r_l) + W_l``: ``r`` is the
+    child's release vector, ``A_il`` its Johnson candidate maximum and
+    ``W_l`` the parent's ``B_N`` on machine ``l``, less ``k``'s time on
+    ``l``, plus the child's ``QM_l``.  ``W_l`` depends on the second machine
+    alone, so max-plus distributivity regroups the maximum over the
+    ``m(m-1)/2`` couples by machine::
+
+        bound = max(max_i (r_i + P_i), max_{l >= 1} (r_l + W_l)),
+        P_i   = max_{l > i} (A_il + W_l)
+
+    One pass per tile of parents builds ``PW_i = max(P_i, W_i)`` for every
+    job of every parent set (``PW_{m-1} = W_{m-1}``), and each row then
+    gathers one ``m``-wide column: ``max_i (r_i + PW_i)``.  The
+    one-machine term of machine ``l`` is ``r_l + W_l``, and ``P_0 >= W_0``
+    through the couple ``(0, m - 1)``, so ``include_one_machine`` cannot
+    change a bound of this strategy, which therefore has no such switch.
+
+    Per tile, the closed-form candidates ``A_<=j + lag_j - B_<j`` of
+    :class:`_V2GemmData` over each parent set, their prefix maxima and
+    their suffix maxima run through ``(n, C, parents)`` tables,
+    Johnson-position-major, as :func:`_position_scan` steps over whole
+    rows: the running sum in one table, then both maxima at once, the
+    suffix maxima on a position-reversed copy in the other table.
+    Removing job ``k`` at position ``p`` leaves the earlier candidates
+    unchanged and shifts every later one by ``b_k - a_k``, so the child's
+    ``A`` is ``max(prefix[p - 1], suffix[p + 1] - (a_k - b_k))``.  One
+    gather through ``pos_flat`` moves these to job order, couple-major
+    with the couples ranked by diagonal: the couples ``(i, i + 1 + d)`` of
+    one ``d`` are a contiguous block aligned with ``P_0 .. P_{m-2-d}`` and
+    with ``W_{1+d} .. W_{m-1}``, so ``P`` takes one add and one maximum
+    per diagonal.  ``QM`` comes from the parent's (min, second-min) tails,
+    as in the frontier's sibling path.  Two tile tables are live at a
+    time.  Integer ``dtype`` keeps the arithmetic exact.
 
     ``mask_a`` and ``rel_a`` are read in place: group starts are found
     :data:`_V2_INCREMENTAL_TILE` mask elements at a time
@@ -1046,7 +1117,6 @@ def _lower_bound_batch_v2_incremental(
     """
     n, n_couples = data.n_jobs, data.n_couples
     inc = _v2_incremental_data(data, dtype)
-    m1, m2 = data.mm[:, 0], data.mm[:, 1]
     rows = mask_a.shape[0]
     new_group = _parent_set_starts(mask_a, jobs_a, max(1, _V2_INCREMENTAL_TILE // n))
     starts = np.flatnonzero(new_group)
@@ -1056,61 +1126,59 @@ def _lower_bound_batch_v2_incremental(
     neg = np.asarray(inc.neg, dtype=dtype)
     big_tail = np.asarray(np.iinfo(dtype).max, dtype=dtype)
     best = np.empty(rows, dtype=np.int64)
-    tile = max(1, _V2_INCREMENTAL_TILE // (n * n_couples))
+    tile = inc.tile
+    # the two tile tables, reused by every tile of this call
+    buf = np.empty(2 * n * n_couples * min(tile, n_groups), dtype=dtype)
     for g0 in range(0, n_groups, tile):
         g1 = min(g0 + tile, n_groups)
+        width = g1 - g0
         r0, r1 = int(group_end[g0]), int(group_end[g1])
         first = starts[g0:g1]
         sets = ~mask_a[first]  # (G, n) parent sets
-        sets[np.arange(g1 - g0), jobs_a[first]] = True
-        sets_f = sets.astype(np.float64)
+        sets[np.arange(width), jobs_a[first]] = True
 
-        # candidates over each parent set, in Johnson order: (G, n, C);
-        # jobs outside the set land at neg + (a partial sum)
-        present = np.take(sets.astype(dtype), data.jm, axis=1)
-        cand = np.multiply(present, inc.diff_sc)
-        np.cumsum(cand, axis=1, out=cand)
-        present *= inc.head_sc
-        cand += present
-        cand += neg
-        prefix = np.empty_like(cand)
-        prefix[:, 0] = neg
-        np.maximum.accumulate(cand[:, :-1], axis=1, out=prefix[:, 1:])
-        suffix = np.empty_like(cand)
-        suffix[:, -1] = neg
-        np.maximum.accumulate(cand[:, :0:-1], axis=1, out=suffix[:, -2::-1])
-        work_b = np.dot(sets_f, inc.b_job_f).astype(dtype)  # (G, C): B_N
+        # (n, C, G) in Johnson order: ``rev`` starts as the set indicators,
+        # ``cand`` as the running sum of (a - b) over the set, from ``neg``
+        pair = buf[: 2 * n * n_couples * width].reshape(2, n, n_couples, width)
+        rev, cand = pair
+        diff, head = inc.wide if width == tile else inc.narrow
+        np.take(sets.T.astype(dtype), data.jm, axis=0, out=rev, mode="clip")
+        np.multiply(rev, diff, out=cand)
+        cand[0] += neg
+        _position_scan(np.add, cand[None])
+        rev *= head
+        cand += rev  # members: the candidate; others: neg + a partial sum
+        np.copyto(rev, cand[::-1])
+        _position_scan(np.maximum, pair)  # prefix maxima; suffix maxima, reversed
+        # the child's A for position p, into rev[(n - 2 - p) % n]
+        rev[: n - 1] -= diff[: n - 1][::-1]
+        np.maximum(rev[: n - 2], cand[: n - 2][::-1], out=rev[: n - 2])
+        rev[n - 1] = cand[n - 2]
+        child_a = cand.reshape(n_couples, n, width)  # job order, couple-major
+        np.take(rev.reshape(-1, width), inc.pos_flat, axis=0, out=child_a, mode="clip")
 
-        # per-parent (min, second-min) tails: (G, m) each
-        tails = np.where(sets[:, :, None], inc.tails, big_tail)
-        tails.partition(1, axis=1)
-        tail_min, tail_min2 = tails[:, 0], tails[:, 1]
+        # W, (G, m, n): B_N, less the child's job, plus the child's QM
+        tails = np.where(sets[:, None, :], inc.tails_t, big_tail)
+        tails.partition(1, axis=2)  # per machine, the set's (min, second-min) tails
+        tail_min = tails[:, :, :1]
+        w = np.multiply(inc.tails_t == tail_min, tails[:, :, 1:2] - tail_min)
+        w -= inc.ptm_t
+        w += tail_min + np.dot(sets.astype(np.float64), inc.ptm_f).astype(dtype)[:, :, None]
+        pw = np.ascontiguousarray(w.transpose(1, 2, 0))  # (m, n, G)
+        # P_i = max_d (A + W) over the couples (i, i + 1 + d), by diagonal
+        p_max = child_a[: len(pw) - 1]
+        p_max += pw[1:]
+        for d, (lo, hi) in enumerate(inc.diagonals[1:], start=1):
+            block = child_a[lo:hi]
+            block += pw[d + 1 :]
+            np.maximum(p_max[: hi - lo], block, out=p_max[: hi - lo])
+        np.maximum(pw[:-1], p_max, out=pw[:-1])  # PW_i = max(W_i, P_i)
 
-        # per child: O(C) gathers from its group's tables
+        # per child: one m-wide column of its group's table
         local = np.cumsum(new_group[r0:r1]) - 1  # the tile starts a group
-        job = jobs_a[r0:r1]
-        flat = inc.pos_flat[job]
-        flat += (local * (n * n_couples))[:, None]
-        cand_max = suffix.take(flat)
-        cand_max += inc.shift_job[job]
-        np.maximum(cand_max, prefix.take(flat), out=cand_max)
-        work = work_b[local]
-        work -= inc.b_job[job]
-        rel = rel_a[r0:r1].astype(dtype)
-        cand_max += rel[:, m1]
-        np.maximum(cand_max, rel[:, m2], out=cand_max)
-        cand_max += work
-        min_l = tail_min[local]
-        qm = np.where(inc.tails[job] == min_l, tail_min2[local], min_l)  # (R, m)
-        cand_max += qm[:, m2]
-        chunk_best = cand_max.max(axis=1)
-
-        if include_one_machine:
-            loads = (np.dot(sets_f, inc.ptm_f)[local] - inc.ptm_f[job]).astype(dtype)
-            loads += rel
-            loads += qm
-            np.maximum(chunk_best, loads.max(axis=1), out=chunk_best)
-        best[r0:r1] = chunk_best
+        value = pw.reshape(len(pw), -1).take(jobs_a[r0:r1] * width + local, axis=1)
+        value += rel_a[r0:r1].T
+        best[r0:r1] = value.max(axis=0)
 
     return best
 
@@ -1159,7 +1227,7 @@ def lower_bound_batch_v2(
     ``"incremental"``
         Needs ``jobs``, the job each row scheduled last.  Rows are bounded
         from their parent's unscheduled set: one O(n·C) pass per group of
-        consecutive rows sharing a parent set, then O(C) per row
+        consecutive rows sharing a parent set, then O(m) per row
         (:func:`_lower_bound_batch_v2_incremental`).  Pure integer
         arithmetic: int32 under the value guard, int64 otherwise.
 
@@ -1259,9 +1327,7 @@ def lower_bound_batch_v2(
         itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
         _v2_incremental_data(data, itype)
         values = _evaluate_rows(
-            lambda mask, rel, last: _lower_bound_batch_v2_incremental(
-                data, mask, rel, last, include_one_machine, itype
-            ),
+            lambda mask, rel, last: _lower_bound_batch_v2_incremental(data, mask, rel, last, itype),
             data.n_couples,
             None,
             mask_a,

@@ -105,9 +105,14 @@ STRATEGY_FUNCTIONS = {
 
 
 def _force_split(monkeypatch, cpus: int = 4, grain: int = 1) -> None:
-    """Report ``cpus`` usable CPUs and lower the split grain to ``grain``."""
+    """Report ``cpus`` usable CPUs and lower both split grains to ``grain``.
+
+    The incremental strategy's grain is its tile, so its tiles shrink to one
+    parent as well.
+    """
     monkeypatch.setattr(bounds, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(bounds, "_SPLIT_MIN_ELEMENTS", grain)
+    monkeypatch.setattr(bounds, "_V2_INCREMENTAL_TILE", grain)
 
 
 def _spy_parts(monkeypatch, strategy: str, fail_in=None) -> list[tuple[int, int]]:
@@ -240,11 +245,12 @@ class TestSplitLaunch:
     def test_grain_rule(self, monkeypatch):
         monkeypatch.setattr(bounds, "_usable_cpus", lambda: 4)
         cuts = bounds._split_cuts
-        # incremental: a part needs ceil(2**16 / n_couples) rows
+        # incremental: a part needs rows * n_couples >= 2**19, one tile
         assert cuts(689, 190, None) is None
-        assert cuts(690, 190, None) == [0, 345, 690]
-        assert cuts(13_107, 10, None) is None
-        assert cuts(16_384, 10, None) == [0, 8_192, 16_384]
+        assert cuts(5_518, 190, None) is None
+        assert cuts(5_519, 190, None) == [0, 2_759, 5_519]
+        assert cuts(104_857, 10, None) is None
+        assert cuts(104_858, 10, None) == [0, 52_429, 104_858]
         assert cuts(100_000, 190, None) == [0, 25_000, 50_000, 75_000, 100_000]
         # scan: at least one full 512-row tile per part, cuts on tile bounds
         assert cuts(65_536, 15, 512) is None

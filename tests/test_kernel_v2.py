@@ -177,17 +177,22 @@ class TestKernelV2Edges:
             )
 
 
-def sibling_launch(instance, data, n_parents, seed):
+def sibling_launch(instance, data, n_parents, seed, deep=False):
     """The children of random parents, parent-major like ``branch_block``.
 
     Parents have random depths; the last one has depth ``n - 1``, so its
-    only child is a complete schedule (a leaf row).  Returns ``(mask,
+    only child is a complete schedule (a leaf row).  With ``deep``, half
+    the parents sit at depth ``n - 2`` (two children with one job left
+    each) and none deeper, so every row is active.  Returns ``(mask,
     release, jobs, prefixes, parent_of_row)``.
     """
     rng = np.random.default_rng(seed)
     n = instance.n_jobs
     depths = rng.integers(0, n, size=n_parents)
-    depths[-1] = n - 1
+    if deep:
+        depths = np.where(rng.random(n_parents) < 0.5, n - 2, np.minimum(depths, n - 2))
+    else:
+        depths[-1] = n - 1
     prefixes, jobs, parent_of = [], [], []
     for parent, depth in enumerate(depths):
         prefix = [int(j) for j in rng.permutation(n)[:depth]]
@@ -346,6 +351,54 @@ class TestIncrementalGroupStarts:
             assert got.tolist() == expected
 
 
+class TestIncrementalTiles:
+    """Tiles of one to three parents, with runs, slices and split parts across them.
+
+    The per-tile tables hold ``PW_i = max(P_i, W_i)`` per machine; m = 2
+    leaves one couple, so the last (and only) first-machine run decides
+    the bound.  Launches this small sit below the split grain (one tile
+    per part), so the cuts are forced: ``parts`` even parts whatever the
+    size.
+    """
+
+    @given(
+        instances(min_jobs=3, max_jobs=8, min_machines=2, max_machines=8),
+        st.integers(1, 3),
+        st.integers(2, 6),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_scalar(self, instance, per_tile, n_parents, seed, one_mach, parts):
+        data = LowerBoundData(instance)
+        mask, release, jobs, prefixes, parent_of = sibling_launch(
+            instance, data, n_parents, seed, deep=True
+        )
+        rows = split_first_parent(parent_of)  # parent 0's set in two runs
+        mask, release, jobs = mask[rows], release[rows].astype(np.int32), jobs[rows]
+        expected = [lower_bound(data, prefixes[i], include_one_machine=one_mach) for i in rows]
+        options = {"include_one_machine": one_mach, "strategy": "incremental"}
+        cut = int(np.random.default_rng(seed).integers(1, len(rows)))
+
+        def even_cuts(length, n_couples, tile):
+            if length < parts or parts < 2:
+                return None
+            return [length * part // parts for part in range(parts)] + [length]
+
+        with pytest.MonkeyPatch.context() as patch:
+            tile = per_tile * data.n_jobs * data.n_couples
+            patch.setattr(bounds, "_V2_INCREMENTAL_TILE", tile)
+            patch.setattr(bounds, "_split_cuts", even_cuts)
+            whole = lower_bound_batch_v2(data, mask, release, jobs=jobs, **options)
+            assert whole.tolist() == expected
+            for lo, hi in ((0, cut), (cut, len(rows))):  # as the cluster engine slices
+                part = lower_bound_batch_v2(
+                    data, mask[lo:hi], release[lo:hi], jobs=jobs[lo:hi], **options
+                )
+                assert part.tolist() == expected[lo:hi]
+
+
 STRATEGY_FUNCTIONS = {
     "gemm": "_lower_bound_batch_v2_gemm",
     "scan": "_lower_bound_batch_v2_scan",
@@ -480,7 +533,7 @@ class TestIncrementalEngines:
 
     @pytest.mark.parametrize("engine", ["gpu", "cluster"])
     def test_split_launches_explore_the_same_tree(self, monkeypatch, incremental_calls, engine):
-        monkeypatch.setattr(bounds, "_SPLIT_MIN_ELEMENTS", 1)
+        monkeypatch.setattr(bounds, "_V2_INCREMENTAL_TILE", 1)  # the grain: one parent
         monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
         one_cpu = self._solve(engine)
         whole_launches = len(incremental_calls)
