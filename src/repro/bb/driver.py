@@ -31,8 +31,9 @@ step drops the whole frontier at once; under ``max_nodes`` it drops only
 the smallest-key nodes the budget still reaches, so counters and the
 pending set match one-node-at-a-time pops.  The **batch** shape
 (``batch_size`` set) selects up to ``batch_size`` nodes, branches them
-all and off-loads one large pool per iteration — the paper's GPU
-architecture and its cluster/hybrid extensions.  It bounds each pool on
+all into the frontier's free rows and off-loads one large pool per
+iteration, whose survivors stay where they were written — the paper's
+GPU architecture and its cluster/hybrid extensions.  It bounds each pool on
 the driver thread, one launch per iteration; the paper's overlap of host
 selection with device bounding is modelled in simulated time
 (``double_buffer``).
@@ -836,8 +837,11 @@ class SearchDriver:
             stats.nodes_pruned += lazily_pruned
             if not len(parents):
                 break
+            # the children are written straight into the frontier's free
+            # rows and bounded there; push_block keeps the survivors in place
             t0 = perf_counter()
-            children = branch_block(parents, pt, next_order)
+            count = n_jobs * len(parents) - int(parents.depth.sum())
+            children = branch_block(parents, pt, next_order, frontier.reserve(count))
             branch_s = perf_counter() - t0
             stats.time_branching_s += branch_s
             next_order += len(children)

@@ -14,8 +14,9 @@ kernels consume — so the four B&B operators become array programs:
 * :func:`branch_block` — all children of a batch of parents in one shot.
   The release-time recurrence is evaluated in closed form (one
   ``cumsum`` + one ``maximum.accumulate`` over the machine axis for
-  *every* (parent, child-job) pair at once), masks are copied and bit-set
-  in bulk, and the child count never touches a Python loop.
+  *every* (parent, child-job) pair of a row chunk at once), masks are
+  copied and bit-set in bulk, and the child count never touches a Python
+  loop.
 * :func:`bound_block` — bounding straight off the block's arrays with
   **zero re-packing**; small sibling batches additionally take a fused
   single-GEMM evaluation of the kernel-v2 closed form (bit-identical to
@@ -28,6 +29,14 @@ kernels consume — so the four B&B operators become array programs:
   minima, maintained incrementally and refreshed lazily) makes the
   best-first selection scans sublinear at 10^5–10^6 pending nodes (a
   store within one segment scans its key column directly).
+
+Where a block's rows live: in arrays of its own (a popped pool, a seed,
+the single-step loop's sibling sets), or in a frontier store's free rows
+past its end.  A batch iteration takes the second way: it reserves the
+free rows (:meth:`BlockFrontier.reserve`), branches its pool into them,
+bounds them in place, and :meth:`BlockFrontier.push_block` keeps the
+survivors where they lie.  Rows join the frontier only through
+``push_block``.
 
 Prefixes are *not* carried per node.  Each node stores one ``trail_id``
 into a shared :class:`Trail` of ``(parent_slot, job)`` pairs, and the full
@@ -107,6 +116,11 @@ _KEY_SENTINEL = np.iinfo(np.int64).max
 #: regimes one push/pop around the boundary.
 CAP_LOW_WATER_FRACTION = 0.8
 
+#: Rows per chunk of :func:`branch_block`'s writes and of
+#: :meth:`BlockFrontier.push_block`'s copy.  Their temporaries stay within
+#: one chunk (about 1.5 MB at 100x20) however large the block is.
+_ROW_CHUNK = 1 << 12
+
 _ARANGE = np.arange(256, dtype=np.int64)
 
 
@@ -118,7 +132,9 @@ def _arange(count: int) -> np.ndarray:
     return _ARANGE[:count]
 
 
-def advance_release(release: np.ndarray, times: np.ndarray) -> np.ndarray:
+def advance_release(
+    release: np.ndarray, times: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Release times after appending one job: the max-plus machine scan.
 
     Appending a job with per-machine times ``t`` turns the front ``F`` into
@@ -129,11 +145,12 @@ def advance_release(release: np.ndarray, times: np.ndarray) -> np.ndarray:
     whole ``(B, m)`` batch of (front, job) pairs.
 
     The result follows the dtype of ``release``, so the block layout's
-    int32 columns advance without leaving int32.
+    int32 columns advance without leaving int32.  ``out`` optionally
+    receives it (a block's ``release`` rows), so no result is allocated.
     """
     dtype = release.dtype if isinstance(release, np.ndarray) else np.int64
     csum = np.cumsum(times, axis=-1, dtype=dtype)
-    front = release - csum
+    front = np.subtract(release, csum, out=out)
     front += times
     np.maximum.accumulate(front, axis=-1, out=front)
     front += csum
@@ -303,15 +320,16 @@ class NodeBlock:
         )
 
     @classmethod
-    def empty(cls, n_jobs: int, n_machines: int, trail: Trail) -> "NodeBlock":
-        """A zero-row block with correctly shaped/typed columns."""
+    def empty(cls, n_jobs: int, n_machines: int, trail: Trail, rows: int = 0) -> "NodeBlock":
+        """A block of ``rows`` unwritten rows (none by default) with correctly
+        shaped/typed columns."""
         return cls(
-            scheduled_mask=np.zeros((0, n_jobs), dtype=bool),
-            release=np.zeros((0, n_machines), dtype=np.int32),
-            lower_bound=np.zeros(0, dtype=np.int32),
-            depth=np.zeros(0, dtype=np.int32),
-            order_index=np.zeros(0, dtype=np.int32),
-            trail_id=np.zeros(0, dtype=np.int32),
+            scheduled_mask=np.empty((rows, n_jobs), dtype=bool),
+            release=np.empty((rows, n_machines), dtype=np.int32),
+            lower_bound=np.empty(rows, dtype=np.int32),
+            depth=np.empty(rows, dtype=np.int32),
+            order_index=np.empty(rows, dtype=np.int32),
+            trail_id=np.empty(rows, dtype=np.int32),
             trail=trail,
         )
 
@@ -367,7 +385,10 @@ def seed_block(
 
 
 def branch_block(
-    parents: NodeBlock, processing_times: np.ndarray, order_start: int
+    parents: NodeBlock,
+    processing_times: np.ndarray,
+    order_start: int,
+    out: NodeBlock | None = None,
 ) -> NodeBlock:
     """Branching operator: all one-job extensions of every parent row.
 
@@ -375,58 +396,43 @@ def branch_block(
     and get consecutive order indices starting at ``order_start``.  Leaf
     rows contribute no children; complete-child rows get their makespan
     as an exact bound immediately.
+
+    The children are written into ``out`` when it is given: a block of
+    exactly as many rows, such as the free rows past a frontier's end
+    that :meth:`BlockFrontier.reserve` hands out, where they are bounded
+    and admitted without moving.  Otherwise a new block is allocated and
+    written by the same code.  Either way the returned block is that
+    destination with its ``jobs`` column set.  Masks and release times
+    are written :data:`_ROW_CHUNK` rows at a time from the int32
+    processing times, so no temporary spans the whole child set.
     """
-    n_jobs = parents.n_jobs
     mask = parents.scheduled_mask
-    single = len(parents) == 1
-    if single:
-        jobs = np.flatnonzero(~mask[0])
-        count = jobs.shape[0]
-    else:
-        parent_rows, jobs = np.nonzero(~mask)
-        count = jobs.shape[0]
-    if count == 0:
-        return NodeBlock.empty(n_jobs, parents.n_machines, parents.trail)
+    parent_rows, jobs = np.nonzero(~mask)
+    count = jobs.shape[0]
+    if out is None:
+        out = NodeBlock.empty(parents.n_jobs, parents.n_machines, parents.trail, count)
+    elif len(out) != count:
+        raise ValueError(f"destination block has {len(out)} rows for {count} children")
+    pt = processing_times.astype(np.int32, copy=False)
+    for lo in range(0, count, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, count)
+        rows, chunk_jobs = parent_rows[lo:hi], jobs[lo:hi]
+        child_mask = out.scheduled_mask[lo:hi]
+        child_mask[:] = mask[rows]
+        child_mask[_arange(hi - lo), chunk_jobs] = True
+        # one closed-form max-plus scan advances every (parent, job) pair
+        # of the chunk at once (see :func:`advance_release`)
+        advance_release(parents.release[rows], pt[chunk_jobs], out=out.release[lo:hi])
 
-    # One closed-form max-plus scan advances every (parent, job) pair at
-    # once (see :func:`advance_release`).
-    pt_j = processing_times[jobs]
-    parent_release = parents.release if single else parents.release[parent_rows]
-    release = advance_release(parent_release, pt_j)
-
-    if single:
-        child_mask = np.repeat(mask, count, axis=0)
-        depth = np.full(count, int(parents.depth[0]) + 1, dtype=np.int32)
-        parent_tids = np.broadcast_to(parents.trail_id, (count,))
-    else:
-        child_mask = mask[parent_rows]  # advanced indexing: already a copy
-        depth = (parents.depth[parent_rows] + 1).astype(np.int32, copy=False)
-        parent_tids = parents.trail_id[parent_rows]
-    child_mask[_arange(count), jobs] = True
-
-    if single:
-        is_leaf = int(parents.depth[0]) + 1 == n_jobs
-        lower = (
-            release[:, -1].copy()
-            if is_leaf
-            else np.full(count, NO_BOUND, dtype=np.int32)
-        )
-    else:
-        lower = np.full(count, NO_BOUND, dtype=np.int32)
-        leaves = depth == n_jobs
-        if leaves.any():
-            lower[leaves] = release[leaves, -1]
-
-    return NodeBlock(
-        scheduled_mask=child_mask,
-        release=release,
-        lower_bound=lower,
-        depth=depth,
-        order_index=np.arange(order_start, order_start + count, dtype=np.int32),
-        trail_id=parents.trail.append_batch(parent_tids, jobs),
-        trail=parents.trail,
-        jobs=jobs,
-    )
+    np.add(parents.depth[parent_rows], 1, out=out.depth)
+    out.lower_bound[:] = NO_BOUND
+    leaves = out.depth == parents.n_jobs
+    if leaves.any():
+        out.lower_bound[leaves] = out.release[leaves, -1]
+    np.add(_arange(count), order_start, out=out.order_index)
+    out.trail_id[:] = parents.trail.append_batch(parents.trail_id[parent_rows], jobs)
+    out.jobs = jobs
+    return out
 
 
 def branch_row(
@@ -761,6 +767,12 @@ class BlockFrontier:
     directly, so ``segment_shift=24`` (one segment spans every store) is
     the full-scan oracle the tests and the benchmark compare against.
 
+    The store's rows past ``len(frontier)`` are free.  :meth:`reserve`
+    hands them out as a block of views that a batch iteration branches
+    into and bounds in place; :meth:`push_block` then admits that block's
+    survivors without moving them out of the store.  Until then the
+    reserved rows are not part of the frontier.
+
     ``max_pending`` is an optional high-water memory cap: once the store
     reaches that many nodes, best-first selection switches to a
     depth-first-restricted regime — the deepest pending node is popped
@@ -851,6 +863,15 @@ class BlockFrontier:
         self._seg_any_dirty = True
 
     _ARRAYS = ("_mask", "_release", "_lb", "_depth", "_order", "_tid", "_key")
+    #: the store array behind each :class:`NodeBlock` column
+    _COLUMNS = (
+        ("_mask", "scheduled_mask"),
+        ("_release", "release"),
+        ("_lb", "lower_bound"),
+        ("_depth", "depth"),
+        ("_order", "order_index"),
+        ("_tid", "trail_id"),
+    )
     _SEG_ARRAYS = ("_seg_key", "_seg_krow", "_seg_omax", "_seg_orow", "_seg_dirty")
 
     # ------------------------------------------------------------------ #
@@ -922,54 +943,88 @@ class BlockFrontier:
                 self._seg_any_dirty = True
 
     # ------------------------------------------------------------------ #
+    def reserve(self, count: int) -> NodeBlock:
+        """The ``count`` free rows past the store's end, as a block of views.
+
+        The store grows as a push of ``count`` rows would grow it.  The
+        rows stay outside the frontier (selection, pruning, snapshots and
+        ``len`` do not see them) until :meth:`push_block` admits the
+        block's survivors where they lie.  The views are valid until the
+        next call that changes the store.
+        """
+        self._ensure(count)
+        lo, hi = self._size, self._size + count
+        views = {column: getattr(self, store)[lo:hi] for store, column in self._COLUMNS}
+        return NodeBlock(**views, trail=self._trail)
+
+    def _is_reserved(self, block: NodeBlock) -> bool:
+        """True when every column of ``block`` is the store's rows from its end on."""
+        lo = self._size
+        for store_name, column_name in self._COLUMNS:
+            store, column = getattr(self, store_name), getattr(block, column_name)
+            if column.base is not store or column.ctypes.data != store[lo:].ctypes.data:
+                return False
+        return True
+
     def push_block(self, block: NodeBlock, keep: np.ndarray | None = None) -> None:
         """Insert a block of nodes (bulk append).
 
         ``keep`` optionally selects a boolean subset of the block's rows —
         a fused elimination + insertion that avoids materializing the
         survivor block.
+
+        A block may live anywhere: in its own arrays (copied in), or in
+        the store's free rows that :meth:`reserve` handed out, where its
+        survivors are kept as they lie.  Either way they move by one
+        forward copy, :data:`_ROW_CHUNK` survivors at a time through
+        bounded temporaries.  In the store a survivor only moves toward
+        the store's start, so a chunk never overwrites the sources of a
+        later one, and chunks already in place are skipped.
         """
+        in_place = self._is_reserved(block)
         if keep is None:
+            rows = None
             count = len(block)
-            if count == 0:
-                return
-            self._ensure(count)
-            lo, hi = self._size, self._size + count
-            self._mask[lo:hi] = block.scheduled_mask
-            self._release[lo:hi] = block.release
-            lb = self._lb[lo:hi] = block.lower_bound
-            depth = self._depth[lo:hi] = block.depth
-            order = self._order[lo:hi] = block.order_index
-            self._tid[lo:hi] = block.trail_id
         else:
             rows = np.flatnonzero(keep)
             count = rows.shape[0]
-            if count == 0:
-                return
+        if count == 0:
+            return
+        if not in_place:
             self._ensure(count)
-            lo, hi = self._size, self._size + count
-            self._mask[lo:hi] = block.scheduled_mask[rows]
-            self._release[lo:hi] = block.release[rows]
-            lb = self._lb[lo:hi] = block.lower_bound[rows]
-            depth = self._depth[lo:hi] = block.depth[rows]
-            order = self._order[lo:hi] = block.order_index[rows]
-            self._tid[lo:hi] = block.trail_id[rows]
+        lo, hi = self._size, self._size + count
+        columns = [(getattr(self, name), getattr(block, column)) for name, column in self._COLUMNS]
+        for start in range(0, count, _ROW_CHUNK):
+            stop = min(start + _ROW_CHUNK, count)
+            if rows is None:
+                if in_place:
+                    break
+                src = slice(start, stop)
+            elif in_place and rows[stop - 1] == stop - 1:
+                continue  # survivors 0..stop-1 all kept: already in their rows
+            else:
+                src = rows[start:stop]
+            for store, column in columns:
+                store[lo + start : lo + stop] = column[src]
         if self._packed:
             # order indices are int32 and guarded by the Trail's id limit,
             # so (unlike the historical int64 columns) a negative value —
             # not a value past 2**32 — is the wrap signal to check for
+            lb = self._lb[lo:hi]
             if (
                 int(lb.min()) < 0
                 or int(lb.max()) >= (1 << 22)
-                or int(order[-1]) < 0
+                or int(self._order[hi - 1]) < 0
             ):
                 self._packed = False
             else:
-                self._key[lo:hi] = (
-                    (lb.astype(np.int64) << 41)
-                    | (depth.astype(np.int64) << 32)
-                    | order
-                )
+                for start in range(lo, hi, _ROW_CHUNK):
+                    stop = min(start + _ROW_CHUNK, hi)
+                    key = self._key[start:stop]
+                    key[:] = self._lb[start:stop]
+                    key <<= 41
+                    key |= self._depth[start:stop].astype(np.int64) << 32
+                    key |= self._order[start:stop]
         shift = self._seg_shift
         self._seg_dirty[lo >> shift : ((hi - 1) >> shift) + 1] = True
         self._seg_any_dirty = True

@@ -77,6 +77,8 @@ if TYPE_CHECKING:  # annotation-only: the module stays solver-free at runtime
 __all__ = [
     "ProtocolError",
     "SUPPORTED_SNAPSHOT_VERSIONS",
+    "MAX_JOBS",
+    "MAX_MACHINES",
     "InstanceSpec",
     "SolveParams",
     "SolveRequest",
@@ -103,6 +105,15 @@ __all__ = [
 #: against ``snapshot.SNAPSHOT_FORMAT_VERSION``.
 SUPPORTED_SNAPSHOT_VERSIONS = (1,)
 
+#: Largest instance a request may describe.  Taillard's largest class is
+#: 500x20.  The server materializes a request's instance on its event-loop
+#: thread, so a larger one would stall every connection: a 2x8,000
+#: explicit matrix fits one request line yet makes the bound tables list
+#: 32 million machine couples, and generating a 10**7-job Taillard
+#: instance takes minutes.
+MAX_JOBS = 500
+MAX_MACHINES = 50
+
 
 class ProtocolError(ValueError):
     """A wire line could not be decoded into a known message.
@@ -124,7 +135,8 @@ class InstanceSpec:
 
     Invariants: ``kind`` is one of the two literals above; a taillard spec
     has ``jobs``/``machines`` set; an explicit spec has a non-empty
-    rectangular ``processing_times``.
+    rectangular ``processing_times``; either describes 1 to
+    :data:`MAX_JOBS` jobs on 1 to :data:`MAX_MACHINES` machines.
     """
 
     kind: str = "taillard"
@@ -151,21 +163,42 @@ class InstanceSpec:
         """Materialize the :class:`~repro.flowshop.instance.FlowShopInstance`.
 
         Imports lazily so the protocol module stays importable without the
-        solver stack (thin clients only need the schema).
+        solver stack (thin clients only need the schema).  A spec beyond
+        :data:`MAX_JOBS` or :data:`MAX_MACHINES` raises
+        :class:`ProtocolError` before anything is built.
         """
         if self.kind == "taillard":
             if self.jobs is None or self.machines is None:
                 raise ProtocolError("taillard spec requires 'jobs' and 'machines'")
+            _check_dimensions(int(self.jobs), int(self.machines))
             from repro.flowshop.taillard import taillard_instance
 
             return taillard_instance(int(self.jobs), int(self.machines), index=int(self.index))
         if self.kind == "explicit":
-            if not self.processing_times:
+            rows = self.processing_times
+            if not rows:
                 raise ProtocolError("explicit spec requires 'processing_times'")
+            try:
+                machines = max(len(row) for row in rows)
+            except TypeError:
+                raise ProtocolError("explicit 'processing_times' must be a list of rows") from None
+            _check_dimensions(len(rows), machines)
             from repro.flowshop.instance import FlowShopInstance
 
             return FlowShopInstance(self.processing_times, name=self.name)
         raise ProtocolError(f"unknown instance kind {self.kind!r}")
+
+
+def _check_dimensions(jobs: int, machines: int) -> None:
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ProtocolError(
+            f"instance has {jobs} jobs; a request may ask for 1 to MAX_JOBS={MAX_JOBS}"
+        )
+    if not 1 <= machines <= MAX_MACHINES:
+        raise ProtocolError(
+            f"instance has {machines} machines; "
+            f"a request may ask for 1 to MAX_MACHINES={MAX_MACHINES}"
+        )
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bb import frontier as frontier_module
+from repro.bb.driver import SearchDriver
 from repro.bb.frontier import (
     _FUSED_MAX_BATCH,
     NO_BOUND,
@@ -21,6 +24,7 @@ from repro.bb.frontier import (
     root_block,
     seed_block,
 )
+from repro.bb.stats import SearchStats
 from repro.flowshop import FlowShopInstance
 from repro.flowshop.bounds import (
     LowerBoundData,
@@ -479,3 +483,234 @@ class TestExecutorBlock:
         want = lower_bound_batch(data, children.scheduled_mask, children.release)
         assert np.array_equal(result.bounds, want)
         assert np.array_equal(children.lower_bound, want)
+
+
+def _seeded_twin(instance, data, prefixes, capacity, segment_shift) -> BlockFrontier:
+    """A frontier holding the bounded nodes reached by ``prefixes``."""
+    trail = Trail()
+    frontier = BlockFrontier(
+        instance.n_jobs,
+        instance.n_machines,
+        trail,
+        capacity=capacity,
+        segment_shift=segment_shift,
+    )
+    for prefix in prefixes:
+        seed = seed_block(instance, prefix, trail)
+        bound_block(data, seed)
+        frontier.push_block(seed)
+    return frontier
+
+
+def _assert_same_store(a: BlockFrontier, b: BlockFrontier) -> None:
+    assert len(a) == len(b)
+    assert a.max_size_seen == b.max_size_seen
+    assert a._packed == b._packed
+    size = len(a)
+    for name in BlockFrontier._ARRAYS:
+        if name != "_key" or a._packed:
+            assert np.array_equal(getattr(a, name)[:size], getattr(b, name)[:size]), name
+    if a._packed:
+        want = (
+            (a._lb[:size].astype(np.int64) << 41)
+            | (a._depth[:size].astype(np.int64) << 32)
+            | a._order[:size]
+        )
+        assert np.array_equal(a._key[:size], want)
+        a._seg_refresh()
+        b._seg_refresh()
+        n_seg = a._n_segments()
+        assert np.array_equal(a._seg_key[:n_seg], b._seg_key[:n_seg])
+        assert np.array_equal(a._seg_krow[:n_seg], b._seg_krow[:n_seg])
+
+
+def _assert_same_block(a: NodeBlock, b: NodeBlock) -> None:
+    for _, column in BlockFrontier._COLUMNS:
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
+@st.composite
+def _batch_iterations(draw):
+    n = draw(st.integers(3, 9))
+    m = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    leaf_parents = draw(st.booleans())
+    depths = draw(
+        st.lists(
+            st.just(n - 1) if leaf_parents else st.integers(0, n),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return dict(
+        instance=FlowShopInstance(rng.integers(1, 100, size=(n, m))),
+        prefixes=[tuple(rng.permutation(n)[:depth].tolist()) for depth in depths],
+        pool=draw(st.integers(1, 8)),
+        keep=draw(st.sampled_from(["all", "none", "random", "bound", "unmasked"])),
+        big_bound=draw(st.booleans()),
+        chunk=draw(st.sampled_from([1, 2, 3, 4096])),
+        capacity=draw(st.sampled_from([1, 4, 64])),
+        segment_shift=draw(st.sampled_from([1, 2, 12])),
+        iterations=draw(st.integers(1, 3)),
+        seed=seed,
+    )
+
+
+def _keep(rule: str, children: NodeBlock, rng) -> np.ndarray | None:
+    count = len(children)
+    if rule == "unmasked":
+        return None
+    if rule == "all":
+        return np.ones(count, dtype=bool)
+    if rule == "none":
+        return np.zeros(count, dtype=bool)
+    if rule == "random":
+        return rng.random(count) < 0.5
+    return children.lower_bound < (np.median(children.lower_bound) if count else 0)
+
+
+def _batch_iteration(frontier, case, data, next_order, rng, reserved):
+    """One select-branch-bound-insert step; returns the children and ``keep``.
+
+    ``reserved`` writes the children into the store's free rows, as the
+    batch loop does; otherwise they get a block of their own.
+    """
+    instance = case["instance"]
+    parents, _ = frontier.pop_batch(case["pool"])
+    count = instance.n_jobs * len(parents) - int(parents.depth.sum())
+    out = frontier.reserve(count) if reserved else None
+    children = branch_block(parents, instance.processing_times, next_order, out)
+    assert len(children) == count
+    bound_block(data, children)
+    keep = _keep(case["keep"], children, rng)
+    if case["big_bound"] and count:
+        # a bound past the packed key's 22 bits turns packing off
+        children.lower_bound[count // 2] = 1 << 22
+        if keep is not None:
+            keep[count // 2] = True
+    return children, keep
+
+
+class TestReservedRows:
+    """A batch iteration through reserved rows leaves the very store that
+    allocating the children and copying their survivors in leaves."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_batch_iterations())
+    def test_iteration_matches_the_allocated_children(self, case):
+        instance = case["instance"]
+        data = LowerBoundData(instance)
+        reserved, allocated = [
+            _seeded_twin(instance, data, case["prefixes"], case["capacity"], case["segment_shift"])
+            for _ in range(2)
+        ]
+        next_order = 1 + sum(len(prefix) for prefix in case["prefixes"])
+        with mock.patch.object(frontier_module, "_ROW_CHUNK", case["chunk"]):
+            for iteration in range(case["iterations"]):
+                seed = case["seed"] + iteration
+                rng = np.random.default_rng(seed)
+                children, keep = _batch_iteration(reserved, case, data, next_order, rng, True)
+                reserved.push_block(children, keep)
+
+                rng = np.random.default_rng(seed)
+                children, keep = _batch_iteration(allocated, case, data, next_order, rng, False)
+                live = len(allocated)
+                rows = slice(None) if keep is None else keep
+                expected = {
+                    store: np.concatenate(
+                        [getattr(allocated, store)[:live], getattr(children, column)[rows]]
+                    )
+                    for store, column in BlockFrontier._COLUMNS
+                }
+                allocated.push_block(children, keep)
+                next_order += len(children)
+
+                _assert_same_store(reserved, allocated)
+                # an independent account of the store: the rows left after
+                # the pop, then the survivors in creation order
+                for store, want in expected.items():
+                    assert np.array_equal(getattr(reserved, store)[: len(reserved)], want)
+        if case["big_bound"] and len(children) and case["keep"] != "none":
+            assert not reserved._packed
+        next_reserved = reserved.pop_batch(case["pool"], upper_bound=float(2**21))
+        next_allocated = allocated.pop_batch(case["pool"], upper_bound=float(2**21))
+        _assert_same_block(next_reserved[0], next_allocated[0])
+        assert next_reserved[1] == next_allocated[1]
+
+    def test_reservation_is_invisible_until_admitted(self, medium_instance):
+        data = LowerBoundData(medium_instance)
+        frontier = _seeded_twin(medium_instance, data, [(), (1,), (2, 0)], 1, 12)
+        before = frontier._lb[:3].copy()
+        reserved = frontier.reserve(7)
+        reserved.lower_bound[:] = 0
+        assert len(frontier) == 3
+        assert np.array_equal(frontier._lb[:3], before)
+        assert frontier.best_lower_bound() == int(before.min())
+        batch, _ = frontier.pop_batch(5)
+        assert len(batch) == 3 and len(frontier) == 0
+
+    def test_push_copies_a_foreign_block_across_chunks(self, medium_instance, monkeypatch):
+        monkeypatch.setattr(frontier_module, "_ROW_CHUNK", 2)
+        n, m = medium_instance.n_jobs, medium_instance.n_machines
+        trail = Trail()
+        root = root_block(medium_instance, trail)
+        children = branch_block(root, medium_instance.processing_times, 1)
+        bound_block(LowerBoundData(medium_instance), children)
+        frontier = BlockFrontier(n, m, trail, capacity=1)
+        keep = np.arange(len(children)) % 3 != 1
+        frontier.push_block(children, keep)
+        for store, column in BlockFrontier._COLUMNS:
+            want = getattr(children, column)[keep]
+            assert np.array_equal(getattr(frontier, store)[: len(frontier)], want), column
+
+
+class _RaisingOffload:
+    """Bounds blocks in place until call ``fail_at``, which raises.
+
+    Records the frontier as the failing launch finds it.
+    """
+
+    def __init__(self, data, frontier, fail_at):
+        self.data, self.frontier, self.fail_at, self.calls = data, frontier, fail_at, 0
+        self.seen = None
+
+    def bound_block(self, block, siblings=False):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            frontier = self.frontier
+            size = len(frontier)
+            # the launch bounds the store's own free rows
+            assert np.shares_memory(block.lower_bound, frontier._lb)
+            self.seen = (
+                size,
+                {name: getattr(frontier, name)[:size].copy() for name in BlockFrontier._ARRAYS},
+            )
+            raise RuntimeError("device lost")
+        bound_block(self.data, block, siblings=siblings)
+        return block.lower_bound, 0.0, 0.0
+
+
+class TestRaisingOffload:
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_a_failed_launch_admits_no_row(self, medium_instance, fail_at):
+        data = LowerBoundData(medium_instance)
+        trail = Trail()
+        frontier = BlockFrontier(medium_instance.n_jobs, medium_instance.n_machines, trail)
+        root = root_block(medium_instance, trail)
+        bound_block(data, root)
+        frontier.push_block(root)
+        offload = _RaisingOffload(data, frontier, fail_at)
+        driver = SearchDriver(medium_instance, offload=offload, batch_size=8)
+        with pytest.raises(RuntimeError, match="device lost"):
+            driver.run(
+                frontier,
+                upper_bound=float("inf"),
+                stats=SearchStats(nodes_bounded=1),
+                trail=trail,
+                next_order=1,
+            )
+        size, columns = offload.seen
+        assert len(frontier) == size
+        for name, column in columns.items():
+            assert np.array_equal(getattr(frontier, name)[:size], column), name

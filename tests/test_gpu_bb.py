@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
+import repro.flowshop.bounds as bounds
 from repro.bb import SequentialBranchAndBound, brute_force_optimum
 from repro.core import GpuBBConfig, GpuBranchAndBound
-from repro.flowshop import makespan, random_instance
+from repro.flowshop import makespan, random_instance, taillard_instance
 from repro.gpu.placement import DataPlacement
 
 
@@ -126,3 +129,30 @@ class TestBlockConservation:
         assert stats.nodes_bounded == (
             stats.nodes_branched + stats.nodes_pruned + stats.leaves_evaluated
         )
+
+
+#: Ceiling on the traced peak, in MB (2**20 bytes), of the budgeted ta100x20
+#: solve below, its launches run as one part.  Its last pool branches into
+#: 100,352 children that the frontier's store must keep anyway (about 22 MB
+#: with the survivors of earlier pools); writing them straight into the
+#: store's free rows peaks at 35 MB, while allocating them as a block of
+#: their own and copying the survivors in took 59 MB.
+SOLVE_PEAK_CEILING_MB = 45
+
+
+class TestSolveMemory:
+    def test_budgeted_solve_peak_stays_below_the_ceiling(self, monkeypatch):
+        # each part of a split launch holds its own tile tables, so one part
+        # keeps the peak independent of the host's CPU count
+        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+        instance = taillard_instance(100, 20, index=1)
+        engine = GpuBranchAndBound(instance, GpuBBConfig(pool_size=1024, max_nodes=1200))
+        tracemalloc.start()
+        try:
+            result = engine.solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.stats.nodes_bounded == 110_353
+        assert result.stats.max_pool_size == 107_705
+        assert peak / 2**20 < SOLVE_PEAK_CEILING_MB

@@ -433,6 +433,31 @@ class TestWireService:
 
         asyncio.run(run())
 
+    def test_oversized_instances_answer_error_and_survive(self):
+        """Specs past the wire's dimension limits get an error reply before
+        anything is built, and the connection then serves a solve."""
+
+        async def run():
+            async with SolveService(max_active_sessions=1) as service:
+                async with SolveServer(service) as server:
+                    client = await ServiceClient.connect("127.0.0.1", server.port)
+                    async with client:
+                        reply = await client.solve(InstanceSpec.taillard(10**7, 20), timeout=5)
+                        assert reply.type == "error"
+                        assert "MAX_JOBS=500" in reply.message
+                        reply = await client.solve(
+                            InstanceSpec.explicit([[1] * 8000] * 2), timeout=5
+                        )
+                        assert reply.type == "error"
+                        assert "MAX_MACHINES=50" in reply.message
+                        reply = await client.solve(
+                            InstanceSpec.taillard(20, 5), SolveParams(max_nodes=200)
+                        )
+                        assert reply.type == "result"
+                        assert reply.stats["nodes_explored"] >= 200
+
+        asyncio.run(run())
+
     def test_cancel_unknown_id_answers_error(self):
         async def run():
             async with SolveService(max_active_sessions=1) as service:

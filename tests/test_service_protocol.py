@@ -8,6 +8,8 @@ import pytest
 
 from repro.bb.snapshot import SNAPSHOT_FORMAT_VERSION
 from repro.service.protocol import (
+    MAX_JOBS,
+    MAX_MACHINES,
     SUPPORTED_SNAPSHOT_VERSIONS,
     AcceptedReply,
     CancelledReply,
@@ -178,3 +180,38 @@ class TestInstanceSpec:
     def test_unknown_kind(self):
         with pytest.raises(ProtocolError, match="unknown instance kind"):
             InstanceSpec(kind="quantum").to_instance()
+
+    def test_largest_dimensions_materialize(self):
+        instance = InstanceSpec.taillard(MAX_JOBS, 20).to_instance()
+        assert instance.n_jobs == MAX_JOBS
+        instance = InstanceSpec.explicit([[1] * MAX_MACHINES]).to_instance()
+        assert instance.n_machines == MAX_MACHINES
+
+    @pytest.mark.parametrize(
+        "spec, limit",
+        [
+            (InstanceSpec.taillard(MAX_JOBS + 1, 20), "MAX_JOBS=500"),
+            (InstanceSpec.taillard(0, 20), "MAX_JOBS=500"),
+            (InstanceSpec.taillard(20, MAX_MACHINES + 1), "MAX_MACHINES=50"),
+            (InstanceSpec.taillard(20, 0), "MAX_MACHINES=50"),
+            (InstanceSpec.explicit([[1]] * (MAX_JOBS + 1)), "MAX_JOBS=500"),
+            (InstanceSpec.explicit([[1] * 8000] * 2), "MAX_MACHINES=50"),
+            (InstanceSpec.explicit([[1, 2], [1] * (MAX_MACHINES + 1)]), "MAX_MACHINES=50"),
+        ],
+        ids=[
+            "jobs",
+            "no-jobs",
+            "machines",
+            "no-machines",
+            "explicit-jobs",
+            "explicit-machines",
+            "ragged-machines",
+        ],
+    )
+    def test_dimensions_beyond_the_limits_are_refused(self, spec, limit):
+        with pytest.raises(ProtocolError, match=limit):
+            spec.to_instance()
+
+    def test_explicit_rows_must_be_lists(self):
+        with pytest.raises(ProtocolError, match="list of rows"):
+            InstanceSpec(kind="explicit", processing_times=[1, 2, 3]).to_instance()
