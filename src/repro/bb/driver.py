@@ -283,9 +283,9 @@ class LocalBounding:
         """Bound a block's rows, writing the int32 ``lower_bound`` column in place.
 
         ``siblings=True`` promises the block holds the complete child sets
-        of one or more equal-depth parents, in parent order, enabling the
-        per-parent minimal-tail shortcut of kernel v2's fused single-GEMM
-        path (see :func:`~repro.bb.frontier.bound_block`).
+        of one or more equal-depth parents, in parent order, so a block of
+        complete schedules keeps the makespans set at branch time (see
+        :func:`~repro.bb.frontier.bound_block`).
         """
         bounds = bound_block(self.data, block, kernel=self.kernel, siblings=siblings)
         return bounds, 0.0, 0.0

@@ -18,9 +18,8 @@ kernels consume — so the four B&B operators become array programs:
   copied and bit-set in bulk, and the child count never touches a Python
   loop.
 * :func:`bound_block` — bounding straight off the block's arrays with
-  **zero re-packing**; small sibling batches additionally take a fused
-  single-GEMM evaluation of the kernel-v2 closed form (bit-identical to
-  every other kernel revision).
+  **zero re-packing**: one kernel-v2 call takes the block's columns and
+  its ``jobs`` column as they are.
 * :func:`eliminate_block` — elimination as one boolean mask.
 * :class:`BlockFrontier` — the pending pool as growable arrays whose
   ``pop_batch`` / ``prune_to`` use ``argpartition``-style selection and
@@ -51,11 +50,10 @@ All block/frontier integer columns are stored as **int32**: Taillard-class
 magnitudes (release times, bounds, depths, creation indices) sit far below
 ``2**31``, and halving the frontier's memory traffic raises the cache
 residency of the selection scans.  Kernel v2 takes the int32 ``release``
-column as it is and casts it inside a strategy, to the dtype its value
-guard picks (the scan and incremental strategies one tile at a time);
-:func:`bound_block` writes the kernel's int64 results back into the int32
-``lower_bound`` column in place, which is the one explicit int32↔int64
-boundary of the layout.
+column as it is and casts it inside a body, to the dtype its value guard
+picks, one chunk or tile at a time; :func:`bound_block` writes the
+kernel's int64 results back into the int32 ``lower_bound`` column in
+place, which is the one explicit int32↔int64 boundary of the layout.
 """
 
 from __future__ import annotations
@@ -64,15 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flowshop.bounds import (
-    LowerBoundData,
-    _V2_GEMM_MAX_JOBS,
-    _V2_INCREMENTAL_MIN_JOBS,
-    _v2_gemm_data,
-    _v2_value_bound,
-    get_batch_kernel,
-    lower_bound,
-)
+from repro.flowshop.bounds import LowerBoundData, get_batch_kernel, lower_bound
 from repro.flowshop.instance import FlowShopInstance
 
 __all__ = [
@@ -93,11 +83,6 @@ __all__ = [
 #: value — and it still satisfies ``NO_BOUND < upper_bound``, so un-bounded
 #: nodes survive :meth:`BlockFrontier.prune_to`.
 NO_BOUND = -1
-
-#: Largest batch evaluated by the fused single-GEMM path of
-#: :func:`bound_block`; larger pools go through the chunked v2 kernel so the
-#: ``(B, n_jobs * n_couples)`` candidate tensor stays cache-sized.
-_FUSED_MAX_BATCH = 512
 
 #: Segment width of the segmented min-key index, as a shift: segments hold
 #: ``2**12 == 4096`` rows.  Small enough that the one in-segment rescan a
@@ -240,10 +225,6 @@ class Trail:
             slot = int(self._parent[slot])
         return tuple(reversed(jobs))
 
-    def jobs_of(self, trail_ids: np.ndarray) -> np.ndarray:
-        """The job scheduled last by each of the given nodes (bulk gather)."""
-        return self._job[trail_ids]
-
 
 @dataclass
 class NodeBlock:
@@ -271,7 +252,7 @@ class NodeBlock:
     #: shared ancestry store of the search
     trail: Trail
     #: ``(B,)`` job scheduled last by each row (set by :func:`branch_block`;
-    #: lets the sibling bounding path skip a trail gather)
+    #: lets kernel v2 bound the rows from their parents' sets)
     jobs: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -481,223 +462,53 @@ def branch_row(
     )
 
 
-class _FusedData:
-    """Per-instance tensors of the fused (single-GEMM) block bounding.
-
-    Derived once from :class:`~repro.flowshop.bounds._V2GemmData`.  The
-    stacked weight matrix keeps the kernel's ``(n * C, n + 1)`` layout so
-    the candidate maximum reduces over the OUTERMOST axis of the
-    ``(n, C, B)`` product — the orientation where the reduction runs over
-    long contiguous spans (the middle-axis reduction of the row-major
-    alternative costs more than its faster GEMM saves).
-    """
-
-    __slots__ = ("ftype", "stacked", "bf", "tails_f", "ptm_t", "m1", "m2", "inf")
-
-    def __init__(self, data: LowerBoundData, ftype):
-        gd = _v2_gemm_data(data, ftype)
-        n, n_couples = data.n_jobs, data.n_couples
-        self.ftype = gd.ftype
-        # kj rows are (job, couple) pairs, job-major — the (n, C, B)
-        # reshape of the product below relies on exactly that order
-        self.stacked = np.ascontiguousarray(gd.kj.reshape(n * n_couples, n + 1))
-        self.bf = gd.bf  # (C, n + 1)
-        self.tails_f = np.ascontiguousarray(gd.tails_t.T)  # (n, m)
-        self.ptm_t = gd.ptm_t  # (m, n)
-        self.m1 = data.mm[:, 0]
-        self.m2 = data.mm[:, 1]
-        self.inf = np.asarray(np.inf, dtype=gd.ftype)
-
-
-def _fused_data(data: LowerBoundData, ftype) -> _FusedData:
-    cache = data._v2_gemm_cache
-    fd = cache.get(ftype)
-    if fd is None:
-        fd = cache[ftype] = _FusedData(data, ftype)
-    return fd
-
-
-def _sibling_qm(jobs: np.ndarray, group: int, fd: _FusedData) -> np.ndarray:
-    """``(B, m)`` per-child minimal tails for complete sibling sets.
-
-    ``jobs`` lists the children of ``B // group`` parents, parent after
-    parent, each parent contributing its complete set of ``group``
-    children.  A parent's children's jobs ARE its unscheduled set, and
-    each child's unscheduled set is that set minus its own job — so the
-    per-child masked column-min over the tails collapses to the parent's
-    (min, second-min) pair per machine: a child sees the second minimum
-    exactly when its own tail attains the minimum (on ties both values
-    coincide, so the comparison is safe).  One partition along the group
-    axis replaces B masked reductions.
-    """
-    tails_u = fd.tails_f[jobs]  # (B, m) ftype — rows follow the children
-    grouped = tails_u.reshape(-1, group, tails_u.shape[1])  # (parents, group, m)
-    part = np.partition(grouped, 1, axis=1)
-    low, second = part[:, :1], part[:, 1:2]
-    return np.where(grouped == low, second, low).reshape(tails_u.shape)
-
-
-def _bound_block_fused(
-    data: LowerBoundData,
-    mask_a: np.ndarray,
-    rel_a: np.ndarray,
-    include_one_machine: bool,
-    ftype,
-    qm_b: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fused single-GEMM kernel-v2 evaluation of a small active batch.
-
-    Identical math to ``_lower_bound_batch_v2_gemm`` (same precomputed
-    weight tensors, same dtype guard, exact integer arithmetic in floats),
-    but the per-Johnson-position ``np.dot`` loop collapses into ONE matrix
-    product against the ``(n + 1, n_jobs * n_couples)`` stacked weights —
-    a handful of array ops per launch instead of ~3·n, which is what makes
-    bounding a small sibling block cheap.  ``qm_b`` optionally supplies the
-    ``(B, m)`` per-node minimal tails (e.g. from :func:`_sibling_qm`); it
-    is computed by a masked reduction otherwise.
-    """
-    n = mask_a.shape[1]
-    n_couples = data.n_couples
-    fd = _fused_data(data, ftype)
-    batch = mask_a.shape[0]
-
-    u = np.empty((n + 1, batch), dtype=fd.ftype)
-    u[:n] = ~mask_a.T
-    u[n] = 1.0
-
-    cand_max = np.dot(fd.stacked, u).reshape(n, n_couples, batch).max(axis=0)
-    work_b = np.dot(fd.bf, u)  # (C, B): total second-machine work B_N
-
-    rel_t = rel_a.T.astype(fd.ftype)
-    if qm_b is None:
-        qm_b = np.where(mask_a[:, :, None], fd.inf, fd.tails_f[None, :, :]).min(axis=1)
-
-    front1 = rel_t[fd.m1]
-    front1 += cand_max
-    front2 = rel_t[fd.m2]
-    front2 += work_b
-    np.maximum(front2, front1, out=front2)
-    front2 += qm_b[:, fd.m2].T
-    best = front2.max(axis=0)
-
-    if include_one_machine:
-        loads = np.dot(fd.ptm_t, u[:n])
-        loads += rel_t
-        loads += qm_b.T
-        best = np.maximum(best, loads.max(axis=0))
-    return best.astype(np.int64)
-
-
 def bound_block(
     data: LowerBoundData,
     block: NodeBlock,
-    include_one_machine: bool = False,
     kernel: str = "v2",
     siblings: bool = False,
 ) -> np.ndarray:
     """Bounding operator: evaluate a block in place, with zero re-packing.
 
-    The block's ``(scheduled_mask, release)`` arrays are handed to the
-    kernels directly, with no per-row re-pack.  Small batches of the v2
-    kernel take the fused single-GEMM evaluation
-    (:func:`_bound_block_fused`); everything else routes through the
-    standard chunked kernels, together with the block's ``jobs`` column, so
-    from ``_V2_INCREMENTAL_MIN_JOBS`` jobs on a branch-built block is
-    bounded incrementally from its parents' sets (kernel v2's
-    ``"incremental"`` strategy).  ``kernel="scalar"`` instead calls
+    The block's ``(scheduled_mask, release)`` arrays and its ``jobs``
+    column go to kernel v2 (``get_batch_kernel("v2")``) as they are, in one
+    call: below 40 jobs its GEMM body takes each parent set's minimal
+    tails once, and from 40 jobs its incremental body bounds the rows from
+    their parents' sets.  ``kernel="scalar"`` instead calls
     :func:`repro.flowshop.bounds.lower_bound` once per row — the paper's
-    serial baseline.  ``kernel="v1"`` (the pool-only reference revision)
-    is accepted for the tests and benchmarks that compare against it; no
-    engine passes it.  Values are bit-identical to that scalar bound on
+    serial baseline.  Values are bit-identical to that scalar bound on
     every row, whatever the kernel, and are also written back into
     ``block.lower_bound``.
 
     ``siblings=True`` asserts that the block holds the COMPLETE child sets
     of one or more parents of equal depth, in parent order (exactly what
     :func:`branch_row` produces for one popped node and
-    :func:`branch_block` for a best-first tie batch): each parent's
-    children share its unscheduled set, so their per-node ``QM`` tails
-    reduce to that parent's (min, second-min) pair (:func:`_sibling_qm`,
-    one group of ``n_jobs - depth + 1`` rows per parent) — the dominant
-    per-launch cost of small batches disappears while the values stay
-    exactly the same.
+    :func:`branch_block` for a best-first tie batch): a block of complete
+    schedules then keeps the makespans set at branch time.
     """
+    if kernel not in ("v2", "scalar"):
+        raise ValueError(f"kernel must be 'v2' or 'scalar', got {kernel!r}")
     batch = len(block)
     if batch == 0:
         return np.zeros(0, dtype=np.int64)
+    if siblings and int(block.depth[0]) == block.n_jobs:
+        # siblings share one depth: every child is complete
+        return block.lower_bound
+
     mask, release = block.scheduled_mask, block.release
-    n_jobs = mask.shape[1]
-
-    if siblings:
-        # siblings share one depth: either every child is complete or none
-        if int(block.depth[0]) == n_jobs:
-            bounds = block.lower_bound  # set at branch time (leaf makespans)
-            return bounds
-
     if kernel == "scalar":
         # the paper's serial baseline: one scalar bound call per sub-problem
         # and no batch array (the bounding-fraction experiment measures it)
         for row in range(batch):
             block.lower_bound[row] = lower_bound(
-                data,
-                np.flatnonzero(mask[row]),
-                release=release[row],
-                include_one_machine=include_one_machine,
+                data, np.flatnonzero(mask[row]), release=release[row]
             )
         return block.lower_bound
 
-    # from the crossover on, the kernel's incremental strategy bounds
-    # branch-built rows (known ``jobs``) faster than the fused GEMM
-    fused = (
-        kernel == "v2"
-        and 0 < data.n_couples
-        and n_jobs <= _V2_GEMM_MAX_JOBS
-        and batch <= _FUSED_MAX_BATCH
-        and (block.jobs is None or n_jobs < _V2_INCREMENTAL_MIN_JOBS)
-    )
-    if fused:
-        # engine-built release rows are non-decreasing along machines, so
-        # the last column carries each row's maximum
-        value_bound = _v2_value_bound(data, release[:, -1] if siblings else release)
-        if value_bound < 2**24:
-            ftype = np.float32
-        elif value_bound < 2**53:
-            ftype = np.float64
-        else:  # pragma: no cover - pathological magnitudes
-            fused = False
-
-    if not fused:
-        # kernel v2 takes the int32 ``release`` column as it is and casts it
-        # inside a strategy; writing through the slice casts the int64 results
-        # back into the block's int32 column — the explicit dtype boundary
-        bounds = get_batch_kernel(kernel)(
-            data, mask, release, include_one_machine=include_one_machine, jobs=block.jobs
-        )
-        block.lower_bound[:] = bounds
-        return block.lower_bound
-
-    if siblings and batch > 1:
-        jobs = block.jobs if block.jobs is not None else block.trail.jobs_of(block.trail_id)
-        group = n_jobs - int(block.depth[0]) + 1  # children per parent
-        qm_b = _sibling_qm(jobs, group, _fused_data(data, ftype))
-        bounds = _bound_block_fused(
-            data, mask, release, include_one_machine, ftype, qm_b=qm_b
-        )
-        block.lower_bound[:] = bounds
-        return block.lower_bound
-
-    complete = block.depth == n_jobs
-    if complete.any():
-        bounds = np.empty(batch, dtype=np.int64)
-        bounds[complete] = release[complete, -1]
-        active = ~complete
-        if active.any():
-            bounds[active] = _bound_block_fused(
-                data, mask[active], release[active], include_one_machine, ftype
-            )
-    else:
-        bounds = _bound_block_fused(data, mask, release, include_one_machine, ftype)
-    block.lower_bound[:] = bounds
+    # kernel v2 takes the int32 ``release`` column as it is and casts it
+    # inside a body; writing through the slice casts the int64 results back
+    # into the block's int32 column — the explicit dtype boundary
+    block.lower_bound[:] = get_batch_kernel("v2")(data, mask, release, jobs=block.jobs)
     return block.lower_bound
 
 

@@ -18,6 +18,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from repro.bb.frontier import NodeBlock, Trail, advance_release, branch_block
 from repro.core.config import GpuBBConfig, PAPER_POOL_SIZES
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
@@ -71,7 +72,7 @@ class PoolSizeAutotuner:
     mode:
         ``"model"`` ranks candidates with the analytical simulator + CPU
         cost model (fast, deterministic); ``"measure"`` times real batched
-        evaluations of synthetic pools on this host.
+        evaluations of branch-built pools on this host.
     """
 
     def __init__(
@@ -121,26 +122,30 @@ class PoolSizeAutotuner:
             )
         return samples
 
-    def _synthetic_pool(self, pool_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Build a synthetic pool of partial schedules of mixed depths."""
+    def _synthetic_pool(self, pool_size: int) -> NodeBlock:
+        """The first ``pool_size`` children of random parents of depth <= 2.
+
+        Built by :func:`~repro.bb.frontier.branch_block`, as the GPU engine
+        builds its launches, so the pool carries the ``jobs`` column and
+        the measured launch takes the kernel path the engine takes.
+        """
         rng = np.random.default_rng(pool_size)
         n, m = self.instance.n_jobs, self.instance.n_machines
-        depth = max(1, min(n - 1, 3))
-        mask = np.zeros((pool_size, n), dtype=bool)
-        release = np.zeros((pool_size, m), dtype=np.int64)
         pt = self.instance.processing_times
-        for i in range(pool_size):
-            jobs = rng.choice(n, size=depth, replace=False)
-            mask[i, jobs] = True
-            front = np.zeros(m, dtype=np.int64)
-            for job in jobs:
-                prev = 0
-                for k in range(m):
-                    start = front[k] if front[k] > prev else prev
-                    prev = start + pt[job, k]
-                    front[k] = prev
-            release[i] = front
-        return mask, release
+        depth = max(0, min(n - 2, 2))
+        count = -(-pool_size // (n - depth))  # parents with enough children
+        trail = Trail()
+        parents = NodeBlock.empty(n, m, trail, count)
+        parents.scheduled_mask[:] = False
+        parents.release[:] = 0
+        prefixes = np.argsort(rng.random((count, n)), axis=1)[:, :depth]
+        for jobs in prefixes.T:  # one scheduled position at a time
+            parents.scheduled_mask[np.arange(count), jobs] = True
+            advance_release(parents.release, pt[jobs], out=parents.release)
+        parents.depth[:] = depth
+        parents.trail_id[:] = trail.append_root()
+        children = branch_block(parents, pt, 0)
+        return children.take(np.arange(pool_size))
 
     def _measured_samples(self) -> list[AutotuneSample]:
         samples = []
@@ -153,9 +158,9 @@ class PoolSizeAutotuner:
         )
         complexity = self.data.complexity
         for pool_size in self.candidates:
-            mask, release = self._synthetic_pool(pool_size)
+            pool = self._synthetic_pool(pool_size)
             start = time.perf_counter()
-            executor.evaluate(mask, release)
+            executor.evaluate_block(pool)
             elapsed = time.perf_counter() - start
             cpu_s = self.cpu_model.pool_seconds(complexity, pool_size)
             per_node = elapsed / pool_size

@@ -30,32 +30,34 @@ Three evaluation paths are provided:
   the kernel is so GPU friendly — the control flow is identical across the
   pool).
 * :func:`lower_bound_batch_v2` — the same computation with the machine
-  couple axis vectorised as well, by one of three strategies:
+  couple axis vectorised as well, by one of two bodies chosen by the job
+  count:
 
-  - ``"gemm"``: the Johnson scan in closed form, one matrix product per
-    Johnson position (``n_jobs <= 128``);
-  - ``"scan"``: ``(B, n_couples)`` front/tail tensors marching through the
-    ``n_jobs`` Johnson positions (larger ``n_jobs``);
-  - ``"incremental"``: for rows whose last-scheduled job is known (the
-    ``jobs`` argument, from a branch-built block), one O(n·C) pass per
-    parent set and O(m) per child, since removing one job from a parent's
-    set shifts its closed-form candidates in a known way and the maximum
-    over the couples regroups by machine.  Selected from
-    ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS``, the measured crossover.
+  - ``"gemm"`` (below ``_V2_INCREMENTAL_MIN_JOBS`` = 40 jobs): the Johnson
+    scan in closed form, the candidates of a run of jobs for a chunk of
+    rows in one matrix product of at most ``_V2_GEMM_ELEMENTS`` elements;
+  - ``"incremental"`` (from 40 jobs): one O(n·C) pass per parent set and
+    O(m) per child, since removing one job from a parent's set shifts its
+    closed-form candidates in a known way and the maximum over the couples
+    regroups by machine.  A row without ``jobs`` (the job a branch-built
+    row scheduled last) is bounded from its unscheduled set plus any job
+    it has scheduled.
 
-  A large scan or incremental launch is split into contiguous row ranges,
-  one per CPU the process may run on, evaluated at the same time on
-  threads that live only for that launch (numpy releases the interpreter
-  lock inside its ufunc loops).  The split depends only on the launch's
-  shape and the process's CPU affinity: it happens only while every part
-  stays above a grain of work (:func:`_split_cuts`), because below it the
-  interpreter lock serialises the parts and a split loses.  GEMM launches
-  are not split; BLAS runs their products on its own threads.
+  Rows with nothing scheduled get a closed-form bound from per-instance
+  constants, and complete rows their makespan.  A large incremental launch
+  is split into contiguous row ranges, one per CPU the process may run on,
+  evaluated at the same time on threads that live only for that launch
+  (numpy releases the interpreter lock inside its ufunc loops).  The split
+  depends only on the launch's shape and the process's CPU affinity: it
+  happens only while every part holds at least one tile of work
+  (:func:`_split_cuts`), because below it the interpreter lock serialises
+  the parts and a split loses.  GEMM launches are not split; BLAS runs
+  their products on its own threads.
 
-All batched kernels return values bit-identical to the scalar bound;
-:func:`get_batch_kernel` maps a ``"v1"`` / ``"v2"`` name to the matching
-implementation (every engine bounds with ``"v2"``; ``"v1"`` stays the
-reference the tests and benchmarks compare against).
+All batched kernels return values bit-identical to the scalar bound.
+:func:`get_batch_kernel` resolves the ``"v2"`` selector every engine bounds
+with; :func:`lower_bound_batch` (v1) stays the reference the tests and
+benchmarks call directly.
 """
 
 from __future__ import annotations
@@ -510,7 +512,6 @@ def lower_bound_batch(
     scheduled_mask: np.ndarray,
     release: np.ndarray,
     include_one_machine: bool = False,
-    jobs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorised lower bound of a pool of sub-problems.
 
@@ -532,10 +533,6 @@ def lower_bound_batch(
         sub-problem.
     include_one_machine:
         See :func:`lower_bound`.
-    jobs:
-        Accepted so every batched kernel shares one signature (see
-        :func:`lower_bound_batch_v2`); unused, since this kernel bounds each
-        row from scratch.
 
     Returns
     -------
@@ -589,30 +586,31 @@ def lower_bound_batch(
     return bounds
 
 
-#: Largest ``n_jobs`` for which the v2 kernel uses the closed-form BLAS path
-#: (its FLOP count grows with ``n^2`` while the scan path grows with ``n``).
-_V2_GEMM_MAX_JOBS = 128
-
-#: Sub-problems evaluated per internal tile of the v2 kernel.  Tiles keep the
-#: working set cache-resident and bound the temporary memory of very large
-#: pools (the paper off-loads up to 262144 sub-problems per launch).
-_V2_GEMM_CHUNK = 512
-_V2_SCAN_CHUNK = 512
-
-#: Smallest ``n_jobs`` for which kernel v2 bounds rows with known ``jobs``
-#: incrementally from their parent's set.  The GEMM's per-row cost grows
-#: with ``n^2`` and the incremental one's per-parent cost with ``n``, so
-#: this is a crossover in ``n``.  ``benchmarks/bench_kernel_v2.py`` prints
-#: it in script mode; on a 2-vCPU Xeon with OpenBLAS, one thread, m = 20:
-#: at n = 20 a single parent's siblings are 2.1-2.5x cheaper fused while a
-#: 256-parent launch is 3.2x cheaper incremental, at n = 50 the incremental
-#: strategy wins both (2.0-2.1x and 11-12x), at n = 200 by 43-44x and
-#: 106-111x.  With m <= 10 a single parent's sibling set stayed cheaper
-#: fused up to n ~ 50-100 (measured before the O(m) kernel).
+#: Smallest ``n_jobs`` from which kernel v2 takes the incremental body;
+#: below it every launch takes the GEMM body.  The GEMM's per-row cost
+#: grows with ``n^2`` and the incremental one's per-parent cost with ``n``,
+#: so this is a crossover in ``n``.  ``benchmarks/bench_kernel_v2.py``
+#: prints it in script mode; on a 2-vCPU Xeon with OpenBLAS, one thread,
+#: m = 20: at n = 20 a single parent's siblings are 2.1-2.5x cheaper on the
+#: GEMM while a 256-parent launch is 3.2x cheaper incremental, at n = 50
+#: the incremental body wins both (2.0-2.1x and 11-12x), at n = 200 by
+#: 43-44x and 106-111x.  From here on the GEMM's weights also cost too
+#: much to build: 13 ms and 10.5 MB traced at 50x20, 46 ms and 41 MB at
+#: 100x20 (the whole budgeted ta100x20 GPU solve peaks at ~85 MB RSS).
 _V2_INCREMENTAL_MIN_JOBS = 40
 
+#: Most elements of one matrix product of the GEMM body, and of its other
+#: per-chunk temporaries: a chunk holds ``_V2_GEMM_ELEMENTS // max(n_couples,
+#: n_jobs * n_machines)`` rows, and each product covers as many jobs'
+#: candidates as fit, so a small launch takes one product per chunk and a
+#: large one a few jobs per product (two at 20x20, five at 13x6).  One
+#: sweep over the GPU engine's launches below 40 jobs (2-vCPU Xeon, one
+#: BLAS thread), time against the tiled GEMM it replaced: 2**16 0.97-1.08x,
+#: 2**17 0.95-0.99x, 2**18 0.88-1.07x, 2**19 0.91-1.20x.
+_V2_GEMM_ELEMENTS = 1 << 17
+
 #: Elements (parents x n_jobs x n_couples) of each of the two tables the
-#: incremental strategy builds per tile of parents, and its split grain:
+#: incremental body builds per tile of parents, and its split grain:
 #: one part of a split launch holds at least one tile's worth of
 #: ``rows x n_couples`` (:func:`_split_cuts`).  A tile makes about 100
 #: numpy calls whatever its width, so wider tiles hand the interpreter
@@ -626,14 +624,6 @@ _V2_INCREMENTAL_MIN_JOBS = 40
 #: against 2.2 / 4.1 / 7.4 ms, so a split pays from about two tiles.
 _V2_INCREMENTAL_TILE = 1 << 19
 
-#: Fewest elements every numpy call of one part of a split scan launch
-#: must touch.  Below it the interpreter lock serialises the parts' calls
-#: and a split loses.  The GEMM strategy is never split: its products
-#: already run on BLAS's own threads, and under numpy's default
-#: multi-threaded BLAS two parts of a 16,384-row ta20x20 launch took
-#: 155-186 ms against 112-125 ms in one.
-_SPLIT_MIN_ELEMENTS = 1 << 16
-
 
 def _usable_cpus() -> int:
     """CPUs the calling thread may run on now (``taskset`` narrows it)."""
@@ -643,40 +633,26 @@ def _usable_cpus() -> int:
     return len(getaffinity(0))
 
 
-def _split_cuts(rows: int, n_couples: int, tile: int | None) -> list[int] | None:
-    """Row cuts of a launch split across the usable CPUs, or ``None``.
+def _split_cuts(rows: int, n_couples: int) -> list[int] | None:
+    """Row cuts of an incremental launch split across the usable CPUs, or ``None``.
 
     Uses the most parts, up to one per usable CPU, for which every part
-    stays above a grain of work.  A tiled strategy (the scan) calls numpy
-    on ``n_couples x tile`` elements at a time, so each part holds at
-    least one full ``tile``, the cuts fall on tile boundaries, and the
-    calls must touch :data:`_SPLIT_MIN_ELEMENTS` elements.  The
-    incremental strategy (``tile=None``) fills tables of about
-    ``n_couples`` elements per row, so a part needs
+    stays above the grain of work: the incremental body fills tables of
+    about ``n_couples`` elements per row, so a part needs
     ``_V2_INCREMENTAL_TILE / n_couples`` rows, one tile's worth, and any
     cut is exact.  The grain is checked first, so small launches skip the
     affinity read.
     """
-    if tile is None:
-        most = min(rows, rows * n_couples // _V2_INCREMENTAL_TILE)
-    elif n_couples * tile >= _SPLIT_MIN_ELEMENTS:
-        most = rows // tile
-    else:
-        return None
+    most = min(rows, rows * n_couples // _V2_INCREMENTAL_TILE)
     if most < 2:
         return None
     parts = min(most, _usable_cpus())
     if parts < 2:
         return None
-    if tile is None:
-        return [rows * part // parts for part in range(parts)] + [rows]
-    tiles = -(-rows // tile)
-    return [tiles * part // parts * tile for part in range(parts)] + [rows]
+    return [rows * part // parts for part in range(parts)] + [rows]
 
 
-def _evaluate_rows(
-    evaluate, n_couples: int, tile: int | None, *columns: np.ndarray
-) -> np.ndarray:
+def _evaluate_rows(evaluate, n_couples: int, *columns: np.ndarray) -> np.ndarray:
     """``evaluate(*columns)``, split by :func:`_split_cuts` when large enough.
 
     ``columns`` are row-aligned arrays; ``evaluate`` returns one int64 bound
@@ -686,7 +662,7 @@ def _evaluate_rows(
     needed.  Every thread is joined before this returns, also on error, and
     the first failing part's exception (in row order) is raised here.
     """
-    cuts = _split_cuts(len(columns[0]), n_couples, tile)
+    cuts = _split_cuts(len(columns[0]), n_couples)
     if cuts is None:
         return evaluate(*columns)
     out = np.empty(cuts[-1], dtype=np.int64)
@@ -724,7 +700,7 @@ def _johnson_positions(data: LowerBoundData) -> np.ndarray:
 
 
 class _V2GemmData:
-    """Per-instance tensors of the closed-form (matmul) v2 evaluation.
+    """Per-instance tensors of the GEMM v2 body.
 
     The Johnson two-machine scan of couple ``c`` has the closed form::
 
@@ -736,24 +712,28 @@ class _V2GemmData:
     ``B_N`` the total second-machine work of all unscheduled jobs.  Every
     inner term is linear in the unscheduled-job indicator vector ``u``, so
     the candidates of *all* jobs and *all* couples are one matrix product
-    ``u @ K``.  Scheduled jobs are excluded from the outer max by a
-    ``+BIG`` diagonal term inside ``K`` paired with a ``-BIG`` constant row,
-    which turns their candidates into large negative values — the masking
-    costs nothing at evaluation time.
+    ``stacked @ u``.  Scheduled jobs are excluded from the outer max by a
+    ``+BIG`` diagonal term inside the weights paired with a ``-BIG``
+    constant column, which turns their candidates into large negative
+    values — the masking costs nothing at evaluation time.  ``B_N`` is
+    baked into every candidate.
 
-    ``kj[j]`` is the ``(C, n+1)`` slice producing the candidates of job
-    ``j`` for every couple (the extra row carries the constants); ``bf``
-    produces ``B_N``.  Everything is stored transposed — ``(C, B)`` layout —
-    so the reductions run along the long contiguous axis.
+    ``stacked`` is ``(n * C, n + 1)``, job-major: rows ``j * C`` to ``(j +
+    1) * C`` produce job ``j``'s candidate for every couple (the last column
+    carries the constants), so the rows of a run of jobs are one contiguous
+    block whose product reshapes to ``(jobs, C, B)`` and reduces over its
+    leading axis.  ``bf`` (``(C, n + 1)``) produces ``B_N``; ``tails`` is
+    ``(n, m, 1)``, ``m2`` holds the couples' second machines and
+    ``fronts`` their first machines, then their second ones.
     """
 
-    __slots__ = ("ftype", "big", "kj", "bf", "tails_t", "ptm_t", "_local")
+    __slots__ = ("ftype", "stacked", "bf", "tails", "m2", "fronts")
 
     def __init__(self, data: LowerBoundData, ftype: np.dtype):
         n, n_couples = data.n_jobs, data.n_couples
         m1, m2 = data.mm[:, 0], data.mm[:, 1]
         self.ftype = np.dtype(ftype)
-        self.big = _v2_big_sentinel(data)
+        big = _v2_big_sentinel(data)
 
         pos = _johnson_positions(data)
         a_full = data.ptm[:, m1]  # (n, C) first-machine times
@@ -764,30 +744,17 @@ class _V2GemmData:
         lt = pos[:, None, :] > pos[None, :, :]
         weights = a_full[None, :, :] * le - b_full[None, :, :] * lt
         diag = np.arange(n)
-        weights[diag, diag, :] += self.big
+        weights[diag, diag, :] += big
         weights += b_full[None, :, :]  # bake B_N into every candidate
-        const = np.broadcast_to((data.lm - self.big)[:, None, :], (n, 1, n_couples))
-        kj = np.concatenate([weights, const], axis=1)  # (n, n+1, C)
-        self.kj = np.ascontiguousarray(kj.transpose(0, 2, 1)).astype(self.ftype)
+        const = np.broadcast_to((data.lm - big)[:, None, :], (n, 1, n_couples))
+        kj = np.concatenate([weights, const], axis=1)  # (n, n + 1, C)
+        stacked = np.ascontiguousarray(kj.transpose(0, 2, 1), dtype=self.ftype)
+        self.stacked = stacked.reshape(n * n_couples, n + 1)
 
         bf = np.concatenate([b_full, np.zeros((1, n_couples), dtype=np.int64)], axis=0)
-        self.bf = np.ascontiguousarray(bf.T).astype(self.ftype)  # (C, n+1)
-        self.tails_t = np.ascontiguousarray(data.tails.T).astype(self.ftype)  # (m, n)
-        self.ptm_t = np.ascontiguousarray(data.ptm.T).astype(self.ftype)  # (m, n)
-        # one workspace per thread: the service bounds one instance's data
-        # from several threads at once
-        self._local = threading.local()
-
-    def workspace(self, n: int, n_couples: int, chunk: int) -> tuple[np.ndarray, ...]:
-        """The calling thread's reusable per-chunk buffers (avoids page faults)."""
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None or buffers[0].shape[1] != chunk:
-            buffers = self._local.buffers = (
-                np.empty((n_couples, chunk), dtype=self.ftype),  # running max
-                np.empty((n_couples, chunk), dtype=self.ftype),  # gemm target
-                np.empty((n + 1, chunk), dtype=self.ftype),  # indicators
-            )
-        return buffers
+        self.bf = np.ascontiguousarray(bf.T, dtype=self.ftype)  # (C, n + 1)
+        self.tails = data.tails.astype(self.ftype)[:, :, None]  # (n, m, 1)
+        self.m2, self.fronts = m2, np.concatenate([m1, m2])
 
 
 def _v2_big_sentinel(data: LowerBoundData) -> int:
@@ -806,153 +773,100 @@ def _v2_value_bound(data: LowerBoundData, release: np.ndarray) -> int:
     return release_max + 4 * _v2_big_sentinel(data) + 1
 
 
-def _v2_gemm_data(data: LowerBoundData, ftype: np.dtype) -> _V2GemmData:
-    cache = data._v2_gemm_cache
-    key = np.dtype(ftype).name
-    if key not in cache:
-        cache[key] = _V2GemmData(data, ftype)
-    return cache[key]
+def _v2_gemm_data(data: LowerBoundData, ftype: type) -> _V2GemmData:
+    """The GEMM tables for ``ftype`` (``np.float32`` or ``np.float64``), built once."""
+    gd = data._v2_gemm_cache.get(ftype)
+    if gd is None:
+        gd = data._v2_gemm_cache[ftype] = _V2GemmData(data, ftype)
+    return gd
 
 
-def _lower_bound_batch_v2_gemm(
-    data: LowerBoundData,
-    mask_a: np.ndarray,
-    rel_a: np.ndarray,
-    include_one_machine: bool,
-    ftype: np.dtype,
+def _lower_bound_batch_v2_matmul(
+    data: LowerBoundData, mask: np.ndarray, release: np.ndarray, ftype: np.dtype
 ) -> np.ndarray:
-    """Closed-form v2 evaluation: one BLAS product per Johnson position.
+    """GEMM v2 body: the closed-form candidates of :class:`_V2GemmData` by BLAS.
 
-    Receives only the *active* (incomplete) sub-problems; returns their
-    ``(B_active,)`` bounds.  All float arithmetic operates on integers far
-    below the mantissa limit of ``ftype`` (guarded by
-    :func:`_v2_value_bound`), so the results are exact and bit-identical to
-    the int64 reference once converted back.
+    Receives only the *active* (incomplete, not root) sub-problems and
+    returns their ``(B_active,)`` bounds.  Rows go in chunks, read in place;
+    within a chunk one product yields the candidates of a run of ``span``
+    jobs for every couple, and their maximum reduces over the leading (job)
+    axis.  A chunk's temporaries and each product hold at most
+    :data:`_V2_GEMM_ELEMENTS` elements, so a small launch takes one product
+    per chunk and a large one a few jobs per product.  The chunks reuse
+    one workspace allocated per call, so concurrent calls (the service
+    bounds one instance from several threads) share no scratch memory and
+    none outlives the launch.  ``QM`` is the minimum of the tails over each
+    row's unscheduled jobs, masked and reduced over the leading (job) axis
+    as well.
+
+    All float arithmetic operates on integers far below the mantissa limit
+    of ``ftype`` (guarded by :func:`_v2_value_bound`), so the results are
+    exact and bit-identical to the int64 reference.
     """
     n, n_couples = data.n_jobs, data.n_couples
     gd = _v2_gemm_data(data, ftype)
-
-    # Transposed — (axis, B) — copies so every chunked slice keeps the long
-    # batch dimension contiguous (strided inner loops defeat SIMD).
-    mask_t = np.ascontiguousarray(mask_a.T)  # (n, B_active)
-    rel_t = np.ascontiguousarray(rel_a.T).astype(gd.ftype)  # (m, B_active)
-    m2 = data.mm[:, 1]
-    n_active = mask_a.shape[0]
-    best = np.empty(n_active, dtype=np.int64)
-
-    chunk = min(_V2_GEMM_CHUNK, n_active)
-    running, target, indicators = gd.workspace(n, n_couples, chunk)
-    for start in range(0, n_active, chunk):
-        end = min(start + chunk, n_active)
+    rows = mask.shape[0]
+    chunk = min(rows, max(1, _V2_GEMM_ELEMENTS // max(n_couples, n * release.shape[1])))
+    span = min(n, max(1, _V2_GEMM_ELEMENTS // (n_couples * chunk)))  # jobs per product
+    # one workspace: indicators, running maximum, scratch, products
+    u_end, top_end, part_end = n + 1, n + 1 + n_couples, n + 1 + 2 * n_couples
+    work = np.empty((part_end + span * n_couples) * chunk, dtype=gd.ftype)
+    best = np.empty(rows, dtype=np.int64)
+    for start in range(0, rows, chunk):
+        end = min(start + chunk, rows)
         width = end - start
-        full = width == chunk
-
-        u = indicators[:, :width] if full else np.empty((n + 1, width), dtype=gd.ftype)
-        u[:n] = ~mask_t[:, start:end]
+        views = work[: (part_end + span * n_couples) * width].reshape(-1, width)
+        u, top = views[:u_end], views[u_end:top_end]
+        part, products = views[top_end:part_end], views[part_end:]
+        mask_t = np.ascontiguousarray(mask[start:end].T)  # (n, width)
+        np.logical_not(mask_t, out=u[:n])
         u[n] = 1.0
 
-        # QM (transposed): minimal tails over the unscheduled jobs.
-        masked_tails = np.where(
-            mask_t[:, None, start:end], np.inf, gd.tails_t.T[:, :, None]
-        )  # (n, m, width)
-        qm_t = masked_tails.min(axis=0)  # (m, width)
-
-        if full:
-            cand_max, cand = running, target
-            np.dot(gd.kj[0], u, out=cand_max)
-        else:
-            cand_max = np.dot(gd.kj[0], u)
-            cand = np.empty_like(cand_max)
-        for j in range(1, n):
-            if full:
-                np.dot(gd.kj[j], u, out=cand)
+        # the largest candidate of every couple, ``span`` jobs per product
+        for j0 in range(0, n, span):
+            count = min(span, n - j0)
+            weights = gd.stacked[j0 * n_couples : (j0 + count) * n_couples]
+            out = top if j0 == 0 else part
+            if count == 1:
+                np.dot(weights, u, out=out)
             else:
-                cand = np.dot(gd.kj[j], u)
-            np.maximum(cand_max, cand, out=cand_max)
+                block = np.dot(weights, u, out=products[: count * n_couples])
+                block.reshape(count, n_couples, width).max(axis=0, out=out)
+            if j0:
+                np.maximum(top, part, out=top)
 
-        work_b = np.dot(gd.bf, u)  # (C, width): B_N per couple
-        front1 = rel_t[:, start:end][data.mm[:, 0]]  # (C, width)
-        front2 = rel_t[:, start:end][m2]
-        front1 += cand_max[:, :width]
-        front2 += work_b
-        np.maximum(front2, front1, out=front2)
-        front2 += qm_t[m2]
-        value = front2
-
-        if include_one_machine:
-            loads = np.dot(gd.ptm_t, u[:n])  # (m, width)
-            loads += rel_t[:, start:end]
-            loads += qm_t
-            one_mach = loads.max(axis=0)
-            best[start:end] = np.maximum(value.max(axis=0), one_mach).astype(np.int64)
-        else:
-            best[start:end] = value.max(axis=0).astype(np.int64)
-
+        qm = np.where(mask_t[:, None, :], np.inf, gd.tails).min(axis=0)  # (m, width)
+        fronts = release[start:end].T.astype(gd.ftype)[gd.fronts]  # (2C, width): r_k, r_l
+        np.dot(gd.bf, u, out=part)  # B_N per couple
+        top += fronts[:n_couples]
+        part += fronts[n_couples:]
+        np.maximum(top, part, out=top)
+        top += qm[gd.m2]
+        best[start:end] = top.max(axis=0)
     return best
 
 
-def _lower_bound_batch_v2_scan(
-    data: LowerBoundData,
-    mask_a: np.ndarray,
-    rel_a: np.ndarray,
-    include_one_machine: bool,
-    dtype: np.dtype,
-) -> np.ndarray:
-    """Couple-vectorised Johnson scan: ``(B, n_couples)`` front tensors.
+def _root_bounds(data: LowerBoundData, release: np.ndarray) -> np.ndarray:
+    """``(R,)`` bounds of rows with nothing scheduled, in closed form.
 
-    Receives only the *active* (incomplete) sub-problems; returns their
-    ``(B_active,)`` bounds.  Carries ``t_m1`` / ``t_m2`` for all couples at
-    once and loops only over the ``n_jobs`` scan positions — ``n``
-    interpreter iterations instead of the v1 kernel's ``n_couples * n``.
-    Scheduled jobs contribute zero to every tensor; the candidate of a
-    masked step is then ``t_m1`` which can never win the max
-    (``t_m2 >= t_m1`` is re-established by the first unmasked step, and
-    every active sub-problem has at least one unscheduled job in every
-    couple's order), so no sentinel masking is needed.
+    With every job unscheduled, couple ``c = (i, l)``'s Johnson scan has one
+    largest candidate ``K_c`` and one second-machine work ``B_c``, and every
+    row the same ``QM``, so a row's bound is ``max_c(max(r_l, r_i + K_c) +
+    B_c + QM_l)`` over the couples.  The three are per-instance constants
+    of :meth:`LowerBoundData.couple_tensors`: no GEMM weight or incremental
+    table is built for a root.
     """
-    n = data.n_jobs
-    ct = data.couple_tensors()
-    a_sc = ct.a_times.astype(dtype)
-    b_sc = ct.b_times.astype(dtype)
-    alg_sc = (ct.a_times + ct.lags).astype(dtype)
-    jm = data.jm
-    big = np.int64(np.iinfo(np.int64).max // 4)
-    n_active = mask_a.shape[0]
-    best = np.empty(n_active, dtype=np.int64)
-
-    chunk = _V2_SCAN_CHUNK
-    for start in range(0, n_active, chunk):
-        end = min(start + chunk, n_active)
-        mask_c = mask_a[start:end]
-        unsched_c = ~mask_c
-        rel_c = rel_a[start:end]
-
-        tails = np.where(mask_c[:, :, None], big, data.tails[None, :, :])
-        qm = tails.min(axis=1)  # (width, m)
-
-        present = unsched_c[:, jm]  # (width, n, C) in Johnson order
-        a_m = present * a_sc[None]
-        b_m = present * b_sc[None]
-        alg_m = present * alg_sc[None]
-
-        t_m1 = rel_c[:, ct.m1].astype(dtype)
-        t_m2 = rel_c[:, ct.m2].astype(dtype)
-        ready = np.empty_like(t_m1)
-        for i in range(n):
-            np.add(t_m1, alg_m[:, i], out=ready)
-            np.maximum(t_m2, ready, out=t_m2)
-            np.add(t_m1, a_m[:, i], out=t_m1)
-            np.add(t_m2, b_m[:, i], out=t_m2)
-        value = t_m2.astype(np.int64) + qm[:, ct.m2]
-        chunk_best = value.max(axis=1)
-
-        if include_one_machine:
-            loads = unsched_c.astype(np.int64) @ data.ptm
-            one_mach = (rel_c + loads + qm).max(axis=1)
-            chunk_best = np.maximum(chunk_best, one_mach)
-        best[start:end] = chunk_best
-
-    return best
+    tables = data._v2_gemm_cache.get("root")
+    if tables is None:
+        ct = data.couple_tensors()
+        b_before = np.cumsum(ct.b_times, axis=0) - ct.b_times
+        top = (np.cumsum(ct.a_times, axis=0) + ct.lags - b_before).max(axis=0)
+        tail = ct.b_times.sum(axis=0) + data.tails.min(axis=0)[ct.m2]
+        tables = data._v2_gemm_cache["root"] = (top, tail)
+    top, tail = tables
+    release = release.astype(np.int64)
+    front = np.maximum(release[:, data.mm[:, 1]], release[:, data.mm[:, 0]] + top)
+    return (front + tail).max(axis=1)
 
 
 class _V2IncrementalData:
@@ -1090,8 +1004,8 @@ def _lower_bound_batch_v2_incremental(
     job of every parent set (``PW_{m-1} = W_{m-1}``), and each row then
     gathers one ``m``-wide column: ``max_i (r_i + PW_i)``.  The
     one-machine term of machine ``l`` is ``r_l + W_l``, and ``P_0 >= W_0``
-    through the couple ``(0, m - 1)``, so ``include_one_machine`` cannot
-    change a bound of this strategy, which therefore has no such switch.
+    through the couple ``(0, m - 1)``, so the one-machine terms cannot
+    change a bound of this body.
 
     Per tile, the closed-form candidates ``A_<=j + lag_j - B_<j`` of
     :class:`_V2GemmData` over each parent set, their prefix maxima and
@@ -1107,7 +1021,7 @@ def _lower_bound_batch_v2_incremental(
     one ``d`` are a contiguous block aligned with ``P_0 .. P_{m-2-d}`` and
     with ``W_{1+d} .. W_{m-1}``, so ``P`` takes one add and one maximum
     per diagonal.  ``QM`` comes from the parent's (min, second-min) tails,
-    as in the frontier's sibling path.  Two tile tables are live at a
+    as in the GEMM body.  Two tile tables are live at a
     time.  Integer ``dtype`` keeps the arithmetic exact.
 
     ``mask_a`` and ``rel_a`` are read in place: group starts are found
@@ -1189,73 +1103,69 @@ def _check_jobs(jobs, scheduled_mask: np.ndarray) -> np.ndarray:
     batch, n_jobs = scheduled_mask.shape
     if jobs.shape != (batch,) or (batch and jobs.dtype.kind not in "iu"):
         raise ValueError(f"jobs must be a ({batch},) integer array")
-    jobs = jobs.astype(np.intp, copy=False)
-    if batch and (jobs.min() < 0 or jobs.max() >= n_jobs):
-        raise ValueError(f"jobs must lie in [0, {n_jobs})")
-    if not scheduled_mask[np.arange(batch), jobs].all():
+    try:
+        # a negative job wraps to a huge unsigned index and fails here too
+        scheduled = scheduled_mask[np.arange(batch), jobs.astype(np.uintp, copy=False)]
+    except IndexError:
+        raise ValueError(f"jobs must lie in [0, {n_jobs})") from None
+    if np.count_nonzero(scheduled) != batch:
         raise ValueError("jobs[i] must be scheduled in scheduled_mask[i]")
-    return jobs
+    return jobs.astype(np.intp, copy=False)
 
 
 def lower_bound_batch_v2(
     data: LowerBoundData,
     scheduled_mask: np.ndarray,
     release: np.ndarray,
-    include_one_machine: bool = False,
     strategy: str | None = None,
     jobs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Couple-vectorised batched lower bound (kernel v2).
 
     Computes exactly what :func:`lower_bound_batch` computes — bit-identical
-    values — but vectorises the machine-couple axis as well, through three
-    interchangeable evaluation strategies:
+    values — but vectorises the machine-couple axis as well, through two
+    interchangeable bodies:
 
     ``"gemm"``
         The Johnson scan in closed form: the candidate values of every
-        (job, couple) pair are a single matrix product of the unscheduled
-        indicator vectors with a precomputed weight matrix
-        (:class:`_V2GemmData`), reduced by a running maximum.  Preferred for
-        ``n_jobs <= 128``; float arithmetic is exact under the
-        :func:`_v2_value_bound` guard (float32 below ``2**24``, float64
-        below ``2**53``).
-    ``"scan"``
-        ``(B, n_couples)`` front/tail tensors marching through the Johnson
-        positions — ``n_jobs`` interpreter iterations instead of v1's
-        ``n_couples * n_jobs``.  Integer tiers (int16/int32/int64) are
-        selected by the same value guard.
+        (job, couple) pair are matrix products of the unscheduled indicator
+        vectors with precomputed weights (:class:`_V2GemmData`), reduced by
+        a maximum (:func:`_lower_bound_batch_v2_matmul`).  Float arithmetic
+        is exact under the :func:`_v2_value_bound` guard (float32 below
+        ``2**24``, float64 below ``2**53``).
     ``"incremental"``
-        Needs ``jobs``, the job each row scheduled last.  Rows are bounded
-        from their parent's unscheduled set: one O(n·C) pass per group of
-        consecutive rows sharing a parent set, then O(m) per row
-        (:func:`_lower_bound_batch_v2_incremental`).  Pure integer
-        arithmetic: int32 under the value guard, int64 otherwise.
+        Rows are bounded from their parent's unscheduled set: one O(n·C)
+        pass per group of consecutive rows sharing a parent set, then O(m)
+        per row (:func:`_lower_bound_batch_v2_incremental`).  Row ``i``'s
+        parent set is its unscheduled set plus ``jobs[i]``; without
+        ``jobs`` it takes the row's first scheduled job, which is as exact.
+        Pure integer arithmetic: int32 under the value guard, int64
+        otherwise.
 
-    ``strategy=None`` picks automatically: ``"incremental"`` when ``jobs``
-    is given and ``n_jobs >= _V2_INCREMENTAL_MIN_JOBS`` (the measured
-    crossover; below it the GEMM is as fast or faster), else
-    ``"gemm"`` for ``n_jobs <= 128`` and ``"scan"`` beyond.  From the
-    crossover on, one active row without ``jobs`` (a root bound) takes
-    ``"scan"``: the GEMM's weight tensor would be built for that row
-    alone.  Pools are processed in cache-sized tiles, so temporary memory
-    stays bounded for the paper's largest (262144 sub-problem) launches,
-    and a large scan or incremental launch is split across the CPUs the
-    process may use (:func:`_evaluate_rows`); every row's value is the
-    same either way.
+    ``strategy=None`` picks by the job count alone: ``"gemm"`` below
+    ``_V2_INCREMENTAL_MIN_JOBS`` and ``"incremental"`` from it.  Whatever
+    the strategy, complete rows get their makespan and, in a launch without
+    ``jobs``, rows with nothing scheduled the closed form of
+    :func:`_root_bounds`.  Pools are processed in cache-sized chunks or
+    tiles, so temporary memory stays bounded for the paper's largest
+    (262144 sub-problem) launches, and a large incremental launch is split
+    across the CPUs the process may use (:func:`_evaluate_rows`); every
+    row's value is the same either way.
 
     ``jobs`` is optional: an ``(B,)`` integer array whose entry ``i`` must be
     scheduled in ``scheduled_mask[i]`` (``ValueError`` otherwise) — the
-    ``jobs`` column of a :func:`~repro.bb.frontier.branch_block` block.
-    The other parameters and the return value are identical to
-    :func:`lower_bound_batch`.
+    ``jobs`` column of a :func:`~repro.bb.frontier.branch_block` block.  The
+    other parameters and the return value are as in
+    :func:`lower_bound_batch`, without its ``include_one_machine`` switch:
+    at ``m >= 2`` the couple ``(k, m - 1)`` dominates machine ``k``'s
+    one-machine term, and at ``m = 1`` the v1 fallback adds it.
 
     A signed-integer ``release`` (a block's int32 column) keeps its dtype;
-    each strategy casts what it reads to the dtype its value guard picks.
-    Any other ``release`` (a list, floats, unsigned integers) is converted
-    to int64 first.  Unless some row is complete, ``scheduled_mask`` and
-    ``release`` reach the strategy uncopied: the scan and incremental
-    strategies read them in place one tile at a time, the GEMM makes the
-    transposed copies its products need.
+    each body casts what it reads to the dtype its value guard picks.  Any
+    other ``release`` (a list, floats, unsigned integers) is converted to
+    int64 first.  Unless some row is resolved here, ``scheduled_mask`` and
+    ``release`` reach the body uncopied, which reads them in place one chunk
+    or tile at a time.
     """
     scheduled_mask = np.asarray(scheduled_mask, dtype=bool)
     release = np.asarray(release)
@@ -1265,49 +1175,42 @@ def lower_bound_batch_v2(
         raise ValueError(f"scheduled_mask must have shape (B, {data.n_jobs})")
     if release.shape != (scheduled_mask.shape[0], data.n_machines):
         raise ValueError(f"release must have shape ({scheduled_mask.shape[0]}, {data.n_machines})")
-    if strategy not in (None, "gemm", "scan", "incremental"):
+    if strategy not in (None, "gemm", "incremental"):
         raise ValueError(f"unknown v2 strategy {strategy!r}")
     if jobs is not None:
         jobs = _check_jobs(jobs, scheduled_mask)
-    elif strategy == "incremental":
-        raise ValueError("the incremental strategy needs jobs")
 
     if scheduled_mask.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     if data.n_couples == 0:
         # m == 1: only the single-machine relaxation applies; the v1 kernel
         # already evaluates it fully vectorised.
-        return lower_bound_batch(
-            data, scheduled_mask, release, include_one_machine=include_one_machine
-        )
-
+        return lower_bound_batch(data, scheduled_mask, release)
+    if strategy is None:
+        strategy = "incremental" if data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS else "gemm"
     value_bound = _v2_value_bound(data, release)
 
-    # Complete schedules are resolved here once; the strategy kernels only
-    # ever see the active (incomplete) sub-problems.  A launch without
-    # complete rows passes its own arrays through uncopied.
-    complete = scheduled_mask.all(axis=1)
+    # Complete rows and, without ``jobs``, root rows are resolved here once;
+    # the bodies only see the others.  A launch with none of them passes its
+    # own arrays through uncopied.
+    resolved = scheduled_mask.all(axis=1)
+    root = None if jobs is not None else ~scheduled_mask.any(axis=1)
+    # (count_nonzero: a small launch's cheapest "any")
+    if root is not None and not np.count_nonzero(root):
+        root = None
     bounds: np.ndarray | None = None
     mask_a, rel_a, jobs_a = scheduled_mask, release, jobs
-    if complete.any():
-        bounds = np.zeros(complete.size, dtype=np.int64)
-        bounds[complete] = release[complete, -1]
-        active = np.flatnonzero(~complete)
+    if root is not None or np.count_nonzero(resolved):
+        bounds = np.zeros(resolved.size, dtype=np.int64)
+        bounds[resolved] = release[resolved, -1]
+        if root is not None:
+            bounds[root] = _root_bounds(data, release[root])
+            resolved |= root
+        active = np.flatnonzero(~resolved)
         if active.size == 0:
             return bounds
         mask_a, rel_a = scheduled_mask[active], release[active]
         jobs_a = None if jobs is None else jobs[active]
-
-    if strategy is None:
-        large = data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS
-        if large and jobs is not None:
-            strategy = "incremental"
-        elif data.n_jobs > _V2_GEMM_MAX_JOBS or (large and len(mask_a) == 1):
-            # one row without ``jobs`` (a root bound) does not pay for the
-            # GEMM's (n, C, n + 1) weight tensor; the scan is bit-identical
-            strategy = "scan"
-        else:
-            strategy = "gemm"
 
     if strategy == "gemm":
         if value_bound < 2**24:
@@ -1315,55 +1218,37 @@ def lower_bound_batch_v2(
         elif value_bound < 2**53:
             ftype = np.float64
         else:  # pragma: no cover - pathological magnitudes
-            return lower_bound_batch(
-                data, scheduled_mask, release, include_one_machine=include_one_machine
-            )
+            return lower_bound_batch(data, scheduled_mask, release)
         # not split: BLAS already runs each product on its own threads
-        values = _lower_bound_batch_v2_gemm(data, mask_a, rel_a, include_one_machine, ftype)
-    elif strategy == "incremental":
+        values = _lower_bound_batch_v2_matmul(data, mask_a, rel_a, ftype)
+    else:
+        if jobs_a is None:
+            jobs_a = mask_a.argmax(axis=1)
+        itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
         # the lazy per-instance tables are built here, on the calling
         # thread, so the parts of a split launch never race to build one
-        assert jobs_a is not None
-        itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
         _v2_incremental_data(data, itype)
         values = _evaluate_rows(
             lambda mask, rel, last: _lower_bound_batch_v2_incremental(data, mask, rel, last, itype),
             data.n_couples,
-            None,
             mask_a,
             rel_a,
             jobs_a,
         )
-    else:
-        if value_bound < 2**15:
-            dtype: np.dtype = np.int16
-        elif value_bound < 2**31:
-            dtype = np.int32
-        else:
-            dtype = np.int64
-        data.couple_tensors()
-        values = _evaluate_rows(
-            lambda mask, rel: _lower_bound_batch_v2_scan(
-                data, mask, rel, include_one_machine, dtype
-            ),
-            data.n_couples,
-            _V2_SCAN_CHUNK,
-            mask_a,
-            rel_a,
-        )
 
     if bounds is None:
         return values
-    bounds[~complete] = values
+    bounds[~resolved] = values
     return bounds
 
 
-#: The batched kernel implementations, keyed by the engine selector value.
-BATCH_KERNELS = {"v1": lower_bound_batch, "v2": lower_bound_batch_v2}
+#: The batched kernel every engine bounds with, keyed by its selector value
+#: (a dict, so a caller can wrap the entry: perfbench's traced run does).
+BATCH_KERNELS = {"v2": lower_bound_batch_v2}
 
 
 def get_batch_kernel(kernel: str):
-    """Resolve a ``"v1"`` / ``"v2"`` selector to the batched kernel function."""
+    """Resolve the ``"v2"`` selector to the batched kernel function."""
     try:
         return BATCH_KERNELS[kernel]
     except KeyError:

@@ -27,9 +27,9 @@ thread:
     the latency a straggler session can impose on its peers).
 
 Bit-exactness: a fused launch concatenates the blocks' ``(scheduled_mask,
-release)`` arrays and evaluates them with the same batched kernel (v2) a
-stand-alone solve would use.  Every kernel path in this repository returns
-bit-identical bounds for a given row regardless of the surrounding batch
+release, jobs)`` arrays and evaluates them with the same batched kernel
+(v2) a stand-alone solve would use.  Every kernel path in this repository
+returns bit-identical bounds for a given row regardless of the surrounding batch
 (the PR 1/PR 3 invariant), so coalescing changes *how many launches* are
 issued — never a single bound value, and therefore never a session's
 explored tree, result or counters (pinned by ``tests/test_service.py``
@@ -534,7 +534,7 @@ class BatchDispatcher:
         started = time.perf_counter()
         if len(members) == 1:
             block = first.block
-            bounds = kernel(first.data, block.scheduled_mask, block.release)
+            bounds = kernel(first.data, block.scheduled_mask, block.release, jobs=block.jobs)
             wall = time.perf_counter() - started
             block.lower_bound[:] = bounds
             if not first.future.done():
@@ -542,7 +542,9 @@ class BatchDispatcher:
             return
         mask = np.concatenate([request.block.scheduled_mask for request in members])
         release = np.concatenate([request.block.release for request in members])
-        bounds = kernel(first.data, mask, release)
+        jobs = [request.block.jobs for request in members]
+        jobs = None if any(column is None for column in jobs) else np.concatenate(jobs)
+        bounds = kernel(first.data, mask, release, jobs=jobs)
         wall = time.perf_counter() - started
         total = mask.shape[0]
         offset = 0
@@ -634,7 +636,7 @@ class BatchingOffload:
         """LocalBounding semantics: same batched kernel, no dispatcher."""
         kernel = get_batch_kernel("v2")
         started = time.perf_counter()
-        bounds = kernel(self.data, block.scheduled_mask, block.release)
+        bounds = kernel(self.data, block.scheduled_mask, block.release, jobs=block.jobs)
         wall = time.perf_counter() - started
         block.lower_bound[:] = bounds
         return block.lower_bound, 0.0, wall

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import GpuBBConfig, PoolSizeAutotuner
@@ -49,3 +50,23 @@ class TestMeasureMode:
         assert report.mode == "measure"
         assert report.best_pool_size in (32, 64)
         assert all(sample.per_node_s > 0 for sample in report.samples)
+
+    def test_measured_launch_carries_a_jobs_column(self, monkeypatch, small_instance):
+        """The timed pool is branch-built: the children of random parents, with ``jobs``."""
+        import repro.flowshop.bounds as bounds
+
+        launches = []
+        real = bounds.BATCH_KERNELS["v2"]
+
+        def spy(data, mask, release, jobs=None, **kwargs):
+            launches.append((mask.copy(), jobs))
+            return real(data, mask, release, jobs=jobs, **kwargs)
+
+        monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
+        PoolSizeAutotuner(small_instance, candidates=(5, 12), mode="measure").run()
+        assert [len(mask) for mask, _ in launches] == [5, 12]
+        for mask, jobs in launches:
+            assert jobs is not None and jobs.shape == (len(mask),)
+            assert mask[np.arange(len(mask)), jobs].all()
+            depth = mask.sum(axis=1)
+            assert (depth == depth[0]).all() and 1 <= depth[0] < small_instance.n_jobs

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.bb import frontier as frontier_module
 from repro.bb.driver import SearchDriver
 from repro.bb.frontier import (
-    _FUSED_MAX_BATCH,
     NO_BOUND,
     BlockFrontier,
     NodeBlock,
@@ -26,6 +25,7 @@ from repro.bb.frontier import (
 )
 from repro.bb.stats import SearchStats
 from repro.flowshop import FlowShopInstance
+import repro.flowshop.bounds as bounds
 from repro.flowshop.bounds import (
     LowerBoundData,
     _v2_value_bound,
@@ -55,7 +55,6 @@ class TestTrail:
         root = trail.append_root()
         ids = trail.append_batch(root, np.array([2, 0, 1]))
         assert [trail.prefix(i) for i in ids] == [(2,), (0,), (1,)]
-        assert np.array_equal(trail.jobs_of(ids), [2, 0, 1])
 
 
 class TestRootAndSeed:
@@ -162,9 +161,10 @@ class TestBoundBlock:
         children = branch_block(block, instance.processing_times, order)
         if not len(children):
             return
+        # the v1 reference, with and without its one-machine term
         for include in (False, True):
             probe = children.take(np.arange(len(children)))
-            got = bound_block(data, probe, include_one_machine=include)
+            got = bound_block(data, probe)
             want = lower_bound_batch(
                 data, probe.scheduled_mask, probe.release, include_one_machine=include
             )
@@ -193,12 +193,16 @@ class TestBoundBlock:
         assert np.array_equal(got, want)
 
     def test_v1_kernel_path(self, medium_instance):
+        """v1 is no kernel of the operator any more; as a reference it agrees."""
         data = LowerBoundData(medium_instance)
         trail = Trail()
         children = branch_block(
             root_block(medium_instance, trail), medium_instance.processing_times, 1
         )
-        got = bound_block(data, children, kernel="v1")
+        with pytest.raises(ValueError, match="'v2' or 'scalar'"):
+            bound_block(data, children, kernel="v1")
+        assert (children.lower_bound == NO_BOUND).all()  # refused before bounding
+        got = bound_block(data, children)
         want = lower_bound_batch(data, children.scheduled_mask, children.release)
         assert np.array_equal(got, want)
 
@@ -250,11 +254,11 @@ class TestGroupedSiblings:
         instance = FlowShopInstance(rng.integers(low, 2 * low + 60, size=(n, m)))
         data = LowerBoundData(instance)
         depth = int(rng.integers(0, n - 1))  # parents down to depth n - 2
-        most = max(1, _FUSED_MAX_BATCH // (n - depth))  # up to the 512-row cap
+        most = max(1, 512 // (n - depth))  # up to 512 rows
         parents, order = _equal_depth_parents(instance, depth, int(rng.integers(1, most + 1)), rng)
         children = branch_block(parents, instance.processing_times, order)
         want = _scalar_bounds(data, children, include)
-        got = bound_block(data, children, include, siblings=True)
+        got = bound_block(data, children, siblings=True)
         assert np.array_equal(got, want)
         assert np.array_equal(children.lower_bound, want)
         if big:
@@ -264,47 +268,65 @@ class TestGroupedSiblings:
         "n, depth, count",
         [
             (10, 0, 1),  # the root's children: one group
-            (10, 2, 64),  # 64 parents x 8 children: exactly the 512-row cap
+            (10, 2, 64),  # 64 parents x 8 children: 512 rows
             (8, 6, 100),  # depth n - 2: two children per parent
         ],
     )
     def test_fused_path_bounds_per_group(self, monkeypatch, n, depth, count):
+        """One v2 call per block, with the ``jobs`` column, in one GEMM product."""
         instance = FlowShopInstance(np.random.default_rng(n + depth).integers(1, 99, size=(n, 5)))
         data = LowerBoundData(instance)
         parents, order = _equal_depth_parents(instance, depth, count, np.random.default_rng(count))
         assert len(parents) == count
         children = branch_block(parents, instance.processing_times, order)
-        groups = []
-        real = frontier_module._sibling_qm
+        launches = []
+        real = bounds.BATCH_KERNELS["v2"]
 
-        def spy(jobs, group, fd):
-            groups.append((len(jobs), group))
-            return real(jobs, group, fd)
+        def spy(data, mask, release, jobs=None, **kwargs):
+            launches.append((len(mask), jobs))
+            return real(data, mask, release, jobs=jobs, **kwargs)
 
-        monkeypatch.setattr(frontier_module, "_sibling_qm", spy)
+        monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
         for include in (False, True):
             probe = children.take(np.arange(len(children)))
-            got = bound_block(data, probe, include, siblings=True)
+            got = bound_block(data, probe, siblings=True)
             assert np.array_equal(got, _scalar_bounds(data, probe, include))
-        assert groups == [(count * (n - depth), n - depth)] * 2
+            rows, jobs = launches.pop()
+            assert rows == count * (n - depth) and jobs is probe.jobs
+        assert not launches
 
     def test_above_the_cap_takes_the_kernel(self, monkeypatch):
+        """Above 512 rows, as below: the same single kernel call, exact."""
         instance = FlowShopInstance(np.random.default_rng(7).integers(1, 99, size=(10, 5)))
         data = LowerBoundData(instance)
         parents, order = _equal_depth_parents(instance, 2, 65, np.random.default_rng(1))
         children = branch_block(parents, instance.processing_times, order)
-        assert len(children) > _FUSED_MAX_BATCH
-        monkeypatch.setattr(frontier_module, "_sibling_qm", None)  # must not be reached
+        assert len(children) > 512
+        launches = []
+        real = bounds.BATCH_KERNELS["v2"]
+
+        def spy(*args, **kwargs):
+            launches.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
         got = bound_block(data, children, siblings=True)
+        assert launches == [len(children)]
         assert np.array_equal(got, _scalar_bounds(data, children))
 
     @pytest.mark.parametrize("kernel", ["v1", "scalar"])
     def test_other_kernels(self, kernel):
+        """The scalar loop bounds sibling blocks exactly; v1 is a reference only."""
         instance = FlowShopInstance(np.random.default_rng(3).integers(1, 99, size=(8, 4)))
         data = LowerBoundData(instance)
         parents, order = _equal_depth_parents(instance, 3, 12, np.random.default_rng(2))
         children = branch_block(parents, instance.processing_times, order)
-        got = bound_block(data, children, kernel=kernel, siblings=True)
+        if kernel == "v1":
+            with pytest.raises(ValueError):
+                bound_block(data, children, kernel=kernel, siblings=True)
+            got = lower_bound_batch(data, children.scheduled_mask, children.release)
+        else:
+            got = bound_block(data, children, kernel=kernel, siblings=True)
         assert np.array_equal(got, _scalar_bounds(data, children))
 
 

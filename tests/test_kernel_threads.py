@@ -7,8 +7,8 @@ a launch watchdog's straggler keeps running while the launch is retried.
 The kernels must therefore keep no shared mutable scratch state — every
 bound computed beside another thread must equal the single-threaded one.
 
-Kernel v2 also splits one large scan or incremental launch across the
-usable CPUs, on threads that live only for that launch.  The split cases
+Kernel v2 also splits one large incremental launch across the usable
+CPUs, on threads that live only for that launch.  The split cases
 below force it on any host by reporting 4 usable CPUs and lowering the
 grain, and check that every part's bounds are exact, that a failing part's
 error reaches the caller, and that no thread outlives the launch.
@@ -30,8 +30,8 @@ from repro.bb.frontier import Trail, branch_block, root_block
 from repro.flowshop import random_instance, taillard_instance
 from repro.flowshop.bounds import LowerBoundData, lower_bound, lower_bound_batch_v2
 
-#: rows per launch: one full GEMM chunk, so both threads want scratch
-#: buffers of the same width
+#: rows per launch: one GEMM chunk, so both threads want workspaces of the
+#: same size
 ROWS = 256
 #: launches per thread
 LAUNCHES = 300
@@ -98,20 +98,18 @@ def test_two_threads_bounding_one_instance_get_exact_bounds():
 # --------------------------------------------------------------------- #
 #: per-strategy kernel functions a split launch evaluates once per part
 STRATEGY_FUNCTIONS = {
-    "gemm": "_lower_bound_batch_v2_gemm",
-    "scan": "_lower_bound_batch_v2_scan",
+    "gemm": "_lower_bound_batch_v2_matmul",
     "incremental": "_lower_bound_batch_v2_incremental",
 }
 
 
 def _force_split(monkeypatch, cpus: int = 4, grain: int = 1) -> None:
-    """Report ``cpus`` usable CPUs and lower both split grains to ``grain``.
+    """Report ``cpus`` usable CPUs and lower the split grain to ``grain``.
 
-    The incremental strategy's grain is its tile, so its tiles shrink to one
+    The incremental body's grain is its tile, so its tiles shrink to one
     parent as well.
     """
     monkeypatch.setattr(bounds, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(bounds, "_SPLIT_MIN_ELEMENTS", grain)
     monkeypatch.setattr(bounds, "_V2_INCREMENTAL_TILE", grain)
 
 
@@ -194,31 +192,6 @@ class TestSplitLaunch:
         assert np.array_equal(split, expected)
         assert np.array_equal(one_cpu, expected)
 
-    def test_scan_parts_cut_on_tile_boundaries_and_stay_exact(self, monkeypatch):
-        instance = random_instance(130, 4, seed=5)  # n > 128: the scan strategy
-        data = LowerBoundData(instance)
-        mask, release = _random_rows(data, 100, seed=3)
-        expected = _scalar(data, mask, release)
-        monkeypatch.setattr(bounds, "_V2_SCAN_CHUNK", 16)
-        _force_split(monkeypatch, cpus=1)
-        one_cpu = lower_bound_batch_v2(data, mask, release)
-        _force_split(monkeypatch, cpus=4)
-        parts = _spy_parts(monkeypatch, "scan")
-        cuts = []
-        real_cuts = bounds._split_cuts
-
-        def spy_cuts(*args):
-            cuts.append(real_cuts(*args))
-            return cuts[-1]
-
-        monkeypatch.setattr(bounds, "_split_cuts", spy_cuts)
-        split = lower_bound_batch_v2(data, mask, release)
-        # 7 tiles of 16 rows over 4 parts
-        assert cuts == [[0, 16, 48, 80, 100]]
-        assert sorted(rows for _, rows in parts) == [16, 20, 32, 32]
-        assert np.array_equal(split, expected)
-        assert np.array_equal(one_cpu, expected)
-
     def test_gemm_is_never_split(self, monkeypatch, paper_instance_data):
         """BLAS runs the GEMM's products on its own threads, so no split."""
         mask, release = _random_rows(paper_instance_data, 1100, seed=4)
@@ -229,9 +202,9 @@ class TestSplitLaunch:
         head = slice(0, 40)
         assert np.array_equal(got[head], _scalar(paper_instance_data, mask[head], release[head]))
 
-    @pytest.mark.parametrize("strategy", ["gemm", "scan"])
+    @pytest.mark.parametrize("strategy", ["gemm", "incremental"])
     def test_13x6_launch_below_the_grain_runs_as_one_part(self, monkeypatch, strategy):
-        """The GEMM never splits; the scan's 15 couples x 512 rows are below the grain."""
+        """The GEMM never splits; 65,536 rows x 15 couples are below two incremental tiles."""
         data = LowerBoundData(taillard_instance(13, 6, index=1))
         block_mask, block_release = _random_rows(data, 64, seed=6)
         reps = 65_536 // 64
@@ -246,25 +219,20 @@ class TestSplitLaunch:
         monkeypatch.setattr(bounds, "_usable_cpus", lambda: 4)
         cuts = bounds._split_cuts
         # incremental: a part needs rows * n_couples >= 2**19, one tile
-        assert cuts(689, 190, None) is None
-        assert cuts(5_518, 190, None) is None
-        assert cuts(5_519, 190, None) == [0, 2_759, 5_519]
-        assert cuts(104_857, 10, None) is None
-        assert cuts(104_858, 10, None) == [0, 52_429, 104_858]
-        assert cuts(100_000, 190, None) == [0, 25_000, 50_000, 75_000, 100_000]
-        # scan: at least one full 512-row tile per part, cuts on tile bounds
-        assert cuts(65_536, 15, 512) is None
-        assert cuts(1_023, 190, 512) is None
-        assert cuts(1_024, 190, 512) == [0, 512, 1_024]
-        assert cuts(1_500, 190, 512) == [0, 512, 1_500]
+        assert cuts(689, 190) is None
+        assert cuts(5_518, 190) is None
+        assert cuts(5_519, 190) == [0, 2_759, 5_519]
+        assert cuts(104_857, 10) is None
+        assert cuts(104_858, 10) == [0, 52_429, 104_858]
+        assert cuts(100_000, 190) == [0, 25_000, 50_000, 75_000, 100_000]
 
     def test_small_launches_skip_the_affinity_read(self, monkeypatch):
         def unexpected():
             raise AssertionError("affinity read below the grain")
 
         monkeypatch.setattr(bounds, "_usable_cpus", unexpected)
-        assert bounds._split_cuts(689, 190, None) is None
-        assert bounds._split_cuts(100_000, 15, 512) is None
+        assert bounds._split_cuts(689, 190) is None
+        assert bounds._split_cuts(65_536, 15) is None
 
     def test_one_usable_cpu_runs_one_part(self, monkeypatch):
         instance, block = _sibling_block(50, 20, n_parents=40)

@@ -4,13 +4,15 @@ Kernel v2 (:func:`repro.flowshop.bounds.lower_bound_batch_v2`) must be
 *bit-identical* to both the scalar ``lower_bound`` and the v1
 ``lower_bound_batch`` on every input — that is the contract that lets the
 engines switch kernels without changing the explored tree.  These tests
-drive all three implementations (and both internal v2 strategies) over
-randomly generated instances and pools, including every edge case the
-kernel special-cases: ``m = 1`` (no couples), ``m = 2`` (a single couple),
-empty prefixes (root nodes), complete schedules and empty pools.  The
-incremental strategy, which bounds branch-built rows from their parent's
-set, is driven over sibling launches split the ways the engines split
-them, and through whole engine solves.
+drive all three implementations (and both v2 bodies) over randomly
+generated instances and pools, including every edge case the kernel
+special-cases: ``m = 1`` (no couples), ``m = 2`` (a single couple), empty
+prefixes (root nodes, bounded in closed form), complete schedules and
+empty pools.  The GEMM body is driven across its row chunks and job
+blocks, and the incremental body, which bounds rows from their parent's
+set, over sibling launches split the ways the engines split them, with
+any scheduled job standing in for a missing ``jobs`` column, and through
+whole engine solves.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.flowshop.bounds import (
     lower_bound_batch_v2,
 )
 
-V2_STRATEGIES = ("gemm", "scan")
+V2_STRATEGIES = ("gemm", "incremental")
 
 
 def instances(min_jobs=1, max_jobs=7, min_machines=1, max_machines=5, max_pt=99):
@@ -90,9 +92,7 @@ class TestKernelV2Equivalence:
         v1 = lower_bound_batch(data, mask, release, include_one_machine=one_mach)
         assert np.array_equal(v1, scalar)
         for strategy in (None, *V2_STRATEGIES):
-            v2 = lower_bound_batch_v2(
-                data, mask, release, include_one_machine=one_mach, strategy=strategy
-            )
+            v2 = lower_bound_batch_v2(data, mask, release, strategy=strategy)
             assert np.array_equal(v2, scalar), f"strategy={strategy}"
 
     @given(instances(min_machines=1, max_machines=1), st.integers(1, 12), st.integers(0, 999))
@@ -150,22 +150,24 @@ class TestKernelV2Edges:
     def test_unknown_strategy_rejected(self):
         instance = FlowShopInstance(np.full((3, 3), 2), name="edge")
         data = LowerBoundData(instance)
-        with pytest.raises(ValueError):
-            lower_bound_batch_v2(
-                data,
-                np.zeros((1, 3), dtype=bool),
-                np.zeros((1, 3), dtype=np.int64),
-                strategy="v3",
-            )
+        for strategy in ("v3", "scan"):
+            with pytest.raises(ValueError):
+                lower_bound_batch_v2(
+                    data,
+                    np.zeros((1, 3), dtype=bool),
+                    np.zeros((1, 3), dtype=np.int64),
+                    strategy=strategy,
+                )
 
     def test_kernel_registry(self):
-        assert set(BATCH_KERNELS) == {"v1", "v2"}
-        assert get_batch_kernel("v1") is lower_bound_batch
+        """Engines select only v2; v1 is a reference called directly."""
+        assert set(BATCH_KERNELS) == {"v2"}
         assert get_batch_kernel("v2") is lower_bound_batch_v2
-        with pytest.raises(ValueError):
-            get_batch_kernel("v0")
+        for name in ("v0", "v1"):
+            with pytest.raises(ValueError):
+                get_batch_kernel(name)
 
-    def test_scan_forced_on_single_job_instance(self):
+    def test_each_strategy_forced_on_single_job_instance(self):
         instance = FlowShopInstance(np.array([[3, 4, 5]]), name="edge-1job")
         data = LowerBoundData(instance)
         mask = np.array([[False], [True]])
@@ -175,6 +177,39 @@ class TestKernelV2Edges:
             assert np.array_equal(
                 lower_bound_batch_v2(data, mask, release, strategy=strategy), expected
             )
+
+
+def _non_decreasing_release(data, rng, rows):
+    """``rows`` random release vectors, non-decreasing along the machines."""
+    steps = rng.integers(0, 3 * int(data.ptm.max()) + 1, size=(rows, data.n_machines))
+    steps[rng.random(rows) < 0.25] = 0  # some all-zero rows, as at the root
+    return np.cumsum(steps, axis=1)
+
+
+class TestRootClosedForm:
+    """Rows with nothing scheduled: ``max_c(max(r_l, r_i + K_c) + B_c + QM_l)``."""
+
+    @given(
+        instances(min_jobs=3, max_jobs=9, min_machines=2, max_machines=5),
+        st.integers(1, 6),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_scalar_bound(self, instance, rows, seed):
+        data = LowerBoundData(instance)
+        release = _non_decreasing_release(data, np.random.default_rng(seed), rows)
+        mask = np.zeros((rows, instance.n_jobs), dtype=bool)
+        expected = [lower_bound(data, [], release=rel) for rel in release]
+        for strategy in (None, *V2_STRATEGIES):
+            got = lower_bound_batch_v2(data, mask, release, strategy=strategy)
+            assert got.tolist() == expected, strategy
+        assert bounds._root_bounds(data, release).tolist() == expected
+
+    def test_root_launch_builds_no_body_tables(self):
+        data = LowerBoundData(taillard_instance(100, 20, index=1))
+        got = lower_bound_batch_v2(data, np.zeros((1, 100), dtype=bool), np.zeros((1, 20)))
+        assert got.tolist() == [lower_bound(data, [])]
+        assert set(data._v2_gemm_cache) == {"big", "root"}
 
 
 def sibling_launch(instance, data, n_parents, seed, deep=False):
@@ -249,8 +284,7 @@ class TestIncrementalStrategy:
             [lower_bound(data, prefixes[i], include_one_machine=one_mach) for i in rows],
             dtype=np.int64,
         )
-        options = {"include_one_machine": one_mach, "strategy": "incremental"}
-        whole = lower_bound_batch_v2(data, mask, release, jobs=jobs, **options)
+        whole = lower_bound_batch_v2(data, mask, release, jobs=jobs, strategy="incremental")
         assert np.array_equal(whole, expected)
         # contiguous slices, as the cluster engine bounds them
         for part in np.array_split(np.arange(len(rows)), n_slices):
@@ -258,9 +292,40 @@ class TestIncrementalStrategy:
                 continue
             lo, hi = int(part[0]), int(part[-1]) + 1
             sliced = lower_bound_batch_v2(
-                data, mask[lo:hi], release[lo:hi], jobs=jobs[lo:hi], **options
+                data, mask[lo:hi], release[lo:hi], jobs=jobs[lo:hi], strategy="incremental"
             )
             assert np.array_equal(sliced, expected[lo:hi])
+
+    @given(
+        instances(min_jobs=3, max_jobs=9, min_machines=2, max_machines=5),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+        st.sampled_from(["first", "last", "random"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_scheduled_job_as_jobs_gives_the_scalar_bound(
+        self, instance, n_parents, seed, pick
+    ):
+        """A row's parent set may be its unscheduled set plus ANY scheduled job."""
+        data = LowerBoundData(instance)
+        rng = np.random.default_rng(seed)
+        mask, release, _, prefixes, parent_of = sibling_launch(instance, data, n_parents, seed)
+        active = np.flatnonzero(~mask.all(axis=1))
+        mask, release = mask[active], release[active]
+        expected = [lower_bound(data, prefixes[row]) for row in active]
+        scheduled = [np.flatnonzero(row) for row in mask]
+        chosen = {
+            "first": [jobs[0] for jobs in scheduled],
+            "last": [jobs[-1] for jobs in scheduled],
+            "random": [rng.choice(jobs) for jobs in scheduled],
+        }[pick]
+        got = lower_bound_batch_v2(
+            data, mask, release, strategy="incremental", jobs=np.array(chosen, dtype=np.int64)
+        )
+        assert got.tolist() == expected
+        # without ``jobs`` the body takes each row's first scheduled job
+        jobless = lower_bound_batch_v2(data, mask, release, strategy="incremental")
+        assert jobless.tolist() == expected
 
     @given(instances(min_jobs=2, max_jobs=8, min_machines=2, max_pt=10**8), st.integers(0, 999))
     @settings(max_examples=10, deadline=None)
@@ -287,20 +352,23 @@ class TestIncrementalStrategy:
         release = data.machine_release_times([0])[None, :]
         with pytest.raises(ValueError, match="scheduled"):
             lower_bound_batch_v2(data, mask, release, jobs=np.array([1]))
-        with pytest.raises(ValueError):
-            lower_bound_batch_v2(data, mask, release, strategy="incremental")
+        for jobs in (np.array([-1]), np.array([4]), np.array([0, 0]), np.array([0.0])):
+            with pytest.raises(ValueError):
+                lower_bound_batch_v2(data, mask, release, strategy="incremental", jobs=jobs)
 
     def test_auto_selects_incremental_from_the_crossover(self, monkeypatch, incremental_calls):
         instance = taillard_instance(6, 4, index=1)
         data = LowerBoundData(instance)
         mask, release, jobs, _, _ = sibling_launch(instance, data, 3, 0)
-        lower_bound_batch_v2(data, mask, release, jobs=jobs)
+        expected = lower_bound_batch(data, mask, release)
+        assert lower_bound_batch_v2(data, mask, release, jobs=jobs).tolist() == expected.tolist()
         assert not incremental_calls  # 6 jobs: below the crossover
         monkeypatch.setattr(bounds, "_V2_INCREMENTAL_MIN_JOBS", 6)
-        lower_bound_batch_v2(data, mask, release)
-        assert not incremental_calls  # no jobs, no incremental strategy
-        lower_bound_batch_v2(data, mask, release, jobs=jobs)
-        assert incremental_calls
+        assert lower_bound_batch_v2(data, mask, release, jobs=jobs).tolist() == expected.tolist()
+        assert len(incremental_calls) == 1
+        # from the crossover a launch without ``jobs`` is incremental too
+        assert lower_bound_batch_v2(data, mask, release).tolist() == expected.tolist()
+        assert len(incremental_calls) == 2
 
 
 class TestIncrementalGroupStarts:
@@ -343,12 +411,9 @@ class TestIncrementalGroupStarts:
         data, mask, release, jobs = self._launch()
         # one chunk of rows per ``chunk`` rows, and one group per tile
         monkeypatch.setattr(bounds, "_V2_INCREMENTAL_TILE", chunk * data.n_jobs)
-        for one_mach in (False, True):
-            expected = [lower_bound(data, p, include_one_machine=one_mach) for p in self.PREFIXES]
-            got = lower_bound_batch_v2(
-                data, mask, release, include_one_machine=one_mach, strategy="incremental", jobs=jobs
-            )
-            assert got.tolist() == expected
+        expected = [lower_bound(data, p) for p in self.PREFIXES]
+        got = lower_bound_batch_v2(data, mask, release, strategy="incremental", jobs=jobs)
+        assert got.tolist() == expected
 
 
 class TestIncrementalTiles:
@@ -378,10 +443,10 @@ class TestIncrementalTiles:
         rows = split_first_parent(parent_of)  # parent 0's set in two runs
         mask, release, jobs = mask[rows], release[rows].astype(np.int32), jobs[rows]
         expected = [lower_bound(data, prefixes[i], include_one_machine=one_mach) for i in rows]
-        options = {"include_one_machine": one_mach, "strategy": "incremental"}
+        options = {"strategy": "incremental"}
         cut = int(np.random.default_rng(seed).integers(1, len(rows)))
 
-        def even_cuts(length, n_couples, tile):
+        def even_cuts(length, n_couples):
             if length < parts or parts < 2:
                 return None
             return [length * part // parts for part in range(parts)] + [length]
@@ -399,9 +464,79 @@ class TestIncrementalTiles:
                 assert part.tolist() == expected[lo:hi]
 
 
+class TestGemmChunks:
+    """The GEMM body across row-chunk and job-block boundaries.
+
+    The element budget is patched small, so a launch runs as several row
+    chunks and each chunk's candidates as several products of one to
+    ``n`` jobs: ``chunk = budget // max(C, n * m)`` rows and ``budget //
+    (C * chunk)`` jobs per product.
+    """
+
+    @given(
+        instances(min_jobs=3, max_jobs=9, min_machines=2, max_machines=5),
+        st.integers(1, 6),
+        st.integers(1, 600),
+        st.integers(0, 10_000),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_scalar(self, instance, n_parents, budget, seed, with_jobs):
+        data = LowerBoundData(instance)
+        mask, release, jobs, prefixes, parent_of = sibling_launch(instance, data, n_parents, seed)
+        rows = split_first_parent(parent_of)  # parent 0's set in two runs
+        mask, release, jobs = mask[rows], release[rows].astype(np.int32), jobs[rows]
+        expected = [lower_bound(data, prefixes[i]) for i in rows]
+        launch_jobs = jobs if with_jobs else None
+        cut = int(np.random.default_rng(seed).integers(1, len(rows))) if len(rows) > 1 else 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_V2_GEMM_ELEMENTS", budget)
+            whole = lower_bound_batch_v2(data, mask, release, strategy="gemm", jobs=launch_jobs)
+            assert whole.tolist() == expected
+            for lo, hi in ((0, cut), (cut, len(rows))):  # as the cluster engine slices
+                part = lower_bound_batch_v2(
+                    data,
+                    mask[lo:hi],
+                    release[lo:hi],
+                    strategy="gemm",
+                    jobs=None if launch_jobs is None else launch_jobs[lo:hi],
+                )
+                assert part.tolist() == expected[lo:hi]
+
+    def test_blocks_cover_every_job_once(self, monkeypatch):
+        """One product per chunk when it fits, one job per product at the least."""
+        data = LowerBoundData(taillard_instance(20, 20, index=1))
+        n, n_couples = data.n_jobs, data.n_couples
+        mask, release, _ = random_pool(data.instance, data, 40, 3)
+        active = int(np.count_nonzero(mask.any(axis=1) & ~mask.all(axis=1)))
+        expected = lower_bound_batch(data, mask, release)
+        stacked = bounds._v2_gemm_data(data, np.float32).stacked
+        products = []
+        real_dot = np.dot
+
+        def counting_dot(a, b, out=None):
+            products.append((np.shares_memory(a, stacked), a.shape[0], b.shape[1]))
+            return real_dot(a, b, out=out)
+
+        monkeypatch.setattr(bounds.np, "dot", counting_dot)
+        for budget in (1 << 17, 3 * n * n_couples, n_couples, 1):
+            products.clear()
+            monkeypatch.setattr(bounds, "_V2_GEMM_ELEMENTS", budget)
+            got = lower_bound_batch_v2(data, mask, release, strategy="gemm")
+            assert got.tolist() == expected.tolist()
+            candidates = [(rows, width) for is_candidate, rows, width in products if is_candidate]
+            chunks = [width for is_candidate, _, width in products if not is_candidate]  # B_N
+            assert sum(chunks) == active, budget
+            assert sum(rows for rows, _ in candidates) == len(chunks) * n * n_couples, budget
+            assert all(rows * width <= max(budget, n_couples) for rows, width in candidates)
+            if budget == 1 << 17:
+                assert len(candidates) == len(chunks) == 1  # the whole launch in one product
+            if budget <= n_couples:
+                assert {rows for rows, _ in candidates} == {n_couples}  # a job per product
+
+
 STRATEGY_FUNCTIONS = {
-    "gemm": "_lower_bound_batch_v2_gemm",
-    "scan": "_lower_bound_batch_v2_scan",
+    "gemm": "_lower_bound_batch_v2_matmul",
     "incremental": "_lower_bound_batch_v2_incremental",
 }
 
@@ -433,20 +568,15 @@ class TestReleaseDtypes:
             mask, release, jobs = mask[rows], release[rows], jobs[rows]
             prefixes = [prefixes[row] for row in rows]
         expected = [lower_bound(data, p, include_one_machine=one_mach) for p in prefixes]
-        for strategy in (None, *V2_STRATEGIES, "incremental"):
+        for strategy in (None, *V2_STRATEGIES):
             for dtype in (np.int32, np.int64):
                 got = lower_bound_batch_v2(
-                    data,
-                    mask,
-                    release.astype(dtype),
-                    include_one_machine=one_mach,
-                    strategy=strategy,
-                    jobs=jobs,
+                    data, mask, release.astype(dtype), strategy=strategy, jobs=jobs
                 )
                 assert got.dtype == np.int64
                 assert got.tolist() == expected, (strategy, dtype)
 
-    @pytest.mark.parametrize("strategy", ["gemm", "scan", "incremental"])
+    @pytest.mark.parametrize("strategy", ["gemm", "incremental"])
     def test_strategies_read_the_launch_arrays_in_place(self, monkeypatch, strategy):
         instance = taillard_instance(8, 5, index=1)
         data = LowerBoundData(instance)
@@ -482,14 +612,13 @@ class TestReleaseDtypes:
         mask, release, jobs, prefixes, _ = sibling_launch(instance, data, 3, 1)
         expected = [lower_bound(data, p) for p in prefixes]
         for given_release in (release.tolist(), release.astype(np.float64)):
-            for strategy in (None, *V2_STRATEGIES, "incremental"):
+            for strategy in (None, *V2_STRATEGIES):
                 got = lower_bound_batch_v2(data, mask, given_release, strategy=strategy, jobs=jobs)
                 assert got.tolist() == expected, (type(given_release), strategy)
 
 
 def _set_crossover(monkeypatch, n_jobs):
     monkeypatch.setattr(bounds, "_V2_INCREMENTAL_MIN_JOBS", n_jobs)
-    monkeypatch.setattr(frontier, "_V2_INCREMENTAL_MIN_JOBS", n_jobs)
 
 
 class TestIncrementalEngines:
@@ -544,7 +673,7 @@ class TestIncrementalEngines:
         assert self._fingerprint(split) == self._fingerprint(one_cpu)
 
     def test_root_bound_builds_no_gemm_tables(self, monkeypatch):
-        """The one-row root launch takes the scan, not the GEMM's tables."""
+        """The one-row root launch takes the closed form, not the GEMM's tables."""
         engine = GpuBranchAndBound(self.INSTANCE, self.CONFIG)
         launches = []
         evaluate_block = engine.executor.evaluate_block
@@ -556,47 +685,30 @@ class TestIncrementalEngines:
 
         monkeypatch.setattr(engine.executor, "evaluate_block", spy)
         engine.solve()
-        gemm_tables = (bounds._V2GemmData, frontier._FusedData)
-        cache = engine.data._v2_gemm_cache.values()
-        assert not [table for table in cache if isinstance(table, gemm_tables)]
+        cache = engine.data._v2_gemm_cache
+        assert not [table for table in cache.values() if isinstance(table, bounds._V2GemmData)]
+        assert "root" in cache
         assert launches[0].tolist() == [lower_bound(engine.data, [])]
 
 
 class TestOneMachineTermIsDominated:
-    """The ``include_one_machine`` operator flag never changes a bound.
+    """The references' ``include_one_machine`` flag never changes a bound.
 
     At m >= 2 the couple bound dominates the one-machine bound on every
     machine; at m = 1 every path adds the one-machine bound itself (no
-    couples).  This is why no engine surface exposes the flag.
+    couples).  This is why kernel v2 and the frontier operator have no
+    such flag: both references, with the flag on, equal every v2 path.
     """
 
     @staticmethod
-    def _every_path(instance, data, seed, flag):
+    def _references(instance, data, seed, flag):
         mask, release, prefixes = random_pool(instance, data, 24, seed)
-        paths = {
-            "scalar": np.array([lower_bound(data, p, include_one_machine=flag) for p in prefixes]),
-            "v1": lower_bound_batch(data, mask, release, include_one_machine=flag),
-        }
-        for strategy in (None, *V2_STRATEGIES):
-            paths[f"v2-{strategy}"] = lower_bound_batch_v2(
-                data, mask, release, include_one_machine=flag, strategy=strategy
-            )
-        s_mask, s_release, jobs, _, _ = sibling_launch(instance, data, 3, seed)
-        paths["v2-incremental"] = lower_bound_batch_v2(
-            data, s_mask, s_release, jobs=jobs, include_one_machine=flag, strategy="incremental"
-        )
-        # the frontier operator on branch-built sibling blocks: the fused
-        # path (with and without the sibling shortcut), scalar and v1
-        pt = instance.processing_times
-        level1 = frontier.branch_block(frontier.root_block(instance, frontier.Trail()), pt, 1)
-        level2 = frontier.branch_block(level1, pt, 1 + len(level1))
-        for depth, block in ((1, level1), (2, level2)):
-            for kernel in ("v2", "scalar", "v1"):
-                for siblings in (False, True):
-                    paths[f"block{depth}-{kernel}-{siblings}"] = frontier.bound_block(
-                        data, block, flag, kernel=kernel, siblings=siblings
-                    ).copy()
-        return paths
+        s_mask, s_release, jobs, s_prefixes, _ = sibling_launch(instance, data, 3, seed)
+        scalar = [lower_bound(data, p, include_one_machine=flag) for p in prefixes]
+        v1 = lower_bound_batch(data, mask, release, include_one_machine=flag)
+        assert v1.tolist() == scalar
+        s_scalar = [lower_bound(data, p, include_one_machine=flag) for p in s_prefixes]
+        return (mask, release, scalar), (s_mask, s_release, jobs, s_scalar)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_flag_never_changes_a_bound(self, m):
@@ -604,7 +716,32 @@ class TestOneMachineTermIsDominated:
             rng = np.random.default_rng(1000 * m + seed)
             instance = FlowShopInstance(rng.integers(1, 99, size=(int(rng.integers(3, 9)), m)))
             data = LowerBoundData(instance)
-            without = self._every_path(instance, data, seed, False)
-            with_term = self._every_path(instance, data, seed, True)
-            for path, bounds_off in without.items():
-                assert np.array_equal(with_term[path], bounds_off), (seed, path)
+            for flag in (False, True):
+                pool, siblings = self._references(instance, data, seed, flag)
+                mask, release, expected = pool
+                for strategy in (None, *V2_STRATEGIES):
+                    got = lower_bound_batch_v2(data, mask, release, strategy=strategy)
+                    assert got.tolist() == expected, (seed, flag, strategy)
+                s_mask, s_release, jobs, s_expected = siblings
+                for strategy in (None, *V2_STRATEGIES):
+                    got = lower_bound_batch_v2(
+                        data, s_mask, s_release, jobs=jobs, strategy=strategy
+                    )
+                    assert got.tolist() == s_expected, (seed, flag, strategy)
+                # the frontier operator on branch-built sibling blocks
+                pt = instance.processing_times
+                level1 = frontier.branch_block(
+                    frontier.root_block(instance, frontier.Trail()), pt, 1
+                )
+                level2 = frontier.branch_block(level1, pt, 1 + len(level1))
+                for block in (level1, level2):
+                    want = [
+                        lower_bound(data, block.prefix(row), include_one_machine=flag)
+                        for row in range(len(block))
+                    ]
+                    for kernel in ("v2", "scalar"):
+                        for sibling_flag in (False, True):
+                            got = frontier.bound_block(
+                                data, block, kernel=kernel, siblings=sibling_flag
+                            )
+                            assert got.tolist() == want, (seed, flag, kernel, sibling_flag)
