@@ -82,7 +82,7 @@ def legacy_solve_block(instance, max_nodes):
 
     start = time.perf_counter()
     t0 = time.perf_counter()
-    bound_block(data, root, False, kernel="v2")
+    bound_block(data, root, kernel="v2")
     stats.time_bounding_s += time.perf_counter() - t0
     stats.nodes_bounded += 1
     frontier.push_block(root)
@@ -135,7 +135,7 @@ def legacy_solve_block(instance, max_nodes):
                         next_order += len(children)
                         stats.nodes_branched += 1
                         t0 = perf_counter()
-                        bound_block(data, children, False, kernel="v2", siblings=True)
+                        bound_block(data, children, kernel="v2", siblings=True)
                         stats.time_bounding_s += perf_counter() - t0
                         n_children = len(children)
                         stats.nodes_bounded += n_children
@@ -166,7 +166,7 @@ def legacy_solve_block(instance, max_nodes):
                 next_order += len(children)
                 stats.nodes_branched += k
                 t0 = perf_counter()
-                bound_block(data, children, False, kernel="v2", siblings=k == 1)
+                bound_block(data, children, kernel="v2", siblings=k == 1)
                 stats.time_bounding_s += perf_counter() - t0
                 n_children = len(children)
                 stats.nodes_bounded += n_children
@@ -214,7 +214,7 @@ def legacy_solve_block(instance, max_nodes):
         stats.nodes_branched += 1
 
         t0 = perf_counter()
-        bound_block(data, children, False, kernel="v2", siblings=True)
+        bound_block(data, children, kernel="v2", siblings=True)
         stats.time_bounding_s += perf_counter() - t0
         n_children = len(children)
         stats.nodes_bounded += n_children

@@ -472,9 +472,9 @@ def bound_block(
 
     The block's ``(scheduled_mask, release)`` arrays and its ``jobs``
     column go to kernel v2 (``get_batch_kernel("v2")``) as they are, in one
-    call: below 40 jobs its GEMM body takes each parent set's minimal
-    tails once, and from 40 jobs its incremental body bounds the rows from
-    their parents' sets.  ``kernel="scalar"`` instead calls
+    call: below 40 jobs its GEMM body bounds every row from its own mask,
+    and from 40 jobs its incremental body bounds the rows from their
+    parents' sets.  ``kernel="scalar"`` instead calls
     :func:`repro.flowshop.bounds.lower_bound` once per row — the paper's
     serial baseline.  Values are bit-identical to that scalar bound on
     every row, whatever the kernel, and are also written back into

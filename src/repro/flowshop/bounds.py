@@ -1020,9 +1020,11 @@ def _lower_bound_batch_v2_incremental(
     with the couples ranked by diagonal: the couples ``(i, i + 1 + d)`` of
     one ``d`` are a contiguous block aligned with ``P_0 .. P_{m-2-d}`` and
     with ``W_{1+d} .. W_{m-1}``, so ``P`` takes one add and one maximum
-    per diagonal.  ``QM`` comes from the parent's (min, second-min) tails,
-    as in the GEMM body.  Two tile tables are live at a
-    time.  Integer ``dtype`` keeps the arithmetic exact.
+    per diagonal.  ``QM`` comes from the (min, second-min) tails that the
+    body finds per machine over each parent set: removing the child's job
+    from the set leaves the minimum, unless that job held it.  Two tile
+    tables are live at a time.  Integer ``dtype`` keeps the arithmetic
+    exact.
 
     ``mask_a`` and ``rel_a`` are read in place: group starts are found
     :data:`_V2_INCREMENTAL_TILE` mask elements at a time
@@ -1153,8 +1155,10 @@ def lower_bound_batch_v2(
     row's value is the same either way.
 
     ``jobs`` is optional: an ``(B,)`` integer array whose entry ``i`` must be
-    scheduled in ``scheduled_mask[i]`` (``ValueError`` otherwise) — the
-    ``jobs`` column of a :func:`~repro.bb.frontier.branch_block` block.  The
+    scheduled in ``scheduled_mask[i]`` — the ``jobs`` column of a
+    :func:`~repro.bb.frontier.branch_block` block.  Only the incremental
+    body reads it, so only an incremental launch checks it
+    (``ValueError``); a GEMM launch skips the check.  The
     other parameters and the return value are as in
     :func:`lower_bound_batch`, without its ``include_one_machine`` switch:
     at ``m >= 2`` the couple ``(k, m - 1)`` dominates machine ``k``'s
@@ -1177,8 +1181,6 @@ def lower_bound_batch_v2(
         raise ValueError(f"release must have shape ({scheduled_mask.shape[0]}, {data.n_machines})")
     if strategy not in (None, "gemm", "incremental"):
         raise ValueError(f"unknown v2 strategy {strategy!r}")
-    if jobs is not None:
-        jobs = _check_jobs(jobs, scheduled_mask)
 
     if scheduled_mask.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
@@ -1188,6 +1190,8 @@ def lower_bound_batch_v2(
         return lower_bound_batch(data, scheduled_mask, release)
     if strategy is None:
         strategy = "incremental" if data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS else "gemm"
+    if jobs is not None and strategy == "incremental":
+        jobs = _check_jobs(jobs, scheduled_mask)  # only this body reads them
     value_bound = _v2_value_bound(data, release)
 
     # Complete rows and, without ``jobs``, root rows are resolved here once;
@@ -1199,7 +1203,8 @@ def lower_bound_batch_v2(
     if root is not None and not np.count_nonzero(root):
         root = None
     bounds: np.ndarray | None = None
-    mask_a, rel_a, jobs_a = scheduled_mask, release, jobs
+    active = None
+    mask_a, rel_a = scheduled_mask, release
     if root is not None or np.count_nonzero(resolved):
         bounds = np.zeros(resolved.size, dtype=np.int64)
         bounds[resolved] = release[resolved, -1]
@@ -1210,7 +1215,6 @@ def lower_bound_batch_v2(
         if active.size == 0:
             return bounds
         mask_a, rel_a = scheduled_mask[active], release[active]
-        jobs_a = None if jobs is None else jobs[active]
 
     if strategy == "gemm":
         if value_bound < 2**24:
@@ -1222,8 +1226,10 @@ def lower_bound_batch_v2(
         # not split: BLAS already runs each product on its own threads
         values = _lower_bound_batch_v2_matmul(data, mask_a, rel_a, ftype)
     else:
-        if jobs_a is None:
+        if jobs is None:
             jobs_a = mask_a.argmax(axis=1)
+        else:
+            jobs_a = jobs if active is None else jobs[active]
         itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
         # the lazy per-instance tables are built here, on the calling
         # thread, so the parts of a split launch never race to build one

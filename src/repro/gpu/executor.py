@@ -202,10 +202,10 @@ class GpuExecutor:
         device buffers :meth:`evaluate` consumes, so this is a zero-copy
         hand-off — the host-side "pack the pool" step of the paper's
         Figure 3 disappears.  The kernel never widens the int32 ``release``
-        column as a whole: a strategy casts what it reads (the scan and
-        incremental strategies one tile at a time), and the int64 bounds are
-        cast back through the in-place write into the block's int32
-        ``lower_bound`` column.  The timing model's
+        column as a whole: a body casts what it reads (the GEMM body one
+        row chunk at a time, the incremental body one tile), and the int64
+        bounds are cast back through the in-place write into the block's
+        int32 ``lower_bound`` column.  The timing model's
         ``n_remaining`` comes from the block's ``depth`` column (the
         scheduled-job count of every row), the same integer a row sum of
         the mask gives.

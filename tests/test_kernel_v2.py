@@ -351,10 +351,15 @@ class TestIncrementalStrategy:
         mask = np.array([[True, False, False, False]])
         release = data.machine_release_times([0])[None, :]
         with pytest.raises(ValueError, match="scheduled"):
-            lower_bound_batch_v2(data, mask, release, jobs=np.array([1]))
+            lower_bound_batch_v2(data, mask, release, strategy="incremental", jobs=np.array([1]))
         for jobs in (np.array([-1]), np.array([4]), np.array([0, 0]), np.array([0.0])):
             with pytest.raises(ValueError):
                 lower_bound_batch_v2(data, mask, release, strategy="incremental", jobs=jobs)
+        # the GEMM body reads no ``jobs``, so its launches skip the check
+        expected = lower_bound_batch(data, mask, release).tolist()
+        for jobs in (np.array([1]), np.array([4]), np.array([0, 0])):
+            got = lower_bound_batch_v2(data, mask, release, strategy="gemm", jobs=jobs)
+            assert got.tolist() == expected
 
     def test_auto_selects_incremental_from_the_crossover(self, monkeypatch, incremental_calls):
         instance = taillard_instance(6, 4, index=1)
