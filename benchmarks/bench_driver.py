@@ -123,7 +123,7 @@ def legacy_solve_block(instance, max_nodes):
                             continue
                         t0 = perf_counter()
                         children = branch_row(
-                            batch.scheduled_mask[i],
+                            batch.mask_bits[i],
                             batch.release[i],
                             depth0,
                             int(batch.trail_id[i]),
@@ -152,7 +152,7 @@ def legacy_solve_block(instance, max_nodes):
                 t0 = perf_counter()
                 if k == 1:
                     children = branch_row(
-                        batch.scheduled_mask[0],
+                        batch.mask_bits[0],
                         batch.release[0],
                         depth0,
                         int(batch.trail_id[0]),

@@ -21,7 +21,8 @@ This module measures both:
   one part and >= 5x at 200x20 (asserted by a plain pytest case, so the
   CI smoke run enforces them); in script mode the one-part launch times at
   50/100/200x20, the crossover table behind ``_V2_INCREMENTAL_MIN_JOBS``
-  and the tie-batch table (the merged GEMM body against the frozen one);
+  (its GEMM column stops at 40 jobs, where no launch takes the GEMM) and
+  the tie-batch table (the merged GEMM body against the frozen one);
 * one launch split across the usable CPUs: the ta100x20 sibling launch
   (the ``gpu-100x20`` shape) with the calling thread pinned to one CPU
   (one part) against unpinned (one part per CPU), alternating pinned and
@@ -36,6 +37,11 @@ This module measures both:
   exceeds (a plain pytest case); script mode prints it beside the launch
   time, with a ta200x20 pool launch (the children of 2048 depth-2
   parents).
+
+Every timed kernel-v2 call takes packed rows (``NodeBlock.mask_bits``, or
+a synthetic pool packed once beforehand), as the engines launch it; the
+v1 reference and the frozen GEMM take boolean masks, unpacked outside
+their timed calls.
 
 Runable two ways::
 
@@ -65,6 +71,8 @@ from repro.flowshop.bounds import (
     LowerBoundData,
     lower_bound_batch,
     lower_bound_batch_v2,
+    pack_mask,
+    unpack_mask,
 )
 from repro.gpu.executor import GpuExecutor
 
@@ -107,28 +115,29 @@ POOL_PARENTS = 2048
 
 
 def _launch_inputs(n_jobs=20, n_machines=20, pool_size=POOL_SIZE):
+    """``(data, bool mask, packed rows, release)`` of a synthetic pool."""
     instance = taillard_instance(n_jobs, n_machines, index=1)
     data = LowerBoundData(instance)
     mask, release = synthetic_pool(instance, pool_size, seed=1)
-    return data, mask, release
+    return data, mask, pack_mask(mask), release
 
 
 def test_kernel_v1_launch_20x20(benchmark):
-    data, mask, release = _launch_inputs()
+    data, mask, _, release = _launch_inputs()
     values = benchmark(lower_bound_batch, data, mask, release)
     assert values.shape == (POOL_SIZE,)
 
 
 def test_kernel_v2_launch_20x20(benchmark):
-    data, mask, release = _launch_inputs()
-    lower_bound_batch_v2(data, mask, release)  # build the cached tensors
-    values = benchmark(lower_bound_batch_v2, data, mask, release)
+    data, _, bits, release = _launch_inputs()
+    lower_bound_batch_v2(data, bits, release)  # build the cached tensors
+    values = benchmark(lower_bound_batch_v2, data, bits, release)
     assert values.shape == (POOL_SIZE,)
 
 
 def test_kernel_v2_matches_v1_on_large_pool(benchmark):
-    data, mask, release = _launch_inputs(pool_size=8192)
-    v2 = benchmark(lower_bound_batch_v2, data, mask, release)
+    data, mask, bits, release = _launch_inputs(pool_size=8192)
+    v2 = benchmark(lower_bound_batch_v2, data, bits, release)
     assert np.array_equal(v2, lower_bound_batch(data, mask, release))
 
 
@@ -244,12 +253,13 @@ def test_incremental_launch_exact_and_fast(n_jobs, floor):
     split across the usable CPUs as usual.
     """
     data, children = _sibling_launch(n_jobs, 20)
-    mask, release = children.scheduled_mask, children.release
+    bits, release = children.mask_bits, children.release
+    mask = unpack_mask(bits, n_jobs)  # the frozen GEMM's and v1's input
     tables = _FrozenTiledTables(data)
     t_gemm, gemm = _timed(_frozen_tiled_gemm, data, tables, mask, release)
     with _one_part() if n_jobs == 100 else contextlib.nullcontext():
         t_inc, incremental = _timed(
-            lower_bound_batch_v2, data, mask, release, strategy="incremental",
+            lower_bound_batch_v2, data, bits, release, strategy="incremental",
             jobs=children.jobs, reps=3,
         )
     assert np.array_equal(incremental, gemm)
@@ -287,7 +297,7 @@ def _one_cpu_vs_all(fn, rounds=SPLIT_ROUNDS):
 def test_split_launch_exact_and_faster():
     """The ta100x20 sibling launch: identical bounds, >= 1.4x split over one part."""
     data, children = _sibling_launch(100, 20)
-    args = (data, children.scheduled_mask, children.release)
+    args = (data, children.mask_bits, children.release)
     lower_bound_batch_v2(*args, jobs=children.jobs)  # build the tables
     t_one, t_all, one, split = _one_cpu_vs_all(
         lambda: lower_bound_batch_v2(*args, jobs=children.jobs)
@@ -326,7 +336,7 @@ def _launch_memory(data, block):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    inputs = block.scheduled_mask.nbytes + block.release.nbytes
+    inputs = block.mask_bits.nbytes + block.release.nbytes
     return inputs / 2**20, peak / 2**20, seconds
 
 
@@ -357,6 +367,9 @@ def crossover_table() -> None:
 
     The single sibling set is what the sequential engine bounds per step;
     below ``_V2_INCREMENTAL_MIN_JOBS`` it takes the GEMM body in one product.
+    From the crossover on no launch takes the GEMM, so its column is left
+    out there (forcing it took 2.2 s at 100x20 and 17.9 s at 200x20); the
+    incremental body's first sibling set is checked against v1 instead.
     """
     print(
         f"incremental crossover (children of {SIBLING_PARENTS} depth-2 parents; "
@@ -365,24 +378,32 @@ def crossover_table() -> None:
     print("  class      rows   gemm ms  incr ms  ratio | one parent: gemm us  incr us  ratio")
     for n_jobs, n_machines in CROSSOVER_CLASSES:
         data, children = _sibling_launch(n_jobs, n_machines)
-        args = (data, children.scheduled_mask, children.release)
-        t_gemm, gemm = _timed(lower_bound_batch_v2, *args, strategy="gemm", reps=2)
+        args = (data, children.mask_bits, children.release)
         t_inc, inc = _timed(
             lower_bound_batch_v2, *args, strategy="incremental", jobs=children.jobs, reps=3
         )
-        assert np.array_equal(inc, gemm), f"{n_jobs}x{n_machines} diverged"
         sib = children.take(np.arange(n_jobs - 2))  # the first parent's children
-        sib_args = (data, sib.scheduled_mask, sib.release)
-        t_gemm_one, _ = _timed(
-            lower_bound_batch_v2, *sib_args, strategy="gemm", jobs=sib.jobs, reps=21
-        )
+        sib_args = (data, sib.mask_bits, sib.release)
         t_sib, _ = _timed(
             lower_bound_batch_v2, *sib_args, strategy="incremental", jobs=sib.jobs, reps=21
         )
+        label = f"  {n_jobs:>3}x{n_machines:<3} {len(children):>7}"
+        if n_jobs >= _V2_INCREMENTAL_MIN_JOBS:
+            reference = lower_bound_batch(data, unpack_mask(sib.mask_bits, n_jobs), sib.release)
+            assert np.array_equal(inc[: len(sib)], reference), f"{n_jobs}x{n_machines} diverged"
+            print(
+                f"{label} {'-':>9} {t_inc * 1e3:8.1f} {'-':>6} | {'-':>18} "
+                f"{t_sib * 1e6:8.0f} {'-':>6}"
+            )
+            continue
+        t_gemm, gemm = _timed(lower_bound_batch_v2, *args, strategy="gemm", reps=2)
+        assert np.array_equal(inc, gemm), f"{n_jobs}x{n_machines} diverged"
+        t_gemm_one, _ = _timed(
+            lower_bound_batch_v2, *sib_args, strategy="gemm", jobs=sib.jobs, reps=21
+        )
         print(
-            f"  {n_jobs:>3}x{n_machines:<3} {len(children):>7} {t_gemm * 1e3:9.1f} "
-            f"{t_inc * 1e3:8.1f} {t_gemm / t_inc:6.2f} | {t_gemm_one * 1e6:18.0f} "
-            f"{t_sib * 1e6:8.0f} {t_gemm_one / t_sib:6.2f}"
+            f"{label} {t_gemm * 1e3:9.1f} {t_inc * 1e3:8.1f} {t_gemm / t_inc:6.2f} | "
+            f"{t_gemm_one * 1e6:18.0f} {t_sib * 1e6:8.0f} {t_gemm_one / t_sib:6.2f}"
         )
 
 
@@ -393,7 +414,7 @@ def one_part_table() -> None:
     with _one_part():
         for n_jobs in (50, 100, 200):
             data, children = _sibling_launch(n_jobs, 20)
-            args = (data, children.scheduled_mask, children.release)
+            args = (data, children.mask_bits, children.release)
             lower_bound_batch_v2(*args, jobs=children.jobs)  # build the tables
             seconds, _ = _timed(lower_bound_batch_v2, *args, jobs=children.jobs, reps=3)
             print(f"  {n_jobs:>3}x20 {len(children):>7} {seconds * 1e3:12.1f}")
@@ -411,11 +432,12 @@ def grouped_sibling_table() -> None:
     for n_jobs, n_machines in GROUPED_CLASSES:
         for n_parents in GROUPED_PARENTS:
             data, children = _sibling_launch(n_jobs, n_machines, n_parents)
-            args = (data, children.scheduled_mask, children.release)
+            bits, release = children.mask_bits, children.release
+            mask = unpack_mask(bits, n_jobs)
             tables = _FrozenTiledTables(data)
             merged = bounds._lower_bound_batch_v2_matmul
-            t_merged, out = _timed(merged, *args, np.float32, reps=21)
-            t_tiled, reference = _timed(_frozen_tiled_gemm, data, tables, *args[1:], reps=21)
+            t_merged, out = _timed(merged, data, bits, release, np.float32, reps=21)
+            t_tiled, reference = _timed(_frozen_tiled_gemm, data, tables, mask, release, reps=21)
             assert np.array_equal(out, reference), f"{n_jobs}x{n_machines} diverged"
             print(
                 f"  {n_jobs:>3}x{n_machines:<3} {n_parents:>4} {len(children):>6} "
@@ -431,22 +453,22 @@ def split_table() -> None:
     print(f"split launches ({len(os.sched_getaffinity(0))} usable CPUs; floor {SPLIT_FLOOR}x)")
     print("  launch                          rows  one-CPU ms  split ms  ratio")
     cases = []
-    data, mask, release = _launch_inputs(pool_size=16384)
-    cases.append(("20x20 pool, gemm (not split)", data, mask, release, None))
-    data, mask, release = _launch_inputs(200, 20, pool_size=1024)
-    cases.append(("200x20 pool, no jobs", data, mask, release, None))
+    data, _, bits, release = _launch_inputs(pool_size=16384)
+    cases.append(("20x20 pool, gemm (not split)", data, bits, release, None))
+    data, _, bits, release = _launch_inputs(200, 20, pool_size=1024)
+    cases.append(("200x20 pool, no jobs", data, bits, release, None))
     for n_jobs in (50, 100, 200):
         data, children = _sibling_launch(n_jobs, 20)
         label = f"{n_jobs}x20 siblings, incremental"
-        cases.append((label, data, children.scheduled_mask, children.release, children.jobs))
-    for label, data, mask, release, jobs in cases:
-        lower_bound_batch_v2(data, mask, release, jobs=jobs)  # build the tables
+        cases.append((label, data, children.mask_bits, children.release, children.jobs))
+    for label, data, bits, release, jobs in cases:
+        lower_bound_batch_v2(data, bits, release, jobs=jobs)  # build the tables
         t_one, t_all, one, split = _one_cpu_vs_all(
-            lambda: lower_bound_batch_v2(data, mask, release, jobs=jobs), rounds=3
+            lambda: lower_bound_batch_v2(data, bits, release, jobs=jobs), rounds=3
         )
         assert np.array_equal(split, one), f"{label} diverged"
         print(
-            f"  {label:<30} {len(mask):>6} {t_one * 1e3:11.1f} {t_all * 1e3:9.1f} "
+            f"  {label:<30} {len(bits):>6} {t_one * 1e3:11.1f} {t_all * 1e3:9.1f} "
             f"{t_one / t_all:6.2f}"
         )
 
@@ -468,15 +490,15 @@ def memory_table() -> float:
 
 def main() -> int:
     print(f"kernel v1 vs v2 launch throughput (pool = {POOL_SIZE}, ta 20x20)")
-    data, mask, release = _launch_inputs()
+    data, mask, bits, release = _launch_inputs()
     reference = lower_bound_batch(data, mask, release)
     for strategy in (None, "gemm", "incremental"):
-        out = lower_bound_batch_v2(data, mask, release, strategy=strategy)
+        out = lower_bound_batch_v2(data, bits, release, strategy=strategy)
         assert np.array_equal(out, reference), f"strategy {strategy} diverged"
     # best of 6: the first call also builds the cached tensors and workspaces
     t_v1, _ = _timed(lower_bound_batch, data, mask, release, reps=6)
-    t_v2, _ = _timed(lower_bound_batch_v2, data, mask, release, reps=6)
-    t_inc, _ = _timed(lower_bound_batch_v2, data, mask, release, strategy="incremental", reps=6)
+    t_v2, _ = _timed(lower_bound_batch_v2, data, bits, release, reps=6)
+    t_inc, _ = _timed(lower_bound_batch_v2, data, bits, release, strategy="incremental", reps=6)
     speedup = t_v1 / t_v2
     throughput = POOL_SIZE / t_v2
     print(f"  v1        : {t_v1 * 1e3:8.1f} ms/launch  ({POOL_SIZE / t_v1:10.0f} bounds/s)")

@@ -550,7 +550,7 @@ class SearchDriver:
                                 continue
                             t0 = perf_counter()
                             children = branch_row(
-                                batch.scheduled_mask[i],
+                                batch.mask_bits[i],
                                 batch.release[i],
                                 depth0,
                                 int(batch.trail_id[i]),
@@ -588,7 +588,7 @@ class SearchDriver:
                     t0 = perf_counter()
                     if k == 1:
                         children = branch_row(
-                            batch.scheduled_mask[0],
+                            batch.mask_bits[0],
                             batch.release[0],
                             depth0,
                             int(batch.trail_id[0]),

@@ -8,15 +8,19 @@ of the search (``benchmarks/bench_frontier.py`` keeps such a loop as a
 frozen ablation and measures the gap).
 
 This module stores a *batch* of nodes as a :class:`NodeBlock` of parallel
-arrays — exactly the ``(scheduled_mask, release)`` layout the batched
-kernels consume — so the four B&B operators become array programs:
+arrays — exactly the ``(mask_bits, release)`` layout kernel v2 consumes —
+so the four B&B operators become array programs.  A node's scheduled set
+is one bit per job, ``ceil(n / 8)`` bytes
+(:func:`~repro.flowshop.bounds.pack_mask`): at the paper's 100x20 and
+200x20 sizes a bool per job was most of a node's bytes.
 
 * :func:`branch_block` — all children of a batch of parents in one shot.
   The release-time recurrence is evaluated in closed form (one
   ``cumsum`` + one ``maximum.accumulate`` over the machine axis for
-  *every* (parent, child-job) pair of a row chunk at once), masks are
-  copied and bit-set in bulk, and the child count never touches a Python
-  loop.
+  *every* (parent, child-job) pair of a row chunk at once), the parents'
+  unscheduled jobs come from one unpack of their packed rows, a child's
+  row is its parent's OR one gathered job bit, and the child count never
+  touches a Python loop.
 * :func:`bound_block` — bounding straight off the block's arrays with
   **zero re-packing**: one kernel-v2 call takes the block's columns and
   its ``jobs`` column as they are.
@@ -62,7 +66,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flowshop.bounds import LowerBoundData, get_batch_kernel, lower_bound
+from repro.flowshop.bounds import (
+    LowerBoundData,
+    get_batch_kernel,
+    job_bit_table,
+    lower_bound,
+    pack_mask,
+    unpack_mask,
+)
 from repro.flowshop.instance import FlowShopInstance
 
 __all__ = [
@@ -230,15 +241,17 @@ class Trail:
 class NodeBlock:
     """A batch of B&B nodes stored as parallel arrays (structure of arrays).
 
-    The ``(scheduled_mask, release)`` pair is byte-for-byte the layout the
-    batched bounding kernels consume, so bounding a block never re-packs
-    anything.  ``lower_bound`` holds :data:`NO_BOUND` until the node is
-    bounded.  ``order_index`` is the per-search creation index that makes
-    selection tie-breaks deterministic.
+    The ``(mask_bits, release)`` pair is byte-for-byte the layout kernel v2
+    consumes, so bounding a block never re-packs anything.  ``lower_bound``
+    holds :data:`NO_BOUND` until the node is bounded.  ``order_index`` is
+    the per-search creation index that makes selection tie-breaks
+    deterministic.
     """
 
-    #: ``(B, n_jobs)`` boolean matrix of already-scheduled jobs
-    scheduled_mask: np.ndarray
+    #: ``(B, ceil(n_jobs / 8))`` uint8 scheduled sets, one bit per job: job
+    #: ``j`` is bit ``j % 8`` of byte ``j // 8`` (see
+    #: :func:`~repro.flowshop.bounds.pack_mask`); padding bits are zero
+    mask_bits: np.ndarray
     #: ``(B, n_machines)`` per-machine release times (the ``RM`` vectors)
     release: np.ndarray
     #: ``(B,)`` lower bounds (:data:`NO_BOUND` until evaluated)
@@ -251,17 +264,15 @@ class NodeBlock:
     trail_id: np.ndarray
     #: shared ancestry store of the search
     trail: Trail
-    #: ``(B,)`` job scheduled last by each row (set by :func:`branch_block`;
-    #: lets kernel v2 bound the rows from their parents' sets)
+    #: number of jobs of the instance (the packed width does not give it)
+    n_jobs: int
+    #: ``(B,)`` int32 job scheduled last by each row (set by
+    #: :func:`branch_block`; lets kernel v2 bound the rows from their
+    #: parents' sets)
     jobs: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return int(self.scheduled_mask.shape[0])
-
-    @property
-    def n_jobs(self) -> int:
-        """Number of jobs of the underlying instance (mask width)."""
-        return int(self.scheduled_mask.shape[1])
+        return int(self.mask_bits.shape[0])
 
     @property
     def n_machines(self) -> int:
@@ -290,13 +301,14 @@ class NodeBlock:
         """A new block holding copies of ``rows``, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
         return NodeBlock(
-            scheduled_mask=self.scheduled_mask[rows],
+            mask_bits=self.mask_bits[rows],
             release=self.release[rows],
             lower_bound=self.lower_bound[rows],
             depth=self.depth[rows],
             order_index=self.order_index[rows],
             trail_id=self.trail_id[rows],
             trail=self.trail,
+            n_jobs=self.n_jobs,
             jobs=self.jobs[rows] if self.jobs is not None else None,
         )
 
@@ -305,26 +317,28 @@ class NodeBlock:
         """A block of ``rows`` unwritten rows (none by default) with correctly
         shaped/typed columns."""
         return cls(
-            scheduled_mask=np.empty((rows, n_jobs), dtype=bool),
+            mask_bits=np.empty((rows, (n_jobs + 7) >> 3), dtype=np.uint8),
             release=np.empty((rows, n_machines), dtype=np.int32),
             lower_bound=np.empty(rows, dtype=np.int32),
             depth=np.empty(rows, dtype=np.int32),
             order_index=np.empty(rows, dtype=np.int32),
             trail_id=np.empty(rows, dtype=np.int32),
             trail=trail,
+            n_jobs=n_jobs,
         )
 
 
 def root_block(instance: FlowShopInstance, trail: Trail) -> NodeBlock:
     """A one-row block holding the root (empty schedule), order index 0."""
     return NodeBlock(
-        scheduled_mask=np.zeros((1, instance.n_jobs), dtype=bool),
+        mask_bits=np.zeros((1, (instance.n_jobs + 7) >> 3), dtype=np.uint8),
         release=np.zeros((1, instance.n_machines), dtype=np.int32),
         lower_bound=np.full(1, NO_BOUND, dtype=np.int32),
         depth=np.zeros(1, dtype=np.int32),
         order_index=np.zeros(1, dtype=np.int32),
         trail_id=np.array([trail.append_root()], dtype=np.int32),
         trail=trail,
+        n_jobs=instance.n_jobs,
     )
 
 
@@ -355,13 +369,14 @@ def seed_block(
     depth = len(prefix)
     lower = release[-1] if depth == n else NO_BOUND
     return NodeBlock(
-        scheduled_mask=mask,
+        mask_bits=pack_mask(mask),
         release=release[None, :],
         lower_bound=np.array([lower], dtype=np.int32),
         depth=np.array([depth], dtype=np.int32),
         order_index=np.array([depth], dtype=np.int32),
         trail_id=np.array([trail_id], dtype=np.int32),
         trail=trail,
+        n_jobs=n,
     )
 
 
@@ -383,34 +398,41 @@ def branch_block(
     that :meth:`BlockFrontier.reserve` hands out, where they are bounded
     and admitted without moving.  Otherwise a new block is allocated and
     written by the same code.  Either way the returned block is that
-    destination with its ``jobs`` column set.  Masks and release times
-    are written :data:`_ROW_CHUNK` rows at a time from the int32
-    processing times, so no temporary spans the whole child set.
+    destination with its int32 ``jobs`` column set.  The parents'
+    unscheduled jobs come from one unpack of their packed rows; a child's
+    row is its parent's row OR its job's bit, gathered by job from
+    :func:`~repro.flowshop.bounds.job_bit_table`.  Rows, release times and
+    order indices are written :data:`_ROW_CHUNK` rows at a time from the
+    int32 processing times, so no temporary spans the whole child set.
     """
-    mask = parents.scheduled_mask
-    parent_rows, jobs = np.nonzero(~mask)
+    n_jobs = parents.n_jobs
+    bits = parents.mask_bits
+    unscheduled = np.unpackbits(~bits, axis=1, count=n_jobs, bitorder="little")
+    parent_rows, jobs = np.nonzero(unscheduled)
+    jobs = jobs.astype(np.int32)
     count = jobs.shape[0]
     if out is None:
-        out = NodeBlock.empty(parents.n_jobs, parents.n_machines, parents.trail, count)
+        out = NodeBlock.empty(n_jobs, parents.n_machines, parents.trail, count)
     elif len(out) != count:
         raise ValueError(f"destination block has {len(out)} rows for {count} children")
     pt = processing_times.astype(np.int32, copy=False)
+    job_bits = job_bit_table(n_jobs)
     for lo in range(0, count, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, count)
         rows, chunk_jobs = parent_rows[lo:hi], jobs[lo:hi]
-        child_mask = out.scheduled_mask[lo:hi]
-        child_mask[:] = mask[rows]
-        child_mask[_arange(hi - lo), chunk_jobs] = True
+        np.bitwise_or(
+            bits.take(rows, axis=0), job_bits.take(chunk_jobs, axis=0), out=out.mask_bits[lo:hi]
+        )
         # one closed-form max-plus scan advances every (parent, job) pair
         # of the chunk at once (see :func:`advance_release`)
         advance_release(parents.release[rows], pt[chunk_jobs], out=out.release[lo:hi])
+        np.add(_arange(hi - lo), order_start + lo, out=out.order_index[lo:hi])
 
     np.add(parents.depth[parent_rows], 1, out=out.depth)
     out.lower_bound[:] = NO_BOUND
-    leaves = out.depth == parents.n_jobs
+    leaves = out.depth == n_jobs
     if leaves.any():
         out.lower_bound[leaves] = out.release[leaves, -1]
-    np.add(_arange(count), order_start, out=out.order_index)
     out.trail_id[:] = parents.trail.append_batch(parents.trail_id[parent_rows], jobs)
     out.jobs = jobs
     return out
@@ -428,12 +450,14 @@ def branch_row(
     """All one-job extensions of a single node given as raw rows.
 
     The hot-loop variant of :func:`branch_block` for engines that pop one
-    node per step: it takes (views of) the node's mask and release rows
-    directly, so no intermediate one-row block is materialized.  The rows
-    are fully consumed before this function returns.
+    node per step: it takes (views of) the node's packed mask row and its
+    release row directly, so no intermediate one-row block is
+    materialized.  The rows are fully consumed before this function
+    returns.
     """
-    n_jobs = mask_row.shape[0]
-    jobs = np.flatnonzero(~mask_row)
+    n_jobs = processing_times.shape[0]
+    unscheduled = np.unpackbits(~mask_row, count=n_jobs, bitorder="little")
+    jobs = np.nonzero(unscheduled)[0].astype(np.int32)
     count = jobs.shape[0]
     if count == 0:
         return NodeBlock.empty(n_jobs, release_row.shape[0], trail)
@@ -441,8 +465,8 @@ def branch_row(
     pt_j = processing_times[jobs]
     release = advance_release(release_row, pt_j)
 
-    child_mask = np.repeat(mask_row[None, :], count, axis=0)
-    child_mask[_arange(count), jobs] = True
+    child_bits = job_bit_table(n_jobs).take(jobs, axis=0)
+    child_bits |= mask_row
 
     child_depth = depth + 1
     lower = (
@@ -451,13 +475,14 @@ def branch_row(
         else np.full(count, NO_BOUND, dtype=np.int32)
     )
     return NodeBlock(
-        scheduled_mask=child_mask,
+        mask_bits=child_bits,
         release=release,
         lower_bound=lower,
         depth=np.full(count, child_depth, dtype=np.int32),
         order_index=np.arange(order_start, order_start + count, dtype=np.int32),
         trail_id=trail.append_batch(trail_id, jobs),
         trail=trail,
+        n_jobs=n_jobs,
         jobs=jobs,
     )
 
@@ -470,8 +495,8 @@ def bound_block(
 ) -> np.ndarray:
     """Bounding operator: evaluate a block in place, with zero re-packing.
 
-    The block's ``(scheduled_mask, release)`` arrays and its ``jobs``
-    column go to kernel v2 (``get_batch_kernel("v2")``) as they are, in one
+    The block's ``(mask_bits, release)`` arrays and its ``jobs`` column
+    go to kernel v2 (``get_batch_kernel("v2")``) as they are, in one
     call: below 40 jobs its GEMM body bounds every row from its own mask,
     and from 40 jobs its incremental body bounds the rows from their
     parents' sets.  ``kernel="scalar"`` instead calls
@@ -495,20 +520,20 @@ def bound_block(
         # siblings share one depth: every child is complete
         return block.lower_bound
 
-    mask, release = block.scheduled_mask, block.release
+    bits, release = block.mask_bits, block.release
     if kernel == "scalar":
         # the paper's serial baseline: one scalar bound call per sub-problem
         # and no batch array (the bounding-fraction experiment measures it)
         for row in range(batch):
             block.lower_bound[row] = lower_bound(
-                data, np.flatnonzero(mask[row]), release=release[row]
+                data, np.flatnonzero(unpack_mask(bits[row], block.n_jobs)), release=release[row]
             )
         return block.lower_bound
 
     # kernel v2 takes the int32 ``release`` column as it is and casts it
     # inside a body; writing through the slice casts the int64 results back
     # into the block's int32 column — the explicit dtype boundary
-    block.lower_bound[:] = get_batch_kernel("v2")(data, mask, release, jobs=block.jobs)
+    block.lower_bound[:] = get_batch_kernel("v2")(data, bits, release, jobs=block.jobs)
     return block.lower_bound
 
 
@@ -639,7 +664,9 @@ class BlockFrontier:
         #: number of regime transitions (best-first <-> restricted) so far
         self.regime_switches = 0
         self._trail = trail
-        self._mask = np.zeros((capacity, n_jobs), dtype=bool)
+        self._n_jobs = n_jobs
+        #: packed scheduled sets, one bit per job (``NodeBlock.mask_bits``)
+        self._bits = np.zeros((capacity, (n_jobs + 7) >> 3), dtype=np.uint8)
         self._release = np.zeros((capacity, n_machines), dtype=np.int32)
         self._lb = np.zeros(capacity, dtype=np.int32)
         self._depth = np.zeros(capacity, dtype=np.int32)
@@ -673,10 +700,10 @@ class BlockFrontier:
         self._seg_dirty = np.ones(seg_cap, dtype=bool)
         self._seg_any_dirty = True
 
-    _ARRAYS = ("_mask", "_release", "_lb", "_depth", "_order", "_tid", "_key")
+    _ARRAYS = ("_bits", "_release", "_lb", "_depth", "_order", "_tid", "_key")
     #: the store array behind each :class:`NodeBlock` column
     _COLUMNS = (
-        ("_mask", "scheduled_mask"),
+        ("_bits", "mask_bits"),
         ("_release", "release"),
         ("_lb", "lower_bound"),
         ("_depth", "depth"),
@@ -766,7 +793,7 @@ class BlockFrontier:
         self._ensure(count)
         lo, hi = self._size, self._size + count
         views = {column: getattr(self, store)[lo:hi] for store, column in self._COLUMNS}
-        return NodeBlock(**views, trail=self._trail)
+        return NodeBlock(**views, trail=self._trail, n_jobs=self._n_jobs)
 
     def _is_reserved(self, block: NodeBlock) -> bool:
         """True when every column of ``block`` is the store's rows from its end on."""
@@ -1071,7 +1098,7 @@ class BlockFrontier:
             candidates = candidates[np.argsort(self._key[candidates])]
             if budget_remaining is not None:
                 depth = int(min_key >> 32) & 0x1FF
-                worst_per_node = 1 + self._mask.shape[1] - depth
+                worst_per_node = 1 + self._n_jobs - depth
                 cap = max(1, budget_remaining // worst_per_node)
                 if candidates.shape[0] > cap:
                     candidates = candidates[:cap]
@@ -1094,15 +1121,17 @@ class BlockFrontier:
     def row_view(self, row: int) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
         """``(lb, depth, order, trail_id, mask_view, release_view)`` of a row.
 
-        The two array views alias the frontier's storage: they are valid
-        only until the next :meth:`discard` / :meth:`push_block` call.
+        ``mask_view`` is the row's packed scheduled set (what
+        :func:`branch_row` takes).  The two array views alias the
+        frontier's storage: they are valid only until the next
+        :meth:`discard` / :meth:`push_block` call.
         """
         return (
             int(self._lb[row]),
             int(self._depth[row]),
             int(self._order[row]),
             int(self._tid[row]),
-            self._mask[row],
+            self._bits[row],
             self._release[row],
         )
 
@@ -1131,13 +1160,14 @@ class BlockFrontier:
 
     def _extract(self, rows: np.ndarray) -> NodeBlock:
         return NodeBlock(
-            scheduled_mask=self._mask[rows],
+            mask_bits=self._bits[rows],
             release=self._release[rows],
             lower_bound=self._lb[rows],
             depth=self._depth[rows],
             order_index=self._order[rows],
             trail_id=self._tid[rows],
             trail=self._trail,
+            n_jobs=self._n_jobs,
         )
 
     def _remove(self, rows: np.ndarray) -> None:
@@ -1183,7 +1213,7 @@ class BlockFrontier:
         size = self._size
         if size == 0:
             return (
-                NodeBlock.empty(self._mask.shape[1], self._release.shape[1], self._trail),
+                NodeBlock.empty(self._n_jobs, self._release.shape[1], self._trail),
                 0,
             )
         if max_nodes == 1 and upper_bound is None:

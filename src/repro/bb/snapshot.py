@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.bb.frontier import BlockFrontier, Trail
 from repro.bb.stats import SearchStats
+from repro.flowshop.bounds import pack_mask
 from repro.flowshop.instance import FlowShopInstance
 
 __all__ = [
@@ -200,7 +201,7 @@ def _capture_block(
     trail_size = len(trail)
     arrays["trail_parent"] = trail._parent[:trail_size].copy()
     arrays["trail_job"] = trail._job[:trail_size].copy()
-    arrays["f_mask"] = frontier._mask[:size].copy()
+    arrays["f_bits"] = frontier._bits[:size].copy()
     arrays["f_release"] = frontier._release[:size].copy()
     arrays["f_lb"] = frontier._lb[:size].copy()
     arrays["f_depth"] = frontier._depth[:size].copy()
@@ -374,7 +375,10 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
         capacity=max(size, 64),
         max_pending=meta["max_pending"],
     )
-    frontier._mask[:size] = arrays["f_mask"]
+    if "f_bits" in arrays:
+        frontier._bits[:size] = arrays["f_bits"]
+    else:  # written before the packed layout: one bool per job
+        frontier._bits[:size] = pack_mask(arrays["f_mask"])
     frontier._release[:size] = arrays["f_release"]
     frontier._lb[:size] = arrays["f_lb"]
     frontier._depth[:size] = arrays["f_depth"]

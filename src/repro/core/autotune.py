@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.bb.frontier import NodeBlock, Trail, advance_release, branch_block
 from repro.core.config import GpuBBConfig, PAPER_POOL_SIZES
-from repro.flowshop.bounds import LowerBoundData
+from repro.flowshop.bounds import LowerBoundData, job_bit_table
 from repro.flowshop.instance import FlowShopInstance
 from repro.gpu.executor import GpuExecutor
 from repro.gpu.simulator import GpuSimulator
@@ -136,11 +136,11 @@ class PoolSizeAutotuner:
         count = -(-pool_size // (n - depth))  # parents with enough children
         trail = Trail()
         parents = NodeBlock.empty(n, m, trail, count)
-        parents.scheduled_mask[:] = False
+        parents.mask_bits[:] = 0
         parents.release[:] = 0
         prefixes = np.argsort(rng.random((count, n)), axis=1)[:, :depth]
         for jobs in prefixes.T:  # one scheduled position at a time
-            parents.scheduled_mask[np.arange(count), jobs] = True
+            parents.mask_bits |= job_bit_table(n)[jobs]
             advance_release(parents.release, pt[jobs], out=parents.release)
         parents.depth[:] = depth
         parents.trail_id[:] = trail.append_root()

@@ -259,7 +259,7 @@ class ClusterBranchAndBound:
                 continue
             lo, hi = int(chunk[0]), int(chunk[-1]) + 1
             result = executor.evaluate(
-                children.scheduled_mask[lo:hi],
+                children.mask_bits[lo:hi],
                 children.release[lo:hi],
                 jobs=jobs[lo:hi] if jobs is not None else None,
             )

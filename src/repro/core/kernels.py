@@ -9,8 +9,9 @@ the :class:`~repro.gpu.executor.GpuExecutor` run, bit-identical to it.
 
 :class:`KernelLaunch` describes one launch (grid geometry + pool) the way
 a CUDA launch configuration would.  The pool itself travels as the
-``(scheduled_mask, release)`` arrays of a
-:class:`~repro.bb.frontier.NodeBlock`, which need no packing.
+``(mask_bits, release)`` arrays of a
+:class:`~repro.bb.frontier.NodeBlock`: one bit per job and one int32
+release vector per sub-problem, which the kernel reads as they are.
 """
 
 from __future__ import annotations

@@ -43,7 +43,13 @@ Three evaluation paths are provided:
     row scheduled last) is bounded from its unscheduled set plus any job
     it has scheduled.
 
-  Rows with nothing scheduled get a closed-form bound from per-instance
+  A launch's scheduled sets arrive bit-packed, one bit per job
+  (:func:`pack_mask`, the node layout of the frontier).  The GEMM body
+  unpacks one row chunk at a time and reads ``QM`` from per-instance byte
+  tables, the minimum over a row's bytes of the tails its byte value
+  leaves unscheduled; the incremental body finds parent sets by comparing
+  packed rows and unpacks only each tile's group-first rows.  Rows with
+  nothing scheduled get a closed-form bound from per-instance
   constants, and complete rows their makespan.  A large incremental launch
   is split into contiguous row ranges, one per CPU the process may run on,
   evaluated at the same time on threads that live only for that launch
@@ -62,6 +68,7 @@ benchmarks call directly.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -83,6 +90,10 @@ __all__ = [
     "get_batch_kernel",
     "BATCH_KERNELS",
     "one_machine_bound",
+    "pack_mask",
+    "unpack_mask",
+    "as_mask_bits",
+    "job_bit_table",
 ]
 
 
@@ -365,6 +376,62 @@ def _scheduled_mask(n_jobs: int, prefix: Sequence[int]) -> np.ndarray:
             raise ValueError(f"job {job} scheduled twice")
         mask[job] = True
     return mask
+
+
+def pack_mask(mask: np.ndarray) -> np.ndarray:
+    """Bit-pack boolean scheduled masks, ``(..., n)`` into ``(..., ceil(n / 8))`` uint8.
+
+    Job ``j`` is bit ``j % 8`` of byte ``j // 8`` (little bit order); the
+    padding bits past ``n`` are zero.  This is the node layout of
+    :class:`~repro.bb.frontier.NodeBlock` and of kernel v2's input.
+    """
+    return np.packbits(np.asarray(mask, dtype=bool), axis=-1, bitorder="little")
+
+
+def unpack_mask(bits: np.ndarray, n_jobs: int) -> np.ndarray:
+    """The boolean ``(..., n_jobs)`` masks of packed rows (the inverse of :func:`pack_mask`)."""
+    return np.unpackbits(bits, axis=-1, count=n_jobs, bitorder="little").view(bool)
+
+
+def as_mask_bits(scheduled_mask, n_jobs: int) -> np.ndarray:
+    """Scheduled masks as packed rows: ``(B, ceil(n_jobs / 8))`` uint8.
+
+    Packed rows (a uint8 array of that shape, padding bits zero) are
+    returned as they are; a boolean ``(B, n_jobs)`` mask (or anything that
+    converts to one) is packed once.
+    """
+    width = (n_jobs + 7) >> 3
+    if (
+        isinstance(scheduled_mask, np.ndarray)
+        and scheduled_mask.dtype == np.uint8
+        and scheduled_mask.ndim == 2
+        and scheduled_mask.shape[1] == width
+    ):
+        return scheduled_mask
+    mask = np.asarray(scheduled_mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape[1] != n_jobs:
+        raise ValueError(
+            f"scheduled_mask must have shape (B, {n_jobs}), or be packed rows "
+            f"of shape (B, {width}) and dtype uint8"
+        )
+    return pack_mask(mask)
+
+
+@functools.lru_cache(maxsize=64)
+def job_bit_table(n_jobs: int) -> np.ndarray:
+    """``(n_jobs, ceil(n_jobs / 8))`` uint8, read-only: row ``j`` holds job ``j``'s bit alone.
+
+    A child's packed row is its parent's row OR the row of its job,
+    gathered by job, and a parent's is the child's XOR it.
+    """
+    table = pack_mask(np.eye(n_jobs, dtype=bool))
+    table.setflags(write=False)
+    return table
+
+
+#: ``_LOW_BIT[v]``: the index of the lowest set bit of byte value ``v``
+#: (0 for ``v == 0``).
+_LOW_BIT = np.array([(v & -v).bit_length() - 1 if v else 0 for v in range(256)], dtype=np.intp)
 
 
 def one_machine_bound(
@@ -722,12 +789,18 @@ class _V2GemmData:
     1) * C`` produce job ``j``'s candidate for every couple (the last column
     carries the constants), so the rows of a run of jobs are one contiguous
     block whose product reshapes to ``(jobs, C, B)`` and reduces over its
-    leading axis.  ``bf`` (``(C, n + 1)``) produces ``B_N``; ``tails`` is
-    ``(n, m, 1)``, ``m2`` holds the couples' second machines and
-    ``fronts`` their first machines, then their second ones.
+    leading axis.  ``bf`` (``(C, n + 1)``) produces ``B_N``; ``m2`` holds
+    the couples' second machines and ``fronts`` their first machines, then
+    their second ones.
+
+    ``qm`` is ``(ceil(n / 8), 256, m)``: ``qm[b, v]`` is the per-machine
+    minimum tail over the jobs of byte ``b`` of a packed row that byte
+    value ``v`` leaves unscheduled (+inf where it leaves none; padding bits
+    never count), so a row's ``QM`` is the minimum over its bytes ``b`` of
+    ``qm[b, bits[b]]``.
     """
 
-    __slots__ = ("ftype", "stacked", "bf", "tails", "m2", "fronts")
+    __slots__ = ("ftype", "stacked", "bf", "qm", "m2", "fronts")
 
     def __init__(self, data: LowerBoundData, ftype: np.dtype):
         n, n_couples = data.n_jobs, data.n_couples
@@ -753,7 +826,12 @@ class _V2GemmData:
 
         bf = np.concatenate([b_full, np.zeros((1, n_couples), dtype=np.int64)], axis=0)
         self.bf = np.ascontiguousarray(bf.T, dtype=self.ftype)  # (C, n + 1)
-        self.tails = data.tails.astype(self.ftype)[:, :, None]  # (n, m, 1)
+        width = (n + 7) >> 3
+        tails = np.full((8 * width, data.n_machines), np.inf, dtype=self.ftype)
+        tails[:n] = data.tails  # padding jobs: +inf, never a minimum
+        scheduled = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)  # (256, 8)
+        per_byte = tails.reshape(width, 1, 8, -1)
+        self.qm = np.where(scheduled[:, :, None], np.inf, per_byte).min(axis=2)
         self.m2, self.fronts = m2, np.concatenate([m1, m2])
 
 
@@ -782,22 +860,22 @@ def _v2_gemm_data(data: LowerBoundData, ftype: type) -> _V2GemmData:
 
 
 def _lower_bound_batch_v2_matmul(
-    data: LowerBoundData, mask: np.ndarray, release: np.ndarray, ftype: np.dtype
+    data: LowerBoundData, bits: np.ndarray, release: np.ndarray, ftype: np.dtype
 ) -> np.ndarray:
     """GEMM v2 body: the closed-form candidates of :class:`_V2GemmData` by BLAS.
 
-    Receives only the *active* (incomplete, not root) sub-problems and
-    returns their ``(B_active,)`` bounds.  Rows go in chunks, read in place;
-    within a chunk one product yields the candidates of a run of ``span``
-    jobs for every couple, and their maximum reduces over the leading (job)
-    axis.  A chunk's temporaries and each product hold at most
-    :data:`_V2_GEMM_ELEMENTS` elements, so a small launch takes one product
-    per chunk and a large one a few jobs per product.  The chunks reuse
-    one workspace allocated per call, so concurrent calls (the service
-    bounds one instance from several threads) share no scratch memory and
-    none outlives the launch.  ``QM`` is the minimum of the tails over each
-    row's unscheduled jobs, masked and reduced over the leading (job) axis
-    as well.
+    Receives only the *active* (incomplete, not root) sub-problems, as
+    packed rows, and returns their ``(B_active,)`` bounds.  Rows go in
+    chunks, read in place, and each chunk is unpacked into the indicator
+    block ``u``; within a chunk one product yields the candidates of a run
+    of ``span`` jobs for every couple, and their maximum reduces over the
+    leading (job) axis.  A chunk's temporaries and each product hold at
+    most :data:`_V2_GEMM_ELEMENTS` elements, so a small launch takes one
+    product per chunk and a large one a few jobs per product.  The chunks
+    reuse one workspace allocated per call, so concurrent calls (the
+    service bounds one instance from several threads) share no scratch
+    memory and none outlives the launch.  ``QM`` is the minimum over a
+    row's bytes of the per-instance byte tables (:class:`_V2GemmData`).
 
     All float arithmetic operates on integers far below the mantissa limit
     of ``ftype`` (guarded by :func:`_v2_value_bound`), so the results are
@@ -805,7 +883,7 @@ def _lower_bound_batch_v2_matmul(
     """
     n, n_couples = data.n_jobs, data.n_couples
     gd = _v2_gemm_data(data, ftype)
-    rows = mask.shape[0]
+    rows, width_bytes = bits.shape
     chunk = min(rows, max(1, _V2_GEMM_ELEMENTS // max(n_couples, n * release.shape[1])))
     span = min(n, max(1, _V2_GEMM_ELEMENTS // (n_couples * chunk)))  # jobs per product
     # one workspace: indicators, running maximum, scratch, products
@@ -818,8 +896,9 @@ def _lower_bound_batch_v2_matmul(
         views = work[: (part_end + span * n_couples) * width].reshape(-1, width)
         u, top = views[:u_end], views[u_end:top_end]
         part, products = views[top_end:part_end], views[part_end:]
-        mask_t = np.ascontiguousarray(mask[start:end].T)  # (n, width)
-        np.logical_not(mask_t, out=u[:n])
+        chunk_bits = bits[start:end]
+        scheduled = np.unpackbits(chunk_bits.T, axis=0, count=n, bitorder="little")  # (n, width)
+        np.logical_not(scheduled, out=u[:n])
         u[n] = 1.0
 
         # the largest candidate of every couple, ``span`` jobs per product
@@ -835,13 +914,15 @@ def _lower_bound_batch_v2_matmul(
             if j0:
                 np.maximum(top, part, out=top)
 
-        qm = np.where(mask_t[:, None, :], np.inf, gd.tails).min(axis=0)  # (m, width)
+        qm = gd.qm[0].take(chunk_bits[:, 0], axis=0)  # (width, m)
+        for b in range(1, width_bytes):
+            np.minimum(qm, gd.qm[b].take(chunk_bits[:, b], axis=0), out=qm)
         fronts = release[start:end].T.astype(gd.ftype)[gd.fronts]  # (2C, width): r_k, r_l
         np.dot(gd.bf, u, out=part)  # B_N per couple
         top += fronts[:n_couples]
         part += fronts[n_couples:]
         np.maximum(top, part, out=top)
-        top += qm[gd.m2]
+        top += qm.T[gd.m2]
         best[start:end] = top.max(axis=0)
     return best
 
@@ -931,21 +1012,22 @@ def _v2_incremental_data(data: LowerBoundData, dtype: np.dtype) -> _V2Incrementa
     return inc
 
 
-def _parent_set_starts(mask: np.ndarray, jobs: np.ndarray, chunk: int) -> np.ndarray:
+def _parent_set_starts(bits: np.ndarray, jobs: np.ndarray, chunk: int) -> np.ndarray:
     """``(rows,)`` flags: True where a row's parent set differs from the row before.
 
-    The parent of row ``i`` had scheduled ``mask[i]`` without ``jobs[i]``,
-    so two rows with equal masks but swapped last jobs have different
-    parents.  Rows are compared ``chunk`` at a time, overlapping by one
-    row, so the temporaries stay ``(chunk + 1, n)`` whatever the launch size.
+    The parent of row ``i`` had scheduled the packed row ``bits[i]`` without
+    ``jobs[i]``, so two rows with equal sets but swapped last jobs have
+    different parents.  Packed rows with their job's bit cleared are
+    compared ``chunk`` rows at a time, overlapping by one row, so the
+    temporaries stay ``(chunk + 1, ceil(n / 8))`` whatever the launch size.
     """
-    rows = mask.shape[0]
+    rows, width = bits.shape
+    job_bits = job_bit_table(8 * width)  # one row per bit position
     starts = np.empty(rows, dtype=bool)
     starts[0] = True
     for lo in range(1, rows, chunk):
         hi = min(lo + chunk, rows)
-        parents = mask[lo - 1 : hi].copy()
-        parents[np.arange(hi - lo + 1), jobs[lo - 1 : hi]] = False
+        parents = bits[lo - 1 : hi] ^ job_bits[jobs[lo - 1 : hi]]
         np.any(parents[1:] != parents[:-1], axis=1, out=starts[lo:hi])
     return starts
 
@@ -975,19 +1057,19 @@ def _position_scan(op, tables: np.ndarray) -> None:
 
 def _lower_bound_batch_v2_incremental(
     data: LowerBoundData,
-    mask_a: np.ndarray,
+    bits_a: np.ndarray,
     rel_a: np.ndarray,
     jobs_a: np.ndarray,
     dtype: np.dtype,
 ) -> np.ndarray:
     """Incremental sibling v2 evaluation: O(n·C) per parent, O(m) per child.
 
-    Receives only the *active* (incomplete) sub-problems and the job each
-    one scheduled last; returns their ``(B_active,)`` bounds.  Row ``i``'s
-    parent set is ``~mask_a[i] | onehot(jobs_a[i])``; consecutive rows with
-    equal parent sets form one group, so split or partial sibling sets stay
-    exact (the tables depend on the parent's unscheduled set only —
-    release times enter per row).
+    Receives only the *active* (incomplete) sub-problems, as packed rows,
+    and the job each one scheduled last; returns their ``(B_active,)``
+    bounds.  Row ``i``'s parent set is its unscheduled set plus
+    ``jobs_a[i]``; consecutive rows with equal parent sets form one group,
+    so split or partial sibling sets stay exact (the tables depend on the
+    parent's unscheduled set only — release times enter per row).
 
     The child that removes job ``k`` from its parent's set has, on couple
     ``(i, l)``, the term ``max(r_i + A_il, r_l) + W_l``: ``r`` is the
@@ -1026,15 +1108,16 @@ def _lower_bound_batch_v2_incremental(
     tables are live at a time.  Integer ``dtype`` keeps the arithmetic
     exact.
 
-    ``mask_a`` and ``rel_a`` are read in place: group starts are found
-    :data:`_V2_INCREMENTAL_TILE` mask elements at a time
-    (:func:`_parent_set_starts`), and each tile builds the parent sets of
+    ``bits_a`` and ``rel_a`` are read in place: group starts are found
+    ``_V2_INCREMENTAL_TILE // n`` rows at a time
+    (:func:`_parent_set_starts`), and each tile unpacks the parent sets of
     its own groups from their first rows, so no temporary spans the launch.
     """
     n, n_couples = data.n_jobs, data.n_couples
     inc = _v2_incremental_data(data, dtype)
-    rows = mask_a.shape[0]
-    new_group = _parent_set_starts(mask_a, jobs_a, max(1, _V2_INCREMENTAL_TILE // n))
+    job_bits = job_bit_table(n)
+    rows = bits_a.shape[0]
+    new_group = _parent_set_starts(bits_a, jobs_a, max(1, _V2_INCREMENTAL_TILE // n))
     starts = np.flatnonzero(new_group)
     n_groups = starts.size
     group_end = np.append(starts, rows)
@@ -1050,8 +1133,8 @@ def _lower_bound_batch_v2_incremental(
         width = g1 - g0
         r0, r1 = int(group_end[g0]), int(group_end[g1])
         first = starts[g0:g1]
-        sets = ~mask_a[first]  # (G, n) parent sets
-        sets[np.arange(width), jobs_a[first]] = True
+        parents = bits_a[first] ^ job_bits[jobs_a[first]]  # the parents' scheduled sets
+        sets = unpack_mask(~parents, n)  # (G, n) parent sets: their unscheduled jobs
 
         # (n, C, G) in Johnson order: ``rev`` starts as the set indicators,
         # ``cand`` as the running sum of (a - b) over the set, from ``neg``
@@ -1099,20 +1182,40 @@ def _lower_bound_batch_v2_incremental(
     return best
 
 
-def _check_jobs(jobs, scheduled_mask: np.ndarray) -> np.ndarray:
-    """Validate ``jobs``: one scheduled job per row of ``scheduled_mask``."""
+def _check_jobs(jobs, bits: np.ndarray) -> np.ndarray:
+    """Validate ``jobs``: one scheduled job per packed row of ``bits``.
+
+    Tests each row's bit for its job; an integer ``jobs`` array is returned
+    as it is (a block's int32 column is not widened).
+    """
     jobs = np.asarray(jobs)
-    batch, n_jobs = scheduled_mask.shape
+    batch, width = bits.shape
     if jobs.shape != (batch,) or (batch and jobs.dtype.kind not in "iu"):
         raise ValueError(f"jobs must be a ({batch},) integer array")
+    # a negative job reads as a huge unsigned index and fails here too
+    unsigned = jobs.view(f"u{jobs.itemsize}")
     try:
-        # a negative job wraps to a huge unsigned index and fails here too
-        scheduled = scheduled_mask[np.arange(batch), jobs.astype(np.uintp, copy=False)]
+        byte = bits[np.arange(batch), unsigned >> 3]
     except IndexError:
-        raise ValueError(f"jobs must lie in [0, {n_jobs})") from None
-    if np.count_nonzero(scheduled) != batch:
-        raise ValueError("jobs[i] must be scheduled in scheduled_mask[i]")
-    return jobs.astype(np.intp, copy=False)
+        raise ValueError(f"jobs must lie in [0, {8 * width})") from None
+    # a padding bit is never set, so a job past n_jobs fails here
+    if np.count_nonzero((byte >> (unsigned & 7)) & 1) != batch:
+        raise ValueError("jobs[i] must be scheduled in row i")
+    return jobs
+
+
+def _first_scheduled(bits: np.ndarray) -> np.ndarray:
+    """``(B,)`` the lowest-numbered scheduled job of every (non-empty) packed row."""
+    byte = (bits != 0).argmax(axis=1)
+    return 8 * byte + _LOW_BIT[bits[np.arange(bits.shape[0]), byte]]
+
+
+@functools.lru_cache(maxsize=64)
+def _full_row(n_jobs: int) -> np.ndarray:
+    """The packed row with every job scheduled (read-only, cached)."""
+    row = pack_mask(np.ones(n_jobs, dtype=bool))
+    row.setflags(write=False)
+    return row
 
 
 def lower_bound_batch_v2(
@@ -1154,57 +1257,59 @@ def lower_bound_batch_v2(
     across the CPUs the process may use (:func:`_evaluate_rows`); every
     row's value is the same either way.
 
-    ``jobs`` is optional: an ``(B,)`` integer array whose entry ``i`` must be
-    scheduled in ``scheduled_mask[i]`` — the ``jobs`` column of a
-    :func:`~repro.bb.frontier.branch_block` block.  Only the incremental
-    body reads it, so only an incremental launch checks it
-    (``ValueError``); a GEMM launch skips the check.  The
-    other parameters and the return value are as in
-    :func:`lower_bound_batch`, without its ``include_one_machine`` switch:
-    at ``m >= 2`` the couple ``(k, m - 1)`` dominates machine ``k``'s
-    one-machine term, and at ``m = 1`` the v1 fallback adds it.
+    ``scheduled_mask`` is the launch's packed rows, ``(B, ceil(n / 8))``
+    uint8 with one bit per job (:func:`pack_mask`; a block's ``mask_bits``
+    column), or a boolean ``(B, n)`` mask, which is packed once here
+    (:func:`as_mask_bits`).  ``jobs`` is optional: an ``(B,)`` integer
+    array whose entry ``i`` must be scheduled in row ``i`` — the ``jobs``
+    column of a :func:`~repro.bb.frontier.branch_block` block.  Only the
+    incremental body reads it, so only an incremental launch checks it
+    (``ValueError``); a GEMM launch skips the check.  The other parameters
+    and the return value are as in :func:`lower_bound_batch`, without its
+    ``include_one_machine`` switch: at ``m >= 2`` the couple ``(k, m - 1)``
+    dominates machine ``k``'s one-machine term, and at ``m = 1`` the v1
+    fallback adds it.
 
     A signed-integer ``release`` (a block's int32 column) keeps its dtype;
     each body casts what it reads to the dtype its value guard picks.  Any
     other ``release`` (a list, floats, unsigned integers) is converted to
-    int64 first.  Unless some row is resolved here, ``scheduled_mask`` and
-    ``release`` reach the body uncopied, which reads them in place one chunk
-    or tile at a time.
+    int64 first.  Unless some row is resolved here, the packed rows and
+    ``release`` reach the body uncopied, which reads them in place one
+    chunk or tile at a time.
     """
-    scheduled_mask = np.asarray(scheduled_mask, dtype=bool)
+    n = data.n_jobs
+    bits = as_mask_bits(scheduled_mask, n)
     release = np.asarray(release)
     if release.dtype.kind != "i":
         release = release.astype(np.int64)
-    if scheduled_mask.ndim != 2 or scheduled_mask.shape[1] != data.n_jobs:
-        raise ValueError(f"scheduled_mask must have shape (B, {data.n_jobs})")
-    if release.shape != (scheduled_mask.shape[0], data.n_machines):
-        raise ValueError(f"release must have shape ({scheduled_mask.shape[0]}, {data.n_machines})")
+    if release.shape != (bits.shape[0], data.n_machines):
+        raise ValueError(f"release must have shape ({bits.shape[0]}, {data.n_machines})")
     if strategy not in (None, "gemm", "incremental"):
         raise ValueError(f"unknown v2 strategy {strategy!r}")
 
-    if scheduled_mask.shape[0] == 0:
+    if bits.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     if data.n_couples == 0:
         # m == 1: only the single-machine relaxation applies; the v1 kernel
         # already evaluates it fully vectorised.
-        return lower_bound_batch(data, scheduled_mask, release)
+        return lower_bound_batch(data, unpack_mask(bits, n), release)
     if strategy is None:
-        strategy = "incremental" if data.n_jobs >= _V2_INCREMENTAL_MIN_JOBS else "gemm"
+        strategy = "incremental" if n >= _V2_INCREMENTAL_MIN_JOBS else "gemm"
     if jobs is not None and strategy == "incremental":
-        jobs = _check_jobs(jobs, scheduled_mask)  # only this body reads them
+        jobs = _check_jobs(jobs, bits)  # only this body reads them
     value_bound = _v2_value_bound(data, release)
 
     # Complete rows and, without ``jobs``, root rows are resolved here once;
     # the bodies only see the others.  A launch with none of them passes its
     # own arrays through uncopied.
-    resolved = scheduled_mask.all(axis=1)
-    root = None if jobs is not None else ~scheduled_mask.any(axis=1)
+    resolved = (bits == _full_row(n)).all(axis=1)
+    root = None if jobs is not None else ~bits.any(axis=1)
     # (count_nonzero: a small launch's cheapest "any")
     if root is not None and not np.count_nonzero(root):
         root = None
     bounds: np.ndarray | None = None
     active = None
-    mask_a, rel_a = scheduled_mask, release
+    bits_a, rel_a = bits, release
     if root is not None or np.count_nonzero(resolved):
         bounds = np.zeros(resolved.size, dtype=np.int64)
         bounds[resolved] = release[resolved, -1]
@@ -1214,7 +1319,7 @@ def lower_bound_batch_v2(
         active = np.flatnonzero(~resolved)
         if active.size == 0:
             return bounds
-        mask_a, rel_a = scheduled_mask[active], release[active]
+        bits_a, rel_a = bits[active], release[active]
 
     if strategy == "gemm":
         if value_bound < 2**24:
@@ -1222,12 +1327,12 @@ def lower_bound_batch_v2(
         elif value_bound < 2**53:
             ftype = np.float64
         else:  # pragma: no cover - pathological magnitudes
-            return lower_bound_batch(data, scheduled_mask, release)
+            return lower_bound_batch(data, unpack_mask(bits, n), release)
         # not split: BLAS already runs each product on its own threads
-        values = _lower_bound_batch_v2_matmul(data, mask_a, rel_a, ftype)
+        values = _lower_bound_batch_v2_matmul(data, bits_a, rel_a, ftype)
     else:
         if jobs is None:
-            jobs_a = mask_a.argmax(axis=1)
+            jobs_a = _first_scheduled(bits_a)
         else:
             jobs_a = jobs if active is None else jobs[active]
         itype: np.dtype = np.int32 if value_bound < 2**31 else np.int64
@@ -1235,9 +1340,9 @@ def lower_bound_batch_v2(
         # thread, so the parts of a split launch never race to build one
         _v2_incremental_data(data, itype)
         values = _evaluate_rows(
-            lambda mask, rel, last: _lower_bound_batch_v2_incremental(data, mask, rel, last, itype),
+            lambda part, rel, last: _lower_bound_batch_v2_incremental(data, part, rel, last, itype),
             data.n_couples,
-            mask_a,
+            bits_a,
             rel_a,
             jobs_a,
         )

@@ -24,13 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flowshop.bounds import LowerBoundData, get_batch_kernel
+from repro.flowshop.bounds import LowerBoundData, as_mask_bits, get_batch_kernel
 from repro.gpu.device import DeviceSpec, TESLA_C2050
 from repro.gpu.memory import MemoryHierarchy
 from repro.gpu.placement import DataPlacement
 from repro.gpu.simulator import GpuSimulator, KernelCostModel, KernelTiming
 
 __all__ = ["DeviceArrays", "ExecutionResult", "GpuExecutor"]
+
+#: ``_SET_BITS[v]``: the number of set bits of byte value ``v``.
+_SET_BITS = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,10 @@ class GpuExecutor:
         Parameters
         ----------
         scheduled_mask:
-            ``(B, n_jobs)`` boolean matrix of already-scheduled jobs.
+            The already-scheduled jobs: packed rows, ``(B, ceil(n_jobs /
+            8))`` uint8 with one bit per job (a block's ``mask_bits``
+            column), passed to the kernel as they are, or a boolean
+            ``(B, n_jobs)`` matrix, which is packed once.
         release:
             ``(B, n_machines)`` matrix of per-machine release times, passed
             to the kernel as it is: a signed-integer matrix (a block's int32
@@ -174,13 +180,14 @@ class GpuExecutor:
             simulated and measured timings.
         """
         self.upload()
-        scheduled_mask = np.asarray(scheduled_mask, dtype=bool)
-        pool_size = int(scheduled_mask.shape[0])
+        bits = as_mask_bits(scheduled_mask, self.data.n_jobs)
+        pool_size = int(bits.shape[0])
         if n_remaining is None and pool_size:
-            n_remaining = int(round(self.data.n_jobs - scheduled_mask.sum(axis=1).mean()))
+            scheduled = int(_SET_BITS[bits].sum(dtype=np.int64))  # bits, not bytes
+            n_remaining = int(round(self.data.n_jobs - scheduled / pool_size))
 
         start = time.perf_counter()
-        bounds = self._batch_kernel(self.data, scheduled_mask, release, jobs=jobs)
+        bounds = self._batch_kernel(self.data, bits, release, jobs=jobs)
         wall = time.perf_counter() - start
 
         timing = self.simulator.evaluate_pool(
@@ -198,7 +205,7 @@ class GpuExecutor:
     def evaluate_block(self, block) -> ExecutionResult:
         """Evaluate a :class:`~repro.bb.frontier.NodeBlock` pool.
 
-        The block's ``(scheduled_mask, release)`` columns are exactly the
+        The block's ``(mask_bits, release)`` columns are exactly the
         device buffers :meth:`evaluate` consumes, so this is a zero-copy
         hand-off — the host-side "pack the pool" step of the paper's
         Figure 3 disappears.  The kernel never widens the int32 ``release``
@@ -207,14 +214,14 @@ class GpuExecutor:
         bounds are cast back through the in-place write into the block's
         int32 ``lower_bound`` column.  The timing model's
         ``n_remaining`` comes from the block's ``depth`` column (the
-        scheduled-job count of every row), the same integer a row sum of
-        the mask gives.
+        scheduled-job count of every row), the same integer the rows' set
+        bits give.
         """
         n_remaining = None
         if len(block):
             n_remaining = int(round(self.data.n_jobs - block.depth.mean()))
         result = self.evaluate(
-            block.scheduled_mask, block.release, n_remaining=n_remaining, jobs=block.jobs
+            block.mask_bits, block.release, n_remaining=n_remaining, jobs=block.jobs
         )
         block.lower_bound[:] = result.bounds
         return result

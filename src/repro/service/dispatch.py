@@ -26,7 +26,7 @@ thread:
   - ``timeout`` — the oldest pending request waited ``max_wait_s`` (bounds
     the latency a straggler session can impose on its peers).
 
-Bit-exactness: a fused launch concatenates the blocks' ``(scheduled_mask,
+Bit-exactness: a fused launch concatenates the blocks' ``(mask_bits,
 release, jobs)`` arrays and evaluates them with the same batched kernel
 (v2) a stand-alone solve would use.  Every kernel path in this repository
 returns bit-identical bounds for a given row regardless of the surrounding batch
@@ -157,7 +157,7 @@ class _Pending:
     token: object
     group_key: int
     data: LowerBoundData
-    block: object  # NodeBlock (duck-typed: scheduled_mask/release/lower_bound)
+    block: object  # NodeBlock (duck-typed: mask_bits/release/lower_bound)
     future: Future
     submitted_at: float
 
@@ -534,19 +534,19 @@ class BatchDispatcher:
         started = time.perf_counter()
         if len(members) == 1:
             block = first.block
-            bounds = kernel(first.data, block.scheduled_mask, block.release, jobs=block.jobs)
+            bounds = kernel(first.data, block.mask_bits, block.release, jobs=block.jobs)
             wall = time.perf_counter() - started
             block.lower_bound[:] = bounds
             if not first.future.done():
                 first.future.set_result((block.lower_bound, 0.0, wall))
             return
-        mask = np.concatenate([request.block.scheduled_mask for request in members])
+        bits = np.concatenate([request.block.mask_bits for request in members])
         release = np.concatenate([request.block.release for request in members])
         jobs = [request.block.jobs for request in members]
         jobs = None if any(column is None for column in jobs) else np.concatenate(jobs)
-        bounds = kernel(first.data, mask, release, jobs=jobs)
+        bounds = kernel(first.data, bits, release, jobs=jobs)
         wall = time.perf_counter() - started
-        total = mask.shape[0]
+        total = bits.shape[0]
         offset = 0
         for request in members:
             block = request.block
@@ -636,7 +636,7 @@ class BatchingOffload:
         """LocalBounding semantics: same batched kernel, no dispatcher."""
         kernel = get_batch_kernel("v2")
         started = time.perf_counter()
-        bounds = kernel(self.data, block.scheduled_mask, block.release, jobs=block.jobs)
+        bounds = kernel(self.data, block.mask_bits, block.release, jobs=block.jobs)
         wall = time.perf_counter() - started
         block.lower_bound[:] = bounds
         return block.lower_bound, 0.0, wall

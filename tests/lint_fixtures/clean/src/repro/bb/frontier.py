@@ -17,7 +17,7 @@ class Store:
         # every named column/index array carries its contract dtype
         self._lb = np.zeros(n, dtype=np.int32)
         self._key = np.zeros(n, dtype=np.int64)
-        self._mask = np.zeros((n, 4), dtype=bool)
+        self._bits = np.zeros((n, 4), dtype=np.uint8)
         self._seg_key = np.full(n, 0, dtype=np.int64)
         self._seg_krow = np.zeros(n, dtype=np.int32)
         self._seg_omax = np.zeros(n, dtype=np.int32)

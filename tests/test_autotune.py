@@ -65,7 +65,8 @@ class TestMeasureMode:
         monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
         PoolSizeAutotuner(small_instance, candidates=(5, 12), mode="measure").run()
         assert [len(mask) for mask, _ in launches] == [5, 12]
-        for mask, jobs in launches:
+        for bits, jobs in launches:
+            mask = bounds.unpack_mask(bits, small_instance.n_jobs)  # the block's packed rows
             assert jobs is not None and jobs.shape == (len(mask),)
             assert mask[np.arange(len(mask)), jobs].all()
             depth = mask.sum(axis=1)

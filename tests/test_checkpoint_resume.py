@@ -6,10 +6,18 @@ makespan, permutation, every ``SearchStats`` counter and the concatenated
 selection trace, across all selection strategies.
 """
 
+import hashlib
+import json
+import struct
+
+import numpy as np
 import pytest
 
+from repro.bb import snapshot
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.bb.snapshot import SnapshotCorrupt, load_header
+from repro.flowshop import random_instance
+from repro.flowshop.bounds import unpack_mask
 
 _COUNTERS = (
     "nodes_bounded",
@@ -212,3 +220,55 @@ def test_completed_solve_writes_no_final_snapshot(small_instance, tmp_path):
     assert result.proved_optimal
     assert engine.checkpoints_written == 0
     assert not path.exists()
+
+
+def _rewrite_with_bool_masks(path, n_jobs):
+    """Rewrite a snapshot file in the layout written before bit-packed masks.
+
+    The frontier's scheduled sets become one bool per job, stored as
+    ``f_mask`` in place of the packed ``f_bits``; the manifest, length and
+    checksum are rebuilt, the format version stays.
+    """
+    blob = path.read_bytes()
+    header = load_header(path)
+    start = len(snapshot.MAGIC) + 4
+    (header_len,) = struct.unpack(">I", blob[len(snapshot.MAGIC) : start])
+    arrays = snapshot._parse_raw_payload(header["payload"]["arrays"], blob[start + header_len :])
+    arrays = {
+        ("f_mask" if name == "f_bits" else name): (
+            unpack_mask(array, n_jobs) if name == "f_bits" else array
+        )
+        for name, array in arrays.items()
+    }
+    chunks = [np.ascontiguousarray(array).tobytes() for array in arrays.values()]
+    payload = b"".join(chunks)
+    header["payload"] = {
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "length": len(payload),
+        "format": "raw",
+        "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()],
+    }
+    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    path.write_bytes(snapshot.MAGIC + struct.pack(">I", len(encoded)) + encoded + payload)
+
+
+@pytest.mark.parametrize("n_jobs", [8, 10])
+def test_bool_mask_snapshot_resumes_bit_identically(n_jobs, tmp_path):
+    """A file whose frontier stores one bool per job resumes like the run it cut."""
+    instance = random_instance(n_jobs, 5, seed=23)
+    golden = _golden(instance, "best-first")
+    path = tmp_path / "old.rpbb"
+    first = SequentialBranchAndBound(
+        instance,
+        trace=True,
+        max_nodes=max(2, golden.stats.nodes_explored // 2),
+        checkpoint_path=path,
+    ).solve()
+    assert not first.proved_optimal
+    _rewrite_with_bool_masks(path, n_jobs)
+    names = [name for name, _, _ in load_header(path)["payload"]["arrays"]]
+    assert "f_mask" in names and "f_bits" not in names
+    restored = snapshot.load_snapshot(path).frontier
+    assert restored._bits.dtype == np.uint8 and len(restored) > 0
+    result = SequentialBranchAndBound.resume(path)
+    _assert_bit_identical(golden, result, list(first.trace) + list(result.trace))

@@ -961,7 +961,7 @@ class TestInt32Frontier:
 
     def test_bounds_written_back_through_int64_boundary(self, medium_instance):
         from repro.bb.frontier import branch_block
-        from repro.flowshop.bounds import lower_bound_batch
+        from repro.flowshop.bounds import lower_bound_batch, unpack_mask
 
         data = LowerBoundData(medium_instance)
         trail = Trail()
@@ -969,7 +969,8 @@ class TestInt32Frontier:
             root_block(medium_instance, trail), medium_instance.processing_times, 1
         )
         got = bound_block(data, children)
-        want = lower_bound_batch(data, children.scheduled_mask, children.release)
+        mask = unpack_mask(children.mask_bits, children.n_jobs)
+        want = lower_bound_batch(data, mask, children.release)
         assert want.dtype == np.int64  # kernels stay int64 internally
         assert got.dtype == np.int32  # written back into the block column
         assert np.array_equal(got, want)

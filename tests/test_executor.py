@@ -53,7 +53,7 @@ class TestUpload:
 class TestEvaluate:
     def test_bounds_match_scalar_kernel(self, executor, small_instance, small_instance_data):
         children = _root_children(small_instance)
-        result = executor.evaluate(children.scheduled_mask, children.release)
+        result = executor.evaluate(children.mask_bits, children.release)
         expected = [
             lower_bound(small_instance_data, children.prefix(i)) for i in range(len(children))
         ]
@@ -64,28 +64,29 @@ class TestEvaluate:
 
     def test_block_timing_input_comes_from_depths(self, executor, small_instance):
         """The depth column feeds the timing model the same ``n_remaining``
-        the mask's row sums give."""
+        the rows' set bits give."""
         children = _root_children(small_instance)
         grandchildren = branch_block(
             children.take(np.array([0])), small_instance.processing_times, 1 + len(children)
         )
-        columns = ("scheduled_mask", "release", "lower_bound", "depth", "order_index", "trail_id")
+        columns = ("mask_bits", "release", "lower_bound", "depth", "order_index", "trail_id")
         mixed = NodeBlock(
             **{
                 name: np.concatenate([getattr(children, name), getattr(grandchildren, name)])
                 for name in columns
             },
             trail=children.trail,
+            n_jobs=children.n_jobs,
         )
         assert sorted(set(mixed.depth.tolist())) == [1, 2]
-        via_mask = executor.evaluate(mixed.scheduled_mask, mixed.release)
+        via_mask = executor.evaluate(mixed.mask_bits, mixed.release)
         via_block = executor.evaluate_block(mixed)
         assert via_block.simulated == via_mask.simulated
         assert np.array_equal(via_block.bounds, via_mask.bounds)
 
     def test_counters_accumulate(self, executor, small_instance):
         children = _root_children(small_instance)
-        mask, release = children.scheduled_mask, children.release
+        mask, release = children.mask_bits, children.release
         executor.evaluate(mask, release)
         executor.evaluate(mask, release)
         stats = executor.stats()
@@ -104,7 +105,7 @@ class TestEvaluate:
         )
         fast = GpuExecutor(small_instance_data)
         children = _root_children(small_instance)
-        mask, release = children.scheduled_mask, children.release
+        mask, release = children.mask_bits, children.release
         slow_result = slow.evaluate(mask, release)
         fast_result = fast.evaluate(mask, release)
         assert slow_result.simulated.kernel_s > fast_result.simulated.kernel_s
@@ -157,7 +158,7 @@ class TestLaunchMemory:
     def test_release_of_any_dtype_gives_the_same_bounds(self, small_instance):
         executor = GpuExecutor(LowerBoundData(small_instance))
         children = _root_children(small_instance)
-        mask, release = children.scheduled_mask, children.release
+        mask, release = children.mask_bits, children.release
         expected = executor.evaluate(mask, release).bounds.tolist()
         for given in (release.astype(np.int64), release.tolist(), release.astype(np.float64)):
             assert executor.evaluate(mask, given).bounds.tolist() == expected

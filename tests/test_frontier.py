@@ -31,6 +31,8 @@ from repro.flowshop.bounds import (
     _v2_value_bound,
     lower_bound,
     lower_bound_batch,
+    pack_mask,
+    unpack_mask,
 )
 from repro.flowshop.schedule import partial_completion_times
 
@@ -62,7 +64,8 @@ class TestRootAndSeed:
         trail = Trail()
         root = root_block(small_instance, trail)
         assert len(root) == 1
-        assert not root.scheduled_mask.any()
+        assert root.mask_bits.shape == (1, (small_instance.n_jobs + 7) // 8)
+        assert not root.mask_bits.any()
         assert (root.release == 0).all()
         assert root.lower_bound[0] == NO_BOUND
         assert root.depth[0] == 0
@@ -93,7 +96,7 @@ class TestBranchBlock:
         for job in range(medium_instance.n_jobs):
             expected = partial_completion_times(medium_instance, (job,))
             assert np.array_equal(children.release[job], expected)
-            assert np.flatnonzero(children.scheduled_mask[job]).tolist() == [job]
+            assert np.flatnonzero(_bool_mask(children)[job]).tolist() == [job]
             assert children.prefix(job) == (job,)
             assert children.depth[job] == 1
             assert children.order_index[job] == 1 + job
@@ -104,7 +107,7 @@ class TestBranchBlock:
         root_b = root_block(medium_instance, trail_b)
         via_block = branch_block(root_a, medium_instance.processing_times, 1)
         via_row = branch_row(
-            root_b.scheduled_mask[0],
+            root_b.mask_bits[0],
             root_b.release[0],
             0,
             int(root_b.trail_id[0]),
@@ -113,7 +116,7 @@ class TestBranchBlock:
             1,
         )
         assert np.array_equal(via_block.release, via_row.release)
-        assert np.array_equal(via_block.scheduled_mask, via_row.scheduled_mask)
+        assert np.array_equal(via_block.mask_bits, via_row.mask_bits)
         assert np.array_equal(via_block.order_index, via_row.order_index)
 
     def test_empty_block_yields_no_children(self, small_instance):
@@ -133,6 +136,62 @@ class TestBranchBlock:
         assert block.is_leaf_mask.all()
         assert (block.lower_bound == block.makespans).all()  # leaves pre-bounded
         assert len(branch_block(block, tiny_instance.processing_times, order)) == 0
+
+
+class TestPackedBranching:
+    """The packed rows branching writes unpack to the bool sets of the trail."""
+
+    @given(
+        st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 24, 25]),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_child_bits_unpack_to_the_bool_reference(self, n, m, n_parents, seed):
+        rng = np.random.default_rng(seed)
+        instance = FlowShopInstance(rng.integers(1, 60, size=(n, m)))
+        pt = instance.processing_times
+        trail = Trail()
+        # parents of mixed depths, packed by seed_block
+        seeds = [
+            seed_block(instance, tuple(rng.permutation(n)[: rng.integers(0, n + 1)]), trail)
+            for _ in range(n_parents)
+        ]
+        columns = ("mask_bits", "release", "lower_bound", "depth", "order_index", "trail_id")
+        parents = NodeBlock(
+            **{name: np.concatenate([getattr(b, name) for b in seeds]) for name in columns},
+            trail=trail,
+            n_jobs=n,
+        )
+        children = branch_block(parents, pt, 100)
+        reference = np.zeros((len(children), n), dtype=bool)
+        for row in range(len(children)):
+            reference[row, list(children.prefix(row))] = True
+        assert children.mask_bits.dtype == np.uint8
+        assert np.array_equal(unpack_mask(children.mask_bits, n), reference)
+        assert np.array_equal(children.mask_bits, pack_mask(reference))  # padding stays zero
+        assert children.jobs.dtype == np.int32
+        assert children.jobs.tolist() == [children.prefix(row)[-1] for row in range(len(children))]
+        # branch_row on each parent's packed row writes that parent's children
+        start = 0
+        for i in range(len(parents)):
+            via_row = branch_row(
+                parents.mask_bits[i],
+                parents.release[i],
+                int(parents.depth[i]),
+                int(parents.trail_id[i]),
+                trail,
+                pt,
+                0,
+            )
+            rows = slice(start, start + len(via_row))
+            assert np.array_equal(via_row.mask_bits, children.mask_bits[rows])
+            assert np.array_equal(via_row.release, children.release[rows])
+            if len(via_row):  # a complete parent gets an empty block, no jobs
+                assert np.array_equal(via_row.jobs, children.jobs[rows])
+            start += len(via_row)
+        assert start == len(children)
 
 
 class TestBoundBlock:
@@ -166,7 +225,7 @@ class TestBoundBlock:
             probe = children.take(np.arange(len(children)))
             got = bound_block(data, probe)
             want = lower_bound_batch(
-                data, probe.scheduled_mask, probe.release, include_one_machine=include
+                data, _bool_mask(probe), probe.release, include_one_machine=include
             )
             assert np.array_equal(got, want)
             assert np.array_equal(probe.lower_bound, want)
@@ -189,7 +248,7 @@ class TestBoundBlock:
             block = children.take(np.array([rng.integers(len(children))]))
         siblings = branch_block(block, instance.processing_times, order)
         got = bound_block(data, siblings, siblings=True)
-        want = lower_bound_batch(data, siblings.scheduled_mask, siblings.release)
+        want = lower_bound_batch(data, _bool_mask(siblings), siblings.release)
         assert np.array_equal(got, want)
 
     def test_v1_kernel_path(self, medium_instance):
@@ -203,7 +262,7 @@ class TestBoundBlock:
             bound_block(data, children, kernel="v1")
         assert (children.lower_bound == NO_BOUND).all()  # refused before bounding
         got = bound_block(data, children)
-        want = lower_bound_batch(data, children.scheduled_mask, children.release)
+        want = lower_bound_batch(data, _bool_mask(children), children.release)
         assert np.array_equal(got, want)
 
     def test_empty_block(self, small_instance):
@@ -231,7 +290,7 @@ def _scalar_bounds(data, block, include_one_machine=False):
         [
             lower_bound(
                 data,
-                np.flatnonzero(block.scheduled_mask[row]),
+                np.flatnonzero(_bool_mask(block)[row]),
                 release=block.release[row],
                 include_one_machine=include_one_machine,
             )
@@ -324,7 +383,7 @@ class TestGroupedSiblings:
         if kernel == "v1":
             with pytest.raises(ValueError):
                 bound_block(data, children, kernel=kernel, siblings=True)
-            got = lower_bound_batch(data, children.scheduled_mask, children.release)
+            got = lower_bound_batch(data, _bool_mask(children), children.release)
         else:
             got = bound_block(data, children, kernel=kernel, siblings=True)
         assert np.array_equal(got, _scalar_bounds(data, children))
@@ -370,14 +429,20 @@ def _random_block(rng, n_jobs, n_machines, trail, count, order_start=0):
     """A block of synthetic bounded nodes (pool-behaviour tests only)."""
     mask = rng.random((count, n_jobs)) < 0.4
     return NodeBlock(
-        scheduled_mask=mask,
+        mask_bits=pack_mask(mask),
         release=rng.integers(0, 50, size=(count, n_machines)).astype(np.int64),
         lower_bound=rng.integers(0, 12, size=count).astype(np.int64),
         depth=mask.sum(axis=1).astype(np.int64),
         order_index=np.arange(order_start, order_start + count, dtype=np.int64),
         trail_id=np.zeros(count, dtype=np.int64),
         trail=trail,
+        n_jobs=n_jobs,
     )
+
+
+def _bool_mask(block):
+    """The block's scheduled sets, one bool per job (the v1 reference's input)."""
+    return unpack_mask(block.mask_bits, block.n_jobs)
 
 
 class TestBlockFrontier:
@@ -502,7 +567,7 @@ class TestExecutorBlock:
             root_block(medium_instance, trail), medium_instance.processing_times, 1
         )
         result = executor.evaluate_block(children)
-        want = lower_bound_batch(data, children.scheduled_mask, children.release)
+        want = lower_bound_batch(data, _bool_mask(children), children.release)
         assert np.array_equal(result.bounds, want)
         assert np.array_equal(children.lower_bound, want)
 

@@ -47,13 +47,14 @@ def _block(frontier: BlockFrontier, lbs, depths, order_start: int):
 
     count = len(lbs)
     return NodeBlock(
-        scheduled_mask=np.zeros((count, N_JOBS), dtype=bool),
+        mask_bits=np.zeros((count, (N_JOBS + 7) // 8), dtype=np.uint8),
         release=np.zeros((count, N_MACHINES), dtype=np.int32),
         lower_bound=np.asarray(lbs, dtype=np.int32),
         depth=np.asarray(depths, dtype=np.int32),
         order_index=np.arange(order_start, order_start + count, dtype=np.int32),
         trail_id=np.zeros(count, dtype=np.int32),
         trail=frontier._trail,
+        n_jobs=N_JOBS,
     )
 
 

@@ -133,26 +133,51 @@ class TestBlockConservation:
 
 #: Ceiling on the traced peak, in MB (2**20 bytes), of the budgeted ta100x20
 #: solve below, its launches run as one part.  Its last pool branches into
-#: 100,352 children that the frontier's store must keep anyway (about 22 MB
-#: with the survivors of earlier pools); writing them straight into the
-#: store's free rows peaks at 35 MB, while allocating them as a block of
-#: their own and copying the survivors in took 59 MB.
-SOLVE_PEAK_CEILING_MB = 45
+#: 100,352 children that the frontier's store must keep anyway, written
+#: straight into the store's free rows.  A store row holds the scheduled
+#: set as one bit per job (117 bytes at 100x20): the solve peaks at 24 MB,
+#: against 35 MB with one bool per job (204-byte rows) and 59 MB when the
+#: children were a block of their own copied into the store.
+SOLVE_PEAK_CEILING_MB = 30
+
+#: Ceiling on the traced peak, MB, of the budgeted ta200x20 pool-2,048
+#: solve below (one part): about 80 MB with bit-packed rows (129 bytes
+#: each), 163 MB with one bool per job (304 bytes).
+LARGE_SOLVE_PEAK_CEILING_MB = 100
+
+
+def _traced_solve(monkeypatch, instance, config):
+    """``(result, traced peak MB)`` of one solve, its launches run as one part."""
+    # each part of a split launch holds its own tile tables, so one part
+    # keeps the peak independent of the host's CPU count
+    monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
+    engine = GpuBranchAndBound(instance, config)
+    tracemalloc.start()
+    try:
+        result = engine.solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
 
 
 class TestSolveMemory:
     def test_budgeted_solve_peak_stays_below_the_ceiling(self, monkeypatch):
-        # each part of a split launch holds its own tile tables, so one part
-        # keeps the peak independent of the host's CPU count
-        monkeypatch.setattr(bounds, "_usable_cpus", lambda: 1)
-        instance = taillard_instance(100, 20, index=1)
-        engine = GpuBranchAndBound(instance, GpuBBConfig(pool_size=1024, max_nodes=1200))
-        tracemalloc.start()
-        try:
-            result = engine.solve()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = _traced_solve(
+            monkeypatch,
+            taillard_instance(100, 20, index=1),
+            GpuBBConfig(pool_size=1024, max_nodes=1200),
+        )
         assert result.stats.nodes_bounded == 110_353
         assert result.stats.max_pool_size == 107_705
-        assert peak / 2**20 < SOLVE_PEAK_CEILING_MB
+        assert peak < SOLVE_PEAK_CEILING_MB
+
+    def test_large_pool_solve_peak_stays_below_the_ceiling(self, monkeypatch):
+        """ta200x20 with the paper's pool of 2,048: a 405,504-row last launch."""
+        result, peak = _traced_solve(
+            monkeypatch,
+            taillard_instance(200, 20, index=1),
+            GpuBBConfig(pool_size=2048, max_nodes=2249),
+        )
+        assert result.stats.nodes_bounded == 445_505
+        assert peak < LARGE_SOLVE_PEAK_CEILING_MB

@@ -61,7 +61,7 @@ class TestSharedPoolProtocol:
         # GPU path: executor (batched kernel + simulated timing); the
         # block's arrays are the device buffers.
         executor = GpuExecutor(data)
-        result = executor.evaluate(pool.scheduled_mask, pool.release)
+        result = executor.evaluate(pool.mask_bits, pool.release)
         assert result.bounds.tolist() == cpu_bounds
         assert result.simulated.total_s > 0
 

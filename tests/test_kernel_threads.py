@@ -165,13 +165,13 @@ class TestSplitLaunch:
     def test_incremental_parts_cut_sibling_runs_and_stay_exact(self, monkeypatch):
         instance, block = _sibling_block(50, 20, n_parents=2)  # 2 runs of 48 siblings
         data = LowerBoundData(instance)
-        args = (data, block.scheduled_mask, block.release)
-        expected = _scalar(*args)
+        args = (data, block.mask_bits, block.release)
+        expected = _scalar(data, bounds.unpack_mask(block.mask_bits, block.n_jobs), block.release)
         _force_split(monkeypatch, cpus=1)
         one_cpu = lower_bound_batch_v2(*args, jobs=block.jobs)
         _force_split(monkeypatch, cpus=4)
         real = bounds._lower_bound_batch_v2_incremental
-        parts = []  # (thread id, mask rows) of every part
+        parts = []  # (thread id, packed rows) of every part
 
         def spy(*part_args):
             parts.append((threading.get_ident(), part_args[1]))
@@ -188,7 +188,7 @@ class TestSplitLaunch:
         # starts may hand it its ident
         on_caller = [mask for ident, mask in parts if ident == threading.get_ident()]
         assert len(on_caller) == 1
-        assert np.array_equal(on_caller[0], block.scheduled_mask[:24])
+        assert np.array_equal(on_caller[0], block.mask_bits[:24])
         assert np.array_equal(split, expected)
         assert np.array_equal(one_cpu, expected)
 
@@ -239,7 +239,7 @@ class TestSplitLaunch:
         data = LowerBoundData(instance)
         _force_split(monkeypatch, cpus=1)
         parts = _spy_parts(monkeypatch, "incremental")
-        lower_bound_batch_v2(data, block.scheduled_mask, block.release, jobs=block.jobs)
+        lower_bound_batch_v2(data, block.mask_bits, block.release, jobs=block.jobs)
         assert [rows for _, rows in parts] == [len(block)]
 
     def test_usable_cpus_reads_the_affinity(self, monkeypatch):
@@ -257,14 +257,14 @@ class TestSplitLaunch:
         parts = _spy_parts(monkeypatch, "incremental", fail_in=fail_in)
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"part failed in the {fail_in}"):
-            lower_bound_batch_v2(data, block.scheduled_mask, block.release, jobs=block.jobs)
+            lower_bound_batch_v2(data, block.mask_bits, block.release, jobs=block.jobs)
         assert len(parts) == 4
         assert _wait_for_thread_count(threads_before) == threads_before
 
     def test_callers_outnumbering_the_cores_get_exact_split_bounds(self, monkeypatch):
         instance, block = _sibling_block(50, 20, n_parents=2)
         data = LowerBoundData(instance)
-        args = (block.scheduled_mask, block.release)
+        args = (block.mask_bits, block.release)
         expected = lower_bound_batch_v2(LowerBoundData(instance), *args, jobs=block.jobs)
         _force_split(monkeypatch, cpus=4)
         parts = _spy_parts(monkeypatch, "incremental")

@@ -376,6 +376,64 @@ class TestIncrementalStrategy:
         assert len(incremental_calls) == 2
 
 
+class TestPackedRows:
+    """Kernel v2 on bit-packed rows, around the byte boundaries of the layout.
+
+    Job counts sit on both sides of 8 and 16 (a padded last byte, an exact
+    one) and of the 40-job strategy crossover.  The GEMM's element budget
+    and the incremental tile are patched to ``grain`` rows or parents, so
+    the launches cross row-chunk, parent-set-chunk and tile boundaries.
+    """
+
+    @given(
+        st.sampled_from([7, 8, 9, 15, 16, 17, 39, 40, 41]),
+        st.integers(2, 5),
+        st.integers(1, 4),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.sampled_from([None, *V2_STRATEGIES]),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_the_v1_reference(self, n, m, n_parents, seed, with_jobs, strategy, grain):
+        rng = np.random.default_rng(seed)
+        instance = FlowShopInstance(rng.integers(1, 99, size=(n, m)))
+        data = LowerBoundData(instance)
+        mask, release, jobs, _, _ = sibling_launch(instance, data, n_parents, seed)
+        if not with_jobs:
+            # root rows, a complete row and random depths join the siblings
+            extra_mask, extra_release, _ = random_pool(instance, data, 4, seed)
+            mask = np.concatenate([extra_mask, mask])
+            release = np.concatenate([extra_release, release])
+            jobs = None
+        bits = bounds.pack_mask(mask)
+        assert bits.shape == (len(mask), (n + 7) // 8)
+        assert np.array_equal(bounds.unpack_mask(bits, n), mask)
+        expected = lower_bound_batch(data, mask, release).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_V2_GEMM_ELEMENTS", grain * n * m)
+            patch.setattr(bounds, "_V2_INCREMENTAL_TILE", grain * n * data.n_couples)
+            got = lower_bound_batch_v2(
+                data, bits, release.astype(np.int32), strategy=strategy, jobs=jobs
+            )
+            assert got.tolist() == expected
+            # a bool mask is packed at the entry: the same bounds
+            got = lower_bound_batch_v2(data, mask, release, strategy=strategy, jobs=jobs)
+            assert got.tolist() == expected
+
+    def test_mask_shapes_are_checked(self):
+        data = LowerBoundData(taillard_instance(9, 3, index=1))
+        release = np.zeros((2, 3), dtype=np.int64)
+        for mask in (np.zeros((2, 8), dtype=bool), np.zeros((2, 3), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="scheduled_mask"):
+                lower_bound_batch_v2(data, mask, release)
+        # packed rows pass through; a 0/1 integer mask of width n converts
+        packed = bounds.pack_mask(np.eye(2, 9, dtype=bool))
+        assert bounds.as_mask_bits(packed, 9) is packed
+        as_ints = np.eye(2, 9, dtype=np.uint8)
+        assert np.array_equal(bounds.as_mask_bits(as_ints, 9), packed)
+
+
 class TestIncrementalGroupStarts:
     """Parent-set runs found one chunk of rows at a time, on a 6-job launch."""
 
@@ -407,8 +465,9 @@ class TestIncrementalGroupStarts:
         _, mask, _, jobs = self._launch()
         # a mask-only comparison would merge the swapped pair into one run
         assert np.array_equal(mask[6], mask[7])
+        bits = bounds.pack_mask(mask)
         for chunk in range(1, len(mask) + 1):
-            starts = bounds._parent_set_starts(mask, jobs, chunk)
+            starts = bounds._parent_set_starts(bits, jobs, chunk)
             assert starts.tolist() == self.STARTS, f"chunk={chunk}"
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7])
@@ -596,9 +655,10 @@ class TestReleaseDtypes:
         monkeypatch.setattr(bounds, STRATEGY_FUNCTIONS[strategy], spy)
         active = np.flatnonzero(~mask.all(axis=1))
         assert active.size < len(mask)  # the last parent's child is complete
+        bits = bounds.pack_mask(mask)  # the packed rows a block carries
         launches = {
-            "pass-through": (mask[active], release[active].astype(np.int32), jobs[active]),
-            "gather": (mask, release.astype(np.int32), jobs),
+            "pass-through": (bits[active], release[active].astype(np.int32), jobs[active]),
+            "gather": (bits, release.astype(np.int32), jobs),
         }
         for path, (launch_mask, launch_release, launch_jobs) in launches.items():
             seen.clear()

@@ -13,6 +13,7 @@ from repro.bb.frontier import (
     root_block,
     seed_block,
 )
+from repro.flowshop.bounds import unpack_mask
 from repro.flowshop.schedule import partial_completion_times
 
 
@@ -20,17 +21,19 @@ class TestRootNode:
     def test_root_properties(self, small_instance):
         root = root_block(small_instance, Trail())
         assert root.depth[0] == 0
-        assert np.count_nonzero(~root.scheduled_mask[0]) == small_instance.n_jobs
+        scheduled = unpack_mask(root.mask_bits[0], small_instance.n_jobs)
+        assert np.count_nonzero(~scheduled) == small_instance.n_jobs
         assert not root.is_leaf_mask[0]
         assert root.lower_bound[0] == NO_BOUND
         assert root.release[0].tolist() == [0] * small_instance.n_machines
-        assert np.flatnonzero(~root.scheduled_mask[0]).tolist() == list(
+        assert np.flatnonzero(~scheduled).tolist() == list(
             range(small_instance.n_jobs)
         )
 
     def test_scheduled_mask_empty(self, small_instance):
         root = root_block(small_instance, Trail())
-        assert not root.scheduled_mask.any()
+        assert root.mask_bits.dtype == np.uint8
+        assert not root.mask_bits.any()
 
 
 class TestChildren:

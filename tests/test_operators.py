@@ -15,7 +15,7 @@ from repro.bb.frontier import (
     root_block,
     seed_block,
 )
-from repro.flowshop.bounds import LowerBoundData, lower_bound
+from repro.flowshop.bounds import LowerBoundData, lower_bound, unpack_mask
 
 
 def _bounded_children(instance, data):
@@ -61,7 +61,7 @@ class TestEncodePool:
         pool.push_block(root)
         pool.push_block(child)
         block, _ = pool.pop_batch(2)
-        mask, release = block.scheduled_mask, block.release
+        mask, release = unpack_mask(block.mask_bits, block.n_jobs), block.release
         assert mask.shape == (2, small_instance.n_jobs)
         assert release.shape == (2, small_instance.n_machines)
         assert not mask[0].any()
@@ -71,7 +71,8 @@ class TestEncodePool:
     def test_empty_pool(self, small_instance):
         pool = BlockFrontier(small_instance.n_jobs, small_instance.n_machines, Trail())
         block, _ = pool.pop_batch(4)
-        assert block.scheduled_mask.shape == (0, small_instance.n_jobs)
+        assert block.mask_bits.shape == (0, (small_instance.n_jobs + 7) // 8)
+        assert block.n_jobs == small_instance.n_jobs
         assert block.release.shape == (0, small_instance.n_machines)
 
 

@@ -30,13 +30,14 @@ def _push(pool: BlockFrontier, *bounds: int) -> None:
     count = len(bounds)
     pool.push_block(
         NodeBlock(
-            scheduled_mask=np.zeros((count, N_JOBS), dtype=bool),
+            mask_bits=np.zeros((count, (N_JOBS + 7) // 8), dtype=np.uint8),
             release=np.zeros((count, N_MACHINES), dtype=np.int32),
             lower_bound=np.array(bounds, dtype=np.int32),
             depth=np.zeros(count, dtype=np.int32),
             order_index=np.array([next(_CREATED) for _ in range(count)], dtype=np.int32),
             trail_id=np.zeros(count, dtype=np.int32),
             trail=Trail(),
+            n_jobs=N_JOBS,
         )
     )
 

@@ -148,6 +148,22 @@ class TestDtype:
     def test_clean_twin(self):
         assert not findings_for(lint(CLEAN), "dtype")
 
+    @pytest.mark.parametrize(
+        "dtype, fires", [("bool", True), ("np.uint16", True), ("np.uint8", False)]
+    )
+    def test_packed_mask_column_pinned_to_uint8(self, tmp_path, dtype, fires):
+        tree = tmp_path / "src" / "repro" / "bb"
+        tree.mkdir(parents=True)
+        (tree / "frontier.py").write_text(
+            "import numpy as np\n\n\n"
+            "class Store:\n"
+            "    def __init__(self, n):\n"
+            f"        self._bits = np.zeros((n, 2), dtype={dtype})\n"
+        )
+        found = findings_for(run_lint(tmp_path, all_rules()), "dtype")
+        pinned = [f for f in found if "self._bits is documented as uint8" in f.message]
+        assert bool(pinned) == fires
+
 
 class TestBareExcept:
     def test_violations_fire(self):

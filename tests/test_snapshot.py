@@ -83,7 +83,7 @@ def test_roundtrip_block_columns_exact(small_instance, tmp_path):
     f1, f2 = first.frontier, second.frontier
     size = len(f1)
     assert size == len(f2)
-    for column in ("_mask", "_release", "_lb", "_depth", "_order", "_tid"):
+    for column in ("_bits", "_release", "_lb", "_depth", "_order", "_tid"):
         assert np.array_equal(getattr(f1, column)[:size], getattr(f2, column)[:size])
     # packed selection keys are recomputed, not stored: they must agree too
     if f1._packed:

@@ -15,7 +15,7 @@ On top of the module-wide explicit-dtype demand, the named frontier
 columns and the segmented-index cache arrays are pinned to their exact
 documented dtype (:data:`COLUMN_DTYPES`): the packed selection key and
 the per-segment minima must be int64, every row-id / counter column
-int32, the masks and dirty flags boolean.  Assigning
+int32, the bit-packed scheduled sets uint8 and the dirty flags boolean.  Assigning
 ``self._seg_krow = np.zeros(..., dtype=np.int64)`` is not an upcast bug
 a width-agnostic check would catch — it is a contract violation this
 rule reports directly.
@@ -42,13 +42,15 @@ CONSTRUCTORS = frozenset(
 )
 
 #: The documented dtype vocabulary: int32 columns, int64 packed keys,
-#: float32/float64 bound vectors, bool/bool_ masks.
-ALLOWED_DTYPES = frozenset({"int32", "int64", "bool", "bool_", "float32", "float64"})
+#: float32/float64 bound vectors, bool/bool_ masks, uint8 bit-packed
+#: scheduled sets.
+ALLOWED_DTYPES = frozenset({"int32", "int64", "bool", "bool_", "float32", "float64", "uint8"})
 
 #: Exact dtype contract per named frontier/index column: the node columns
 #: are int32, the packed selection key and the cached per-segment key
 #: minima int64, the segment row-id caches int32 (rows are int32
-#: everywhere), masks and segment dirty flags boolean.
+#: everywhere), the scheduled sets one bit per job in uint8 bytes, and the
+#: segment dirty flags boolean.
 COLUMN_DTYPES = {
     "_lb": {"int32"},
     "_depth": {"int32"},
@@ -56,7 +58,7 @@ COLUMN_DTYPES = {
     "_tid": {"int32"},
     "_release": {"int32"},
     "_key": {"int64"},
-    "_mask": {"bool", "bool_"},
+    "_bits": {"uint8"},
     "_seg_key": {"int64"},
     "_seg_krow": {"int32"},
     "_seg_omax": {"int32"},
@@ -169,6 +171,7 @@ class DtypeRule(Rule):
                     f"self.{attr} is documented as {expected} but is "
                     f"constructed with dtype={literal}; the columnar layout "
                     "contract (int32 rows/columns, int64 packed keys and "
-                    "segment minima, boolean masks) must hold exactly"
+                    "segment minima, uint8 bit-packed scheduled sets, boolean "
+                    "dirty flags) must hold exactly"
                 ),
             )
