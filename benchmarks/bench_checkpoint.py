@@ -13,6 +13,10 @@ and asserts
 * the final snapshot on disk round-trips through ``load_header`` (the
   artifact a crash would actually resume from is well-formed).
 
+Next to the overhead it reports the wall the checkpointed run spent inside
+``save_snapshot`` (write + fsync + rename) and the overhead left without
+it, so a failed ceiling shows whether the disk or the checkpoint code paid.
+
 Runable three ways::
 
     PYTHONPATH=src python benchmarks/bench_checkpoint.py                 # full
@@ -29,8 +33,9 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.bb import sequential
 from repro.bb.sequential import SequentialBranchAndBound
-from repro.bb.snapshot import load_header
+from repro.bb.snapshot import load_header, save_snapshot
 from repro.flowshop.taillard import taillard_instance
 
 OVERHEAD_CEILING = 0.05
@@ -50,7 +55,9 @@ COUNTERS = (
 
 
 def _run(instance, max_nodes: int, checkpoint_path=None):
-    """One budgeted solve; returns (result, wall_seconds).
+    """One budgeted solve; returns (result, wall_seconds, save_walls).
+
+    ``save_walls`` lists the seconds each ``save_snapshot`` call took.
 
     Depth-first on purpose: snapshot cost scales with the *live* frontier,
     and depth-first keeps it bounded (~n_jobs deep) — the configuration a
@@ -65,9 +72,23 @@ def _run(instance, max_nodes: int, checkpoint_path=None):
         checkpoint_path=checkpoint_path,
         checkpoint_every=CHECKPOINT_EVERY if checkpoint_path is not None else None,
     )
-    start = time.perf_counter()
-    result = engine.solve()
-    return result, time.perf_counter() - start
+    save_walls: list[float] = []
+
+    def timed_save(path, blob):
+        begin = time.perf_counter()
+        try:
+            return save_snapshot(path, blob)
+        finally:
+            save_walls.append(time.perf_counter() - begin)
+
+    sequential.save_snapshot = timed_save
+    try:
+        start = time.perf_counter()
+        result = engine.solve()
+        wall = time.perf_counter() - start
+    finally:
+        sequential.save_snapshot = save_snapshot
+    return result, wall, save_walls
 
 
 def measure(max_nodes: int, repeats: int) -> dict:
@@ -76,13 +97,14 @@ def measure(max_nodes: int, repeats: int) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         snapshot_path = Path(tmp) / "bench.ckpt"
-        bare_walls, ckpt_walls = [], []
+        bare_walls, ckpt_walls, ckpt_saves = [], [], []
         bare_result = ckpt_result = None
         for _ in range(repeats):
-            bare_result, wall = _run(instance, max_nodes)
+            bare_result, wall, _ = _run(instance, max_nodes)
             bare_walls.append(wall)
-            ckpt_result, wall = _run(instance, max_nodes, checkpoint_path=snapshot_path)
+            ckpt_result, wall, saves = _run(instance, max_nodes, checkpoint_path=snapshot_path)
             ckpt_walls.append(wall)
+            ckpt_saves.append(saves)
 
         for counter in COUNTERS:
             bare, ckpt = getattr(bare_result.stats, counter), getattr(ckpt_result.stats, counter)
@@ -98,6 +120,10 @@ def measure(max_nodes: int, repeats: int) -> dict:
     bare_rate = bare_result.stats.nodes_bounded / bare_wall
     ckpt_rate = ckpt_result.stats.nodes_bounded / ckpt_wall
     overhead = max(0.0, 1.0 - ckpt_rate / bare_rate)
+    # the saves of the run that gave the checkpointed wall, and every save's range
+    best_saves = ckpt_saves[ckpt_walls.index(ckpt_wall)]
+    save_s = sum(best_saves)
+    every_save = [wall for saves in ckpt_saves for wall in saves]
 
     return {
         "instance": instance.name or "ta20x10",
@@ -111,6 +137,11 @@ def measure(max_nodes: int, repeats: int) -> dict:
         "checkpointed_nodes_per_s": ckpt_rate,
         "overhead": overhead,
         "overhead_ceiling": OVERHEAD_CEILING,
+        "checkpointed_save_s": save_s,
+        "saves_per_run": len(best_saves),
+        "save_s_min": min(every_save, default=0.0),
+        "save_s_max": max(every_save, default=0.0),
+        "overhead_without_saves": max(0.0, 1.0 - bare_wall / (ckpt_wall - save_s)),
         "snapshot_format_version": header["format_version"],
         "proved_optimal": bool(bare_result.proved_optimal),
     }
@@ -138,6 +169,11 @@ def main(argv=None) -> int:
     print(f"checkpointed         : {results['checkpointed_nodes_per_s']:,.0f} nodes/s")
     print(f"overhead             : {results['overhead'] * 100:.2f}% "
           f"(ceiling {OVERHEAD_CEILING * 100:.0f}%)")
+    print(f"inside save_snapshot : {results['checkpointed_save_s'] * 1e3:.2f} ms in "
+          f"{results['saves_per_run']} call(s) of the checkpointed run (write + fsync; "
+          f"one call took {results['save_s_min'] * 1e3:.2f}-"
+          f"{results['save_s_max'] * 1e3:.2f} ms over all runs)")
+    print(f"overhead less saves  : {results['overhead_without_saves'] * 100:.2f}%")
     print("tree identity        : all non-timing counters bit-identical")
 
     if args.json:
@@ -157,7 +193,7 @@ def main(argv=None) -> int:
 # --------------------------------------------------------------------- #
 def test_bare_search_throughput(benchmark):
     instance = taillard_instance(20, 10, index=1)
-    result, _ = benchmark(lambda: _run(instance, max_nodes=4_000))
+    result, _, _ = benchmark(lambda: _run(instance, max_nodes=4_000))
     assert result.stats.nodes_bounded > 0
 
 

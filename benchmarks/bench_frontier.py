@@ -45,7 +45,6 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.bb.frontier import advance_release
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.bb.stats import SearchStats
 from repro.flowshop import random_instance
@@ -63,6 +62,21 @@ SMOKE_BUDGET = 600
 # --------------------------------------------------------------------- #
 # The frozen object pipeline: one Node per sub-problem in a heap pool
 # --------------------------------------------------------------------- #
+def advance_release(release: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Release times after appending one job, frozen: ``cumsum`` + ``cummax``.
+
+    ``F' = csum + cummax(F - (csum - t))`` with ``csum`` the job's inclusive
+    cumulative times, as the object layout computed it; frozen here so
+    that the baseline does not speed up with the library's machine scan.
+    """
+    csum = np.cumsum(times, axis=-1, dtype=release.dtype)
+    front = np.subtract(release, csum)
+    front += times
+    np.maximum.accumulate(front, axis=-1, out=front)
+    front += csum
+    return front
+
+
 @dataclass
 class Node:
     """One sub-problem: scheduled prefix, release times, bound, creation index."""

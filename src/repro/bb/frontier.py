@@ -15,12 +15,12 @@ is one bit per job, ``ceil(n / 8)`` bytes
 200x20 sizes a bool per job was most of a node's bytes.
 
 * :func:`branch_block` — all children of a batch of parents in one shot.
-  The release-time recurrence is evaluated in closed form (one
-  ``cumsum`` + one ``maximum.accumulate`` over the machine axis for
-  *every* (parent, child-job) pair of a row chunk at once), the parents'
-  unscheduled jobs come from one unpack of their packed rows, a child's
-  row is its parent's OR one gathered job bit, and the child count never
-  touches a Python loop.
+  The release-time recurrence is one max-plus machine scan
+  (:func:`~repro.flowshop.schedule.machine_scan`) over *every* (parent,
+  child-job) pair of a row chunk at once, reading per-job cumulative
+  times built once per call; the parents' unscheduled jobs come from one
+  unpack of their packed rows, a child's row is its parent's OR one
+  gathered job bit, and the child count never touches a Python loop.
 * :func:`bound_block` — bounding straight off the block's arrays with
   **zero re-packing**: one kernel-v2 call takes the block's columns and
   its ``jobs`` column as they are.
@@ -75,10 +75,10 @@ from repro.flowshop.bounds import (
     unpack_mask,
 )
 from repro.flowshop.instance import FlowShopInstance
+from repro.flowshop.schedule import job_cumulative_times, machine_scan
 
 __all__ = [
     "NO_BOUND",
-    "advance_release",
     "Trail",
     "NodeBlock",
     "root_block",
@@ -126,31 +126,6 @@ def _arange(count: int) -> np.ndarray:
     if count > _ARANGE.shape[0]:
         _ARANGE = np.arange(max(count, 2 * _ARANGE.shape[0]), dtype=np.int64)
     return _ARANGE[:count]
-
-
-def advance_release(
-    release: np.ndarray, times: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Release times after appending one job: the max-plus machine scan.
-
-    Appending a job with per-machine times ``t`` turns the front ``F`` into
-    ``F'[k] = max(F[k], F'[k-1]) + t[k]``, whose closed form is
-    ``F' = csum + cummax(F - (csum - t))`` with ``csum`` the inclusive
-    cumulative times of the job — no per-machine Python loop.  Broadcasts
-    over leading axes, so one call advances a single ``(m,)`` front or a
-    whole ``(B, m)`` batch of (front, job) pairs.
-
-    The result follows the dtype of ``release``, so the block layout's
-    int32 columns advance without leaving int32.  ``out`` optionally
-    receives it (a block's ``release`` rows), so no result is allocated.
-    """
-    dtype = release.dtype if isinstance(release, np.ndarray) else np.int64
-    csum = np.cumsum(times, axis=-1, dtype=dtype)
-    front = np.subtract(release, csum, out=out)
-    front += times
-    np.maximum.accumulate(front, axis=-1, out=front)
-    front += csum
-    return front
 
 
 #: int32 node-id ceiling of the block layout (trail slots, order indices).
@@ -352,8 +327,8 @@ def seed_block(
     ``len(prefix)`` — exactly what a per-search counter would have
     assigned after creating the chain one child at a time.
     """
-    pt = instance.processing_times
     n, m = instance.n_jobs, instance.n_machines
+    after, before = job_cumulative_times(instance.processing_times)
     mask = np.zeros((1, n), dtype=bool)
     release = np.zeros(m, dtype=np.int32)
     trail_id = trail.append_root()
@@ -363,7 +338,7 @@ def seed_block(
             raise ValueError(f"job index {job} out of range")
         if mask[0, job]:
             raise ValueError(f"job {job} scheduled twice in the prefix")
-        release = advance_release(release, pt[job])
+        machine_scan(release, job, after, before, out=release)
         mask[0, job] = True
         trail_id = trail.append(trail_id, job)
     depth = len(prefix)
@@ -402,20 +377,23 @@ def branch_block(
     unscheduled jobs come from one unpack of their packed rows; a child's
     row is its parent's row OR its job's bit, gathered by job from
     :func:`~repro.flowshop.bounds.job_bit_table`.  Rows, release times and
-    order indices are written :data:`_ROW_CHUNK` rows at a time from the
-    int32 processing times, so no temporary spans the whole child set.
+    order indices are written :data:`_ROW_CHUNK` rows at a time, the
+    release times by one machine scan per chunk from int32 per-job
+    cumulative times, so no temporary spans the whole child set.
     """
     n_jobs = parents.n_jobs
     bits = parents.mask_bits
     unscheduled = np.unpackbits(~bits, axis=1, count=n_jobs, bitorder="little")
-    parent_rows, jobs = np.nonzero(unscheduled)
-    jobs = jobs.astype(np.int32)
+    # one flat scan, split by division: half the cost of a 2-D nonzero
+    flat = np.flatnonzero(unscheduled)
+    parent_rows = flat // n_jobs
+    jobs = (flat - parent_rows * n_jobs).astype(np.int32)
     count = jobs.shape[0]
     if out is None:
         out = NodeBlock.empty(n_jobs, parents.n_machines, parents.trail, count)
     elif len(out) != count:
         raise ValueError(f"destination block has {len(out)} rows for {count} children")
-    pt = processing_times.astype(np.int32, copy=False)
+    after, before = job_cumulative_times(processing_times)
     job_bits = job_bit_table(n_jobs)
     for lo in range(0, count, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, count)
@@ -423,9 +401,12 @@ def branch_block(
         np.bitwise_or(
             bits.take(rows, axis=0), job_bits.take(chunk_jobs, axis=0), out=out.mask_bits[lo:hi]
         )
-        # one closed-form max-plus scan advances every (parent, job) pair
-        # of the chunk at once (see :func:`advance_release`)
-        advance_release(parents.release[rows], pt[chunk_jobs], out=out.release[lo:hi])
+        # gather the parents' fronts straight into the children's rows
+        # (mode "clip" writes without a buffer; every row is in range) and
+        # scan them there
+        release = out.release[lo:hi]
+        np.take(parents.release, rows, axis=0, out=release, mode="clip")
+        machine_scan(release, chunk_jobs, after, before, out=release)
         np.add(_arange(hi - lo), order_start + lo, out=out.order_index[lo:hi])
 
     np.add(parents.depth[parent_rows], 1, out=out.depth)
@@ -462,8 +443,8 @@ def branch_row(
     if count == 0:
         return NodeBlock.empty(n_jobs, release_row.shape[0], trail)
 
-    pt_j = processing_times[jobs]
-    release = advance_release(release_row, pt_j)
+    after, before = job_cumulative_times(processing_times)
+    release = machine_scan(release_row, jobs, after, before)
 
     child_bits = job_bit_table(n_jobs).take(jobs, axis=0)
     child_bits |= mask_row

@@ -18,10 +18,11 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.bb.frontier import NodeBlock, Trail, advance_release, branch_block
+from repro.bb.frontier import NodeBlock, Trail, branch_block
 from repro.core.config import GpuBBConfig, PAPER_POOL_SIZES
 from repro.flowshop.bounds import LowerBoundData, job_bit_table
 from repro.flowshop.instance import FlowShopInstance
+from repro.flowshop.schedule import job_cumulative_times, machine_scan
 from repro.gpu.executor import GpuExecutor
 from repro.gpu.simulator import GpuSimulator
 from repro.perf.model import CpuCostModel
@@ -139,9 +140,10 @@ class PoolSizeAutotuner:
         parents.mask_bits[:] = 0
         parents.release[:] = 0
         prefixes = np.argsort(rng.random((count, n)), axis=1)[:, :depth]
+        after, before = job_cumulative_times(pt)
         for jobs in prefixes.T:  # one scheduled position at a time
             parents.mask_bits |= job_bit_table(n)[jobs]
-            advance_release(parents.release, pt[jobs], out=parents.release)
+            machine_scan(parents.release, jobs, after, before, out=parents.release)
         parents.depth[:] = depth
         parents.trail_id[:] = trail.append_root()
         children = branch_block(parents, pt, 0)

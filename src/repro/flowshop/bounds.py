@@ -78,6 +78,7 @@ import numpy as np
 
 from repro.flowshop.instance import FlowShopInstance
 from repro.flowshop.johnson import johnson_order_with_lags
+from repro.flowshop.schedule import job_cumulative_times, machine_scan
 
 __all__ = [
     "machine_couples",
@@ -347,17 +348,15 @@ class LowerBoundData:
     def machine_release_times(self, prefix: Sequence[int]) -> np.ndarray:
         """``RM`` — per-machine completion times of the scheduled prefix.
 
-        The machine axis is vectorised: appending one job is the max-plus
-        scan ``front'[k] = max(front[k], front'[k-1]) + pt[job, k]``, whose
-        closed form ``front' = P + cummax(front - P_shifted)`` (with ``P``
-        the inclusive cumulative processing times of the job) turns the
-        former ``O(l * m)`` pure-Python double loop into ``l`` NumPy calls.
+        The machine axis is vectorised: appending one job is one max-plus
+        machine scan (:func:`~repro.flowshop.schedule.machine_scan`), so
+        the recurrence takes ``l`` scans instead of an ``O(l * m)``
+        pure-Python double loop.
         """
+        after, before = job_cumulative_times(self.ptm, np.int64)
         front = np.zeros(self.n_machines, dtype=np.int64)
-        pt = self.ptm
         for job in prefix:
-            csum = np.cumsum(pt[job], dtype=np.int64)
-            front = csum + np.maximum.accumulate(front - (csum - pt[job]))
+            machine_scan(front, job, after, before, out=front)
         return front
 
     def min_tails(self, scheduled_mask: np.ndarray) -> np.ndarray:

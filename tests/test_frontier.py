@@ -26,6 +26,7 @@ from repro.bb.frontier import (
 from repro.bb.stats import SearchStats
 from repro.flowshop import FlowShopInstance
 import repro.flowshop.bounds as bounds
+import repro.flowshop.schedule as schedule_module
 from repro.flowshop.bounds import (
     LowerBoundData,
     _v2_value_bound,
@@ -34,7 +35,7 @@ from repro.flowshop.bounds import (
     pack_mask,
     unpack_mask,
 )
-from repro.flowshop.schedule import partial_completion_times
+from repro.flowshop.schedule import job_cumulative_times, machine_scan, partial_completion_times
 
 
 class TestTrail:
@@ -192,6 +193,70 @@ class TestPackedBranching:
                 assert np.array_equal(via_row.jobs, children.jobs[rows])
             start += len(via_row)
         assert start == len(children)
+
+
+class TestReleaseRecurrence:
+    """Every release time branching writes is the schedule recurrence's."""
+
+    @given(
+        st.sampled_from([1, 7, 8, 9, 17, 40]),
+        st.sampled_from([1, 2, 5, 20]),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 256]),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_release_equals_partial_completion_times(
+        self, n, m, n_parents, chunk, column_rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        instance = FlowShopInstance(rng.integers(0, 99, size=(n, m)))
+        pt = instance.processing_times
+
+        def assert_recurrence(block):
+            for row in range(len(block)):
+                want = partial_completion_times(instance, block.prefix(row))
+                assert np.array_equal(block.release[row], want)
+
+        trail = Trail()
+        seeds = [
+            seed_block(instance, tuple(rng.permutation(n)[: rng.integers(0, n + 1)]), trail)
+            for _ in range(n_parents)
+        ]
+        columns = ("mask_bits", "release", "lower_bound", "depth", "order_index", "trail_id")
+        parents = NodeBlock(
+            **{name: np.concatenate([getattr(b, name) for b in seeds]) for name in columns},
+            trail=trail,
+            n_jobs=n,
+        )
+        assert_recurrence(parents)
+        # chunks of 1-3 rows put chunk edges inside a parent's children; a
+        # column threshold of 1 or 2 rows sends them to the column form
+        with mock.patch.object(frontier_module, "_ROW_CHUNK", chunk):
+            with mock.patch.object(schedule_module, "_COLUMN_SCAN_MIN_ROWS", column_rows):
+                assert_recurrence(branch_block(parents, pt, 100))
+                for i in range(len(parents)):
+                    assert_recurrence(
+                        branch_row(
+                            parents.mask_bits[i],
+                            parents.release[i],
+                            int(parents.depth[i]),
+                            int(parents.trail_id[i]),
+                            trail,
+                            pt,
+                            0,
+                        )
+                    )
+                # the in-place advance the autotuner builds its parents with
+                depth = int(rng.integers(0, n + 1))
+                prefixes = np.argsort(rng.random((n_parents, n)), axis=1)[:, :depth]
+                release = np.zeros((n_parents, m), dtype=np.int32)
+                after, before = job_cumulative_times(pt)
+                for jobs in prefixes.T:
+                    machine_scan(release, jobs, after, before, out=release)
+        for row, prefix in zip(release, prefixes):
+            assert np.array_equal(row, partial_completion_times(instance, prefix))
 
 
 class TestBoundBlock:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,3 +166,26 @@ class TestTaillardAcceleration:
         assert best_insertion(pt, order, length) == reference_best_insertion(
             pt, order, length
         )
+
+
+#: NEH on the paper classes the benchmark solves: ``(n, m, index)`` ->
+#: (makespan, SHA-256 of the comma-joined order), recorded with the
+#: per-machine heads/tails loop that preceded the stacked scan.  The
+#: from-scratch reference above is too slow past 50x10 to check these.
+NEH_GOLDENS = {
+    (100, 20, 1): (6635, "c8cb4d8bc09d00ab9f791f1b2a0d1d07f36d62757bd6475cab6723badb60c622"),
+    (100, 20, 2): (6701, "d671eb98bb73218deabc275bc03bff0a04e75b9838c73f95fed2534f04c6ed77"),
+    (100, 20, 4): (6575, "5c7e495888bcb719243b88631eca169bc4eb01793335fca08a5c348007a11c8e"),
+    (100, 20, 7): (6560, "5c15d64c5608675f7a88896d5620d8f68c348eae59d42c16a76b01a1a1b2a7b0"),
+    (100, 20, 8): (6677, "69537b41869e69d6975897013f7ef826f0621974df948240c4eda2c4eb952598"),
+    (100, 20, 10): (6549, "e82c01bcab175f88bf573832e7926781237b75314e3d95171306e9a62cacea92"),
+    (200, 20, 1): (11820, "328653b81f20d80749b21cad5bbc80561c98d0029c48b3867046214d7301d8bf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEH_GOLDENS), ids=lambda c: "ta%dx%d-%d" % c)
+def test_neh_golden_on_paper_classes(case):
+    n, m, index = case
+    schedule = neh_heuristic(taillard_instance(n, m, index=index))
+    digest = hashlib.sha256(",".join(map(str, schedule.order)).encode()).hexdigest()
+    assert (schedule.makespan, digest) == NEH_GOLDENS[case]
