@@ -62,7 +62,9 @@ def legacy_solve_block(instance, max_nodes):
     Frozen at the commit that introduced ``bb/driver.py`` so the driver's
     mechanical overhead stays measurable against the loop it replaced.
     Only the engine scaffolding (NEH seeding, result packaging) is inlined;
-    the loop body is untouched.
+    the loop body is untouched except that its ``bound_block`` calls follow
+    the operator's signature, and a sibling set of complete schedules
+    (whose bounds branching already wrote) takes no call, as in the driver.
     """
     data = LowerBoundData(instance)
     n_jobs = instance.n_jobs
@@ -134,9 +136,6 @@ def legacy_solve_block(instance, max_nodes):
                         stats.time_branching_s += perf_counter() - t0
                         next_order += len(children)
                         stats.nodes_branched += 1
-                        t0 = perf_counter()
-                        bound_block(data, children, kernel="v2", siblings=True)
-                        stats.time_bounding_s += perf_counter() - t0
                         n_children = len(children)
                         stats.nodes_bounded += n_children
                         stats.leaves_evaluated += n_children
@@ -166,7 +165,7 @@ def legacy_solve_block(instance, max_nodes):
                 next_order += len(children)
                 stats.nodes_branched += k
                 t0 = perf_counter()
-                bound_block(data, children, kernel="v2", siblings=k == 1)
+                bound_block(data, children, kernel="v2")
                 stats.time_bounding_s += perf_counter() - t0
                 n_children = len(children)
                 stats.nodes_bounded += n_children
@@ -213,9 +212,6 @@ def legacy_solve_block(instance, max_nodes):
         next_order += len(children)
         stats.nodes_branched += 1
 
-        t0 = perf_counter()
-        bound_block(data, children, kernel="v2", siblings=True)
-        stats.time_bounding_s += perf_counter() - t0
         n_children = len(children)
         stats.nodes_bounded += n_children
 
@@ -230,6 +226,9 @@ def legacy_solve_block(instance, max_nodes):
                 stats.incumbent_updates += 1
             continue
 
+        t0 = perf_counter()
+        bound_block(data, children, kernel="v2")
+        stats.time_bounding_s += perf_counter() - t0
         keep = children.lower_bound < upper_bound
         pruned = n_children - int(np.count_nonzero(keep))
         stats.nodes_pruned += pruned

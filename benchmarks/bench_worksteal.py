@@ -1,10 +1,12 @@
 """Static split vs work stealing: node counts and wall time.
 
-The static-split engine maps the decomposition frontier onto the workers
-once and never exchanges the incumbent, so every worker prunes against the
-launch-time NEH bound for its whole lifetime.  The work-stealing engine
-shares the incumbent (compare-and-swap updates + periodic polling) and lets
-idle workers steal chunks from a common queue, so pruning information
+The static split (``repro.testing.static_split``, the ablation) solves every
+sub-tree of the decomposition frontier on its own and never exchanges the
+incumbent, so each sub-tree prunes against the launch-time NEH bound for
+its whole lifetime; it runs them one after another, which gives the same
+tree as any static mapping onto workers.  The multicore engine shares the
+incumbent (compare-and-swap updates + periodic polling) and lets idle
+workers steal chunks from a common queue, so pruning information
 propagates and the load balances dynamically.  Both are exact; the win is
 the *work avoided*: fewer nodes bounded for the same proven optimum.
 
@@ -21,6 +23,7 @@ import time
 from repro.bb.multicore import MulticoreBranchAndBound
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.flowshop import neh_heuristic, random_instance
+from repro.testing import static_split
 
 N_WORKERS = 4
 DEPTH = 2
@@ -30,29 +33,19 @@ INSTANCE_ARGS = dict(n_jobs=10, n_machines=5, seed=1)
 
 
 def _engines(instance):
-    static = MulticoreBranchAndBound(
-        instance,
-        n_workers=N_WORKERS,
-        backend="thread",
-        mode="static",
-        decomposition_depth=DEPTH,
-    )
+    """``(static split, work stealing)`` as two zero-argument solves."""
     worksteal = MulticoreBranchAndBound(
-        instance,
-        n_workers=N_WORKERS,
-        backend="thread",
-        mode="worksteal",
-        decomposition_depth=DEPTH,
+        instance, n_workers=N_WORKERS, backend="thread", decomposition_depth=DEPTH
     )
-    return static, worksteal
+    return (lambda: static_split(instance, decomposition_depth=DEPTH)), worksteal.solve
 
 
 def test_worksteal_explores_fewer_nodes_than_static(benchmark):
     instance = random_instance(**INSTANCE_ARGS)
     optimum = SequentialBranchAndBound(instance).solve().best_makespan
     static, worksteal = _engines(instance)
-    static_result = static.solve()
-    ws_result = benchmark(worksteal.solve)
+    static_result = static()
+    ws_result = benchmark(worksteal)
     assert static_result.best_makespan == optimum
     assert ws_result.best_makespan == optimum
     assert ws_result.proved_optimal
@@ -62,7 +55,7 @@ def test_worksteal_explores_fewer_nodes_than_static(benchmark):
 def test_static_split_baseline(benchmark):
     instance = random_instance(**INSTANCE_ARGS)
     static, _ = _engines(instance)
-    result = benchmark(static.solve)
+    result = benchmark(static)
     assert result.proved_optimal
 
 
@@ -77,13 +70,16 @@ def main() -> int:
         f"instance {instance.name or '10x5'}: optimum {serial.best_makespan}, "
         f"NEH seed {neh}, serial nodes {serial.stats.nodes_bounded}"
     )
-    print(f"parallel engines: {N_WORKERS} workers, depth-{DEPTH} frontier, thread backend")
+    print(
+        f"depth-{DEPTH} frontier: static split in one thread, "
+        f"work stealing on {N_WORKERS} worker threads"
+    )
 
     static, worksteal = _engines(instance)
     rows = []
-    for label, engine in (("static split", static), ("work stealing", worksteal)):
+    for label, solve in (("static split", static), ("work stealing", worksteal)):
         start = time.perf_counter()
-        result = engine.solve()
+        result = solve()
         wall = time.perf_counter() - start
         assert result.best_makespan == serial.best_makespan, f"{label} diverged from serial"
         rows.append((label, result.stats.nodes_bounded, result.stats.nodes_pruned, wall))

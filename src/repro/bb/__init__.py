@@ -22,11 +22,9 @@ builds on:
 * :mod:`~repro.bb.sequential` — the serial B&B, the ``T_cpu`` reference of
   every speed-up in the paper, with per-operator timing instrumentation
   (used for the 98.5 % bounding-fraction measurement).
-* :mod:`~repro.bb.multicore` — the multi-core B&B baseline of Section V
-  (facade over the static-split and work-stealing modes).
-* :mod:`~repro.bb.worksteal` — the work-stealing, shared-incumbent parallel
-  engine (oversubscribed decomposition, dynamic load balance, incumbent
-  compare-and-swap + periodic polling).
+* :mod:`~repro.bb.multicore` — the multi-core B&B baseline of Section V:
+  work stealing with a shared incumbent (oversubscribed decomposition,
+  dynamic load balance, incumbent compare-and-swap + periodic polling).
 * :mod:`~repro.bb.bruteforce` — exhaustive enumeration, used by the tests
   as ground truth on small instances.
 * :mod:`~repro.bb.stats` — exploration statistics shared by all engines.
@@ -54,8 +52,7 @@ from repro.bb.driver import (
 from repro.bb.stats import SearchStats
 from repro.bb.progress import ProgressTracker, ProgressEvent
 from repro.bb.sequential import SequentialBranchAndBound, BBResult
-from repro.bb.multicore import MulticoreBranchAndBound
-from repro.bb.worksteal import SharedIncumbent, WorkStealingBranchAndBound
+from repro.bb.multicore import MulticoreBranchAndBound, SharedIncumbent
 from repro.bb.bruteforce import brute_force_optimum
 
 __all__ = [
@@ -81,6 +78,5 @@ __all__ = [
     "BBResult",
     "MulticoreBranchAndBound",
     "SharedIncumbent",
-    "WorkStealingBranchAndBound",
     "brute_force_optimum",
 ]

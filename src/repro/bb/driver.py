@@ -10,8 +10,8 @@ iteration written once.  It owns the loop over the columnar
 operator as flat :class:`~repro.bb.frontier.NodeBlock` arrays, as in the
 paper — and is parameterized by
 
-* an **offload** — any object with ``bound_block(block, siblings)``
-  returning ``(bounds, simulated_s, measured_s)``: the bounding operator
+* an **offload** — any object with ``bound_block(block)`` returning
+  ``(bounds, simulated_s, measured_s)``: the bounding operator
   plus its simulated-time charge.  Bounds are written into the block's
   ``lower_bound`` column; the tuple's ``bounds`` element is advisory (the
   driver never reads it).  :class:`LocalBounding` is the host-side default
@@ -133,17 +133,15 @@ class OffloadBackend(Protocol):
     ``BatchingOffload``, the cluster's ``_DistributedOffload``, the GPU
     engine's ``_ExecutorOffload``); the driver calls them interchangeably.
     ``bound_block`` writes bounds into the block in place and returns the
-    ``(bounds, simulated_s, measured_s)`` triple.  ``siblings=True``
-    promises the block holds the complete child sets of one or more
-    parents of equal depth, in parent order (a popped node's children, or
-    a best-first tie batch's), which a backend may exploit.
+    ``(bounds, simulated_s, measured_s)`` triple.  The single-step loop
+    never hands it a sibling set of complete schedules, whose makespans
+    branching already wrote as their bounds; a batch-shape pool goes whole,
+    and a complete row's bound is its makespan on every backend.
     ``tools/repro_lint``'s ``offload-contract`` rule re-checks the shape
     statically on every class that defines the method.
     """
 
-    def bound_block(
-        self, block: NodeBlock, siblings: bool = False
-    ) -> tuple[np.ndarray, float, float]:
+    def bound_block(self, block: NodeBlock) -> tuple[np.ndarray, float, float]:
         """Bound one block's rows, writing its ``lower_bound`` column."""
         ...
 
@@ -201,8 +199,6 @@ class SearchHooks:
     incumbent_charge_s:
         Simulated-seconds charge billed per incumbent improvement — the
         cluster engine's coordinator-to-nodes bound broadcast.
-    on_eliminate:
-        Called with the number of children pruned by each elimination step.
     poll_bound / poll_interval:
         Work-stealing bound polling: at the first step after every
         ``poll_interval`` selected nodes (tie batches and stale drains
@@ -229,7 +225,6 @@ class SearchHooks:
         Callable[[int, Callable[[], tuple[int, ...]]], None]
     ] = None
     incumbent_charge_s: Optional[Callable[[], float]] = None
-    on_eliminate: Optional[Callable[[int], None]] = None
     poll_bound: Optional[Callable[[], float]] = None
     poll_interval: int = 64
     on_iteration: Optional[Callable[[OffloadStep], None]] = None
@@ -277,18 +272,9 @@ class LocalBounding:
         self.data = data
         self.kernel = kernel
 
-    def bound_block(
-        self, block: NodeBlock, siblings: bool = False
-    ) -> tuple[np.ndarray, float, float]:
-        """Bound a block's rows, writing the int32 ``lower_bound`` column in place.
-
-        ``siblings=True`` promises the block holds the complete child sets
-        of one or more equal-depth parents, in parent order, so a block of
-        complete schedules keeps the makespans set at branch time (see
-        :func:`~repro.bb.frontier.bound_block`).
-        """
-        bounds = bound_block(self.data, block, kernel=self.kernel, siblings=siblings)
-        return bounds, 0.0, 0.0
+    def bound_block(self, block: NodeBlock) -> tuple[np.ndarray, float, float]:
+        """Bound a block's rows, writing the int32 ``lower_bound`` column in place."""
+        return bound_block(self.data, block, kernel=self.kernel), 0.0, 0.0
 
 
 class SearchDriver:
@@ -424,7 +410,7 @@ class SearchDriver:
         limits = self.limits
         max_nodes, max_time_s, deadline = limits.max_nodes, limits.max_time_s, limits.deadline
         poll, poll_interval = hooks.poll_bound, hooks.poll_interval
-        on_select, on_eliminate = hooks.on_select, hooks.on_eliminate
+        on_select = hooks.on_select
         n_jobs = instance.n_jobs
         pt = instance.processing_times
         trace_on = self.trace_enabled
@@ -543,7 +529,8 @@ class SearchDriver:
                         continue
                     if depth0 + 1 == n_jobs:
                         # leaf children tighten the incumbent between member
-                        # pops, so members must be examined one at a time
+                        # pops, so members must be examined one at a time;
+                        # branch_row wrote their makespans as their bounds
                         for i in range(k):
                             if lb0 >= upper_bound:
                                 stats.nodes_pruned += 1
@@ -561,11 +548,6 @@ class SearchDriver:
                             stats.time_branching_s += perf_counter() - t0
                             next_order += len(children)
                             stats.nodes_branched += 1
-                            t0 = perf_counter()
-                            _, sim_s, _ = offload.bound_block(children, siblings=True)
-                            stats.time_bounding_s += perf_counter() - t0
-                            if sim_s:
-                                stats.simulated_device_time_s += sim_s
                             n_children = len(children)
                             stats.nodes_bounded += n_children
                             stats.leaves_evaluated += n_children
@@ -602,7 +584,7 @@ class SearchDriver:
                     next_order += len(children)
                     stats.nodes_branched += k
                     t0 = perf_counter()
-                    _, sim_s, _ = offload.bound_block(children, siblings=True)
+                    _, sim_s, _ = offload.bound_block(children)
                     stats.time_bounding_s += perf_counter() - t0
                     if sim_s:
                         stats.simulated_device_time_s += sim_s
@@ -611,8 +593,6 @@ class SearchDriver:
                     keep = children.lower_bound < upper_bound
                     pruned = n_children - int(np.count_nonzero(keep))
                     stats.nodes_pruned += pruned
-                    if on_eliminate is not None:
-                        on_eliminate(pruned)
                     if pruned and k > 1:
                         # reconstruct the pool sizes a one-node-at-a-time
                         # engine records between member pops (each member
@@ -684,19 +664,14 @@ class SearchDriver:
             if trace_on:
                 trace.append(TraceEvent(trail.prefix(node_tid), node_lb, upper_bound, "branched"))
 
-            # Bound the sibling block straight off its arrays.
-            t0 = perf_counter()
-            _, sim_s, _ = offload.bound_block(children, siblings=True)
-            stats.time_bounding_s += perf_counter() - t0
-            if sim_s:
-                stats.simulated_device_time_s += sim_s
             n_children = len(children)
             stats.nodes_bounded += n_children
-
             if node_depth + 1 == n_jobs:
                 # Siblings share their depth, so either every child is a
-                # complete schedule or none is.  Replicate one-at-a-time
-                # in-order incumbent updates with a running min.
+                # complete schedule or none is; branch_row wrote their
+                # makespans as their bounds, so they take no launch.
+                # Replicate one-at-a-time in-order incumbent updates with a
+                # running min.
                 stats.leaves_evaluated += n_children
                 makespans = children.makespans
                 improving, running = leaf_improvements(upper_bound, makespans)
@@ -720,12 +695,17 @@ class SearchDriver:
                         )
                 continue
 
+            # Bound the sibling block straight off its arrays.
+            t0 = perf_counter()
+            _, sim_s, _ = offload.bound_block(children)
+            stats.time_bounding_s += perf_counter() - t0
+            if sim_s:
+                stats.simulated_device_time_s += sim_s
+
             # Eliminate + insert in one masked append.
             keep = children.lower_bound < upper_bound
             pruned = n_children - int(np.count_nonzero(keep))
             stats.nodes_pruned += pruned
-            if on_eliminate is not None:
-                on_eliminate(pruned)
             if trace_on and pruned:
                 for i in np.flatnonzero(~keep):
                     trace.append(
@@ -863,7 +843,7 @@ class SearchDriver:
 
             # --- bound: one launch per iteration
             t0 = perf_counter()
-            _, sim_s, wall_s = offload.bound_block(children, siblings=False)
+            _, sim_s, wall_s = offload.bound_block(children)
             stats.time_bounding_s += perf_counter() - t0
             # the launch's charge lands before any incumbent broadcast it
             # triggers (float summation order)
@@ -899,8 +879,6 @@ class SearchDriver:
             stats.nodes_pruned += pruned
             frontier.push_block(children, keep)
             stats.time_pool_s += perf_counter() - t0
-            if hooks.on_eliminate is not None:
-                hooks.on_eliminate(pruned)
 
             prev_sim_s = sim_s
             if hooks.on_iteration is not None:

@@ -468,12 +468,7 @@ def branch_row(
     )
 
 
-def bound_block(
-    data: LowerBoundData,
-    block: NodeBlock,
-    kernel: str = "v2",
-    siblings: bool = False,
-) -> np.ndarray:
+def bound_block(data: LowerBoundData, block: NodeBlock, kernel: str = "v2") -> np.ndarray:
     """Bounding operator: evaluate a block in place, with zero re-packing.
 
     The block's ``(mask_bits, release)`` arrays and its ``jobs`` column
@@ -484,22 +479,15 @@ def bound_block(
     :func:`repro.flowshop.bounds.lower_bound` once per row — the paper's
     serial baseline.  Values are bit-identical to that scalar bound on
     every row, whatever the kernel, and are also written back into
-    ``block.lower_bound``.
-
-    ``siblings=True`` asserts that the block holds the COMPLETE child sets
-    of one or more parents of equal depth, in parent order (exactly what
-    :func:`branch_row` produces for one popped node and
-    :func:`branch_block` for a best-first tie batch): a block of complete
-    schedules then keeps the makespans set at branch time.
+    ``block.lower_bound``.  A complete row's bound is its makespan, which
+    the branching operators already wrote, so the single-step loop never
+    bounds a sibling set of complete schedules.
     """
     if kernel not in ("v2", "scalar"):
         raise ValueError(f"kernel must be 'v2' or 'scalar', got {kernel!r}")
     batch = len(block)
     if batch == 0:
         return np.zeros(0, dtype=np.int64)
-    if siblings and int(block.depth[0]) == block.n_jobs:
-        # siblings share one depth: every child is complete
-        return block.lower_bound
 
     bits, release = block.mask_bits, block.release
     if kernel == "scalar":

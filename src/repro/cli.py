@@ -89,7 +89,6 @@ def _solve(args: argparse.Namespace) -> int:
             instance,
             n_workers=args.workers,
             backend="process",
-            mode=args.parallel_mode,
             decomposition_depth=args.decomposition_depth,
             max_nodes_per_task=args.max_nodes,
             max_time_s=args.max_time,
@@ -299,17 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="multicore worker count",
     )
     solve.add_argument(
-        "--parallel-mode",
-        choices=("worksteal", "static"),
-        default="worksteal",
-        help="multicore engine: shared-incumbent work stealing (default) or static split",
-    )
-    solve.add_argument(
         "--decomposition-depth",
         type=int,
-        default=None,
-        help="prefix depth of the sub-tree decomposition "
-        "(default: 2 for worksteal, 1 for static)",
+        default=2,
+        help="multicore prefix depth of the sub-tree decomposition (default: 2)",
     )
     solve.add_argument("--nodes", type=int, default=4, help="cluster node count")
     solve.add_argument(

@@ -300,8 +300,6 @@ class _DistributedOffload:
     def __init__(self, engine: ClusterBranchAndBound):
         self._engine = engine
 
-    def bound_block(
-        self, block: NodeBlock, siblings: bool = False
-    ) -> tuple[np.ndarray, float, float]:
+    def bound_block(self, block: NodeBlock) -> tuple[np.ndarray, float, float]:
         sim_s, wall_s = self._engine._distributed_bound_block(block)
         return block.lower_bound, sim_s, wall_s

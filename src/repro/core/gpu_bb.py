@@ -102,9 +102,7 @@ class _ExecutorOffload:
     def __init__(self, executor: GpuExecutor):
         self._executor = executor
 
-    def bound_block(
-        self, block: NodeBlock, siblings: bool = False
-    ) -> tuple[np.ndarray, float, float]:
+    def bound_block(self, block: NodeBlock) -> tuple[np.ndarray, float, float]:
         result = self._executor.evaluate_block(block)
         return result.bounds, result.simulated.total_s, result.measured_wall_s
 

@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.bb.driver import SearchLimits
+from repro.bb.multicore import frontier_prefixes
 from repro.bb.stats import SearchStats
-from repro.bb.worksteal import frontier_prefixes
 from repro.core.config import GpuBBConfig
 from repro.core.gpu_bb import (
     GpuBranchAndBound,

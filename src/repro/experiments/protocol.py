@@ -37,6 +37,7 @@ from repro.bb.frontier import BlockFrontier, NodeBlock, Trail, bound_block, bran
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
 from repro.flowshop.neh import neh_heuristic
+from repro.flowshop.schedule import job_cumulative_times, machine_scan
 from repro.gpu.device import DeviceSpec, TESLA_C2050
 from repro.gpu.simulator import KernelCostModel
 from repro.perf.model import CpuCostModel
@@ -96,7 +97,6 @@ def synthetic_pool(
         depth = estimate_frontier_depth(n, pool_size)
     depth = int(min(max(depth, 0), n))
     rng = np.random.default_rng(seed)
-    pt = instance.processing_times
 
     mask = np.zeros((pool_size, n), dtype=bool)
     release = np.zeros((pool_size, m), dtype=np.int64)
@@ -108,16 +108,10 @@ def synthetic_pool(
     rows = np.repeat(np.arange(pool_size), depth)
     mask[rows, prefixes.reshape(-1)] = True
 
-    # release times: apply the flow-shop recurrence position by position,
-    # vectorised over the pool dimension
+    # release times: one machine scan per position, over the whole pool
+    after, before = job_cumulative_times(instance.processing_times, dtype=np.int64)
     for position in range(depth):
-        jobs = prefixes[:, position]
-        times = pt[jobs]  # (pool, m)
-        prev = np.zeros(pool_size, dtype=np.int64)
-        for k in range(m):
-            start = np.maximum(release[:, k], prev)
-            prev = start + times[:, k]
-            release[:, k] = prev
+        machine_scan(release, prefixes[:, position], after, before, out=release)
     return mask, release
 
 
@@ -174,11 +168,11 @@ def collect_pending_pool(
         expansions += 1
         if not len(children):
             continue
-        bound_block(data, children, siblings=True)
         if depth + 1 == instance.n_jobs:
             # siblings share their depth: all complete schedules, none pushed
             incumbent = min(incumbent, float(children.makespans.min()))
             continue
+        bound_block(data, children)
         pool.push_block(children, children.lower_bound < incumbent)
     # drain in best-first key order, then shuffle: the paper's list L is "random"
     pending, _ = pool.pop_batch(max(len(pool), 1))

@@ -585,18 +585,17 @@ class BatchDispatcher:
 class BatchingOffload:
     """The async-aware offload backend: ``bound_block`` parks on the dispatcher.
 
-    Implements the driver's offload contract (``bound_block(block,
-    siblings) -> (bounds, simulated_s, measured_s)``) by submitting every
-    batch to a :class:`BatchDispatcher` and blocking the calling session
-    thread on the returned future until the dispatcher flushes.  Semantics
-    match :class:`~repro.bb.driver.LocalBounding` exactly:
+    Implements the driver's offload contract (``bound_block(block) ->
+    (bounds, simulated_s, measured_s)``) by submitting every batch to a
+    :class:`BatchDispatcher` and blocking the calling session thread on
+    the returned future until the dispatcher flushes.  Semantics match
+    :class:`~repro.bb.driver.LocalBounding` exactly:
 
-    * sibling blocks of complete schedules short-circuit locally (their
-      makespans were filled in at branch time — no kernel work exists to
-      coalesce, and the serial engines issue no launch there either);
     * empty blocks return immediately;
     * all other blocks produce bit-identical bounds via the dispatcher's
-      fused launch, written into ``block.lower_bound`` in place.
+      fused launch, written into ``block.lower_bound`` in place (the
+      single-step loop never sends a sibling set of complete schedules:
+      their makespans were written at branch time).
 
     **Graceful degradation**: when a parked future carries a launch failure
     (the dispatcher exhausted its retries — see
@@ -641,7 +640,7 @@ class BatchingOffload:
         block.lower_bound[:] = bounds
         return block.lower_bound, 0.0, wall
 
-    def bound_block(self, block, siblings: bool = False):
+    def bound_block(self, block):
         """Bound one block through the dispatcher (parks until the flush).
 
         Returns the ``(bounds, simulated_s, measured_s)`` triple of the
@@ -650,10 +649,6 @@ class BatchingOffload:
         """
         if len(block) == 0:
             return np.zeros(0, dtype=np.int64), 0.0, 0.0
-        if siblings and int(block.depth[0]) == block.n_jobs:
-            # complete-schedule siblings: bounds ARE the makespans, set at
-            # branch time (mirror of frontier.bound_block's fast path)
-            return block.lower_bound, 0.0, 0.0
         if self._degraded_reason is not None:
             return self._bound_locally(block)
         future = self.dispatcher.submit(self.token, self.data, block)

@@ -1,9 +1,12 @@
-"""Test support: deterministic fault injection for the chaos suite.
+"""Test support: fault injection for the chaos suite and the static-split reference.
 
 Unranked in the layer DAG — importable from anywhere, but only imported
-by tests and the chaos CI step, never by solver or service code paths.
+by tests, the chaos CI step and the benchmarks (``bench_worksteal.py``
+runs :func:`~repro.testing.static_split.static_split` as its ablation),
+never by solver or service code paths.
 """
 
 from repro.testing.faults import FaultInjector, SimulatedFault
+from repro.testing.static_split import static_split
 
-__all__ = ["FaultInjector", "SimulatedFault"]
+__all__ = ["FaultInjector", "SimulatedFault", "static_split"]

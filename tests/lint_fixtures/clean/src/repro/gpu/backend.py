@@ -2,12 +2,12 @@
 
 
 class CompliantOffload:
-    def bound_block(self, block, siblings=False):
+    def bound_block(self, block):
         return block.lower_bound, 0.0, 0.0
 
 
 class ForwardingOffload:
-    def bound_block(self, block, siblings=False):
+    def bound_block(self, block):
         return self._future(block).result()  # non-literal return: unchecked
 
     def _future(self, block):

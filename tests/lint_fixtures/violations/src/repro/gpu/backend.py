@@ -2,22 +2,22 @@
 
 
 class TwoTupleOffload:
-    def bound_block(self, block, siblings=False):
+    def bound_block(self, block):
         return block.lower_bound, 0.0  # 2-tuple: finding
 
 
-class NoSiblingsOffload:
-    def bound_block(self, block):  # missing siblings flag: finding
+class FlaggedOffload:
+    def bound_block(self, block, complete=False):  # extra optional flag: finding
         return block.lower_bound, 0.0, 0.0
 
 
 class ExtraArgOffload:
-    def bound_block(self, block, data, siblings=False):  # extra required arg: finding
+    def bound_block(self, block, data):  # extra required arg: finding
         return block.lower_bound, 0.0, 0.0
 
 
 class BareReturnOffload:
-    def bound_block(self, block, siblings=False):
+    def bound_block(self, block):
         if not len(block):
             return  # bare return: finding
         return block.lower_bound, 0.0, 0.0

@@ -27,10 +27,9 @@ class TestParser:
 
     def test_parallel_flags(self):
         args = build_parser().parse_args(
-            ["solve", "--n-workers", "8", "--parallel-mode", "static", "--decomposition-depth", "3"]
+            ["solve", "--n-workers", "8", "--decomposition-depth", "3"]
         )
         assert args.workers == 8
-        assert args.parallel_mode == "static"
         assert args.decomposition_depth == 3
 
     def test_workers_alias_kept(self):
@@ -39,12 +38,15 @@ class TestParser:
 
     def test_parallel_defaults(self):
         args = build_parser().parse_args(["solve"])
-        assert args.parallel_mode == "worksteal"
-        assert args.decomposition_depth is None
+        assert args.decomposition_depth == 2
 
-    def test_unknown_parallel_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--parallel-mode", "telepathy"])
+    def test_unknown_parallel_mode_rejected(self, capsys):
+        # one multicore engine, so the CLI has no mode flag to accept
+        for mode in ("worksteal", "static"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["solve", "--parallel-mode", mode])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --parallel-mode" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -82,8 +84,6 @@ class TestSolveCommand:
                 "multicore",
                 "--n-workers",
                 "2",
-                "--parallel-mode",
-                "worksteal",
                 "--decomposition-depth",
                 "2",
             ]

@@ -29,6 +29,7 @@ from repro.bb.driver import (
     SearchDriver,
     SearchHooks,
     SearchLimits,
+    run_search,
 )
 from repro.bb.frontier import BlockFrontier, Trail, bound_block, root_block
 from repro.bb.multicore import MulticoreBranchAndBound
@@ -42,6 +43,7 @@ from repro.core.pipeline import HybridBranchAndBound, HybridConfig
 from repro.flowshop import FlowShopInstance, random_instance
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.neh import neh_heuristic
+from repro.testing import static_split
 
 #: Results of the pre-driver per-engine solve loops, captured verbatim at
 #: the commit that still carried them.  The driver must reproduce these
@@ -590,14 +592,11 @@ def _run(key: str):
         return HybridBranchAndBound(
             SMALL, HybridConfig(n_explorers=2, gpu=GpuBBConfig(pool_size=16))
         ).solve()
-    mode = "worksteal" if "_worksteal_" in key else "static"
-    return MulticoreBranchAndBound(
-        MEDIUM,
-        n_workers=1,
-        backend="serial",
-        mode=mode,
-        decomposition_depth=2,
-    ).solve()
+    if "_worksteal_" in key:
+        return MulticoreBranchAndBound(
+            MEDIUM, n_workers=1, backend="serial", decomposition_depth=2
+        ).solve()
+    return static_split(MEDIUM, decomposition_depth=2)
 
 
 class TestGoldenEquivalence:
@@ -657,8 +656,8 @@ class _RecordingOffload:
         self.calls: list[tuple[str, int]] = []
         self.charge = charge
 
-    def bound_block(self, block, siblings=False):
-        bounds, _, _ = self.inner.bound_block(block, siblings=siblings)
+    def bound_block(self, block):
+        bounds, _, _ = self.inner.bound_block(block)
         self.calls.append(("block", len(block)))
         return bounds, self.charge * len(block), 0.0
 
@@ -689,13 +688,12 @@ def _seeded_block_run(instance, driver, upper_bound, best_order):
 
 
 class TestHookOrder:
-    """select -> improve* -> eliminate -> iteration, per driver step."""
+    """select -> improve* -> iteration, per driver step."""
 
     def _hooked_driver(self, instance, events, batch_size=None, offload=None, limits=None):
         hooks = SearchHooks(
             on_select=lambda k: events.append(("select", k)),
             on_improve_incumbent=lambda mk, order: events.append(("improve", mk, order())),
-            on_eliminate=lambda k: events.append(("eliminate", k)),
             on_iteration=lambda step: events.append(("iteration", step.iteration)),
         )
         return SearchDriver(
@@ -713,20 +711,18 @@ class TestHookOrder:
         outcome, _ = _seeded_block_run(small_instance, driver, float("inf"), ())
         assert outcome.completed and outcome.improved
         kinds = [e[0] for e in events]
-        assert set(kinds) == {"select", "improve", "eliminate", "iteration"}
-        # each iteration is one select ... eliminate, iteration block, with
+        assert set(kinds) == {"select", "improve", "iteration"}
+        # each iteration is one select ... iteration block, with
         # improvements (if any) strictly between its select and its iteration
-        position = {"select": 0, "improve": 1, "eliminate": 2, "iteration": 3}
-        phase = 3  # virtual "iteration" before the first select
+        in_iteration = False
         for kind in kinds:
             if kind == "select":
-                assert phase == 3, "select must start a fresh iteration"
-                phase = 0
+                assert not in_iteration, "select must start a fresh iteration"
+                in_iteration = True
             else:
-                assert position[kind] > phase
-                phase = position[kind] if kind != "improve" else phase
+                assert in_iteration, f"{kind} outside an iteration"
                 if kind == "iteration":
-                    phase = 3
+                    in_iteration = False
         assert kinds[-1] == "iteration"
 
     def test_improvement_orders_materialize_lazily(self, small_instance):
@@ -747,8 +743,6 @@ class TestHookOrder:
         assert outcome.completed
         selected = sum(e[1] for e in events if e[0] == "select")
         assert selected == stats.nodes_explored
-        eliminated = sum(e[1] for e in events if e[0] == "eliminate")
-        assert eliminated <= stats.nodes_pruned
         assert not any(e[0] == "iteration" for e in events), "single mode has no pools"
 
     def test_offload_charge_accumulates(self, small_instance):
@@ -1146,6 +1140,40 @@ class TestBatchCheckpoint:
                 assert getattr(snap.stats, counter) == getattr(golden_stats, counter), counter
 
 
+class _CompleteSetGuard(_RecordingOffload):
+    """Counts the blocks handed to it whose rows are all complete schedules."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.complete_blocks = 0
+
+    def bound_block(self, block):
+        if len(block) and (block.depth == block.n_jobs).all():
+            self.complete_blocks += 1
+        return super().bound_block(block)
+
+
+class TestCompleteSiblingSets:
+    """Branching writes a complete child's makespan as its bound, so the
+    single-step loop offloads no sibling set of complete schedules."""
+
+    @pytest.mark.parametrize("selection", ["depth-first", "best-first"])
+    def test_offload_never_sees_an_all_complete_block(self, medium_instance, selection):
+        # depth-first pops one node per step; best-first pops (lb, depth)
+        # tie batches, whose members at depth n - 1 are examined one by one
+        offload = _CompleteSetGuard(LowerBoundData(medium_instance))
+        driver = SearchDriver(medium_instance, selection=selection, offload=offload)
+        outcome, stats = run_search(driver, (), upper_bound=float("inf"))
+        reference = SequentialBranchAndBound(
+            medium_instance, selection=selection, initial_upper_bound=float("inf")
+        ).solve()
+        assert outcome.completed and outcome.upper_bound == reference.best_makespan
+        for counter in COUNTERS:
+            assert getattr(stats, counter) == getattr(reference.stats, counter), counter
+        assert stats.leaves_evaluated > 0 and offload.calls
+        assert offload.complete_blocks == 0
+
+
 class TestWorkstealTieBatching:
     """Best-first workers ride the sequential engine's tie-batch path."""
 
@@ -1155,7 +1183,6 @@ class TestWorkstealTieBatching:
             medium_instance,
             n_workers=1,
             backend="serial",
-            mode="worksteal",
             selection="best-first",
             decomposition_depth=2,
         ).solve()

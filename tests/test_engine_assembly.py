@@ -38,6 +38,7 @@ from repro.flowshop.neh import neh_heuristic
 from repro.flowshop.schedule import Schedule
 from repro.service.dispatch import BatchDispatcher
 from repro.service.session import SessionConfig, SolveSession
+from repro.testing import static_split
 
 COUNTERS = (
     "nodes_bounded",
@@ -94,16 +95,18 @@ class TestSeedRule:
 
     @pytest.mark.parametrize("engine", ["hybrid", "worksteal", "static"])
     def test_prefix_engines_prune_every_seed(self, engine):
+        seeds = DOMINATED.n_jobs * (DOMINATED.n_jobs - 1)
         if engine == "hybrid":
             result = HybridBranchAndBound(
                 DOMINATED, HybridConfig(gpu=GpuBBConfig(pool_size=16))
             ).solve()
             seeds = DOMINATED.n_jobs
+        elif engine == "static":
+            result = static_split(DOMINATED, decomposition_depth=2)
         else:
             result = MulticoreBranchAndBound(
-                DOMINATED, n_workers=1, backend="serial", mode=engine, decomposition_depth=2
+                DOMINATED, n_workers=1, backend="serial", decomposition_depth=2
             ).solve()
-            seeds = DOMINATED.n_jobs * (DOMINATED.n_jobs - 1)
         assert result.proved_optimal
         assert result.best_makespan == neh_heuristic(DOMINATED).makespan
         assert result.stats.nodes_bounded == seeds
@@ -127,14 +130,9 @@ class TestSeedRule:
                 gpu=GpuBBConfig(pool_size=16, use_neh_upper_bound=False, share_incumbent=False),
             ),
         ).solve()
-        static = MulticoreBranchAndBound(
-            instance,
-            n_workers=1,
-            backend="serial",
-            mode="static",
-            decomposition_depth=instance.n_jobs,
-            initial_upper_bound=float("inf"),
-        ).solve()
+        static = static_split(
+            instance, decomposition_depth=instance.n_jobs, initial_upper_bound=float("inf")
+        )
         # every leaf seed improves on the launch-time bound (no NEH, no sharing)
         assert hybrid.stats.incumbent_updates == len(list(permutations(range(4))))
         for counter in ("nodes_bounded", "leaves_evaluated", "incumbent_updates"):

@@ -312,7 +312,7 @@ class TestBoundBlock:
             order += len(children)
             block = children.take(np.array([rng.integers(len(children))]))
         siblings = branch_block(block, instance.processing_times, order)
-        got = bound_block(data, siblings, siblings=True)
+        got = bound_block(data, siblings)
         want = lower_bound_batch(data, _bool_mask(siblings), siblings.release)
         assert np.array_equal(got, want)
 
@@ -366,7 +366,7 @@ def _scalar_bounds(data, block, include_one_machine=False):
 
 
 class TestGroupedSiblings:
-    """``siblings=True`` on the complete child sets of k equal-depth parents."""
+    """The bounding operator on the complete child sets of k equal-depth parents."""
 
     @given(st.integers(0, 10_000), st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -382,7 +382,7 @@ class TestGroupedSiblings:
         parents, order = _equal_depth_parents(instance, depth, int(rng.integers(1, most + 1)), rng)
         children = branch_block(parents, instance.processing_times, order)
         want = _scalar_bounds(data, children, include)
-        got = bound_block(data, children, siblings=True)
+        got = bound_block(data, children)
         assert np.array_equal(got, want)
         assert np.array_equal(children.lower_bound, want)
         if big:
@@ -413,7 +413,7 @@ class TestGroupedSiblings:
         monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
         for include in (False, True):
             probe = children.take(np.arange(len(children)))
-            got = bound_block(data, probe, siblings=True)
+            got = bound_block(data, probe)
             assert np.array_equal(got, _scalar_bounds(data, probe, include))
             rows, jobs = launches.pop()
             assert rows == count * (n - depth) and jobs is probe.jobs
@@ -434,7 +434,7 @@ class TestGroupedSiblings:
             return real(*args, **kwargs)
 
         monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
-        got = bound_block(data, children, siblings=True)
+        got = bound_block(data, children)
         assert launches == [len(children)]
         assert np.array_equal(got, _scalar_bounds(data, children))
 
@@ -447,10 +447,10 @@ class TestGroupedSiblings:
         children = branch_block(parents, instance.processing_times, order)
         if kernel == "v1":
             with pytest.raises(ValueError):
-                bound_block(data, children, kernel=kernel, siblings=True)
+                bound_block(data, children, kernel=kernel)
             got = lower_bound_batch(data, _bool_mask(children), children.release)
         else:
-            got = bound_block(data, children, kernel=kernel, siblings=True)
+            got = bound_block(data, children, kernel=kernel)
         assert np.array_equal(got, _scalar_bounds(data, children))
 
 
@@ -827,7 +827,7 @@ class _RaisingOffload:
         self.data, self.frontier, self.fail_at, self.calls = data, frontier, fail_at, 0
         self.seen = None
 
-    def bound_block(self, block, siblings=False):
+    def bound_block(self, block):
         self.calls += 1
         if self.calls == self.fail_at:
             frontier = self.frontier
@@ -839,7 +839,7 @@ class _RaisingOffload:
                 {name: getattr(frontier, name)[:size].copy() for name in BlockFrontier._ARRAYS},
             )
             raise RuntimeError("device lost")
-        bound_block(self.data, block, siblings=siblings)
+        bound_block(self.data, block)
         return block.lower_bound, 0.0, 0.0
 
 

@@ -805,8 +805,5 @@ class TestOneMachineTermIsDominated:
                         for row in range(len(block))
                     ]
                     for kernel in ("v2", "scalar"):
-                        for sibling_flag in (False, True):
-                            got = frontier.bound_block(
-                                data, block, kernel=kernel, siblings=sibling_flag
-                            )
-                            assert got.tolist() == want, (seed, flag, kernel, sibling_flag)
+                        got = frontier.bound_block(data, block, kernel=kernel)
+                        assert got.tolist() == want, (seed, flag, kernel)

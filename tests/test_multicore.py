@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bb import MulticoreBranchAndBound, SequentialBranchAndBound, brute_force_optimum
+from repro.bb.multicore import _SubtreeSolver, frontier_prefixes
+from repro.testing import static_split
 
 
 class TestCorrectness:
@@ -44,16 +46,15 @@ class TestOptimalInitialBound:
     """Regression: an initial bound equal to the optimum used to raise
     ``RuntimeError("parallel search terminated without an incumbent")``."""
 
-    @pytest.mark.parametrize("mode", ["static", "worksteal"])
-    def test_returns_the_proven_bound(self, small_instance, mode):
+    @pytest.mark.parametrize("engine", ["static", "worksteal"])
+    def test_returns_the_proven_bound(self, small_instance, engine):
         _, optimum = brute_force_optimum(small_instance)
-        result = MulticoreBranchAndBound(
-            small_instance,
-            n_workers=2,
-            backend="thread",
-            mode=mode,
-            initial_upper_bound=optimum,
-        ).solve()
+        if engine == "static":
+            result = static_split(small_instance, initial_upper_bound=optimum)
+        else:
+            result = MulticoreBranchAndBound(
+                small_instance, n_workers=2, backend="thread", initial_upper_bound=optimum
+            ).solve()
         assert result.best_makespan == optimum
         assert result.proved_optimal
 
@@ -62,11 +63,7 @@ class TestOptimalInitialBound:
         # the completed search returns the caller's bound unchanged
         _, optimum = brute_force_optimum(small_instance)
         result = MulticoreBranchAndBound(
-            small_instance,
-            n_workers=2,
-            backend="thread",
-            mode="static",
-            initial_upper_bound=optimum - 1,
+            small_instance, n_workers=2, backend="thread", initial_upper_bound=optimum - 1
         ).solve()
         assert result.best_makespan == optimum - 1
         assert result.best_order == ()
@@ -77,8 +74,6 @@ class TestSubtreeEarlyReturns:
     ``time_total_s`` / ``max_pool_size`` unset, under-reporting timings."""
 
     def test_leaf_root_records_timing(self, tiny_instance):
-        from repro.bb.multicore import _SubtreeSolver
-
         solver = _SubtreeSolver(tiny_instance, prefix=(0, 1, 2), upper_bound=1e9)
         makespan, order, stats, completed = solver.run()
         assert completed and makespan is not None and order == (0, 1, 2)
@@ -86,16 +81,12 @@ class TestSubtreeEarlyReturns:
         assert stats.leaves_evaluated == 1
 
     def test_rejected_leaf_root_records_timing(self, tiny_instance):
-        from repro.bb.multicore import _SubtreeSolver
-
         solver = _SubtreeSolver(tiny_instance, prefix=(0, 1, 2), upper_bound=1)
         makespan, order, stats, completed = solver.run()
         assert completed and makespan is None and order == ()
         assert stats.time_total_s > 0
 
     def test_pruned_root_records_timing(self, small_instance):
-        from repro.bb.multicore import _SubtreeSolver
-
         solver = _SubtreeSolver(small_instance, prefix=(0,), upper_bound=1)
         makespan, order, stats, completed = solver.run()
         assert completed and makespan is None
@@ -121,8 +112,7 @@ class TestConfigurationValidation:
 
 class TestDecomposition:
     def test_frontier_size(self, small_instance):
-        solver = MulticoreBranchAndBound(small_instance, decomposition_depth=2, backend="serial")
-        prefixes = solver._frontier_prefixes()
+        prefixes = frontier_prefixes(small_instance.n_jobs, 2)
         n = small_instance.n_jobs
         assert len(prefixes) == n * (n - 1)
         assert all(len(p) == 2 and p[0] != p[1] for p in prefixes)
@@ -134,22 +124,12 @@ class TestDecomposition:
         assert result.stats.nodes_bounded > 0
         assert result.stats.time_total_s > 0
 
-    def test_reference_serial_helper(self, small_instance):
-        solver = MulticoreBranchAndBound(small_instance, backend="serial")
-        reference = solver.reference_serial()
-        assert reference.best_makespan == solver.solve().best_makespan
-
 
 class TestThreadBackend:
-    @pytest.mark.parametrize("mode", ["worksteal", "static"])
-    def test_thread_backend_block_exact_and_conserved(self, medium_instance, mode):
+    def test_thread_backend_block_exact_and_conserved(self, medium_instance):
         optimum = SequentialBranchAndBound(medium_instance).solve().best_makespan
         result = MulticoreBranchAndBound(
-            medium_instance,
-            n_workers=4,
-            backend="thread",
-            mode=mode,
-            decomposition_depth=2,
+            medium_instance, n_workers=4, backend="thread", decomposition_depth=2
         ).solve()
         assert result.proved_optimal
         assert result.best_makespan == optimum

@@ -16,6 +16,7 @@ from repro.bb.frontier import (
     seed_block,
 )
 from repro.flowshop.bounds import LowerBoundData, lower_bound, unpack_mask
+from repro.flowshop.schedule import Schedule
 
 
 def _bounded_children(instance, data):
@@ -44,12 +45,13 @@ class TestBoundNode:
         assert node.lower_bound[0] == value
 
     def test_bound_is_cached(self, tiny_instance):
-        # complete children carry their makespan from branch time; bounding
-        # them as siblings reuses that value instead of recomputing it
+        # complete children carry their makespan as their bound from branch
+        # time, so the driver never bounds them; the operator agrees
         parent = seed_block(tiny_instance, (0, 1), Trail())
         leaf = branch_block(parent, tiny_instance.processing_times, 3)
-        leaf.lower_bound[0] = 12345
-        assert bound_block(LowerBoundData(tiny_instance), leaf, siblings=True)[0] == 12345
+        makespan = Schedule(tiny_instance, (0, 1, 2)).makespan
+        assert leaf.lower_bound[0] == makespan
+        assert bound_block(LowerBoundData(tiny_instance), leaf)[0] == makespan
 
 
 class TestEncodePool:

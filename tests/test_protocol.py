@@ -65,6 +65,20 @@ class TestSyntheticPool:
             assert (release[i] >= loads).all()
             assert (np.diff(release[i]) >= 0).all()
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_rows_equal_partial_completion_times(self, medium_instance, seed):
+        # the prefixes are the first `depth` columns of random permutations
+        # drawn from default_rng(seed); each row's mask pins that draw
+        n, rows = medium_instance.n_jobs, 40
+        for depth in range(n + 1):
+            mask, release = synthetic_pool(medium_instance, rows, depth=depth, seed=seed)
+            rng = np.random.default_rng(seed)
+            prefixes = np.argsort(rng.random((rows, n)), axis=1)[:, :depth]
+            for row, prefix in enumerate(prefixes):
+                assert set(np.flatnonzero(mask[row])) == set(prefix.tolist())
+                want = partial_completion_times(medium_instance, prefix)
+                assert np.array_equal(release[row], want), (depth, row)
+
     def test_depth_zero_gives_roots(self, small_instance):
         mask, release = synthetic_pool(small_instance, 5, depth=0)
         assert not mask.any()

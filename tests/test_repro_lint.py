@@ -118,7 +118,7 @@ class TestGuardedBy:
         # a worker -> joiner hand-off: lock-guarded counter plus a
         # confined-to payload, in a module the rule scans
         found = findings_for(lint(VIOLATIONS), "guarded-by")
-        handoff = [f for f in found if "bb/worksteal.py" in f.path]
+        handoff = [f for f in found if "bb/multicore.py" in f.path]
         assert len(handoff) == 2
         messages = " | ".join(f.message for f in handoff)
         # submit()'s unlocked counter write (guarded-by)
@@ -131,7 +131,7 @@ class TestGuardedBy:
         # locked counter, payload touched only from _finish/result, a
         # justified ignore-comment read, and an unannotated attr: silent
         report = lint(CLEAN)
-        assert not any("bb/worksteal.py" in f.path for f in report.findings)
+        assert not any("bb/multicore.py" in f.path for f in report.findings)
 
 
 class TestDtype:
@@ -192,8 +192,9 @@ class TestOffloadContract:
         messages = " | ".join(f.message for f in found)
         assert len(found) == 4
         assert "2-tuple" in messages
-        assert "siblings" in messages
-        assert "ExtraArgOffload.bound_block: bound_block must take one required" in messages
+        # a re-added optional flag and an extra required argument alike
+        for offload in ("FlaggedOffload", "ExtraArgOffload"):
+            assert f"{offload}.bound_block: bound_block must take exactly one argument" in messages
         assert "bare return" in messages
 
     def test_clean_twin(self):
@@ -272,8 +273,8 @@ class TestLiveTree:
         # the race detector only has teeth while the annotations stay put
         dispatch = (REPO_ROOT / "src" / "repro" / "service" / "dispatch.py").read_text()
         assert dispatch.count("# guarded-by:") >= 4
-        worksteal = (REPO_ROOT / "src" / "repro" / "bb" / "worksteal.py").read_text()
-        assert worksteal.count("# guarded-by:") >= 1
+        multicore = (REPO_ROOT / "src" / "repro" / "bb" / "multicore.py").read_text()
+        assert multicore.count("# guarded-by:") >= 4
 
     def test_cli_subcommand(self):
         proc = subprocess.run(

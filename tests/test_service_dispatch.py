@@ -212,18 +212,6 @@ class TestBackgroundThread:
 
 
 class TestBatchingOffload:
-    def test_leaf_siblings_short_circuit(self, instance, data):
-        """Complete-schedule siblings never reach the dispatcher."""
-        dispatcher = BatchDispatcher(autostart=False)  # would park forever
-        offload = BatchingOffload(dispatcher, data, token="s1")
-        block = fresh_root(instance)
-        block.depth[:] = instance.n_jobs  # pretend: complete schedules
-        block.lower_bound[:] = 123
-        bounds, simulated_s, measured_s = offload.bound_block(block, siblings=True)
-        assert bounds is block.lower_bound
-        assert (simulated_s, measured_s) == (0.0, 0.0)
-        assert dispatcher.pending_requests == 0
-
     def test_empty_block_short_circuits(self, instance, data):
         from repro.bb.frontier import NodeBlock
 

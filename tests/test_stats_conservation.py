@@ -17,6 +17,7 @@ import pytest
 from repro.bb import MulticoreBranchAndBound, SequentialBranchAndBound
 from repro.core import ClusterBranchAndBound, ClusterSpec, GpuBBConfig, GpuBranchAndBound
 from repro.core.pipeline import HybridBranchAndBound, HybridConfig
+from repro.testing import static_split
 
 
 def assert_conserved(stats):
@@ -54,26 +55,21 @@ class TestConservation:
         assert result.proved_optimal
         assert_conserved(result.stats)
 
-    @pytest.mark.parametrize("mode", ["static", "worksteal"])
-    def test_multicore_engines(self, medium_instance, mode):
-        result = MulticoreBranchAndBound(
-            medium_instance,
-            n_workers=4,
-            backend="thread",
-            mode=mode,
-            decomposition_depth=2,
-        ).solve()
+    @pytest.mark.parametrize("engine", ["static", "worksteal"])
+    def test_multicore_engines(self, medium_instance, engine):
+        if engine == "static":
+            result = static_split(medium_instance, decomposition_depth=2)
+        else:
+            result = MulticoreBranchAndBound(
+                medium_instance, n_workers=4, backend="thread", decomposition_depth=2
+            ).solve()
         assert result.proved_optimal
         assert_conserved(result.stats)
 
     def test_worksteal_with_aggressive_polling(self, medium_instance):
         # poll_interval=1 exercises the pool re-prune path on every pop
         result = MulticoreBranchAndBound(
-            medium_instance,
-            n_workers=4,
-            backend="thread",
-            mode="worksteal",
-            poll_interval=1,
+            medium_instance, n_workers=4, backend="thread", poll_interval=1
         ).solve()
         assert result.proved_optimal
         assert_conserved(result.stats)

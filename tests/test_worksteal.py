@@ -11,11 +11,11 @@ from repro.bb import (
     MulticoreBranchAndBound,
     SequentialBranchAndBound,
     SharedIncumbent,
-    WorkStealingBranchAndBound,
     brute_force_optimum,
 )
-from repro.bb.worksteal import frontier_prefixes
+from repro.bb.multicore import frontier_prefixes
 from repro.flowshop import FlowShopInstance, random_instance
+from repro.testing import static_split
 
 
 class TestSharedIncumbent:
@@ -64,20 +64,18 @@ class TestFrontier:
 class TestValidation:
     def test_rejects_unknown_backend(self, small_instance):
         with pytest.raises(ValueError):
-            WorkStealingBranchAndBound(small_instance, backend="gpu")
+            MulticoreBranchAndBound(small_instance, backend="gpu")
 
     def test_rejects_bad_depth(self, small_instance):
         with pytest.raises(ValueError):
-            WorkStealingBranchAndBound(small_instance, decomposition_depth=0)
+            MulticoreBranchAndBound(small_instance, decomposition_depth=0)
 
     def test_rejects_bad_poll_interval(self, small_instance):
         with pytest.raises(ValueError):
-            WorkStealingBranchAndBound(small_instance, poll_interval=0)
+            MulticoreBranchAndBound(small_instance, poll_interval=0)
 
     def test_depth_clamped_to_jobs(self, tiny_instance):
-        solver = WorkStealingBranchAndBound(
-            tiny_instance, backend="serial", decomposition_depth=10
-        )
+        solver = MulticoreBranchAndBound(tiny_instance, backend="serial", decomposition_depth=10)
         assert solver.decomposition_depth == tiny_instance.n_jobs
         assert solver.solve().proved_optimal
 
@@ -87,7 +85,7 @@ class TestExactness:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_matches_bruteforce(self, small_instance, backend, depth):
         _, optimum = brute_force_optimum(small_instance)
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             small_instance, n_workers=2, backend=backend, decomposition_depth=depth
         ).solve()
         assert result.best_makespan == optimum
@@ -95,7 +93,7 @@ class TestExactness:
 
     def test_process_backend(self, small_instance):
         _, optimum = brute_force_optimum(small_instance)
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             small_instance, n_workers=2, backend="process", decomposition_depth=2
         ).solve()
         assert result.best_makespan == optimum
@@ -103,7 +101,7 @@ class TestExactness:
 
     def test_aggressive_polling(self, medium_instance):
         serial = SequentialBranchAndBound(medium_instance).solve()
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             medium_instance, n_workers=4, backend="thread", poll_interval=1
         ).solve()
         assert result.best_makespan == serial.best_makespan
@@ -111,14 +109,14 @@ class TestExactness:
     def test_full_depth_decomposition(self, tiny_instance):
         # every chunk root is a complete schedule (leaf)
         _, optimum = brute_force_optimum(tiny_instance)
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             tiny_instance, n_workers=2, backend="thread", decomposition_depth=3
         ).solve()
         assert result.best_makespan == optimum
 
     def test_optimal_initial_upper_bound_returns_bound(self, small_instance):
         _, optimum = brute_force_optimum(small_instance)
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             small_instance, n_workers=2, backend="thread", initial_upper_bound=optimum
         ).solve()
         assert result.best_makespan == optimum
@@ -137,7 +135,7 @@ class TestExactness:
             name=f"hyp_ws_{n}x{m}_{seed}",
         )
         serial = SequentialBranchAndBound(instance).solve()
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             instance, n_workers=2, backend=backend, decomposition_depth=2
         ).solve()
         assert result.best_makespan == serial.best_makespan
@@ -152,7 +150,7 @@ class TestBudgetsAndFailures:
 
         instance = random_instance(12, 8, seed=5)
         start = time.perf_counter()
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             instance, n_workers=2, backend="thread", max_time_s=0.05
         ).solve()
         wall = time.perf_counter() - start
@@ -163,7 +161,7 @@ class TestBudgetsAndFailures:
     def test_truncated_run_with_infinite_bound_raises(self, medium_instance):
         # an infinite bound plus a budget that cuts every chunk before the
         # first leaf leaves nothing to report
-        engine = WorkStealingBranchAndBound(
+        engine = MulticoreBranchAndBound(
             medium_instance,
             n_workers=1,
             backend="serial",
@@ -182,7 +180,7 @@ class TestBudgetsAndFailures:
                 raise OSError("worker resources exhausted")
 
         monkeypatch.setattr(multicore_module, "_SubtreeSolver", Boom)
-        engine = WorkStealingBranchAndBound(small_instance, n_workers=2, backend="thread")
+        engine = MulticoreBranchAndBound(small_instance, n_workers=2, backend="thread")
         with pytest.raises(RuntimeError, match="worker thread"):
             engine.solve()
 
@@ -195,7 +193,7 @@ class TestRebalancing:
         # Without rebalancing, max_nodes_per_task=5 truncates nearly every
         # chunk; with it the cuts become time-slices and the proof survives.
         _, optimum = brute_force_optimum(small_instance)
-        engine = WorkStealingBranchAndBound(
+        engine = MulticoreBranchAndBound(
             small_instance,
             n_workers=2,
             backend=backend,
@@ -210,7 +208,7 @@ class TestRebalancing:
 
     def test_process_backend(self, small_instance):
         _, optimum = brute_force_optimum(small_instance)
-        engine = WorkStealingBranchAndBound(
+        engine = MulticoreBranchAndBound(
             small_instance,
             n_workers=2,
             backend="process",
@@ -227,7 +225,7 @@ class TestRebalancing:
         # same starved configuration finds the optimum once remainders are
         # re-enqueued instead of dropped.
         _, optimum = brute_force_optimum(tiny_instance)
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             tiny_instance,
             n_workers=1,
             backend="serial",
@@ -244,7 +242,7 @@ class TestRebalancing:
 
         instance = random_instance(12, 8, seed=5)
         start = time.perf_counter()
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             instance,
             n_workers=2,
             backend="thread",
@@ -258,7 +256,7 @@ class TestRebalancing:
 
     def test_best_first_chunks_survive_rebalancing(self, small_instance):
         _, optimum = brute_force_optimum(small_instance)
-        result = WorkStealingBranchAndBound(
+        result = MulticoreBranchAndBound(
             small_instance,
             n_workers=2,
             backend="thread",
@@ -276,19 +274,9 @@ class TestWorkAvoidance:
         """Acceptance: shared incumbent beats the static split at 4 workers."""
         instance = random_instance(10, 5, seed=1)  # NEH 734 vs optimum 707
         serial = SequentialBranchAndBound(instance).solve()
-        static = MulticoreBranchAndBound(
-            instance,
-            n_workers=4,
-            backend="thread",
-            mode="static",
-            decomposition_depth=2,
-        ).solve()
+        static = static_split(instance, decomposition_depth=2)
         worksteal = MulticoreBranchAndBound(
-            instance,
-            n_workers=4,
-            backend="thread",
-            mode="worksteal",
-            decomposition_depth=2,
+            instance, n_workers=4, backend="thread", decomposition_depth=2
         ).solve()
         assert static.best_makespan == serial.best_makespan
         assert worksteal.best_makespan == serial.best_makespan
@@ -297,19 +285,9 @@ class TestWorkAvoidance:
 
     def test_serial_backend_chains_the_incumbent(self, medium_instance):
         """Even one worker benefits: the bound flows between stolen chunks."""
-        static = MulticoreBranchAndBound(
-            medium_instance,
-            n_workers=1,
-            backend="serial",
-            mode="static",
-            decomposition_depth=2,
-        ).solve()
+        static = static_split(medium_instance, decomposition_depth=2)
         worksteal = MulticoreBranchAndBound(
-            medium_instance,
-            n_workers=1,
-            backend="serial",
-            mode="worksteal",
-            decomposition_depth=2,
+            medium_instance, n_workers=1, backend="serial", decomposition_depth=2
         ).solve()
         assert worksteal.best_makespan == static.best_makespan
         assert worksteal.stats.nodes_bounded <= static.stats.nodes_bounded
@@ -317,11 +295,7 @@ class TestWorkAvoidance:
     def test_worksteal_block_aggressive_polling(self, medium_instance):
         # poll_interval=1 exercises BlockFrontier.prune_to on every pop
         result = MulticoreBranchAndBound(
-            medium_instance,
-            n_workers=4,
-            backend="thread",
-            mode="worksteal",
-            poll_interval=1,
+            medium_instance, n_workers=4, backend="thread", poll_interval=1
         ).solve()
         assert result.proved_optimal
         stats = result.stats
@@ -331,22 +305,20 @@ class TestWorkAvoidance:
 
 
 class TestFacade:
+    """The engine's surface: no mode to select, depth 2 by default."""
+
     def test_default_mode_is_worksteal(self, small_instance):
         solver = MulticoreBranchAndBound(small_instance)
-        assert solver.mode == "worksteal"
+        assert not hasattr(solver, "mode")
         assert solver.decomposition_depth == 2
 
-    def test_static_mode_defaults_to_depth_one(self, small_instance):
-        solver = MulticoreBranchAndBound(small_instance, mode="static")
-        assert solver.decomposition_depth == 1
-
     def test_rejects_unknown_mode(self, small_instance):
-        with pytest.raises(ValueError):
-            MulticoreBranchAndBound(small_instance, mode="magic")
+        # no mode parameter: the static split is repro.testing.static_split
+        for mode in ("worksteal", "static"):
+            with pytest.raises(TypeError):
+                MulticoreBranchAndBound(small_instance, mode=mode)
 
     def test_worker_stats_are_merged(self, small_instance):
-        result = MulticoreBranchAndBound(
-            small_instance, n_workers=2, backend="thread"
-        ).solve()
+        result = MulticoreBranchAndBound(small_instance, n_workers=2, backend="thread").solve()
         assert result.stats.nodes_bounded > 0
         assert result.stats.time_total_s > 0

@@ -46,7 +46,7 @@ THREADED_PATHS = frozenset(
         "src/repro/service/dispatch.py",
         "src/repro/service/session.py",
         "src/repro/service/service.py",
-        "src/repro/bb/worksteal.py",
+        "src/repro/bb/multicore.py",
     }
 )
 

@@ -4,7 +4,7 @@
 method (see ``docs/ARCHITECTURE.md``, "The bound_block offload
 contract")::
 
-    bound_block(block, siblings=False) -> (bounds, simulated_s, measured_s)
+    bound_block(block) -> (bounds, simulated_s, measured_s)
 
 Four implementations exist today (local, batching service, distributed,
 executor); the driver calls them interchangeably and unpacks a 3-tuple.
@@ -13,8 +13,8 @@ deep inside the solve loop — this rule fails it at lint time instead.
 
 Checked per class method named ``bound_block``:
 
-* a block parameter plus a ``siblings`` parameter with a default, and
-  nothing else required.
+* exactly one parameter after ``self``, the block: no optional flag, no
+  keyword-only or variadic parameter (the driver passes the block alone).
 * every ``return`` of a tuple literal has exactly 3 elements; bare
   ``return``/``return None`` is flagged.  Non-literal returns (e.g.
   ``return future.result()``) are beyond static reach and pass.
@@ -30,28 +30,14 @@ from tools.repro_lint.framework import Finding, Rule, SourceModule
 CONTRACT_METHODS = ("bound_block",)
 
 
-def _args_after_self(fn: ast.FunctionDef) -> tuple[list[ast.arg], int]:
-    """(positional args after self, number of them having defaults)."""
-    args = fn.args.posonlyargs + fn.args.args
-    if args and args[0].arg in ("self", "cls"):
-        args = args[1:]
-    return args, len(fn.args.defaults)
-
-
 def _check_signature(fn: ast.FunctionDef) -> str | None:
     """A human message when the signature drifts from the contract."""
-    args, n_defaults = _args_after_self(fn)
-    n_required = len(args) - n_defaults
-    if n_required != 1 or len(args) < 2:
-        return (
-            "bound_block must take one required block argument and a "
-            "defaulted siblings flag: bound_block(self, block, siblings=False)"
-        )
-    if not any(arg.arg == "siblings" for arg in args[1:]) and not fn.args.kwonlyargs:
-        return (
-            "bound_block's optional parameter must be named 'siblings' "
-            "(the driver passes it by keyword)"
-        )
+    spec = fn.args
+    args = spec.posonlyargs + spec.args
+    if args and args[0].arg in ("self", "cls"):
+        args = args[1:]
+    if len(args) != 1 or spec.kwonlyargs or spec.vararg or spec.kwarg:
+        return "bound_block must take exactly one argument, the block: bound_block(self, block)"
     return None
 
 
