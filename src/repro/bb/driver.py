@@ -62,9 +62,10 @@ cluster           distributed adapter  the GPU configuration plus
                                        ``incumbent_charge_s``, which bills
                                        one interconnect broadcast per
                                        incumbent improvement
-multicore         LocalBounding        single-step; ``poll_bound`` +
-(work stealing)                        ``poll_interval`` re-read the shared
-                                       incumbent and re-prune the pool;
+multicore         LocalBounding        single-step; ``poll_bound``
+(work stealing)                        re-reads the shared incumbent every
+                                       ``POLL_INTERVAL`` pops and re-prunes
+                                       the pool;
                                        ``on_improve_incumbent`` publishes
                                        CAS updates; ``max_nodes`` per chunk
                                        and a shared ``deadline``
@@ -117,6 +118,7 @@ __all__ = [
     "TraceEvent",
     "SearchLimits",
     "SearchHooks",
+    "POLL_INTERVAL",
     "OffloadStep",
     "OffloadBackend",
     "LocalBounding",
@@ -185,6 +187,12 @@ class SearchLimits:
     deadline: Optional[float] = None
 
 
+#: Selected nodes between two ``SearchHooks.poll_bound`` reads: the
+#: work-stealing workers' polling interval.  Read at the start of every run,
+#: so a test may patch it.
+POLL_INTERVAL = 64
+
+
 @dataclass
 class SearchHooks:
     """Per-step hooks through which engines inject their specifics.
@@ -199,9 +207,9 @@ class SearchHooks:
     incumbent_charge_s:
         Simulated-seconds charge billed per incumbent improvement — the
         cluster engine's coordinator-to-nodes bound broadcast.
-    poll_bound / poll_interval:
+    poll_bound:
         Work-stealing bound polling: at the first step after every
-        ``poll_interval`` selected nodes (tie batches and stale drains
+        :data:`POLL_INTERVAL` selected nodes (tie batches and stale drains
         count every node they take) the driver reads ``poll_bound()`` and,
         when a peer tightened the incumbent, adopts it and re-prunes the
         pending pool (``prune_to``).
@@ -226,7 +234,6 @@ class SearchHooks:
     ] = None
     incumbent_charge_s: Optional[Callable[[], float]] = None
     poll_bound: Optional[Callable[[], float]] = None
-    poll_interval: int = 64
     on_iteration: Optional[Callable[[OffloadStep], None]] = None
     on_overlap: Optional[Callable[[float], None]] = None
     on_checkpoint: Optional[Callable[[CheckpointState], None]] = None
@@ -409,7 +416,7 @@ class SearchDriver:
         hooks = self.hooks
         limits = self.limits
         max_nodes, max_time_s, deadline = limits.max_nodes, limits.max_time_s, limits.deadline
-        poll, poll_interval = hooks.poll_bound, hooks.poll_interval
+        poll, poll_interval = hooks.poll_bound, POLL_INTERVAL
         on_select = hooks.on_select
         n_jobs = instance.n_jobs
         pt = instance.processing_times

@@ -8,15 +8,15 @@ that engine:
 * **oversubscribed decomposition** — the root is expanded to a prefix
   frontier (depth 2 by default), producing far more sub-tree chunks than
   workers;
-* **work stealing** — the chunks sit in one shared queue and every idle
-  worker steals the next one, so the load balances dynamically instead of
-  being capped by the slowest sub-tree;
-* **shared incumbent** — a lock-protected bound (a ``multiprocessing.Value``
-  in shared memory for the process backend) that workers compare-and-swap
-  on improvement; each stolen chunk starts from the freshest bound, and
-  workers poll the shared bound every ``poll_interval`` pops, re-pruning
-  their open frontier (:meth:`~repro.bb.frontier.BlockFrontier.prune_to`)
-  when a peer tightened it.
+* **work stealing** — the chunks sit on one shared task board and every
+  idle worker steals the next one, so the load balances dynamically
+  instead of being capped by the slowest sub-tree;
+* **shared incumbent** — a lock-protected ``multiprocessing.Value`` in
+  shared memory that workers compare-and-swap on improvement; each stolen
+  chunk starts from the freshest bound, and workers poll the shared bound
+  every :data:`~repro.bb.driver.POLL_INTERVAL` (64) pops, re-pruning their
+  open frontier (:meth:`~repro.bb.frontier.BlockFrontier.prune_to`) when a
+  peer tightened it.
 
 The engine is exact — it proves the same optimum as
 :class:`~repro.bb.sequential.SequentialBranchAndBound` — while exploring
@@ -31,10 +31,17 @@ shared-bound polling and CAS publication are the driver's ``poll_bound`` /
 ``on_improve_incumbent`` hooks, and best-first workers batch ``(lb,
 depth)`` ties into one bounding launch exactly like the sequential engine.
 
-Backends: ``"process"`` gives true parallelism (Python threads cannot scale
-CPU-bound work because of the GIL, which the ``"thread"`` backend
-demonstrates and the tests use); ``"serial"`` drains the queue in the
-calling thread to measure decomposition overhead.
+Every backend runs the same worker path: one :class:`_TaskBoard` and one
+:class:`SharedIncumbent`, both in shared memory, and one :func:`_worker`
+loop that builds its ``LowerBoundData`` once and puts its outcome, or the
+exception that ended it, on a results queue.  Only the task queue and the
+worker type differ: ``"process"`` (``multiprocessing.Queue`` and
+``Process``) gives true parallelism; ``"thread"`` (``queue.SimpleQueue``
+and ``threading.Thread``) cannot scale CPU-bound work because of the GIL,
+which it demonstrates and the tests use; ``"serial"`` runs one worker in
+the calling thread to measure decomposition overhead.  A failed worker's
+exception is the ``__cause__`` of the ``RuntimeError`` that
+:meth:`MulticoreBranchAndBound.solve` raises.
 
 The *measured* speed-up of this engine on the test machine is reported by
 the benchmarks, while the Table IV reproduction uses the calibrated
@@ -49,7 +56,7 @@ import os
 import queue as queue_module
 import threading
 import time
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits, run_search
 from repro.bb.sequential import BBResult, initial_incumbent
@@ -76,48 +83,26 @@ def frontier_prefixes(n_jobs: int, depth: int) -> list[tuple[int, ...]]:
 
 
 class SharedIncumbent:
-    """Incumbent bound shared by workers in one process (threads / serial).
+    """Incumbent bound shared by every worker: threads, processes or the caller.
 
-    ``try_update`` is the compare-and-swap of the paper's pthread baseline:
-    the bound only ever tightens, and a worker learns whether its candidate
-    actually improved on the global state.
+    The bound is a ``multiprocessing.Value`` in shared memory, so one
+    object serves every backend.  ``try_update`` is the compare-and-swap of
+    the paper's pthread baseline: the bound only ever tightens, and a
+    worker learns whether its candidate actually improved on the global
+    state.
     """
 
     def __init__(self, bound: float):
-        self._value = float(bound)  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def get(self) -> float:
-        """Current shared bound (a stale read is safe: bounds only tighten)."""
-        # Deliberate lock-free read: floats assign atomically under the GIL
-        # and the bound only ever tightens, so a stale value merely delays
-        # one pruning pass — it can never prune a node that must be kept.
-        return self._value  # repro-lint: ignore[guarded-by] -- documented-safe stale read, see comment above
-
-    def try_update(self, candidate: float) -> bool:
-        """Tighten the bound to ``candidate`` if it strictly improves it."""
-        candidate = float(candidate)
-        with self._lock:
-            if candidate < self._value:
-                self._value = candidate
-                return True
-        return False
-
-
-class _ProcessSharedIncumbent:
-    """Incumbent backed by a ``multiprocessing.Value`` in shared memory."""
-
-    def __init__(self, value):
         # The mp.Value carries its own lock; every access goes through it.
-        self._value = value  # guarded-by: _value
+        self._value = multiprocessing.Value("d", float(bound))  # guarded-by: _value
 
     def get(self) -> float:
-        """Current shared incumbent value (lock-protected read)."""
+        """Current shared bound (a locked read)."""
         with self._value.get_lock():
             return self._value.value
 
     def try_update(self, candidate: float) -> bool:
-        """Compare-and-swap: install ``candidate`` if strictly better."""
+        """Tighten the bound to ``candidate`` if it strictly improves it."""
         candidate = float(candidate)
         with self._value.get_lock():
             if candidate < self._value.value:
@@ -127,7 +112,7 @@ class _ProcessSharedIncumbent:
 
 
 class _TaskBoard:
-    """Task queue with outstanding-work termination (threads / serial).
+    """Task queue with outstanding-work termination, for every backend.
 
     Sentinels pre-queued *behind* the chunks would only work while the task
     set is fixed at launch.  Rebalancing re-enqueues the live remainder of
@@ -136,38 +121,16 @@ class _TaskBoard:
     broadcasts one ``None`` sentinel per worker.  ``put`` increments
     *before* the item is visible and workers re-enqueue before calling
     :meth:`task_done`, so the count can never reach zero while work remains.
+
+    The count is a ``multiprocessing.Value``, so the board crosses process
+    boundaries; ``task_queue`` is a ``queue.SimpleQueue`` for workers in
+    this process or a ``multiprocessing.Queue`` for worker processes.
     """
 
-    def __init__(self, n_workers: int):
-        self._queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        self._lock = threading.Lock()
-        self._outstanding = 0  # guarded-by: _lock
-        self._n_workers = n_workers
-
-    def put(self, task) -> None:
-        with self._lock:
-            self._outstanding += 1
-        self._queue.put(task)
-
-    def get(self):
-        return self._queue.get()
-
-    def task_done(self) -> None:
-        with self._lock:
-            self._outstanding -= 1
-            drained = self._outstanding == 0
-        if drained:
-            for _ in range(self._n_workers):
-                self._queue.put(None)
-
-
-class _ProcessTaskBoard:
-    """Cross-process twin of :class:`_TaskBoard` (mp.Queue + mp.Value)."""
-
-    def __init__(self, task_queue, outstanding, n_workers: int):
+    def __init__(self, task_queue, n_workers: int):
         self._queue = task_queue
         # The mp.Value carries its own lock; every access goes through it.
-        self._outstanding = outstanding  # guarded-by: _outstanding
+        self._outstanding = multiprocessing.Value("i", 0)  # guarded-by: _outstanding
         self._n_workers = n_workers
 
     def put(self, task) -> None:
@@ -183,20 +146,26 @@ class _ProcessTaskBoard:
             self._outstanding.value -= 1
             drained = self._outstanding.value == 0
         if drained:
-            for _ in range(self._n_workers):
-                self._queue.put(None)
+            self.stop()
+
+    def stop(self) -> None:
+        """Wake every worker with a sentinel: the board drained, or a worker failed."""
+        for _ in range(self._n_workers):
+            self._queue.put(None)
 
 
 class _SubtreeSolver:
     """Serial search restricted to the sub-tree under a prefix.
 
-    With ``incumbent=None`` the solver prunes against the launch-time
-    ``upper_bound`` only (the static split of ``repro.testing``).  When the
-    engine passes a shared incumbent, the solver starts from the freshest
-    shared bound, publishes every local improvement via compare-and-swap,
-    and polls the shared bound every ``poll_interval`` pops — re-pruning
-    its open frontier (:meth:`~repro.bb.frontier.BlockFrontier.prune_to`)
-    when a peer tightened it.
+    ``data`` is the worker's bound data, built once per worker; the solver
+    reads the instance from it.  With ``incumbent=None`` the solver prunes
+    against the launch-time ``upper_bound`` only (the static split of
+    ``repro.testing``).  When the engine passes a shared incumbent, the
+    solver starts from the freshest shared bound, publishes every local
+    improvement via compare-and-swap, and polls the shared bound every
+    :data:`~repro.bb.driver.POLL_INTERVAL` pops — re-pruning its open
+    frontier (:meth:`~repro.bb.frontier.BlockFrontier.prune_to`) when a
+    peer tightened it.
 
     Rebalancing (the engine's ``rebalance=True`` mode) uses two extra
     knobs: ``capture_incomplete=True`` makes a node-budget-cut run
@@ -209,29 +178,24 @@ class _SubtreeSolver:
 
     def __init__(
         self,
-        instance: FlowShopInstance,
+        data: LowerBoundData,
         prefix: Sequence[int],
         upper_bound: float,
         selection: str = "depth-first",
         max_nodes: Optional[int] = None,
         deadline: Optional[float] = None,
         incumbent=None,
-        poll_interval: int = 64,
         max_frontier_nodes: Optional[int] = None,
         capture_incomplete: bool = False,
         resume_from: Optional[bytes] = None,
     ):
-        if poll_interval < 1:
-            raise ValueError("poll_interval must be >= 1")
-        self.instance = instance
-        self.data = LowerBoundData(instance)
+        self.data = data
         self.prefix = tuple(int(j) for j in prefix)
         self.upper_bound = float(upper_bound)
         self.selection = selection
         self.max_nodes = max_nodes
         self.deadline = deadline
         self.incumbent = incumbent
-        self.poll_interval = poll_interval
         self.max_frontier_nodes = max_frontier_nodes
         self.capture_incomplete = capture_incomplete
         self.resume_from = resume_from
@@ -242,20 +206,21 @@ class _SubtreeSolver:
     def _driver(self) -> SearchDriver:
         """The worker's loop: the driver's single-step shape with polling.
 
-        ``poll_bound`` re-reads the shared incumbent every ``poll_interval``
-        pops (re-pruning the open pool when a peer tightened it) and
-        ``on_improve_incumbent`` publishes local improvements via the
-        compare-and-swap.  Best-first workers batch ``(lb, depth)`` ties
-        into one bounding launch exactly like the sequential engine — the
-        driver routes both through the same ``pop_min_tie_batch`` path.
+        ``poll_bound`` re-reads the shared incumbent every
+        :data:`~repro.bb.driver.POLL_INTERVAL` pops (re-pruning the open
+        pool when a peer tightened it) and ``on_improve_incumbent``
+        publishes local improvements via the compare-and-swap.  Best-first
+        workers batch ``(lb, depth)`` ties into one bounding launch exactly
+        like the sequential engine — the driver routes both through the
+        same ``pop_min_tie_batch`` path.
         """
-        hooks = SearchHooks(poll_interval=self.poll_interval)
+        hooks = SearchHooks()
         if self.incumbent is not None:
             incumbent = self.incumbent
             hooks.poll_bound = incumbent.get
             hooks.on_improve_incumbent = lambda makespan, order: incumbent.try_update(makespan)
         return SearchDriver(
-            self.instance,
+            self.data.instance,
             self.data,
             selection=self.selection,
             limits=SearchLimits(max_nodes=self.max_nodes, deadline=self.deadline),
@@ -295,7 +260,7 @@ class _SubtreeSolver:
         if self.deadline is not None and time.time() >= self.deadline:
             return
         self.resume_blob = dumps_snapshot(
-            self.instance,
+            self.data.instance,
             frontier=state.frontier,
             upper_bound=state.upper_bound,
             best_order=(),
@@ -313,17 +278,18 @@ class _SubtreeSolver:
 def _run_tasks(instance: FlowShopInstance, board, incumbent, opts: dict) -> dict:
     """One worker's lifetime: steal chunks until a sentinel arrives.
 
+    The worker builds its ``LowerBoundData`` once, before its first chunk.
     Tasks are either prefix tuples (seed a sub-tree) or ``("resume", blob)``
     pairs (continue a captured chunk remainder, rebalancing mode only).
     Returns the worker's merged statistics and its locally best schedule;
     the coordinator merges those across workers.
     """
-    rebalance = bool(opts.get("rebalance"))
+    data = LowerBoundData(instance)
+    rebalance = opts["rebalance"]
     stats = SearchStats()
     best_makespan: Optional[int] = None
     best_order: tuple[int, ...] = ()
     completed = True
-    tasks_run = 0
     rebalanced = 0
     while True:
         task = board.get()
@@ -334,20 +300,18 @@ def _run_tasks(instance: FlowShopInstance, board, incumbent, opts: dict) -> dict
         else:
             seed = {"prefix": task}
         solver = _SubtreeSolver(
-            instance,
+            data,
             upper_bound=opts["upper_bound"],
             selection=opts["selection"],
             max_nodes=opts["max_nodes_per_task"],
             deadline=opts["deadline"],
             incumbent=incumbent,
-            poll_interval=opts["poll_interval"],
-            max_frontier_nodes=opts.get("max_frontier_nodes"),
+            max_frontier_nodes=opts["max_frontier_nodes"],
             capture_incomplete=rebalance,
             **seed,
         )
         makespan, order, task_stats, task_completed = solver.run()
         stats = stats.merge(task_stats)
-        tasks_run += 1
         if rebalance and solver.resume_blob is not None:
             # The unfinished remainder goes back on the board (before
             # task_done, so the outstanding count cannot hit zero while it
@@ -365,40 +329,24 @@ def _run_tasks(instance: FlowShopInstance, board, incumbent, opts: dict) -> dict
         "best_order": best_order,
         "stats": stats,
         "completed": completed,
-        "tasks_run": tasks_run,
         "rebalanced": rebalanced,
     }
 
 
-def _process_worker(
-    instance_payload: dict, task_queue, outstanding, result_queue, bound_value, opts: dict
-):
-    """Process-backend worker entry point (module level: picklable)."""
-    instance = FlowShopInstance.from_dict(instance_payload)
-    incumbent = _ProcessSharedIncumbent(bound_value)
-    board = _ProcessTaskBoard(task_queue, outstanding, opts["n_workers"])
-    result_queue.put(_run_tasks(instance, board, incumbent, opts))
+def _worker(instance: FlowShopInstance, board, incumbent, opts: dict, results) -> None:
+    """Every worker's entry point (module level, so a process can pickle it).
 
-
-def _collect_process_results(procs, result_queue) -> list[dict]:
-    """Drain one result per worker, failing loudly if a worker died."""
-    results: list[dict] = []
-    pending = len(procs)
-    while pending:
-        try:
-            results.append(result_queue.get(timeout=1.0))
-            pending -= 1
-        except queue_module.Empty:
-            if not any(p.is_alive() for p in procs):
-                try:
-                    while pending:
-                        results.append(result_queue.get(timeout=1.0))
-                        pending -= 1
-                except queue_module.Empty:
-                    raise RuntimeError(
-                        f"{pending} work-stealing worker(s) exited without reporting results"
-                    ) from None
-    return results
+    Puts the worker's outcome, or the exception that ended it, on
+    ``results``.  A failed worker also wakes its peers, which would
+    otherwise wait on the board forever for the task it never finished.
+    """
+    try:
+        results.put(_run_tasks(instance, board, incumbent, opts))
+    except BaseException as exc:
+        board.stop()
+        results.put(exc)
+        if not isinstance(exc, Exception):
+            raise  # an interrupt or exit still ends this thread or process
 
 
 class MulticoreBranchAndBound:
@@ -431,13 +379,12 @@ class MulticoreBranchAndBound:
     max_nodes_per_task / max_time_s:
         Optional exploration budgets: nodes per chunk, and one wall-clock
         span shared by every chunk.
-    poll_interval:
-        Pops between two reads of the shared bound inside a worker.
     max_frontier_nodes:
         Per-worker high-water frontier cap (see
-        :class:`~repro.bb.frontier.BlockFrontier`); best-first workers fall
-        back to a depth-first-restricted regime once over it, re-engaging
-        best-first only below the 0.8×cap hysteresis low-water mark.
+        :class:`~repro.bb.frontier.BlockFrontier`), at least 1 when given;
+        best-first workers fall back to a depth-first-restricted regime once
+        over it, re-engaging best-first only below the 0.8×cap hysteresis
+        low-water mark.
     rebalance:
         When ``True``, a chunk cut by ``max_nodes_per_task`` serializes its
         live frontier (an in-memory :mod:`repro.bb.snapshot` blob) and
@@ -458,7 +405,6 @@ class MulticoreBranchAndBound:
         initial_upper_bound: Optional[float] = None,
         max_nodes_per_task: Optional[int] = None,
         max_time_s: Optional[float] = None,
-        poll_interval: int = 64,
         max_frontier_nodes: Optional[int] = None,
         rebalance: bool = False,
     ):
@@ -466,8 +412,8 @@ class MulticoreBranchAndBound:
             raise ValueError("backend must be 'process', 'thread' or 'serial'")
         if decomposition_depth < 1:
             raise ValueError("decomposition_depth must be >= 1")
-        if poll_interval < 1:
-            raise ValueError("poll_interval must be >= 1")
+        if max_frontier_nodes is not None and max_frontier_nodes < 1:
+            raise ValueError("max_frontier_nodes must be >= 1 when given")
         self.instance = instance
         self.n_workers = n_workers or os.cpu_count() or 1
         self.backend = backend
@@ -476,7 +422,6 @@ class MulticoreBranchAndBound:
         self.initial_upper_bound = initial_upper_bound
         self.max_nodes_per_task = max_nodes_per_task
         self.max_time_s = max_time_s
-        self.poll_interval = poll_interval
         self.max_frontier_nodes = max_frontier_nodes
         self.rebalance = rebalance
         #: observability: chunks whose remainders were re-enqueued by the
@@ -494,72 +439,59 @@ class MulticoreBranchAndBound:
             "selection": self.selection,
             "max_nodes_per_task": self.max_nodes_per_task,
             "deadline": deadline,
-            "poll_interval": self.poll_interval,
             "max_frontier_nodes": self.max_frontier_nodes,
             "rebalance": self.rebalance,
         }
 
-    # ------------------------------------------------------------------ #
-    def _solve_in_process(self, prefixes, n_workers: int, opts: dict) -> list[dict]:
-        """Thread / serial backends: in-process board and incumbent."""
-        incumbent = SharedIncumbent(opts["upper_bound"])
-        board = _TaskBoard(n_workers)
+    def _run_workers(self, prefixes, n_workers: int, opts: dict) -> list[dict]:
+        """Run ``n_workers`` workers over one board and one bound; return their outcomes.
+
+        Only the task queue and the worker type depend on the backend; one
+        worker runs in the calling thread.  A failed worker's exception is
+        the ``__cause__`` of the ``RuntimeError`` raised here.
+        """
+        if self.backend == "process" and n_workers > 1:
+            tasks: Any = multiprocessing.Queue()
+            results: Any = multiprocessing.Queue()
+            worker_type: Any = multiprocessing.Process
+        else:
+            tasks, results = queue_module.SimpleQueue(), queue_module.SimpleQueue()
+            worker_type = threading.Thread
+        board = _TaskBoard(tasks, n_workers)
         for prefix in prefixes:
             board.put(prefix)
-        if self.backend == "serial" or n_workers == 1:
-            return [_run_tasks(self.instance, board, incumbent, opts)]
-        results: list[Optional[dict]] = [None] * n_workers
-        errors: list[BaseException] = []
-
-        def worker(slot: int) -> None:
+        args = (self.instance, board, SharedIncumbent(opts["upper_bound"]), opts, results)
+        workers: list = []
+        if n_workers == 1:
+            _worker(*args)
+        else:
+            workers = [worker_type(target=_worker, args=args) for _ in range(n_workers)]
+            for worker in workers:
+                worker.start()
+        outcomes: list = []
+        while len(outcomes) < n_workers:
+            # Liveness is read before the get: a worker that has exited
+            # already flushed its outcome, so an empty get after that means
+            # the outcome never comes.
+            alive = any(worker.is_alive() for worker in workers)
             try:
-                results[slot] = _run_tasks(self.instance, board, incumbent, opts)
-            except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(n_workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+                outcomes.append(results.get(timeout=1.0))
+            except queue_module.Empty:
+                if not alive:
+                    raise RuntimeError(
+                        f"{n_workers - len(outcomes)} work-stealing worker(s) exited "
+                        "without reporting results"
+                    ) from None
+        for worker in workers:
+            worker.join(timeout=30.0)
+            if worker.is_alive():  # pragma: no cover - a process blocked on a full task queue
+                worker.terminate()
+        errors = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
         if errors:
             raise RuntimeError(
-                f"{len(errors)} work-stealing worker thread(s) failed"
+                f"{len(errors)} work-stealing worker {worker_type.__name__.lower()}(s) failed"
             ) from errors[0]
-        return [result for result in results if result is not None]
-
-    def _solve_multiprocess(self, prefixes, n_workers: int, opts: dict) -> list[dict]:
-        """Process backend: shared-memory incumbent, queue-based stealing."""
-        ctx = multiprocessing.get_context()
-        bound_value = ctx.Value("d", opts["upper_bound"])
-        task_queue = ctx.Queue()
-        outstanding = ctx.Value("i", 0)
-        result_queue = ctx.Queue()
-        # Shutdown keys off the shared outstanding-task count: the worker
-        # that drains the board broadcasts one sentinel per worker (see
-        # _TaskBoard).  A fixed behind-the-chunks sentinel row would lose
-        # any remainder re-enqueued by rebalancing.
-        board = _ProcessTaskBoard(task_queue, outstanding, n_workers)
-        for prefix in prefixes:
-            board.put(prefix)
-        payload = self.instance.to_dict()
-        procs = [
-            ctx.Process(
-                target=_process_worker,
-                args=(payload, task_queue, outstanding, result_queue, bound_value, opts),
-            )
-            for _ in range(n_workers)
-        ]
-        for proc in procs:
-            proc.start()
-        try:
-            results = _collect_process_results(procs, result_queue)
-        finally:
-            for proc in procs:
-                proc.join(timeout=30.0)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-        return results
+        return outcomes
 
     # ------------------------------------------------------------------ #
     def solve(self) -> BBResult:
@@ -567,20 +499,14 @@ class MulticoreBranchAndBound:
         start = time.perf_counter()
         upper_bound, seed_order = initial_incumbent(self.instance, self.initial_upper_bound)
         prefixes = frontier_prefixes(self.instance.n_jobs, self.decomposition_depth)
-        n_workers = max(1, min(self.n_workers, len(prefixes)))
-        opts = self._opts(upper_bound)
-        opts["n_workers"] = n_workers
-
-        if self.backend == "process" and n_workers > 1:
-            outcomes = self._solve_multiprocess(prefixes, n_workers, opts)
-        else:
-            outcomes = self._solve_in_process(prefixes, n_workers, opts)
+        n_workers = 1 if self.backend == "serial" else max(1, min(self.n_workers, len(prefixes)))
+        outcomes = self._run_workers(prefixes, n_workers, self._opts(upper_bound))
 
         stats = SearchStats()
         completed = True
         best_makespan: Optional[int] = None
         best_order: tuple[int, ...] = ()
-        self.rebalanced_chunks = sum(int(outcome.get("rebalanced", 0)) for outcome in outcomes)
+        self.rebalanced_chunks = sum(outcome["rebalanced"] for outcome in outcomes)
         for outcome in outcomes:
             stats = stats.merge(outcome["stats"])
             completed = completed and bool(outcome["completed"])

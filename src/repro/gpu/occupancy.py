@@ -26,10 +26,6 @@ from repro.gpu.device import DeviceSpec
 __all__ = ["OccupancyResult", "OccupancyCalculator"]
 
 
-def _floor_to_multiple(value: int, multiple: int) -> int:
-    return (value // multiple) * multiple
-
-
 @dataclass(frozen=True)
 class OccupancyResult:
     """Outcome of an occupancy computation for one kernel configuration."""

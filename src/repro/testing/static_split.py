@@ -14,6 +14,7 @@ from typing import Optional
 from repro.bb.multicore import _SubtreeSolver, frontier_prefixes
 from repro.bb.sequential import BBResult, initial_incumbent
 from repro.bb.stats import SearchStats
+from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
 
 __all__ = ["static_split"]
@@ -34,9 +35,10 @@ def static_split(
     upper_bound, best_order = initial_incumbent(instance, initial_upper_bound)
     best_makespan = int(upper_bound) if best_order else None
     stats, completed = SearchStats(), True
+    data = LowerBoundData(instance)
     for prefix in frontier_prefixes(instance.n_jobs, min(decomposition_depth, instance.n_jobs)):
         makespan, order, task_stats, task_completed = _SubtreeSolver(
-            instance, prefix, upper_bound
+            data, prefix, upper_bound
         ).run()
         stats = stats.merge(task_stats)
         completed = completed and task_completed

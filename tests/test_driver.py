@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.bb.driver as driver_module
 from repro.bb.driver import (
     LocalBounding,
     SearchDriver,
@@ -902,17 +903,17 @@ class TestStaleDrain:
 
 
 class TestBoundPolling:
-    """``poll_bound`` fires at the first step after every ``poll_interval``
+    """``poll_bound`` fires at the first step after every ``POLL_INTERVAL``
     selected nodes, however many nodes each step selects."""
 
     @pytest.mark.parametrize("interval", [1, 8, 64])
-    def test_polls_track_selected_nodes(self, interval):
+    def test_polls_track_selected_nodes(self, interval, monkeypatch):
+        monkeypatch.setattr(driver_module, "POLL_INTERVAL", interval)
         instance = _budget_instance(12, 6, 2012)
         events: list = []
         hooks = SearchHooks(
             on_select=events.append,
             poll_bound=lambda: events.append(None) or float("inf"),
-            poll_interval=interval,
         )
         driver = SearchDriver(instance, LowerBoundData(instance), hooks=hooks)
         upper_bound = float(neh_heuristic(instance).makespan)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bb import MulticoreBranchAndBound, SequentialBranchAndBound, brute_force_optimum
 from repro.bb.multicore import _SubtreeSolver, frontier_prefixes
+from repro.flowshop.bounds import LowerBoundData
 from repro.testing import static_split
 
 
@@ -74,20 +75,22 @@ class TestSubtreeEarlyReturns:
     ``time_total_s`` / ``max_pool_size`` unset, under-reporting timings."""
 
     def test_leaf_root_records_timing(self, tiny_instance):
-        solver = _SubtreeSolver(tiny_instance, prefix=(0, 1, 2), upper_bound=1e9)
+        data = LowerBoundData(tiny_instance)
+        solver = _SubtreeSolver(data, prefix=(0, 1, 2), upper_bound=1e9)
         makespan, order, stats, completed = solver.run()
         assert completed and makespan is not None and order == (0, 1, 2)
         assert stats.time_total_s > 0
         assert stats.leaves_evaluated == 1
 
     def test_rejected_leaf_root_records_timing(self, tiny_instance):
-        solver = _SubtreeSolver(tiny_instance, prefix=(0, 1, 2), upper_bound=1)
+        data = LowerBoundData(tiny_instance)
+        solver = _SubtreeSolver(data, prefix=(0, 1, 2), upper_bound=1)
         makespan, order, stats, completed = solver.run()
         assert completed and makespan is None and order == ()
         assert stats.time_total_s > 0
 
     def test_pruned_root_records_timing(self, small_instance):
-        solver = _SubtreeSolver(small_instance, prefix=(0,), upper_bound=1)
+        solver = _SubtreeSolver(LowerBoundData(small_instance), prefix=(0,), upper_bound=1)
         makespan, order, stats, completed = solver.run()
         assert completed and makespan is None
         assert stats.nodes_pruned == 1

@@ -274,7 +274,11 @@ class TestLiveTree:
         dispatch = (REPO_ROOT / "src" / "repro" / "service" / "dispatch.py").read_text()
         assert dispatch.count("# guarded-by:") >= 4
         multicore = (REPO_ROOT / "src" / "repro" / "bb" / "multicore.py").read_text()
-        assert multicore.count("# guarded-by:") >= 4
+        guarded = [line.strip() for line in multicore.splitlines() if "# guarded-by:" in line]
+        assert guarded == [
+            'self._value = multiprocessing.Value("d", float(bound))  # guarded-by: _value',
+            'self._outstanding = multiprocessing.Value("i", 0)  # guarded-by: _outstanding',
+        ]
 
     def test_cli_subcommand(self):
         proc = subprocess.run(

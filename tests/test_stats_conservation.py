@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.bb.driver as driver_module
 from repro.bb import MulticoreBranchAndBound, SequentialBranchAndBound
 from repro.core import ClusterBranchAndBound, ClusterSpec, GpuBBConfig, GpuBranchAndBound
 from repro.core.pipeline import HybridBranchAndBound, HybridConfig
@@ -66,10 +67,9 @@ class TestConservation:
         assert result.proved_optimal
         assert_conserved(result.stats)
 
-    def test_worksteal_with_aggressive_polling(self, medium_instance):
-        # poll_interval=1 exercises the pool re-prune path on every pop
-        result = MulticoreBranchAndBound(
-            medium_instance, n_workers=4, backend="thread", poll_interval=1
-        ).solve()
+    def test_worksteal_with_aggressive_polling(self, medium_instance, monkeypatch):
+        # POLL_INTERVAL=1 exercises the pool re-prune path on every pop
+        monkeypatch.setattr(driver_module, "POLL_INTERVAL", 1)
+        result = MulticoreBranchAndBound(medium_instance, n_workers=4, backend="thread").solve()
         assert result.proved_optimal
         assert_conserved(result.stats)

@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import importlib
+import multiprocessing
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.bb.driver as driver_module
+import repro.bb.multicore as multicore_module
 from repro.bb import (
     MulticoreBranchAndBound,
     SequentialBranchAndBound,
     SharedIncumbent,
     brute_force_optimum,
 )
-from repro.bb.multicore import frontier_prefixes
+from repro.bb.multicore import _SubtreeSolver, frontier_prefixes
 from repro.flowshop import FlowShopInstance, random_instance
+from repro.flowshop.bounds import LowerBoundData
 from repro.testing import static_split
+
+
+def _tighten(incumbent: SharedIncumbent, value: float) -> None:
+    incumbent.try_update(value)
 
 
 class TestSharedIncumbent:
@@ -32,8 +45,6 @@ class TestSharedIncumbent:
         assert incumbent.get() == 90.0
 
     def test_concurrent_updates_keep_minimum(self):
-        import threading
-
         incumbent = SharedIncumbent(1000.0)
         values = list(range(100, 200))
 
@@ -49,6 +60,15 @@ class TestSharedIncumbent:
         for t in threads:
             t.join()
         assert incumbent.get() == 100.0
+
+    def test_bound_crosses_a_process_boundary(self):
+        # one object serves every backend: a worker process's CAS is seen here
+        incumbent = SharedIncumbent(100.0)
+        worker = multiprocessing.Process(target=_tighten, args=(incumbent, 90.0))
+        worker.start()
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+        assert incumbent.get() == 90.0
 
 
 class TestFrontier:
@@ -70,9 +90,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MulticoreBranchAndBound(small_instance, decomposition_depth=0)
 
-    def test_rejects_bad_poll_interval(self, small_instance):
-        with pytest.raises(ValueError):
-            MulticoreBranchAndBound(small_instance, poll_interval=0)
+    @pytest.mark.parametrize("backend", ["process", "thread", "serial"])
+    def test_rejects_frontier_cap_below_one(self, small_instance, backend):
+        # the constructor refuses it, so no worker ever starts on it
+        with pytest.raises(ValueError, match="max_frontier_nodes"):
+            MulticoreBranchAndBound(
+                small_instance, n_workers=2, backend=backend, max_frontier_nodes=0
+            )
 
     def test_depth_clamped_to_jobs(self, tiny_instance):
         solver = MulticoreBranchAndBound(tiny_instance, backend="serial", decomposition_depth=10)
@@ -99,12 +123,19 @@ class TestExactness:
         assert result.best_makespan == optimum
         assert result.proved_optimal
 
-    def test_aggressive_polling(self, medium_instance):
+    def test_aggressive_polling(self, medium_instance, monkeypatch):
+        # POLL_INTERVAL=1 exercises BlockFrontier.prune_to on every pop
+        polls = []
+        get = SharedIncumbent.get
+        monkeypatch.setattr(driver_module, "POLL_INTERVAL", 1)
+        monkeypatch.setattr(SharedIncumbent, "get", lambda self: polls.append(1) or get(self))
         serial = SequentialBranchAndBound(medium_instance).solve()
-        result = MulticoreBranchAndBound(
-            medium_instance, n_workers=4, backend="thread", poll_interval=1
-        ).solve()
+        result = MulticoreBranchAndBound(medium_instance, n_workers=4, backend="thread").solve()
         assert result.best_makespan == serial.best_makespan
+        assert result.proved_optimal
+        # one read per chunk start, plus the driver's polls inside chunks
+        # (none of this instance's chunks pops 64 nodes)
+        assert len(polls) > len(frontier_prefixes(medium_instance.n_jobs, 2))
 
     def test_full_depth_decomposition(self, tiny_instance):
         # every chunk root is a complete schedule (leaf)
@@ -142,12 +173,43 @@ class TestExactness:
         assert result.proved_optimal
 
 
+class TestBoundData:
+    """``LowerBoundData`` depends on the instance only: one build per worker."""
+
+    @staticmethod
+    def _spy(monkeypatch, module) -> list:
+        builds = []
+
+        def spy(instance):
+            builds.append(instance)
+            return LowerBoundData(instance)
+
+        monkeypatch.setattr(module, "LowerBoundData", spy)
+        return builds
+
+    @pytest.mark.parametrize(("backend", "n_workers"), [("serial", 1), ("thread", 2)])
+    def test_built_once_per_worker(self, monkeypatch, backend, n_workers):
+        # 90 depth-2 chunks share their worker's LowerBoundData
+        builds = self._spy(monkeypatch, multicore_module)
+        instance = random_instance(10, 5, seed=1)
+        result = MulticoreBranchAndBound(
+            instance, n_workers=n_workers, backend=backend, decomposition_depth=2
+        ).solve()
+        assert result.proved_optimal
+        assert len(builds) == n_workers
+        assert all(built is instance for built in builds)
+
+    def test_static_split_builds_once(self, monkeypatch, small_instance):
+        module = importlib.import_module("repro.testing.static_split")
+        builds = self._spy(monkeypatch, module)
+        static_split(small_instance, decomposition_depth=2)
+        assert builds == [small_instance]
+
+
 class TestBudgetsAndFailures:
     def test_time_budget_is_global_not_per_chunk(self):
         # 132 depth-2 chunks share ONE deadline; a per-chunk budget would
         # let the run take ~132x longer than requested
-        import time
-
         instance = random_instance(12, 8, seed=5)
         start = time.perf_counter()
         result = MulticoreBranchAndBound(
@@ -173,8 +235,6 @@ class TestBudgetsAndFailures:
             engine.solve()
 
     def test_worker_thread_failure_propagates(self, small_instance, monkeypatch):
-        import repro.bb.multicore as multicore_module
-
         class Boom:
             def __init__(self, *args, **kwargs):
                 raise OSError("worker resources exhausted")
@@ -183,6 +243,35 @@ class TestBudgetsAndFailures:
         engine = MulticoreBranchAndBound(small_instance, n_workers=2, backend="thread")
         with pytest.raises(RuntimeError, match="worker thread"):
             engine.solve()
+
+    @pytest.mark.parametrize(
+        ("backend", "worker"), [("process", "process"), ("thread", "thread"), ("serial", "thread")]
+    )
+    def test_worker_failure_is_the_cause(self, small_instance, backend, worker):
+        # set after construction, the cap reaches every worker with the
+        # solve's options (a child process under any start method) and
+        # fails its first chunk
+        engine = MulticoreBranchAndBound(small_instance, n_workers=2, backend=backend)
+        engine.max_frontier_nodes = 0
+        with pytest.raises(RuntimeError, match=f"worker {worker}") as raised:
+            engine.solve()
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert "max_pending" in str(raised.value.__cause__)
+
+    def test_one_failing_chunk_stops_every_worker(self, small_instance, monkeypatch):
+        # the peers of a failed worker must not wait for its task forever
+        run = _SubtreeSolver.run
+
+        def failing_run(self):
+            if self.prefix == (0, 1):
+                raise OSError("chunk (0, 1) failed")
+            return run(self)
+
+        monkeypatch.setattr(_SubtreeSolver, "run", failing_run)
+        engine = MulticoreBranchAndBound(small_instance, n_workers=2, backend="thread")
+        with pytest.raises(RuntimeError, match="1 work-stealing worker thread") as raised:
+            engine.solve()
+        assert isinstance(raised.value.__cause__, OSError)
 
 
 class TestRebalancing:
@@ -238,8 +327,6 @@ class TestRebalancing:
         assert result.proved_optimal
 
     def test_deadline_remains_a_hard_stop(self):
-        import time
-
         instance = random_instance(12, 8, seed=5)
         start = time.perf_counter()
         result = MulticoreBranchAndBound(
@@ -253,6 +340,44 @@ class TestRebalancing:
         wall = time.perf_counter() - start
         assert not result.proved_optimal
         assert wall < 5.0
+
+    def test_more_threads_than_cores_keep_the_board_exact(self):
+        # Started at the optimum, no worker can tighten the bound, so the
+        # tree is the same however the chunks interleave: 8 workers under a
+        # short switch interval must bound exactly what one serial worker
+        # does.  A lost update of the outstanding count would drop
+        # re-enqueued remainders (fewer nodes) or never send the sentinels
+        # (a hang).
+        instance = random_instance(10, 6, seed=5)
+        optimum = SequentialBranchAndBound(instance).solve().best_makespan
+
+        def engine(backend, n_workers):
+            return MulticoreBranchAndBound(
+                instance,
+                n_workers=n_workers,
+                backend=backend,
+                initial_upper_bound=optimum,
+                max_nodes_per_task=3,
+                rebalance=True,
+            )
+
+        reference = engine("serial", 1)
+        expected = reference.solve().stats.nodes_bounded
+        threaded = engine("thread", 8)
+        solved = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=lambda: solved.append(threaded.solve()), daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "the board never released its workers"
+        (result,) = solved
+        assert result.proved_optimal and result.best_makespan == optimum
+        assert result.stats.nodes_bounded == expected
+        assert threaded.rebalanced_chunks == reference.rebalanced_chunks > 100
 
     def test_best_first_chunks_survive_rebalancing(self, small_instance):
         _, optimum = brute_force_optimum(small_instance)
@@ -292,11 +417,10 @@ class TestWorkAvoidance:
         assert worksteal.best_makespan == static.best_makespan
         assert worksteal.stats.nodes_bounded <= static.stats.nodes_bounded
 
-    def test_worksteal_block_aggressive_polling(self, medium_instance):
-        # poll_interval=1 exercises BlockFrontier.prune_to on every pop
-        result = MulticoreBranchAndBound(
-            medium_instance, n_workers=4, backend="thread", poll_interval=1
-        ).solve()
+    def test_worksteal_block_aggressive_polling(self, medium_instance, monkeypatch):
+        # POLL_INTERVAL=1 exercises BlockFrontier.prune_to on every pop
+        monkeypatch.setattr(driver_module, "POLL_INTERVAL", 1)
+        result = MulticoreBranchAndBound(medium_instance, n_workers=4, backend="thread").solve()
         assert result.proved_optimal
         stats = result.stats
         assert stats.nodes_bounded == (
