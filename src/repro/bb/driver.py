@@ -22,21 +22,26 @@ paper — and is parameterized by
 * **budgets** (:class:`SearchLimits`): node, wall-clock, iteration and
   absolute-deadline stop predicates.
 
-Two loop bodies — one per *shape* — cover every engine: the
-**single-step** shape pops one node (or one best-first tie batch) per step
-and bounds its sibling set(s) — the serial engine, the work-stealing
-workers and the service's sessions.  When a popped tie batch is stale
-(its bound meets the incumbent), every pending node is stale too, and the
-step drops the whole frontier at once; under ``max_nodes`` it drops only
-the smallest-key nodes the budget still reaches, so counters and the
-pending set match one-node-at-a-time pops.  The **batch** shape
-(``batch_size`` set) selects up to ``batch_size`` nodes, branches them
-all into the frontier's free rows and off-loads one large pool per
-iteration, whose survivors stay where they were written — the paper's
-GPU architecture and its cluster/hybrid extensions.  It bounds each pool on
-the driver thread, one launch per iteration; the paper's overlap of host
-selection with device bounding is modelled in simulated time
-(``double_buffer``).
+Two loop shapes cover every engine, one body each.  Every step of the
+**single-step** shape (the serial engine, the work-stealing workers and
+the service's sessions) pops one block: a best-first ``(lb, depth)`` tie
+batch where tie batching applies, otherwise one node in the strategy's
+order.  The body prunes a stale block, examines leaf children member by
+member at depth ``n - 1``, and otherwise branches the block once, bounds
+the children in one launch and pushes the survivors.  A stale tie batch
+means every pending node is stale, so that step drops the frontier at
+once (under ``max_nodes`` only the smallest keys the budget still
+reaches), and counters and the pending set match one-node-at-a-time pops.
+The **batch** shape (``batch_size`` set) selects up to ``batch_size``
+nodes, branches them all into the frontier's free rows and off-loads one
+large pool per iteration, whose survivors stay where they were written —
+the paper's GPU architecture and its cluster/hybrid extensions.  It
+bounds each pool on the driver thread, one launch per iteration; the
+paper's overlap of host selection with device bounding is modelled in
+simulated time (``double_buffer``).  Both shapes stop on one budget
+predicate (:meth:`SearchLimits.reached`), and every incumbent improvement
+goes through one leaf examination.  No frontier row is ever a complete
+schedule: a complete child or seed is examined as a leaf, never pushed.
 
 Deployment map (paper deployment → driver configuration)
 --------------------------------------------------------
@@ -113,6 +118,7 @@ from repro.bb.snapshot import CheckpointPolicy, CheckpointState, Snapshot
 from repro.bb.stats import SearchStats
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
+from repro.flowshop.schedule import job_cumulative_times
 
 __all__ = [
     "TraceEvent",
@@ -185,6 +191,22 @@ class SearchLimits:
     max_time_s: Optional[float] = None
     max_iterations: Optional[int] = None
     deadline: Optional[float] = None
+
+    def reached(self, stats: SearchStats, start: float, iterations: Optional[int] = None) -> bool:
+        """True once a budget stops the run (both loop shapes ask before each step).
+
+        ``iterations`` counts batch-mode steps; the single-step shape passes none.
+        """
+        return (
+            (self.max_nodes is not None and stats.nodes_explored >= self.max_nodes)
+            or (self.max_time_s is not None and time.perf_counter() - start > self.max_time_s)
+            or (self.deadline is not None and time.time() > self.deadline)
+            or (
+                iterations is not None
+                and self.max_iterations is not None
+                and iterations >= self.max_iterations
+            )
+        )
 
 
 #: Selected nodes between two ``SearchHooks.poll_bound`` reads: the
@@ -308,12 +330,13 @@ class SearchDriver:
         Record a :class:`TraceEvent` per examined node (single-step only).
     tie_batching:
         Single-step shape: pop best-first ``(lb, depth)`` tie runs as
-        one batch and bound all of their children in a single launch, one
+        one block and bound all of their children in a single launch, one
         sibling group per member; a stale batch drops the stale frontier
-        in the same step (provably the same pop sequence; disabled
-        automatically in trace mode, for non-best-first strategies, and
-        while a frontier memory cap holds the selection in its
-        depth-first-restricted regime).
+        in the same step (provably the same pop sequence).  Without it,
+        and in trace mode, for other strategies, on unpacked keys (bounds
+        from ``2**22``) and while a frontier memory cap holds selection in
+        its depth-first-restricted regime, the same body pops one node per
+        step.
     double_buffer:
         Batch mode: credit the overlap of host-side selection+branching of
         batch N+1 with the (simulated) device bounding of batch N — the
@@ -359,6 +382,9 @@ class SearchDriver:
         self.tie_batching = tie_batching
         self.double_buffer = double_buffer
         self.checkpoint = checkpoint
+        #: the int32 ``(after, before)`` per-job cumulative times that the
+        #: seed and every branching call of a run read, built once
+        self.tables = job_cumulative_times(instance.processing_times)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -391,15 +417,47 @@ class SearchDriver:
         return run(frontier, trail, upper_bound, best_order, stats, next_order, start)
 
     # ------------------------------------------------------------------ #
-    def _notify(
-        self, makespan: int, supplier: Callable[[], tuple[int, ...]]
-    ) -> None:
+    def _examine_leaves(
+        self,
+        leaves: NodeBlock,
+        rows: Optional[np.ndarray],
+        upper_bound: float,
+        stats: SearchStats,
+        trace: Optional[list[TraceEvent]] = None,
+    ) -> tuple[float, Optional[int], int]:
+        """Examine complete schedules in row order, as one-at-a-time pops would.
+
+        ``rows`` picks the complete rows of ``leaves`` (``None``: all).  A
+        leaf improves iff its makespan beats the incumbent in force when it
+        is examined; each improvement is counted and reaches
+        ``on_improve_incumbent``, and ``trace`` receives one ``"incumbent"``
+        or ``"leaf"`` event per leaf.  Returns ``(upper_bound, trail id of
+        the last improving leaf or None, improvements)``.
+        """
+        makespans = leaves.makespans if rows is None else leaves.release[rows, -1]
+        trail_ids = leaves.trail_id if rows is None else leaves.trail_id[rows]
+        trail = leaves.trail
+        stats.leaves_evaluated += len(makespans)
+        improving, running = leaf_improvements(upper_bound, makespans)
         hook = self.hooks.on_improve_incumbent
-        if hook is not None:
-            hook(makespan, supplier)
+        best_trail: Optional[int] = None
+        for i in improving:
+            makespan = int(makespans[i])
+            upper_bound = float(makespan)
+            best_trail = tid = int(trail_ids[i])
+            stats.incumbent_updates += 1
+            if hook is not None:
+                hook(makespan, lambda tid=tid: trail.prefix(tid))
+        if trace is not None:
+            after = np.minimum(running, makespans)
+            for i, makespan in enumerate(makespans.tolist()):
+                action = "incumbent" if makespan < running[i] else "leaf"
+                prefix = trail.prefix(int(trail_ids[i]))
+                trace.append(TraceEvent(prefix, makespan, float(after[i]), action))
+        return upper_bound, best_trail, len(improving)
 
     # ------------------------------------------------------------------ #
-    #  Single-step shape (serial engine, worksteal workers)
+    #  Single-step shape (serial engine, worksteal workers, sessions)
     # ------------------------------------------------------------------ #
     def _run_single(
         self,
@@ -411,29 +469,25 @@ class SearchDriver:
         next_order: int,
         start: float,
     ) -> DriverResult:
-        instance = self.instance
         offload = self.offload
         hooks = self.hooks
         limits = self.limits
-        max_nodes, max_time_s, deadline = limits.max_nodes, limits.max_time_s, limits.deadline
+        max_nodes = limits.max_nodes
         poll, poll_interval = hooks.poll_bound, POLL_INTERVAL
         on_select = hooks.on_select
-        n_jobs = instance.n_jobs
-        pt = instance.processing_times
-        trace_on = self.trace_enabled
-        trace: list[TraceEvent] = []
+        n_jobs = self.instance.n_jobs
+        pt = self.instance.processing_times
+        tables = self.tables
+        trace: Optional[list[TraceEvent]] = [] if self.trace_enabled else None
         perf_counter = time.perf_counter
 
         best_value: Optional[int] = None
         best_trail: Optional[int] = None
 
-        # Tie batching (best-first, untraced runs): every node sharing the
-        # minimal (lb, depth) pair is popped in one batch and their children
-        # branched + bounded in a single launch — provably the same pop
-        # sequence as one-at-a-time selection (see pop_min_tie_batch).
+        # tie batches: provably the one-at-a-time pop sequence (see pop_min_tie_batch)
         use_batches = (
             self.tie_batching
-            and not trace_on
+            and trace is None
             and self.selection.lower() in ("best-first", "best")
         )
         on_checkpoint = hooks.on_checkpoint
@@ -468,13 +522,7 @@ class SearchDriver:
                         )
                     )
                     last_checkpoint = perf_counter()
-            if max_nodes is not None and stats.nodes_explored >= max_nodes:
-                completed = False
-                break
-            if max_time_s is not None and perf_counter() - start > max_time_s:
-                completed = False
-                break
-            if deadline is not None and time.time() > deadline:
+            if limits.reached(stats, start):
                 completed = False
                 break
             if poll is not None and popped >= next_poll:
@@ -486,243 +534,105 @@ class SearchDriver:
                     if not frontier:
                         break
 
-            # A frontier memory cap holds best-first selection in its
-            # depth-first-restricted regime while the cap is exceeded; tie
-            # batching pauses (not permanently) until it re-engages.
+            # Select one block: a best-first tie batch while tie batching
+            # applies, else one node in the strategy's order.  Tie batching
+            # pauses while a frontier cap holds selection depth-first.
+            t0 = perf_counter()
+            remaining = max_nodes - stats.nodes_explored if max_nodes is not None else None
+            block: Optional[NodeBlock] = None
             if use_batches and not frontier.restricted:
-                remaining = max_nodes - stats.nodes_explored if max_nodes is not None else None
-                t0 = perf_counter()
-                batch = frontier.pop_min_tie_batch(remaining)
-                stats.time_pool_s += perf_counter() - t0
-                if batch is None:
-                    use_batches = False  # key packing unavailable: single pops
-                else:
-                    k = len(batch)
-                    lb0 = int(batch.lower_bound[0])
-                    if lb0 >= upper_bound:
-                        # the minimum is stale, so in best-first order every
-                        # pending node is: drop them in one step.  Under a
-                        # node budget drop only the smallest keys the budget
-                        # still reaches — the nodes single pops would take
-                        # before the budget stops them
-                        t0 = perf_counter()
-                        rest = len(frontier) if remaining is None else remaining - k
-                        if rest >= len(frontier):
-                            k += frontier.prune_to(upper_bound)
-                        elif rest > 0:
-                            k += len(frontier.pop_batch(rest)[0])
-                        stats.time_pool_s += perf_counter() - t0
-                        popped += k
-                        if on_select is not None:
-                            on_select(k)
-                        stats.nodes_pruned += k
-                        continue
-                    popped += k
-                    if on_select is not None:
-                        on_select(k)
-                    depth0 = int(batch.depth[0])
-                    if depth0 == n_jobs:
-                        # complete schedules sharing one makespan: the first
-                        # becomes the incumbent, the rest are pruned at its
-                        # (now equal) bound — exactly the one-at-a-time fates
-                        stats.leaves_evaluated += 1
-                        upper_bound = float(lb0)
-                        best_trail = int(batch.trail_id[0])
-                        best_value = lb0
-                        stats.incumbent_updates += 1
-                        self._notify(lb0, lambda tid=best_trail: trail.prefix(tid))
-                        stats.nodes_branched += 1
-                        stats.nodes_pruned += k - 1
-                        continue
-                    if depth0 + 1 == n_jobs:
-                        # leaf children tighten the incumbent between member
-                        # pops, so members must be examined one at a time;
-                        # branch_row wrote their makespans as their bounds
-                        for i in range(k):
-                            if lb0 >= upper_bound:
-                                stats.nodes_pruned += 1
-                                continue
-                            t0 = perf_counter()
-                            children = branch_row(
-                                batch.mask_bits[i],
-                                batch.release[i],
-                                depth0,
-                                int(batch.trail_id[i]),
-                                trail,
-                                pt,
-                                next_order,
-                            )
-                            stats.time_branching_s += perf_counter() - t0
-                            next_order += len(children)
-                            stats.nodes_branched += 1
-                            n_children = len(children)
-                            stats.nodes_bounded += n_children
-                            stats.leaves_evaluated += n_children
-                            makespans = children.makespans
-                            improving, _ = leaf_improvements(upper_bound, makespans)
-                            for j in improving:
-                                makespan = int(makespans[j])
-                                upper_bound = float(makespan)
-                                best_trail = int(children.trail_id[j])
-                                best_value = makespan
-                                stats.incumbent_updates += 1
-                                self._notify(
-                                    makespan, lambda tid=best_trail: trail.prefix(tid)
-                                )
-                        continue
+                block = frontier.pop_min_tie_batch(remaining)
+                use_batches = block is not None  # None: unpacked keys, single pops
+            tied = block is not None
+            if block is None:
+                block = frontier.pop_batch(1)[0]
+            k = len(block)
+            lb = int(block.lower_bound[0])
+            if tied and lb >= upper_bound:
+                # the minimum is stale, so every pending node is: drop them
+                # in one step, under a node budget only the smallest keys it
+                # still reaches (the nodes single pops would take)
+                rest = len(frontier) if remaining is None else remaining - k
+                if rest >= len(frontier):
+                    k += frontier.prune_to(upper_bound)
+                elif rest > 0:
+                    k += len(frontier.pop_batch(rest)[0])
+            stats.time_pool_s += perf_counter() - t0
+            popped += k
+            if on_select is not None:
+                on_select(k)
+            tid = int(block.trail_id[0])
+            if lb >= upper_bound:
+                stats.nodes_pruned += k
+                if trace is not None:
+                    trace.append(TraceEvent(trail.prefix(tid), lb, upper_bound, "pruned"))
+                continue
 
-                    # interior batch: one branch + one bounding launch for
-                    # the children of every tied node, laid out as one
-                    # complete sibling set per member (parent order)
+            depth = int(block.depth[0])
+            if depth + 1 == n_jobs:
+                # leaf children tighten the incumbent between member pops, so
+                # members are examined one at a time; branching wrote the
+                # children's makespans as their bounds, so they take no launch
+                members = zip(block.mask_bits, block.release, block.trail_id.tolist())
+                for bits, front, tid in members:
+                    if lb >= upper_bound:  # a later member of a tie batch
+                        stats.nodes_pruned += 1
+                        continue
                     t0 = perf_counter()
-                    if k == 1:
-                        children = branch_row(
-                            batch.mask_bits[0],
-                            batch.release[0],
-                            depth0,
-                            int(batch.trail_id[0]),
-                            trail,
-                            pt,
-                            next_order,
-                        )
-                    else:
-                        children = branch_block(batch, pt, next_order)
+                    children = branch_row(bits, front, depth, tid, trail, pt, next_order, tables)
                     stats.time_branching_s += perf_counter() - t0
                     next_order += len(children)
-                    stats.nodes_branched += k
-                    t0 = perf_counter()
-                    _, sim_s, _ = offload.bound_block(children)
-                    stats.time_bounding_s += perf_counter() - t0
-                    if sim_s:
-                        stats.simulated_device_time_s += sim_s
-                    n_children = len(children)
-                    stats.nodes_bounded += n_children
-                    keep = children.lower_bound < upper_bound
-                    pruned = n_children - int(np.count_nonzero(keep))
-                    stats.nodes_pruned += pruned
-                    if pruned and k > 1:
-                        # reconstruct the pool sizes a one-node-at-a-time
-                        # engine records between member pops (each member
-                        # contributes exactly n - depth0 children)
-                        per_member = n_jobs - depth0
-                        kept_per = np.add.reduceat(keep, np.arange(0, k * per_member, per_member))
-                        sizes = (
-                            len(frontier)
-                            + (k - 1 - np.arange(k))
-                            + np.cumsum(kept_per)
-                        )
-                        populated = kept_per > 0
-                        if populated.any():
-                            frontier.record_size_hint(int(sizes[populated].max()))
-                    t0 = perf_counter()
-                    frontier.push_block(children, keep if pruned else None)
-                    stats.time_pool_s += perf_counter() - t0
-                    continue
-
-            # Zero-copy pop: read the best row in place, branch from the
-            # views, then swap-compact it out.
-            t0 = perf_counter()
-            row = frontier.peek_best()
-            node_lb, node_depth, _, node_tid, mask_view, release_view = frontier.row_view(row)
-            stats.time_pool_s += perf_counter() - t0
-            popped += 1
-            if on_select is not None:
-                on_select(1)
-
-            if node_lb >= upper_bound:
-                frontier.discard(row)
-                stats.nodes_pruned += 1
-                if trace_on:
-                    trace.append(
-                        TraceEvent(trail.prefix(node_tid), node_lb, upper_bound, "pruned")
+                    stats.nodes_branched += 1
+                    stats.nodes_bounded += len(children)
+                    if trace is not None:
+                        trace.append(TraceEvent(trail.prefix(tid), lb, upper_bound, "branched"))
+                    upper_bound, improved, _ = self._examine_leaves(
+                        children, None, upper_bound, stats, trace
                     )
+                    if improved is not None:
+                        best_trail, best_value = improved, int(upper_bound)
                 continue
 
-            if node_depth == n_jobs:
-                makespan = int(release_view[-1])
-                frontier.discard(row)
-                stats.leaves_evaluated += 1
-                if makespan < upper_bound:
-                    upper_bound = float(makespan)
-                    best_trail = node_tid
-                    best_value = makespan
-                    stats.incumbent_updates += 1
-                    self._notify(makespan, lambda tid=node_tid: trail.prefix(tid))
-                    if trace_on:
-                        trace.append(
-                            TraceEvent(trail.prefix(node_tid), makespan, upper_bound, "incumbent")
-                        )
-                elif trace_on:
-                    trace.append(
-                        TraceEvent(trail.prefix(node_tid), makespan, upper_bound, "leaf")
-                    )
-                stats.nodes_branched += 1  # examined, produced no children
-                continue
-
-            # Branch: every sibling in one shot, straight off the row views.
+            # interior block: one branch and one bounding launch, laid out as
+            # one complete sibling set per member (parent order)
             t0 = perf_counter()
-            children = branch_row(
-                mask_view, release_view, node_depth, node_tid, trail, pt, next_order
-            )
-            frontier.discard(row)
+            if k == 1:
+                children = branch_row(
+                    block.mask_bits[0], block.release[0], depth, tid, trail, pt, next_order, tables
+                )
+            else:
+                children = branch_block(block, pt, next_order, tables=tables)
             stats.time_branching_s += perf_counter() - t0
             next_order += len(children)
-            stats.nodes_branched += 1
-            if trace_on:
-                trace.append(TraceEvent(trail.prefix(node_tid), node_lb, upper_bound, "branched"))
-
-            n_children = len(children)
-            stats.nodes_bounded += n_children
-            if node_depth + 1 == n_jobs:
-                # Siblings share their depth, so either every child is a
-                # complete schedule or none is; branch_row wrote their
-                # makespans as their bounds, so they take no launch.
-                # Replicate one-at-a-time in-order incumbent updates with a
-                # running min.
-                stats.leaves_evaluated += n_children
-                makespans = children.makespans
-                improving, running = leaf_improvements(upper_bound, makespans)
-                for i in improving:
-                    makespan = int(makespans[i])
-                    upper_bound = float(makespan)
-                    best_trail = int(children.trail_id[i])
-                    best_value = makespan
-                    stats.incumbent_updates += 1
-                    self._notify(makespan, lambda tid=best_trail: trail.prefix(tid))
-                if trace_on:
-                    run_after = np.minimum.accumulate(
-                        np.concatenate(([running[0]], makespans.astype(np.float64)))
-                    )[1:]
-                    for i in range(n_children):
-                        action = "incumbent" if makespans[i] < running[i] else "leaf"
-                        trace.append(
-                            TraceEvent(
-                                children.prefix(i), int(makespans[i]), float(run_after[i]), action
-                            )
-                        )
-                continue
-
-            # Bound the sibling block straight off its arrays.
+            stats.nodes_branched += k
+            if trace is not None:
+                trace.append(TraceEvent(trail.prefix(tid), lb, upper_bound, "branched"))
             t0 = perf_counter()
             _, sim_s, _ = offload.bound_block(children)
             stats.time_bounding_s += perf_counter() - t0
             if sim_s:
                 stats.simulated_device_time_s += sim_s
+            n_children = len(children)
+            stats.nodes_bounded += n_children
 
-            # Eliminate + insert in one masked append.
+            # eliminate + insert in one masked append
             keep = children.lower_bound < upper_bound
             pruned = n_children - int(np.count_nonzero(keep))
             stats.nodes_pruned += pruned
-            if trace_on and pruned:
+            if pruned and trace is not None:
                 for i in np.flatnonzero(~keep):
-                    trace.append(
-                        TraceEvent(
-                            children.prefix(i),
-                            int(children.lower_bound[i]),
-                            upper_bound,
-                            "pruned",
-                        )
-                    )
+                    bound = int(children.lower_bound[i])
+                    trace.append(TraceEvent(children.prefix(i), bound, upper_bound, "pruned"))
+            if pruned and k > 1:
+                # reconstruct the pool sizes a one-node-at-a-time
+                # engine records between member pops (each member
+                # contributes exactly n - depth children)
+                per_member = n_jobs - depth
+                kept_per = np.add.reduceat(keep, np.arange(0, k * per_member, per_member))
+                sizes = len(frontier) + (k - 1 - np.arange(k)) + np.cumsum(kept_per)
+                populated = kept_per > 0
+                if populated.any():
+                    frontier.record_size_hint(int(sizes[populated].max()))
             t0 = perf_counter()
             frontier.push_block(children, keep if pruned else None)
             stats.time_pool_s += perf_counter() - t0
@@ -739,7 +649,7 @@ class SearchDriver:
             measured_s=0.0,
             overlap_saved_sim_s=0.0,
             next_order=next_order,
-            trace=trace,
+            trace=trace or [],
         )
 
     # ------------------------------------------------------------------ #
@@ -755,14 +665,13 @@ class SearchDriver:
         next_order: int,
         start: float,
     ) -> DriverResult:
-        instance = self.instance
         offload = self.offload
         hooks = self.hooks
         limits = self.limits
         batch_size = self.batch_size
         assert batch_size is not None
-        n_jobs = instance.n_jobs
-        pt = instance.processing_times
+        n_jobs = self.instance.n_jobs
+        pt = self.instance.processing_times
         perf_counter = time.perf_counter
 
         best_value: Optional[int] = None
@@ -802,16 +711,7 @@ class SearchDriver:
                         )
                     )
                     last_checkpoint = perf_counter()
-            if limits.max_iterations is not None and iteration >= limits.max_iterations:
-                completed = False
-                break
-            if limits.max_nodes is not None and stats.nodes_explored >= limits.max_nodes:
-                completed = False
-                break
-            if limits.max_time_s is not None and perf_counter() - start > limits.max_time_s:
-                completed = False
-                break
-            if limits.deadline is not None and time.time() > limits.deadline:
+            if limits.reached(stats, start, iteration):
                 completed = False
                 break
             iteration += 1
@@ -828,7 +728,9 @@ class SearchDriver:
             # rows and bounded there; push_block keeps the survivors in place
             t0 = perf_counter()
             count = n_jobs * len(parents) - int(parents.depth.sum())
-            children = branch_block(parents, pt, next_order, frontier.reserve(count))
+            children = branch_block(
+                parents, pt, next_order, frontier.reserve(count), tables=self.tables
+            )
             branch_s = perf_counter() - t0
             stats.time_branching_s += branch_s
             next_order += len(children)
@@ -862,18 +764,13 @@ class SearchDriver:
             leaf_mask = children.depth == n_jobs
             n_leaves = int(np.count_nonzero(leaf_mask))
             if n_leaves:
-                leaf_rows = np.flatnonzero(leaf_mask)
-                stats.leaves_evaluated += n_leaves
-                makespans = children.release[leaf_rows, -1]
-                improving, _ = leaf_improvements(upper_bound, makespans)
-                for i in improving:
-                    makespan = int(makespans[i])
-                    upper_bound = float(makespan)
-                    best_trail = int(children.trail_id[leaf_rows[i]])
-                    best_value = makespan
-                    stats.incumbent_updates += 1
-                    self._notify(makespan, lambda tid=best_trail: trail.prefix(tid))
-                    if hooks.incumbent_charge_s is not None:
+                upper_bound, improved, n_improved = self._examine_leaves(
+                    children, np.flatnonzero(leaf_mask), upper_bound, stats
+                )
+                if improved is not None:
+                    best_trail, best_value = improved, int(upper_bound)
+                if hooks.incumbent_charge_s is not None:
+                    for _ in range(n_improved):
                         simulated_total += hooks.incumbent_charge_s()
 
             # --- eliminate + insert the survivors
@@ -979,7 +876,7 @@ def run_search(
             max_pending=max_pending,
         )
         prefix = tuple(int(job) for job in start)
-        seed = seed_block(instance, prefix, trail)
+        seed = seed_block(instance, prefix, trail, driver.tables)
         next_order = int(seed.order_index[0]) + 1
         offload = seed_offload if seed_offload is not None else driver.offload
         t0 = time.perf_counter()
@@ -988,15 +885,13 @@ def run_search(
         stats.nodes_bounded += 1
         seed_lb = int(seed.lower_bound[0])
         if len(prefix) == instance.n_jobs:
-            makespan = int(seed.release[0, -1])
-            stats.leaves_evaluated += 1
-            action = "leaf"
-            if makespan < upper_bound:
-                upper_bound, best_order, seed_value = float(makespan), prefix, makespan
-                stats.incumbent_updates += 1
-                driver._notify(makespan, lambda: prefix)
-                action = "incumbent"
-            seed_event = TraceEvent(prefix, makespan, upper_bound, action)
+            events: list[TraceEvent] = []
+            upper_bound, improved, _ = driver._examine_leaves(
+                seed, None, upper_bound, stats, events
+            )
+            if improved is not None:
+                best_order, seed_value = prefix, int(upper_bound)
+            seed_event = events[0]
         elif seed_lb >= upper_bound:
             stats.nodes_pruned += 1
             seed_event = TraceEvent(prefix, seed_lb, upper_bound, "pruned")

@@ -18,9 +18,9 @@ is one bit per job, ``ceil(n / 8)`` bytes
   The release-time recurrence is one max-plus machine scan
   (:func:`~repro.flowshop.schedule.machine_scan`) over *every* (parent,
   child-job) pair of a row chunk at once, reading per-job cumulative
-  times built once per call; the parents' unscheduled jobs come from one
-  unpack of their packed rows, a child's row is its parent's OR one
-  gathered job bit, and the child count never touches a Python loop.
+  times that a search builds once; the parents' unscheduled jobs come
+  from one unpack of their packed rows, a child's row is its parent's OR
+  one gathered job bit, and the child count never touches a Python loop.
 * :func:`bound_block` — bounding straight off the block's arrays with
   **zero re-packing**: one kernel-v2 call takes the block's columns and
   its ``jobs`` column as they are.
@@ -318,17 +318,22 @@ def root_block(instance: FlowShopInstance, trail: Trail) -> NodeBlock:
 
 
 def seed_block(
-    instance: FlowShopInstance, prefix: tuple[int, ...], trail: Trail
+    instance: FlowShopInstance,
+    prefix: tuple[int, ...],
+    trail: Trail,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NodeBlock:
     """A one-row block for the node reached by scheduling ``prefix``.
 
     The root-to-seed chain nodes are registered on the trail (so the
     seed's prefix materializes) and the seed's order index is
     ``len(prefix)`` — exactly what a per-search counter would have
-    assigned after creating the chain one child at a time.
+    assigned after creating the chain one child at a time.  ``tables``
+    are the instance's per-job cumulative times, as :func:`branch_block`
+    takes them.
     """
     n, m = instance.n_jobs, instance.n_machines
-    after, before = job_cumulative_times(instance.processing_times)
+    after, before = tables or job_cumulative_times(instance.processing_times)
     mask = np.zeros((1, n), dtype=bool)
     release = np.zeros(m, dtype=np.int32)
     trail_id = trail.append_root()
@@ -360,6 +365,7 @@ def branch_block(
     processing_times: np.ndarray,
     order_start: int,
     out: NodeBlock | None = None,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NodeBlock:
     """Branching operator: all one-job extensions of every parent row.
 
@@ -380,6 +386,11 @@ def branch_block(
     order indices are written :data:`_ROW_CHUNK` rows at a time, the
     release times by one machine scan per chunk from int32 per-job
     cumulative times, so no temporary spans the whole child set.
+
+    ``tables`` are those cumulative times, ``(after, before)`` of
+    :func:`~repro.flowshop.schedule.job_cumulative_times` over
+    ``processing_times``: a search builds them once and passes them to
+    every branching call; without them each call builds its own.
     """
     n_jobs = parents.n_jobs
     bits = parents.mask_bits
@@ -393,7 +404,7 @@ def branch_block(
         out = NodeBlock.empty(n_jobs, parents.n_machines, parents.trail, count)
     elif len(out) != count:
         raise ValueError(f"destination block has {len(out)} rows for {count} children")
-    after, before = job_cumulative_times(processing_times)
+    after, before = tables or job_cumulative_times(processing_times)
     job_bits = job_bit_table(n_jobs)
     for lo in range(0, count, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, count)
@@ -427,12 +438,13 @@ def branch_row(
     trail: Trail,
     processing_times: np.ndarray,
     order_start: int,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NodeBlock:
     """All one-job extensions of a single node given as raw rows.
 
-    The hot-loop variant of :func:`branch_block` for engines that pop one
-    node per step: it takes (views of) the node's packed mask row and its
-    release row directly, so no intermediate one-row block is
+    The one-parent variant of :func:`branch_block` (same children, same
+    order, same ``tables``): it takes (views of) the node's packed mask
+    row and its release row directly, so no intermediate one-row block is
     materialized.  The rows are fully consumed before this function
     returns.
     """
@@ -443,7 +455,7 @@ def branch_row(
     if count == 0:
         return NodeBlock.empty(n_jobs, release_row.shape[0], trail)
 
-    after, before = job_cumulative_times(processing_times)
+    after, before = tables or job_cumulative_times(processing_times)
     release = machine_scan(release_row, jobs, after, before)
 
     child_bits = job_bit_table(n_jobs).take(jobs, axis=0)
@@ -1078,10 +1090,11 @@ class BlockFrontier:
     def peek_best(self) -> int:
         """Row index of the next node to pop (no removal).
 
-        With :meth:`row_view` and :meth:`discard` this forms the zero-copy
-        pop used by one-node-per-step engines: read the row in place,
-        branch from the views, then discard the row — no one-row block is
-        ever materialized.
+        With :meth:`row_view` and :meth:`discard` this forms a zero-copy
+        pop: read the row in place, branch from the views, then discard
+        the row — no one-row block is ever materialized (the paper
+        protocol's loop in :mod:`repro.experiments.protocol` pops this way;
+        the driver's one-node pops are ``pop_batch(1)``).
         """
         if self._size == 0:
             raise IndexError("peek at an empty frontier")
@@ -1186,9 +1199,20 @@ class BlockFrontier:
                 0,
             )
         if max_nodes == 1 and upper_bound is None:
-            rows = np.array([self._pop_one_index()], dtype=np.int64)
-            block = self._extract(rows)
-            self._remove(rows)
+            # one row: slice copies and one swap-compaction, no index gathers
+            row = self._pop_one_index()
+            rows = slice(row, row + 1)
+            block = NodeBlock(
+                mask_bits=self._bits[rows].copy(),
+                release=self._release[rows].copy(),
+                lower_bound=self._lb[rows].copy(),
+                depth=self._depth[rows].copy(),
+                order_index=self._order[rows].copy(),
+                trail_id=self._tid[rows].copy(),
+                trail=self._trail,
+                n_jobs=self._n_jobs,
+            )
+            self.discard(row)
             return block, 0
 
         if self._kind == "best" and not self.restricted:

@@ -382,6 +382,13 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
     frontier._release[:size] = arrays["f_release"]
     frontier._lb[:size] = arrays["f_lb"]
     frontier._depth[:size] = arrays["f_depth"]
+    depths = frontier._depth[:size]
+    if size and (int(depths.min()) < 0 or int(depths.max()) >= instance.n_jobs):
+        # no engine pushes a complete schedule (it is examined as a leaf),
+        # and the driver would branch such a row into nothing
+        raise SnapshotCorrupt(
+            f"snapshot frontier holds a row outside depths [0, {instance.n_jobs})"
+        )
     frontier._order[:size] = arrays["f_order"]
     frontier._tid[:size] = arrays["f_tid"]
     frontier._packed = bool(meta["packed"])
@@ -437,9 +444,10 @@ def loads_snapshot(blob: bytes) -> Snapshot:
     """Rebuild complete search state from a snapshot blob.
 
     Raises :class:`SnapshotCorrupt` / :class:`SnapshotVersionError` for
-    bad blobs (see :func:`loads_header`), and :class:`SnapshotVersionError`
-    for a file of the removed object layout; the returned state continues
-    the interrupted search bit-identically.
+    bad blobs (see :func:`loads_header`) and for a frontier row whose depth
+    lies outside ``[0, n)`` (no engine writes one), and
+    :class:`SnapshotVersionError` for a file of the removed object layout;
+    the returned state continues the interrupted search bit-identically.
     """
     header = loads_header(blob)
     header_start = len(MAGIC) + 4

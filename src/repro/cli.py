@@ -45,6 +45,28 @@ from repro.flowshop.taillard import taillard_instance
 __all__ = ["build_parser", "main"]
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type of a duration flag: a number greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    return value
+
+
 def _load_instance(args: argparse.Namespace) -> FlowShopInstance:
     if args.file:
         path = Path(args.file)
@@ -288,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance to optimality")
     add_instance_arguments(solve)
     solve.add_argument("--engine", choices=("gpu", "serial", "multicore", "cluster"), default="gpu")
-    solve.add_argument("--pool-size", type=int, default=8192, help="GPU off-load pool size")
+    solve.add_argument(
+        "--pool-size", type=_positive_int, default=8192, help="GPU off-load pool size"
+    )
     solve.add_argument(
         "--n-workers",
         "--workers",
@@ -299,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--decomposition-depth",
-        type=int,
+        type=_positive_int,
         default=2,
         help="multicore prefix depth of the sub-tree decomposition (default: 2)",
     )
-    solve.add_argument("--nodes", type=int, default=4, help="cluster node count")
+    solve.add_argument("--nodes", type=_positive_int, default=4, help="cluster node count")
     solve.add_argument(
         "--max-frontier-nodes",
-        type=int,
+        type=_positive_int,
         default=None,
         help="high-water frontier memory cap — once this many nodes are "
         "pending, best-first selection runs depth-first-restricted and stays there "
@@ -314,8 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
         "regime flapping at the boundary); the pool cannot grow unbounded "
         "(default: no cap)",
     )
-    solve.add_argument("--max-nodes", type=int, default=None, help="node exploration budget")
-    solve.add_argument("--max-time", type=float, default=None, help="time budget in seconds")
+    solve.add_argument(
+        "--max-nodes", type=_positive_int, default=None, help="node exploration budget"
+    )
+    solve.add_argument(
+        "--max-time", type=_positive_float, default=None, help="time budget in seconds"
+    )
 
     def add_checkpoint_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -326,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--checkpoint-interval",
-            type=int,
+            type=_positive_int,
             default=None,
             help="snapshot every N driver steps (requires --checkpoint)",
         )
         p.add_argument(
             "--checkpoint-seconds",
-            type=float,
+            type=_positive_float,
             default=None,
             help="snapshot at least every T seconds (requires --checkpoint)",
         )

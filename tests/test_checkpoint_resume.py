@@ -222,24 +222,17 @@ def test_completed_solve_writes_no_final_snapshot(small_instance, tmp_path):
     assert not path.exists()
 
 
-def _rewrite_with_bool_masks(path, n_jobs):
-    """Rewrite a snapshot file in the layout written before bit-packed masks.
+def _rewrite_arrays(path, rewrite):
+    """Rewrite a snapshot file's payload arrays through ``rewrite(arrays)``.
 
-    The frontier's scheduled sets become one bool per job, stored as
-    ``f_mask`` in place of the packed ``f_bits``; the manifest, length and
-    checksum are rebuilt, the format version stays.
+    The manifest, length and checksum are rebuilt; the format version stays.
     """
     blob = path.read_bytes()
     header = load_header(path)
     start = len(snapshot.MAGIC) + 4
     (header_len,) = struct.unpack(">I", blob[len(snapshot.MAGIC) : start])
     arrays = snapshot._parse_raw_payload(header["payload"]["arrays"], blob[start + header_len :])
-    arrays = {
-        ("f_mask" if name == "f_bits" else name): (
-            unpack_mask(array, n_jobs) if name == "f_bits" else array
-        )
-        for name, array in arrays.items()
-    }
+    arrays = rewrite(dict(arrays))
     chunks = [np.ascontiguousarray(array).tobytes() for array in arrays.values()]
     payload = b"".join(chunks)
     header["payload"] = {
@@ -250,6 +243,24 @@ def _rewrite_with_bool_masks(path, n_jobs):
     }
     encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
     path.write_bytes(snapshot.MAGIC + struct.pack(">I", len(encoded)) + encoded + payload)
+
+
+def _rewrite_with_bool_masks(path, n_jobs):
+    """Rewrite a snapshot file in the layout written before bit-packed masks.
+
+    The frontier's scheduled sets become one bool per job, stored as
+    ``f_mask`` in place of the packed ``f_bits``.
+    """
+
+    def as_bool_masks(arrays):
+        return {
+            ("f_mask" if name == "f_bits" else name): (
+                unpack_mask(array, n_jobs) if name == "f_bits" else array
+            )
+            for name, array in arrays.items()
+        }
+
+    _rewrite_arrays(path, as_bool_masks)
 
 
 @pytest.mark.parametrize("n_jobs", [8, 10])
@@ -272,3 +283,29 @@ def test_bool_mask_snapshot_resumes_bit_identically(n_jobs, tmp_path):
     assert restored._bits.dtype == np.uint8 and len(restored) > 0
     result = SequentialBranchAndBound.resume(path)
     _assert_bit_identical(golden, result, list(first.trace) + list(result.trace))
+
+
+@pytest.mark.parametrize("depth", [8, -1], ids=["complete", "negative"])
+def test_restore_rejects_rows_no_engine_writes(depth, tmp_path):
+    """A frontier row at depth n (or below 0) fails to load instead of resuming.
+
+    No engine pushes a complete schedule (it is examined as a leaf), and
+    the driver would branch such a row into nothing, losing its schedule.
+    """
+    instance = random_instance(8, 5, seed=23)
+    path = tmp_path / "cut.rpbb"
+    cut = SequentialBranchAndBound(instance, max_nodes=20, checkpoint_path=path).solve()
+    assert not cut.proved_optimal
+    assert len(snapshot.load_snapshot(path).frontier) > 1
+
+    def set_depth(arrays):
+        depths = arrays["f_depth"].copy()
+        depths[1] = depth
+        arrays["f_depth"] = depths
+        return arrays
+
+    _rewrite_arrays(path, set_depth)
+    with pytest.raises(SnapshotCorrupt, match=r"depths \[0, 8\)"):
+        snapshot.load_snapshot(path)
+    with pytest.raises(SnapshotCorrupt):
+        SequentialBranchAndBound.resume(path)

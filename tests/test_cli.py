@@ -117,6 +117,36 @@ class TestSolveCommand:
             main(["solve", "--file", "/nonexistent/instance.txt"])
 
 
+class TestUsageErrors:
+    """Out-of-range counts and durations are usage errors naming the flag."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--max-frontier-nodes 0",
+            "--max-nodes 0",
+            "--pool-size 0",
+            "--max-time -1",
+            "--nodes 0 --engine cluster",
+            "--decomposition-depth -1 --engine multicore",
+            "--checkpoint-interval 0 --engine serial",
+            "--checkpoint-seconds 0 --engine serial",
+        ],
+    )
+    def test_out_of_range_flag_exits_with_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--jobs", "6", "--machines", "4", *flags.split()])
+        assert excinfo.value.code == 2
+        flag = flags.split()[0]
+        assert f"error: argument {flag}: must be " in capsys.readouterr().err
+
+    def test_malformed_count_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["solve", "--max-nodes", "many"])
+        assert excinfo.value.code == 2
+        assert "argument --max-nodes: invalid int value: 'many'" in capsys.readouterr().err
+
+
 class TestCheckpointCommands:
     def _write_instance(self, tmp_path):
         instance = random_instance(8, 5, seed=17)

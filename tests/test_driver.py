@@ -1175,6 +1175,120 @@ class TestCompleteSiblingSets:
         assert offload.complete_blocks == 0
 
 
+class TestOneNodePops:
+    """The one-node pops of the single-step body: unpacked keys and a frontier cap."""
+
+    SCALE = 1 << 16
+
+    @pytest.mark.parametrize("n, m, seed", [(8, 5, 17), (9, 4, 6), (10, 6, 3)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"max_nodes": 200}, {"selection": "depth-first"}],
+        ids=["unbudgeted", "budget200", "depth-first"],
+    )
+    def test_unpacked_keys_explore_the_tie_batched_tree(self, n, m, seed, kwargs, monkeypatch):
+        """Times scaled by 2**16 push bounds past the packed key's 22 bits.
+
+        The scaled run pops one node at a time on unpacked keys; it must
+        return the same order, the makespan times 2**16 and every counter
+        of the unscaled, tie-batched run.
+        """
+        instance = random_instance(n, m, seed=seed)
+        scaled = FlowShopInstance(instance.processing_times * self.SCALE)
+        batched: list[bool] = []
+        pop = BlockFrontier.pop_min_tie_batch
+
+        def recording(frontier, *args):
+            block = pop(frontier, *args)
+            batched.append(block is not None)
+            return block
+
+        monkeypatch.setattr(BlockFrontier, "pop_min_tie_batch", recording)
+        plain = SequentialBranchAndBound(instance, **kwargs).solve()
+        assert any(batched) == ("selection" not in kwargs)
+        batched.clear()
+        big = SequentialBranchAndBound(scaled, **kwargs).solve()
+        assert not any(batched)
+        assert big.best_order == plain.best_order
+        assert big.best_makespan == plain.best_makespan * self.SCALE
+        assert big.proved_optimal == plain.proved_optimal
+        for counter in COUNTERS:
+            assert getattr(big.stats, counter) == getattr(plain.stats, counter), counter
+
+    def test_capped_run_golden(self, monkeypatch):
+        """A capped run mixing 3 tie batches with 408 one-node pops.
+
+        Recorded from the driver that still had a separate one-node body.
+        """
+        batches: list[int] = []
+        singles: list[int] = []
+        pop, pop_one = BlockFrontier.pop_min_tie_batch, BlockFrontier._pop_one_index
+
+        def recording(frontier, *args):
+            block = pop(frontier, *args)
+            if block is not None:
+                batches.append(len(block))
+            return block
+
+        def recording_one(frontier):
+            singles.append(1)
+            return pop_one(frontier)
+
+        monkeypatch.setattr(BlockFrontier, "pop_min_tie_batch", recording)
+        monkeypatch.setattr(BlockFrontier, "_pop_one_index", recording_one)
+        result = SequentialBranchAndBound(
+            random_instance(10, 5, seed=4), max_frontier_nodes=8, initial_upper_bound=float("inf")
+        ).solve()
+        assert (len(batches), len(singles)) == (3, 408)
+        assert result.proved_optimal and result.best_makespan == 836
+        assert result.best_order == (4, 9, 5, 3, 2, 0, 1, 6, 7, 8)
+        assert {name: getattr(result.stats, name) for name in COUNTERS} == {
+            "nodes_bounded": 1054,
+            "nodes_branched": 264,
+            "nodes_pruned": 764,
+            "leaves_evaluated": 26,
+            "incumbent_updates": 26,
+            "pools_evaluated": 0,
+            "max_pool_size": 46,
+        }
+
+
+class TestBranchingTables:
+    """The seed and every branching call of a solve read one set of
+    per-job cumulative times, built once."""
+
+    @pytest.mark.parametrize("engine", ["best-first", "depth-first", "gpu"])
+    def test_one_table_build_per_solve(self, medium_instance, engine, monkeypatch):
+        import repro.bb.frontier as frontier_module
+        from repro.flowshop.schedule import job_cumulative_times
+
+        builds: list[tuple[int, int]] = []
+        branchings: list[int] = []
+
+        def counting(processing_times, *args):
+            builds.append(processing_times.shape)
+            return job_cumulative_times(processing_times, *args)
+
+        def spy(branch):
+            def counted(*args, **kwargs):
+                branchings.append(1)
+                return branch(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(frontier_module, "job_cumulative_times", counting)
+        monkeypatch.setattr(driver_module, "job_cumulative_times", counting, raising=False)
+        for name in ("branch_row", "branch_block"):
+            monkeypatch.setattr(driver_module, name, spy(getattr(driver_module, name)))
+        if engine == "gpu":
+            result = GpuBranchAndBound(medium_instance, GpuBBConfig(pool_size=16)).solve()
+        else:
+            result = SequentialBranchAndBound(medium_instance, selection=engine).solve()
+        assert result.proved_optimal
+        assert len(branchings) > 1
+        assert builds == [medium_instance.shape]
+
+
 class TestWorkstealTieBatching:
     """Best-first workers ride the sequential engine's tie-batch path."""
 
