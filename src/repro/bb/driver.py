@@ -184,13 +184,21 @@ class SearchLimits:
     ``max_nodes`` bounds ``stats.nodes_explored``; ``max_time_s`` is a span
     from the run's ``start`` (``time.perf_counter``); ``max_iterations``
     bounds batch-mode off-load steps; ``deadline`` is an absolute
-    ``time.time()`` epoch shared across worker processes.
+    ``time.time()`` epoch shared across worker processes.  A budget that
+    could not admit one step raises ``ValueError``: this is the one check
+    every engine and the service apply to their budgets at construction.
     """
 
     max_nodes: Optional[int] = None
     max_time_s: Optional[float] = None
     max_iterations: Optional[int] = None
     deadline: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "max_time_s", "max_iterations"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # also refuses nan
+                raise ValueError(f"{name} must be positive when given, got {value}")
 
     def reached(self, stats: SearchStats, start: float, iterations: Optional[int] = None) -> bool:
         """True once a budget stops the run (both loop shapes ask before each step).

@@ -8,7 +8,7 @@ that engine:
 * **oversubscribed decomposition** — the root is expanded to a prefix
   frontier (depth 2 by default), producing far more sub-tree chunks than
   workers;
-* **work stealing** — the chunks sit on one shared task board and every
+* **work stealing** — the chunks sit on one shared task queue and every
   idle worker steals the next one, so the load balances dynamically
   instead of being capped by the slowest sub-tree;
 * **shared incumbent** — a lock-protected ``multiprocessing.Value`` in
@@ -31,17 +31,20 @@ shared-bound polling and CAS publication are the driver's ``poll_bound`` /
 ``on_improve_incumbent`` hooks, and best-first workers batch ``(lb,
 depth)`` ties into one bounding launch exactly like the sequential engine.
 
-Every backend runs the same worker path: one :class:`_TaskBoard` and one
-:class:`SharedIncumbent`, both in shared memory, and one :func:`_worker`
-loop that builds its ``LowerBoundData`` once and puts its outcome, or the
-exception that ended it, on a results queue.  Only the task queue and the
-worker type differ: ``"process"`` (``multiprocessing.Queue`` and
-``Process``) gives true parallelism; ``"thread"`` (``queue.SimpleQueue``
-and ``threading.Thread``) cannot scale CPU-bound work because of the GIL,
-which it demonstrates and the tests use; ``"serial"`` runs one worker in
-the calling thread to measure decomposition overhead.  A failed worker's
-exception is the ``__cause__`` of the ``RuntimeError`` that
-:meth:`MulticoreBranchAndBound.solve` raises.
+Every backend runs the same worker path: one task queue, filled before
+any worker starts with every prefix and then one ``None`` sentinel per
+worker; one :class:`SharedIncumbent` in shared memory; and one
+:func:`_worker` loop that builds its ``LowerBoundData`` once, runs chunks
+until it takes a sentinel, and puts its outcome, or the exception that
+ended it, on a results queue.  Only the queues and the worker type differ:
+``"process"`` (``multiprocessing.Queue`` and ``Process``) gives true
+parallelism; ``"thread"`` (``queue.SimpleQueue`` and ``threading.Thread``)
+cannot scale CPU-bound work because of the GIL, which it demonstrates and
+the tests use; ``"serial"`` runs one worker in the calling thread to
+measure decomposition overhead.  A failed worker's exception is the
+``__cause__`` of the ``RuntimeError`` that
+:meth:`MulticoreBranchAndBound.solve` raises; its peers drain the
+remaining chunks and stop at their sentinels.
 
 The *measured* speed-up of this engine on the test machine is reported by
 the benchmarks, while the Table IV reproduction uses the calibrated
@@ -56,11 +59,10 @@ import os
 import queue as queue_module
 import threading
 import time
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits, run_search
 from repro.bb.sequential import BBResult, initial_incumbent
-from repro.bb.snapshot import CheckpointState, Snapshot, dumps_snapshot, loads_snapshot
 from repro.bb.stats import SearchStats
 from repro.flowshop.bounds import LowerBoundData
 from repro.flowshop.instance import FlowShopInstance
@@ -111,49 +113,6 @@ class SharedIncumbent:
         return False
 
 
-class _TaskBoard:
-    """Task queue with outstanding-work termination, for every backend.
-
-    Sentinels pre-queued *behind* the chunks would only work while the task
-    set is fixed at launch.  Rebalancing re-enqueues the live remainder of
-    budget-cut chunks, so shutdown instead keys off an outstanding-task
-    count: the worker that finishes the last task (and re-enqueued nothing)
-    broadcasts one ``None`` sentinel per worker.  ``put`` increments
-    *before* the item is visible and workers re-enqueue before calling
-    :meth:`task_done`, so the count can never reach zero while work remains.
-
-    The count is a ``multiprocessing.Value``, so the board crosses process
-    boundaries; ``task_queue`` is a ``queue.SimpleQueue`` for workers in
-    this process or a ``multiprocessing.Queue`` for worker processes.
-    """
-
-    def __init__(self, task_queue, n_workers: int):
-        self._queue = task_queue
-        # The mp.Value carries its own lock; every access goes through it.
-        self._outstanding = multiprocessing.Value("i", 0)  # guarded-by: _outstanding
-        self._n_workers = n_workers
-
-    def put(self, task) -> None:
-        with self._outstanding.get_lock():
-            self._outstanding.value += 1
-        self._queue.put(task)
-
-    def get(self):
-        return self._queue.get()
-
-    def task_done(self) -> None:
-        with self._outstanding.get_lock():
-            self._outstanding.value -= 1
-            drained = self._outstanding.value == 0
-        if drained:
-            self.stop()
-
-    def stop(self) -> None:
-        """Wake every worker with a sentinel: the board drained, or a worker failed."""
-        for _ in range(self._n_workers):
-            self._queue.put(None)
-
-
 class _SubtreeSolver:
     """Serial search restricted to the sub-tree under a prefix.
 
@@ -166,14 +125,6 @@ class _SubtreeSolver:
     :data:`~repro.bb.driver.POLL_INTERVAL` pops — re-pruning its open
     frontier (:meth:`~repro.bb.frontier.BlockFrontier.prune_to`) when a
     peer tightened it.
-
-    Rebalancing (the engine's ``rebalance=True`` mode) uses two extra
-    knobs: ``capture_incomplete=True`` makes a node-budget-cut run
-    serialize its live frontier into ``self.resume_blob`` (an in-memory
-    snapshot, see :mod:`repro.bb.snapshot`) instead of abandoning it, and
-    ``resume_from=<blob>`` makes the solver continue such a captured
-    frontier rather than seeding from a prefix.  Deadline-cut runs never
-    capture — the global time budget stays a hard stop.
     """
 
     def __init__(
@@ -186,8 +137,6 @@ class _SubtreeSolver:
         deadline: Optional[float] = None,
         incumbent=None,
         max_frontier_nodes: Optional[int] = None,
-        capture_incomplete: bool = False,
-        resume_from: Optional[bytes] = None,
     ):
         self.data = data
         self.prefix = tuple(int(j) for j in prefix)
@@ -197,11 +146,6 @@ class _SubtreeSolver:
         self.deadline = deadline
         self.incumbent = incumbent
         self.max_frontier_nodes = max_frontier_nodes
-        self.capture_incomplete = capture_incomplete
-        self.resume_from = resume_from
-        #: set by a budget-cut run when ``capture_incomplete`` is on: the
-        #: serialized remainder of this chunk, ready to re-enqueue
-        self.resume_blob: Optional[bytes] = None
 
     def _driver(self) -> SearchDriver:
         """The worker's loop: the driver's single-step shape with polling.
@@ -228,7 +172,7 @@ class _SubtreeSolver:
         )
 
     def run(self) -> tuple[Optional[int], tuple[int, ...], SearchStats, bool]:
-        """Exhaust this worker's sub-tree (or captured remainder).
+        """Exhaust this worker's sub-tree (or stop at a budget).
 
         Returns ``(makespan, order, stats, completed)``; ``makespan`` is
         ``None`` when the chunk never improved on its starting bound.
@@ -236,114 +180,64 @@ class _SubtreeSolver:
         upper_bound = self.upper_bound
         if self.incumbent is not None:
             upper_bound = min(upper_bound, self.incumbent.get())
-        start: Union[tuple[int, ...], Snapshot] = self.prefix
-        if self.resume_from is not None:
-            start = loads_snapshot(self.resume_from)
         outcome, stats = run_search(
             self._driver(),
-            start,
+            self.prefix,
             upper_bound=upper_bound,
             max_pending=self.max_frontier_nodes,
-            on_cut=self._capture if self.capture_incomplete else None,
         )
         return outcome.best_value, tuple(outcome.best_order), stats, outcome.completed
 
-    def _capture(self, state: CheckpointState) -> None:
-        """Serialize the live remainder of a node-budget-cut chunk for re-enqueue.
 
-        A deadline-cut chunk is not captured: the global time budget stays
-        a hard stop.  The cut segment's partial statistics travel with the
-        worker that ran it (they are merged into the worker totals as
-        usual), so the blob carries a *fresh* ``SearchStats`` — the resumed
-        segment accounts for its own work and nothing is double counted.
-        """
-        if self.deadline is not None and time.time() >= self.deadline:
-            return
-        self.resume_blob = dumps_snapshot(
-            self.data.instance,
-            frontier=state.frontier,
-            upper_bound=state.upper_bound,
-            best_order=(),
-            stats=SearchStats(),
-            trail=state.trail,
-            next_order=state.next_order,
-            engine={
-                "engine": "worksteal-chunk",
-                "selection": self.selection,
-                "prefix": list(self.prefix),
-            },
-        )
-
-
-def _run_tasks(instance: FlowShopInstance, board, incumbent, opts: dict) -> dict:
-    """One worker's lifetime: steal chunks until a sentinel arrives.
+def _run_tasks(instance: FlowShopInstance, tasks, incumbent, opts: dict) -> dict:
+    """One worker's lifetime: steal prefix chunks until a sentinel arrives.
 
     The worker builds its ``LowerBoundData`` once, before its first chunk.
-    Tasks are either prefix tuples (seed a sub-tree) or ``("resume", blob)``
-    pairs (continue a captured chunk remainder, rebalancing mode only).
     Returns the worker's merged statistics and its locally best schedule;
     the coordinator merges those across workers.
     """
     data = LowerBoundData(instance)
-    rebalance = opts["rebalance"]
     stats = SearchStats()
     best_makespan: Optional[int] = None
     best_order: tuple[int, ...] = ()
     completed = True
-    rebalanced = 0
     while True:
-        task = board.get()
-        if task is None:  # sentinel: no chunks left to steal
+        prefix = tasks.get()
+        if prefix is None:  # sentinel: no chunks left to steal
             break
-        if task and task[0] == "resume":
-            seed = {"prefix": (), "resume_from": task[1]}
-        else:
-            seed = {"prefix": task}
-        solver = _SubtreeSolver(
+        makespan, order, task_stats, task_completed = _SubtreeSolver(
             data,
+            prefix,
             upper_bound=opts["upper_bound"],
             selection=opts["selection"],
             max_nodes=opts["max_nodes_per_task"],
             deadline=opts["deadline"],
             incumbent=incumbent,
             max_frontier_nodes=opts["max_frontier_nodes"],
-            capture_incomplete=rebalance,
-            **seed,
-        )
-        makespan, order, task_stats, task_completed = solver.run()
+        ).run()
         stats = stats.merge(task_stats)
-        if rebalance and solver.resume_blob is not None:
-            # The unfinished remainder goes back on the board (before
-            # task_done, so the outstanding count cannot hit zero while it
-            # is in flight); the cut no longer truncates the search.
-            board.put(("resume", solver.resume_blob))
-            rebalanced += 1
-            task_completed = True
         completed = completed and task_completed
         if makespan is not None and (best_makespan is None or makespan < best_makespan):
             best_makespan = makespan
             best_order = order
-        board.task_done()
     return {
         "best_makespan": best_makespan,
         "best_order": best_order,
         "stats": stats,
         "completed": completed,
-        "rebalanced": rebalanced,
     }
 
 
-def _worker(instance: FlowShopInstance, board, incumbent, opts: dict, results) -> None:
+def _worker(instance: FlowShopInstance, tasks, incumbent, opts: dict, results) -> None:
     """Every worker's entry point (module level, so a process can pickle it).
 
     Puts the worker's outcome, or the exception that ended it, on
-    ``results``.  A failed worker also wakes its peers, which would
-    otherwise wait on the board forever for the task it never finished.
+    ``results``.  A failed worker leaves its chunks to its peers, which
+    drain the queue and stop at their own sentinels.
     """
     try:
-        results.put(_run_tasks(instance, board, incumbent, opts))
+        results.put(_run_tasks(instance, tasks, incumbent, opts))
     except BaseException as exc:
-        board.stop()
         results.put(exc)
         if not isinstance(exc, Exception):
             raise  # an interrupt or exit still ends this thread or process
@@ -360,8 +254,8 @@ class MulticoreBranchAndBound:
     instance:
         The flow-shop instance to solve.
     n_workers:
-        Number of workers (defaults to the CPU count); clamped to the number
-        of decomposition chunks.
+        Number of workers, at least 1 when given (defaults to the CPU
+        count); clamped to the number of decomposition chunks.
     backend:
         ``"process"`` (true parallelism, default), ``"thread"`` (GIL-bound
         but still cooperative — useful in tests), or ``"serial"`` (one
@@ -377,22 +271,15 @@ class MulticoreBranchAndBound:
     initial_upper_bound:
         Starting incumbent; ``None`` seeds it with the NEH heuristic.
     max_nodes_per_task / max_time_s:
-        Optional exploration budgets: nodes per chunk, and one wall-clock
-        span shared by every chunk.
+        Optional exploration budgets, positive when given: nodes per chunk
+        (a chunk cut by it is dropped, so the result is not proved
+        optimal), and one wall-clock span shared by every chunk.
     max_frontier_nodes:
         Per-worker high-water frontier cap (see
         :class:`~repro.bb.frontier.BlockFrontier`), at least 1 when given;
         best-first workers fall back to a depth-first-restricted regime once
         over it, re-engaging best-first only below the 0.8×cap hysteresis
         low-water mark.
-    rebalance:
-        When ``True``, a chunk cut by ``max_nodes_per_task`` serializes its
-        live frontier (an in-memory :mod:`repro.bb.snapshot` blob) and
-        re-enqueues it as a fresh task instead of truncating the search —
-        ``max_nodes_per_task`` then acts as a *time-slice* that keeps the
-        queue full of steal-able work rather than a hard budget, and the
-        search stays exact.  Deadline-cut chunks are never re-enqueued, so
-        ``max_time_s`` remains a hard stop.  Default ``False``.
     """
 
     def __init__(
@@ -406,14 +293,16 @@ class MulticoreBranchAndBound:
         max_nodes_per_task: Optional[int] = None,
         max_time_s: Optional[float] = None,
         max_frontier_nodes: Optional[int] = None,
-        rebalance: bool = False,
     ):
         if backend not in ("process", "thread", "serial"):
             raise ValueError("backend must be 'process', 'thread' or 'serial'")
+        if n_workers is not None and n_workers < 1:
+            raise ValueError("n_workers must be >= 1 when given")
         if decomposition_depth < 1:
             raise ValueError("decomposition_depth must be >= 1")
         if max_frontier_nodes is not None and max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be >= 1 when given")
+        SearchLimits(max_nodes=max_nodes_per_task, max_time_s=max_time_s)  # refuses empty budgets
         self.instance = instance
         self.n_workers = n_workers or os.cpu_count() or 1
         self.backend = backend
@@ -423,11 +312,6 @@ class MulticoreBranchAndBound:
         self.max_nodes_per_task = max_nodes_per_task
         self.max_time_s = max_time_s
         self.max_frontier_nodes = max_frontier_nodes
-        self.rebalance = rebalance
-        #: observability: chunks whose remainders were re-enqueued by the
-        #: last :meth:`solve` call (0 unless ``rebalance=True`` and some
-        #: chunk hit its node budget)
-        self.rebalanced_chunks = 0
 
     # ------------------------------------------------------------------ #
     def _opts(self, upper_bound: float) -> dict:
@@ -440,15 +324,16 @@ class MulticoreBranchAndBound:
             "max_nodes_per_task": self.max_nodes_per_task,
             "deadline": deadline,
             "max_frontier_nodes": self.max_frontier_nodes,
-            "rebalance": self.rebalance,
         }
 
     def _run_workers(self, prefixes, n_workers: int, opts: dict) -> list[dict]:
-        """Run ``n_workers`` workers over one board and one bound; return their outcomes.
+        """Run ``n_workers`` workers over one task queue and one bound; return their outcomes.
 
-        Only the task queue and the worker type depend on the backend; one
-        worker runs in the calling thread.  A failed worker's exception is
-        the ``__cause__`` of the ``RuntimeError`` raised here.
+        The task set is fixed at launch: every prefix, then one ``None``
+        sentinel per worker, is queued before any worker starts.  Only the
+        queues and the worker type depend on the backend; one worker runs
+        in the calling thread.  A failed worker's exception is the
+        ``__cause__`` of the ``RuntimeError`` raised here.
         """
         if self.backend == "process" and n_workers > 1:
             tasks: Any = multiprocessing.Queue()
@@ -457,10 +342,9 @@ class MulticoreBranchAndBound:
         else:
             tasks, results = queue_module.SimpleQueue(), queue_module.SimpleQueue()
             worker_type = threading.Thread
-        board = _TaskBoard(tasks, n_workers)
-        for prefix in prefixes:
-            board.put(prefix)
-        args = (self.instance, board, SharedIncumbent(opts["upper_bound"]), opts, results)
+        for task in [*prefixes, *[None] * n_workers]:
+            tasks.put(task)
+        args = (self.instance, tasks, SharedIncumbent(opts["upper_bound"]), opts, results)
         workers: list = []
         if n_workers == 1:
             _worker(*args)
@@ -483,9 +367,7 @@ class MulticoreBranchAndBound:
                         "without reporting results"
                     ) from None
         for worker in workers:
-            worker.join(timeout=30.0)
-            if worker.is_alive():  # pragma: no cover - a process blocked on a full task queue
-                worker.terminate()
+            worker.join()
         errors = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
         if errors:
             raise RuntimeError(
@@ -506,7 +388,6 @@ class MulticoreBranchAndBound:
         completed = True
         best_makespan: Optional[int] = None
         best_order: tuple[int, ...] = ()
-        self.rebalanced_chunks = sum(outcome["rebalanced"] for outcome in outcomes)
         for outcome in outcomes:
             stats = stats.merge(outcome["stats"])
             completed = completed and bool(outcome["completed"])

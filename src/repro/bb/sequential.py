@@ -105,8 +105,8 @@ class SequentialBranchAndBound:
         Starting incumbent value.  ``None`` seeds the search with the NEH
         heuristic (recommended); ``float("inf")`` starts from scratch.
     max_nodes / max_time_s:
-        Optional exploration budgets; when either is hit the result is
-        returned with ``proved_optimal=False``.
+        Optional exploration budgets, positive when given; when either is
+        hit the result is returned with ``proved_optimal=False``.
     trace:
         Record a :class:`TraceEvent` per examined node (small instances only).
     kernel:
@@ -156,8 +156,7 @@ class SequentialBranchAndBound:
         self.data = LowerBoundData(instance)
         self.selection = selection
         self.initial_upper_bound = initial_upper_bound
-        self.max_nodes = max_nodes
-        self.max_time_s = max_time_s
+        self.limits = SearchLimits(max_nodes=max_nodes, max_time_s=max_time_s)
         self.trace_enabled = trace
         self.on_incumbent = on_incumbent
         if kernel not in ("scalar", "v2"):
@@ -220,7 +219,7 @@ class SequentialBranchAndBound:
             self.data,
             selection=self.selection,
             kernel=self.kernel,
-            limits=SearchLimits(max_nodes=self.max_nodes, max_time_s=self.max_time_s),
+            limits=self.limits,
             hooks=hooks,
             trace=self.trace_enabled,
             checkpoint=checkpoint,

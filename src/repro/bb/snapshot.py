@@ -19,10 +19,12 @@ bit-identically to the run that wrote it:
 
 Container format (see the table in ``docs/ARCHITECTURE.md``)::
 
-    magic b"RPBB" | header length (4 bytes BE) | JSON header | npz payload
+    magic b"RPBB" | header length (4 bytes BE) | JSON header | raw array buffers
 
 The header carries the format version, the instance/engine fingerprints
-and the payload's SHA-256 + length; :func:`loads_snapshot` re-hashes the
+and the payload's SHA-256, length and manifest (name, dtype and shape of
+each concatenated array buffer; only pre-manifest files carry an npz
+payload, which still loads); :func:`loads_snapshot` re-hashes the
 payload and rejects corrupt or truncated files with a typed error —
 truncation at *any* byte offset fails loudly (``tests/test_chaos.py``
 checks every offset).  :func:`save_snapshot` writes through a temp file in

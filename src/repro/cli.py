@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-workers",
         "--workers",
         dest="workers",
-        type=int,
+        type=_positive_int,
         default=4,
         help="multicore worker count",
     )
@@ -375,12 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("snapshot", help="snapshot file written by --checkpoint")
     resume.add_argument(
         "--max-nodes",
-        type=int,
+        type=_positive_int,
         default=None,
         help="cumulative node budget (counts nodes explored across all segments)",
     )
     resume.add_argument(
-        "--max-time", type=float, default=None, help="time budget for this segment in seconds"
+        "--max-time",
+        type=_positive_float,
+        default=None,
+        help="time budget for this segment in seconds",
     )
     add_checkpoint_arguments(resume)
     resume.set_defaults(func=_resume)
@@ -406,20 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=7227, help="bind port (0 picks a free one)")
     serve.add_argument(
-        "--max-active", type=int, default=8, help="sessions solving concurrently"
+        "--max-active", type=_positive_int, default=8, help="sessions solving concurrently"
     )
     serve.add_argument(
-        "--max-queued", type=int, default=64, help="admission queue bound (backpressure)"
+        "--max-queued", type=_positive_int, default=64, help="admission queue bound (backpressure)"
     )
     serve.add_argument(
         "--max-wait-ms",
-        type=float,
+        type=_positive_float,
         default=5.0,
         help="dispatcher flush policy: longest a parked bounding batch waits for peers",
     )
     serve.add_argument(
         "--max-batch-nodes",
-        type=int,
+        type=_positive_int,
         default=65536,
         help="dispatcher flush policy: fused-launch size cap",
     )

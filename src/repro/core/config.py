@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.bb.driver import SearchLimits
 from repro.gpu.device import DeviceSpec, TESLA_C2050
 from repro.gpu.placement import DataPlacement
 from repro.gpu.simulator import KernelCostModel
@@ -50,7 +51,7 @@ class GpuBBConfig:
     use_neh_upper_bound:
         Seed the incumbent with the NEH heuristic.
     max_nodes / max_time_s / max_iterations:
-        Optional exploration budgets.
+        Optional exploration budgets, positive when given.
     max_frontier_nodes:
         High-water memory cap of the pending frontier.
         Once that many nodes are pending, best-first selection runs in a
@@ -92,12 +93,11 @@ class GpuBBConfig:
                 f"threads_per_block ({self.threads_per_block}) exceeds the device "
                 f"limit ({self.device.max_threads_per_block})"
             )
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive when given")
-        if self.max_time_s is not None and self.max_time_s <= 0:
-            raise ValueError("max_time_s must be positive when given")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive when given")
+        SearchLimits(
+            max_nodes=self.max_nodes,
+            max_time_s=self.max_time_s,
+            max_iterations=self.max_iterations,
+        )  # refuses empty budgets
         if self.max_frontier_nodes is not None and self.max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be positive when given")
 

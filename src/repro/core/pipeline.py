@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.bb.driver import SearchLimits
 from repro.bb.multicore import frontier_prefixes
 from repro.bb.stats import SearchStats
 from repro.core.config import GpuBBConfig
@@ -68,15 +67,6 @@ class HybridConfig:
             raise ValueError("decomposition_depth must be >= 1")
 
 
-def _exhausted(limits: SearchLimits) -> bool:
-    """Whether a budget ran out before the next sub-tree could be seeded."""
-    return (
-        (limits.max_nodes is not None and limits.max_nodes <= 0)
-        or (limits.max_iterations is not None and limits.max_iterations <= 0)
-        or (limits.deadline is not None and time.time() > limits.deadline)
-    )
-
-
 class HybridBranchAndBound:
     """Cooperative multi-explorer search with GPU-off-loaded bounding."""
 
@@ -98,6 +88,7 @@ class HybridBranchAndBound:
         engine = GpuBranchAndBound(self.instance, gpu)
         offload = _ExecutorOffload(engine.executor)
         deadline = time.time() + gpu.max_time_s if gpu.max_time_s is not None else None
+        budget = search_limits(gpu, deadline=deadline)  # counts over the whole solve
         best_makespan, best_order = neh_upper_bound(self.instance, gpu)
         launch_makespan = best_makespan
 
@@ -113,10 +104,10 @@ class HybridBranchAndBound:
         proved = True
         all_iterations: list[IterationRecord] = []
         for prefix in ordered:
-            limits = search_limits(gpu, stats, len(all_iterations), deadline)
-            if _exhausted(limits):
+            if budget.reached(stats, start, len(all_iterations)):
                 proved = False
                 break
+            limits = search_limits(gpu, stats, len(all_iterations), deadline)
             # Cooperative mode seeds each sub-tree with the best bound
             # found so far; independent mode replays the launch-time one.
             seed_bound = best_makespan if gpu.share_incumbent else launch_makespan

@@ -274,6 +274,14 @@ class LowerBoundData:
         self.instance = instance
         pt = instance.processing_times
         n, m = pt.shape
+        # every release time, bound and makespan is at most the total, and
+        # the search keeps them in int32 columns and int32 cumulative tables
+        total = int(pt.sum())
+        if total > 2**31 - 1:
+            raise ValueError(
+                f"total processing time {total} exceeds 2**31 - 1 = {2**31 - 1}, "
+                "the int32 limit of release times, bounds and makespans"
+            )
 
         mm = machine_couples(m)
         n_couples = mm.shape[0]

@@ -140,8 +140,8 @@ class SolveService:
         Dispatcher flush policy (max-wait / max-batch); ``None`` for
         defaults.
     checkpoint_dir / checkpoint_every:
-        Fault tolerance: with a directory set, every session checkpoints
-        its in-flight search to ``<dir>/session-<id>.rpbb`` every
+        Fault tolerance, both or neither: with both set, every session
+        checkpoints its in-flight search to ``<dir>/session-<id>.rpbb`` every
         ``checkpoint_every`` driver steps, and a session whose worker
         thread dies is restarted from its last snapshot (see
         ``max_session_restarts``).
@@ -189,6 +189,8 @@ class SolveService:
             raise ValueError("max_session_restarts must be >= 0")
         if restart_backoff_s < 0:
             raise ValueError("restart_backoff_s must be >= 0")
+        if (checkpoint_dir is None) != (checkpoint_every is None):
+            raise ValueError("checkpoint_dir and checkpoint_every must be given together")
         self.max_active_sessions = max_active_sessions
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.checkpoint_every = checkpoint_every

@@ -90,6 +90,7 @@ class SessionConfig:
             raise ValueError(f"unknown selection strategy {self.selection!r}")
         if self.max_frontier_nodes is not None and self.max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be >= 1 when given")
+        SearchLimits(max_nodes=self.max_nodes, max_time_s=self.max_time_s)  # refuses empty budgets
         if self.checkpoint_every is not None:
             if self.checkpoint_every < 1:
                 raise ValueError("checkpoint_every must be >= 1 when given")

@@ -140,6 +140,34 @@ class TestUsageErrors:
         flag = flags.split()[0]
         assert f"error: argument {flag}: must be " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            ("resume run.rpbb --max-nodes 0", "--max-nodes"),
+            ("resume run.rpbb --max-time 0", "--max-time"),
+            ("solve --engine multicore --workers 0", "--n-workers/--workers"),
+            ("serve --max-active 0", "--max-active"),
+            ("serve --max-queued 0", "--max-queued"),
+            ("serve --max-wait-ms 0", "--max-wait-ms"),
+            ("serve --max-batch-nodes 0", "--max-batch-nodes"),
+        ],
+        ids=[
+            "resume-max-nodes",
+            "resume-max-time",
+            "solve-workers",
+            "serve-max-active",
+            "serve-max-queued",
+            "serve-max-wait-ms",
+            "serve-max-batch-nodes",
+        ],
+    )
+    def test_out_of_range_flag_of_every_command_is_a_usage_error(self, argv, flag, capsys):
+        # parsed only: no snapshot is read and no server starts
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv.split())
+        assert excinfo.value.code == 2
+        assert f"error: argument {flag}: must be " in capsys.readouterr().err
+
     def test_malformed_count_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["solve", "--max-nodes", "many"])

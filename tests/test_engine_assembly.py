@@ -8,7 +8,13 @@ accepts.
   ``incumbent_updates`` when it improves.
 * **Budgets.** The cluster stops at ``max_time_s`` (library and CLI); the
   hybrid's ``max_nodes``, ``max_iterations`` and ``max_time_s`` bound the
-  whole solve, not each sub-tree.
+  whole solve, not each sub-tree.  A budget that admits no step (no node,
+  no launch, no time) is refused where it is given, by one check
+  (``SearchLimits``): at engine construction and at session admission.
+* **The int32 limit.** Release times, bounds and makespans live in int32
+  and never exceed the instance's total processing time, so an instance
+  whose total exceeds ``2**31 - 1`` is refused on every engine and over
+  the service, and one whose total is exactly that solves exactly.
 * **The starting incumbent.** With ``use_neh_upper_bound=False`` the
   cluster and the hybrid take no NEH seed, and a budget cut before any
   leaf raises the GPU engine's "no incumbent" error.
@@ -16,15 +22,18 @@ accepts.
 
 from __future__ import annotations
 
+import asyncio
 import re
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 import repro.core.cluster as cluster_module
 import repro.core.gpu_bb as gpu_bb_module
 import repro.core.pipeline as pipeline_module
-from repro.bb.driver import TraceEvent
+from repro.bb.bruteforce import brute_force_optimum
+from repro.bb.driver import SearchLimits, TraceEvent
 from repro.bb.multicore import MulticoreBranchAndBound
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.cli import main
@@ -32,10 +41,11 @@ from repro.core.cluster import ClusterBranchAndBound, ClusterSpec
 from repro.core.config import GpuBBConfig
 from repro.core.gpu_bb import GpuBranchAndBound
 from repro.core.pipeline import HybridBranchAndBound, HybridConfig
-from repro.flowshop import random_instance, taillard_instance
+from repro.flowshop import FlowShopInstance, random_instance, taillard_instance
 from repro.flowshop.bounds import LowerBoundData, lower_bound
 from repro.flowshop.neh import neh_heuristic
 from repro.flowshop.schedule import Schedule
+from repro.service import InstanceSpec, ServiceClient, SolveParams, SolveServer, SolveService
 from repro.service.dispatch import BatchDispatcher
 from repro.service.session import SessionConfig, SolveSession
 from repro.testing import static_split
@@ -56,6 +66,35 @@ DOMINATED = random_instance(7, 2, seed=1)
 
 #: a 9x5 instance whose NEH seed is not optimal (814 against root bound 772)
 OPEN = random_instance(9, 5, seed=4)
+
+#: a 6x4 instance whose total processing time (6,745,016,477) int32 cannot
+#: hold: unchecked, every engine reported a makespan of -1,902,218,523 as
+#: proved optimal, where brute force gives 2,317,401,765
+OVERFLOW = FlowShopInstance(np.random.default_rng(1).integers(1, 2**29, size=(6, 4)))
+
+INT32_MAX = 2**31 - 1
+
+
+def _at_int32_limit(processing_times) -> FlowShopInstance:
+    """The instance scaled up to a total processing time of exactly ``2**31 - 1``."""
+    pt = np.asarray(processing_times, dtype=np.int64)
+    pt = pt * (INT32_MAX // pt.sum())
+    pt[-1, -1] += INT32_MAX - pt.sum()
+    return FlowShopInstance(pt)
+
+
+def _wire_solve(instance, params=None):
+    """The terminal reply of one solve sent over a real TCP socket."""
+
+    async def run():
+        async with SolveService(max_active_sessions=1) as service:
+            async with SolveServer(service) as server:
+                client = await ServiceClient.connect("127.0.0.1", server.port)
+                async with client:
+                    spec = InstanceSpec.explicit(instance.processing_times.tolist())
+                    return await client.solve(spec, params)
+
+    return asyncio.run(run())
 
 
 def _session_result(instance, **config):
@@ -236,3 +275,91 @@ class TestHybridBudgets:
         assert result.best_makespan == neh_heuristic(OPEN).makespan
         assert result.iterations == []
         assert result.stats.nodes_bounded == 0
+
+
+class TestBudgetContract:
+    """A budget that admits no step is refused where it is given, by one check."""
+
+    @pytest.mark.parametrize(
+        "budget",
+        [{"max_nodes": 0}, {"max_time_s": 0.0}, {"max_time_s": -1.0}, {"max_iterations": 0}],
+        ids=["max_nodes", "max_time_s-zero", "max_time_s-negative", "max_iterations"],
+    )
+    def test_search_limits_refuse_it(self, budget):
+        with pytest.raises(ValueError, match=f"{next(iter(budget))} must be positive"):
+            SearchLimits(**budget)
+
+    @pytest.mark.parametrize(
+        "budget", [{"max_nodes": 0}, {"max_time_s": -1.0}], ids=["max_nodes", "max_time_s"]
+    )
+    def test_engines_and_sessions_refuse_it_at_construction(self, budget):
+        # at the parent each returned NEH's makespan, unproved, after 0 nodes
+        with pytest.raises(ValueError, match="must be positive"):
+            SequentialBranchAndBound(OPEN, **budget)
+        with pytest.raises(ValueError, match="must be positive"):
+            SessionConfig(**budget)
+
+    def test_service_answers_an_error_reply(self):
+        reply = _wire_solve(OPEN, SolveParams(max_nodes=0))
+        assert reply.type == "error"
+        assert "max_nodes must be positive" in reply.message
+
+
+class TestInt32Limit:
+    """An instance's total processing time bounds every int32 value of its search."""
+
+    @pytest.mark.parametrize("engine", ["serial", "gpu", "cluster", "hybrid", "static"])
+    def test_overflowing_total_is_refused(self, engine):
+        solve = {
+            "serial": lambda: SequentialBranchAndBound(OVERFLOW).solve(),
+            "gpu": lambda: GpuBranchAndBound(OVERFLOW, GpuBBConfig(pool_size=16)).solve(),
+            "cluster": lambda: ClusterBranchAndBound(
+                OVERFLOW, ClusterSpec(n_nodes=2), GpuBBConfig(pool_size=16)
+            ).solve(),
+            "hybrid": lambda: HybridBranchAndBound(
+                OVERFLOW, HybridConfig(gpu=GpuBBConfig(pool_size=16))
+            ).solve(),
+            "static": lambda: static_split(OVERFLOW),
+        }[engine]
+        with pytest.raises(ValueError, match=re.escape(f"2**31 - 1 = {INT32_MAX}")):
+            solve()
+
+    def test_one_past_the_limit_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape(f"total processing time {INT32_MAX + 1}")):
+            LowerBoundData(FlowShopInstance([[INT32_MAX - 3], [1], [1], [1], [1]]))
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_multicore_workers_report_it(self, backend):
+        engine = MulticoreBranchAndBound(OVERFLOW, n_workers=2, backend=backend)
+        with pytest.raises(RuntimeError, match="worker") as raised:
+            engine.solve()
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert "2**31 - 1" in str(raised.value.__cause__)
+
+    def test_service_answers_an_error_reply(self):
+        reply = _wire_solve(OVERFLOW)
+        assert reply.type == "error"
+        assert "2**31 - 1" in reply.message
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            *(
+                _at_int32_limit(np.random.default_rng(seed).integers(1, 100, size=(5, 4)))
+                for seed in range(6)
+            ),
+            # one machine: the makespan is the total itself
+            FlowShopInstance([[INT32_MAX - 4], [1], [1], [1], [1]]),
+        ],
+        ids=[*(f"5x4-seed{seed}" for seed in range(6)), "5x1"],
+    )
+    @pytest.mark.parametrize("neh", [True, False], ids=["neh", "no-neh"])
+    def test_total_at_the_limit_solves_exactly(self, instance, neh):
+        assert int(instance.processing_times.sum()) == INT32_MAX
+        _, optimum = brute_force_optimum(instance)
+        start = None if neh else float("inf")
+        serial = SequentialBranchAndBound(instance, initial_upper_bound=start).solve()
+        gpu = GpuBranchAndBound(instance, GpuBBConfig(pool_size=8, use_neh_upper_bound=neh)).solve()
+        for result in (serial, gpu):
+            assert result.best_makespan == optimum
+            assert result.proved_optimal

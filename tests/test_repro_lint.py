@@ -277,7 +277,6 @@ class TestLiveTree:
         guarded = [line.strip() for line in multicore.splitlines() if "# guarded-by:" in line]
         assert guarded == [
             'self._value = multiprocessing.Value("d", float(bound))  # guarded-by: _value',
-            'self._outstanding = multiprocessing.Value("i", 0)  # guarded-by: _outstanding',
         ]
 
     def test_cli_subcommand(self):

@@ -199,6 +199,17 @@ class TestPerRequestCheckpoint:
             assert removed not in header["engine"]
 
 
+class TestServiceWideCheckpoint:
+    @pytest.mark.parametrize(
+        "knob", [{"checkpoint_dir": "checkpoints"}, {"checkpoint_every": 2}], ids=["dir", "every"]
+    )
+    def test_one_knob_alone_is_refused(self, knob):
+        # either alone wrote no checkpoint, so a crashed session restarted
+        # from scratch although its caller configured snapshots
+        with pytest.raises(ValueError, match="checkpoint_dir and checkpoint_every"):
+            SolveService(**knob)
+
+
 class TestSessionCancellation:
     def test_cancel_before_first_selection(self):
         """A pre-cancelled session dies at its first pop, NEH incumbent intact."""

@@ -98,6 +98,17 @@ class TestValidation:
                 small_instance, n_workers=2, backend=backend, max_frontier_nodes=0
             )
 
+    @pytest.mark.parametrize(
+        "argument",
+        [{"n_workers": 0}, {"max_nodes_per_task": 0}, {"max_time_s": -1.0}],
+        ids=["n_workers", "max_nodes_per_task", "max_time_s"],
+    )
+    def test_rejects_arguments_that_admit_no_work(self, small_instance, argument):
+        # refused at construction, not turned into the CPU count or an
+        # unproved NEH result after zero nodes
+        with pytest.raises(ValueError, match="must be"):
+            MulticoreBranchAndBound(small_instance, backend="serial", **argument)
+
     def test_depth_clamped_to_jobs(self, tiny_instance):
         solver = MulticoreBranchAndBound(tiny_instance, backend="serial", decomposition_depth=10)
         assert solver.decomposition_depth == tiny_instance.n_jobs
@@ -152,6 +163,36 @@ class TestExactness:
         ).solve()
         assert result.best_makespan == optimum
         assert result.proved_optimal
+
+    def test_more_threads_than_cores_bound_what_one_worker_bounds(self):
+        # Started at the optimum, no worker can tighten the bound, so every
+        # chunk's tree is the same however the chunks interleave: 8 workers
+        # under a short switch interval must bound exactly what one serial
+        # worker bounds.  A chunk taken twice or lost changes the count; a
+        # worker that misses its sentinel hangs the run.
+        instance = random_instance(10, 6, seed=5)
+        optimum = SequentialBranchAndBound(instance).solve().best_makespan
+
+        def engine(backend, n_workers):
+            return MulticoreBranchAndBound(
+                instance, n_workers=n_workers, backend=backend, initial_upper_bound=optimum
+            )
+
+        expected = engine("serial", 1).solve().stats.nodes_bounded
+        threaded = engine("thread", 8)
+        solved = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=lambda: solved.append(threaded.solve()), daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "the workers never stopped"
+        (result,) = solved
+        assert result.proved_optimal and result.best_makespan == optimum
+        assert result.stats.nodes_bounded == expected
 
     @given(
         st.integers(2, 6),
@@ -272,126 +313,6 @@ class TestBudgetsAndFailures:
         with pytest.raises(RuntimeError, match="1 work-stealing worker thread") as raised:
             engine.solve()
         assert isinstance(raised.value.__cause__, OSError)
-
-
-class TestRebalancing:
-    """rebalance=True: budget-cut chunks re-enqueue their live remainder."""
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_tiny_node_budget_stays_exact(self, small_instance, backend):
-        # Without rebalancing, max_nodes_per_task=5 truncates nearly every
-        # chunk; with it the cuts become time-slices and the proof survives.
-        _, optimum = brute_force_optimum(small_instance)
-        engine = MulticoreBranchAndBound(
-            small_instance,
-            n_workers=2,
-            backend=backend,
-            decomposition_depth=1,
-            max_nodes_per_task=5,
-            rebalance=True,
-        )
-        result = engine.solve()
-        assert result.best_makespan == optimum
-        assert result.proved_optimal
-        assert engine.rebalanced_chunks > 0
-
-    def test_process_backend(self, small_instance):
-        _, optimum = brute_force_optimum(small_instance)
-        engine = MulticoreBranchAndBound(
-            small_instance,
-            n_workers=2,
-            backend="process",
-            decomposition_depth=1,
-            max_nodes_per_task=10,
-            rebalance=True,
-        )
-        result = engine.solve()
-        assert result.best_makespan == optimum
-        assert result.proved_optimal
-
-    def test_infinite_bound_completes_instead_of_raising(self, tiny_instance):
-        # The twin of test_truncated_run_with_infinite_bound_raises: the
-        # same starved configuration finds the optimum once remainders are
-        # re-enqueued instead of dropped.
-        _, optimum = brute_force_optimum(tiny_instance)
-        result = MulticoreBranchAndBound(
-            tiny_instance,
-            n_workers=1,
-            backend="serial",
-            decomposition_depth=1,
-            initial_upper_bound=float("inf"),
-            max_nodes_per_task=1,
-            rebalance=True,
-        ).solve()
-        assert result.best_makespan == optimum
-        assert result.proved_optimal
-
-    def test_deadline_remains_a_hard_stop(self):
-        instance = random_instance(12, 8, seed=5)
-        start = time.perf_counter()
-        result = MulticoreBranchAndBound(
-            instance,
-            n_workers=2,
-            backend="thread",
-            max_time_s=0.05,
-            max_nodes_per_task=50,
-            rebalance=True,
-        ).solve()
-        wall = time.perf_counter() - start
-        assert not result.proved_optimal
-        assert wall < 5.0
-
-    def test_more_threads_than_cores_keep_the_board_exact(self):
-        # Started at the optimum, no worker can tighten the bound, so the
-        # tree is the same however the chunks interleave: 8 workers under a
-        # short switch interval must bound exactly what one serial worker
-        # does.  A lost update of the outstanding count would drop
-        # re-enqueued remainders (fewer nodes) or never send the sentinels
-        # (a hang).
-        instance = random_instance(10, 6, seed=5)
-        optimum = SequentialBranchAndBound(instance).solve().best_makespan
-
-        def engine(backend, n_workers):
-            return MulticoreBranchAndBound(
-                instance,
-                n_workers=n_workers,
-                backend=backend,
-                initial_upper_bound=optimum,
-                max_nodes_per_task=3,
-                rebalance=True,
-            )
-
-        reference = engine("serial", 1)
-        expected = reference.solve().stats.nodes_bounded
-        threaded = engine("thread", 8)
-        solved = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            runner = threading.Thread(target=lambda: solved.append(threaded.solve()), daemon=True)
-            runner.start()
-            runner.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive(), "the board never released its workers"
-        (result,) = solved
-        assert result.proved_optimal and result.best_makespan == optimum
-        assert result.stats.nodes_bounded == expected
-        assert threaded.rebalanced_chunks == reference.rebalanced_chunks > 100
-
-    def test_best_first_chunks_survive_rebalancing(self, small_instance):
-        _, optimum = brute_force_optimum(small_instance)
-        result = MulticoreBranchAndBound(
-            small_instance,
-            n_workers=2,
-            backend="thread",
-            decomposition_depth=1,
-            selection="best-first",
-            max_nodes_per_task=5,
-            rebalance=True,
-        ).solve()
-        assert result.best_makespan == optimum
-        assert result.proved_optimal
 
 
 class TestWorkAvoidance:
