@@ -14,7 +14,7 @@ builds on:
   iteration every engine runs: :class:`~repro.bb.driver.SearchDriver`,
   parameterized by an offload backend (where bounding runs and what
   simulated time it charges) and per-step hooks (incumbent publication,
-  bound polling, launch accounting, simulated overlap credits), and
+  bound polling, launch accounting), and
   :func:`~repro.bb.driver.run_search`, the one assembly through which every
   engine seeds, runs and finishes its search.
 * :mod:`~repro.bb.snapshot` — versioned, checksummed search-state
@@ -50,7 +50,6 @@ from repro.bb.driver import (
     run_search,
 )
 from repro.bb.stats import SearchStats
-from repro.bb.progress import ProgressTracker, ProgressEvent
 from repro.bb.sequential import SequentialBranchAndBound, BBResult
 from repro.bb.multicore import MulticoreBranchAndBound, SharedIncumbent
 from repro.bb.bruteforce import brute_force_optimum
@@ -72,8 +71,6 @@ __all__ = [
     "OffloadStep",
     "DriverResult",
     "TraceEvent",
-    "ProgressTracker",
-    "ProgressEvent",
     "SequentialBranchAndBound",
     "BBResult",
     "MulticoreBranchAndBound",

@@ -36,12 +36,12 @@ The **batch** shape (``batch_size`` set) selects up to ``batch_size``
 nodes, branches them all into the frontier's free rows and off-loads one
 large pool per iteration, whose survivors stay where they were written —
 the paper's GPU architecture and its cluster/hybrid extensions.  It
-bounds each pool on the driver thread, one launch per iteration; the
-paper's overlap of host selection with device bounding is modelled in
-simulated time (``double_buffer``).  Both shapes stop on one budget
-predicate (:meth:`SearchLimits.reached`), and every incumbent improvement
-goes through one leaf examination.  No frontier row is ever a complete
-schedule: a complete child or seed is examined as a leaf, never pushed.
+bounds each pool on the driver thread, one launch per iteration, and
+selects the next pool only after that launch returns.  Both shapes stop
+on one budget predicate (:meth:`SearchLimits.reached`), and every
+incumbent improvement goes through one leaf examination.  No frontier
+row is ever a complete schedule: a complete child or seed is examined as
+a leaf, never pushed.
 
 Deployment map (paper deployment → driver configuration)
 --------------------------------------------------------
@@ -53,8 +53,7 @@ serial CPU        LocalBounding        single-step; ``trace`` recording,
                                        callback; ``max_nodes``/``max_time_s``
 GPU (Figure 3)    executor adapter     batch mode (``batch_size`` =
                                        pool size); ``on_iteration`` records
-                                       per-launch accounting; optional
-                                       ``double_buffer`` overlap credit;
+                                       per-launch accounting;
                                        ``max_nodes``/``max_time_s``/
                                        ``max_iterations``
 pipeline / hybrid executor adapter     batch mode, one run per prefix
@@ -246,10 +245,6 @@ class SearchHooks:
     on_iteration:
         Batch mode only: called with an :class:`OffloadStep` after each
         off-loaded pool (the GPU engines build their launch records here).
-    on_overlap:
-        Double-buffer mode only: called with the simulated seconds saved by
-        overlapping host-side selection+branching of batch N+1 with the
-        device bounding of batch N.
     on_checkpoint:
         Called with a :class:`~repro.bb.snapshot.CheckpointState` whenever
         the driver's :class:`~repro.bb.snapshot.CheckpointPolicy` is due.
@@ -265,7 +260,6 @@ class SearchHooks:
     incumbent_charge_s: Optional[Callable[[], float]] = None
     poll_bound: Optional[Callable[[], float]] = None
     on_iteration: Optional[Callable[[OffloadStep], None]] = None
-    on_overlap: Optional[Callable[[float], None]] = None
     on_checkpoint: Optional[Callable[[CheckpointState], None]] = None
 
 
@@ -283,8 +277,6 @@ class DriverResult:
     iterations: int
     simulated_s: float
     measured_s: float
-    #: simulated seconds credited by the ``double_buffer`` overlap model
-    overlap_saved_sim_s: float
     #: creation index of the next node (engines persist it in snapshots so
     #: a resumed search keeps the tie-break sequence intact)
     next_order: int = 0
@@ -345,12 +337,6 @@ class SearchDriver:
         from ``2**22``) and while a frontier memory cap holds selection in
         its depth-first-restricted regime, the same body pops one node per
         step.
-    double_buffer:
-        Batch mode: credit the overlap of host-side selection+branching of
-        batch N+1 with the (simulated) device bounding of batch N — the
-        ROADMAP's ``NodeBlock`` pipelining follow-on.  The credit is
-        reported via :attr:`DriverResult.overlap_saved_sim_s` and the
-        ``on_overlap`` hook; explored tree and counters are unaffected.
     checkpoint:
         Optional :class:`~repro.bb.snapshot.CheckpointPolicy`.  Together
         with ``hooks.on_checkpoint`` it makes the driver hand out its live
@@ -371,7 +357,6 @@ class SearchDriver:
         hooks: Optional[SearchHooks] = None,
         trace: bool = False,
         tie_batching: bool = True,
-        double_buffer: bool = False,
         checkpoint: Optional[CheckpointPolicy] = None,
     ):
         if batch_size is not None and batch_size < 1:
@@ -388,7 +373,6 @@ class SearchDriver:
         self.hooks = hooks if hooks is not None else SearchHooks()
         self.trace_enabled = trace
         self.tie_batching = tie_batching
-        self.double_buffer = double_buffer
         self.checkpoint = checkpoint
         #: the int32 ``(after, before)`` per-job cumulative times that the
         #: seed and every branching call of a run read, built once
@@ -493,11 +477,7 @@ class SearchDriver:
         best_trail: Optional[int] = None
 
         # tie batches: provably the one-at-a-time pop sequence (see pop_min_tie_batch)
-        use_batches = (
-            self.tie_batching
-            and trace is None
-            and self.selection.lower() in ("best-first", "best")
-        )
+        use_batches = self.tie_batching and trace is None and self.selection == "best-first"
         on_checkpoint = hooks.on_checkpoint
         ckpt = self.checkpoint if on_checkpoint is not None else None
         last_checkpoint = start
@@ -655,7 +635,6 @@ class SearchDriver:
             iterations=0,
             simulated_s=0.0,
             measured_s=0.0,
-            overlap_saved_sim_s=0.0,
             next_order=next_order,
             trace=trace or [],
         )
@@ -686,8 +665,6 @@ class SearchDriver:
         best_trail: Optional[int] = None
         simulated_total = 0.0
         measured_total = 0.0
-        overlap_sim_saved = 0.0
-        prev_sim_s: Optional[float] = None
         on_checkpoint = hooks.on_checkpoint
         ckpt = self.checkpoint if on_checkpoint is not None else None
         last_checkpoint = start
@@ -727,8 +704,7 @@ class SearchDriver:
             # --- select + branch one pool
             t0 = perf_counter()
             parents, lazily_pruned = frontier.pop_batch(batch_size, upper_bound)
-            select_s = perf_counter() - t0
-            stats.time_pool_s += select_s
+            stats.time_pool_s += perf_counter() - t0
             stats.nodes_pruned += lazily_pruned
             if not len(parents):
                 break
@@ -739,8 +715,7 @@ class SearchDriver:
             children = branch_block(
                 parents, pt, next_order, frontier.reserve(count), tables=self.tables
             )
-            branch_s = perf_counter() - t0
-            stats.time_branching_s += branch_s
+            stats.time_branching_s += perf_counter() - t0
             next_order += len(children)
             stats.nodes_branched += len(parents)
             if hooks.on_select is not None:
@@ -749,14 +724,6 @@ class SearchDriver:
             if not n_children:
                 continue
             stats.pools_evaluated += 1
-
-            # Double buffering: the host prepared this pool while the device
-            # was still bounding the previous one — credit the overlap.
-            if self.double_buffer and prev_sim_s is not None:
-                credit = min(prev_sim_s, select_s + branch_s)
-                overlap_sim_saved += credit
-                if hooks.on_overlap is not None:
-                    hooks.on_overlap(credit)
 
             # --- bound: one launch per iteration
             t0 = perf_counter()
@@ -792,7 +759,6 @@ class SearchDriver:
             frontier.push_block(children, keep)
             stats.time_pool_s += perf_counter() - t0
 
-            prev_sim_s = sim_s
             if hooks.on_iteration is not None:
                 hooks.on_iteration(
                     OffloadStep(
@@ -816,7 +782,6 @@ class SearchDriver:
             iterations=iteration,
             simulated_s=simulated_total,
             measured_s=measured_total,
-            overlap_saved_sim_s=overlap_sim_saved,
             next_order=next_order,
         )
 
@@ -858,7 +823,7 @@ def run_search(
     own.  ``time_total_s`` and ``max_pool_size`` are finalized even when
     the run raises.  The returned outcome's ``simulated_s`` and
     ``measured_s`` include the seed launch, and ``stats`` is charged the
-    simulated seed launch plus the loop minus the double-buffer credit.
+    simulated seed launch plus the loop.
     When a budget cuts the run, ``on_cut`` receives its final state.
     """
     began = time.perf_counter()
@@ -922,7 +887,7 @@ def run_search(
         stats.max_pool_size = frontier.max_size_seen
     outcome.simulated_s = seed_sim_s + outcome.simulated_s
     outcome.measured_s = seed_wall_s + outcome.measured_s
-    stats.simulated_device_time_s += outcome.simulated_s - outcome.overlap_saved_sim_s
+    stats.simulated_device_time_s += outcome.simulated_s
     if outcome.best_value is None:
         outcome.best_value = seed_value
     if seed_event is not None and driver.trace_enabled:

@@ -87,6 +87,8 @@ __all__ = [
     "bound_block",
     "eliminate_block",
     "BlockFrontier",
+    "SELECTION_STRATEGIES",
+    "check_selection",
 ]
 
 #: Sentinel stored in :attr:`NodeBlock.lower_bound` until a node is bounded.
@@ -111,6 +113,10 @@ _KEY_SENTINEL = np.iinfo(np.int64).max
 #: until the store drains below ``0.8 * cap`` — instead of flapping between
 #: regimes one push/pop around the boundary.
 CAP_LOW_WATER_FRACTION = 0.8
+
+#: The selection strategies, each by the one name that every engine, the
+#: service and snapshot headers accept.
+SELECTION_STRATEGIES = ("best-first", "depth-first", "fifo")
 
 #: Rows per chunk of :func:`branch_block`'s writes and of
 #: :meth:`BlockFrontier.push_block`'s copy.  Their temporaries stay within
@@ -554,6 +560,20 @@ def eliminate_block(block: NodeBlock, upper_bound: float) -> tuple[NodeBlock, in
     return block.take(np.flatnonzero(keep)), pruned
 
 
+def check_selection(selection: str) -> str:
+    """Return ``selection`` when it is one of :data:`SELECTION_STRATEGIES`.
+
+    Raises ``ValueError`` for any other value; engines and the service
+    call it where a selection is given, at construction.
+    """
+    if selection not in SELECTION_STRATEGIES:
+        raise ValueError(
+            f"unknown selection strategy {selection!r}; "
+            f"choose from {', '.join(SELECTION_STRATEGIES)}"
+        )
+    return selection
+
+
 class BlockFrontier:
     """The pending pool as growable parallel arrays.
 
@@ -602,15 +622,6 @@ class BlockFrontier:
     see :attr:`restricted` and :attr:`regime_switches`.
     """
 
-    _STRATEGIES = {
-        "best-first": "best",
-        "best": "best",
-        "depth-first": "depth",
-        "depth": "depth",
-        "fifo": "fifo",
-        "breadth-first": "fifo",
-    }
-
     def __init__(
         self,
         n_jobs: int,
@@ -621,18 +632,12 @@ class BlockFrontier:
         max_pending: int | None = None,
         segment_shift: int = _SEG_SHIFT,
     ):
-        key = self._STRATEGIES.get(strategy.lower())
-        if key is None:
-            raise ValueError(
-                f"unknown selection strategy {strategy!r}; choose from "
-                f"{sorted(set(self._STRATEGIES))}"
-            )
+        check_selection(strategy)
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 when given")
         if not 1 <= segment_shift <= 24:
             raise ValueError("segment_shift must be in [1, 24]")
         self.strategy = strategy
-        self._kind = key
         self._cap = max_pending
         #: hysteresis low-water mark: once restricted, stay restricted
         #: until the store drains strictly below this size
@@ -665,8 +670,8 @@ class BlockFrontier:
         #: is reachable (depth strategy, or best-first under a cap whose
         #: restricted regime pops deepest) — best-first without a cap never
         #: consults them, and skipping them halves the refresh scans
-        self._seg_track_order = key == "depth" or (
-            key == "best" and max_pending is not None
+        self._seg_track_order = strategy == "depth-first" or (
+            strategy == "best-first" and max_pending is not None
         )
         seg_cap = max(1, (capacity + self._seg_mask) >> segment_shift)
         #: per-segment minimum packed key (int64, like the key column)
@@ -716,7 +721,7 @@ class BlockFrontier:
         low-water mark (:data:`CAP_LOW_WATER_FRACTION` × cap).  Each
         transition increments :attr:`regime_switches`.
         """
-        if self._cap is None or self._kind != "best":
+        if self._cap is None or self.strategy != "best-first":
             return False
         if self._restricted_now:
             if self._size < self._low_water:
@@ -951,13 +956,13 @@ class BlockFrontier:
     def _pop_one_index(self) -> int:
         """Row index of the single next node according to the strategy."""
         size = self._size
-        if self._kind == "depth" or self.restricted:
+        if self.strategy == "depth-first" or self.restricted:
             if self._seg_active():
                 self._seg_refresh()
                 s = int(self._seg_omax[: self._n_segments()].argmax())
                 return int(self._seg_orow[s])
             return int(np.argmax(self._order[:size]))
-        if self._kind == "fifo":
+        if self.strategy == "fifo":
             return int(np.argmin(self._order[:size]))
         if self._packed:
             # the packed key's numeric order IS the heap's lexicographic
@@ -982,9 +987,9 @@ class BlockFrontier:
     def _pop_order(self) -> np.ndarray:
         """All pending rows, sorted in the strategy's pop order."""
         size = self._size
-        if self._kind == "depth" or self.restricted:
+        if self.strategy == "depth-first" or self.restricted:
             return np.argsort(self._order[:size], kind="stable")[::-1]
-        if self._kind == "fifo":
+        if self.strategy == "fifo":
             return np.argsort(self._order[:size], kind="stable")
         if self._packed:
             return np.argsort(self._key[:size])
@@ -1059,7 +1064,7 @@ class BlockFrontier:
         depth-first-restricted regime (check :attr:`restricted` first to
         distinguish a pause from permanent unavailability).
         """
-        if self._kind != "best" or not self._packed or self._size == 0 or self.restricted:
+        if self.strategy != "best-first" or not self._packed or self._size == 0 or self.restricted:
             return None
         size = self._size
         if self._seg_active():
@@ -1215,7 +1220,7 @@ class BlockFrontier:
             self.discard(row)
             return block, 0
 
-        if self._kind == "best" and not self.restricted:
+        if self.strategy == "best-first" and not self.restricted:
             # Best-first pop order is non-decreasing in lb, so the fresh
             # nodes form a prefix: either the batch fills from it (no
             # pruning), or the pool drains and every stale node is dropped.

@@ -62,9 +62,10 @@ import time
 from typing import Any, Optional, Sequence
 
 from repro.bb.driver import SearchDriver, SearchHooks, SearchLimits, run_search
+from repro.bb.frontier import check_selection
 from repro.bb.sequential import BBResult, initial_incumbent
 from repro.bb.stats import SearchStats
-from repro.flowshop.bounds import LowerBoundData
+from repro.flowshop.bounds import LowerBoundData, check_int32_total
 from repro.flowshop.instance import FlowShopInstance
 
 __all__ = ["MulticoreBranchAndBound", "SharedIncumbent", "frontier_prefixes"]
@@ -303,11 +304,12 @@ class MulticoreBranchAndBound:
         if max_frontier_nodes is not None and max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be >= 1 when given")
         SearchLimits(max_nodes=max_nodes_per_task, max_time_s=max_time_s)  # refuses empty budgets
+        check_int32_total(instance)  # before any worker starts
         self.instance = instance
         self.n_workers = n_workers or os.cpu_count() or 1
         self.backend = backend
         self.decomposition_depth = min(decomposition_depth, instance.n_jobs)
-        self.selection = selection
+        self.selection = check_selection(selection)
         self.initial_upper_bound = initial_upper_bound
         self.max_nodes_per_task = max_nodes_per_task
         self.max_time_s = max_time_s

@@ -32,6 +32,7 @@ from repro.bb.driver import (
     run_search,
 )
 from repro.bb.frontier import bound_block  # noqa: F401 - perfbench's traced run wraps this name
+from repro.bb.frontier import check_selection
 from repro.bb.snapshot import (
     CheckpointPolicy,
     CheckpointState,
@@ -154,7 +155,7 @@ class SequentialBranchAndBound:
     ):
         self.instance = instance
         self.data = LowerBoundData(instance)
-        self.selection = selection
+        self.selection = check_selection(selection)
         self.initial_upper_bound = initial_upper_bound
         self.limits = SearchLimits(max_nodes=max_nodes, max_time_s=max_time_s)
         self.trace_enabled = trace

@@ -38,6 +38,7 @@ from repro.core.cluster import ClusterBranchAndBound, ClusterSpec
 from repro.core.config import GpuBBConfig
 from repro.core.gpu_bb import GpuBranchAndBound
 from repro.experiments.runner import run_all, write_report
+from repro.flowshop.bounds import check_int32_total
 from repro.flowshop.instance import FlowShopInstance
 from repro.flowshop.io import read_json_file, read_taillard_file
 from repro.flowshop.taillard import taillard_instance
@@ -72,10 +73,15 @@ def _load_instance(args: argparse.Namespace) -> FlowShopInstance:
         path = Path(args.file)
         if not path.exists():
             raise SystemExit(f"instance file not found: {path}")
-        if path.suffix.lower() == ".json":
-            return read_json_file(path)
-        return read_taillard_file(path)
-    return taillard_instance(args.jobs, args.machines, index=args.index)
+        reader = read_json_file if path.suffix.lower() == ".json" else read_taillard_file
+        instance = reader(path)
+    else:
+        instance = taillard_instance(args.jobs, args.machines, index=args.index)
+    try:
+        check_int32_total(instance)
+    except ValueError as exc:
+        raise SystemExit(f"cannot solve {instance.name or 'the instance'}: {exc}") from None
+    return instance
 
 
 def _solve(args: argparse.Namespace) -> int:

@@ -276,21 +276,19 @@ class ClusterBranchAndBound:
         The search is the GPU engine's (:func:`~repro.core.gpu_bb.batch_search`,
         every budget and the NEH choice of ``config``) with the distributed
         bounding off-load, plus an ``incumbent_charge_s`` hook that bills
-        one coordinator-to-nodes broadcast per incumbent improvement when
-        ``config.share_incumbent`` is set.
+        one coordinator-to-nodes broadcast per incumbent improvement.
         """
         config = self.config
         upper_bound, best_order = neh_upper_bound(self.instance, config)
         # the coordinator broadcasts every tightened bound to the nodes so
         # their next local elimination uses it
-        broadcast = self.cluster.incumbent_broadcast_time_s if config.share_incumbent else None
         return batch_search(
             self.instance,
             config,
             _DistributedOffload(self),
             upper_bound=upper_bound,
             best_order=best_order,
-            incumbent_charge_s=broadcast,
+            incumbent_charge_s=self.cluster.incumbent_broadcast_time_s,
         )
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.bb.driver import SearchLimits
+from repro.bb.frontier import check_selection
 from repro.gpu.device import DeviceSpec, TESLA_C2050
 from repro.gpu.placement import DataPlacement
 from repro.gpu.simulator import KernelCostModel
@@ -39,15 +40,6 @@ class GpuBBConfig:
         Calibration constants of the device timing model.
     selection:
         Host-side selection strategy for the pending pool.
-    share_incumbent:
-        Propagate incumbent improvements between the parallel explorers.
-        In the hybrid engine, disabling it seeds every sub-tree with the
-        launch-time bound instead of the best found so far (still exact,
-        more nodes explored).  In the cluster engine the coordinator-side
-        search always uses the freshest bound — the flag only toggles the
-        *cost accounting* of the broadcast that a real deployment would
-        issue (one interconnect message per improvement, see
-        :meth:`~repro.core.cluster.ClusterSpec.incumbent_broadcast_time_s`).
     use_neh_upper_bound:
         Seed the incumbent with the NEH heuristic.
     max_nodes / max_time_s / max_iterations:
@@ -60,13 +52,6 @@ class GpuBBConfig:
         :class:`~repro.bb.frontier.BlockFrontier`), so exhaustive runs
         cannot grow the pool without bound and selection does not flap at
         the cap boundary.  ``None`` disables the cap.
-    double_buffer:
-        Model the double-buffered off-load of the ROADMAP's pipelining
-        follow-on: the host selects and branches batch N+1 while the device
-        is still bounding batch N, so the overlapped host time is credited
-        against the simulated device total.  The explored tree, results and
-        counters are unaffected — only the simulated timing changes (the
-        credit is reported as ``overlap_saved_sim_s`` on the result).
     """
 
     pool_size: int = 8192
@@ -75,13 +60,11 @@ class GpuBBConfig:
     device: DeviceSpec = TESLA_C2050
     cost_model: KernelCostModel = field(default_factory=KernelCostModel)
     selection: str = "best-first"
-    share_incumbent: bool = True
     use_neh_upper_bound: bool = True
     max_nodes: Optional[int] = None
     max_time_s: Optional[float] = None
     max_iterations: Optional[int] = None
     max_frontier_nodes: Optional[int] = None
-    double_buffer: bool = False
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
@@ -93,6 +76,7 @@ class GpuBBConfig:
                 f"threads_per_block ({self.threads_per_block}) exceeds the device "
                 f"limit ({self.device.max_threads_per_block})"
             )
+        check_selection(self.selection)
         SearchLimits(
             max_nodes=self.max_nodes,
             max_time_s=self.max_time_s,
@@ -123,8 +107,6 @@ class GpuBBConfig:
             "placement": self.placement.name if self.placement else "auto",
             "device": self.device.name,
             "selection": self.selection,
-            "share_incumbent": self.share_incumbent,
             "use_neh_upper_bound": self.use_neh_upper_bound,
             "max_frontier_nodes": self.max_frontier_nodes,
-            "double_buffer": self.double_buffer,
         }

@@ -19,9 +19,8 @@ shape.  :func:`batch_search` configures it from a :class:`GpuBBConfig` —
 the GPU, cluster and hybrid engines share it — with an ``on_iteration``
 hook that records the per-launch accounting, and runs it through
 :func:`~repro.bb.driver.run_search`; :class:`GpuBranchAndBound` supplies
-only the executor off-load.  With ``config.double_buffer`` the driver
-additionally credits the overlap of host-side selection+branching of batch
-N+1 with the device bounding of batch N (the ROADMAP's pipelined off-load).
+only the executor off-load.  As in the paper, the host selects and branches
+the next pool only after the device has bounded the current one.
 
 Because the executor's batched kernel returns exactly the same values as the
 scalar bound, the tree explored by this engine is the same as the serial
@@ -80,9 +79,6 @@ class GpuBBResult(BBResult):
     iterations: list[IterationRecord] = field(default_factory=list)
     simulated_device_time_s: float = 0.0
     measured_kernel_time_s: float = 0.0
-    #: simulated seconds saved by the double-buffered off-load model
-    #: (0 unless ``config.double_buffer`` was enabled)
-    overlap_saved_sim_s: float = 0.0
     config: Optional[GpuBBConfig] = None
 
     def simulated_speedup(self, serial_seconds: float) -> float:
@@ -163,7 +159,7 @@ def batch_search(
 ) -> GpuBBResult:
     """One batch-shape search configured from ``config``: the GPU, cluster and hybrid body.
 
-    Builds the driver (pool size, selection, budgets, double buffering),
+    Builds the driver (pool size, selection, budgets),
     records one :class:`IterationRecord` per launch, runs
     :func:`~repro.bb.driver.run_search` from ``start`` and wraps the
     :class:`GpuBBResult`.  ``seed_is_pool`` counts the seed launch in
@@ -194,7 +190,6 @@ def batch_search(
         batch_size=config.pool_size,
         limits=limits if limits is not None else search_limits(config),
         hooks=SearchHooks(on_iteration=record, incumbent_charge_s=incumbent_charge_s),
-        double_buffer=config.double_buffer,
     )
     outcome, stats = run_search(
         driver,
@@ -214,7 +209,6 @@ def batch_search(
         iterations=iterations,
         simulated_device_time_s=stats.simulated_device_time_s,
         measured_kernel_time_s=outcome.measured_s,
-        overlap_saved_sim_s=outcome.overlap_saved_sim_s,
         config=config,
     )
 

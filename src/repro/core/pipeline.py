@@ -90,7 +90,6 @@ class HybridBranchAndBound:
         deadline = time.time() + gpu.max_time_s if gpu.max_time_s is not None else None
         budget = search_limits(gpu, deadline=deadline)  # counts over the whole solve
         best_makespan, best_order = neh_upper_bound(self.instance, gpu)
-        launch_makespan = best_makespan
 
         depth = min(self.config.decomposition_depth, self.instance.n_jobs)
         prefixes = frontier_prefixes(self.instance.n_jobs, depth)
@@ -100,7 +99,6 @@ class HybridBranchAndBound:
 
         stats = SearchStats()
         measured_total = 0.0
-        overlap_sim_total = 0.0
         proved = True
         all_iterations: list[IterationRecord] = []
         for prefix in ordered:
@@ -108,21 +106,17 @@ class HybridBranchAndBound:
                 proved = False
                 break
             limits = search_limits(gpu, stats, len(all_iterations), deadline)
-            # Cooperative mode seeds each sub-tree with the best bound
-            # found so far; independent mode replays the launch-time one.
-            seed_bound = best_makespan if gpu.share_incumbent else launch_makespan
             sub_result = batch_search(
                 self.instance,
                 engine.config,
                 offload,
-                upper_bound=seed_bound,
+                upper_bound=best_makespan,
                 start=prefix,
                 limits=limits,
                 seed_is_pool=False,
             )
             stats = stats.merge(sub_result.stats)  # sums the simulated device time
             measured_total += sub_result.measured_kernel_time_s
-            overlap_sim_total += sub_result.overlap_saved_sim_s
             proved = proved and sub_result.proved_optimal
             all_iterations.extend(sub_result.iterations)
             if sub_result.best_order and sub_result.best_makespan < best_makespan:
@@ -139,6 +133,5 @@ class HybridBranchAndBound:
             iterations=all_iterations,
             simulated_device_time_s=stats.simulated_device_time_s,
             measured_kernel_time_s=measured_total,
-            overlap_saved_sim_s=overlap_sim_total,
             config=gpu,
         )

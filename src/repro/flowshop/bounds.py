@@ -82,6 +82,7 @@ from repro.flowshop.schedule import job_cumulative_times, machine_scan
 
 __all__ = [
     "machine_couples",
+    "check_int32_total",
     "LowerBoundData",
     "CoupleTensors",
     "DataStructureComplexity",
@@ -229,6 +230,21 @@ class CoupleTensors:
     m2: np.ndarray
 
 
+def check_int32_total(instance: FlowShopInstance) -> None:
+    """Refuse an instance whose total processing time exceeds ``2**31 - 1``.
+
+    Every release time, bound and makespan of a search is at most the
+    total, and the search keeps them in int32 columns and int32 cumulative
+    tables.  Raises ``ValueError`` naming the limit.
+    """
+    total = int(instance.processing_times.sum())
+    if total > 2**31 - 1:
+        raise ValueError(
+            f"total processing time {total} exceeds 2**31 - 1 = {2**31 - 1}, "
+            "the int32 limit of release times, bounds and makespans"
+        )
+
+
 class LowerBoundData:
     """Precomputed, instance-level data of the lower bound.
 
@@ -271,17 +287,10 @@ class LowerBoundData:
     )
 
     def __init__(self, instance: FlowShopInstance):
+        check_int32_total(instance)
         self.instance = instance
         pt = instance.processing_times
         n, m = pt.shape
-        # every release time, bound and makespan is at most the total, and
-        # the search keeps them in int32 columns and int32 cumulative tables
-        total = int(pt.sum())
-        if total > 2**31 - 1:
-            raise ValueError(
-                f"total processing time {total} exceeds 2**31 - 1 = {2**31 - 1}, "
-                "the int32 limit of release times, bounds and makespans"
-            )
 
         mm = machine_couples(m)
         n_couples = mm.shape[0]
@@ -471,7 +480,6 @@ def lower_bound(
     data: LowerBoundData,
     prefix: Sequence[int],
     release: np.ndarray | None = None,
-    include_one_machine: bool = False,
 ) -> int:
     """Scalar lower bound of one sub-problem (the paper's ``computeLB``).
 
@@ -485,16 +493,15 @@ def lower_bound(
         Optional precomputed ``RM`` vector for the prefix; avoids an
         ``O(l * m)`` recomputation when the caller (the B&B engine) already
         maintains release times incrementally.
-    include_one_machine:
-        Also take the max with the single-machine relaxation.  The paper's
-        kernel does not (with ``m = 20`` the couple bound dominates), but it
-        is required for ``m == 1`` and harmless otherwise.
 
     Returns
     -------
     int
         A valid lower bound on the makespan of every completion of
         ``prefix``.  For a complete schedule the bound equals its makespan.
+        At ``m == 1``, where there is no machine couple, it is the
+        single-machine relaxation (:func:`one_machine_bound`); at ``m >= 2``
+        the couple bound dominates that relaxation, as in the paper's kernel.
     """
     mask = _scheduled_mask(data.n_jobs, prefix)
     rm = (
@@ -534,7 +541,7 @@ def lower_bound(
         if value > best:
             best = value
 
-    if include_one_machine or data.n_couples == 0:
+    if data.n_couples == 0:
         best = max(best, one_machine_bound(data, prefix, release=rm))
     return int(best)
 
@@ -585,7 +592,6 @@ def lower_bound_batch(
     data: LowerBoundData,
     scheduled_mask: np.ndarray,
     release: np.ndarray,
-    include_one_machine: bool = False,
 ) -> np.ndarray:
     """Vectorised lower bound of a pool of sub-problems.
 
@@ -605,8 +611,6 @@ def lower_bound_batch(
     release:
         ``(B, m)`` matrix of per-machine release times (``RM``) of every
         sub-problem.
-    include_one_machine:
-        See :func:`lower_bound`.
 
     Returns
     -------
@@ -651,7 +655,7 @@ def lower_bound_batch(
         value = t_m2 + qm[:, m2]
         best = np.maximum(best, value)
 
-    if include_one_machine or data.n_couples == 0:
+    if data.n_couples == 0:
         loads = unscheduled.astype(np.int64) @ ptm  # (B_active, m)
         one_mach = (rel_a + loads + qm).max(axis=1)
         best = np.maximum(best, one_mach)
@@ -1272,10 +1276,9 @@ def lower_bound_batch_v2(
     column of a :func:`~repro.bb.frontier.branch_block` block.  Only the
     incremental body reads it, so only an incremental launch checks it
     (``ValueError``); a GEMM launch skips the check.  The other parameters
-    and the return value are as in :func:`lower_bound_batch`, without its
-    ``include_one_machine`` switch: at ``m >= 2`` the couple ``(k, m - 1)``
-    dominates machine ``k``'s one-machine term, and at ``m = 1`` the v1
-    fallback adds it.
+    and the return value are as in :func:`lower_bound_batch`: at ``m >= 2``
+    the couple ``(k, m - 1)`` dominates machine ``k``'s one-machine term,
+    and at ``m = 1`` the launch falls back to v1, which adds it.
 
     A signed-integer ``release`` (a block's int32 column) keeps its dtype;
     each body casts what it reads to the dtype its value guard picks.  Any

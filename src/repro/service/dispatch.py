@@ -604,21 +604,13 @@ class BatchingOffload:
     stand-alone solve uses (bit-identical bounds) and stays local for the
     rest of the session: correctness is preserved, coalescing is lost.
     The fallback is recorded in ``DispatchStats.n_degraded`` and via the
-    dispatcher's ``on_degraded`` callback.  Pass ``allow_degraded=False``
-    to propagate launch failures instead (fail-fast).
+    dispatcher's ``on_degraded`` callback.
     """
 
-    def __init__(
-        self,
-        dispatcher: BatchDispatcher,
-        data: LowerBoundData,
-        token: object,
-        allow_degraded: bool = True,
-    ):
+    def __init__(self, dispatcher: BatchDispatcher, data: LowerBoundData, token: object):
         self.dispatcher = dispatcher
         self.data = data
         self.token = token
-        self.allow_degraded = allow_degraded
         self._degraded_reason: str | None = None
 
     @property
@@ -659,8 +651,6 @@ class BatchingOffload:
         # repro-lint: ignore[bare-except] -- recovery site: launch failure
         # degrades this session to local bounding instead of failing it
         except Exception as exc:
-            if not self.allow_degraded:
-                raise
             reason = f"{type(exc).__name__}: {exc}"
             self._degraded_reason = reason
             logger.warning(

@@ -191,6 +191,8 @@ class SolveService:
             raise ValueError("restart_backoff_s must be >= 0")
         if (checkpoint_dir is None) != (checkpoint_every is None):
             raise ValueError("checkpoint_dir and checkpoint_every must be given together")
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1 when given")
         self.max_active_sessions = max_active_sessions
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.checkpoint_every = checkpoint_every

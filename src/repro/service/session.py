@@ -42,6 +42,7 @@ from typing import Any, Callable, Optional
 
 from repro.bb.driver import LocalBounding, SearchDriver, SearchHooks, SearchLimits, run_search
 from repro.bb.frontier import bound_block  # noqa: F401 - perfbench's traced run wraps this name
+from repro.bb.frontier import check_selection
 from repro.bb.sequential import initial_incumbent
 from repro.bb.snapshot import (
     CheckpointPolicy,
@@ -77,7 +78,8 @@ class SessionConfig:
     max_nodes: Optional[int] = None
     max_time_s: Optional[float] = None
     max_frontier_nodes: Optional[int] = None
-    #: snapshot file this session checkpoints to (fault tolerance); ``None``
+    #: snapshot file this session checkpoints to (fault tolerance): a
+    #: budget-cut run always writes its final state there; ``None``
     #: disables checkpointing
     checkpoint_path: Optional[str] = None
     #: checkpoint every N driver steps (requires ``checkpoint_path``)
@@ -86,8 +88,7 @@ class SessionConfig:
     resume_from: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.selection not in ("best-first", "depth-first", "fifo"):
-            raise ValueError(f"unknown selection strategy {self.selection!r}")
+        check_selection(self.selection)
         if self.max_frontier_nodes is not None and self.max_frontier_nodes < 1:
             raise ValueError("max_frontier_nodes must be >= 1 when given")
         SearchLimits(max_nodes=self.max_nodes, max_time_s=self.max_time_s)  # refuses empty budgets
@@ -290,10 +291,13 @@ class SolveSession:
                 raise SessionCancelled("session cancelled")
 
         hooks = SearchHooks(on_select=check_cancel, on_improve_incumbent=record_incumbent)
+        # with a path set, a budget-cut run always writes its final snapshot
+        # (as the serial engine does); checkpoint_every adds periodic ones
+        write = self._make_checkpoint_hook() if config.checkpoint_path is not None else None
         checkpoint: Optional[CheckpointPolicy] = None
-        if config.checkpoint_path is not None and config.checkpoint_every is not None:
+        if write is not None and config.checkpoint_every is not None:
             checkpoint = CheckpointPolicy(every_steps=config.checkpoint_every)
-            hooks.on_checkpoint = self._make_checkpoint_hook()
+            hooks.on_checkpoint = write
         driver = SearchDriver(
             self.instance,
             selection=config.selection,
@@ -311,6 +315,7 @@ class SolveSession:
                 max_pending=config.max_frontier_nodes,
                 stats=stats,
                 seed_offload=LocalBounding(self.data),
+                on_cut=write,
             )
         except SessionCancelled:
             if best_makespan is None or not best_order:

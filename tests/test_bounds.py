@@ -192,7 +192,7 @@ class TestLowerBoundAdmissibility:
         inst = FlowShopInstance([[4], [2], [7]])
         data = LowerBoundData(inst)
         # with one machine the optimal makespan is the total work
-        assert lower_bound(data, [], include_one_machine=True) == 13
+        assert lower_bound(data, []) == 13
 
     def test_rejects_duplicate_prefix(self, small_instance_data):
         with pytest.raises(ValueError):
@@ -246,17 +246,18 @@ class TestBatchKernel:
         scalar = np.array([lower_bound(data, p) for p in prefixes])
         assert np.array_equal(batch, scalar)
 
-    def test_batch_matches_scalar_with_one_machine_term(self, small_instance_data):
-        data = small_instance_data
+    def test_batch_matches_scalar_with_one_machine_term(self):
+        # one machine: no couples, so both references take the one-machine term
+        data = LowerBoundData(FlowShopInstance([[4], [2], [7], [5]]))
         prefixes = [[], [0], [1, 2], list(range(data.n_jobs))]
         mask = np.zeros((len(prefixes), data.n_jobs), dtype=bool)
         release = np.zeros((len(prefixes), data.n_machines), dtype=np.int64)
         for i, p in enumerate(prefixes):
             mask[i, p] = True
             release[i] = data.machine_release_times(p)
-        batch = lower_bound_batch(data, mask, release, include_one_machine=True)
-        scalar = [lower_bound(data, p, include_one_machine=True) for p in prefixes]
-        assert batch.tolist() == scalar
+        batch = lower_bound_batch(data, mask, release)
+        scalar = [lower_bound(data, p) for p in prefixes]
+        assert batch.tolist() == scalar == [one_machine_bound(data, p) for p in prefixes]
 
     def test_batch_mixed_complete_and_partial(self, small_instance, small_instance_data):
         data = small_instance_data

@@ -261,6 +261,24 @@ class TestResumeThroughService:
         result = run_service(run())
         assert_exact(result, golden)
 
+    def test_budget_cut_session_writes_its_final_snapshot(self, tmp_path):
+        """A per-request path without ``checkpoint_every`` still gets the cut state."""
+        instance = random_instance(11, 6, seed=3)  # proved after 948 nodes explored
+        golden = SequentialBranchAndBound(instance).solve()
+        path = tmp_path / "cut.rpbb"
+        params = SolveParams(checkpoint_path=str(path), max_nodes=200)
+
+        async def run():
+            async with SolveService() as service:
+                await service.submit("r1", instance, params)
+                first = await service.result("r1")
+                assert not first.proved_optimal
+                assert path.exists()
+                await service.submit_resume("r2", path)
+                return await service.result("r2")
+
+        assert_exact(run_service(run()), golden)
+
     def test_submit_resume_rejects_truncated_snapshot(self, tmp_path):
         events = []
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.flowshop import random_instance, write_json_file, write_taillard_file
+from repro.flowshop import FlowShopInstance, random_instance, write_json_file, write_taillard_file
 
 
 class TestParser:
@@ -115,6 +116,17 @@ class TestSolveCommand:
     def test_missing_file_errors(self):
         with pytest.raises(SystemExit):
             main(["solve", "--file", "/nonexistent/instance.txt"])
+
+    @pytest.mark.parametrize("engine", ["serial", "gpu", "multicore", "cluster"])
+    def test_instance_past_the_int32_limit_is_one_line(self, engine, tmp_path, capsys):
+        pt = np.random.default_rng(1).integers(1, 2**29, size=(6, 4))
+        path = write_json_file(FlowShopInstance(pt, name="overflow"), tmp_path / "overflow.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--file", str(path), "--engine", engine])
+        message = str(excinfo.value.code)
+        assert "exceeds 2**31 - 1 = 2147483647" in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""  # refused before any search starts
 
 
 class TestUsageErrors:

@@ -11,8 +11,8 @@ Three layers of guarantees:
 2. **Hypothesis equivalence** — on random instances, every engine agrees
    with the serial reference.
 3. **Unit behaviour** — hook call order, the stop/budget predicates, the
-   int32 frontier narrowing, the ``max_frontier_nodes`` cap, the
-   double-buffered off-load credit and the batch shape's checkpoints.
+   int32 frontier narrowing, the ``max_frontier_nodes`` cap and the batch
+   shape's checkpoints.
 """
 
 from __future__ import annotations
@@ -1040,42 +1040,6 @@ class TestFrontierMemoryCap:
         assert "makespan" in capsys.readouterr().out
 
 
-class TestDoubleBuffer:
-    def test_overlap_credit_reduces_simulated_time_only(self, medium_instance):
-        plain = GpuBranchAndBound(medium_instance, GpuBBConfig(pool_size=16)).solve()
-        buffered = GpuBranchAndBound(
-            medium_instance, GpuBBConfig(pool_size=16, double_buffer=True)
-        ).solve()
-        # the explored tree is untouched
-        assert buffered.best_makespan == plain.best_makespan
-        assert buffered.best_order == plain.best_order
-        for counter in COUNTERS:
-            assert getattr(buffered.stats, counter) == getattr(plain.stats, counter), counter
-        assert len(buffered.iterations) == len(plain.iterations)
-        # only the simulated accounting changes, by exactly the credit
-        assert buffered.overlap_saved_sim_s > 0
-        assert plain.overlap_saved_sim_s == 0
-        assert buffered.simulated_device_time_s == pytest.approx(
-            plain.simulated_device_time_s - buffered.overlap_saved_sim_s
-        )
-
-    def test_on_overlap_hook_fires(self, small_instance):
-        credits: list[float] = []
-        data = LowerBoundData(small_instance)
-        offload = _RecordingOffload(data, charge=1e-6)
-        driver = SearchDriver(
-            small_instance,
-            offload=offload,
-            batch_size=4,
-            double_buffer=True,
-            hooks=SearchHooks(on_overlap=credits.append),
-        )
-        outcome, _ = _seeded_block_run(small_instance, driver, float("inf"), ())
-        assert outcome.completed
-        assert credits, "multi-iteration run must record overlap credits"
-        assert outcome.overlap_saved_sim_s == pytest.approx(sum(credits))
-
-
 class TestBatchCheckpoint:
     def test_iteration_boundary_snapshot_resumes_bit_identical(self, medium_instance):
         """A batch-shape snapshot taken between iterations replays the tail exactly."""
@@ -1330,7 +1294,7 @@ class TestWorkstealTieBatching:
 
 
 class TestReviewRegressions:
-    """Fixes from the driver-PR review: overflow guard, cap plumbing, overlap."""
+    """Fixes from the driver-PR review: overflow guard, cap plumbing."""
 
     def test_trail_overflows_loudly_not_silently(self):
         from repro.bb.frontier import _INT32_ID_LIMIT
@@ -1351,19 +1315,6 @@ class TestReviewRegressions:
         ).solve()
         assert capped.proved_optimal
         assert capped.best_makespan == free.best_makespan
-
-    def test_hybrid_result_reports_overlap_credit(self, medium_instance):
-        config = HybridConfig(
-            n_explorers=2, gpu=GpuBBConfig(pool_size=4, double_buffer=True)
-        )
-        buffered = HybridBranchAndBound(medium_instance, config).solve()
-        plain = HybridBranchAndBound(
-            medium_instance,
-            HybridConfig(n_explorers=2, gpu=GpuBBConfig(pool_size=4)),
-        ).solve()
-        assert buffered.best_makespan == plain.best_makespan
-        assert buffered.overlap_saved_sim_s > 0  # sub-tree credits are merged
-        assert plain.overlap_saved_sim_s == 0
 
     def test_scalar_offload_skips_batch_array(self, small_instance, monkeypatch):
         import repro.bb.frontier as frontier_module

@@ -11,6 +11,10 @@ accepts.
   whole solve, not each sub-tree.  A budget that admits no step (no node,
   no launch, no time) is refused where it is given, by one check
   (``SearchLimits``): at engine construction and at session admission.
+* **The selection names.** ``"best-first"``, ``"depth-first"`` and
+  ``"fifo"``, exactly: every engine, ``GpuBBConfig`` and ``SessionConfig``
+  refuse any other name at construction, by one check
+  (:func:`~repro.bb.frontier.check_selection`).
 * **The int32 limit.** Release times, bounds and makespans live in int32
   and never exceed the instance's total processing time, so an instance
   whose total exceeds ``2**31 - 1`` is refused on every engine and over
@@ -166,18 +170,25 @@ class TestSeedRule:
             HybridConfig(
                 n_explorers=1,
                 decomposition_depth=instance.n_jobs,
-                gpu=GpuBBConfig(pool_size=16, use_neh_upper_bound=False, share_incumbent=False),
+                gpu=GpuBBConfig(pool_size=16, use_neh_upper_bound=False),
             ),
         ).solve()
-        static = static_split(
-            instance, decomposition_depth=instance.n_jobs, initial_upper_bound=float("inf")
-        )
-        # every leaf seed improves on the launch-time bound (no NEH, no sharing)
-        assert hybrid.stats.incumbent_updates == len(list(permutations(range(4))))
+        multicore = MulticoreBranchAndBound(
+            instance,
+            n_workers=1,
+            backend="serial",
+            decomposition_depth=instance.n_jobs,
+            initial_upper_bound=float("inf"),
+        ).solve()
+        # every seed is a leaf, and each one that beats the best so far is
+        # an update (no NEH seed)
+        n_leaves = len(list(permutations(range(4))))
+        assert hybrid.stats.leaves_evaluated == n_leaves
+        assert 1 <= hybrid.stats.incumbent_updates < n_leaves
         for counter in ("nodes_bounded", "leaves_evaluated", "incumbent_updates"):
-            assert getattr(hybrid.stats, counter) == getattr(static.stats, counter), counter
+            assert getattr(hybrid.stats, counter) == getattr(multicore.stats, counter), counter
         best = min(Schedule(instance, p).makespan for p in permutations(range(4)))
-        assert hybrid.best_makespan == static.best_makespan == best
+        assert hybrid.best_makespan == multicore.best_makespan == best
 
 
 class TestClusterBudgets:
@@ -305,6 +316,34 @@ class TestBudgetContract:
         assert "max_nodes must be positive" in reply.message
 
 
+class TestSelectionContract:
+    """A selection strategy has one name, refused at construction otherwise."""
+
+    #: the frontier's former aliases, its former case folding, and a typo
+    REFUSED = ("best", "depth", "breadth-first", "Best-First", "FIFO", "bogus")
+
+    def test_serial_engine_refuses_it(self):
+        for selection in self.REFUSED:
+            with pytest.raises(ValueError, match="unknown selection strategy"):
+                SequentialBranchAndBound(OPEN, selection=selection)
+
+    def test_multicore_engine_refuses_it(self):
+        # unchecked, "bogus" failed only in solve(), as a RuntimeError of the workers
+        for selection in self.REFUSED:
+            with pytest.raises(ValueError, match="unknown selection strategy"):
+                MulticoreBranchAndBound(OPEN, n_workers=2, backend="thread", selection=selection)
+
+    def test_gpu_config_refuses_it(self):
+        for selection in self.REFUSED:
+            with pytest.raises(ValueError, match="unknown selection strategy"):
+                GpuBBConfig(selection=selection)
+
+    def test_session_config_refuses_it(self):
+        for selection in self.REFUSED:
+            with pytest.raises(ValueError, match="unknown selection strategy"):
+                SessionConfig(selection=selection)
+
+
 class TestInt32Limit:
     """An instance's total processing time bounds every int32 value of its search."""
 
@@ -330,11 +369,9 @@ class TestInt32Limit:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_multicore_workers_report_it(self, backend):
-        engine = MulticoreBranchAndBound(OVERFLOW, n_workers=2, backend=backend)
-        with pytest.raises(RuntimeError, match="worker") as raised:
-            engine.solve()
-        assert isinstance(raised.value.__cause__, ValueError)
-        assert "2**31 - 1" in str(raised.value.__cause__)
+        # refused at construction, before any worker starts
+        with pytest.raises(ValueError, match=re.escape(f"2**31 - 1 = {INT32_MAX}")):
+            MulticoreBranchAndBound(OVERFLOW, n_workers=2, backend=backend)
 
     def test_service_answers_an_error_reply(self):
         reply = _wire_solve(OVERFLOW)

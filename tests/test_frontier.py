@@ -285,15 +285,12 @@ class TestBoundBlock:
         children = branch_block(block, instance.processing_times, order)
         if not len(children):
             return
-        # the v1 reference, with and without its one-machine term
-        for include in (False, True):
-            probe = children.take(np.arange(len(children)))
-            got = bound_block(data, probe)
-            want = lower_bound_batch(
-                data, _bool_mask(probe), probe.release, include_one_machine=include
-            )
-            assert np.array_equal(got, want)
-            assert np.array_equal(probe.lower_bound, want)
+        # the v1 reference
+        probe = children.take(np.arange(len(children)))
+        got = bound_block(data, probe)
+        want = lower_bound_batch(data, _bool_mask(probe), probe.release)
+        assert np.array_equal(got, want)
+        assert np.array_equal(probe.lower_bound, want)
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -349,16 +346,12 @@ def _equal_depth_parents(instance, depth, count, rng):
     return block, order
 
 
-def _scalar_bounds(data, block, include_one_machine=False):
+def _scalar_bounds(data, block):
     """The paper's one-call-per-sub-problem bound of every row."""
+    mask = _bool_mask(block)
     return np.array(
         [
-            lower_bound(
-                data,
-                np.flatnonzero(_bool_mask(block)[row]),
-                release=block.release[row],
-                include_one_machine=include_one_machine,
-            )
+            lower_bound(data, np.flatnonzero(mask[row]), release=block.release[row])
             for row in range(len(block))
         ],
         dtype=np.int64,
@@ -368,9 +361,9 @@ def _scalar_bounds(data, block, include_one_machine=False):
 class TestGroupedSiblings:
     """The bounding operator on the complete child sets of k equal-depth parents."""
 
-    @given(st.integers(0, 10_000), st.booleans(), st.booleans())
+    @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_bound(self, seed, big, include):
+    def test_matches_scalar_bound(self, seed, big):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 11))
         m = int(rng.integers(2, 7))
@@ -381,7 +374,7 @@ class TestGroupedSiblings:
         most = max(1, 512 // (n - depth))  # up to 512 rows
         parents, order = _equal_depth_parents(instance, depth, int(rng.integers(1, most + 1)), rng)
         children = branch_block(parents, instance.processing_times, order)
-        want = _scalar_bounds(data, children, include)
+        want = _scalar_bounds(data, children)
         got = bound_block(data, children)
         assert np.array_equal(got, want)
         assert np.array_equal(children.lower_bound, want)
@@ -411,12 +404,11 @@ class TestGroupedSiblings:
             return real(data, mask, release, jobs=jobs, **kwargs)
 
         monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
-        for include in (False, True):
-            probe = children.take(np.arange(len(children)))
-            got = bound_block(data, probe)
-            assert np.array_equal(got, _scalar_bounds(data, probe, include))
-            rows, jobs = launches.pop()
-            assert rows == count * (n - depth) and jobs is probe.jobs
+        probe = children.take(np.arange(len(children)))
+        got = bound_block(data, probe)
+        assert np.array_equal(got, _scalar_bounds(data, probe))
+        rows, jobs = launches.pop()
+        assert rows == count * (n - depth) and jobs is probe.jobs
         assert not launches
 
     def test_above_the_cap_takes_the_kernel(self, monkeypatch):

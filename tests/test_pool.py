@@ -170,11 +170,15 @@ class TestSharedBehaviour:
         assert pool
 
     def test_make_pool_aliases(self):
-        expected = {"best": [1, 2, 3], "depth": [2, 1, 3], "breadth-first": [3, 1, 2]}
-        for alias, order in expected.items():
-            pool = _pool(alias)
+        expected = {"best-first": [1, 2, 3], "depth-first": [2, 1, 3], "fifo": [3, 1, 2]}
+        for name, order in expected.items():
+            pool = _pool(name)
             _push(pool, 3, 1, 2)
-            assert [_pop(pool) for _ in range(3)] == order, alias
+            assert [_pop(pool) for _ in range(3)] == order, name
+        # one name per strategy: no alias and no case folding
+        for alias in ("best", "depth", "breadth-first", "Best-First", "FIFO"):
+            with pytest.raises(ValueError, match="unknown selection strategy"):
+                _pool(alias)
 
     def test_make_pool_unknown(self):
         with pytest.raises(ValueError):

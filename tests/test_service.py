@@ -209,6 +209,12 @@ class TestServiceWideCheckpoint:
         with pytest.raises(ValueError, match="checkpoint_dir and checkpoint_every"):
             SolveService(**knob)
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_interval_below_one_is_refused_at_construction(self, tmp_path, every):
+        # unchecked, the service started and then failed every submit at admission
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 1"):
+            SolveService(checkpoint_dir=tmp_path, checkpoint_every=every)
+
 
 class TestSessionCancellation:
     def test_cancel_before_first_selection(self):
