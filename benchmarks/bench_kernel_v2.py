@@ -22,7 +22,7 @@ This module measures both:
   CI smoke run enforces them); in script mode the one-part launch times at
   50/100/200x20, the crossover table behind ``_V2_INCREMENTAL_MIN_JOBS``
   (its GEMM column stops at 40 jobs, where no launch takes the GEMM) and
-  the tie-batch table (the merged GEMM body against the frozen one);
+  the tie-batch table (the GEMM body's two paths against the frozen one);
 * one launch split across the usable CPUs: the ta100x20 sibling launch
   (the ``gpu-100x20`` shape) with the calling thread pinned to one CPU
   (one part) against unpinned (one part per CPU), alternating pinned and
@@ -31,6 +31,11 @@ This module measures both:
   are usable (a plain pytest case); script mode prints the ratio for the
   50/100/200x20 sibling launches, a 200x20 pool without ``jobs`` and the
   20x20 GEMM pool, which is never split;
+* the GEMM's set step: the largest launch of a seeded 13x6 serial solve,
+  captured through ``BATCH_KERNELS``, bit-identical and >= 3x faster than
+  the same launch with every row bounded (the set-step threshold patched
+  above its rows), alternating rounds (a plain pytest case); script mode's
+  tie-batch table prints both paths beside the frozen tiled GEMM;
 * the memory of one ``GpuExecutor.evaluate_block`` launch: the traced
   (``tracemalloc``) peak of the ta100x20 sibling launch, run as one part,
   stays below a 10 MB ceiling that a launch copying the block's columns
@@ -52,6 +57,7 @@ Runable two ways::
 from __future__ import annotations
 
 import contextlib
+import copy
 import os
 import time
 import tracemalloc
@@ -100,6 +106,16 @@ CROSSOVER_CLASSES = ((13, 6), (20, 20), (30, 20), (50, 20), (100, 20), (200, 20)
 #: mode): best-first tie batches bound several sibling sets at once.
 GROUPED_PARENTS = (8, 32, 128)
 GROUPED_CLASSES = ((13, 6), (20, 20))
+#: Seed of the 13x6 ``random_instance`` whose serial solve's largest launch
+#: (14,780 rows holding 124 distinct unscheduled sets) the set-step floor
+#: times.
+SET_STEP_SEED = 2
+#: Per-launch floor of the GEMM's set step over bounding every row of that
+#: launch.  On a 2-vCPU AMD EPYC, one BLAS thread: 4.6-4.8x (0.31 against
+#: 1.43 ms); the largest launch of seed 11 (40,878 rows) 4.1-4.4x.
+SET_STEP_FLOOR = 3.0
+#: Alternating set-step / every-row rounds of the set-step measurement.
+SET_STEP_ROUNDS = 7
 #: Per-launch floor of a launch split across two or more CPUs over one part.
 SPLIT_FLOOR = 1.4
 #: Alternating pinned / unpinned rounds of the split measurement.
@@ -308,6 +324,57 @@ def test_split_launch_exact_and_faster():
     assert speedup >= SPLIT_FLOOR, message
 
 
+def _largest_launch(instance):
+    """``(data, packed rows, release, jobs)`` of the largest launch of a serial solve.
+
+    Captured through ``BATCH_KERNELS``, the entry every engine bounds with;
+    the arrays are copied, since the frontier reuses its rows.
+    """
+    real = bounds.BATCH_KERNELS["v2"]
+    largest = []
+
+    def capture(data, bits, release, strategy=None, jobs=None):
+        if not largest or len(bits) > len(largest[1]):
+            largest[:] = [data, *copy.deepcopy((bits, release, jobs))]
+        return real(data, bits, release, strategy=strategy, jobs=jobs)
+
+    bounds.BATCH_KERNELS["v2"] = capture
+    try:
+        SequentialBranchAndBound(instance).solve()
+    finally:
+        bounds.BATCH_KERNELS["v2"] = real
+    return tuple(largest)
+
+
+@contextlib.contextmanager
+def _set_step_from(rows):
+    """GEMM launches inside take the set step from ``rows`` rows."""
+    threshold = bounds._V2_SET_STEP_MIN_ROWS
+    bounds._V2_SET_STEP_MIN_ROWS = rows
+    try:
+        yield
+    finally:
+        bounds._V2_SET_STEP_MIN_ROWS = threshold
+
+
+def test_set_step_exact_and_faster():
+    """The largest launch of a 13x6 serial solve: identical bounds, >= 3x every row."""
+    data, bits, release, jobs = _largest_launch(random_instance(13, 6, seed=SET_STEP_SEED))
+    assert len(bits) >= bounds._V2_SET_STEP_MIN_ROWS
+    t_set = t_rows = float("inf")
+    for _ in range(SET_STEP_ROUNDS):  # alternating, so host noise slows both alike
+        seconds, by_set = _timed(lower_bound_batch_v2, data, bits, release, jobs=jobs)
+        t_set = min(t_set, seconds)
+        with _set_step_from(len(bits) + 1):
+            seconds, by_row = _timed(lower_bound_batch_v2, data, bits, release, jobs=jobs)
+        t_rows = min(t_rows, seconds)
+    assert np.array_equal(by_set, by_row)
+    assert np.array_equal(by_set, lower_bound_batch(data, unpack_mask(bits, data.n_jobs), release))
+    speedup = t_rows / t_set
+    message = f"set step {speedup:.1f}x over every row, floor {SET_STEP_FLOOR:.0f}x"
+    assert speedup >= SET_STEP_FLOOR, message
+
+
 @contextlib.contextmanager
 def _one_part():
     """Launches inside run as one part (the kernel reads the usable CPUs per launch)."""
@@ -423,25 +490,36 @@ def one_part_table() -> None:
 def grouped_sibling_table() -> None:
     """Several parents' complete sibling sets in one launch (a tie batch).
 
-    The merged GEMM body (one product per row chunk when it fits) against
-    the frozen tiled GEMM (one product per job), both called directly on
-    the launch's rows (every row is active), bit-identity asserted.
+    The GEMM body's two paths, the set step (each distinct unscheduled set
+    bounded once, then O(m) per row) and every row bounded, against the
+    frozen tiled GEMM (one product per job), all called directly on the
+    launch's rows (every row is active), bit-identity asserted.  By default
+    a launch takes the set step from ``_V2_SET_STEP_MIN_ROWS`` rows.
     """
-    print("tie-batch launches (children of P depth-2 parents): merged GEMM vs frozen tiled")
-    print("  class      P   rows  merged us  tiled us  tiled/merged")
+    print(
+        "tie-batch launches (children of P depth-2 parents): GEMM set step and every row "
+        f"vs frozen tiled (set step from {bounds._V2_SET_STEP_MIN_ROWS} rows)"
+    )
+    print("  class      P   rows  sets  set us  rows us  tiled us  rows/set  tiled/rows")
+    gemm = bounds._lower_bound_batch_v2_matmul
     for n_jobs, n_machines in GROUPED_CLASSES:
         for n_parents in GROUPED_PARENTS:
             data, children = _sibling_launch(n_jobs, n_machines, n_parents)
             bits, release = children.mask_bits, children.release
             mask = unpack_mask(bits, n_jobs)
             tables = _FrozenTiledTables(data)
-            merged = bounds._lower_bound_batch_v2_matmul
-            t_merged, out = _timed(merged, data, bits, release, np.float32, reps=21)
+            with _set_step_from(1):
+                t_set, by_set = _timed(gemm, data, bits, release, np.float32, reps=21)
+            with _set_step_from(len(bits) + 1):
+                t_rows, by_row = _timed(gemm, data, bits, release, np.float32, reps=21)
             t_tiled, reference = _timed(_frozen_tiled_gemm, data, tables, mask, release, reps=21)
-            assert np.array_equal(out, reference), f"{n_jobs}x{n_machines} diverged"
+            assert np.array_equal(by_set, reference), f"{n_jobs}x{n_machines} diverged"
+            assert np.array_equal(by_row, reference), f"{n_jobs}x{n_machines} diverged"
+            sets = len(np.unique(bits, axis=0))
             print(
-                f"  {n_jobs:>3}x{n_machines:<3} {n_parents:>4} {len(children):>6} "
-                f"{t_merged * 1e6:10.0f} {t_tiled * 1e6:9.0f} {t_tiled / t_merged:13.2f}"
+                f"  {n_jobs:>3}x{n_machines:<3} {n_parents:>4} {len(children):>6} {sets:>5} "
+                f"{t_set * 1e6:7.0f} {t_rows * 1e6:8.0f} {t_tiled * 1e6:9.0f} "
+                f"{t_rows / t_set:9.2f} {t_tiled / t_rows:11.2f}"
             )
 
 

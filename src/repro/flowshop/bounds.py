@@ -35,7 +35,10 @@ Three evaluation paths are provided:
 
   - ``"gemm"`` (below ``_V2_INCREMENTAL_MIN_JOBS`` = 40 jobs): the Johnson
     scan in closed form, the candidates of a run of jobs for a chunk of
-    rows in one matrix product of at most ``_V2_GEMM_ELEMENTS`` elements;
+    rows in one matrix product of at most ``_V2_GEMM_ELEMENTS`` elements.
+    From ``_V2_SET_STEP_MIN_ROWS`` = 384 rows a launch bounds each distinct
+    unscheduled set once and each row in O(m) from its set's per-machine
+    terms;
   - ``"incremental"`` (from 40 jobs): one O(n·C) pass per parent set and
     O(m) per child, since removing one job from a parent's set shifts its
     closed-form candidates in a known way and the maximum over the couples
@@ -72,7 +75,7 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -675,6 +678,9 @@ def lower_bound_batch(
 #: 43-44x and 106-111x.  From here on the GEMM's weights also cost too
 #: much to build: 13 ms and 10.5 MB traced at 50x20, 46 ms and 41 MB at
 #: 100x20 (the whole budgeted ta100x20 GPU solve peaks at ~85 MB RSS).
+#: With the GEMM's set step (2-vCPU AMD EPYC) the 256-parent launch is
+#: even at n = 20 (2.0 against 1.9 ms) and 4.8x cheaper incremental at
+#: n = 30.
 _V2_INCREMENTAL_MIN_JOBS = 40
 
 #: Most elements of one matrix product of the GEMM body, and of its other
@@ -686,6 +692,19 @@ _V2_INCREMENTAL_MIN_JOBS = 40
 #: BLAS thread), time against the tiled GEMM it replaced: 2**16 0.97-1.08x,
 #: 2**17 0.95-0.99x, 2**18 0.88-1.07x, 2**19 0.91-1.20x.
 _V2_GEMM_ELEMENTS = 1 << 17
+
+#: Fewest rows from which a GEMM launch bounds each distinct unscheduled set
+#: once (the set step of :func:`_lower_bound_batch_v2_matmul`): the GEMM
+#: runs on the distinct sets only, and each row then costs one gather and
+#: a maximum over the machines.  Smaller launches bound every row.  The
+#: 2,611 launches of 30 exact 12x6-13x6 serial solves (2-vCPU AMD EPYC,
+#: one BLAS thread), set step against every row: 1.36x the time at 64-127
+#: rows, 1.03x at 192-255, 0.97x at 256-319, 0.87x at 320-383, 0.79x at
+#: 384-447, 0.61x at 512-767, 0.39x at 1,024-2,047 and 0.22x from 4,096.
+#: 13x6 launches whose rows seldom repeat a set lose longer: the children
+#: of 32 parents (352 rows, 238 sets) 1.40x, of 64 (704 rows, 280 sets)
+#: 0.90x.
+_V2_SET_STEP_MIN_ROWS = 384
 
 #: Elements (parents x n_jobs x n_couples) of each of the two tables the
 #: incremental body builds per tile of parents, and its split grain:
@@ -809,9 +828,15 @@ class _V2GemmData:
     value ``v`` leaves unscheduled (+inf where it leaves none; padding bits
     never count), so a row's ``QM`` is the minimum over its bytes ``b`` of
     ``qm[b, bits[b]]``.
+
+    The set step folds a set's ``2C`` couple terms (``top_c + QM_l`` then
+    ``B_N,c + QM_l`` for every couple ``c = (k, l)``) into one term per
+    machine, the machine whose release time each term adds: ``fold``
+    orders the ``2C`` terms by that machine (``m - 1`` terms each, as
+    ``fronts`` labels them).
     """
 
-    __slots__ = ("ftype", "stacked", "bf", "qm", "m2", "fronts")
+    __slots__ = ("ftype", "stacked", "bf", "qm", "m2", "fronts", "fold")
 
     def __init__(self, data: LowerBoundData, ftype: np.dtype):
         n, n_couples = data.n_jobs, data.n_couples
@@ -844,6 +869,7 @@ class _V2GemmData:
         per_byte = tails.reshape(width, 1, 8, -1)
         self.qm = np.where(scheduled[:, :, None], np.inf, per_byte).min(axis=2)
         self.m2, self.fronts = m2, np.concatenate([m1, m2])
+        self.fold = np.argsort(self.fronts, kind="stable")
 
 
 def _v2_big_sentinel(data: LowerBoundData) -> int:
@@ -875,32 +901,124 @@ def _lower_bound_batch_v2_matmul(
 ) -> np.ndarray:
     """GEMM v2 body: the closed-form candidates of :class:`_V2GemmData` by BLAS.
 
-    Receives only the *active* (incomplete, not root) sub-problems, as
-    packed rows, and returns their ``(B_active,)`` bounds.  Rows go in
-    chunks, read in place, and each chunk is unpacked into the indicator
-    block ``u``; within a chunk one product yields the candidates of a run
-    of ``span`` jobs for every couple, and their maximum reduces over the
-    leading (job) axis.  A chunk's temporaries and each product hold at
-    most :data:`_V2_GEMM_ELEMENTS` elements, so a small launch takes one
-    product per chunk and a large one a few jobs per product.  The chunks
-    reuse one workspace allocated per call, so concurrent calls (the
-    service bounds one instance from several threads) share no scratch
-    memory and none outlives the launch.  ``QM`` is the minimum over a
-    row's bytes of the per-instance byte tables (:class:`_V2GemmData`).
+    A launch below :data:`_V2_SET_STEP_MIN_ROWS` rows arrives with only its
+    *active* (incomplete, not root) sub-problems, as packed rows, and the
+    GEMM (:func:`_gemm_chunks`) bounds every row: ``max_c(max(top_c + r_k,
+    B_N,c + r_l) + QM_l)`` over the couples ``c = (k, l)``, with ``top_c``
+    the largest candidate of couple ``c`` (``B_N`` baked in).
+
+    From that size the launch arrives whole and takes the set step, one row
+    chunk of ``_V2_GEMM_ELEMENTS // m`` rows at a time: every packed row
+    becomes one int64 key, ``np.unique`` finds the chunk's distinct
+    unscheduled sets, and the GEMM runs on those sets only, folding each
+    set's couple terms into one term per machine::
+
+        W_k = max(max over couples (k, l) of top_c + QM_l,
+                  max over couples (i, k) of B_N,c + QM_k)
+
+    A row's bound is then ``max_k(r_k + W_k)``: one gather and O(m) work
+    per row instead of O(C).  Complete sets are resolved among the distinct
+    sets, ``W = (-inf, ..., -inf, 0)`` giving the makespan ``r_{m-1}``, and
+    a root set is one more set for the GEMM.  A chunk's keys, ``np.unique``
+    buffers and gathered terms grow with its rows, so the chunk keeps them
+    near the GEMM's own element budget.
 
     All float arithmetic operates on integers far below the mantissa limit
     of ``ftype`` (guarded by :func:`_v2_value_bound`), so the results are
-    exact and bit-identical to the int64 reference.
+    exact and bit-identical to the int64 reference.  The per-machine terms
+    are integers: int32 under the float32 guard (below ``2**24``), int64
+    under the float64 one.
+    """
+    gd = _v2_gemm_data(data, ftype)
+    n_couples, rows = data.n_couples, len(bits)
+    best = np.empty(rows, dtype=np.int64)
+    if rows < _V2_SET_STEP_MIN_ROWS:
+        for start, end, terms, qm in _gemm_chunks(data, gd, bits):
+            terms += release[start:end].T.astype(gd.ftype)[gd.fronts]  # + r_k, + r_l
+            top = terms[:n_couples]
+            np.maximum(top, terms[n_couples:], out=top)
+            top += qm.T[gd.m2]
+            best[start:end] = top.max(axis=0)
+        return best
+
+    step = max(1, _V2_GEMM_ELEMENTS // data.n_machines)
+    for start in range(0, rows, step):
+        chunk = slice(start, start + step)
+        best[chunk] = _bound_by_set(data, gd, bits[chunk], release[chunk])
+    return best
+
+
+def _bound_by_set(
+    data: LowerBoundData, gd: _V2GemmData, bits: np.ndarray, release: np.ndarray
+) -> np.ndarray:
+    """The set step on one chunk of rows: ``(rows,)`` bounds, each set bounded once.
+
+    Every temporary, the row keys and ``np.unique``'s buffers included, is
+    released on return, so no two chunks' buffers are alive at once.
+    """
+    n_couples, m = data.n_couples, data.n_machines
+    rows, width_bytes = bits.shape
+    itype = np.int32 if gd.ftype == np.float32 else np.int64
+    keys = np.zeros((rows, 8), dtype=np.uint8)  # one int64 key per packed row
+    for byte in range(width_bytes):  # a column at a time: one long copy each
+        keys[:, byte] = bits[:, byte]
+    sets, inverse = np.unique(keys.view("<i8").ravel(), return_inverse=True)
+    # keys read as little-endian, so the complete set's is the largest
+    full_key = int.from_bytes(_full_row(data.n_jobs).tobytes(), "little")
+    active = len(sets) - int(sets[-1] == full_key)
+    machine_terms = np.empty((m, len(sets)), dtype=itype)
+    set_bits = sets[:active].view(np.uint8).reshape(active, 8)[:, :width_bytes]
+    for lo, hi, terms, qm in _gemm_chunks(data, gd, set_bits):
+        # top_c + QM_l and B_N,c + QM_l, grouped by the machine whose
+        # release time each adds: m - 1 terms per machine
+        pairs = terms.reshape(2, n_couples, hi - lo)
+        np.add(pairs, qm.T[gd.m2], out=pairs)
+        folded = terms.take(gd.fold, axis=0).reshape(m, m - 1, hi - lo)
+        machine_terms[:, lo:hi] = folded.max(axis=1)
+    if active < len(sets):
+        machine_terms[:-1, -1] = np.iinfo(itype).min // 2  # -inf: the bound is r_{m-1}
+        machine_terms[-1, -1] = 0
+    # max_k(r_k + W_k), one machine at a time
+    best = machine_terms[0].take(inverse)
+    best += release[:, 0]
+    values = np.empty_like(best)
+    for k in range(1, m):
+        machine_terms[k].take(inverse, out=values)
+        values += release[:, k]
+        np.maximum(best, values, out=best)
+    return best
+
+
+def _gemm_chunks(
+    data: LowerBoundData, gd: _V2GemmData, bits: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield ``(start, end, terms, qm)`` for every row chunk of the packed ``bits``.
+
+    ``terms`` is the chunk's ``(2C, width)`` block: every couple's largest
+    candidate ``top_c`` (``B_N`` baked in), then every couple's ``B_N``;
+    ``qm`` is its ``(width, m)`` ``QM``, the minimum over a row's bytes of
+    the per-instance byte tables (:class:`_V2GemmData`).  Both are views of
+    one workspace, which the next chunk overwrites.
+
+    Rows go in chunks, read in place, and each chunk is unpacked into the
+    indicator block ``u``; within a chunk one product yields the candidates
+    of a run of ``span`` jobs for every couple, and their maximum reduces
+    over the leading (job) axis.  A chunk's temporaries and each product
+    hold at most :data:`_V2_GEMM_ELEMENTS` elements, so a small launch
+    takes one product per chunk and a large one a few jobs per product.
+    The chunks reuse one workspace allocated per call, so concurrent calls
+    (the service bounds one instance from several threads) share no scratch
+    memory and none outlives the launch.
     """
     n, n_couples = data.n_jobs, data.n_couples
-    gd = _v2_gemm_data(data, ftype)
     rows, width_bytes = bits.shape
-    chunk = min(rows, max(1, _V2_GEMM_ELEMENTS // max(n_couples, n * release.shape[1])))
+    if rows == 0:
+        return
+    chunk = min(rows, max(1, _V2_GEMM_ELEMENTS // max(n_couples, n * data.n_machines)))
     span = min(n, max(1, _V2_GEMM_ELEMENTS // (n_couples * chunk)))  # jobs per product
     # one workspace: indicators, running maximum, scratch, products
     u_end, top_end, part_end = n + 1, n + 1 + n_couples, n + 1 + 2 * n_couples
     work = np.empty((part_end + span * n_couples) * chunk, dtype=gd.ftype)
-    best = np.empty(rows, dtype=np.int64)
     for start in range(0, rows, chunk):
         end = min(start + chunk, rows)
         width = end - start
@@ -928,14 +1046,8 @@ def _lower_bound_batch_v2_matmul(
         qm = gd.qm[0].take(chunk_bits[:, 0], axis=0)  # (width, m)
         for b in range(1, width_bytes):
             np.minimum(qm, gd.qm[b].take(chunk_bits[:, b], axis=0), out=qm)
-        fronts = release[start:end].T.astype(gd.ftype)[gd.fronts]  # (2C, width): r_k, r_l
         np.dot(gd.bf, u, out=part)  # B_N per couple
-        top += fronts[:n_couples]
-        part += fronts[n_couples:]
-        np.maximum(top, part, out=top)
-        top += qm.T[gd.m2]
-        best[start:end] = top.max(axis=0)
-    return best
+        yield start, end, views[u_end:part_end], qm
 
 
 def _root_bounds(data: LowerBoundData, release: np.ndarray) -> np.ndarray:
@@ -1246,9 +1358,13 @@ def lower_bound_batch_v2(
         The Johnson scan in closed form: the candidate values of every
         (job, couple) pair are matrix products of the unscheduled indicator
         vectors with precomputed weights (:class:`_V2GemmData`), reduced by
-        a maximum (:func:`_lower_bound_batch_v2_matmul`).  Float arithmetic
-        is exact under the :func:`_v2_value_bound` guard (float32 below
-        ``2**24``, float64 below ``2**53``).
+        a maximum (:func:`_lower_bound_batch_v2_matmul`).  A launch of at
+        least ``_V2_SET_STEP_MIN_ROWS`` rows runs the products on its
+        distinct unscheduled sets only, one ``np.unique`` per row chunk,
+        and bounds each row as ``max_k(r_k + W_k)`` from its set's
+        per-machine terms.  Float arithmetic is exact under the
+        :func:`_v2_value_bound` guard (float32 below ``2**24``, float64
+        below ``2**53``).
     ``"incremental"``
         Rows are bounded from their parent's unscheduled set: one O(n·C)
         pass per group of consecutive rows sharing a parent set, then O(m)
@@ -1262,7 +1378,10 @@ def lower_bound_batch_v2(
     ``_V2_INCREMENTAL_MIN_JOBS`` and ``"incremental"`` from it.  Whatever
     the strategy, complete rows get their makespan and, in a launch without
     ``jobs``, rows with nothing scheduled the closed form of
-    :func:`_root_bounds`.  Pools are processed in cache-sized chunks or
+    :func:`_root_bounds`, both in one pass over the rows here; a GEMM
+    launch that takes the set step skips that pass and resolves them among
+    its distinct sets (a root set is one more set for the GEMM, exact
+    too).  Pools are processed in cache-sized chunks or
     tiles, so temporary memory stays bounded for the paper's largest
     (262144 sub-problem) launches, and a large incremental launch is split
     across the CPUs the process may use (:func:`_evaluate_rows`); every
@@ -1311,25 +1430,27 @@ def lower_bound_batch_v2(
 
     # Complete rows and, without ``jobs``, root rows are resolved here once;
     # the bodies only see the others.  A launch with none of them passes its
-    # own arrays through uncopied.
-    resolved = (bits == _full_row(n)).all(axis=1)
-    root = None if jobs is not None else ~bits.any(axis=1)
-    # (count_nonzero: a small launch's cheapest "any")
-    if root is not None and not np.count_nonzero(root):
-        root = None
+    # own arrays through uncopied, and so does a GEMM launch that takes the
+    # set step, which resolves them among its distinct sets.
     bounds: np.ndarray | None = None
     active = None
     bits_a, rel_a = bits, release
-    if root is not None or np.count_nonzero(resolved):
-        bounds = np.zeros(resolved.size, dtype=np.int64)
-        bounds[resolved] = release[resolved, -1]
-        if root is not None:
-            bounds[root] = _root_bounds(data, release[root])
-            resolved |= root
-        active = np.flatnonzero(~resolved)
-        if active.size == 0:
-            return bounds
-        bits_a, rel_a = bits[active], release[active]
+    if strategy != "gemm" or bits.shape[0] < _V2_SET_STEP_MIN_ROWS:
+        resolved = (bits == _full_row(n)).all(axis=1)
+        root = None if jobs is not None else ~bits.any(axis=1)
+        # (count_nonzero: a small launch's cheapest "any")
+        if root is not None and not np.count_nonzero(root):
+            root = None
+        if root is not None or np.count_nonzero(resolved):
+            bounds = np.zeros(resolved.size, dtype=np.int64)
+            bounds[resolved] = release[resolved, -1]
+            if root is not None:
+                bounds[root] = _root_bounds(data, release[root])
+                resolved |= root
+            active = np.flatnonzero(~resolved)
+            if active.size == 0:
+                return bounds
+            bits_a, rel_a = bits[active], release[active]
 
     if strategy == "gemm":
         if value_bound < 2**24:
@@ -1359,7 +1480,7 @@ def lower_bound_batch_v2(
 
     if bounds is None:
         return values
-    bounds[~resolved] = values
+    bounds[active] = values
     return bounds
 
 

@@ -17,6 +17,8 @@ whole engine solves.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -236,12 +238,18 @@ def sibling_launch(instance, data, n_parents, seed, deep=False):
                 prefixes.append(prefix + [job])
                 jobs.append(job)
                 parent_of.append(parent)
-    mask = np.zeros((len(prefixes), n), dtype=bool)
-    release = np.zeros((len(prefixes), instance.n_machines), dtype=np.int64)
+    mask, release = prefix_rows(data, prefixes)
+    return mask, release, np.array(jobs), prefixes, np.array(parent_of)
+
+
+def prefix_rows(data, prefixes):
+    """``(mask, release)`` of the partial schedules ``prefixes``, one row each."""
+    mask = np.zeros((len(prefixes), data.n_jobs), dtype=bool)
+    release = np.zeros((len(prefixes), data.n_machines), dtype=np.int64)
     for i, prefix in enumerate(prefixes):
         mask[i, prefix] = True
         release[i] = data.machine_release_times(prefix)
-    return mask, release, np.array(jobs), prefixes, np.array(parent_of)
+    return mask, release
 
 
 @pytest.fixture
@@ -379,27 +387,41 @@ class TestIncrementalStrategy:
 class TestPackedRows:
     """Kernel v2 on bit-packed rows, around the byte boundaries of the layout.
 
-    Job counts sit on both sides of 8 and 16 (a padded last byte, an exact
-    one) and of the 40-job strategy crossover.  The GEMM's element budget
-    and the incremental tile are patched to ``grain`` rows or parents, so
-    the launches cross row-chunk, parent-set-chunk and tile boundaries.
+    Job counts sit on both sides of 8, 16, 24 and 32 (a padded last byte,
+    an exact one; the GEMM's set keys are 1 to 5 bytes wide) and of the
+    40-job strategy crossover.  The GEMM's element budget and the
+    incremental tile are patched to ``grain`` rows or parents, so the
+    launches cross row-chunk, set-step-chunk, parent-set-chunk and tile
+    boundaries, and the set step's threshold is drawn as 1 (every GEMM
+    launch takes it) or left at its default.  One more parent permutes the
+    first parent's prefix, so its children repeat the first parent's sets
+    with other release times.
     """
 
     @given(
-        st.sampled_from([7, 8, 9, 15, 16, 17, 39, 40, 41]),
+        st.sampled_from([7, 8, 9, 15, 16, 17, 24, 25, 32, 33, 39, 40, 41]),
         st.integers(2, 5),
         st.integers(1, 4),
         st.integers(0, 10_000),
         st.booleans(),
         st.sampled_from([None, *V2_STRATEGIES]),
         st.integers(1, 3),
+        st.sampled_from([1, bounds._V2_SET_STEP_MIN_ROWS]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equal_to_the_v1_reference(self, n, m, n_parents, seed, with_jobs, strategy, grain):
+    def test_equal_to_the_v1_reference(
+        self, n, m, n_parents, seed, with_jobs, strategy, grain, set_step_min_rows
+    ):
         rng = np.random.default_rng(seed)
         instance = FlowShopInstance(rng.integers(1, 99, size=(n, m)))
         data = LowerBoundData(instance)
-        mask, release, jobs, _, _ = sibling_launch(instance, data, n_parents, seed)
+        mask, release, jobs, prefixes, _ = sibling_launch(instance, data, n_parents, seed)
+        twin = [int(j) for j in rng.permutation(prefixes[0][:-1])]  # parent 0, reordered
+        twin_children = [twin + [job] for job in range(n) if job not in twin]
+        twin_mask, twin_release = prefix_rows(data, twin_children)
+        mask = np.concatenate([mask, twin_mask])
+        release = np.concatenate([release, twin_release])
+        jobs = np.concatenate([jobs, [prefix[-1] for prefix in twin_children]])
         if not with_jobs:
             # root rows, a complete row and random depths join the siblings
             extra_mask, extra_release, _ = random_pool(instance, data, 4, seed)
@@ -413,6 +435,7 @@ class TestPackedRows:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "_V2_GEMM_ELEMENTS", grain * n * m)
             patch.setattr(bounds, "_V2_INCREMENTAL_TILE", grain * n * data.n_couples)
+            patch.setattr(bounds, "_V2_SET_STEP_MIN_ROWS", set_step_min_rows)
             got = lower_bound_batch_v2(
                 data, bits, release.astype(np.int32), strategy=strategy, jobs=jobs
             )
@@ -533,7 +556,9 @@ class TestGemmChunks:
     The element budget is patched small, so a launch runs as several row
     chunks and each chunk's candidates as several products of one to
     ``n`` jobs: ``chunk = budget // max(C, n * m)`` rows and ``budget //
-    (C * chunk)`` jobs per product.
+    (C * chunk)`` jobs per product.  With the set step's threshold drawn
+    as 1, every launch takes the set step, whose chunks of ``budget // m``
+    rows the patch cuts as well.
     """
 
     @given(
@@ -542,9 +567,12 @@ class TestGemmChunks:
         st.integers(1, 600),
         st.integers(0, 10_000),
         st.booleans(),
+        st.sampled_from([1, bounds._V2_SET_STEP_MIN_ROWS]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_bit_identical_to_scalar(self, instance, n_parents, budget, seed, with_jobs):
+    def test_bit_identical_to_scalar(
+        self, instance, n_parents, budget, seed, with_jobs, set_step_min_rows
+    ):
         data = LowerBoundData(instance)
         mask, release, jobs, prefixes, parent_of = sibling_launch(instance, data, n_parents, seed)
         rows = split_first_parent(parent_of)  # parent 0's set in two runs
@@ -554,6 +582,7 @@ class TestGemmChunks:
         cut = int(np.random.default_rng(seed).integers(1, len(rows))) if len(rows) > 1 else 1
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "_V2_GEMM_ELEMENTS", budget)
+            patch.setattr(bounds, "_V2_SET_STEP_MIN_ROWS", set_step_min_rows)
             whole = lower_bound_batch_v2(data, mask, release, strategy="gemm", jobs=launch_jobs)
             assert whole.tolist() == expected
             for lo, hi in ((0, cut), (cut, len(rows))):  # as the cluster engine slices
@@ -596,6 +625,73 @@ class TestGemmChunks:
                 assert len(candidates) == len(chunks) == 1  # the whole launch in one product
             if budget <= n_couples:
                 assert {rows for rows, _ in candidates} == {n_couples}  # a job per product
+
+
+class TestSetStep:
+    """GEMM launches from ``_V2_SET_STEP_MIN_ROWS`` rows bound each distinct set once.
+
+    The products, ``B_N`` and ``QM`` run on the distinct unscheduled sets of
+    a row chunk, and every row is then bounded from its set's per-machine
+    terms; complete rows are resolved among the distinct sets.
+    """
+
+    def test_one_product_column_per_distinct_set(self, monkeypatch):
+        data = LowerBoundData(taillard_instance(13, 6, index=1))
+        n = data.n_jobs
+        rng = np.random.default_rng(7)
+        prefixes, seen = [], set()
+        while len(prefixes) < 40:  # the distinct active sets
+            prefix = [int(j) for j in rng.permutation(n)[: rng.integers(1, n)]]
+            if frozenset(prefix) not in seen:
+                seen.add(frozenset(prefix))
+                prefixes.append(prefix)
+        rows = list(prefixes)
+        while len(rows) < bounds._V2_SET_STEP_MIN_ROWS:  # each set again, in another order
+            rows.append([int(j) for j in rng.permutation(prefixes[rng.integers(len(prefixes))])])
+        rows += [[int(j) for j in rng.permutation(n)] for _ in range(5)]  # complete rows
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        mask, release = prefix_rows(data, rows)
+        jobs = np.array([prefix[-1] for prefix in rows])
+        expected = lower_bound_batch(data, mask, release)
+        bf = bounds._v2_gemm_data(data, np.float32).bf
+        columns = []
+        real_dot = np.dot
+
+        def counting_dot(a, b, out=None):
+            if np.shares_memory(a, bf):
+                columns.append(b.shape[1])
+            return real_dot(a, b, out=out)
+
+        monkeypatch.setattr(bounds.np, "dot", counting_dot)
+        bits = bounds.pack_mask(mask)
+        got = lower_bound_batch_v2(data, bits, release.astype(np.int32), jobs=jobs)
+        assert sum(columns) == len(prefixes)
+        assert got.tolist() == expected.tolist()
+
+    def test_launch_temporaries_stay_bounded(self):
+        """A 65,536-row 13x6 launch of random sets traces below 3 MB.
+
+        The set step holds one row chunk's keys, sort buffers and gathered
+        terms at a time; deduplicating the whole launch at once traced
+        4.5 MB, growing with the rows, and bounding every row 1.8 MB.
+        """
+        data = LowerBoundData(taillard_instance(13, 6, index=1))
+        n, rows = data.n_jobs, 65_536
+        rng = np.random.default_rng(3)
+        depth = rng.integers(1, n, size=rows)
+        mask = rng.random((rows, n)).argsort(axis=1) < depth[:, None]  # ~8,000 distinct sets
+        release = rng.integers(0, 2_000, size=(rows, data.n_machines)).astype(np.int32)
+        bits = bounds.pack_mask(mask)
+        lower_bound_batch_v2(data, bits[:1024], release[:1024])  # build the per-instance tables
+        tracemalloc.start()
+        try:
+            got = lower_bound_batch_v2(data, bits, release)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+        head = slice(0, 512)
+        assert np.array_equal(got[head], lower_bound_batch(data, mask[head], release[head]))
 
 
 STRATEGY_FUNCTIONS = {
