@@ -25,17 +25,25 @@ This module measures both:
   the tie-batch table (the GEMM body's two paths against the frozen one);
 * one launch split across the usable CPUs: the ta100x20 sibling launch
   (the ``gpu-100x20`` shape) with the calling thread pinned to one CPU
-  (one part) against unpinned (one part per CPU), alternating pinned and
-  unpinned rounds so a host whose second CPU comes and goes slows both
-  sides alike, bit-identical and >= 1.4x faster where two or more CPUs
-  are usable (a plain pytest case); script mode prints the ratio for the
-  50/100/200x20 sibling launches, a 200x20 pool without ``jobs`` and the
-  20x20 GEMM pool, which is never split;
-* the GEMM's set step: the largest launch of a seeded 13x6 serial solve,
-  captured through ``BATCH_KERNELS``, bit-identical and >= 3x faster than
-  the same launch with every row bounded (the set-step threshold patched
+  (one part) against unpinned (one part per CPU), in 40 interleaved
+  rounds (pinned first in one round, unpinned first in the next) so a
+  host whose second CPU comes and goes slows both sides alike and shows
+  the split at its best at least once, bit-identical and >= 1.4x faster
+  where two or more CPUs are usable (a plain pytest case); script mode
+  prints the ratio for the 50/100/200x20 sibling launches, a 200x20 pool
+  without ``jobs`` and the 20x20 GEMM pool, which is never split;
+* the set table: every launch of a seeded 13x6 serial solve, captured
+  through ``BATCH_KERNELS``, bit-identical to the GEMM body
+  (``_lower_bound_batch_v2_matmul``, reached with the table's cap patched
+  to 0) and to v1, and >= 2x faster in interleaved rounds (a plain pytest
+  case);
+* the GEMM's set step: the largest launch of a ta20x10 serial solve cut
+  at 20,000 nodes (past the set table's cap, so the GEMM body bounds
+  every launch of that solve), bit-identical and >= 3x faster than the
+  same launch with every row bounded (the set-step threshold patched
   above its rows), alternating rounds (a plain pytest case); script mode's
-  tie-batch table prints both paths beside the frozen tiled GEMM;
+  tie-batch table prints both paths beside the frozen tiled GEMM, and the
+  set table at 13x6;
 * the memory of one ``GpuExecutor.evaluate_block`` launch: the traced
   (``tracemalloc``) peak of the ta100x20 sibling launch, run as one part,
   stays below a 10 MB ceiling that a launch copying the block's columns
@@ -106,20 +114,40 @@ CROSSOVER_CLASSES = ((13, 6), (20, 20), (30, 20), (50, 20), (100, 20), (200, 20)
 #: mode): best-first tie batches bound several sibling sets at once.
 GROUPED_PARENTS = (8, 32, 128)
 GROUPED_CLASSES = ((13, 6), (20, 20))
-#: Seed of the 13x6 ``random_instance`` whose serial solve's largest launch
-#: (14,780 rows holding 124 distinct unscheduled sets) the set-step floor
-#: times.
-SET_STEP_SEED = 2
+#: Seed of the 13x6 ``random_instance`` whose serial solve's launches the
+#: set-table floor times.
+TABLE_SEED = 2
+#: Floor of the set table over the GEMM body on that solve's launches,
+#: summed.  On a 2-vCPU AMD EPYC, one BLAS thread: 3.9-4.0x (121 launches,
+#: 1.06 against 4.16-4.19 ms; those below 64 rows ~6 against ~19 us each);
+#: seed 11's 97 launches 4.1-4.2x.
+TABLE_FLOOR = 2.0
+#: Interleaved table / GEMM rounds of the set-table measurement.
+TABLE_ROUNDS = 7
+#: Class and node budget of the Taillard-style serial solve (instance #1)
+#: whose largest launch the set-step floor times: past the set table's cap
+#: (``2**20 * 10`` elements), so every launch of that solve runs the GEMM
+#: body, and those from ``_V2_SET_STEP_MIN_ROWS`` rows its set step.
+SET_STEP_CLASS = (20, 10)
+SET_STEP_NODES = 20_000
 #: Per-launch floor of the GEMM's set step over bounding every row of that
-#: launch.  On a 2-vCPU AMD EPYC, one BLAS thread: 4.6-4.8x (0.31 against
-#: 1.43 ms); the largest launch of seed 11 (40,878 rows) 4.1-4.4x.
+#: launch.  On a 2-vCPU AMD EPYC, one BLAS thread: 5.1-5.2x (13,024 rows
+#: holding 1,901 distinct unscheduled sets, 0.85-0.87 against 4.43-4.44
+#: ms); the largest launch of instance #2's solve (2,652 rows, 905 sets)
+#: 2.6x.
 SET_STEP_FLOOR = 3.0
 #: Alternating set-step / every-row rounds of the set-step measurement.
 SET_STEP_ROUNDS = 7
 #: Per-launch floor of a launch split across two or more CPUs over one part.
 SPLIT_FLOOR = 1.4
-#: Alternating pinned / unpinned rounds of the split measurement.
-SPLIT_ROUNDS = 5
+#: Interleaved pinned / unpinned rounds of the split measurement.  On a
+#: 2-vCPU AMD EPYC whose second CPU comes and goes, 20 trials of 40 rounds
+#: each: the best of the first 5 rounds per side read 1.17-1.55x (4 of 20
+#: below the floor), of the first 20 1.45-1.57x, of all 40 1.46-1.58x; 15
+#: more trials at a busier time read 1.03-1.60x for the first 20 (4 of 15
+#: below the floor) and 1.16-1.59x for all 40 (1 of 15; one part 8.2-8.7
+#: ms, split 5.4-5.9 ms, 7.1 ms in the trial that failed).
+SPLIT_ROUNDS = 40
 #: The split measurements pin the calling thread to one CPU for the baseline.
 CAN_PIN = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
 #: Ceiling on the traced peak, MB (2**20 bytes), of the ta100x20 sibling
@@ -289,23 +317,31 @@ def _one_cpu_vs_all(fn, rounds=SPLIT_ROUNDS):
     """``(best s pinned to one CPU, best s unpinned, pinned out, unpinned out)``.
 
     Pinning narrows the calling thread's affinity, which the kernel reads
-    per launch, so the pinned launch runs as one part.  Pinned and
-    unpinned launches alternate, one of each per round, so a host whose
-    second CPU comes and goes slows both sides alike instead of only the
-    side that ran while it was busy.
+    per launch, so the pinned launch runs as one part.  The rounds
+    interleave the two sides, one launch of each per round, pinned first
+    in even rounds and unpinned first in odd ones, so a host whose second
+    CPU comes and goes slows both sides alike instead of only the side
+    that ran while it was busy, and neither side always runs first.
     """
     usable = os.sched_getaffinity(0)
-    t_one = t_all = float("inf")
-    one = split = None
-    for _ in range(rounds):
+
+    def pinned():
         os.sched_setaffinity(0, {min(usable)})
         try:
-            seconds, one = _timed(fn)
+            return _timed(fn)
         finally:
             os.sched_setaffinity(0, usable)
-        t_one = min(t_one, seconds)
-        seconds, split = _timed(fn)
-        t_all = min(t_all, seconds)
+
+    t_one = t_all = float("inf")
+    one = split = None
+    for round_ in range(rounds):
+        for side in ("one", "all") if round_ % 2 == 0 else ("all", "one"):
+            if side == "one":
+                seconds, one = pinned()
+                t_one = min(t_one, seconds)
+            else:
+                seconds, split = _timed(fn)
+                t_all = min(t_all, seconds)
     return t_one, t_all, one, split
 
 
@@ -324,42 +360,88 @@ def test_split_launch_exact_and_faster():
     assert speedup >= SPLIT_FLOOR, message
 
 
-def _largest_launch(instance):
-    """``(data, packed rows, release, jobs)`` of the largest launch of a serial solve.
+def _solve_launches(instance, max_nodes=None):
+    """``(data, packed rows, release, jobs)`` of every launch of a serial solve.
 
     Captured through ``BATCH_KERNELS``, the entry every engine bounds with;
     the arrays are copied, since the frontier reuses its rows.
     """
     real = bounds.BATCH_KERNELS["v2"]
-    largest = []
+    launches = []
 
     def capture(data, bits, release, strategy=None, jobs=None):
-        if not largest or len(bits) > len(largest[1]):
-            largest[:] = [data, *copy.deepcopy((bits, release, jobs))]
+        launches.append((data, *copy.deepcopy((bits, release, jobs))))
         return real(data, bits, release, strategy=strategy, jobs=jobs)
 
     bounds.BATCH_KERNELS["v2"] = capture
     try:
-        SequentialBranchAndBound(instance).solve()
+        SequentialBranchAndBound(instance, max_nodes=max_nodes).solve()
     finally:
         bounds.BATCH_KERNELS["v2"] = real
-    return tuple(largest)
+    return launches
 
 
 @contextlib.contextmanager
-def _set_step_from(rows):
-    """GEMM launches inside take the set step from ``rows`` rows."""
-    threshold = bounds._V2_SET_STEP_MIN_ROWS
-    bounds._V2_SET_STEP_MIN_ROWS = rows
+def _patched(**values):
+    """The module attributes of ``repro.flowshop.bounds`` named in ``values`` set inside."""
+    saved = {name: getattr(bounds, name) for name in values}
+    for name, value in values.items():
+        setattr(bounds, name, value)
     try:
         yield
     finally:
-        bounds._V2_SET_STEP_MIN_ROWS = threshold
+        for name, value in saved.items():
+            setattr(bounds, name, value)
+
+
+def _set_step_from(rows):
+    """GEMM launches inside take the set step from ``rows`` rows."""
+    return _patched(_V2_SET_STEP_MIN_ROWS=rows)
+
+
+def test_set_table_exact_and_faster():
+    """Every launch of a 13x6 serial solve: the set table equals the GEMM body and is >= 2x."""
+    launches = _solve_launches(random_instance(13, 6, seed=TABLE_SEED))
+    data = launches[0][0]
+    assert data._v2_gemm_cache["table"].shape == (6, 1 << 13)  # the solve read the table
+    gemm_calls = []
+    real_gemm = bounds._lower_bound_batch_v2_matmul
+
+    def gemm(*args):
+        gemm_calls.append(len(args[1]))
+        return real_gemm(*args)
+
+    def run_all():
+        return [lower_bound_batch_v2(d, bits, rel, jobs=jobs) for d, bits, rel, jobs in launches]
+
+    t_table = t_gemm = float("inf")
+    with _patched(_lower_bound_batch_v2_matmul=gemm):
+        for round_ in range(TABLE_ROUNDS):  # interleaved, so host noise slows both alike
+            for side in ("table", "gemm") if round_ % 2 == 0 else ("gemm", "table"):
+                if side == "table":
+                    seconds, by_table = _timed(run_all)
+                    t_table = min(t_table, seconds)
+                    assert not gemm_calls
+                else:
+                    with _patched(_V2_TABLE_ELEMENTS=0):
+                        seconds, by_gemm = _timed(run_all)
+                    t_gemm = min(t_gemm, seconds)
+                    assert gemm_calls
+                    gemm_calls.clear()
+    for table_bounds, gemm_bounds, (_, bits, rel, _) in zip(by_table, by_gemm, launches):
+        assert np.array_equal(table_bounds, gemm_bounds)
+        assert np.array_equal(table_bounds, lower_bound_batch(data, unpack_mask(bits, 13), rel))
+    speedup = t_gemm / t_table
+    message = f"set table {speedup:.1f}x over the GEMM body, floor {TABLE_FLOOR:.0f}x"
+    assert speedup >= TABLE_FLOOR, message
 
 
 def test_set_step_exact_and_faster():
-    """The largest launch of a 13x6 serial solve: identical bounds, >= 3x every row."""
-    data, bits, release, jobs = _largest_launch(random_instance(13, 6, seed=SET_STEP_SEED))
+    """The largest launch of a ta20x10 serial solve: identical bounds, >= 3x every row."""
+    instance = taillard_instance(*SET_STEP_CLASS, index=1)
+    launches = _solve_launches(instance, max_nodes=SET_STEP_NODES)
+    data, bits, release, jobs = max(launches, key=lambda launch: len(launch[1]))
+    assert (1 << data.n_jobs) * data.n_machines > bounds._V2_TABLE_ELEMENTS  # no set table
     assert len(bits) >= bounds._V2_SET_STEP_MIN_ROWS
     t_set = t_rows = float("inf")
     for _ in range(SET_STEP_ROUNDS):  # alternating, so host noise slows both alike
@@ -375,15 +457,9 @@ def test_set_step_exact_and_faster():
     assert speedup >= SET_STEP_FLOOR, message
 
 
-@contextlib.contextmanager
 def _one_part():
     """Launches inside run as one part (the kernel reads the usable CPUs per launch)."""
-    usable_cpus = bounds._usable_cpus
-    bounds._usable_cpus = lambda: 1
-    try:
-        yield
-    finally:
-        bounds._usable_cpus = usable_cpus
+    return _patched(_usable_cpus=lambda: 1)
 
 
 def _launch_memory(data, block):
@@ -433,7 +509,9 @@ def crossover_table() -> None:
     """GEMM vs incremental per class: one 256-parent launch and one sibling set.
 
     The single sibling set is what the sequential engine bounds per step;
-    below ``_V2_INCREMENTAL_MIN_JOBS`` it takes the GEMM body in one product.
+    below ``_V2_INCREMENTAL_MIN_JOBS`` it takes the GEMM body in one product
+    (at 13x6, within ``_V2_TABLE_ELEMENTS``, the GEMM strategy reads the
+    set table instead).
     From the crossover on no launch takes the GEMM, so its column is left
     out there (forcing it took 2.2 s at 100x20 and 17.9 s at 200x20); the
     incremental body's first sibling set is checked against v1 instead.
@@ -494,15 +572,19 @@ def grouped_sibling_table() -> None:
     bounded once, then O(m) per row) and every row bounded, against the
     frozen tiled GEMM (one product per job), all called directly on the
     launch's rows (every row is active), bit-identity asserted.  By default
-    a launch takes the set step from ``_V2_SET_STEP_MIN_ROWS`` rows.
+    a launch takes the set step from ``_V2_SET_STEP_MIN_ROWS`` rows.  An
+    instance within ``_V2_TABLE_ELEMENTS`` reads the set table instead of
+    running either path; its column times that (the table built once
+    beforehand) and is ``-`` past the cap.
     """
     print(
         "tie-batch launches (children of P depth-2 parents): GEMM set step and every row "
-        f"vs frozen tiled (set step from {bounds._V2_SET_STEP_MIN_ROWS} rows)"
+        f"vs frozen tiled (set step from {bounds._V2_SET_STEP_MIN_ROWS} rows), and the set table"
     )
-    print("  class      P   rows  sets  set us  rows us  tiled us  rows/set  tiled/rows")
+    print("  class      P   rows  sets  set us  rows us  tiled us  rows/set  tiled/rows  table us")
     gemm = bounds._lower_bound_batch_v2_matmul
     for n_jobs, n_machines in GROUPED_CLASSES:
+        within_cap = (1 << n_jobs) * n_machines <= bounds._V2_TABLE_ELEMENTS
         for n_parents in GROUPED_PARENTS:
             data, children = _sibling_launch(n_jobs, n_machines, n_parents)
             bits, release = children.mask_bits, children.release
@@ -515,11 +597,19 @@ def grouped_sibling_table() -> None:
             t_tiled, reference = _timed(_frozen_tiled_gemm, data, tables, mask, release, reps=21)
             assert np.array_equal(by_set, reference), f"{n_jobs}x{n_machines} diverged"
             assert np.array_equal(by_row, reference), f"{n_jobs}x{n_machines} diverged"
+            table_us = "-"
+            if within_cap:
+                table = bounds._set_table(data)
+                t_table, by_table = _timed(
+                    bounds._bound_by_table, data, table, bits, release, reps=21
+                )
+                assert np.array_equal(by_table, reference), f"{n_jobs}x{n_machines} diverged"
+                table_us = f"{t_table * 1e6:.0f}"
             sets = len(np.unique(bits, axis=0))
             print(
                 f"  {n_jobs:>3}x{n_machines:<3} {n_parents:>4} {len(children):>6} {sets:>5} "
                 f"{t_set * 1e6:7.0f} {t_rows * 1e6:8.0f} {t_tiled * 1e6:9.0f} "
-                f"{t_rows / t_set:9.2f} {t_tiled / t_rows:11.2f}"
+                f"{t_rows / t_set:9.2f} {t_tiled / t_rows:11.2f} {table_us:>9}"
             )
 
 

@@ -73,7 +73,8 @@ class PoolSizeAutotuner:
     mode:
         ``"model"`` ranks candidates with the analytical simulator + CPU
         cost model (fast, deterministic); ``"measure"`` times real batched
-        evaluations of branch-built pools on this host.
+        evaluations of branch-built pools on this host, after one untimed
+        launch of the smallest candidate's pool.
     """
 
     def __init__(
@@ -159,6 +160,10 @@ class PoolSizeAutotuner:
             threads_per_block=self.config.threads_per_block,
         )
         complexity = self.data.complexity
+        # one untimed launch first: the instance's lazy kernel set-up (the
+        # set table, or the GEMM or incremental tables) is built there, not
+        # in the first candidate's timing
+        executor.evaluate_block(self._synthetic_pool(min(self.candidates)))
         for pool_size in self.candidates:
             pool = self._synthetic_pool(pool_size)
             start = time.perf_counter()

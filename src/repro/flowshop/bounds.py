@@ -38,7 +38,10 @@ Three evaluation paths are provided:
     rows in one matrix product of at most ``_V2_GEMM_ELEMENTS`` elements.
     From ``_V2_SET_STEP_MIN_ROWS`` = 384 rows a launch bounds each distinct
     unscheduled set once and each row in O(m) from its set's per-machine
-    terms;
+    terms.  On an instance within ``_V2_TABLE_ELEMENTS`` (``2**n * m``;
+    every shape of the exact solves) those terms are built once for all
+    ``2**n`` sets, by the same GEMM on the instance's first launch, and
+    every launch is one gather and a maximum per row;
   - ``"incremental"`` (from 40 jobs): one O(n·C) pass per parent set and
     O(m) per child, since removing one job from a parent's set shifts its
     closed-form candidates in a known way and the maximum over the couples
@@ -696,15 +699,31 @@ _V2_GEMM_ELEMENTS = 1 << 17
 #: Fewest rows from which a GEMM launch bounds each distinct unscheduled set
 #: once (the set step of :func:`_lower_bound_batch_v2_matmul`): the GEMM
 #: runs on the distinct sets only, and each row then costs one gather and
-#: a maximum over the machines.  Smaller launches bound every row.  The
-#: 2,611 launches of 30 exact 12x6-13x6 serial solves (2-vCPU AMD EPYC,
-#: one BLAS thread), set step against every row: 1.36x the time at 64-127
-#: rows, 1.03x at 192-255, 0.97x at 256-319, 0.87x at 320-383, 0.79x at
-#: 384-447, 0.61x at 512-767, 0.39x at 1,024-2,047 and 0.22x from 4,096.
-#: 13x6 launches whose rows seldom repeat a set lose longer: the children
-#: of 32 parents (352 rows, 238 sets) 1.40x, of 64 (704 rows, 280 sets)
-#: 0.90x.
+#: a maximum over the machines.  Smaller launches bound every row.  Only
+#: instances past the set table's cap (:data:`_V2_TABLE_ELEMENTS`) reach
+#: it.  Set step against every row on their launches (2-vCPU AMD EPYC, one
+#: BLAS thread, best of 3 alternating rounds): the first R rows of the
+#: pools of a ta20x20 GPU solve (pool 8,192) 1.10x the time at 64 rows,
+#: 0.91x at 128, 0.80x at 256, 0.63x at 384 and 0.41x at 4,096; a ta20x10
+#: serial solve's launches 1.09x at 64-127 rows, 0.90x at 128-191 and
+#: 0.76x at 384-447; but at m = 4-6 the launches of serial solves cross
+#: later (ta20x5: 1.05x at 320-383 rows, 0.93x at 512-767; 16x4: 1.08x at
+#: 256-319, 0.97x at 320-383; 17x6: 1.06x at 192-255, 0.78x at 320-383).
+#: One row count serves every m, so it stays where the small-m launches
+#: cross.
 _V2_SET_STEP_MIN_ROWS = 384
+
+#: Most elements, ``2**n_jobs * n_machines``, of the per-instance set table
+#: (:func:`_set_table`): on an instance within it every GEMM launch bounds
+#: its rows from the table's per-machine terms, one gather and a maximum
+#: per row, and no launch runs the GEMM.  It admits every shape of the
+#: exact solves (10x6 to 13x6 and 12x8; 49,152 elements at 13x6, 96 KB at
+#: int16) and keeps ``n <= 15`` (m >= 2), so a key holds at most two bytes.
+#: Table builds, weights included (2-vCPU AMD EPYC, one BLAS thread, best
+#: of 5 instances): 0.27 ms at 10x6, 0.45 ms at 12x6, 0.79 ms at 13x6,
+#: 0.80 ms at 12x8, 1.05-1.16 ms at 15x2 and 14x4, 2.0 ms at 11x20; past
+#: the cap 12x20 took 3.4 ms, and each further job doubles the build.
+_V2_TABLE_ELEMENTS = 1 << 16
 
 #: Elements (parents x n_jobs x n_couples) of each of the two tables the
 #: incremental body builds per tile of parents, and its split grain:
@@ -829,11 +848,13 @@ class _V2GemmData:
     never count), so a row's ``QM`` is the minimum over its bytes ``b`` of
     ``qm[b, bits[b]]``.
 
-    The set step folds a set's ``2C`` couple terms (``top_c + QM_l`` then
-    ``B_N,c + QM_l`` for every couple ``c = (k, l)``) into one term per
-    machine, the machine whose release time each term adds: ``fold``
-    orders the ``2C`` terms by that machine (``m - 1`` terms each, as
-    ``fronts`` labels them).
+    The set step and the set table fold a set's ``2C`` couple terms
+    (``top_c + QM_l`` then ``B_N,c + QM_l`` for every couple ``c = (k,
+    l)``) into one term per machine, the machine whose release time each
+    term adds: ``fold`` orders the ``2C`` terms by that machine (``m - 1``
+    terms each, as ``fronts`` labels them).  An instance within
+    ``_V2_TABLE_ELEMENTS`` builds these tensors once, for its table
+    (:func:`_set_table`), and keeps only the table.
     """
 
     __slots__ = ("ftype", "stacked", "bf", "qm", "m2", "fronts", "fold")
@@ -901,6 +922,11 @@ def _lower_bound_batch_v2_matmul(
 ) -> np.ndarray:
     """GEMM v2 body: the closed-form candidates of :class:`_V2GemmData` by BLAS.
 
+    Only launches on instances past :data:`_V2_TABLE_ELEMENTS` (and those
+    whose ``release`` passes the set table's ``-inf``) come here; the others
+    read the set table, which this body's set step builds once
+    (:func:`_set_table`).
+
     A launch below :data:`_V2_SET_STEP_MIN_ROWS` rows arrives with only its
     *active* (incomplete, not root) sub-problems, as packed rows, and the
     GEMM (:func:`_gemm_chunks`) bounds every row: ``max_c(max(top_c + r_k,
@@ -917,7 +943,8 @@ def _lower_bound_batch_v2_matmul(
                   max over couples (i, k) of B_N,c + QM_k)
 
     A row's bound is then ``max_k(r_k + W_k)``: one gather and O(m) work
-    per row instead of O(C).  Complete sets are resolved among the distinct
+    per row instead of O(C) (:func:`_max_plus_rows`, which the set table's
+    launches share).  Complete sets are resolved among the distinct
     sets, ``W = (-inf, ..., -inf, 0)`` giving the makespan ``r_{m-1}``, and
     a root set is one more set for the GEMM.  A chunk's keys, ``np.unique``
     buffers and gathered terms grow with its rows, so the chunk keeps them
@@ -956,7 +983,7 @@ def _bound_by_set(
     Every temporary, the row keys and ``np.unique``'s buffers included, is
     released on return, so no two chunks' buffers are alive at once.
     """
-    n_couples, m = data.n_couples, data.n_machines
+    m = data.n_machines
     rows, width_bytes = bits.shape
     itype = np.int32 if gd.ftype == np.float32 else np.int64
     keys = np.zeros((rows, 8), dtype=np.uint8)  # one int64 key per packed row
@@ -968,24 +995,100 @@ def _bound_by_set(
     active = len(sets) - int(sets[-1] == full_key)
     machine_terms = np.empty((m, len(sets)), dtype=itype)
     set_bits = sets[:active].view(np.uint8).reshape(active, 8)[:, :width_bytes]
-    for lo, hi, terms, qm in _gemm_chunks(data, gd, set_bits):
-        # top_c + QM_l and B_N,c + QM_l, grouped by the machine whose
-        # release time each adds: m - 1 terms per machine
-        pairs = terms.reshape(2, n_couples, hi - lo)
-        np.add(pairs, qm.T[gd.m2], out=pairs)
-        folded = terms.take(gd.fold, axis=0).reshape(m, m - 1, hi - lo)
-        machine_terms[:, lo:hi] = folded.max(axis=1)
+    _machine_terms(data, gd, set_bits, machine_terms[:, :active])
     if active < len(sets):
         machine_terms[:-1, -1] = np.iinfo(itype).min // 2  # -inf: the bound is r_{m-1}
         machine_terms[-1, -1] = 0
-    # max_k(r_k + W_k), one machine at a time
-    best = machine_terms[0].take(inverse)
-    best += release[:, 0]
-    values = np.empty_like(best)
-    for k in range(1, m):
-        machine_terms[k].take(inverse, out=values)
-        values += release[:, k]
-        np.maximum(best, values, out=best)
+    return _max_plus_rows(machine_terms, inverse, release, itype)
+
+
+def _machine_terms(
+    data: LowerBoundData, gd: _V2GemmData, set_bits: np.ndarray, out: np.ndarray
+) -> None:
+    """The ``(m, sets)`` per-machine terms ``W_k`` of incomplete sets, into ``out``.
+
+    ``set_bits`` holds one packed row per set.  The GEMM
+    (:func:`_gemm_chunks`) yields each set's ``2C`` couple terms, ``top_c +
+    QM_l`` and ``B_N,c + QM_l``, and ``fold`` groups them by the machine
+    whose release time each adds: ``W_k`` is the largest of its ``m - 1``.
+    """
+    n_couples, m = data.n_couples, data.n_machines
+    for lo, hi, terms, qm in _gemm_chunks(data, gd, set_bits):
+        pairs = terms.reshape(2, n_couples, hi - lo)
+        np.add(pairs, qm.T[gd.m2], out=pairs)
+        folded = terms.take(gd.fold, axis=0).reshape(m, m - 1, hi - lo)
+        out[:, lo:hi] = folded.max(axis=1)
+
+
+def _max_plus_rows(
+    machine_terms: np.ndarray, sets: np.ndarray, release: np.ndarray, dtype
+) -> np.ndarray:
+    """``(rows,)``: ``max_k(release[i, k] + machine_terms[k, sets[i]])``, summed in ``dtype``.
+
+    One gather of every row's ``(m,)`` column, one add and one maximum
+    over the machines, on ``(m, rows)`` temporaries.
+    """
+    values = np.add(machine_terms.take(sets, axis=1), release.T, dtype=dtype)
+    return values.max(axis=0)
+
+
+def _set_table(data: LowerBoundData) -> np.ndarray:
+    """``(m, 2**n)``: the per-machine terms ``W_k`` of every unscheduled set, built once.
+
+    Column ``key`` belongs to the set whose scheduled jobs are the bits of
+    ``key``, a packed row read as a little-endian integer.  The GEMM and
+    its fold (:func:`_machine_terms`) run once over the ``2**n - 1``
+    incomplete sets; the complete set's column is ``(-inf, ..., -inf,
+    0)``, so its rows get ``r_{m-1}``, their makespan.  Every ``W_k`` is a
+    sum of distinct processing times, so the table is int16 when the
+    instance's total is below ``2**15`` (``-inf`` is ``-2**15``) and int32
+    otherwise.  The table is built here, on the first launch that reads
+    it, and enters the instance's cache only when complete: threads that
+    bound one :class:`LowerBoundData` at once may each build one, and
+    every copy is the same.
+    """
+    table = data._v2_gemm_cache.get("table")
+    if table is not None:
+        return table
+    n, m = data.n_jobs, data.n_machines
+    itype = np.int16 if int(data.ptm.sum()) < 2**15 else np.int32
+    # the GEMM's value guard with no release time: the build adds none
+    ftype = np.float32 if _v2_value_bound(data, data.ptm[:0]) < 2**24 else np.float64
+    keys = np.arange((1 << n) - 1, dtype="<u2")  # every incomplete set
+    set_bits = keys.view(np.uint8).reshape(-1, 2)[:, : (n + 7) >> 3]
+    table = np.empty((m, 1 << n), dtype=itype)
+    _machine_terms(data, _V2GemmData(data, ftype), set_bits, table[:, :-1])
+    table[:-1, -1] = np.iinfo(itype).min
+    table[-1, -1] = 0
+    table.setflags(write=False)
+    data._v2_gemm_cache["table"] = table
+    return table
+
+
+def _bound_by_table(
+    data: LowerBoundData, table: np.ndarray, bits: np.ndarray, release: np.ndarray
+) -> np.ndarray:
+    """``(rows,)`` bounds of packed rows from the instance's set table (:func:`_set_table`).
+
+    Each row's key is its packed row read as an integer (one or two
+    bytes), and its bound ``max_k(r_k + W_k)`` one gather and a maximum,
+    ``_V2_GEMM_ELEMENTS // m`` rows at a time.  Sums are int32 beside an
+    int16 table (every ``W_k`` lies below ``2**15``, and the caller reads
+    the table only for release times within ``2**15``) and int64 beside an
+    int32 one.  A key past the table, a row with a padding bit set, raises
+    ``ValueError``.
+    """
+    rows, width = bits.shape
+    keys = bits[:, 0] if width == 1 else np.ascontiguousarray(bits).view("<u2")[:, 0]
+    dtype = np.int32 if table.dtype == np.int16 else np.int64
+    best = np.empty(rows, dtype=np.int64)
+    step = max(1, _V2_GEMM_ELEMENTS // data.n_machines)
+    try:
+        for start in range(0, rows, step):
+            chunk = slice(start, start + step)
+            best[chunk] = _max_plus_rows(table, keys[chunk], release[chunk], dtype)
+    except IndexError:
+        raise ValueError(f"scheduled_mask sets a bit past job {data.n_jobs - 1}") from None
     return best
 
 
@@ -1362,7 +1465,11 @@ def lower_bound_batch_v2(
         least ``_V2_SET_STEP_MIN_ROWS`` rows runs the products on its
         distinct unscheduled sets only, one ``np.unique`` per row chunk,
         and bounds each row as ``max_k(r_k + W_k)`` from its set's
-        per-machine terms.  Float arithmetic is exact under the
+        per-machine terms.  On an instance within ``_V2_TABLE_ELEMENTS``
+        (``2**n * m``) the launch runs no product: the instance's first
+        GEMM launch builds every set's ``W`` once (:func:`_set_table`),
+        and every launch then reads each row's terms by its packed row
+        (:func:`_bound_by_table`).  Float arithmetic is exact under the
         :func:`_v2_value_bound` guard (float32 below ``2**24``, float64
         below ``2**53``).
     ``"incremental"``
@@ -1379,9 +1486,14 @@ def lower_bound_batch_v2(
     the strategy, complete rows get their makespan and, in a launch without
     ``jobs``, rows with nothing scheduled the closed form of
     :func:`_root_bounds`, both in one pass over the rows here; a GEMM
-    launch that takes the set step skips that pass and resolves them among
-    its distinct sets (a root set is one more set for the GEMM, exact
-    too).  Pools are processed in cache-sized chunks or
+    launch that reads the set table or takes the set step skips that pass
+    and resolves them among the sets (a root set is one more set for the
+    GEMM, exact too; the complete set's ``W`` is ``(-inf, ..., -inf,
+    0)``).  A launch reads the table only while its release times stay
+    within the table's ``-inf`` (``2**15`` beside an int16 table, as every
+    release time of such an instance does), so the makespan of a complete
+    row is exact; release times are completion times, never negative.
+    Pools are processed in cache-sized chunks or
     tiles, so temporary memory stays bounded for the paper's largest
     (262144 sub-problem) launches, and a large incremental launch is split
     across the CPUs the process may use (:func:`_evaluate_rows`); every
@@ -1403,8 +1515,9 @@ def lower_bound_batch_v2(
     each body casts what it reads to the dtype its value guard picks.  Any
     other ``release`` (a list, floats, unsigned integers) is converted to
     int64 first.  Unless some row is resolved here, the packed rows and
-    ``release`` reach the body uncopied, which reads them in place one
-    chunk or tile at a time.
+    ``release`` reach the body (or the set table's gather) uncopied, which
+    reads them in place one chunk or tile at a time.  A packed row with a
+    padding bit set raises ``ValueError`` at a set-table launch.
     """
     n = data.n_jobs
     bits = as_mask_bits(scheduled_mask, n)
@@ -1424,6 +1537,11 @@ def lower_bound_batch_v2(
         return lower_bound_batch(data, unpack_mask(bits, n), release)
     if strategy is None:
         strategy = "incremental" if n >= _V2_INCREMENTAL_MIN_JOBS else "gemm"
+    if strategy == "gemm" and (1 << n) * data.n_machines <= _V2_TABLE_ELEMENTS:
+        table = _set_table(data)
+        # the complete set's -inf terms stay below r_{m-1} up to this release
+        if int(release.max()) <= -int(table[0, -1]):
+            return _bound_by_table(data, table, bits, release)
     if jobs is not None and strategy == "incremental":
         jobs = _check_jobs(jobs, bits)  # only this body reads them
     value_bound = _v2_value_bound(data, release)

@@ -100,7 +100,9 @@ class _InstanceCache:
     Key: ``(n_jobs, n_machines, processing-time bytes)`` — the full
     instance content, so two requests naming the same Taillard instance
     (or shipping equal explicit matrices) resolve to the SAME object and
-    therefore coalesce in the dispatcher.
+    therefore coalesce in the dispatcher.  Entries are never evicted, and
+    each keeps the kernel's lazy per-instance tables, so a server holds
+    one set table per distinct small instance (at most 256 KB each).
     """
 
     _entries: dict[tuple, LowerBoundData] = field(default_factory=dict)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import GpuBBConfig, PoolSizeAutotuner
 from repro.core.autotune import AutotuneReport
-from repro.flowshop import taillard_instance
+from repro.flowshop import random_instance, taillard_instance
 
 
 class TestModelMode:
@@ -63,11 +65,44 @@ class TestMeasureMode:
             return real(data, mask, release, jobs=jobs, **kwargs)
 
         monkeypatch.setitem(bounds.BATCH_KERNELS, "v2", spy)
-        PoolSizeAutotuner(small_instance, candidates=(5, 12), mode="measure").run()
-        assert [len(mask) for mask, _ in launches] == [5, 12]
+        PoolSizeAutotuner(small_instance, candidates=(12, 5), mode="measure").run()
+        assert [len(mask) for mask, _ in launches] == [5, 12, 5]  # the smallest warms up
         for bits, jobs in launches:
             mask = bounds.unpack_mask(bits, small_instance.n_jobs)  # the block's packed rows
             assert jobs is not None and jobs.shape == (len(mask),)
             assert mask[np.arange(len(mask)), jobs].all()
             depth = mask.sum(axis=1)
             assert (depth == depth[0]).all() and 1 <= depth[0] < small_instance.n_jobs
+
+    def test_lazy_set_up_is_outside_the_timed_launches(self, monkeypatch):
+        """The instance's kernel tables are built by an untimed launch, before any timing.
+
+        Without the warm-up, the first candidate's timing held the GEMM's
+        weights: ``random_instance(13, 6, seed=4)`` read 1.9-2.5x the
+        per-node time on its first 4,096 pool as on the identical second
+        one.
+        """
+        from types import SimpleNamespace
+
+        import repro.core.autotune as autotune
+
+        instance = random_instance(13, 6, seed=4)
+        tuner = PoolSizeAutotuner(instance, candidates=(64, 64, 128), mode="measure")
+        events = []
+
+        class RecordingCache(dict):
+            def __setitem__(self, key, value):
+                events.append(("build", key))
+                super().__setitem__(key, value)
+
+        def recording_clock():
+            events.append("clock")
+            return time.perf_counter()
+
+        tuner.data._v2_gemm_cache = RecordingCache()
+        monkeypatch.setattr(autotune, "time", SimpleNamespace(perf_counter=recording_clock))
+        report = tuner.run()
+        assert [sample.pool_size for sample in report.samples] == [64, 64, 128]
+        first_clock = events.index("clock")
+        assert events[:first_clock], "the warm-up launch built no per-instance table"
+        assert events[first_clock:] == ["clock"] * 6, events

@@ -28,7 +28,12 @@ import pytest
 import repro.flowshop.bounds as bounds
 from repro.bb.frontier import Trail, branch_block, root_block
 from repro.flowshop import random_instance, taillard_instance
-from repro.flowshop.bounds import LowerBoundData, lower_bound, lower_bound_batch_v2
+from repro.flowshop.bounds import (
+    LowerBoundData,
+    lower_bound,
+    lower_bound_batch,
+    lower_bound_batch_v2,
+)
 
 #: rows per launch: one GEMM chunk, so both threads want workspaces of the
 #: same size
@@ -50,7 +55,15 @@ def _random_rows(data: LowerBoundData, rows: int, seed: int):
     return mask, release
 
 
-def test_two_threads_bounding_one_instance_get_exact_bounds():
+def test_two_threads_bounding_one_instance_get_exact_bounds(monkeypatch):
+    """Two threads hammer the GEMM body on one :class:`LowerBoundData`.
+
+    A 13x6 instance is within the set table's cap, so the cap is patched to
+    0: every launch, the references included, runs
+    ``_lower_bound_batch_v2_matmul`` and its per-call workspaces, as a
+    shared instance past the cap (20x20, say) does in the service.
+    """
+    monkeypatch.setattr(bounds, "_V2_TABLE_ELEMENTS", 0)
     instance = random_instance(13, 6, seed=11)
     data = LowerBoundData(instance)
     blocks = [_random_rows(data, ROWS, seed) for seed in (1, 2)]
@@ -60,6 +73,14 @@ def test_two_threads_bounding_one_instance_get_exact_bounds():
         lower_bound_batch_v2(reference, mask, release, strategy="gemm")
         for mask, release in blocks
     ]
+    gemm_threads = set()
+    real_gemm = bounds._lower_bound_batch_v2_matmul
+
+    def spy_gemm(*args):
+        gemm_threads.add(threading.get_ident())
+        return real_gemm(*args)
+
+    monkeypatch.setattr(bounds, "_lower_bound_batch_v2_matmul", spy_gemm)
 
     start = threading.Barrier(2, timeout=30.0)
     wrong = [0, 0]
@@ -90,7 +111,61 @@ def test_two_threads_bounding_one_instance_get_exact_bounds():
     assert not any(thread.is_alive() for thread in threads), "a bounding thread hung"
     assert not errors, errors
     assert done == [LAUNCHES, LAUNCHES]
+    assert gemm_threads == {thread.ident for thread in threads}  # both ran the GEMM body
     assert wrong == [0, 0], f"bounds corrupted by a concurrent launch: {wrong}"
+
+
+def test_threads_building_one_set_table_get_exact_bounds(monkeypatch):
+    """Threads whose first launches race to build a fresh instance's set table.
+
+    A 13x6 instance is within the set table's cap, so the first GEMM launch
+    on its :class:`LowerBoundData` builds the table; every round starts
+    from a fresh one, so the threads' launches build it at once, and every
+    bound must equal the v1 reference.
+    """
+    instance = random_instance(13, 6, seed=12)
+    callers, rounds = 4, 20
+    blocks = [_random_rows(LowerBoundData(instance), 64, seed) for seed in range(callers)]
+    reference = LowerBoundData(instance)
+    expected = [lower_bound_batch(reference, mask, release) for mask, release in blocks]
+    builds = []
+    real_build = bounds._V2GemmData
+
+    def counting_build(*args):
+        builds.append(threading.get_ident())
+        return real_build(*args)
+
+    monkeypatch.setattr(bounds, "_V2GemmData", counting_build)
+    wrong = [0] * callers
+    errors: list[BaseException] = []
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(rounds):
+            data = LowerBoundData(instance)  # no table yet
+            start = threading.Barrier(callers, timeout=30.0)
+
+            def bound(slot: int) -> None:
+                mask, release = blocks[slot]
+                try:
+                    start.wait()
+                    got = lower_bound_batch_v2(data, bounds.pack_mask(mask), release)
+                    wrong[slot] += int(np.count_nonzero(got != expected[slot]))
+                except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=bound, args=(slot,)) for slot in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads), "a bounding thread hung"
+            assert data._v2_gemm_cache["table"].shape == (6, 1 << 13)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not errors, errors
+    assert wrong == [0] * callers, f"bounds corrupted while the table was built: {wrong}"
+    assert rounds <= len(builds) <= rounds * callers  # one build per round at least
 
 
 # --------------------------------------------------------------------- #
@@ -210,6 +285,7 @@ class TestSplitLaunch:
         reps = 65_536 // 64
         mask, release = np.tile(block_mask, (reps, 1)), np.tile(block_release, (reps, 1))
         monkeypatch.setattr(bounds, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(bounds, "_V2_TABLE_ELEMENTS", 0)  # the GEMM body, not the table
         parts = _spy_parts(monkeypatch, strategy)
         got = lower_bound_batch_v2(data, mask, release, strategy=strategy)
         assert [rows for _, rows in parts] == [65_536]

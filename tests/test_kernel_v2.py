@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 
 import repro.bb.frontier as frontier
 import repro.flowshop.bounds as bounds
+from repro.bb.sequential import SequentialBranchAndBound
 from repro.core import GpuBBConfig, GpuBranchAndBound
 from repro.core.cluster import ClusterBranchAndBound, ClusterSpec
-from repro.flowshop import FlowShopInstance, taillard_instance
+from repro.flowshop import FlowShopInstance, random_instance, taillard_instance
 from repro.flowshop.bounds import (
     BATCH_KERNELS,
     LowerBoundData,
@@ -393,9 +394,11 @@ class TestPackedRows:
     incremental tile are patched to ``grain`` rows or parents, so the
     launches cross row-chunk, set-step-chunk, parent-set-chunk and tile
     boundaries, and the set step's threshold is drawn as 1 (every GEMM
-    launch takes it) or left at its default.  One more parent permutes the
-    first parent's prefix, so its children repeat the first parent's sets
-    with other release times.
+    launch takes it) or left at its default.  The set table's cap is drawn
+    as 0 (no table) or left at its default, so the small instances cover
+    the GEMM body too.  One more parent permutes the first parent's
+    prefix, so its children repeat the first parent's sets with other
+    release times.
     """
 
     @given(
@@ -407,10 +410,11 @@ class TestPackedRows:
         st.sampled_from([None, *V2_STRATEGIES]),
         st.integers(1, 3),
         st.sampled_from([1, bounds._V2_SET_STEP_MIN_ROWS]),
+        st.sampled_from([0, bounds._V2_TABLE_ELEMENTS]),
     )
     @settings(max_examples=60, deadline=None)
     def test_equal_to_the_v1_reference(
-        self, n, m, n_parents, seed, with_jobs, strategy, grain, set_step_min_rows
+        self, n, m, n_parents, seed, with_jobs, strategy, grain, set_step_min_rows, table_elements
     ):
         rng = np.random.default_rng(seed)
         instance = FlowShopInstance(rng.integers(1, 99, size=(n, m)))
@@ -436,6 +440,7 @@ class TestPackedRows:
             patch.setattr(bounds, "_V2_GEMM_ELEMENTS", grain * n * m)
             patch.setattr(bounds, "_V2_INCREMENTAL_TILE", grain * n * data.n_couples)
             patch.setattr(bounds, "_V2_SET_STEP_MIN_ROWS", set_step_min_rows)
+            patch.setattr(bounds, "_V2_TABLE_ELEMENTS", table_elements)
             got = lower_bound_batch_v2(
                 data, bits, release.astype(np.int32), strategy=strategy, jobs=jobs
             )
@@ -558,7 +563,10 @@ class TestGemmChunks:
     ``n`` jobs: ``chunk = budget // max(C, n * m)`` rows and ``budget //
     (C * chunk)`` jobs per product.  With the set step's threshold drawn
     as 1, every launch takes the set step, whose chunks of ``budget // m``
-    rows the patch cuts as well.
+    rows the patch cuts as well.  These instances are within the set
+    table's cap, so the cap is drawn as 0 (the launches run the GEMM) or
+    left at its default (the table's build runs it, in the patched
+    chunks, and its launches gather ``budget // m`` rows at a time).
     """
 
     @given(
@@ -568,10 +576,11 @@ class TestGemmChunks:
         st.integers(0, 10_000),
         st.booleans(),
         st.sampled_from([1, bounds._V2_SET_STEP_MIN_ROWS]),
+        st.sampled_from([0, bounds._V2_TABLE_ELEMENTS]),
     )
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_scalar(
-        self, instance, n_parents, budget, seed, with_jobs, set_step_min_rows
+        self, instance, n_parents, budget, seed, with_jobs, set_step_min_rows, table_elements
     ):
         data = LowerBoundData(instance)
         mask, release, jobs, prefixes, parent_of = sibling_launch(instance, data, n_parents, seed)
@@ -583,6 +592,7 @@ class TestGemmChunks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "_V2_GEMM_ELEMENTS", budget)
             patch.setattr(bounds, "_V2_SET_STEP_MIN_ROWS", set_step_min_rows)
+            patch.setattr(bounds, "_V2_TABLE_ELEMENTS", table_elements)
             whole = lower_bound_batch_v2(data, mask, release, strategy="gemm", jobs=launch_jobs)
             assert whole.tolist() == expected
             for lo, hi in ((0, cut), (cut, len(rows))):  # as the cluster engine slices
@@ -663,17 +673,19 @@ class TestSetStep:
             return real_dot(a, b, out=out)
 
         monkeypatch.setattr(bounds.np, "dot", counting_dot)
+        monkeypatch.setattr(bounds, "_V2_TABLE_ELEMENTS", 0)  # 13x6: the GEMM, not the table
         bits = bounds.pack_mask(mask)
         got = lower_bound_batch_v2(data, bits, release.astype(np.int32), jobs=jobs)
         assert sum(columns) == len(prefixes)
         assert got.tolist() == expected.tolist()
 
-    def test_launch_temporaries_stay_bounded(self):
-        """A 65,536-row 13x6 launch of random sets traces below 3 MB.
+    def test_launch_temporaries_stay_bounded(self, monkeypatch):
+        """A 65,536-row 13x6 launch of random sets traces below 3 MB, with or without the table.
 
         The set step holds one row chunk's keys, sort buffers and gathered
         terms at a time; deduplicating the whole launch at once traced
-        4.5 MB, growing with the rows, and bounding every row 1.8 MB.
+        4.5 MB, growing with the rows, and bounding every row 1.8 MB.  The
+        set table's launch holds one chunk's gathered terms and sums.
         """
         data = LowerBoundData(taillard_instance(13, 6, index=1))
         n, rows = data.n_jobs, 65_536
@@ -682,16 +694,128 @@ class TestSetStep:
         mask = rng.random((rows, n)).argsort(axis=1) < depth[:, None]  # ~8,000 distinct sets
         release = rng.integers(0, 2_000, size=(rows, data.n_machines)).astype(np.int32)
         bits = bounds.pack_mask(mask)
-        lower_bound_batch_v2(data, bits[:1024], release[:1024])  # build the per-instance tables
-        tracemalloc.start()
-        try:
-            got = lower_bound_batch_v2(data, bits, release)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
         head = slice(0, 512)
-        assert np.array_equal(got[head], lower_bound_batch(data, mask[head], release[head]))
+        expected = lower_bound_batch(data, mask[head], release[head])
+        for table_elements in (0, bounds._V2_TABLE_ELEMENTS):  # the set step, then the table
+            monkeypatch.setattr(bounds, "_V2_TABLE_ELEMENTS", table_elements)
+            lower_bound_batch_v2(data, bits[:1024], release[:1024])  # build the per-instance tables
+            tracemalloc.start()
+            try:
+                got = lower_bound_batch_v2(data, bits, release)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+            assert np.array_equal(got[head], expected)
+        assert "table" in data._v2_gemm_cache
+
+
+def every_set(data, rng):
+    """``(mask, release, prefixes)`` of all ``2**n`` sets: row ``key`` schedules key's bits.
+
+    Each set's jobs are scheduled in a random order, so the release
+    vectors are real completion times.
+    """
+    n = data.n_jobs
+    keys = np.arange(1 << n)
+    mask = ((keys[:, None] >> np.arange(n)) & 1).astype(bool)
+    prefixes = [[int(j) for j in rng.permutation(np.flatnonzero(row))] for row in mask]
+    release = np.stack([data.machine_release_times(prefix) for prefix in prefixes])
+    return mask, release, prefixes
+
+
+class TestSetTable:
+    """Instances within ``_V2_TABLE_ELEMENTS`` bound GEMM launches from a per-instance table.
+
+    The table holds every unscheduled set's per-machine terms, built by the
+    GEMM on the instance's first launch; a row's bound is ``max_k(r_k +
+    W_k)`` from its set's column, the complete set's giving its makespan.
+    """
+
+    @pytest.mark.parametrize("n, m", [(5, 3), (8, 4), (9, 2), (11, 5)])
+    def test_every_set_equals_the_scalar_bound(self, n, m):
+        """1- and 2-byte rows, root and complete sets, int32 and int64 ``release``."""
+        rng = np.random.default_rng(n * m)
+        data = LowerBoundData(FlowShopInstance(rng.integers(1, 99, size=(n, m))))
+        mask, release, prefixes = every_set(data, rng)
+        expected = [lower_bound(data, p, release=rel) for p, rel in zip(prefixes, release)]
+        bits = bounds.pack_mask(mask)
+        assert bits.shape[1] == (1 if n <= 8 else 2)
+        for dtype in (np.int32, np.int64):
+            for strategy in (None, "gemm"):
+                got = lower_bound_batch_v2(data, bits, release.astype(dtype), strategy=strategy)
+                assert got.tolist() == expected, (dtype, strategy)
+        assert data._v2_gemm_cache["table"].shape == (m, 1 << n)
+
+    @pytest.mark.parametrize("total, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+    def test_the_total_picks_the_table_dtype(self, monkeypatch, total, dtype):
+        """Every ``W_k`` is at most the total, so int16 holds a total below ``2**15``.
+
+        Job 0 holds all but 18 of the total, so the root's ``W_0`` comes
+        within 18 of it; every launch reads the table, none runs the GEMM.
+        """
+        n, m = 7, 3
+        pt = np.ones((n, m), dtype=np.int64)  # 18 for jobs 1-6
+        pt[0] = [10_000, 10_000, total - 18 - 20_000]
+        data = LowerBoundData(FlowShopInstance(pt))
+        assert int(data.ptm.sum()) == total
+        mask, release, prefixes = every_set(data, np.random.default_rng(total))
+        expected = [lower_bound(data, p, release=rel) for p, rel in zip(prefixes, release)]
+        monkeypatch.setattr(bounds, "_lower_bound_batch_v2_matmul", None)  # no GEMM launch
+        got = lower_bound_batch_v2(data, mask, release.astype(np.int32))
+        assert got.tolist() == expected
+        table = data._v2_gemm_cache["table"]
+        assert table.dtype == dtype
+        assert total - 18 <= int(table[:, :-1].max()) <= total
+
+    @pytest.mark.parametrize("n, bit", [(7, 7), (13, 13), (13, 15)])
+    def test_a_padding_bit_raises(self, n, bit):
+        """A key past the table is refused, never read as another set's column."""
+        data = LowerBoundData(taillard_instance(n, 4, index=1))
+        bits = bounds.pack_mask(np.zeros((3, n), dtype=bool))
+        bits[1, bit // 8] |= 1 << (bit % 8)
+        release = np.zeros((3, 4), dtype=np.int32)
+        with pytest.raises(ValueError, match="past job"):
+            lower_bound_batch_v2(data, bits, release)
+        bits[1] = 0
+        assert lower_bound_batch_v2(data, bits, release).tolist() == [lower_bound(data, [])] * 3
+
+    def test_release_past_the_sentinel_takes_the_gemm(self):
+        """A ``release`` past the int16 table's ``-inf`` is bounded by the GEMM, as exactly.
+
+        A complete row's bound is ``r_{m-1}`` whatever its other release
+        times; with ``r_0`` more than ``2**15`` above it the table's
+        ``-inf`` would not hide ``r_0``, and near ``2**31`` an int32 sum
+        would wrap.
+        """
+        data = LowerBoundData(taillard_instance(7, 4, index=2))
+        mask, release, prefixes = every_set(data, np.random.default_rng(1))
+        for shift in (40_000, 2**31 - 10_000):
+            shifted = release.copy()
+            shifted[:, 0] += shift  # r_0 far above r_{m-1}
+            expected = [lower_bound(data, p, release=rel) for p, rel in zip(prefixes, shifted)]
+            assert lower_bound_batch_v2(data, mask, shifted).tolist() == expected
+        assert data._v2_gemm_cache["table"].dtype == np.int16
+
+    def test_built_on_the_first_launch_only_within_the_cap(self, monkeypatch):
+        """Engines build no table at construction, and no launch builds one past the cap."""
+        builds = []
+        real = bounds._set_table
+
+        def spy(data):
+            if "table" not in data._v2_gemm_cache:
+                builds.append((data.n_jobs, data.n_machines))
+            return real(data)
+
+        monkeypatch.setattr(bounds, "_set_table", spy)
+        engine = SequentialBranchAndBound(random_instance(12, 8, seed=1), max_nodes=2_000)
+        assert "table" not in engine.data._v2_gemm_cache
+        engine.solve()
+        assert builds == [(12, 8)]
+        assert "table" in engine.data._v2_gemm_cache
+        # the paper's 20x20 class (the gpu-100x20 warm-up) is past the cap
+        GpuBranchAndBound(taillard_instance(20, 20, index=1), GpuBBConfig(max_nodes=100)).solve()
+        assert builds == [(12, 8)]
 
 
 STRATEGY_FUNCTIONS = {
@@ -747,6 +871,7 @@ class TestReleaseDtypes:
             return real(*args)
 
         monkeypatch.setattr(bounds, STRATEGY_FUNCTIONS[strategy], spy)
+        monkeypatch.setattr(bounds, "_V2_TABLE_ELEMENTS", 0)  # 8x5: the GEMM, not the table
         active = np.flatnonzero(~mask.all(axis=1))
         assert active.size < len(mask)  # the last parent's child is complete
         bits = bounds.pack_mask(mask)  # the packed rows a block carries
