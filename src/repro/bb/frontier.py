@@ -103,9 +103,9 @@ NO_BOUND = -1
 #: frontier has only ~244 segment minima to reduce over.
 _SEG_SHIFT = 12
 
-#: Cache value of a segment with no valid cached minimum.  Never consulted
-#: (dirty segments are refreshed before any query), but keeps stale reads
-#: loud: the sentinel loses every ``argmin``.
+#: Cache value of a segment with no valid cached minimum, and the key of a
+#: tombstoned row (popped, awaiting compaction): the sentinel loses every
+#: ``argmin`` and every tie-threshold test.
 _KEY_SENTINEL = np.iinfo(np.int64).max
 
 #: Low-water fraction of the ``max_pending`` cap hysteresis: once the cap
@@ -123,6 +123,22 @@ SELECTION_STRATEGIES = ("best-first", "depth-first", "fifo")
 #: one chunk (about 1.5 MB at 100x20) however large the block is.
 _ROW_CHUNK = 1 << 12
 
+#: Ceiling on the children of one tie batch (members times their
+#: unscheduled jobs; one member always goes):
+#: :meth:`BlockFrontier.pop_min_tie_batch` cuts a larger batch to a
+#: key-ordered prefix, so one step's branch and bounding launch stay small
+#: however wide the tie grows, and budgets are checked between steps that
+#: short.  Measured on one CPU of a 2-vCPU AMD EPYC against ``1 << 18``:
+#: exact-small's wall is the same (3 of its steps pass ``1 << 16``);
+#: ``SequentialBranchAndBound(taillard_instance(20, 5, index=i),
+#: max_time_s=3)`` returns in 3.00-3.02 s at 0.75-0.97 GB peak RSS for
+#: i = 1, 2, 5 (``1 << 18``: 3.00-3.04 s at 1.09-1.68 GB, as it explores
+#: up to 1.9x more nodes in the 3 s); under a 3,000,000-node budget
+#: ``1 << 18`` runs 1.3x faster (0.50-0.52 s against 0.66-0.68 s) in
+#: steps up to four times longer.  The smaller steps and the slower
+#: memory growth of a time-budgeted run win.
+_STEP_CHILD_ROWS = 1 << 16
+
 _ARANGE = np.arange(256, dtype=np.int64)
 
 
@@ -132,6 +148,18 @@ def _arange(count: int) -> np.ndarray:
     if count > _ARANGE.shape[0]:
         _ARANGE = np.arange(max(count, 2 * _ARANGE.shape[0]), dtype=np.int64)
     return _ARANGE[:count]
+
+
+def _whole_rows(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous store array as one element per row.
+
+    A 2-D array's rows become single void elements, so a fancy scatter
+    moves each row as one item (about 3x faster than 2-D fancy indexing
+    at a few hundred rows); a 1-D array is returned as it is.
+    """
+    if array.ndim == 1:
+        return array
+    return array.view(np.dtype((np.void, array.shape[1] * array.itemsize))).reshape(-1)
 
 
 #: int32 node-id ceiling of the block layout (trail slots, order indices).
@@ -282,8 +310,8 @@ class NodeBlock:
         """A new block holding copies of ``rows``, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
         return NodeBlock(
-            mask_bits=self.mask_bits[rows],
-            release=self.release[rows],
+            mask_bits=self.mask_bits.take(rows, axis=0),
+            release=self.release.take(rows, axis=0),
             lower_bound=self.lower_bound[rows],
             depth=self.depth[rows],
             order_index=self.order_index[rows],
@@ -588,7 +616,16 @@ class BlockFrontier:
     best-first pop is a single ``argmin`` scan.  Removal is
     swap-compaction (tail rows move into the holes), which is valid
     because selection never depends on storage order.  Columns are stored
-    int32 (the packed key stays int64), halving the scan traffic.
+    int32 (the packed key stays int64), halving the scan traffic; the two
+    2-D columns move as whole rows.
+
+    A tie-batch pop moves nothing: it tombstones its rows (their keys
+    become :data:`_KEY_SENTINEL`, which loses every selection) and records
+    them, and ``len`` counts live rows only.  One swap-compaction removes
+    every recorded row, in O(dead rows), once they outnumber the live rows
+    or fill one segment, before the store would grow, and at the top of
+    every other method that reads rows by position (the other pops,
+    pruning, :meth:`best_lower_bound`, :meth:`reserve`, snapshot capture).
 
     Selection runs through a segmented min-key index: the store is
     partitioned into fixed ``2**segment_shift``-row segments (4096 by
@@ -661,7 +698,11 @@ class BlockFrontier:
         #: packed ``(lb << 41) | (depth << 32) | order`` selection key
         self._key = np.zeros(capacity, dtype=np.int64)
         self._packed = n_jobs < (1 << 9)
+        #: the store's end: rows ``[0, _size)`` are live or tombstoned
         self._size = 0
+        #: tombstoned rows awaiting compaction, one index array per pop
+        self._dead: list[np.ndarray] = []
+        self._n_dead = 0
         self._max_size = 0
         self._seg_shift = segment_shift
         self._seg_size = 1 << segment_shift
@@ -700,10 +741,10 @@ class BlockFrontier:
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return self._size
+        return self._size - self._n_dead
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return self._size > self._n_dead
 
     @property
     def max_size_seen(self) -> int:
@@ -724,10 +765,10 @@ class BlockFrontier:
         if self._cap is None or self.strategy != "best-first":
             return False
         if self._restricted_now:
-            if self._size < self._low_water:
+            if len(self) < self._low_water:
                 self._restricted_now = False
                 self.regime_switches += 1
-        elif self._size >= self._cap:
+        elif len(self) >= self._cap:
             self._restricted_now = True
             self.regime_switches += 1
         return self._restricted_now
@@ -744,6 +785,8 @@ class BlockFrontier:
             self._max_size = size
 
     def _ensure(self, extra: int) -> None:
+        if self._size + extra > self._lb.shape[0]:
+            self._compact()
         need = self._size + extra
         if need > self._lb.shape[0]:
             capacity = max(need, 2 * self._lb.shape[0])
@@ -776,6 +819,7 @@ class BlockFrontier:
         block's survivors where they lie.  The views are valid until the
         next call that changes the store.
         """
+        self._compact()
         self._ensure(count)
         lo, hi = self._size, self._size + count
         views = {column: getattr(self, store)[lo:hi] for store, column in self._COLUMNS}
@@ -823,13 +867,14 @@ class BlockFrontier:
             if rows is None:
                 if in_place:
                     break
-                src = slice(start, stop)
+                for store, column in columns:
+                    store[lo + start : lo + stop] = column[start:stop]
             elif in_place and rows[stop - 1] == stop - 1:
                 continue  # survivors 0..stop-1 all kept: already in their rows
             else:
                 src = rows[start:stop]
-            for store, column in columns:
-                store[lo + start : lo + stop] = column[src]
+                for store, column in columns:
+                    store[lo + start : lo + stop] = column.take(src, axis=0)
         if self._packed:
             # order indices are int32 and guarded by the Trail's id limit,
             # so (unlike the historical int64 columns) a negative value —
@@ -853,8 +898,8 @@ class BlockFrontier:
         self._seg_dirty[lo >> shift : ((hi - 1) >> shift) + 1] = True
         self._seg_any_dirty = True
         self._size = hi
-        if hi > self._max_size:
-            self._max_size = hi
+        if hi - self._n_dead > self._max_size:
+            self._max_size = hi - self._n_dead
 
     # ------------------------------------------------------------------ #
     # Segmented min-key index.  Mutations mark touched segments dirty (see
@@ -941,16 +986,20 @@ class BlockFrontier:
                 self._seg_key[nf] = kseg[i]
                 self._seg_krow[nf] = lo + i
 
-    def _seg_rows(self, segs: np.ndarray, size: int) -> np.ndarray:
-        """Concatenated row indices of the given segments (clipped to size)."""
-        shift, seg_size = self._seg_shift, self._seg_size
-        parts = [
-            np.arange(lo, min(lo + seg_size, size), dtype=np.int64)
-            for lo in (np.asarray(segs, dtype=np.int64) << shift)
-        ]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+    def _seg_slices(self, segs: np.ndarray) -> list[tuple[int, int]]:
+        """``(lo, hi)`` row ranges of the given segments.
+
+        Each is clipped to the store's end: rows past it hold stale keys.
+        """
+        size, seg_size = self._size, self._seg_size
+        return [(lo, min(lo + seg_size, size)) for lo in (segs << self._seg_shift).tolist()]
+
+    def _rows_below(self, segs: np.ndarray, bound: int) -> np.ndarray:
+        """Rows of the given segments whose key is below ``bound``, read
+        through one contiguous key slice per segment."""
+        key = self._key
+        parts = [np.flatnonzero(key[lo:hi] < bound) + lo for lo, hi in self._seg_slices(segs)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # ------------------------------------------------------------------ #
     def _pop_one_index(self) -> int:
@@ -1000,13 +1049,13 @@ class BlockFrontier:
 
         Packed stores use ``argpartition`` over the key column; with the
         segmented index live, only the segments that can contribute to the
-        ``count`` smallest keys are gathered: segments are drained in
-        cached-minimum order until ``count`` candidate rows are on hand,
-        the running ``count``-th smallest candidate key bounds which other
-        segments could still matter (a segment whose cached minimum
-        exceeds it cannot hold any of the ``count`` smallest), and the
-        partition runs over that candidate set only.  Keys are unique, so
-        the result is bit-identical to partitioning the whole store.
+        ``count`` smallest keys are read: the ``count``-th smallest key of
+        the segments that first hold ``count`` rows in cached-minimum
+        order bounds the answer (a segment whose cached minimum exceeds it
+        cannot hold any of the ``count`` smallest), and the partition runs
+        over the rows at or below it only.  Keys are unique, so the result
+        is bit-identical to partitioning the whole store.  Callers compact
+        first: every row below the store's end is live.
         """
         size = self._size
         if count >= size:
@@ -1020,19 +1069,14 @@ class BlockFrontier:
                 by_min = np.argsort(seg_min)
                 sizes = np.full(n_seg, self._seg_size, dtype=np.int64)
                 sizes[n_seg - 1] = size - ((n_seg - 1) << shift)
-                cum = np.cumsum(sizes[by_min])
-                take = int(np.searchsorted(cum, count)) + 1
-                rows = self._seg_rows(by_min[:take], size)
-                keys = self._key[rows]
-                kth = np.partition(keys, count - 1)[count - 1]
-                # candidate kth key only shrinks as segments are added, so
-                # every segment whose minimum exceeds it is out for good
+                take = int(np.searchsorted(np.cumsum(sizes[by_min]), count)) + 1
+                keys = np.concatenate(
+                    [self._key[lo:hi] for lo, hi in self._seg_slices(by_min[:take])]
+                )
+                kth = int(np.partition(keys, count - 1)[count - 1])
                 reach = int(np.searchsorted(seg_min[by_min], kth, side="right"))
-                if reach > take:
-                    rows = np.concatenate(
-                        [rows, self._seg_rows(by_min[take:reach], size)]
-                    )
-                    keys = self._key[rows]
+                rows = self._rows_below(by_min[:reach], kth + 1)
+                keys = self._key[rows]
                 part = np.argpartition(keys, count - 1)[:count]
                 return rows[part[np.argsort(keys[part])]]
             keys = self._key[:size]
@@ -1051,12 +1095,24 @@ class BlockFrontier:
         them lets the engine branch and bound all of their children in a
         single launch while exploring exactly the one-at-a-time tree.
 
-        ``budget_remaining`` is the caller's ``max_nodes`` headroom: a
-        processed node can add up to ``1 + n_unscheduled`` to the explored
-        count (itself plus all of its children pruned), so the batch is
-        capped at the size that provably cannot cross the budget between
-        member pops.  One node is always safe — the one-at-a-time engine
-        also re-checks its budget only between pops.
+        The batch is cut to a key-ordered prefix, which is again the
+        one-at-a-time pop sequence, in three cases, one node always going:
+
+        * ``budget_remaining`` is the caller's ``max_nodes`` headroom: a
+          processed node can add up to ``1 + n_unscheduled`` to the
+          explored count (itself plus all of its children pruned), so the
+          batch stops at the size that provably cannot cross the budget
+          between member pops (the one-at-a-time engine also re-checks its
+          budget only between pops);
+        * the members' children stay within :data:`_STEP_CHILD_ROWS`, so
+          one step's launch and the budget checks between steps keep
+          their pace however wide the tie grows;
+        * under a ``max_pending`` cap, at most ``(cap - len) //
+          (n_unscheduled - 1)`` members go, so the store cannot reach the
+          cap between member pops, where one-at-a-time pops would turn
+          depth-first.
+
+        The popped rows are tombstoned in place (see the class docstring).
 
         Only valid for the best-first strategy with packed keys; returns
         ``None`` when unavailable (caller falls back to single pops) —
@@ -1064,32 +1120,42 @@ class BlockFrontier:
         depth-first-restricted regime (check :attr:`restricted` first to
         distinguish a pause from permanent unavailability).
         """
-        if self.strategy != "best-first" or not self._packed or self._size == 0 or self.restricted:
+        if self.strategy != "best-first" or not self._packed or not self or self.restricted:
             return None
-        size = self._size
         if self._seg_active():
             # only segments whose cached minimum sits below the tie
-            # threshold can hold tie members — gather those rows only
+            # threshold can hold tie members — read those segments only
             self._seg_refresh()
             seg_min = self._seg_key[: self._n_segments()]
-            min_key = seg_min.min()
+            min_key = int(seg_min.min())
             threshold = ((min_key >> 32) + 1) << 32
-            rows = self._seg_rows(np.flatnonzero(seg_min < threshold), size)
-            candidates = rows[self._key[rows] < threshold]
+            candidates = self._rows_below(np.flatnonzero(seg_min < threshold), threshold)
         else:
-            keys = self._key[:size]
-            min_key = keys.min()
+            keys = self._key[: self._size]
+            min_key = int(keys.min())
             candidates = np.flatnonzero(keys < ((min_key >> 32) + 1) << 32)
         if candidates.shape[0] > 1:
-            candidates = candidates[np.argsort(self._key[candidates])]
+            children = max(1, self._n_jobs - ((min_key >> 32) & 0x1FF))
+            limit = _STEP_CHILD_ROWS // children
             if budget_remaining is not None:
-                depth = int(min_key >> 32) & 0x1FF
-                worst_per_node = 1 + self._n_jobs - depth
-                cap = max(1, budget_remaining // worst_per_node)
-                if candidates.shape[0] > cap:
-                    candidates = candidates[:cap]
+                limit = min(limit, budget_remaining // (1 + children))
+            if self._cap is not None and children > 1:
+                limit = min(limit, (self._cap - len(self)) // (children - 1))
+            limit = max(1, limit)
+            keys = self._key[candidates]
+            if candidates.shape[0] > limit:
+                # the prefix's members only, not the whole tie, are sorted
+                part = np.argpartition(keys, limit - 1)[:limit]
+                candidates, keys = candidates[part], keys[part]
+            candidates = candidates[np.argsort(keys)]
         block = self._extract(candidates)
-        self._remove(np.sort(candidates))
+        self._key[candidates] = _KEY_SENTINEL
+        self._seg_dirty[candidates >> self._seg_shift] = True
+        self._seg_any_dirty = True
+        self._dead.append(candidates)
+        self._n_dead += candidates.shape[0]
+        if self._n_dead > len(self) or self._n_dead >= self._seg_size:
+            self._compact()
         return block
 
     def peek_best(self) -> int:
@@ -1101,6 +1167,7 @@ class BlockFrontier:
         protocol's loop in :mod:`repro.experiments.protocol` pops this way;
         the driver's one-node pops are ``pop_batch(1)``).
         """
+        self._compact()
         if self._size == 0:
             raise IndexError("peek at an empty frontier")
         return self._pop_one_index()
@@ -1113,6 +1180,7 @@ class BlockFrontier:
         frontier's storage: they are valid only until the next
         :meth:`discard` / :meth:`push_block` call.
         """
+        self._compact()
         return (
             int(self._lb[row]),
             int(self._depth[row]),
@@ -1124,6 +1192,7 @@ class BlockFrontier:
 
     def discard(self, row: int) -> None:
         """Remove one row (swap-compaction with the last row)."""
+        self._compact()
         last = self._size - 1
         if row != last:
             for name in self._ARRAYS:
@@ -1147,8 +1216,8 @@ class BlockFrontier:
 
     def _extract(self, rows: np.ndarray) -> NodeBlock:
         return NodeBlock(
-            mask_bits=self._bits[rows],
-            release=self._release[rows],
+            mask_bits=self._bits.take(rows, axis=0),
+            release=self._release.take(rows, axis=0),
             lower_bound=self._lb[rows],
             depth=self._depth[rows],
             order_index=self._order[rows],
@@ -1157,10 +1226,17 @@ class BlockFrontier:
             n_jobs=self._n_jobs,
         )
 
-    def _remove(self, rows: np.ndarray) -> None:
-        """Swap-compact the given (ascending) rows out of the store.
+    def _compact(self) -> None:
+        """Swap-compact every tombstoned row out of the store, in one pass."""
+        if self._n_dead:
+            dead = self._dead[0] if len(self._dead) == 1 else np.concatenate(self._dead)
+            self._dead, self._n_dead = [], 0
+            self._remove(dead)
 
-        The surviving tail rows fill the holes in ascending order; a
+    def _remove(self, rows: np.ndarray) -> None:
+        """Swap-compact the given (distinct) rows out of the store.
+
+        The surviving tail rows fill the holes, whole rows at a time; a
         boolean mask over the ``count`` tail rows finds them in O(count).
         """
         size, count = self._size, rows.shape[0]
@@ -1172,7 +1248,7 @@ class BlockFrontier:
             tail_free[rows[in_tail] - tail_start] = False
             tail_keep = np.flatnonzero(tail_free) + tail_start
             for name in self._ARRAYS:
-                array = getattr(self, name)
+                array = _whole_rows(getattr(self, name))
                 array[holes] = array[tail_keep]
         if count:
             shift = self._seg_shift
@@ -1197,6 +1273,7 @@ class BlockFrontier:
         """
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
+        self._compact()
         size = self._size
         if size == 0:
             return (
@@ -1268,7 +1345,7 @@ class BlockFrontier:
                     popped = order
                     selected = popped[fresh]
         block = self._extract(selected)
-        self._remove(np.sort(popped))
+        self._remove(popped)
         return block, int(popped.shape[0] - selected.shape[0])
 
     def prune_to(self, upper_bound: float) -> int:
@@ -1276,6 +1353,7 @@ class BlockFrontier:
 
         Mask compaction over the whole store; returns the number removed.
         """
+        self._compact()
         size = self._size
         if size == 0:
             return 0
@@ -1286,7 +1364,7 @@ class BlockFrontier:
             rows = np.flatnonzero(keep)
             for name in self._ARRAYS:
                 array = getattr(self, name)
-                array[:kept] = array[rows]
+                array[:kept] = array.take(rows, axis=0)
             self._size = kept
             # mask compaction moves every surviving row: rebuild the
             # caches of all surviving segments on the next query
@@ -1296,6 +1374,7 @@ class BlockFrontier:
 
     def best_lower_bound(self) -> int | None:
         """Smallest pending lower bound (``None`` when empty)."""
+        self._compact()
         if self._size == 0:
             return None
         if self._packed and self._seg_active():

@@ -199,6 +199,7 @@ def _stats_from_dict(payload: dict) -> SearchStats:
 def _capture_block(
     frontier: BlockFrontier, trail: Trail, arrays: dict, header: dict
 ) -> None:
+    frontier._compact()  # rows [0, len) are then exactly the pending nodes
     size = len(frontier)
     trail_size = len(trail)
     arrays["trail_parent"] = trail._parent[:trail_size].copy()

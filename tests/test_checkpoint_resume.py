@@ -103,6 +103,30 @@ def test_resume_under_frontier_cap(small_instance, tmp_path):
     _assert_bit_identical(golden, result, list(first.trace) + list(result.trace))
 
 
+def test_snapshot_with_tombstoned_rows_pending_resumes_to_the_golden(tmp_path, monkeypatch):
+    # tie batches (no trace) leave their popped rows tombstoned in the
+    # store until a bulk compaction; the cut here lands with 73 pending
+    instance = random_instance(9, 4, seed=0)
+    pending = []
+    capture = snapshot._capture_block
+
+    def recording(frontier, *args):
+        pending.append(frontier._n_dead)
+        capture(frontier, *args)
+
+    monkeypatch.setattr(snapshot, "_capture_block", recording)
+    golden = SequentialBranchAndBound(instance).solve()
+    path = tmp_path / "snap.rpbb"
+    cut = SequentialBranchAndBound(instance, max_nodes=1311, checkpoint_path=path).solve()
+    assert not cut.proved_optimal
+    assert pending[-1] > 0, "no tombstoned row was pending at the cut"
+    result = SequentialBranchAndBound.resume(path)
+    assert (result.best_makespan, result.best_order) == (golden.best_makespan, golden.best_order)
+    assert result.proved_optimal
+    for name in _COUNTERS:
+        assert getattr(result.stats, name) == getattr(golden.stats, name), name
+
+
 def test_resume_from_periodic_checkpoint_is_bit_identical(small_instance, tmp_path):
     """Resuming a *mid-run* periodic snapshot replays the tail exactly."""
     golden = _golden(small_instance, "best-first")

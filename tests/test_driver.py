@@ -663,11 +663,13 @@ class _RecordingOffload:
         return bounds, self.charge * len(block), 0.0
 
 
-def _seeded_block_state(instance, driver, upper_bound, best_order):
+def _seeded_block_state(instance, driver, upper_bound, best_order, max_pending=None):
     """Run ``driver`` from the bounded root; ``(outcome, stats, frontier)``."""
     data = LowerBoundData(instance)
     trail = Trail()
-    frontier = BlockFrontier(instance.n_jobs, instance.n_machines, trail)
+    frontier = BlockFrontier(
+        instance.n_jobs, instance.n_machines, trail, max_pending=max_pending
+    )
     root = root_block(instance, trail)
     bound_block(data, root)
     stats = SearchStats(nodes_bounded=1)
@@ -1001,6 +1003,64 @@ class TestFrontierMemoryCap:
         # the cap may be exceeded transiently by one push of <= n_jobs rows
         assert capped.stats.max_pool_size <= 8 + medium_instance.n_jobs
         assert capped.stats.max_pool_size <= free.stats.max_pool_size
+
+    @staticmethod
+    def _capped_state(instance, tie_batching, cap, budget=None):
+        driver = SearchDriver(
+            instance,
+            LowerBoundData(instance),
+            limits=SearchLimits(max_nodes=budget),
+            tie_batching=tie_batching,
+        )
+        upper_bound = float(neh_heuristic(instance).makespan)
+        outcome, stats, frontier = _seeded_block_state(
+            instance, driver, upper_bound, (), max_pending=cap
+        )
+        pending = frontier.pop_batch(len(frontier))[0] if frontier else None
+        keys = (
+            []
+            if pending is None
+            else sorted(zip(pending.lower_bound.tolist(), pending.order_index.tolist()))
+        )
+        counters = {name: getattr(stats, name) for name in COUNTERS if name != "max_pool_size"}
+        return (
+            outcome.completed,
+            outcome.upper_bound,
+            outcome.best_order,
+            outcome.next_order,
+            frontier.max_size_seen,
+            frontier.regime_switches,
+            counters,
+            keys,
+        )
+
+    def test_tie_batches_stop_short_of_the_cap(self):
+        # uncut, one tie batch of this search takes the store from below
+        # the cap of 50 to 143 pending nodes in one push; a batch must stop
+        # where single pops would turn depth-first
+        instance, cap = random_instance(9, 3, seed=7), 50
+        capped = SequentialBranchAndBound(instance, max_frontier_nodes=cap).solve()
+        assert capped.proved_optimal
+        assert capped.stats.max_pool_size <= cap + instance.n_jobs
+        batched = self._capped_state(instance, True, cap)
+        single = self._capped_state(instance, False, cap)
+        assert batched == single
+        assert batched[4] == capped.stats.max_pool_size
+        assert batched[5] > 0  # the run did reach its cap
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(7, 3), (8, 3), (8, 4), (9, 3)]),
+        seed=st.integers(0, 40),
+        cap=st.one_of(st.none(), st.integers(1, 80)),
+        budget=st.one_of(st.none(), st.integers(1, 3000)),
+    )
+    def test_tie_batched_runs_equal_single_pops_under_caps_and_budgets(
+        self, shape, seed, cap, budget
+    ):
+        instance = random_instance(*shape, seed=seed)
+        batched = self._capped_state(instance, True, cap, budget)
+        assert batched == self._capped_state(instance, False, cap, budget)
 
     def test_capped_gpu_engine_stays_exact(self, medium_instance):
         free = GpuBranchAndBound(medium_instance, GpuBBConfig(pool_size=16)).solve()

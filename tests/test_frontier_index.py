@@ -5,15 +5,19 @@ scan: the packed key embeds the creation-index tie-break, so every
 selection operator has exactly one correct answer and caching per-segment
 minima may change only the cost of finding it.  The property test here
 drives random interleaved operation sequences — including snapshot
-save/restore round-trips mid-sequence — against a segmented store (tiny
+save/restore round-trips mid-sequence, in-place ``reserve`` pushes and
+runs of tie pops whose tombstones cross the compaction threshold
+between the other operations — against a segmented store (tiny
 segments, so even small frontiers span many of them) and a linear twin
 (one segment spanning the whole store, so every query scans the key
 column directly), and asserts the full observable log matches
 pop-for-pop.
 
-Also covered: the cap-hysteresis regime machine (enter at the cap, leave
-strictly below the low-water mark, no flapping at the boundary) and the
-``pop_batch`` micro-fix (one selection pass when nothing is pruned).
+Also covered: the tombstoned rows of tie pops (never returned again,
+never seen by a method that reads rows by position), the cap-hysteresis
+regime machine (enter at the cap, leave strictly below the low-water
+mark, no flapping at the boundary) and the ``pop_batch`` micro-fix (one
+selection pass when nothing is pruned).
 """
 
 from __future__ import annotations
@@ -98,12 +102,37 @@ def _roundtrip(frontier: BlockFrontier) -> BlockFrontier:
     return restored
 
 
+def _fill(block, lbs, depths, order_start: int) -> None:
+    """Write rows like :func:`_block`'s into a block of free store rows."""
+    count = len(lbs)
+    block.mask_bits[:] = 0
+    block.release[:] = 0
+    block.lower_bound[:] = lbs
+    block.depth[:] = depths
+    block.order_index[:] = np.arange(order_start, order_start + count, dtype=np.int32)
+    block.trail_id[:] = 0
+
+
 @st.composite
 def _op(draw):
     kind = draw(
-        st.sampled_from(["push", "push", "pops", "batch", "tie", "prune", "snapshot"])
+        st.sampled_from(
+            [
+                "push",
+                "push",
+                "reserve",
+                "pops",
+                "batch",
+                "tie",
+                "tie",
+                "ties",
+                "prune",
+                "best",
+                "snapshot",
+            ]
+        )
     )
-    if kind == "push":
+    if kind in ("push", "reserve"):
         lbs = draw(st.lists(st.integers(0, 30), min_size=1, max_size=10))
         depths = draw(
             st.lists(
@@ -112,7 +141,14 @@ def _op(draw):
                 max_size=len(lbs),
             )
         )
+        if kind == "reserve":
+            keep = draw(st.lists(st.booleans(), min_size=len(lbs), max_size=len(lbs)))
+            return ("reserve", lbs, depths, keep)
         return ("push", lbs, depths)
+    if kind == "ties":
+        # several tie pops in a row: 4-row segments make their tombstones
+        # cross the compaction threshold between the other operations
+        return ("ties", draw(st.integers(2, 6)))
     if kind == "pops":
         return ("pops", draw(st.integers(1, 5)))
     if kind == "batch":
@@ -127,9 +163,9 @@ def _op(draw):
 
 
 class TestSegmentedLinearEquivalence:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        ops=st.lists(_op(), min_size=1, max_size=25),
+        ops=st.lists(_op(), min_size=8, max_size=60),
         cap=st.sampled_from([None, 12, 25]),
     )
     def test_random_interleavings_agree_pop_for_pop(self, ops, cap):
@@ -143,6 +179,11 @@ class TestSegmentedLinearEquivalence:
                 if step[0] == "push":
                     _, lbs, depths = step
                     f.push_block(_block(f, lbs, depths, order))
+                elif step[0] == "reserve":
+                    _, lbs, depths, keep = step
+                    block = f.reserve(len(lbs))
+                    _fill(block, lbs, depths, order)
+                    f.push_block(block, np.asarray(keep))
                 elif step[0] == "pops":
                     for _ in range(min(step[1], len(f))):
                         row = f.peek_best()
@@ -162,29 +203,101 @@ class TestSegmentedLinearEquivalence:
                             block.order_index.tolist(),
                         )
                     )
-                elif step[0] == "tie" and len(f):
-                    block = f.pop_min_tie_batch()
-                    if block is None:
-                        log.append(("tie", None))
-                    else:
-                        log.append(("tie", block.order_index.tolist()))
+                elif step[0] in ("tie", "ties"):
+                    for _ in range(step[1] if step[0] == "ties" else 1):
+                        block = f.pop_min_tie_batch() if len(f) else None
+                        log.append(("tie", None if block is None else block.order_index.tolist()))
                 elif step[0] == "prune" and len(f):
                     log.append(("prune", f.prune_to(float(step[1]))))
+                elif step[0] == "best":
+                    log.append(("best", f.best_lower_bound()))
                 elif step[0] == "snapshot":
                     frontiers[kind] = f = _roundtrip(f)
-                log.append(
-                    (
-                        "state",
-                        len(f),
-                        f.best_lower_bound(),
-                        f.restricted,
-                        f.regime_switches,
-                    )
-                )
+                # no position reader here: tombstones stay pending across steps
+                log.append(("state", len(f), f.restricted, f.regime_switches))
                 logs[kind] = log
-            if step[0] == "push":
+            if step[0] in ("push", "reserve"):
                 order += len(step[1])
             assert logs["linear"] == logs["segmented"], (step, logs)
+
+
+class TestTombstones:
+    """Tie pops tombstone their rows; a bulk compaction removes them."""
+
+    @pytest.mark.parametrize("kind", ["linear", "segmented"])
+    def test_rows_past_the_end_never_come_back(self, kind):
+        f = _frontier(kind, None)
+        f.push_block(_block(f, [1, 1, 9, 9, 9, 9, 3, 3, 2, 2, 2, 2, 2], [1] * 13, 0))
+        popped = []
+        for expected in ([0, 1], [8, 9, 10, 11, 12]):
+            block = f.pop_min_tie_batch()
+            assert block.order_index.tolist() == expected
+            popped += expected
+        # the second pop left more tombstones than live rows: the bulk
+        # compaction moved orders 6 and 7 into rows 0 and 1 and left their
+        # old rows 6 and 7, past the store's end, with stale copies of
+        # their keys
+        assert f._n_dead == 0 and len(f) == f._size == 6
+        # a push at lb 3 lands in row 6, so the segment of rows 4-7 holds
+        # a tie member and the stale row 7 right after the store's end
+        f.push_block(_block(f, [3], [1], 13))
+        block = f.pop_min_tie_batch()
+        assert block.order_index.tolist() == [6, 7, 13]
+        popped += block.order_index.tolist()
+        assert len(popped) == len(set(popped))
+        assert f.pop_batch(len(f))[0].order_index.tolist() == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "reader, result, rest",
+        [
+            ("pop_batch", [8, 4, 7], [0, 9, 2, 3, 5, 6]),
+            ("stale_drain", ([8, 4, 7, 0, 9], 4), []),
+            ("peek", 8, [4, 7, 0, 9, 2, 3, 5, 6]),
+            ("prune", 4, [8, 4, 7, 0, 9]),
+            ("best", 2, [8, 4, 7, 0, 9, 2, 3, 5, 6]),
+            ("reserve", None, [10, 11, 8, 4, 7, 0, 9, 2, 3, 5, 6]),
+            ("snapshot", None, [8, 4, 7, 0, 9, 2, 3, 5, 6]),
+        ],
+    )
+    def test_position_readers_see_live_rows_only(self, reader, result, rest):
+        f = _frontier("linear", None)
+        f.push_block(_block(f, [5, 1, 7, 7, 3, 8, 9, 4, 2, 6], [1] * 10, 0))
+        assert f.pop_min_tie_batch().order_index.tolist() == [1]
+        assert f._n_dead == 1  # order 1's row is still in the store
+        if reader == "pop_batch":
+            got = f.pop_batch(3)[0].order_index.tolist()
+        elif reader == "stale_drain":
+            block, pruned = f.pop_batch(20, upper_bound=7.0)
+            got = (block.order_index.tolist(), pruned)
+        elif reader == "peek":
+            row = f.peek_best()
+            got = f.row_view(row)[2]
+            f.discard(row)
+        elif reader == "prune":
+            got = f.prune_to(7.0)
+        elif reader == "best":
+            got = f.best_lower_bound()
+        elif reader == "reserve":
+            block = f.reserve(2)
+            _fill(block, [0, 0], [1, 1], 10)
+            f.push_block(block)
+            got = None
+        else:
+            f = _roundtrip(f)
+            got = None
+        assert got == result
+        assert f._n_dead == 0
+        remaining = f.pop_batch(len(f))[0].order_index.tolist() if f else []
+        assert remaining == rest
+
+    @pytest.mark.parametrize("kind", ["linear", "segmented"])
+    def test_len_counts_live_rows_until_compaction(self, kind):
+        f = _frontier(kind, None)
+        f.push_block(_block(f, [1, 5, 5, 5, 5, 5, 5, 5], [1] * 8, 0))
+        assert f.pop_min_tie_batch().order_index.tolist() == [0]
+        assert (len(f), f._size, f._n_dead) == (7, 8, 1)  # tombstoned in place
+        assert f.best_lower_bound() == 5  # a position reader compacts first
+        assert (len(f), f._size, f._n_dead) == (7, 7, 0)
 
 
 class TestCapHysteresis:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,12 +101,23 @@ class TestBudgets:
         # the incumbent is still a valid schedule
         assert makespan(medium_instance, result.best_order) == result.best_makespan
 
-    def test_time_budget_marks_not_proven(self):
-        # the scalar kernel keeps this search comfortably slower than the
-        # budget; the batched kernels can finish 11x8 within 50 ms
+    def test_time_budget_marks_not_proven(self, monkeypatch):
+        # the budget runs on a clock the test controls: every reading
+        # advances it by 1 ms, so 50 ms pass within a few dozen readings,
+        # long before this 484-node search ends (unbudgeted it takes about
+        # 55 ms of real time, too close to 50 ms to race a real clock)
+        import repro.bb.driver as driver
+
+        readings = itertools.count()
+        monkeypatch.setattr(
+            driver,
+            "time",
+            SimpleNamespace(perf_counter=lambda: next(readings) * 1e-3, time=time.time),
+        )
         inst = random_instance(11, 8, seed=0)
         result = SequentialBranchAndBound(inst, max_time_s=0.05, kernel="scalar").solve()
         assert not result.proved_optimal
+        assert result.stats.nodes_explored < 484
 
     def test_budget_result_not_below_optimum(self, medium_instance):
         _, optimum = brute_force_optimum(medium_instance)
