@@ -64,7 +64,9 @@ def legacy_solve_block(instance, max_nodes):
     Only the engine scaffolding (NEH seeding, result packaging) is inlined;
     the loop body is untouched except that its ``bound_block`` calls follow
     the operator's signature, and a sibling set of complete schedules
-    (whose bounds branching already wrote) takes no call, as in the driver.
+    (whose bounds branching already wrote) takes no call, as in the driver;
+    its branching calls and ``row_view`` follow the one-id layout, where
+    the trail numbers the nodes (no creation-index counter).
     """
     data = LowerBoundData(instance)
     n_jobs = instance.n_jobs
@@ -79,7 +81,6 @@ def legacy_solve_block(instance, max_nodes):
     trail = Trail()
     frontier = BlockFrontier(n_jobs, instance.n_machines, trail, strategy="best-first")
     root = root_block(instance, trail)
-    next_order = 1
     perf_counter = time.perf_counter
 
     start = time.perf_counter()
@@ -131,10 +132,8 @@ def legacy_solve_block(instance, max_nodes):
                             int(batch.trail_id[i]),
                             trail,
                             pt,
-                            next_order,
                         )
                         stats.time_branching_s += perf_counter() - t0
-                        next_order += len(children)
                         stats.nodes_branched += 1
                         n_children = len(children)
                         stats.nodes_bounded += n_children
@@ -157,12 +156,10 @@ def legacy_solve_block(instance, max_nodes):
                         int(batch.trail_id[0]),
                         trail,
                         pt,
-                        next_order,
                     )
                 else:
-                    children = branch_block(batch, pt, next_order)
+                    children = branch_block(batch, pt)
                 stats.time_branching_s += perf_counter() - t0
-                next_order += len(children)
                 stats.nodes_branched += k
                 t0 = perf_counter()
                 bound_block(data, children, kernel="v2")
@@ -186,7 +183,7 @@ def legacy_solve_block(instance, max_nodes):
 
         t0 = perf_counter()
         row = frontier.peek_best()
-        node_lb, node_depth, _, node_tid, mask_view, release_view = frontier.row_view(row)
+        node_lb, node_depth, node_tid, mask_view, release_view = frontier.row_view(row)
         stats.time_pool_s += perf_counter() - t0
 
         if node_lb >= upper_bound:
@@ -206,10 +203,9 @@ def legacy_solve_block(instance, max_nodes):
             continue
 
         t0 = perf_counter()
-        children = branch_row(mask_view, release_view, node_depth, node_tid, trail, pt, next_order)
+        children = branch_row(mask_view, release_view, node_depth, node_tid, trail, pt)
         frontier.discard(row)
         stats.time_branching_s += perf_counter() - t0
-        next_order += len(children)
         stats.nodes_branched += 1
 
         n_children = len(children)

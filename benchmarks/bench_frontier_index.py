@@ -68,16 +68,16 @@ SEGMENT_SHIFT = {"segmented": _SEG_SHIFT, "linear": 24}
 CHILDREN_PER_POP = 8
 
 
-def _block(frontier: BlockFrontier, lb, depth, order_start: int) -> NodeBlock:
-    """A synthetic bounded block (mask/release contents never drive selection)."""
+def _block(frontier: BlockFrontier, lb, depth, first_id: int) -> NodeBlock:
+    """A synthetic bounded block with node ids from ``first_id`` (mask/release
+    contents never drive selection)."""
     count = lb.shape[0]
     return NodeBlock(
         mask_bits=np.zeros((count, (N_JOBS + 7) // 8), dtype=np.uint8),
         release=np.zeros((count, N_MACHINES), dtype=np.int32),
         lower_bound=np.asarray(lb, dtype=np.int32),
         depth=np.asarray(depth, dtype=np.int32),
-        order_index=np.arange(order_start, order_start + count, dtype=np.int32),
-        trail_id=np.zeros(count, dtype=np.int32),
+        trail_id=np.arange(first_id, first_id + count, dtype=np.int32),
         trail=frontier._trail,
         n_jobs=N_JOBS,
     )
@@ -87,14 +87,14 @@ def build_frontier(kind: str, pending: int, seed: int) -> tuple[BlockFrontier, i
     """A frontier holding ``pending`` synthetic nodes (identical per seed)."""
     rng = np.random.default_rng(seed)
     frontier = BlockFrontier(N_JOBS, N_MACHINES, Trail(), segment_shift=SEGMENT_SHIFT[kind])
-    order = 0
+    next_id = 0
     while len(frontier) < pending:
         count = min(8192, pending - len(frontier))
         lb = rng.integers(500, 4000, size=count)
         depth = rng.integers(1, N_JOBS, size=count)
-        frontier.push_block(_block(frontier, lb, depth, order))
-        order += count
-    return frontier, order
+        frontier.push_block(_block(frontier, lb, depth, next_id))
+        next_id += count
+    return frontier, next_id
 
 
 def measure_pop_drain(
@@ -106,41 +106,41 @@ def measure_pop_drain(
     single-step loop; pushes are excluded so the measured ratio is the
     selection data structure's, not the benchmark harness's.
     """
-    order_column = frontier._order
+    id_column = frontier._tid
     checksum = 0
     t0 = time.perf_counter()
     for _ in range(drains):
         row = frontier.peek_best()
-        checksum = (checksum * 1_000_003 + int(order_column[row])) % (1 << 61)
+        checksum = (checksum * 1_000_003 + int(id_column[row])) % (1 << 61)
         frontier.discard(row)
     elapsed = time.perf_counter() - t0
     return elapsed, checksum
 
 
 def measure_pop_cycle(
-    frontier: BlockFrontier, order_start: int, cycles: int, seed: int
+    frontier: BlockFrontier, first_id: int, cycles: int, seed: int
 ) -> tuple[float, int, int]:
     """Steady-state single-step loop: pop best, push children.
 
-    Returns ``(elapsed_s, popped_checksum, order_end)``; the checksum is a
+    Returns ``(elapsed_s, popped_checksum, next_id)``; the checksum is a
     deterministic digest of the popped node sequence, compared across index
     kinds to prove bit-identical selection.
     """
     rng = np.random.default_rng(seed)
-    order = order_start
+    next_id = first_id
     checksum = 0
     t0 = time.perf_counter()
     for _ in range(cycles):
         row = frontier.peek_best()
-        lb, depth, order_index, _tid, _mask, _release = frontier.row_view(row)
-        checksum = (checksum * 1_000_003 + order_index) % (1 << 61)
+        lb, depth, tid, _mask, _release = frontier.row_view(row)
+        checksum = (checksum * 1_000_003 + tid) % (1 << 61)
         frontier.discard(row)
         child_lb = lb + rng.integers(0, 6, size=CHILDREN_PER_POP)
         child_depth = np.full(CHILDREN_PER_POP, min(depth + 1, N_JOBS - 1))
-        frontier.push_block(_block(frontier, child_lb, child_depth, order))
-        order += CHILDREN_PER_POP
+        frontier.push_block(_block(frontier, child_lb, child_depth, next_id))
+        next_id += CHILDREN_PER_POP
     elapsed = time.perf_counter() - t0
-    return elapsed, checksum, order
+    return elapsed, checksum, next_id
 
 
 def measure_pop_batch(frontier: BlockFrontier, rounds: int, batch: int) -> tuple[float, int]:
@@ -149,7 +149,7 @@ def measure_pop_batch(frontier: BlockFrontier, rounds: int, batch: int) -> tuple
     t0 = time.perf_counter()
     for _ in range(rounds):
         block, _pruned = frontier.pop_batch(batch)
-        checksum = (checksum * 1_000_003 + int(block.order_index[0])) % (1 << 61)
+        checksum = (checksum * 1_000_003 + int(block.trail_id[0])) % (1 << 61)
         frontier.push_block(block)
     elapsed = time.perf_counter() - t0
     return elapsed, checksum
@@ -163,7 +163,7 @@ def measure_tie_batch(frontier: BlockFrontier, rounds: int) -> tuple[float, int]
         block = frontier.pop_min_tie_batch(1 << 30)
         assert block is not None
         checksum = (
-            checksum * 1_000_003 + int(block.order_index.sum()) + len(block)
+            checksum * 1_000_003 + int(block.trail_id.sum()) + len(block)
         ) % (1 << 61)
         frontier.push_block(block)
     elapsed = time.perf_counter() - t0
@@ -175,7 +175,7 @@ def measure(pending: int, cycles: int, batch_rounds: int, tie_rounds: int, seed:
     results: dict[str, dict] = {}
     checks: dict[str, tuple] = {}
     for kind in ("linear", "segmented"):
-        frontier, order = build_frontier(kind, pending, seed)
+        frontier, next_id = build_frontier(kind, pending, seed)
         # warm up (first refresh builds every segment cache)
         frontier.peek_best()
         drain_s, drain_sum = measure_pop_drain(frontier, cycles)
@@ -186,11 +186,11 @@ def measure(pending: int, cycles: int, batch_rounds: int, tie_rounds: int, seed:
                 frontier,
                 rng.integers(500, 4000, size=cycles),
                 rng.integers(1, N_JOBS, size=cycles),
-                order,
+                next_id,
             )
         )
-        order += cycles
-        cycle_s, cycle_sum, order = measure_pop_cycle(frontier, order, cycles, seed + 1)
+        next_id += cycles
+        cycle_s, cycle_sum, next_id = measure_pop_cycle(frontier, next_id, cycles, seed + 1)
         batch_s, batch_sum = measure_pop_batch(frontier, batch_rounds, 512)
         tie_s, tie_sum = measure_tie_batch(frontier, tie_rounds)
         results[kind] = {

@@ -273,10 +273,10 @@ def _sibling_launch(n_jobs, n_machines, n_parents=SIBLING_PARENTS):
     instance = taillard_instance(n_jobs, n_machines, index=1)
     data = LowerBoundData(instance)
     pt = instance.processing_times
-    depth1 = branch_block(root_block(instance, Trail()), pt, 1)
-    depth2 = branch_block(depth1, pt, 1 + len(depth1))
+    depth1 = branch_block(root_block(instance, Trail()), pt)
+    depth2 = branch_block(depth1, pt)
     rows = np.unique(np.linspace(0, len(depth2) - 1, n_parents).astype(np.int64))
-    return data, branch_block(depth2.take(rows), pt, 1 + len(depth1) + len(depth2))
+    return data, branch_block(depth2.take(rows), pt)
 
 
 def _timed(fn, *args, reps=1, **kwargs):

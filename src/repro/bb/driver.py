@@ -277,9 +277,6 @@ class DriverResult:
     iterations: int
     simulated_s: float
     measured_s: float
-    #: creation index of the next node (engines persist it in snapshots so
-    #: a resumed search keeps the tie-break sequence intact)
-    next_order: int = 0
     trace: list[TraceEvent] = field(default_factory=list)
 
     @property
@@ -387,17 +384,16 @@ class SearchDriver:
         stats: SearchStats,
         best_order: tuple[int, ...] = (),
         trail: Optional[Trail] = None,
-        next_order: int = 1,
         start: Optional[float] = None,
     ) -> DriverResult:
         """Run the iteration until the frontier drains or a budget is hit.
 
         ``frontier`` is a seeded :class:`~repro.bb.frontier.BlockFrontier`
-        and ``trail`` its search's :class:`~repro.bb.frontier.Trail`; the
-        caller bounds and pushes the root/seed and pre-credits its
-        statistics (engines call :func:`run_search`, which does that).
-        ``start`` anchors the ``max_time_s`` budget (defaults to now);
-        ``next_order`` is the creation index of the next node.
+        and ``trail`` its search's :class:`~repro.bb.frontier.Trail`, which
+        numbers every node the run creates; the caller bounds and pushes
+        the root/seed and pre-credits its statistics (engines call
+        :func:`run_search`, which does that).  ``start`` anchors the
+        ``max_time_s`` budget (defaults to now).
         """
         if start is None:
             start = time.perf_counter()
@@ -406,7 +402,7 @@ class SearchDriver:
         if not isinstance(frontier, BlockFrontier):
             raise TypeError("the driver requires a BlockFrontier")
         run = self._run_single if self.batch_size is None else self._run_batch
-        return run(frontier, trail, upper_bound, best_order, stats, next_order, start)
+        return run(frontier, trail, upper_bound, best_order, stats, start)
 
     # ------------------------------------------------------------------ #
     def _examine_leaves(
@@ -458,7 +454,6 @@ class SearchDriver:
         upper_bound: float,
         best_order: tuple[int, ...],
         stats: SearchStats,
-        next_order: int,
         start: float,
     ) -> DriverResult:
         offload = self.offload
@@ -504,7 +499,6 @@ class SearchDriver:
                                     trail.prefix(bt) if bt is not None else bo
                                 )
                             ),
-                            next_order=next_order,
                             stats=stats,
                             steps=steps,
                         )
@@ -567,9 +561,8 @@ class SearchDriver:
                         stats.nodes_pruned += 1
                         continue
                     t0 = perf_counter()
-                    children = branch_row(bits, front, depth, tid, trail, pt, next_order, tables)
+                    children = branch_row(bits, front, depth, tid, trail, pt, tables)
                     stats.time_branching_s += perf_counter() - t0
-                    next_order += len(children)
                     stats.nodes_branched += 1
                     stats.nodes_bounded += len(children)
                     if trace is not None:
@@ -586,12 +579,11 @@ class SearchDriver:
             t0 = perf_counter()
             if k == 1:
                 children = branch_row(
-                    block.mask_bits[0], block.release[0], depth, tid, trail, pt, next_order, tables
+                    block.mask_bits[0], block.release[0], depth, tid, trail, pt, tables
                 )
             else:
-                children = branch_block(block, pt, next_order, tables=tables)
+                children = branch_block(block, pt, tables=tables)
             stats.time_branching_s += perf_counter() - t0
-            next_order += len(children)
             stats.nodes_branched += k
             if trace is not None:
                 trace.append(TraceEvent(trail.prefix(tid), lb, upper_bound, "branched"))
@@ -635,7 +627,6 @@ class SearchDriver:
             iterations=0,
             simulated_s=0.0,
             measured_s=0.0,
-            next_order=next_order,
             trace=trace or [],
         )
 
@@ -649,7 +640,6 @@ class SearchDriver:
         upper_bound: float,
         best_order: tuple[int, ...],
         stats: SearchStats,
-        next_order: int,
         start: float,
     ) -> DriverResult:
         offload = self.offload
@@ -690,7 +680,6 @@ class SearchDriver:
                                     trail.prefix(bt) if bt is not None else bo
                                 )
                             ),
-                            next_order=next_order,
                             stats=stats,
                             steps=iteration,
                         )
@@ -712,11 +701,8 @@ class SearchDriver:
             # rows and bounded there; push_block keeps the survivors in place
             t0 = perf_counter()
             count = n_jobs * len(parents) - int(parents.depth.sum())
-            children = branch_block(
-                parents, pt, next_order, frontier.reserve(count), tables=self.tables
-            )
+            children = branch_block(parents, pt, frontier.reserve(count), tables=self.tables)
             stats.time_branching_s += perf_counter() - t0
-            next_order += len(children)
             stats.nodes_branched += len(parents)
             if hooks.on_select is not None:
                 hooks.on_select(len(parents))
@@ -782,7 +768,6 @@ class SearchDriver:
             iterations=iteration,
             simulated_s=simulated_total,
             measured_s=measured_total,
-            next_order=next_order,
         )
 
 
@@ -815,7 +800,7 @@ def run_search(
       updates the incumbent through ``on_improve_incumbent``), a seed
       whose bound meets the incumbent is pruned, any other is pushed.
     * **Snapshot start.** The snapshot's stats, carried wall time,
-      incumbent, frontier, trail and ``next_order`` are reused; a smaller
+      incumbent, frontier and trail are reused; a smaller
       ``upper_bound`` (a shared bound) tightens the incumbent.
 
     ``stats`` (default: the snapshot's, or fresh counters) receives the
@@ -833,7 +818,7 @@ def run_search(
     seed_event: Optional[TraceEvent] = None
     if isinstance(start, Snapshot):
         stats = stats if stats is not None else start.stats
-        frontier, trail, next_order = start.frontier, start.trail, start.next_order
+        frontier, trail = start.frontier, start.trail
         upper_bound = min(upper_bound, start.upper_bound)
         best_order = start.best_order
     else:
@@ -850,7 +835,6 @@ def run_search(
         )
         prefix = tuple(int(job) for job in start)
         seed = seed_block(instance, prefix, trail, driver.tables)
-        next_order = int(seed.order_index[0]) + 1
         offload = seed_offload if seed_offload is not None else driver.offload
         t0 = time.perf_counter()
         _, seed_sim_s, seed_wall_s = offload.bound_block(seed)
@@ -879,7 +863,6 @@ def run_search(
             best_order=best_order,
             stats=stats,
             trail=trail,
-            next_order=next_order,
             start=began,
         )
     finally:
@@ -900,7 +883,6 @@ def run_search(
                 trail=trail,
                 upper_bound=outcome.upper_bound,
                 best_order_supplier=lambda: final_order,
-                next_order=outcome.next_order,
                 stats=stats,
                 steps=outcome.iterations,
             )

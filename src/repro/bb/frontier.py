@@ -45,13 +45,14 @@ Prefixes are *not* carried per node.  Each node stores one ``trail_id``
 into a shared :class:`Trail` of ``(parent_slot, job)`` pairs, and the full
 permutation is materialized lazily — only for incumbents and trace events.
 
-Node identity (``order_index``, the per-search creation index) and the
-selection key ``(lower_bound, depth, order_index)`` make every tie-break
+A node's one id is its trail slot: nodes join the trail in creation
+order, so the slot is also the per-search creation index.  The selection
+key ``(lower_bound, depth, trail_id)`` makes every tie-break
 deterministic, so each engine explores bit-for-bit the same tree on every
 run (pinned by the golden fixtures of ``tests/test_driver.py``).
 
 All block/frontier integer columns are stored as **int32**: Taillard-class
-magnitudes (release times, bounds, depths, creation indices) sit far below
+magnitudes (release times, bounds, depths, trail slots) sit far below
 ``2**31``, and halving the frontier's memory traffic raises the cache
 residency of the selection scans.  Kernel v2 takes the int32 ``release``
 column as it is and casts it inside a body, to the dtype its value guard
@@ -139,16 +140,6 @@ _ROW_CHUNK = 1 << 12
 #: memory growth of a time-budgeted run win.
 _STEP_CHILD_ROWS = 1 << 16
 
-_ARANGE = np.arange(256, dtype=np.int64)
-
-
-def _arange(count: int) -> np.ndarray:
-    """A read-only ``arange(count)`` view from a grow-only module cache."""
-    global _ARANGE
-    if count > _ARANGE.shape[0]:
-        _ARANGE = np.arange(max(count, 2 * _ARANGE.shape[0]), dtype=np.int64)
-    return _ARANGE[:count]
-
 
 def _whole_rows(array: np.ndarray) -> np.ndarray:
     """A C-contiguous store array as one element per row.
@@ -162,7 +153,7 @@ def _whole_rows(array: np.ndarray) -> np.ndarray:
     return array.view(np.dtype((np.void, array.shape[1] * array.itemsize))).reshape(-1)
 
 
-#: int32 node-id ceiling of the block layout (trail slots, order indices).
+#: int32 node-id ceiling of the block layout (trail slots).
 #: A search would need >2**31 nodes — hundreds of GB of frontier — to reach
 #: it, but growing past it must fail loudly, not wrap.
 _INT32_ID_LIMIT = np.iinfo(np.int32).max
@@ -174,9 +165,10 @@ class Trail:
     Every node ever created appends one entry; the scheduled prefix of a
     node is materialized lazily by walking parent slots up to the root
     (``parent == -1``).  Two int32 cells per node replace a per-node
-    Python tuple; creating more than ``2**31 - 1`` nodes raises
-    :class:`OverflowError` (ids — and the creation indices that advance in
-    lockstep with them — would otherwise wrap).
+    Python tuple.  Slots are handed out in creation order, so a node's
+    slot is its id and its creation index; creating more than
+    ``2**31 - 1`` nodes raises :class:`OverflowError` (ids would
+    otherwise wrap).
     """
 
     __slots__ = ("_parent", "_job", "_size")
@@ -196,7 +188,7 @@ class Trail:
         if need > _INT32_ID_LIMIT:
             raise OverflowError(
                 f"search created more than {_INT32_ID_LIMIT} nodes, the limit of "
-                "the int32 node ids (trail slots and creation indices); split "
+                "the int32 node ids (trail slots); split "
                 "the search or give it a node budget"
             )
         if need > self._parent.shape[0]:
@@ -252,8 +244,8 @@ class NodeBlock:
 
     The ``(mask_bits, release)`` pair is byte-for-byte the layout kernel v2
     consumes, so bounding a block never re-packs anything.  ``lower_bound``
-    holds :data:`NO_BOUND` until the node is bounded.  ``order_index`` is
-    the per-search creation index that makes selection tie-breaks
+    holds :data:`NO_BOUND` until the node is bounded.  ``trail_id`` is the
+    node's id: its creation index, which makes selection tie-breaks
     deterministic.
     """
 
@@ -267,9 +259,8 @@ class NodeBlock:
     lower_bound: np.ndarray
     #: ``(B,)`` number of scheduled jobs
     depth: np.ndarray
-    #: ``(B,)`` per-search creation indices (deterministic tie-break)
-    order_index: np.ndarray
-    #: ``(B,)`` ids into :attr:`trail` (lazy prefix materialization)
+    #: ``(B,)`` ids into :attr:`trail`: lazy prefix materialization, and
+    #: creation indices (the deterministic tie-break)
     trail_id: np.ndarray
     #: shared ancestry store of the search
     trail: Trail
@@ -314,7 +305,6 @@ class NodeBlock:
             release=self.release.take(rows, axis=0),
             lower_bound=self.lower_bound[rows],
             depth=self.depth[rows],
-            order_index=self.order_index[rows],
             trail_id=self.trail_id[rows],
             trail=self.trail,
             n_jobs=self.n_jobs,
@@ -330,7 +320,6 @@ class NodeBlock:
             release=np.empty((rows, n_machines), dtype=np.int32),
             lower_bound=np.empty(rows, dtype=np.int32),
             depth=np.empty(rows, dtype=np.int32),
-            order_index=np.empty(rows, dtype=np.int32),
             trail_id=np.empty(rows, dtype=np.int32),
             trail=trail,
             n_jobs=n_jobs,
@@ -338,13 +327,12 @@ class NodeBlock:
 
 
 def root_block(instance: FlowShopInstance, trail: Trail) -> NodeBlock:
-    """A one-row block holding the root (empty schedule), order index 0."""
+    """A one-row block holding the root (empty schedule), the trail's next node."""
     return NodeBlock(
         mask_bits=np.zeros((1, (instance.n_jobs + 7) >> 3), dtype=np.uint8),
         release=np.zeros((1, instance.n_machines), dtype=np.int32),
         lower_bound=np.full(1, NO_BOUND, dtype=np.int32),
         depth=np.zeros(1, dtype=np.int32),
-        order_index=np.zeros(1, dtype=np.int32),
         trail_id=np.array([trail.append_root()], dtype=np.int32),
         trail=trail,
         n_jobs=instance.n_jobs,
@@ -360,11 +348,10 @@ def seed_block(
     """A one-row block for the node reached by scheduling ``prefix``.
 
     The root-to-seed chain nodes are registered on the trail (so the
-    seed's prefix materializes) and the seed's order index is
-    ``len(prefix)`` — exactly what a per-search counter would have
-    assigned after creating the chain one child at a time.  ``tables``
-    are the instance's per-job cumulative times, as :func:`branch_block`
-    takes them.
+    seed's prefix materializes); on a fresh trail the seed's id is
+    ``len(prefix)``, as if the chain had been created one child at a
+    time.  ``tables`` are the instance's per-job cumulative times, as
+    :func:`branch_block` takes them.
     """
     n, m = instance.n_jobs, instance.n_machines
     after, before = tables or job_cumulative_times(instance.processing_times)
@@ -387,7 +374,6 @@ def seed_block(
         release=release[None, :],
         lower_bound=np.array([lower], dtype=np.int32),
         depth=np.array([depth], dtype=np.int32),
-        order_index=np.array([depth], dtype=np.int32),
         trail_id=np.array([trail_id], dtype=np.int32),
         trail=trail,
         n_jobs=n,
@@ -397,14 +383,13 @@ def seed_block(
 def branch_block(
     parents: NodeBlock,
     processing_times: np.ndarray,
-    order_start: int,
     out: NodeBlock | None = None,
     tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NodeBlock:
     """Branching operator: all one-job extensions of every parent row.
 
     Children are produced parent-major, jobs in increasing index order,
-    and get consecutive order indices starting at ``order_start``.  Leaf
+    and join the trail in that order, so their ids are consecutive.  Leaf
     rows contribute no children; complete-child rows get their makespan
     as an exact bound immediately.
 
@@ -416,10 +401,10 @@ def branch_block(
     destination with its int32 ``jobs`` column set.  The parents'
     unscheduled jobs come from one unpack of their packed rows; a child's
     row is its parent's row OR its job's bit, gathered by job from
-    :func:`~repro.flowshop.bounds.job_bit_table`.  Rows, release times and
-    order indices are written :data:`_ROW_CHUNK` rows at a time, the
-    release times by one machine scan per chunk from int32 per-job
-    cumulative times, so no temporary spans the whole child set.
+    :func:`~repro.flowshop.bounds.job_bit_table`.  Rows and release times
+    are written :data:`_ROW_CHUNK` rows at a time, the release times by
+    one machine scan per chunk from int32 per-job cumulative times, so no
+    temporary spans the whole child set.
 
     ``tables`` are those cumulative times, ``(after, before)`` of
     :func:`~repro.flowshop.schedule.job_cumulative_times` over
@@ -452,7 +437,6 @@ def branch_block(
         release = out.release[lo:hi]
         np.take(parents.release, rows, axis=0, out=release, mode="clip")
         machine_scan(release, chunk_jobs, after, before, out=release)
-        np.add(_arange(hi - lo), order_start + lo, out=out.order_index[lo:hi])
 
     np.add(parents.depth[parent_rows], 1, out=out.depth)
     out.lower_bound[:] = NO_BOUND
@@ -471,7 +455,6 @@ def branch_row(
     trail_id: int,
     trail: Trail,
     processing_times: np.ndarray,
-    order_start: int,
     tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> NodeBlock:
     """All one-job extensions of a single node given as raw rows.
@@ -506,7 +489,6 @@ def branch_row(
         release=release,
         lower_bound=lower,
         depth=np.full(count, child_depth, dtype=np.int32),
-        order_index=np.arange(order_start, order_start + count, dtype=np.int32),
         trail_id=trail.append_batch(trail_id, jobs),
         trail=trail,
         n_jobs=n_jobs,
@@ -606,11 +588,11 @@ class BlockFrontier:
     """The pending pool as growable parallel arrays.
 
     Selection works on the classic pool keys — best-first by
-    ``(lower_bound, depth, order_index)``, depth-first by most recent
-    ``order_index``, FIFO by earliest — but pops are array reductions and
+    ``(lower_bound, depth, trail_id)``, depth-first by most recent
+    ``trail_id``, FIFO by earliest — but pops are array reductions and
     batch selection uses ``argpartition`` / one sort, not per-node heap
     operations.  When the key fields fit their bit budgets (bounds below
-    ``2**22``, depths below ``2**9``, creation indices below ``2**32`` —
+    ``2**22``, depths below ``2**9``; trail ids stay below ``2**31`` —
     true for every realistic search), the triple collapses into one
     packed int64 whose numeric order IS the lexicographic pop order, so a
     best-first pop is a single ``argmin`` scan.  Removal is
@@ -630,11 +612,11 @@ class BlockFrontier:
     Selection runs through a segmented min-key index: the store is
     partitioned into fixed ``2**segment_shift``-row segments (4096 by
     default) and each segment's minimum packed key + its row (plus the
-    maximum creation index, for depth-first/restricted pops) is cached.
+    largest trail id, for depth-first/restricted pops) is cached.
     Mutations only *mark* the touched segments dirty; the next selection
     query refreshes the dirty segments and then reduces over ~n/4096
     cached minima instead of scanning all n rows.  Because the packed
-    keys are unique (the creation index is), the indexed argmin is
+    keys are unique (the trail id is), the indexed argmin is
     exactly the linear-scan argmin — selection stays bit-identical, which
     the golden fixtures and ``tests/test_frontier_index.py`` property
     tests pin.  Stores within one segment always scan the key column
@@ -693,9 +675,8 @@ class BlockFrontier:
         self._release = np.zeros((capacity, n_machines), dtype=np.int32)
         self._lb = np.zeros(capacity, dtype=np.int32)
         self._depth = np.zeros(capacity, dtype=np.int32)
-        self._order = np.zeros(capacity, dtype=np.int32)
         self._tid = np.zeros(capacity, dtype=np.int32)
-        #: packed ``(lb << 41) | (depth << 32) | order`` selection key
+        #: packed ``(lb << 41) | (depth << 32) | trail_id`` selection key
         self._key = np.zeros(capacity, dtype=np.int64)
         self._packed = n_jobs < (1 << 9)
         #: the store's end: rows ``[0, _size)`` are live or tombstoned
@@ -707,7 +688,7 @@ class BlockFrontier:
         self._seg_shift = segment_shift
         self._seg_size = 1 << segment_shift
         self._seg_mask = self._seg_size - 1
-        #: maintain the creation-index caches only when a depth-ordered pop
+        #: maintain the trail-id caches only when a depth-ordered pop
         #: is reachable (depth strategy, or best-first under a cap whose
         #: restricted regime pops deepest) — best-first without a cap never
         #: consults them, and skipping them halves the refresh scans
@@ -719,22 +700,21 @@ class BlockFrontier:
         self._seg_key = np.full(seg_cap, _KEY_SENTINEL, dtype=np.int64)
         #: row holding each segment's minimum key (int32 row ids)
         self._seg_krow = np.zeros(seg_cap, dtype=np.int32)
-        #: per-segment maximum creation index (depth/restricted pops)
+        #: per-segment largest trail id (depth/restricted pops)
         self._seg_omax = np.zeros(seg_cap, dtype=np.int32)
-        #: row holding each segment's maximum creation index
+        #: row holding each segment's largest trail id
         self._seg_orow = np.zeros(seg_cap, dtype=np.int32)
         #: segments whose caches must be recomputed before the next query
         self._seg_dirty = np.ones(seg_cap, dtype=bool)
         self._seg_any_dirty = True
 
-    _ARRAYS = ("_bits", "_release", "_lb", "_depth", "_order", "_tid", "_key")
+    _ARRAYS = ("_bits", "_release", "_lb", "_depth", "_tid", "_key")
     #: the store array behind each :class:`NodeBlock` column
     _COLUMNS = (
         ("_bits", "mask_bits"),
         ("_release", "release"),
         ("_lb", "lower_bound"),
         ("_depth", "depth"),
-        ("_order", "order_index"),
         ("_tid", "trail_id"),
     )
     _SEG_ARRAYS = ("_seg_key", "_seg_krow", "_seg_omax", "_seg_orow", "_seg_dirty")
@@ -876,15 +856,9 @@ class BlockFrontier:
                 for store, column in columns:
                     store[lo + start : lo + stop] = column.take(src, axis=0)
         if self._packed:
-            # order indices are int32 and guarded by the Trail's id limit,
-            # so (unlike the historical int64 columns) a negative value —
-            # not a value past 2**32 — is the wrap signal to check for
+            # trail ids need no check: the Trail refuses ids from 2**31 - 1
             lb = self._lb[lo:hi]
-            if (
-                int(lb.min()) < 0
-                or int(lb.max()) >= (1 << 22)
-                or int(self._order[hi - 1]) < 0
-            ):
+            if int(lb.min()) < 0 or int(lb.max()) >= (1 << 22):
                 self._packed = False
             else:
                 for start in range(lo, hi, _ROW_CHUNK):
@@ -893,7 +867,7 @@ class BlockFrontier:
                     key[:] = self._lb[start:stop]
                     key <<= 41
                     key |= self._depth[start:stop].astype(np.int64) << 32
-                    key |= self._order[start:stop]
+                    key |= self._tid[start:stop]
         shift = self._seg_shift
         self._seg_dirty[lo >> shift : ((hi - 1) >> shift) + 1] = True
         self._seg_any_dirty = True
@@ -905,8 +879,8 @@ class BlockFrontier:
     # Segmented min-key index.  Mutations mark touched segments dirty (see
     # push_block/discard/_remove/prune_to); queries call _seg_refresh()
     # first and then reduce over the per-segment caches.  Key caches are
-    # only maintained while the packed key is valid; the creation-index
-    # caches are always maintained (depth/restricted pops use them).
+    # only maintained while the packed key is valid; the trail-id caches
+    # are maintained whenever a depth-ordered pop is reachable.
 
     def _n_segments(self) -> int:
         return (self._size + self._seg_mask) >> self._seg_shift
@@ -932,7 +906,7 @@ class BlockFrontier:
                 self._seg_rebuild(size, n_seg)
             else:
                 shift, seg_size = self._seg_shift, self._seg_size
-                packed, key, order = self._packed, self._key, self._order
+                packed, key, tid = self._packed, self._key, self._tid
                 track = self._seg_track_order
                 seg_key, seg_krow = self._seg_key, self._seg_krow
                 seg_omax, seg_orow = self._seg_omax, self._seg_orow
@@ -942,7 +916,7 @@ class BlockFrontier:
                     if hi > size:
                         hi = size
                     if track:
-                        oseg = order[lo:hi]
+                        oseg = tid[lo:hi]
                         j = oseg.argmax()
                         seg_omax[s] = oseg[j]
                         seg_orow[s] = lo + j
@@ -964,7 +938,7 @@ class BlockFrontier:
             span = nf << shift
             idx = np.arange(nf, dtype=np.int64)
             if self._seg_track_order:
-                oview = self._order[:span].reshape(nf, seg_size)
+                oview = self._tid[:span].reshape(nf, seg_size)
                 j = np.argmax(oview, axis=1)
                 self._seg_omax[:nf] = oview[idx, j]
                 self._seg_orow[:nf] = (idx << shift) + j
@@ -976,7 +950,7 @@ class BlockFrontier:
         if nf < n_seg:  # ragged tail segment
             lo = nf << shift
             if self._seg_track_order:
-                oseg = self._order[lo:size]
+                oseg = self._tid[lo:size]
                 j = int(np.argmax(oseg))
                 self._seg_omax[nf] = oseg[j]
                 self._seg_orow[nf] = lo + j
@@ -1010,12 +984,12 @@ class BlockFrontier:
                 self._seg_refresh()
                 s = int(self._seg_omax[: self._n_segments()].argmax())
                 return int(self._seg_orow[s])
-            return int(np.argmax(self._order[:size]))
+            return int(np.argmax(self._tid[:size]))
         if self.strategy == "fifo":
-            return int(np.argmin(self._order[:size]))
+            return int(np.argmin(self._tid[:size]))
         if self._packed:
             # the packed key's numeric order IS the heap's lexicographic
-            # (lb, depth, order) order: one argmin — over ~n/4096 cached
+            # (lb, depth, trail_id) order: one argmin — over ~n/4096 cached
             # segment minima when the segmented index is live (keys are
             # unique, so the indexed argmin IS the linear argmin), over
             # all n rows otherwise
@@ -1029,20 +1003,20 @@ class BlockFrontier:
         candidates = np.flatnonzero(lbs == best)
         if candidates.shape[0] == 1:
             return int(candidates[0])
-        # resolve ties by (depth, order_index), exactly like the heap key
-        sub = np.lexsort((self._order[candidates], self._depth[candidates]))
+        # resolve ties by (depth, trail_id), exactly like the heap key
+        sub = np.lexsort((self._tid[candidates], self._depth[candidates]))
         return int(candidates[sub[0]])
 
     def _pop_order(self) -> np.ndarray:
         """All pending rows, sorted in the strategy's pop order."""
         size = self._size
         if self.strategy == "depth-first" or self.restricted:
-            return np.argsort(self._order[:size], kind="stable")[::-1]
+            return np.argsort(self._tid[:size], kind="stable")[::-1]
         if self.strategy == "fifo":
-            return np.argsort(self._order[:size], kind="stable")
+            return np.argsort(self._tid[:size], kind="stable")
         if self._packed:
             return np.argsort(self._key[:size])
-        return np.lexsort((self._order[:size], self._depth[:size], self._lb[:size]))
+        return np.lexsort((self._tid[:size], self._depth[:size], self._lb[:size]))
 
     def _best_prefix(self, count: int) -> np.ndarray:
         """The first ``count`` rows in best-first pop order.
@@ -1172,8 +1146,8 @@ class BlockFrontier:
             raise IndexError("peek at an empty frontier")
         return self._pop_one_index()
 
-    def row_view(self, row: int) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
-        """``(lb, depth, order, trail_id, mask_view, release_view)`` of a row.
+    def row_view(self, row: int) -> tuple[int, int, int, np.ndarray, np.ndarray]:
+        """``(lb, depth, trail_id, mask_view, release_view)`` of a row.
 
         ``mask_view`` is the row's packed scheduled set (what
         :func:`branch_row` takes).  The two array views alias the
@@ -1184,7 +1158,6 @@ class BlockFrontier:
         return (
             int(self._lb[row]),
             int(self._depth[row]),
-            int(self._order[row]),
             int(self._tid[row]),
             self._bits[row],
             self._release[row],
@@ -1220,7 +1193,6 @@ class BlockFrontier:
             release=self._release.take(rows, axis=0),
             lower_bound=self._lb[rows],
             depth=self._depth[rows],
-            order_index=self._order[rows],
             trail_id=self._tid[rows],
             trail=self._trail,
             n_jobs=self._n_jobs,
@@ -1289,7 +1261,6 @@ class BlockFrontier:
                 release=self._release[rows].copy(),
                 lower_bound=self._lb[rows].copy(),
                 depth=self._depth[rows].copy(),
-                order_index=self._order[rows].copy(),
                 trail_id=self._tid[rows].copy(),
                 trail=self._trail,
                 n_jobs=self._n_jobs,
@@ -1321,11 +1292,7 @@ class BlockFrontier:
                 else:
                     selected = fresh_rows[
                         np.lexsort(
-                            (
-                                self._order[fresh_rows],
-                                self._depth[fresh_rows],
-                                self._lb[fresh_rows],
-                            )
+                            (self._tid[fresh_rows], self._depth[fresh_rows], self._lb[fresh_rows])
                         )
                     ]
                 popped = np.arange(size, dtype=np.int64)

@@ -194,7 +194,6 @@ class SequentialBranchAndBound:
             trail=state.trail,
             upper_bound=state.upper_bound,
             best_order=state.best_order_supplier(),
-            next_order=state.next_order,
             stats=state.stats,
             engine=self._engine_config(),
         )

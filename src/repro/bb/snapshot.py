@@ -10,9 +10,9 @@ bit-identically to the run that wrote it:
   :class:`~repro.bb.frontier.Trail`;
 * the incumbent (``upper_bound`` + permutation) and every
   :class:`~repro.bb.stats.SearchStats` counter;
-* the RNG-free tie state: ``next_order``, the creation index the next
-  branched node will receive (selection ties break on creation index, so
-  this is the only "random state" of the search);
+* the RNG-free tie state: selection ties break on trail id, which is a
+  node's creation index, so the trail's length (the id the next branched
+  node receives) is the only "random state" of the search;
 * the instance itself (``processing_times`` travels in the payload, so a
   snapshot file is self-describing) and the engine configuration that
   produced it.
@@ -22,12 +22,14 @@ Container format (see the table in ``docs/ARCHITECTURE.md``)::
     magic b"RPBB" | header length (4 bytes BE) | JSON header | raw array buffers
 
 The header carries the format version, the instance/engine fingerprints
-and the payload's SHA-256, length and manifest (name, dtype and shape of
-each concatenated array buffer; only pre-manifest files carry an npz
-payload, which still loads); :func:`loads_snapshot` re-hashes the
-payload and rejects corrupt or truncated files with a typed error —
-truncation at *any* byte offset fails loudly (``tests/test_chaos.py``
-checks every offset).  :func:`save_snapshot` writes through a temp file in
+and the payload's length, manifest (name, dtype and shape of each
+concatenated array buffer; only pre-manifest files carry an npz payload,
+which still loads) and SHA-256.  That digest covers every byte of the
+file, its own 64 hex digits read as zeros; a version-1 file's covers its
+payload only, and still loads.  :func:`loads_snapshot` re-hashes the file
+and rejects corrupt or truncated files with a typed error — truncation at
+*any* byte offset fails loudly (``tests/test_snapshot.py`` checks every
+offset).  :func:`save_snapshot` writes through a temp file in
 the destination directory followed by ``os.replace``, so a crash
 mid-checkpoint never destroys the previous good snapshot.
 
@@ -54,7 +56,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.bb.frontier import BlockFrontier, Trail
+from repro.bb.frontier import BlockFrontier, NodeBlock, Trail
 from repro.bb.stats import SearchStats
 from repro.flowshop.bounds import pack_mask
 from repro.flowshop.instance import FlowShopInstance
@@ -79,7 +81,10 @@ __all__ = [
 ]
 
 #: Version of the container format; bumped on any incompatible change.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Version 2's digest covers the header too.  Version-1 files still load;
+#: the copy of the trail ids and the trail's length that they also carry
+#: are ignored.
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: The ``layout`` every header carries.  Version-1 files of the removed
 #: ``"object"`` layout still parse, but :func:`loads_snapshot` refuses them.
@@ -151,15 +156,13 @@ class CheckpointState:
     Everything is a *reference* to the driver's working state — valid only
     for the duration of the hook call.  ``best_order_supplier`` lazily
     materializes the incumbent permutation (trail prefixes are only walked
-    when a checkpoint is actually written); ``next_order`` is the creation
-    index of the next node.
+    when a checkpoint is actually written).
     """
 
     frontier: BlockFrontier
     trail: Trail
     upper_bound: float
     best_order_supplier: Callable[[], tuple[int, ...]]
-    next_order: int
     stats: SearchStats
     steps: int
 
@@ -208,7 +211,6 @@ def _capture_block(
     arrays["f_release"] = frontier._release[:size].copy()
     arrays["f_lb"] = frontier._lb[:size].copy()
     arrays["f_depth"] = frontier._depth[:size].copy()
-    arrays["f_order"] = frontier._order[:size].copy()
     arrays["f_tid"] = frontier._tid[:size].copy()
     header["frontier"] = {
         "size": size,
@@ -216,7 +218,6 @@ def _capture_block(
         "strategy": frontier.strategy,
         "max_pending": frontier._cap,
         "max_size": frontier._max_size,
-        "packed": bool(frontier._packed),
         # cap-hysteresis state: a resumed capped run must re-enter the
         # exact selection regime the interrupted run was in, or the
         # concatenated segments stop being bit-identical to a golden run
@@ -233,7 +234,6 @@ def dumps_snapshot(
     upper_bound: float,
     best_order: tuple[int, ...],
     stats: SearchStats,
-    next_order: int = 0,
     engine: Optional[dict] = None,
 ) -> bytes:
     """Serialize complete search state into one snapshot blob.
@@ -263,7 +263,6 @@ def dumps_snapshot(
         "engine_fingerprint": config_fingerprint(engine),
         "upper_bound": None if upper_bound == float("inf") else float(upper_bound),
         "best_order": [int(j) for j in best_order],
-        "next_order": int(next_order),
         "stats": _stats_dict(stats),
     }
     _capture_block(frontier, trail, arrays, header)
@@ -273,7 +272,7 @@ def dumps_snapshot(
     # crash, so write latency beats container convenience — the zip
     # wrapper alone costs ~6x the memcpy.  The manifest in the header
     # (name, dtype, shape per array) is what np.load would have stored,
-    # and the sha256 below is the integrity check.
+    # and the sha256 that _seal writes is the integrity check.
     chunks = []
     manifest = []
     for name, array in arrays.items():
@@ -281,14 +280,33 @@ def dumps_snapshot(
         chunks.append(contiguous.tobytes())
         manifest.append([name, contiguous.dtype.str, list(contiguous.shape)])
     payload = b"".join(chunks)
-    header["payload"] = {
-        "sha256": hashlib.sha256(payload).hexdigest(),
-        "length": len(payload),
-        "format": "raw",
-        "arrays": manifest,
-    }
+    header["payload"] = {"length": len(payload), "format": "raw", "arrays": manifest}
+    return _seal(header, payload)
+
+
+def _framed(header: dict) -> bytes:
+    """Magic, header length and the canonical JSON of ``header``."""
     header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    return MAGIC + struct.pack(">I", len(header_bytes)) + header_bytes + payload
+    return MAGIC + struct.pack(">I", len(header_bytes)) + header_bytes
+
+
+def _digest(framed: bytes, payload: bytes) -> str:
+    """SHA-256 of a blob, its header's ``sha256`` value read as 64 zeros."""
+    digest = hashlib.sha256(framed)
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def _seal(header: dict, payload: bytes) -> bytes:
+    """The snapshot blob of ``header`` and ``payload``, sealed by one digest.
+
+    ``header["payload"]["sha256"]`` receives the SHA-256 of the whole blob
+    (magic, header length, header and payload), computed with that value
+    set to 64 zeros.
+    """
+    header["payload"]["sha256"] = "0" * 64
+    header["payload"]["sha256"] = _digest(_framed(header), payload)
+    return _framed(header) + payload
 
 
 # --------------------------------------------------------------------- #
@@ -310,7 +328,6 @@ class Snapshot:
     trail: Trail
     upper_bound: float
     best_order: tuple[int, ...]
-    next_order: int
     stats: SearchStats
 
     @property
@@ -322,8 +339,9 @@ class Snapshot:
 def loads_header(blob: bytes) -> dict:
     """Parse and validate the JSON header of a snapshot blob.
 
-    Verifies the magic, the declared lengths and the payload checksum;
-    raises :class:`SnapshotCorrupt` on any truncation or corruption and
+    Verifies the magic, the declared lengths and the checksum (over the
+    whole blob; over the payload alone in a version-1 file); raises
+    :class:`SnapshotCorrupt` on any truncation or corruption and
     :class:`SnapshotVersionError` for unsupported format versions.
     """
     if len(blob) < len(MAGIC) + 4:
@@ -341,20 +359,30 @@ def loads_header(blob: bytes) -> dict:
     if not isinstance(header, dict):
         raise SnapshotCorrupt("snapshot header is not a JSON object")
     version = header.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
+    if version not in (1, SNAPSHOT_FORMAT_VERSION):
         raise SnapshotVersionError(
             f"unsupported snapshot format version {version!r} "
-            f"(supported: {SNAPSHOT_FORMAT_VERSION})"
+            f"(supported: 1, {SNAPSHOT_FORMAT_VERSION})"
         )
     payload = blob[header_start + header_len :]
-    declared = header.get("payload", {})
+    declared = header.get("payload")
+    if not isinstance(declared, dict):
+        raise SnapshotCorrupt("snapshot header has no payload record")
     if len(payload) != declared.get("length"):
         raise SnapshotCorrupt(
             f"snapshot payload truncated: {len(payload)} bytes, "
             f"header declares {declared.get('length')}"
         )
-    if hashlib.sha256(payload).hexdigest() != declared.get("sha256"):
-        raise SnapshotCorrupt("snapshot payload fails its checksum")
+    signed = declared.get("sha256")
+    if version == 1:  # written before the digest covered the header
+        digest = hashlib.sha256(payload).hexdigest()
+    else:
+        framed = blob[: header_start + header_len].replace(
+            f'"sha256":"{signed}"'.encode("utf-8"), b'"sha256":"' + b"0" * 64 + b'"'
+        )
+        digest = _digest(framed, payload)
+    if digest != signed:
+        raise SnapshotCorrupt("snapshot fails its checksum")
     return header
 
 
@@ -367,9 +395,9 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
     trail._parent[:trail_size] = arrays["trail_parent"]
     trail._job[:trail_size] = arrays["trail_job"]
     trail._size = trail_size
-    # The selection index is derived state: it is rebuilt on restore, never
-    # serialized, so the container format does not depend on it (headers
-    # of older snapshots may still name an index; the key is ignored).
+    # The selection index and the packed keys are derived state: push_block
+    # rebuilds them, so the container format does not depend on them
+    # (headers of older snapshots may still name an index; the key is ignored).
     frontier = BlockFrontier(
         instance.n_jobs,
         instance.n_machines,
@@ -378,34 +406,27 @@ def _restore_block(header: dict, arrays, instance: FlowShopInstance):
         capacity=max(size, 64),
         max_pending=meta["max_pending"],
     )
-    if "f_bits" in arrays:
-        frontier._bits[:size] = arrays["f_bits"]
-    else:  # written before the packed layout: one bool per job
-        frontier._bits[:size] = pack_mask(arrays["f_mask"])
-    frontier._release[:size] = arrays["f_release"]
-    frontier._lb[:size] = arrays["f_lb"]
-    frontier._depth[:size] = arrays["f_depth"]
-    depths = frontier._depth[:size]
+    rows = NodeBlock(
+        # a file written before the packed layout holds one bool per job
+        mask_bits=arrays["f_bits"] if "f_bits" in arrays else pack_mask(arrays["f_mask"]),
+        release=arrays["f_release"],
+        lower_bound=arrays["f_lb"],
+        depth=arrays["f_depth"],
+        trail_id=arrays["f_tid"],
+        trail=trail,
+        n_jobs=instance.n_jobs,
+    )
+    if len(rows) != size:
+        raise SnapshotCorrupt(f"snapshot frontier holds {len(rows)} rows, header declares {size}")
+    depths = rows.depth
     if size and (int(depths.min()) < 0 or int(depths.max()) >= instance.n_jobs):
         # no engine pushes a complete schedule (it is examined as a leaf),
         # and the driver would branch such a row into nothing
         raise SnapshotCorrupt(
             f"snapshot frontier holds a row outside depths [0, {instance.n_jobs})"
         )
-    frontier._order[:size] = arrays["f_order"]
-    frontier._tid[:size] = arrays["f_tid"]
-    frontier._packed = bool(meta["packed"])
-    if frontier._packed and size:
-        frontier._key[:size] = (
-            (frontier._lb[:size].astype(np.int64) << 41)
-            | (frontier._depth[:size].astype(np.int64) << 32)
-            | frontier._order[:size]
-        )
-    frontier._size = size
+    frontier.push_block(rows)
     frontier._max_size = int(meta["max_size"])
-    # rows were written behind push_block's back: every segment is stale
-    frontier._seg_dirty[:] = True
-    frontier._seg_any_dirty = True
     if frontier._cap is not None:
         # pre-hysteresis snapshots carry no regime state: fall back to the
         # stateless rule (restricted iff at/above the cap)
@@ -482,7 +503,6 @@ def loads_snapshot(blob: bytes) -> Snapshot:
         upper_bound = header["upper_bound"]
         stats = _stats_from_dict(header.get("stats", {}))
         frontier, trail = _restore_block(header, arrays, instance)
-        next_order = int(header["next_order"])
     except SnapshotError:
         raise
     except (KeyError, IndexError, ValueError, TypeError) as exc:
@@ -494,7 +514,6 @@ def loads_snapshot(blob: bytes) -> Snapshot:
         trail=trail,
         upper_bound=float("inf") if upper_bound is None else float(upper_bound),
         best_order=tuple(int(j) for j in header.get("best_order", [])),
-        next_order=next_order,
         stats=stats,
     )
 

@@ -147,7 +147,7 @@ class PoolSizeAutotuner:
             machine_scan(parents.release, jobs, after, before, out=parents.release)
         parents.depth[:] = depth
         parents.trail_id[:] = trail.append_root()
-        children = branch_block(parents, pt, 0)
+        children = branch_block(parents, pt)
         return children.take(np.arange(pool_size))
 
     def _measured_samples(self) -> list[AutotuneSample]:

@@ -150,7 +150,6 @@ def collect_pending_pool(
     pool.push_block(root)
 
     pt = instance.processing_times
-    next_order = 1
     expansions = 0
     budget = max_expansions if max_expansions is not None else 4 * pool_size
     # Not a solve loop: this builds the paper's pending list L by growing a
@@ -158,13 +157,12 @@ def collect_pending_pool(
     # expose — and returns it unsolved for the protocol's timed phase.
     while pool and len(pool) < pool_size and expansions < budget:  # repro-lint: ignore[single-loop] -- pool-construction helper, terminates at pool_size, never runs the search
         row = pool.peek_best()
-        lb, depth, _, tid, mask, release = pool.row_view(row)
+        lb, depth, tid, mask, release = pool.row_view(row)
         if lb >= incumbent:
             pool.discard(row)
             continue
-        children = branch_row(mask, release, depth, tid, trail, pt, next_order)
+        children = branch_row(mask, release, depth, tid, trail, pt)
         pool.discard(row)
-        next_order += len(children)
         expansions += 1
         if not len(children):
             continue

@@ -103,7 +103,7 @@ __all__ = [
 #: :mod:`repro.bb.snapshot`) so the protocol module stays importable
 #: without the solver stack; ``tests/test_service_protocol.py`` pins it
 #: against ``snapshot.SNAPSHOT_FORMAT_VERSION``.
-SUPPORTED_SNAPSHOT_VERSIONS = (1,)
+SUPPORTED_SNAPSHOT_VERSIONS = (1, 2)
 
 #: Largest instance a request may describe.  Taillard's largest class is
 #: 500x20.  The server materializes a request's instance on its event-loop

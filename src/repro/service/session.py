@@ -235,7 +235,6 @@ class SolveSession:
                 trail=state.trail,
                 upper_bound=state.upper_bound,
                 best_order=state.best_order_supplier(),
-                next_order=state.next_order,
                 stats=state.stats,
                 engine=engine,
             )

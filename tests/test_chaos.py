@@ -17,7 +17,12 @@ import asyncio
 import pytest
 
 from repro.bb.sequential import SequentialBranchAndBound
-from repro.bb.snapshot import SnapshotCorrupt, SnapshotError, load_snapshot
+from repro.bb.snapshot import (
+    SNAPSHOT_FORMAT_VERSION,
+    SnapshotCorrupt,
+    SnapshotError,
+    load_snapshot,
+)
 from repro.flowshop import random_instance
 from repro.service import SolveParams, SolveService
 from repro.service.client import ServiceClient
@@ -387,7 +392,7 @@ class TestWireLevelFaultTolerance:
         outcome = engine.solve()
         assert not outcome.proved_optimal
         snapshot = load_snapshot(path)
-        assert snapshot.header["format_version"] == 1
+        assert snapshot.header["format_version"] == SNAPSHOT_FORMAT_VERSION
         resumed = SequentialBranchAndBound.resume(path)
         assert resumed.best_makespan == golden.best_makespan
         assert resumed.proved_optimal

@@ -6,8 +6,6 @@ makespan, permutation, every ``SearchStats`` counter and the concatenated
 selection trace, across all selection strategies.
 """
 
-import hashlib
-import json
 import struct
 
 import numpy as np
@@ -120,6 +118,23 @@ def test_snapshot_with_tombstoned_rows_pending_resumes_to_the_golden(tmp_path, m
     cut = SequentialBranchAndBound(instance, max_nodes=1311, checkpoint_path=path).solve()
     assert not cut.proved_optimal
     assert pending[-1] > 0, "no tombstoned row was pending at the cut"
+    result = SequentialBranchAndBound.resume(path)
+    assert (result.best_makespan, result.best_order) == (golden.best_makespan, golden.best_order)
+    assert result.proved_optimal
+    for name in _COUNTERS:
+        assert getattr(result.stats, name) == getattr(golden.stats, name), name
+
+
+def test_unpacked_run_resumes_to_the_golden(tmp_path):
+    """Restored rows enter the store through ``push_block``, which leaves a
+    store holding bounds from 2**22 unpacked, as the cut run's was."""
+    instance = random_instance(12, 5, seed=0, high=2**20)  # every bound passes 2**22
+    golden = SequentialBranchAndBound(instance).solve()
+    path = tmp_path / "snap.rpbb"
+    cut = SequentialBranchAndBound(instance, max_nodes=400, checkpoint_path=path).solve()
+    assert not cut.proved_optimal
+    restored = snapshot.load_snapshot(path).frontier
+    assert len(restored) > 0 and not restored._packed
     result = SequentialBranchAndBound.resume(path)
     assert (result.best_makespan, result.best_order) == (golden.best_makespan, golden.best_order)
     assert result.proved_optimal
@@ -249,7 +264,8 @@ def test_completed_solve_writes_no_final_snapshot(small_instance, tmp_path):
 def _rewrite_arrays(path, rewrite):
     """Rewrite a snapshot file's payload arrays through ``rewrite(arrays)``.
 
-    The manifest, length and checksum are rebuilt; the format version stays.
+    The manifest, length and checksum are rebuilt (the file is re-signed);
+    the format version stays.
     """
     blob = path.read_bytes()
     header = load_header(path)
@@ -260,13 +276,11 @@ def _rewrite_arrays(path, rewrite):
     chunks = [np.ascontiguousarray(array).tobytes() for array in arrays.values()]
     payload = b"".join(chunks)
     header["payload"] = {
-        "sha256": hashlib.sha256(payload).hexdigest(),
         "length": len(payload),
         "format": "raw",
         "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()],
     }
-    encoded = json.dumps(header, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    path.write_bytes(snapshot.MAGIC + struct.pack(">I", len(encoded)) + encoded + payload)
+    path.write_bytes(snapshot._seal(header, payload))
 
 
 def _rewrite_with_bool_masks(path, n_jobs):

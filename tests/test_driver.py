@@ -680,7 +680,6 @@ def _seeded_block_state(instance, driver, upper_bound, best_order, max_pending=N
         best_order=best_order,
         stats=stats,
         trail=trail,
-        next_order=1,
     )
     return outcome, stats, frontier
 
@@ -821,14 +820,14 @@ class TestStaleDrain:
         keys = (
             []
             if pending is None
-            else list(zip(pending.lower_bound, pending.depth, pending.order_index))
+            else list(zip(pending.lower_bound, pending.depth, pending.trail_id))
         )
         counters = {name: getattr(stats, name) for name in COUNTERS if name != "max_pool_size"}
         state = (
             outcome.completed,
             outcome.upper_bound,
             outcome.best_order,
-            outcome.next_order,
+            len(frontier._trail),
             frontier.max_size_seen,
             counters,
             [tuple(int(v) for v in key) for key in keys],
@@ -938,12 +937,12 @@ class TestInt32Frontier:
     def test_block_columns_are_int32(self, medium_instance):
         trail = Trail()
         root = root_block(medium_instance, trail)
-        for column in ("release", "lower_bound", "depth", "order_index", "trail_id"):
+        for column in ("release", "lower_bound", "depth", "trail_id"):
             assert getattr(root, column).dtype == np.int32, column
         from repro.bb.frontier import branch_block
 
-        children = branch_block(root, medium_instance.processing_times, 1)
-        for column in ("release", "lower_bound", "depth", "order_index", "trail_id"):
+        children = branch_block(root, medium_instance.processing_times)
+        for column in ("release", "lower_bound", "depth", "trail_id"):
             assert getattr(children, column).dtype == np.int32, column
 
     def test_frontier_storage_is_int32_with_int64_keys(self, medium_instance):
@@ -962,9 +961,8 @@ class TestInt32Frontier:
 
         data = LowerBoundData(medium_instance)
         trail = Trail()
-        children = branch_block(
-            root_block(medium_instance, trail), medium_instance.processing_times, 1
-        )
+        root = root_block(medium_instance, trail)
+        children = branch_block(root, medium_instance.processing_times)
         got = bound_block(data, children)
         mask = unpack_mask(children.mask_bits, children.n_jobs)
         want = lower_bound_batch(data, mask, children.release)
@@ -986,14 +984,14 @@ class TestFrontierMemoryCap:
         assert not frontier.restricted
         from repro.bb.frontier import branch_block
 
-        children = branch_block(root, medium_instance.processing_times, 1)
+        children = branch_block(root, medium_instance.processing_times)
         bound_block(data, children)
         frontier.push_block(children)
         assert frontier.restricted
         assert frontier.pop_min_tie_batch() is None  # batching pauses
         row = frontier.peek_best()
         # depth-first-restricted: the most recent (deepest) node is chosen
-        assert int(frontier._order[row]) == int(frontier._order[: len(frontier)].max())
+        assert int(frontier._tid[row]) == int(frontier._tid[: len(frontier)].max())
 
     def test_capped_sequential_stays_exact(self, medium_instance):
         free = SequentialBranchAndBound(medium_instance).solve()
@@ -1020,14 +1018,14 @@ class TestFrontierMemoryCap:
         keys = (
             []
             if pending is None
-            else sorted(zip(pending.lower_bound.tolist(), pending.order_index.tolist()))
+            else sorted(zip(pending.lower_bound.tolist(), pending.trail_id.tolist()))
         )
         counters = {name: getattr(stats, name) for name in COUNTERS if name != "max_pool_size"}
         return (
             outcome.completed,
             outcome.upper_bound,
             outcome.best_order,
-            outcome.next_order,
+            len(frontier._trail),
             frontier.max_size_seen,
             frontier.regime_switches,
             counters,
@@ -1110,7 +1108,10 @@ class TestBatchCheckpoint:
                 medium_instance, offload=LocalBounding(data), batch_size=6, **kwargs
             )
 
-        golden, golden_stats = _seeded_block_run(medium_instance, batch_driver(), float("inf"), ())
+        golden, golden_stats, golden_frontier = _seeded_block_state(
+            medium_instance, batch_driver(), float("inf"), ()
+        )
+        created = len(golden_frontier._trail)
         blobs = []
 
         def capture(state):
@@ -1121,13 +1122,12 @@ class TestBatchCheckpoint:
                     trail=state.trail,
                     upper_bound=state.upper_bound,
                     best_order=state.best_order_supplier(),
-                    next_order=state.next_order,
                     stats=state.stats,
                     engine={"engine": "test"},
                 )
             )
 
-        full, full_stats = _seeded_block_run(
+        full, full_stats, full_frontier = _seeded_block_state(
             medium_instance,
             batch_driver(
                 hooks=SearchHooks(on_checkpoint=capture),
@@ -1137,11 +1137,11 @@ class TestBatchCheckpoint:
             (),
         )
         # taking snapshots does not steer the search
-        assert (full.upper_bound, full.best_order, full.iterations, full.next_order) == (
+        assert (full.upper_bound, full.best_order, full.iterations, len(full_frontier._trail)) == (
             golden.upper_bound,
             golden.best_order,
             golden.iterations,
-            golden.next_order,
+            created,
         )
         for counter in COUNTERS:
             assert getattr(full_stats, counter) == getattr(golden_stats, counter), counter
@@ -1155,12 +1155,11 @@ class TestBatchCheckpoint:
                 best_order=snap.best_order,
                 stats=snap.stats,
                 trail=snap.trail,
-                next_order=snap.next_order,
             )
             assert outcome.completed
             assert outcome.upper_bound == golden.upper_bound
             assert outcome.best_order == golden.best_order
-            assert outcome.next_order == golden.next_order
+            assert len(snap.trail) == created
             for counter in COUNTERS:
                 assert getattr(snap.stats, counter) == getattr(golden_stats, counter), counter
 
@@ -1384,7 +1383,7 @@ class TestReviewRegressions:
         data = LowerBoundData(small_instance)
         trail = Trail()
         root = root_block(small_instance, trail)
-        children = branch_block(root, small_instance.processing_times, 1)
+        children = branch_block(root, small_instance.processing_times)
 
         def no_batch_kernel(kernel):
             raise AssertionError(f"scalar bounding resolved batch kernel {kernel!r}")

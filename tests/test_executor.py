@@ -23,7 +23,7 @@ def executor(small_instance, small_instance_data) -> GpuExecutor:
 
 def _root_children(instance):
     """The root's child block: its arrays are the device buffers."""
-    return branch_block(root_block(instance, Trail()), instance.processing_times, 1)
+    return branch_block(root_block(instance, Trail()), instance.processing_times)
 
 
 class TestUpload:
@@ -66,10 +66,8 @@ class TestEvaluate:
         """The depth column feeds the timing model the same ``n_remaining``
         the rows' set bits give."""
         children = _root_children(small_instance)
-        grandchildren = branch_block(
-            children.take(np.array([0])), small_instance.processing_times, 1 + len(children)
-        )
-        columns = ("mask_bits", "release", "lower_bound", "depth", "order_index", "trail_id")
+        grandchildren = branch_block(children.take(np.array([0])), small_instance.processing_times)
+        columns = ("mask_bits", "release", "lower_bound", "depth", "trail_id")
         mixed = NodeBlock(
             **{
                 name: np.concatenate([getattr(children, name), getattr(grandchildren, name)])
@@ -134,10 +132,10 @@ class TestLaunchMemory:
         """The children of 256 depth-2 ta100x20 parents: 25,088 rows, 4.3 MB of input."""
         instance = taillard_instance(100, 20, index=1)
         pt = instance.processing_times
-        depth1 = branch_block(root_block(instance, Trail()), pt, 1)
-        depth2 = branch_block(depth1, pt, 1 + len(depth1))
+        depth1 = branch_block(root_block(instance, Trail()), pt)
+        depth2 = branch_block(depth1, pt)
         parents = np.unique(np.linspace(0, len(depth2) - 1, 256).astype(np.int64))
-        block = branch_block(depth2.take(parents), pt, 1 + len(depth1) + len(depth2))
+        block = branch_block(depth2.take(parents), pt)
         executor = GpuExecutor(LowerBoundData(instance))
         # each part of a split launch holds its own tile tables, so one part
         # keeps the peak independent of the host's CPU count

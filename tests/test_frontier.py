@@ -70,7 +70,7 @@ class TestRootAndSeed:
         assert (root.release == 0).all()
         assert root.lower_bound[0] == NO_BOUND
         assert root.depth[0] == 0
-        assert root.order_index[0] == 0
+        assert root.trail_id[0] == 0
         assert root.prefix(0) == ()
 
     def test_seed_block_matches_node_chain(self, small_instance):
@@ -80,8 +80,8 @@ class TestRootAndSeed:
         assert np.array_equal(seed.release[0], partial_completion_times(small_instance, prefix))
         assert seed.prefix(0) == prefix
         assert seed.depth[0] == len(prefix)
-        # the index a per-search counter assigns after a root-to-seed chain
-        assert seed.order_index[0] == len(prefix)
+        # the id a per-search counter assigns after a root-to-seed chain
+        assert seed.trail_id[0] == len(prefix)
 
     def test_seed_block_rejects_duplicates(self, small_instance):
         with pytest.raises(ValueError):
@@ -92,7 +92,7 @@ class TestBranchBlock:
     def test_children_follow_the_schedule_recurrence(self, medium_instance):
         trail = Trail()
         root = root_block(medium_instance, trail)
-        children = branch_block(root, medium_instance.processing_times, 1)
+        children = branch_block(root, medium_instance.processing_times)
         assert len(children) == medium_instance.n_jobs
         for job in range(medium_instance.n_jobs):
             expected = partial_completion_times(medium_instance, (job,))
@@ -100,13 +100,13 @@ class TestBranchBlock:
             assert np.flatnonzero(_bool_mask(children)[job]).tolist() == [job]
             assert children.prefix(job) == (job,)
             assert children.depth[job] == 1
-            assert children.order_index[job] == 1 + job
+            assert children.trail_id[job] == 1 + job
 
     def test_branch_row_matches_branch_block(self, medium_instance):
         trail_a, trail_b = Trail(), Trail()
         root_a = root_block(medium_instance, trail_a)
         root_b = root_block(medium_instance, trail_b)
-        via_block = branch_block(root_a, medium_instance.processing_times, 1)
+        via_block = branch_block(root_a, medium_instance.processing_times)
         via_row = branch_row(
             root_b.mask_bits[0],
             root_b.release[0],
@@ -114,29 +114,26 @@ class TestBranchBlock:
             int(root_b.trail_id[0]),
             trail_b,
             medium_instance.processing_times,
-            1,
         )
         assert np.array_equal(via_block.release, via_row.release)
         assert np.array_equal(via_block.mask_bits, via_row.mask_bits)
-        assert np.array_equal(via_block.order_index, via_row.order_index)
+        assert np.array_equal(via_block.trail_id, via_row.trail_id)
 
     def test_empty_block_yields_no_children(self, small_instance):
         trail = Trail()
         empty = NodeBlock.empty(small_instance.n_jobs, small_instance.n_machines, trail)
-        children = branch_block(empty, small_instance.processing_times, 5)
+        children = branch_block(empty, small_instance.processing_times)
         assert len(children) == 0
 
     def test_all_leaf_batch_yields_no_children(self, tiny_instance):
         # a block of complete schedules has nothing to branch
         trail = Trail()
         block = root_block(tiny_instance, trail)
-        order = 1
         for _ in range(tiny_instance.n_jobs):
-            block = branch_block(block, tiny_instance.processing_times, order)
-            order += len(block)
+            block = branch_block(block, tiny_instance.processing_times)
         assert block.is_leaf_mask.all()
         assert (block.lower_bound == block.makespans).all()  # leaves pre-bounded
-        assert len(branch_block(block, tiny_instance.processing_times, order)) == 0
+        assert len(branch_block(block, tiny_instance.processing_times)) == 0
 
 
 class TestPackedBranching:
@@ -159,13 +156,13 @@ class TestPackedBranching:
             seed_block(instance, tuple(rng.permutation(n)[: rng.integers(0, n + 1)]), trail)
             for _ in range(n_parents)
         ]
-        columns = ("mask_bits", "release", "lower_bound", "depth", "order_index", "trail_id")
+        columns = ("mask_bits", "release", "lower_bound", "depth", "trail_id")
         parents = NodeBlock(
             **{name: np.concatenate([getattr(b, name) for b in seeds]) for name in columns},
             trail=trail,
             n_jobs=n,
         )
-        children = branch_block(parents, pt, 100)
+        children = branch_block(parents, pt)
         reference = np.zeros((len(children), n), dtype=bool)
         for row in range(len(children)):
             reference[row, list(children.prefix(row))] = True
@@ -184,7 +181,6 @@ class TestPackedBranching:
                 int(parents.trail_id[i]),
                 trail,
                 pt,
-                0,
             )
             rows = slice(start, start + len(via_row))
             assert np.array_equal(via_row.mask_bits, children.mask_bits[rows])
@@ -224,7 +220,7 @@ class TestReleaseRecurrence:
             seed_block(instance, tuple(rng.permutation(n)[: rng.integers(0, n + 1)]), trail)
             for _ in range(n_parents)
         ]
-        columns = ("mask_bits", "release", "lower_bound", "depth", "order_index", "trail_id")
+        columns = ("mask_bits", "release", "lower_bound", "depth", "trail_id")
         parents = NodeBlock(
             **{name: np.concatenate([getattr(b, name) for b in seeds]) for name in columns},
             trail=trail,
@@ -235,7 +231,7 @@ class TestReleaseRecurrence:
         # column threshold of 1 or 2 rows sends them to the column form
         with mock.patch.object(frontier_module, "_ROW_CHUNK", chunk):
             with mock.patch.object(schedule_module, "_COLUMN_SCAN_MIN_ROWS", column_rows):
-                assert_recurrence(branch_block(parents, pt, 100))
+                assert_recurrence(branch_block(parents, pt))
                 for i in range(len(parents)):
                     assert_recurrence(
                         branch_row(
@@ -245,7 +241,6 @@ class TestReleaseRecurrence:
                             int(parents.trail_id[i]),
                             trail,
                             pt,
-                            0,
                         )
                     )
                 # the in-place advance the autotuner builds its parents with
@@ -264,14 +259,12 @@ class TestBoundBlock:
         trail = Trail()
         block = root_block(instance, trail)
         bound_block(data, block)
-        order = 1
         depth = int(rng.integers(0, instance.n_jobs - 1))
         for _ in range(depth):
-            block = branch_block(block, instance.processing_times, order)
-            order += len(block)
+            block = branch_block(block, instance.processing_times)
             rows = rng.choice(len(block), size=min(3, len(block)), replace=False)
             block = block.take(np.sort(rows))
-        return block, order
+        return block
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -281,8 +274,8 @@ class TestBoundBlock:
         m = int(rng.integers(1, 6))
         instance = FlowShopInstance(rng.integers(1, 60, size=(n, m)))
         data = LowerBoundData(instance)
-        block, order = self._deep_block(instance, data, rng)
-        children = branch_block(block, instance.processing_times, order)
+        block = self._deep_block(instance, data, rng)
+        children = branch_block(block, instance.processing_times)
         if not len(children):
             return
         # the v1 reference
@@ -302,13 +295,11 @@ class TestBoundBlock:
         data = LowerBoundData(instance)
         trail = Trail()
         block = root_block(instance, trail)
-        order = 1
         depth = int(rng.integers(0, n - 1))
         for _ in range(depth):
-            children = branch_block(block, instance.processing_times, order)
-            order += len(children)
+            children = branch_block(block, instance.processing_times)
             block = children.take(np.array([rng.integers(len(children))]))
-        siblings = branch_block(block, instance.processing_times, order)
+        siblings = branch_block(block, instance.processing_times)
         got = bound_block(data, siblings)
         want = lower_bound_batch(data, _bool_mask(siblings), siblings.release)
         assert np.array_equal(got, want)
@@ -317,9 +308,8 @@ class TestBoundBlock:
         """v1 is no kernel of the operator any more; as a reference it agrees."""
         data = LowerBoundData(medium_instance)
         trail = Trail()
-        children = branch_block(
-            root_block(medium_instance, trail), medium_instance.processing_times, 1
-        )
+        root = root_block(medium_instance, trail)
+        children = branch_block(root, medium_instance.processing_times)
         with pytest.raises(ValueError, match="'v2' or 'scalar'"):
             bound_block(data, children, kernel="v1")
         assert (children.lower_bound == NO_BOUND).all()  # refused before bounding
@@ -337,13 +327,11 @@ def _equal_depth_parents(instance, depth, count, rng):
     """Up to ``count`` distinct branch-built parents at ``depth`` (one trail)."""
     pt = instance.processing_times
     block = root_block(instance, Trail())
-    order = 1
     for _ in range(depth):
-        children = branch_block(block, pt, order)
-        order += len(children)
+        children = branch_block(block, pt)
         rows = rng.choice(len(children), size=min(count, len(children)), replace=False)
         block = children.take(np.sort(rows))
-    return block, order
+    return block
 
 
 def _scalar_bounds(data, block):
@@ -372,8 +360,8 @@ class TestGroupedSiblings:
         data = LowerBoundData(instance)
         depth = int(rng.integers(0, n - 1))  # parents down to depth n - 2
         most = max(1, 512 // (n - depth))  # up to 512 rows
-        parents, order = _equal_depth_parents(instance, depth, int(rng.integers(1, most + 1)), rng)
-        children = branch_block(parents, instance.processing_times, order)
+        parents = _equal_depth_parents(instance, depth, int(rng.integers(1, most + 1)), rng)
+        children = branch_block(parents, instance.processing_times)
         want = _scalar_bounds(data, children)
         got = bound_block(data, children)
         assert np.array_equal(got, want)
@@ -393,9 +381,9 @@ class TestGroupedSiblings:
         """One v2 call per block, with the ``jobs`` column, in one GEMM product."""
         instance = FlowShopInstance(np.random.default_rng(n + depth).integers(1, 99, size=(n, 5)))
         data = LowerBoundData(instance)
-        parents, order = _equal_depth_parents(instance, depth, count, np.random.default_rng(count))
+        parents = _equal_depth_parents(instance, depth, count, np.random.default_rng(count))
         assert len(parents) == count
-        children = branch_block(parents, instance.processing_times, order)
+        children = branch_block(parents, instance.processing_times)
         launches = []
         real = bounds.BATCH_KERNELS["v2"]
 
@@ -415,8 +403,8 @@ class TestGroupedSiblings:
         """Above 512 rows, as below: the same single kernel call, exact."""
         instance = FlowShopInstance(np.random.default_rng(7).integers(1, 99, size=(10, 5)))
         data = LowerBoundData(instance)
-        parents, order = _equal_depth_parents(instance, 2, 65, np.random.default_rng(1))
-        children = branch_block(parents, instance.processing_times, order)
+        parents = _equal_depth_parents(instance, 2, 65, np.random.default_rng(1))
+        children = branch_block(parents, instance.processing_times)
         assert len(children) > 512
         launches = []
         real = bounds.BATCH_KERNELS["v2"]
@@ -435,8 +423,8 @@ class TestGroupedSiblings:
         """The scalar loop bounds sibling blocks exactly; v1 is a reference only."""
         instance = FlowShopInstance(np.random.default_rng(3).integers(1, 99, size=(8, 4)))
         data = LowerBoundData(instance)
-        parents, order = _equal_depth_parents(instance, 3, 12, np.random.default_rng(2))
-        children = branch_block(parents, instance.processing_times, order)
+        parents = _equal_depth_parents(instance, 3, 12, np.random.default_rng(2))
+        children = branch_block(parents, instance.processing_times)
         if kernel == "v1":
             with pytest.raises(ValueError):
                 bound_block(data, children, kernel=kernel)
@@ -450,7 +438,7 @@ class TestEliminateBlock:
     def _bounded_children(self, instance):
         data = LowerBoundData(instance)
         trail = Trail()
-        children = branch_block(root_block(instance, trail), instance.processing_times, 1)
+        children = branch_block(root_block(instance, trail), instance.processing_times)
         bound_block(data, children)
         return children
 
@@ -475,23 +463,21 @@ class TestEliminateBlock:
 
     def test_unbounded_rejected(self, medium_instance):
         trail = Trail()
-        children = branch_block(
-            root_block(medium_instance, trail), medium_instance.processing_times, 1
-        )
+        root = root_block(medium_instance, trail)
+        children = branch_block(root, medium_instance.processing_times)
         with pytest.raises(ValueError):
             eliminate_block(children, 1e9)
 
 
-def _random_block(rng, n_jobs, n_machines, trail, count, order_start=0):
-    """A block of synthetic bounded nodes (pool-behaviour tests only)."""
+def _random_block(rng, n_jobs, n_machines, trail, count, first_id=0):
+    """A block of synthetic bounded nodes with ids from ``first_id`` (pool tests only)."""
     mask = rng.random((count, n_jobs)) < 0.4
     return NodeBlock(
         mask_bits=pack_mask(mask),
         release=rng.integers(0, 50, size=(count, n_machines)).astype(np.int64),
         lower_bound=rng.integers(0, 12, size=count).astype(np.int64),
         depth=mask.sum(axis=1).astype(np.int64),
-        order_index=np.arange(order_start, order_start + count, dtype=np.int64),
-        trail_id=np.zeros(count, dtype=np.int64),
+        trail_id=np.arange(first_id, first_id + count, dtype=np.int64),
         trail=trail,
         n_jobs=n_jobs,
     )
@@ -510,13 +496,11 @@ class TestBlockFrontier:
         trail.append_root()
         frontier = BlockFrontier(6, 3, trail, strategy=strategy)
         keys = []
-        order_start = 0
-        for _ in range(4):
-            block = _random_block(rng, 6, 3, trail, 15, order_start)
-            order_start += 15
+        for first_id in range(0, 60, 15):
+            block = _random_block(rng, 6, 3, trail, 15, first_id)
             frontier.push_block(block)
             keys.extend(
-                (int(block.lower_bound[i]), int(block.depth[i]), int(block.order_index[i]))
+                (int(block.lower_bound[i]), int(block.depth[i]), int(block.trail_id[i]))
                 for i in range(len(block))
             )
         if strategy == "best-first":
@@ -529,7 +513,7 @@ class TestBlockFrontier:
         while frontier:
             block, _ = frontier.pop_batch(1)
             popped.append(
-                (int(block.lower_bound[0]), int(block.depth[0]), int(block.order_index[0]))
+                (int(block.lower_bound[0]), int(block.depth[0]), int(block.trail_id[0]))
             )
         assert popped == expected
 
@@ -571,7 +555,7 @@ class TestBlockFrontier:
         assert (batch.lower_bound == best[0]).all()
         assert (batch.depth == best[1]).all()
         # in pop (creation) order
-        assert list(batch.order_index) == sorted(batch.order_index)
+        assert list(batch.trail_id) == sorted(batch.trail_id)
 
     def test_prune_to_counts_and_preserves_survivors(self):
         rng = np.random.default_rng(5)
@@ -620,9 +604,8 @@ class TestExecutorBlock:
         data = LowerBoundData(medium_instance)
         executor = GpuExecutor(data)
         trail = Trail()
-        children = branch_block(
-            root_block(medium_instance, trail), medium_instance.processing_times, 1
-        )
+        root = root_block(medium_instance, trail)
+        children = branch_block(root, medium_instance.processing_times)
         result = executor.evaluate_block(children)
         want = lower_bound_batch(data, _bool_mask(children), children.release)
         assert np.array_equal(result.bounds, want)
@@ -658,7 +641,7 @@ def _assert_same_store(a: BlockFrontier, b: BlockFrontier) -> None:
         want = (
             (a._lb[:size].astype(np.int64) << 41)
             | (a._depth[:size].astype(np.int64) << 32)
-            | a._order[:size]
+            | a._tid[:size]
         )
         assert np.array_equal(a._key[:size], want)
         a._seg_refresh()
@@ -714,7 +697,7 @@ def _keep(rule: str, children: NodeBlock, rng) -> np.ndarray | None:
     return children.lower_bound < (np.median(children.lower_bound) if count else 0)
 
 
-def _batch_iteration(frontier, case, data, next_order, rng, reserved):
+def _batch_iteration(frontier, case, data, rng, reserved):
     """One select-branch-bound-insert step; returns the children and ``keep``.
 
     ``reserved`` writes the children into the store's free rows, as the
@@ -724,7 +707,7 @@ def _batch_iteration(frontier, case, data, next_order, rng, reserved):
     parents, _ = frontier.pop_batch(case["pool"])
     count = instance.n_jobs * len(parents) - int(parents.depth.sum())
     out = frontier.reserve(count) if reserved else None
-    children = branch_block(parents, instance.processing_times, next_order, out)
+    children = branch_block(parents, instance.processing_times, out)
     assert len(children) == count
     bound_block(data, children)
     keep = _keep(case["keep"], children, rng)
@@ -749,16 +732,15 @@ class TestReservedRows:
             _seeded_twin(instance, data, case["prefixes"], case["capacity"], case["segment_shift"])
             for _ in range(2)
         ]
-        next_order = 1 + sum(len(prefix) for prefix in case["prefixes"])
         with mock.patch.object(frontier_module, "_ROW_CHUNK", case["chunk"]):
             for iteration in range(case["iterations"]):
                 seed = case["seed"] + iteration
                 rng = np.random.default_rng(seed)
-                children, keep = _batch_iteration(reserved, case, data, next_order, rng, True)
+                children, keep = _batch_iteration(reserved, case, data, rng, True)
                 reserved.push_block(children, keep)
 
                 rng = np.random.default_rng(seed)
-                children, keep = _batch_iteration(allocated, case, data, next_order, rng, False)
+                children, keep = _batch_iteration(allocated, case, data, rng, False)
                 live = len(allocated)
                 rows = slice(None) if keep is None else keep
                 expected = {
@@ -768,7 +750,6 @@ class TestReservedRows:
                     for store, column in BlockFrontier._COLUMNS
                 }
                 allocated.push_block(children, keep)
-                next_order += len(children)
 
                 _assert_same_store(reserved, allocated)
                 # an independent account of the store: the rows left after
@@ -799,7 +780,7 @@ class TestReservedRows:
         n, m = medium_instance.n_jobs, medium_instance.n_machines
         trail = Trail()
         root = root_block(medium_instance, trail)
-        children = branch_block(root, medium_instance.processing_times, 1)
+        children = branch_block(root, medium_instance.processing_times)
         bound_block(LowerBoundData(medium_instance), children)
         frontier = BlockFrontier(n, m, trail, capacity=1)
         keep = np.arange(len(children)) % 3 != 1
@@ -852,7 +833,6 @@ class TestRaisingOffload:
                 upper_bound=float("inf"),
                 stats=SearchStats(nodes_bounded=1),
                 trail=trail,
-                next_order=1,
             )
         size, columns = offload.seen
         assert len(frontier) == size

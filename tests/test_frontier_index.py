@@ -46,7 +46,7 @@ _INSTANCE = random_instance(N_JOBS, N_MACHINES, seed=5)
 _SEGMENT_SHIFT = {"segmented": 2, "linear": 24}
 
 
-def _block(frontier: BlockFrontier, lbs, depths, order_start: int):
+def _block(frontier: BlockFrontier, lbs, depths, first_id: int):
     from repro.bb.frontier import NodeBlock
 
     count = len(lbs)
@@ -55,8 +55,7 @@ def _block(frontier: BlockFrontier, lbs, depths, order_start: int):
         release=np.zeros((count, N_MACHINES), dtype=np.int32),
         lower_bound=np.asarray(lbs, dtype=np.int32),
         depth=np.asarray(depths, dtype=np.int32),
-        order_index=np.arange(order_start, order_start + count, dtype=np.int32),
-        trail_id=np.zeros(count, dtype=np.int32),
+        trail_id=np.arange(first_id, first_id + count, dtype=np.int32),
         trail=frontier._trail,
         n_jobs=N_JOBS,
     )
@@ -102,15 +101,14 @@ def _roundtrip(frontier: BlockFrontier) -> BlockFrontier:
     return restored
 
 
-def _fill(block, lbs, depths, order_start: int) -> None:
+def _fill(block, lbs, depths, first_id: int) -> None:
     """Write rows like :func:`_block`'s into a block of free store rows."""
     count = len(lbs)
     block.mask_bits[:] = 0
     block.release[:] = 0
     block.lower_bound[:] = lbs
     block.depth[:] = depths
-    block.order_index[:] = np.arange(order_start, order_start + count, dtype=np.int32)
-    block.trail_id[:] = 0
+    block.trail_id[:] = np.arange(first_id, first_id + count, dtype=np.int32)
 
 
 @st.composite
@@ -200,13 +198,13 @@ class TestSegmentedLinearEquivalence:
                             pruned,
                             block.lower_bound.tolist(),
                             block.depth.tolist(),
-                            block.order_index.tolist(),
+                            block.trail_id.tolist(),
                         )
                     )
                 elif step[0] in ("tie", "ties"):
                     for _ in range(step[1] if step[0] == "ties" else 1):
                         block = f.pop_min_tie_batch() if len(f) else None
-                        log.append(("tie", None if block is None else block.order_index.tolist()))
+                        log.append(("tie", None if block is None else block.trail_id.tolist()))
                 elif step[0] == "prune" and len(f):
                     log.append(("prune", f.prune_to(float(step[1]))))
                 elif step[0] == "best":
@@ -231,10 +229,10 @@ class TestTombstones:
         popped = []
         for expected in ([0, 1], [8, 9, 10, 11, 12]):
             block = f.pop_min_tie_batch()
-            assert block.order_index.tolist() == expected
+            assert block.trail_id.tolist() == expected
             popped += expected
         # the second pop left more tombstones than live rows: the bulk
-        # compaction moved orders 6 and 7 into rows 0 and 1 and left their
+        # compaction moved ids 6 and 7 into rows 0 and 1 and left their
         # old rows 6 and 7, past the store's end, with stale copies of
         # their keys
         assert f._n_dead == 0 and len(f) == f._size == 6
@@ -242,10 +240,10 @@ class TestTombstones:
         # a tie member and the stale row 7 right after the store's end
         f.push_block(_block(f, [3], [1], 13))
         block = f.pop_min_tie_batch()
-        assert block.order_index.tolist() == [6, 7, 13]
-        popped += block.order_index.tolist()
+        assert block.trail_id.tolist() == [6, 7, 13]
+        popped += block.trail_id.tolist()
         assert len(popped) == len(set(popped))
-        assert f.pop_batch(len(f))[0].order_index.tolist() == [2, 3, 4, 5]
+        assert f.pop_batch(len(f))[0].trail_id.tolist() == [2, 3, 4, 5]
 
     @pytest.mark.parametrize(
         "reader, result, rest",
@@ -262,13 +260,13 @@ class TestTombstones:
     def test_position_readers_see_live_rows_only(self, reader, result, rest):
         f = _frontier("linear", None)
         f.push_block(_block(f, [5, 1, 7, 7, 3, 8, 9, 4, 2, 6], [1] * 10, 0))
-        assert f.pop_min_tie_batch().order_index.tolist() == [1]
-        assert f._n_dead == 1  # order 1's row is still in the store
+        assert f.pop_min_tie_batch().trail_id.tolist() == [1]
+        assert f._n_dead == 1  # id 1's row is still in the store
         if reader == "pop_batch":
-            got = f.pop_batch(3)[0].order_index.tolist()
+            got = f.pop_batch(3)[0].trail_id.tolist()
         elif reader == "stale_drain":
             block, pruned = f.pop_batch(20, upper_bound=7.0)
-            got = (block.order_index.tolist(), pruned)
+            got = (block.trail_id.tolist(), pruned)
         elif reader == "peek":
             row = f.peek_best()
             got = f.row_view(row)[2]
@@ -287,14 +285,14 @@ class TestTombstones:
             got = None
         assert got == result
         assert f._n_dead == 0
-        remaining = f.pop_batch(len(f))[0].order_index.tolist() if f else []
+        remaining = f.pop_batch(len(f))[0].trail_id.tolist() if f else []
         assert remaining == rest
 
     @pytest.mark.parametrize("kind", ["linear", "segmented"])
     def test_len_counts_live_rows_until_compaction(self, kind):
         f = _frontier(kind, None)
         f.push_block(_block(f, [1, 5, 5, 5, 5, 5, 5, 5], [1] * 8, 0))
-        assert f.pop_min_tie_batch().order_index.tolist() == [0]
+        assert f.pop_min_tie_batch().trail_id.tolist() == [0]
         assert (len(f), f._size, f._n_dead) == (7, 8, 1)  # tombstoned in place
         assert f.best_lower_bound() == 5  # a position reader compacts first
         assert (len(f), f._size, f._n_dead) == (7, 7, 0)
@@ -340,7 +338,7 @@ class TestCapHysteresis:
         assert f.regime_switches == 1
 
     def test_restricted_pops_deepest_across_segments(self):
-        # while restricted, selection is depth-first (max creation index)
+        # while restricted, selection is depth-first (max trail id)
         # and must stay exact when the winner sits in a far segment
         f = _frontier("segmented", 9)
         f.push_block(_block(f, list(range(9)), [1] * 9, 0))

@@ -214,10 +214,10 @@ def _sibling_block(n_jobs: int, n_machines: int, n_parents: int):
     """The children of ``n_parents`` depth-2 parents, as ``branch_block`` builds them."""
     instance = taillard_instance(n_jobs, n_machines, index=1)
     pt = instance.processing_times
-    depth1 = branch_block(root_block(instance, Trail()), pt, 1)
-    depth2 = branch_block(depth1, pt, 1 + len(depth1))
+    depth1 = branch_block(root_block(instance, Trail()), pt)
+    depth2 = branch_block(depth1, pt)
     rows = np.linspace(0, len(depth2) - 1, n_parents).astype(np.int64)
-    return instance, branch_block(depth2.take(rows), pt, 1 + len(depth1) + len(depth2))
+    return instance, branch_block(depth2.take(rows), pt)
 
 
 def _scalar(data: LowerBoundData, mask: np.ndarray, release: np.ndarray) -> np.ndarray:

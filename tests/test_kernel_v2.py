@@ -1016,8 +1016,8 @@ class TestOneMachineTermIsDominated:
                 assert got.tolist() == s_expected, (seed, strategy)
             # the frontier operator on branch-built sibling blocks
             pt = instance.processing_times
-            level1 = frontier.branch_block(frontier.root_block(instance, frontier.Trail()), pt, 1)
-            level2 = frontier.branch_block(level1, pt, 1 + len(level1))
+            level1 = frontier.branch_block(frontier.root_block(instance, frontier.Trail()), pt)
+            level2 = frontier.branch_block(level1, pt)
             for block in (level1, level2):
                 want = [lower_bound(data, block.prefix(row)) for row in range(len(block))]
                 for kernel in ("v2", "scalar"):

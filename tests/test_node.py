@@ -42,7 +42,7 @@ class TestChildren:
         child = seed_block(small_instance, (2,), Trail())
         expected = partial_completion_times(small_instance, [2])
         assert np.array_equal(child.release[0], expected)
-        grandchildren = branch_block(child, pt, 2)
+        grandchildren = branch_block(child, pt)
         row = int(np.flatnonzero(grandchildren.jobs == 0)[0])
         assert grandchildren.prefix(row) == (2, 0)
         expected2 = partial_completion_times(small_instance, [2, 0])
@@ -50,13 +50,13 @@ class TestChildren:
 
     def test_children_count(self, small_instance):
         root = root_block(small_instance, Trail())
-        children = branch_block(root, small_instance.processing_times, 1)
+        children = branch_block(root, small_instance.processing_times)
         assert len(children) == small_instance.n_jobs
         assert {p[0] for p in children.prefixes()} == set(range(small_instance.n_jobs))
 
     def test_leaf_child_has_makespan(self, tiny_instance):
         parent = seed_block(tiny_instance, (0, 1), Trail())
-        leaf = branch_block(parent, tiny_instance.processing_times, 3)
+        leaf = branch_block(parent, tiny_instance.processing_times)
         assert len(leaf) == 1 and leaf.prefix(0) == (0, 1, 2)
         assert leaf.is_leaf_mask[0]
         assert leaf.makespans[0] == leaf.release[0, -1]
@@ -73,13 +73,13 @@ class TestChildren:
     def test_parent_release_untouched(self, small_instance):
         root = root_block(small_instance, Trail())
         before = root.release.copy()
-        branch_block(root, small_instance.processing_times, 1)
+        branch_block(root, small_instance.processing_times)
         assert np.array_equal(root.release, before)
 
 
 def _children(instance):
     root = root_block(instance, Trail())
-    return branch_block(root, instance.processing_times, 1)
+    return branch_block(root, instance.processing_times)
 
 
 def _pop_jobs(instance, block) -> list[int]:
@@ -100,14 +100,14 @@ class TestOrdering:
         children.lower_bound[:] = 10
         assert _pop_jobs(small_instance, children) == [0, 1]  # job 0 was created first
 
-    def test_order_index_is_per_search(self, small_instance):
-        # creation indices restart at every root: traces and tie-breaks do
-        # not depend on what ran earlier in the process
+    def test_trail_ids_are_per_search(self, small_instance):
+        # node ids (creation indices) restart at every root: traces and
+        # tie-breaks do not depend on what ran earlier in the process
         def indices():
             trail = Trail()
             root = root_block(small_instance, trail)
-            children = branch_block(root, small_instance.processing_times, 1)
-            return [int(root.order_index[0])] + children.order_index.tolist()
+            children = branch_block(root, small_instance.processing_times)
+            return [int(root.trail_id[0])] + children.trail_id.tolist()
 
         first = indices()
         second = indices()

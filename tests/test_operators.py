@@ -20,21 +20,20 @@ from repro.flowshop.schedule import Schedule
 
 
 def _bounded_children(instance, data):
-    children = branch_block(root_block(instance, Trail()), instance.processing_times, 1)
+    children = branch_block(root_block(instance, Trail()), instance.processing_times)
     bound_block(data, children)
     return children
 
 
 class TestBranch:
     def test_branch_root(self, small_instance):
-        children = branch_block(
-            root_block(small_instance, Trail()), small_instance.processing_times, 1
-        )
+        root = root_block(small_instance, Trail())
+        children = branch_block(root, small_instance.processing_times)
         assert len(children) == small_instance.n_jobs
 
     def test_branch_leaf_returns_nothing(self, tiny_instance):
         leaf = seed_block(tiny_instance, (0, 1, 2), Trail())
-        assert len(branch_block(leaf, tiny_instance.processing_times, 4)) == 0
+        assert len(branch_block(leaf, tiny_instance.processing_times)) == 0
 
 
 class TestBoundNode:
@@ -48,7 +47,7 @@ class TestBoundNode:
         # complete children carry their makespan as their bound from branch
         # time, so the driver never bounds them; the operator agrees
         parent = seed_block(tiny_instance, (0, 1), Trail())
-        leaf = branch_block(parent, tiny_instance.processing_times, 3)
+        leaf = branch_block(parent, tiny_instance.processing_times)
         makespan = Schedule(tiny_instance, (0, 1, 2)).makespan
         assert leaf.lower_bound[0] == makespan
         assert bound_block(LowerBoundData(tiny_instance), leaf)[0] == makespan
@@ -58,7 +57,7 @@ class TestEncodePool:
     def test_encoding_shapes_and_content(self, small_instance):
         trail = Trail()
         root = root_block(small_instance, trail)
-        child = branch_block(root, small_instance.processing_times, 1).take(np.array([2]))
+        child = branch_block(root, small_instance.processing_times).take(np.array([2]))
         pool = BlockFrontier(small_instance.n_jobs, small_instance.n_machines, trail, "fifo")
         pool.push_block(root)
         pool.push_block(child)
@@ -80,9 +79,8 @@ class TestEncodePool:
 
 class TestBatchBounding:
     def test_batch_writes_back_and_matches_scalar(self, small_instance, small_instance_data):
-        children = branch_block(
-            root_block(small_instance, Trail()), small_instance.processing_times, 1
-        )
+        root = root_block(small_instance, Trail())
+        children = branch_block(root, small_instance.processing_times)
         values = bound_block(small_instance_data, children).tolist()
         assert children.lower_bound.tolist() == values
         for row, value in enumerate(values):

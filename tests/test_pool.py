@@ -17,7 +17,7 @@ from repro.bb.frontier import NO_BOUND, BlockFrontier, NodeBlock, Trail
 
 N_JOBS, N_MACHINES = 5, 3
 
-#: creation indices: increasing in push order, like a search's node counter
+#: node ids: increasing in push order, like a search's trail slots
 _CREATED = itertools.count(1)
 
 
@@ -34,8 +34,7 @@ def _push(pool: BlockFrontier, *bounds: int) -> None:
             release=np.zeros((count, N_MACHINES), dtype=np.int32),
             lower_bound=np.array(bounds, dtype=np.int32),
             depth=np.zeros(count, dtype=np.int32),
-            order_index=np.array([next(_CREATED) for _ in range(count)], dtype=np.int32),
-            trail_id=np.zeros(count, dtype=np.int32),
+            trail_id=np.array([next(_CREATED) for _ in range(count)], dtype=np.int32),
             trail=Trail(),
             n_jobs=N_JOBS,
         )

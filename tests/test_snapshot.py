@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from repro.bb.frontier import BlockFrontier
 from repro.bb.sequential import SequentialBranchAndBound
 from repro.bb.snapshot import (
-    MAGIC,
     SNAPSHOT_FORMAT_VERSION,
     CheckpointPolicy,
     SnapshotCorrupt,
@@ -21,7 +21,14 @@ from repro.bb.snapshot import (
     loads_header,
     loads_snapshot,
     save_snapshot,
+    _seal,
 )
+from repro.flowshop.generators import random_instance
+
+#: A cut solve of ``random_instance(10, 5, seed=3)`` (``max_nodes=60``), as
+#: the version-1 format wrote it: digest over the payload only, plus the
+#: ``f_order`` column, ``next_order`` and ``packed`` that version 2 dropped.
+V1_FILE = Path(__file__).parent / "data" / "v1_random_10x5_seed3_cut60.rpbb"
 
 
 def _interrupted_blob(instance, tmp_path, selection="best-first", max_nodes=12):
@@ -45,13 +52,16 @@ def _as_object_layout(header):
 
 
 def _rebuild_with_header(blob, mutate):
-    """Re-serialize ``blob`` after applying ``mutate`` to its JSON header."""
+    """Re-serialize ``blob`` after applying ``mutate`` to its JSON header.
+
+    The rebuilt blob is re-signed, so its checksum holds and a load
+    reaches the check the mutation is about.
+    """
     (header_len,) = struct.unpack(">I", blob[4:8])
     header = json.loads(blob[8 : 8 + header_len])
     payload = blob[8 + header_len :]
     mutate(header)
-    header_bytes = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
-    return MAGIC + struct.pack(">I", len(header_bytes)) + header_bytes + payload
+    return _seal(header, payload)
 
 
 # --------------------------------------------------------------------- #
@@ -72,8 +82,9 @@ def test_roundtrip_restores_full_state(small_instance, tmp_path):
         assert getattr(snapshot.stats, name) == getattr(result.stats, name)
     assert len(snapshot.frontier) > 0
     assert isinstance(snapshot.frontier, BlockFrontier)
-    assert snapshot.trail is not None
-    assert snapshot.next_order > 0
+    # the trail's length is the id the next node gets: past every pending id
+    pending_ids = snapshot.frontier._tid[: len(snapshot.frontier)]
+    assert len(snapshot.trail) > int(pending_ids.max())
 
 
 def test_roundtrip_block_columns_exact(small_instance, tmp_path):
@@ -83,7 +94,7 @@ def test_roundtrip_block_columns_exact(small_instance, tmp_path):
     f1, f2 = first.frontier, second.frontier
     size = len(f1)
     assert size == len(f2)
-    for column in ("_bits", "_release", "_lb", "_depth", "_order", "_tid"):
+    for column in ("_bits", "_release", "_lb", "_depth", "_tid"):
         assert np.array_equal(getattr(f1, column)[:size], getattr(f2, column)[:size])
     # packed selection keys are recomputed, not stored: they must agree too
     if f1._packed:
@@ -131,6 +142,57 @@ def test_payload_bitflip_fails_checksum(small_instance, tmp_path):
     mangled[-1] ^= 0xFF
     with pytest.raises(SnapshotCorrupt, match="checksum"):
         loads_snapshot(bytes(mangled))
+
+
+@pytest.mark.parametrize("name", ["f_release", "f_lb", "f_tid", "trail_parent", "f_depth"])
+def test_manifest_byte_order_flip_fails_checksum(name, tmp_path):
+    """One bit of the header turns an array's dtype big-endian: refused.
+
+    Loaded under a payload-only checksum, the flip resumed to a wrong
+    makespan claimed optimal (``f_release``, ``f_lb``), to an order
+    holding 6 of the 11 jobs (``f_tid``), or to an ``IndexError``
+    (``trail_parent``).
+    """
+    instance = random_instance(11, 6, seed=5)
+    blob, _ = _interrupted_blob(instance, tmp_path, max_nodes=300)
+    entry = f'["{name}","<i4",'.encode()
+    at = blob.index(entry) + len(f'["{name}","')
+    mangled = bytearray(blob)
+    mangled[at] ^= ord("<") ^ ord(">")  # 0x3C -> 0x3E, one bit
+    path = tmp_path / "flipped.rpbb"
+    path.write_bytes(bytes(mangled))
+    with pytest.raises(SnapshotCorrupt, match="checksum"):
+        loads_snapshot(bytes(mangled))
+    with pytest.raises(SnapshotCorrupt):
+        SequentialBranchAndBound.resume(path)
+
+
+def test_every_header_bit_is_covered(small_instance, tmp_path):
+    """Flipping any one bit of the magic, the header length or the header
+    fails the load with a typed error."""
+    blob, _ = _interrupted_blob(small_instance, tmp_path, max_nodes=3)
+    (header_len,) = struct.unpack(">I", blob[4:8])
+    for at in range(8 + header_len):
+        for bit in range(8):
+            mangled = bytearray(blob)
+            mangled[at] ^= 1 << bit
+            with pytest.raises(SnapshotError):
+                loads_header(bytes(mangled))
+
+
+def test_version_1_file_resumes_bit_identically():
+    """A file the version-1 format wrote loads under its payload-only
+    checksum and continues exactly the search it cut."""
+    header = load_header(V1_FILE)
+    assert header["format_version"] == 1 and "next_order" in header
+    assert "f_order" in [name for name, _, _ in header["payload"]["arrays"]]
+    golden = SequentialBranchAndBound(random_instance(10, 5, seed=3)).solve()
+    result = SequentialBranchAndBound.resume(V1_FILE)
+    assert result.proved_optimal
+    assert (result.best_makespan, result.best_order) == (golden.best_makespan, golden.best_order)
+    for name in ("nodes_bounded", "nodes_branched", "nodes_pruned", "leaves_evaluated",
+                 "incumbent_updates", "pools_evaluated", "max_pool_size"):
+        assert getattr(result.stats, name) == getattr(golden.stats, name), name
 
 
 def test_bad_magic_rejected(small_instance, tmp_path):

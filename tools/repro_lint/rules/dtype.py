@@ -54,7 +54,6 @@ ALLOWED_DTYPES = frozenset({"int32", "int64", "bool", "bool_", "float32", "float
 COLUMN_DTYPES = {
     "_lb": {"int32"},
     "_depth": {"int32"},
-    "_order": {"int32"},
     "_tid": {"int32"},
     "_release": {"int32"},
     "_key": {"int64"},
